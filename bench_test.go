@@ -9,12 +9,6 @@ package bgploop_test
 // Full paper-scale figures are regenerated with `go run ./cmd/bgpfig`.
 
 import (
-	"context"
-	"encoding/json"
-	"fmt"
-	"net/http"
-	"net/http/httptest"
-	"runtime"
 	"strconv"
 	"testing"
 	"time"
@@ -22,7 +16,6 @@ import (
 	"bgploop"
 	"bgploop/internal/bgp"
 	"bgploop/internal/dataplane"
-	"bgploop/internal/dist"
 	"bgploop/internal/experiment"
 	"bgploop/internal/figures"
 	"bgploop/internal/routing"
@@ -263,128 +256,6 @@ func BenchmarkReplayThroughput(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkSweepParallel measures the sweep executor on the paper's
-// headline topology: the same 8-trial Internet(110) T_down sweep at
-// -j 1 (the sequential oracle) and -j GOMAXPROCS. The aggregate is
-// byte-identical at both widths; only the wall clock differs. The j=1/j=N
-// ns/op ratio is the speedup recorded in BENCH_sweep.json (on a 1-core
-// runner the two are expected to tie).
-func benchSweep(b *testing.B, workers int) {
-	b.Helper()
-	gen := experiment.InternetTDown(110, bgp.DefaultConfig(), 1)
-	const trials = 8
-	b.ReportAllocs()
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		agg, _, _, err := experiment.RunSweep(gen, trials, experiment.SweepOptions{Workers: workers})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio = agg.LoopingRatio.Mean
-	}
-	b.ReportMetric(ratio, "looping-ratio")
-}
-
-func BenchmarkSweepParallel(b *testing.B) {
-	b.Run("j=1", func(b *testing.B) { benchSweep(b, 1) })
-	b.Run(fmt.Sprintf("j=%d", runtime.GOMAXPROCS(0)), func(b *testing.B) { benchSweep(b, 0) })
-}
-
-// BenchmarkDistThroughput measures the distributed sweep executor over
-// in-process loopback HTTP workers: the same 8-trial clique(6) T_down
-// sweep run locally (the oracle path) and through a coordinator with
-// {1, 4} workers pulling leased chunks over HTTP. The digests are
-// byte-identical by construction (the distributed path merges through
-// the same executor); what this measures is the wire-and-lease tax. On
-// a 1-core runner the distributed variants cannot win — the numbers and
-// that caveat are recorded in BENCH_dist.json.
-func benchDist(b *testing.B, workers int) {
-	b.Helper()
-	var spec experiment.ScenarioSpec
-	if err := json.Unmarshal([]byte(`{"topology": {"family": "clique", "size": 6}, "event": "tdown", "seed": 5}`), &spec); err != nil {
-		b.Fatal(err)
-	}
-	const trials = 8
-	sc, err := spec.Scenario()
-	if err != nil {
-		b.Fatal(err)
-	}
-	gen := experiment.Repeat(sc)
-	b.ReportAllocs()
-
-	if workers == 0 { // local baseline, same in-flight width
-		for i := 0; i < b.N; i++ {
-			if _, _, _, err := experiment.RunSweep(gen, trials, experiment.SweepOptions{Workers: trials}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return
-	}
-
-	c, err := dist.New(dist.Config{ChunkSize: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	mux := http.NewServeMux()
-	c.Mount(mux)
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	sleep := func(ctx context.Context, d time.Duration) {
-		if d > time.Millisecond {
-			d = time.Millisecond
-		}
-		t := time.NewTimer(d)
-		defer t.Stop()
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-		}
-	}
-	for i := 0; i < workers; i++ {
-		w, err := dist.NewWorker(dist.WorkerConfig{
-			Coordinator:  ts.URL,
-			PollInterval: time.Millisecond,
-			BackoffBase:  time.Millisecond,
-			Sleep:        sleep,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		go func() { _ = w.Run(ctx) }()
-	}
-	specBytes, err := dist.EncodeSweepSpec(spec, trials)
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sw, err := c.StartSweep(fmt.Sprintf("bench/%d", i), specBytes, trials)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_, _, stats, err := experiment.RunSweep(gen, trials, experiment.SweepOptions{
-			Workers: trials,
-			Remote:  sw.Execute,
-		})
-		sw.Finish()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if stats.Remote != trials {
-			b.Fatalf("stats.Remote = %d, want %d", stats.Remote, trials)
-		}
-	}
-}
-
-func BenchmarkDistThroughput(b *testing.B) {
-	b.Run("local", func(b *testing.B) { benchDist(b, 0) })
-	b.Run("w=1", func(b *testing.B) { benchDist(b, 1) })
-	b.Run("w=4", func(b *testing.B) { benchDist(b, 4) })
 }
 
 // BenchmarkInternet110TDown is the paper's headline topology.

@@ -49,7 +49,7 @@ func run() error {
 		for _, m := range mrais {
 			cfg := bgp.DefaultConfig()
 			cfg.MRAI = m
-			agg, _, err := experiment.RunTrials(experiment.Repeat(w.scenario(cfg)), 3)
+			agg, _, _, err := experiment.RunSweep(experiment.Repeat(w.scenario(cfg)), 3, experiment.SweepOptions{})
 			if err != nil {
 				return err
 			}

@@ -70,7 +70,7 @@ func run() error {
 			dest := lows[pick.Intn(len(lows))]
 			return experiment.TDownScenario(g, dest, variant.cfg, int64(trial)+10), nil
 		}
-		agg, _, err := experiment.RunTrials(gen, trials)
+		agg, _, _, err := experiment.RunSweep(gen, trials, experiment.SweepOptions{})
 		if err != nil {
 			return err
 		}

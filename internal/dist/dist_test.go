@@ -34,7 +34,9 @@ func (c *fakeClock) Advance(d time.Duration) {
 }
 
 // startTrials launches Execute for trials 0..n-1 and returns a channel
-// per trial carrying the outcome.
+// per trial carrying the outcome. It returns once every trial is
+// registered with the coordinator, so what the first lease holds does
+// not depend on goroutine scheduling.
 func startTrials(t *testing.T, sw *Sweep, n int) []chan trialOutcome {
 	t.Helper()
 	chans := make([]chan trialOutcome, n)
@@ -46,7 +48,18 @@ func startTrials(t *testing.T, sw *Sweep, n int) []chan trialOutcome {
 			ch <- trialOutcome{data: data, err: err}
 		}(i)
 	}
-	return chans
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		sw.c.mu.Lock()
+		registered := len(sw.c.sweeps[sw.id].slots)
+		sw.c.mu.Unlock()
+		if registered == n {
+			return chans
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("only some of %d trials registered within 5s", n)
+	return nil
 }
 
 func testKey(trial int) string { return fmt.Sprintf("key-%03d", trial) }

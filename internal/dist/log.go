@@ -1,162 +1,24 @@
 package dist
 
-import (
-	"bytes"
-	"errors"
-	"fmt"
-	"os"
-	"path/filepath"
-	"sync"
+import "bgploop/internal/durable"
 
-	"bgploop/internal/durable"
-)
-
-// Log is the coordinator's lease write-ahead log: an append-only JSONL
-// file of checksummed Records (grants, completions, sweep lifecycle).
-// Its job is accounting durability — a restarted coordinator folds the
-// log to learn which leases were outstanding when it died (they count
-// as reassigned, not fresh) and which sweeps were mid-flight. The trial
+// Log is the coordinator's lease log: a durable.Log of Records (grants,
+// completions, sweep lifecycle) handed to the OS per append and fsynced
+// on Close. Its job is accounting durability — a restarted coordinator
+// folds the log to learn which leases were outstanding when it died
+// (they count as reassigned, not fresh) and which sweeps were
+// mid-flight, then compacts it to the unfinished residue. The trial
 // results themselves are durable in the sweep checkpoint journal; the
-// lease log never holds result data.
-//
-// Appends are flushed to the OS per record (survives a process kill)
-// and fsynced on Close; a torn tail line is dropped on load, exactly
-// like the sweep journal and bgpd's job WAL.
-type Log struct {
-	fsys durable.FS
-	path string
-
-	mu      sync.Mutex
-	f       durable.File
-	seq     int
-	dropped int
-}
+// lease log never holds result data. A lease log failure is never fatal
+// to the sweep — callers degrade to in-memory accounting — so Append
+// errors only feed counters.
+type Log = durable.Log[Record]
 
 // OpenLog opens (creating if needed) the lease log at path and replays
-// its surviving records in append order. Torn or corrupt lines are
-// counted in Dropped and skipped; they never fail recovery.
+// its surviving records in append order.
 func OpenLog(fsys durable.FS, path string) (*Log, []Record, error) {
-	if path == "" {
-		return nil, nil, errors.New("dist: empty lease log path")
-	}
-	fsys = durable.OrOS(fsys)
-	if err := fsys.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return nil, nil, fmt.Errorf("dist: open lease log: %w", err)
-	}
-	l := &Log{fsys: fsys, path: path}
-
-	var records []Record
-	data, err := fsys.ReadFile(path)
-	switch {
-	case durable.IsNotExist(err):
-	case err != nil:
-		return nil, nil, fmt.Errorf("dist: open lease log: %w", err)
-	default:
-		for _, line := range bytes.Split(data, []byte{'\n'}) {
-			if len(bytes.TrimSpace(line)) == 0 {
-				continue
-			}
-			r, err := DecodeRecord(line)
-			if err != nil {
-				l.dropped++
-				continue
-			}
-			if r.Seq >= l.seq {
-				l.seq = r.Seq + 1
-			}
-			records = append(records, r)
-		}
-	}
-
-	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("dist: open lease log: %w", err)
-	}
-	l.f = f
-	return l, records, nil
-}
-
-// Path returns the log file path.
-func (l *Log) Path() string { return l.path }
-
-// Dropped returns how many corrupt or torn lines the open skipped.
-func (l *Log) Dropped() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dropped
-}
-
-// Append writes one record. The record's Seq is assigned here. A lease
-// log failure is never fatal to the sweep — callers degrade to
-// in-memory accounting — so Append only reports the error for counters.
-func (l *Log) Append(r Record) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return errors.New("dist: append to closed lease log")
-	}
-	r.Seq = l.seq
-	line, err := EncodeRecord(r)
-	if err != nil {
-		return err
-	}
-	line = append(line, '\n')
-	if _, err := l.f.Write(line); err != nil {
-		return fmt.Errorf("dist: lease log append: %w", err)
-	}
-	l.seq++
-	return nil
-}
-
-// Compact atomically rewrites the log to contain exactly records
-// (resequenced from zero) and reopens it for appending. The coordinator
-// compacts at startup after folding — records of finished sweeps are
-// dropped.
-func (l *Log) Compact(records []Record) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return errors.New("dist: compact closed lease log")
-	}
-	var buf bytes.Buffer
-	for i, r := range records {
-		r.Seq = i
-		line, err := EncodeRecord(r)
-		if err != nil {
-			return err
-		}
-		buf.Write(line)
-		buf.WriteByte('\n')
-	}
-	if err := l.f.Close(); err != nil {
-		l.f = nil
-		return fmt.Errorf("dist: compact lease log: %w", err)
-	}
-	l.f = nil
-	if err := durable.WriteFileAtomic(l.fsys, l.path, buf.Bytes(), true); err != nil {
-		return fmt.Errorf("dist: compact lease log: %w", err)
-	}
-	f, err := l.fsys.OpenFile(l.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("dist: compact lease log: %w", err)
-	}
-	l.f = f
-	l.seq = len(records)
-	return nil
-}
-
-// Close syncs and closes the log.
-func (l *Log) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return nil
-	}
-	serr := l.f.Sync()
-	cerr := l.f.Close()
-	l.f = nil
-	if serr != nil {
-		return serr
-	}
-	return cerr
+	return durable.OpenLog(fsys, path, durable.Codec[Record]{
+		Encode: func(seq int, r Record) ([]byte, error) { r.Seq = seq; return EncodeRecord(r) },
+		Decode: func(line []byte) (Record, int, error) { r, err := DecodeRecord(line); return r, r.Seq, err },
+	}, 0, false)
 }

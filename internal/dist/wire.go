@@ -27,9 +27,8 @@
 //     to idle workers, first result wins, duplicates are counted and
 //     dropped.
 //
-// Lease grants and completions are journaled to a checksummed
-// write-ahead log (the same torn-tail-tolerant JSONL shape as bgpd's
-// job WAL), so a restarted coordinator resumes accounting instead of
+// Lease grants and completions are journaled to a lease log (a
+// durable.Log), so a restarted coordinator resumes accounting instead of
 // starting blind; the trial results themselves are durable in the
 // sweep's checkpoint journal, which is what actually prevents completed
 // shards from re-running after a restart.
@@ -42,12 +41,11 @@
 package dist
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+
+	"bgploop/internal/durable"
 )
 
 // RecordVersion is bumped when the lease-log record schema changes;
@@ -70,11 +68,9 @@ const (
 	RecordDone = "done"
 )
 
-// Record is one entry in the coordinator's lease write-ahead log, one
-// JSON object per line. Every record embeds a truncated SHA-256
-// checksum over its canonical encoding, so a torn or bit-rotten line is
-// dropped on load instead of poisoning recovery — the same contract as
-// bgpd's job WAL (durable.Record).
+// Record is one entry in the coordinator's lease log, one JSON object
+// per line, sealed with the durable.Sealed envelope so a torn or
+// bit-rotten line is dropped on load instead of poisoning recovery.
 type Record struct {
 	V    int    `json:"v"`
 	Seq  int    `json:"seq"`
@@ -99,27 +95,13 @@ type Record struct {
 	Sum string `json:"sum"`
 }
 
-// sum computes the record's canonical checksum.
-func (r Record) sum() (string, error) {
-	r.Sum = ""
-	data, err := json.Marshal(r)
-	if err != nil {
-		return "", err
-	}
-	h := sha256.Sum256(data)
-	return hex.EncodeToString(h[:])[:16], nil
-}
+// Envelope implements durable.Sealed.
+func (r *Record) Envelope() (*int, *string) { return &r.V, &r.Sum }
 
 // EncodeRecord renders one lease-log line (without the trailing
 // newline), stamping the version and checksum.
 func EncodeRecord(r Record) ([]byte, error) {
-	r.V = RecordVersion
-	s, err := r.sum()
-	if err != nil {
-		return nil, fmt.Errorf("dist: encode lease record: %w", err)
-	}
-	r.Sum = s
-	data, err := json.Marshal(r)
+	data, err := durable.Seal(&r, RecordVersion)
 	if err != nil {
 		return nil, fmt.Errorf("dist: encode lease record: %w", err)
 	}
@@ -135,16 +117,8 @@ var ErrBadRecord = errors.New("dist: bad lease record")
 // checksum failure returns an error wrapping ErrBadRecord.
 func DecodeRecord(line []byte) (Record, error) {
 	var r Record
-	dec := json.NewDecoder(bytes.NewReader(line))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&r); err != nil {
+	if err := durable.Unseal(line, &r, RecordVersion); err != nil {
 		return Record{}, fmt.Errorf("%w: %v", ErrBadRecord, err)
-	}
-	if dec.More() {
-		return Record{}, fmt.Errorf("%w: trailing data after record", ErrBadRecord)
-	}
-	if r.V != RecordVersion {
-		return Record{}, fmt.Errorf("%w: version %d, want %d", ErrBadRecord, r.V, RecordVersion)
 	}
 	switch r.Type {
 	case RecordSweep, RecordGrant, RecordComplete, RecordDone:
@@ -153,13 +127,6 @@ func DecodeRecord(line []byte) (Record, error) {
 	}
 	if r.Sweep == "" {
 		return Record{}, fmt.Errorf("%w: empty sweep id", ErrBadRecord)
-	}
-	want, err := r.sum()
-	if err != nil {
-		return Record{}, fmt.Errorf("%w: %v", ErrBadRecord, err)
-	}
-	if r.Sum != want {
-		return Record{}, fmt.Errorf("%w: checksum %q, want %q", ErrBadRecord, r.Sum, want)
 	}
 	return r, nil
 }

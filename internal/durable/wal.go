@@ -2,14 +2,9 @@ package durable
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sync"
 )
 
 // RecordVersion is bumped when the WAL record schema changes; records
@@ -55,30 +50,16 @@ type Record struct {
 	Sum string `json:"sum"`
 }
 
-// sum computes the record's canonical checksum.
-func (r Record) sum() (string, error) {
-	r.Sum = ""
-	data, err := json.Marshal(r)
-	if err != nil {
-		return "", err
-	}
-	h := sha256.Sum256(data)
-	return hex.EncodeToString(h[:])[:16], nil
-}
+// Envelope implements Sealed.
+func (r *Record) Envelope() (*int, *string) { return &r.V, &r.Sum }
 
 // EncodeRecord renders one WAL line (without the trailing newline),
 // stamping the version and checksum.
 func EncodeRecord(r Record) ([]byte, error) {
-	r.V = RecordVersion
 	if err := canonicalizeRaw(&r); err != nil {
 		return nil, fmt.Errorf("durable: encode WAL record: %w", err)
 	}
-	s, err := r.sum()
-	if err != nil {
-		return nil, fmt.Errorf("durable: encode WAL record: %w", err)
-	}
-	r.Sum = s
-	data, err := json.Marshal(r)
+	data, err := Seal(&r, RecordVersion)
 	if err != nil {
 		return nil, fmt.Errorf("durable: encode WAL record: %w", err)
 	}
@@ -94,16 +75,8 @@ var ErrBadRecord = errors.New("durable: bad WAL record")
 // failure returns an error wrapping ErrBadRecord.
 func DecodeRecord(line []byte) (Record, error) {
 	var r Record
-	dec := json.NewDecoder(bytes.NewReader(line))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&r); err != nil {
+	if err := Unseal(line, &r, RecordVersion); err != nil {
 		return Record{}, fmt.Errorf("%w: %v", ErrBadRecord, err)
-	}
-	if dec.More() {
-		return Record{}, fmt.Errorf("%w: trailing data after record", ErrBadRecord)
-	}
-	if r.V != RecordVersion {
-		return Record{}, fmt.Errorf("%w: version %d, want %d", ErrBadRecord, r.V, RecordVersion)
 	}
 	if r.Type != "job" && r.Type != "state" {
 		return Record{}, fmt.Errorf("%w: unknown type %q", ErrBadRecord, r.Type)
@@ -113,13 +86,6 @@ func DecodeRecord(line []byte) (Record, error) {
 	}
 	if err := canonicalizeRaw(&r); err != nil {
 		return Record{}, fmt.Errorf("%w: %v", ErrBadRecord, err)
-	}
-	want, err := r.sum()
-	if err != nil {
-		return Record{}, fmt.Errorf("%w: %v", ErrBadRecord, err)
-	}
-	if r.Sum != want {
-		return Record{}, fmt.Errorf("%w: checksum %q, want %q", ErrBadRecord, r.Sum, want)
 	}
 	return r, nil
 }
@@ -140,162 +106,18 @@ func canonicalizeRaw(r *Record) error {
 	return nil
 }
 
-// WAL is the append-only job write-ahead log. Appends are fsynced —
-// when Append returns, the record survives a process kill and (modulo
-// disk lies) a machine crash. The log is safe for concurrent appenders;
-// sequence numbers are assigned under the lock.
-type WAL struct {
-	fsys FS
-	path string
-
-	mu      sync.Mutex
-	f       File
-	seq     int
-	bytes   int64
-	dropped int
-}
+// WAL is bgpd's job write-ahead log: a Log of Records that fsyncs every
+// append — when Append returns, the record survives a process kill and
+// (modulo disk lies) a machine crash.
+type WAL = Log[Record]
 
 // OpenWAL opens (creating if needed) the WAL at path and replays its
-// surviving records in append order. Torn or corrupt lines — a tail cut
-// short by a crash, a line that fails its checksum — are counted in
-// Dropped and skipped; they never fail recovery.
+// surviving records in append order. bgpd folds them and compacts, so
+// the log holds one submission record plus at most one state record per
+// live job.
 func OpenWAL(fsys FS, path string) (*WAL, []Record, error) {
-	if path == "" {
-		return nil, nil, errors.New("durable: empty WAL path")
-	}
-	fsys = OrOS(fsys)
-	if err := fsys.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return nil, nil, fmt.Errorf("durable: open WAL: %w", err)
-	}
-	w := &WAL{fsys: fsys, path: path}
-
-	var records []Record
-	data, err := fsys.ReadFile(path)
-	switch {
-	case IsNotExist(err):
-	case err != nil:
-		return nil, nil, fmt.Errorf("durable: open WAL: %w", err)
-	default:
-		w.bytes = int64(len(data))
-		for _, line := range bytes.Split(data, []byte{'\n'}) {
-			if len(bytes.TrimSpace(line)) == 0 {
-				continue
-			}
-			r, err := DecodeRecord(line)
-			if err != nil {
-				w.dropped++
-				continue
-			}
-			if r.Seq >= w.seq {
-				w.seq = r.Seq + 1
-			}
-			records = append(records, r)
-		}
-	}
-
-	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("durable: open WAL: %w", err)
-	}
-	w.f = f
-	return w, records, nil
-}
-
-// Path returns the WAL file path.
-func (w *WAL) Path() string { return w.path }
-
-// Bytes returns the WAL's current on-disk size in bytes (as of the last
-// open, compaction, or append).
-func (w *WAL) Bytes() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.bytes
-}
-
-// Dropped returns how many corrupt or torn lines the last open or
-// compaction skipped.
-func (w *WAL) Dropped() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.dropped
-}
-
-// Append durably appends one record: it is written, fsynced, and only
-// then does Append return. The record's Seq is assigned here.
-func (w *WAL) Append(r Record) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return errors.New("durable: append to closed WAL")
-	}
-	r.Seq = w.seq
-	line, err := EncodeRecord(r)
-	if err != nil {
-		return err
-	}
-	line = append(line, '\n')
-	if _, err := w.f.Write(line); err != nil {
-		return fmt.Errorf("durable: WAL append: %w", err)
-	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("durable: WAL append: %w", err)
-	}
-	w.seq++
-	w.bytes += int64(len(line))
-	return nil
-}
-
-// Compact atomically rewrites the WAL to contain exactly records
-// (resequenced from zero) and reopens it for appending. bgpd compacts
-// at startup after folding its recovered state, so the log holds one
-// submission record plus at most one state record per live job instead
-// of every transition since the dawn of time.
-func (w *WAL) Compact(records []Record) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return errors.New("durable: compact closed WAL")
-	}
-	var buf bytes.Buffer
-	for i, r := range records {
-		r.Seq = i
-		line, err := EncodeRecord(r)
-		if err != nil {
-			return err
-		}
-		buf.Write(line)
-		buf.WriteByte('\n')
-	}
-	if err := w.f.Close(); err != nil {
-		w.f = nil
-		return fmt.Errorf("durable: compact WAL: %w", err)
-	}
-	w.f = nil
-	if err := WriteFileAtomic(w.fsys, w.path, buf.Bytes(), true); err != nil {
-		return fmt.Errorf("durable: compact WAL: %w", err)
-	}
-	f, err := w.fsys.OpenFile(w.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("durable: compact WAL: %w", err)
-	}
-	w.f = f
-	w.seq = len(records)
-	w.bytes = int64(buf.Len())
-	return nil
-}
-
-// Close syncs and closes the log.
-func (w *WAL) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return nil
-	}
-	serr := w.f.Sync()
-	cerr := w.f.Close()
-	w.f = nil
-	if serr != nil {
-		return serr
-	}
-	return cerr
+	return OpenLog(fsys, path, Codec[Record]{
+		Encode: func(seq int, r Record) ([]byte, error) { r.Seq = seq; return EncodeRecord(r) },
+		Decode: func(line []byte) (Record, int, error) { r, err := DecodeRecord(line); return r, r.Seq, err },
+	}, 1, false)
 }

@@ -128,7 +128,7 @@ func TestCorruptFIBUncacheable(t *testing.T) {
 func TestForensicBundleWrittenAndShrunk(t *testing.T) {
 	dir := t.TempDir()
 	gen := func(trial int) (Scenario, error) { return corruptScenario(3), nil }
-	_, _, err := RunTrialsOpts(gen, 1, SweepOptions{CacheDir: dir})
+	_, _, _, err := RunSweep(gen, 1, SweepOptions{CacheDir: dir})
 	if err == nil {
 		t.Fatal("sweep succeeded; want the injected violation")
 	}
@@ -206,7 +206,7 @@ func TestGuardedPanicBecomesForensicError(t *testing.T) {
 	}
 
 	gen := func(trial int) (Scenario, error) { return s, nil }
-	_, _, terr := RunTrials(gen, 1)
+	_, _, _, terr := RunSweep(gen, 1, SweepOptions{})
 	var tf *TrialFailure
 	if !errors.As(terr, &tf) {
 		t.Fatalf("trial error %T", terr)

@@ -45,7 +45,7 @@ func LossSweep(base Scenario, rates []float64, trials int, opts SweepOptions) ([
 	points := make([]LossPoint, 0, len(rates))
 	for _, rate := range rates {
 		s := WithLoss(base, rate)
-		agg, _, err := RunTrialsOpts(Repeat(s), trials, opts)
+		agg, _, _, err := RunSweep(Repeat(s), trials, opts)
 		if err != nil {
 			return points, fmt.Errorf("experiment: loss sweep at rate %g: %w", rate, err)
 		}

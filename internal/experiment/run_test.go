@@ -154,7 +154,7 @@ func TestRunEventBudget(t *testing.T) {
 }
 
 func TestRunTrialsAggregate(t *testing.T) {
-	agg, results, err := RunTrials(Repeat(CliqueTDown(5, bgp.DefaultConfig(), 10)), 3)
+	agg, results, _, err := RunSweep(Repeat(CliqueTDown(5, bgp.DefaultConfig(), 10)), 3, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestRunTrialsAggregate(t *testing.T) {
 }
 
 func TestRunTrialsBadCount(t *testing.T) {
-	if _, _, err := RunTrials(Repeat(CliqueTDown(4, bgp.DefaultConfig(), 1)), 0); err == nil {
+	if _, _, _, err := RunSweep(Repeat(CliqueTDown(4, bgp.DefaultConfig(), 1)), 0, SweepOptions{}); err == nil {
 		t.Error("zero trials accepted")
 	}
 }
@@ -213,7 +213,7 @@ func TestInternetGenerators(t *testing.T) {
 }
 
 func TestRunInternetTDownSmall(t *testing.T) {
-	agg, _, err := RunTrials(InternetTDown(29, bgp.DefaultConfig(), 11), 2)
+	agg, _, _, err := RunSweep(InternetTDown(29, bgp.DefaultConfig(), 11), 2, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

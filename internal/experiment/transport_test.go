@@ -147,7 +147,7 @@ func TestDegradedDigestParity(t *testing.T) {
 		t.Helper()
 		out := make([]string, 0, len(rates)*trials)
 		for _, rate := range rates {
-			_, results, err := RunTrialsOpts(Repeat(degradedScenario(10, rate, 7)), trials, opts)
+			_, results, _, err := RunSweep(Repeat(degradedScenario(10, rate, 7)), trials, opts)
 			if err != nil {
 				t.Fatalf("rate %g: %v", rate, err)
 			}

@@ -170,35 +170,22 @@ type Aggregate struct {
 // ASes and failed links".
 type Generator func(trial int) (Scenario, error)
 
-// RunTrials executes trials scenarios from gen and aggregates the metric
-// samples. It returns the aggregate and the individual results. The sweep
-// stops at the first failed trial, but — unlike earlier versions — the
-// results and aggregate of the trials that succeeded before the failure
-// are returned alongside the error, so callers can salvage a partially
-// completed sweep. Use RunTrialsOpts for continue-on-failure semantics.
-func RunTrials(gen Generator, trials int) (Aggregate, []*Result, error) {
-	return RunTrialsOpts(gen, trials, SweepOptions{})
-}
-
-// RunTrialsOpts executes trials scenarios from gen under the given sweep
-// options. A panic inside scenario generation or the simulation is
-// recovered and converted into a structured TrialFailure carrying the
-// replayable Scenario and seed, so one crashing trial cannot take down a
-// long parameter sweep. Failed trials are reported in Aggregate.Failures;
-// the metric samples aggregate the surviving trials only. Partial results
-// are returned even when an error is.
+// RunSweep executes trials scenarios from gen under the given sweep
+// options and aggregates the metric samples. A panic inside scenario
+// generation or the simulation is recovered and converted into a
+// structured TrialFailure carrying the replayable Scenario and seed, so
+// one crashing trial cannot take down a long parameter sweep. Failed
+// trials are reported in Aggregate.Failures; the metric samples
+// aggregate the surviving trials only. Without ContinueOnFailure the
+// sweep stops at the first failed trial; either way the results and
+// aggregate of the trials that succeeded are returned alongside the
+// error, so callers can salvage a partially completed sweep.
 //
 // The trials run on the internal/sweep executor: Workers > 1 fans them
 // across a goroutine pool with byte-identical output to the sequential
 // path, and CacheDir/JournalPath/Resume enable the content-addressed
-// cache and checkpoint/resume layers.
-func RunTrialsOpts(gen Generator, trials int, opts SweepOptions) (Aggregate, []*Result, error) {
-	agg, results, _, err := RunSweep(gen, trials, opts)
-	return agg, results, err
-}
-
-// RunSweep is RunTrialsOpts with the executor statistics exposed: how many
-// trials were simulated versus served from the cache or the resume
+// cache and checkpoint/resume layers. The returned statistics say how
+// many trials were simulated versus served from the cache or the resume
 // journal. The aggregate itself never includes the statistics, so cached
 // and uncached runs of the same sweep digest identically.
 func RunSweep(gen Generator, trials int, opts SweepOptions) (Aggregate, []*Result, sweep.Stats, error) {

@@ -30,7 +30,7 @@ func faultySweepGen(trial int) (Scenario, error) {
 }
 
 func TestRunTrialsOptsContinueOnFailure(t *testing.T) {
-	agg, results, err := RunTrialsOpts(faultySweepGen, 5, SweepOptions{ContinueOnFailure: true})
+	agg, results, _, err := RunSweep(faultySweepGen, 5, SweepOptions{ContinueOnFailure: true})
 	if err != nil {
 		t.Fatalf("2/5 failures is under the default threshold, got err: %v", err)
 	}
@@ -78,7 +78,7 @@ func TestRunTrialsOptsContinueOnFailure(t *testing.T) {
 }
 
 func TestRunTrialsFailFastKeepsPartialResults(t *testing.T) {
-	agg, results, err := RunTrials(faultySweepGen, 5)
+	agg, results, _, err := RunSweep(faultySweepGen, 5, SweepOptions{})
 	if err == nil {
 		t.Fatal("fail-fast sweep over a panicking trial must error")
 	}
@@ -103,7 +103,7 @@ func TestRunTrialsOptsFailureRatioThreshold(t *testing.T) {
 		}
 		return CliqueTDown(4, bgp.DefaultConfig(), 1), nil
 	}
-	agg, results, err := RunTrialsOpts(gen, 3, SweepOptions{ContinueOnFailure: true})
+	agg, results, _, err := RunSweep(gen, 3, SweepOptions{ContinueOnFailure: true})
 	if err == nil {
 		t.Fatal("2/3 failures exceeds the 0.5 threshold; the sweep must error")
 	}
@@ -114,14 +114,14 @@ func TestRunTrialsOptsFailureRatioThreshold(t *testing.T) {
 	}
 
 	// A laxer threshold accepts the same sweep.
-	_, _, err = RunTrialsOpts(gen, 3, SweepOptions{ContinueOnFailure: true, MaxFailureRatio: 0.9})
+	_, _, _, err = RunSweep(gen, 3, SweepOptions{ContinueOnFailure: true, MaxFailureRatio: 0.9})
 	if err != nil {
 		t.Errorf("2/3 failures under a 0.9 threshold should pass, got %v", err)
 	}
 }
 
 func TestRunTrialsAllHealthyUnchanged(t *testing.T) {
-	agg, results, err := RunTrials(Repeat(CliqueTDown(4, bgp.DefaultConfig(), 9)), 3)
+	agg, results, _, err := RunSweep(Repeat(CliqueTDown(4, bgp.DefaultConfig(), 9)), 3, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,7 +62,7 @@ func extX1(sc Scale) (*report.Table, error) {
 // extX2: the per-loop statistics the paper's §6 lists as next steps.
 func extX2(sc Scale) (*report.Table, error) {
 	n := sc.InternetSizes[len(sc.InternetSizes)-1]
-	_, results, err := experiment.RunTrials(experiment.InternetTDown(n, sc.BGP, sc.Seed), sc.InternetTrials)
+	_, results, _, err := experiment.RunSweep(experiment.InternetTDown(n, sc.BGP, sc.Seed), sc.InternetTrials, experiment.SweepOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -123,7 +123,7 @@ func extX3(sc Scale) (*report.Table, error) {
 			dest := lows[pick.Intn(len(lows))]
 			return experiment.TDownScenario(g, dest, sc.BGP, sc.Seed+int64(trial)), nil
 		}
-		agg, _, err := experiment.RunTrials(gen, sc.InternetTrials)
+		agg, _, _, err := experiment.RunSweep(gen, sc.InternetTrials, experiment.SweepOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -159,7 +159,7 @@ func extX4(sc Scale) (*report.Table, error) {
 			dest := lows[pick.Intn(len(lows))]
 			return experiment.TDownScenario(g, dest, v.cfg, sc.Seed+int64(trial)), nil
 		}
-		agg, _, err := experiment.RunTrials(gen, sc.InternetTrials)
+		agg, _, _, err := experiment.RunSweep(gen, sc.InternetTrials, experiment.SweepOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -197,7 +197,7 @@ func extX6(sc Scale) (*report.Table, error) {
 		cfg.MRAI = v.mrai
 		s := experiment.CliqueTDown(n, cfg, sc.Seed)
 		s.LinkDelay = v.linkDelay
-		agg, _, err := experiment.RunTrials(experiment.Repeat(s), sc.Trials)
+		agg, _, _, err := experiment.RunSweep(experiment.Repeat(s), sc.Trials, experiment.SweepOptions{})
 		if err != nil {
 			return nil, err
 		}

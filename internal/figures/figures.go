@@ -224,22 +224,22 @@ func (sc Scale) withDefaults() Scale {
 // --- sweep primitives -------------------------------------------------
 
 func (sc Scale) cliqueTDown(n int, cfg bgp.Config) (experiment.Aggregate, error) {
-	agg, _, err := experiment.RunTrialsOpts(experiment.Repeat(experiment.CliqueTDown(n, cfg, sc.Seed)), sc.Trials, sc.Sweep)
+	agg, _, _, err := experiment.RunSweep(experiment.Repeat(experiment.CliqueTDown(n, cfg, sc.Seed)), sc.Trials, sc.Sweep)
 	return agg, err
 }
 
 func (sc Scale) bcliqueTLong(n int, cfg bgp.Config) (experiment.Aggregate, error) {
-	agg, _, err := experiment.RunTrialsOpts(experiment.Repeat(experiment.BCliqueTLong(n, cfg, sc.Seed)), sc.Trials, sc.Sweep)
+	agg, _, _, err := experiment.RunSweep(experiment.Repeat(experiment.BCliqueTLong(n, cfg, sc.Seed)), sc.Trials, sc.Sweep)
 	return agg, err
 }
 
 func (sc Scale) internetTDown(n int, cfg bgp.Config) (experiment.Aggregate, error) {
-	agg, _, err := experiment.RunTrialsOpts(experiment.InternetTDown(n, cfg, sc.Seed), sc.InternetTrials, sc.Sweep)
+	agg, _, _, err := experiment.RunSweep(experiment.InternetTDown(n, cfg, sc.Seed), sc.InternetTrials, sc.Sweep)
 	return agg, err
 }
 
 func (sc Scale) internetTLong(n int, cfg bgp.Config) (experiment.Aggregate, error) {
-	agg, _, err := experiment.RunTrialsOpts(experiment.InternetTLong(n, cfg, sc.Seed), sc.InternetTrials, sc.Sweep)
+	agg, _, _, err := experiment.RunSweep(experiment.InternetTLong(n, cfg, sc.Seed), sc.InternetTrials, sc.Sweep)
 	return agg, err
 }
 

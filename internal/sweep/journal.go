@@ -1,13 +1,9 @@
 package sweep
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"bgploop/internal/durable"
 )
@@ -41,19 +37,13 @@ type JournalOptions struct {
 	SyncEvery int
 }
 
-// Journal is an append-only checkpoint of completed sweep trials. Every
-// finished trial is written as one JSON line and flushed, so a sweep
-// killed mid-flight loses at most the line being written — the loader
-// tolerates a torn final line — and a restarted sweep resumes from the
-// completed set instead of re-simulating it.
+// Journal is an append-only checkpoint of completed sweep trials: a
+// durable.Log with one entry per finished trial, so a sweep killed
+// mid-flight loses at most the line being written and a restarted sweep
+// resumes from the completed set instead of re-simulating it.
 type Journal struct {
-	path      string
-	fsys      durable.FS
-	f         durable.File
-	w         *bufio.Writer
-	entries   map[int]journalEntry
-	syncEvery int
-	sinceSync int
+	log     *durable.Log[journalEntry]
+	entries map[int]journalEntry
 }
 
 // OpenJournal opens the checkpoint file at path with default options
@@ -67,63 +57,38 @@ func OpenJournal(path string, resume bool) (*Journal, error) {
 // OpenJournalOpts is OpenJournal with an explicit filesystem and sync
 // policy.
 func OpenJournalOpts(path string, resume bool, o JournalOptions) (*Journal, error) {
-	if path == "" {
-		return nil, errors.New("sweep: empty journal path")
-	}
-	fsys := durable.OrOS(o.FS)
-	if err := fsys.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return nil, fmt.Errorf("sweep: open journal: %w", err)
-	}
-	j := &Journal{path: path, fsys: fsys, entries: map[int]journalEntry{}, syncEvery: o.SyncEvery}
-	if resume {
-		if err := j.load(); err != nil {
-			return nil, err
-		}
-	}
-	flags := os.O_CREATE | os.O_WRONLY | os.O_APPEND
-	if !resume {
-		flags |= os.O_TRUNC
-	}
-	f, err := fsys.OpenFile(path, flags, 0o644)
+	log, loaded, err := durable.OpenLog(o.FS, path, durable.Codec[journalEntry]{
+		Encode: func(_ int, e journalEntry) ([]byte, error) { return json.Marshal(e) },
+		Decode: decodeEntry,
+	}, o.SyncEvery, !resume)
 	if err != nil {
 		return nil, fmt.Errorf("sweep: open journal: %w", err)
 	}
-	j.f = f
-	j.w = bufio.NewWriter(f)
+	j := &Journal{log: log, entries: make(map[int]journalEntry, len(loaded))}
+	for _, e := range loaded {
+		j.entries[e.Trial] = e
+	}
 	return j, nil
 }
 
-// load reads existing entries, ignoring unparseable lines (a torn write
-// from a killed sweep must not poison the resume).
-func (j *Journal) load() error {
-	data, err := j.fsys.ReadFile(j.path)
-	if durable.IsNotExist(err) {
-		return nil
+// decodeEntry accepts a whole entry of the current version; a torn or
+// foreign line must not poison the resume.
+func decodeEntry(line []byte) (journalEntry, int, error) {
+	var e journalEntry
+	if err := json.Unmarshal(line, &e); err != nil {
+		return e, 0, err
 	}
-	if err != nil {
-		return fmt.Errorf("sweep: load journal: %w", err)
+	if e.V != journalVersion || e.Key == "" || e.Data == nil {
+		return e, 0, errors.New("sweep: not a journal entry")
 	}
-	for _, line := range bytes.Split(data, []byte{'\n'}) {
-		if len(line) == 0 {
-			continue
-		}
-		var e journalEntry
-		if err := json.Unmarshal(line, &e); err != nil {
-			continue // torn or foreign line
-		}
-		if e.V != journalVersion || e.Key == "" || e.Data == nil {
-			continue
-		}
-		j.entries[e.Trial] = e
-	}
-	return nil
+	return e, 0, nil
 }
 
 // Len returns the number of loaded (resumable) entries.
 func (j *Journal) Len() int { return len(j.entries) }
 
 // Path returns the journal file path.
-func (j *Journal) Path() string { return j.path }
+func (j *Journal) Path() string { return j.log.Path() }
 
 // Lookup returns the journaled result of trial i if one was loaded and
 // its content address still matches key.
@@ -135,58 +100,20 @@ func (j *Journal) Lookup(trial int, key string) ([]byte, bool) {
 	return e.Data, true
 }
 
-// Append checkpoints one completed trial and flushes it to the OS, so a
-// subsequent kill cannot lose it; under a positive sync policy it is
-// additionally fsynced every SyncEvery appends, so a machine crash
-// cannot either. Append must only be called from one goroutine (the
-// executor's merging loop).
+// Append checkpoints one completed trial at the journal's sync cadence.
+// Append must only be called from one goroutine (the executor's merging
+// loop).
 func (j *Journal) Append(trial int, key string, data []byte) error {
 	if _, ok := j.entries[trial]; ok {
 		return nil // already checkpointed (e.g. replayed entry)
 	}
 	e := journalEntry{V: journalVersion, Trial: trial, Key: key, Data: json.RawMessage(data)}
-	line, err := json.Marshal(e)
-	if err != nil {
+	if err := j.log.Append(e); err != nil {
 		return err
-	}
-	if _, err := j.w.Write(append(line, '\n')); err != nil {
-		return err
-	}
-	if err := j.w.Flush(); err != nil {
-		return err
-	}
-	if j.syncEvery > 0 {
-		j.sinceSync++
-		if j.sinceSync >= j.syncEvery {
-			if err := j.f.Sync(); err != nil {
-				return fmt.Errorf("sweep: journal sync: %w", err)
-			}
-			j.sinceSync = 0
-		}
 	}
 	j.entries[trial] = e
 	return nil
 }
 
-// Close flushes, fsyncs, and closes the journal file. The fsync is
-// unconditional — whatever the append cadence, a journal that closed
-// cleanly is durable.
-func (j *Journal) Close() error {
-	if j.f == nil {
-		return nil
-	}
-	ferr := j.w.Flush()
-	var serr error
-	if ferr == nil {
-		serr = j.f.Sync()
-	}
-	cerr := j.f.Close()
-	j.f = nil
-	if ferr != nil {
-		return ferr
-	}
-	if serr != nil {
-		return serr
-	}
-	return cerr
-}
+// Close fsyncs and closes the journal file.
+func (j *Journal) Close() error { return j.log.Close() }
