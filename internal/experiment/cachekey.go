@@ -189,13 +189,9 @@ func (s Scenario) CacheKey() string {
 	if !ok {
 		return ""
 	}
-	d := s.withDefaults()
-	plan := d.FaultPlan
-	if plan == nil {
-		var err error
-		if plan, err = CanonicalPlan(d); err != nil {
-			return ""
-		}
+	d, plan, err := s.lowered()
+	if err != nil {
+		return ""
 	}
 	edges := d.Graph.Edges()
 	spec := cacheKeySpec{

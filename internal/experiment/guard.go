@@ -95,7 +95,7 @@ func buildGuardEngine(s Scenario, sched *des.Scheduler, speakers []*bgp.Speaker,
 			if t := sp.Table(s.Dest); t != nil {
 				ribNH = t.NextHop()
 			}
-			fibNH := obs.history.NextHop(node, now)
+			fibNH := obs.histories[s.Dest].NextHop(node, now)
 			if node == corrupt {
 				fibNH = topology.None
 			}

@@ -1,16 +1,22 @@
+// Multi-prefix runs are N origins through the RunContext engine (execute
+// in run.go): one scheduler, one fault plan, one watchdog, and each origin
+// measured over the failure phase. MultiResult's totals are sums of those
+// per-origin phase measurements. The streaming invariant guards cover
+// every prefix; the rib-fib and as-path sweep checks and the oscillation
+// probe stay bound to the lowered Scenario.Dest.
+
 package experiment
 
 import (
+	"context"
+	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"bgploop/internal/bgp"
 	"bgploop/internal/dataplane"
 	"bgploop/internal/des"
 	"bgploop/internal/loopanalysis"
-	"bgploop/internal/netsim"
-	"bgploop/internal/routing"
 	"bgploop/internal/topology"
 )
 
@@ -41,57 +47,53 @@ type MultiScenario struct {
 	MaxEvents      uint64
 }
 
-func (s MultiScenario) withDefaults() MultiScenario {
-	if len(s.Origins) == 0 {
-		s.Origins = s.Graph.Nodes()
+// scenario lowers the multi-prefix scenario to the Scenario the run loop
+// executes. Scenario.Dest is what the T_down canonical plan fails and what
+// the per-destination checks watch: the failed node for T_down, the first
+// origin for T_long.
+func (s MultiScenario) scenario() Scenario {
+	ls := Scenario{
+		Graph:          s.Graph,
+		Event:          s.Event,
+		FailLink:       s.FailLink,
+		BGP:            s.BGP,
+		PacketInterval: s.PacketInterval,
+		TTL:            s.TTL,
+		LinkDelay:      s.LinkDelay,
+		SettleDelay:    s.SettleDelay,
+		Seed:           s.Seed,
+		MaxEvents:      s.MaxEvents,
 	}
-	if s.PacketInterval == 0 {
-		s.PacketInterval = dataplane.DefaultInterval
+	if s.Event == TDown {
+		ls.Dest = s.FailNode
+	} else if len(s.Origins) > 0 {
+		ls.Dest = s.Origins[0]
 	}
-	if s.TTL == 0 {
-		s.TTL = dataplane.DefaultTTL
+	if ls.MaxEvents == 0 {
+		ls.MaxEvents = 200_000_000
 	}
-	if s.LinkDelay == 0 {
-		s.LinkDelay = 2 * time.Millisecond
-	}
-	if s.SettleDelay == 0 {
-		s.SettleDelay = time.Second
-	}
-	if s.MaxEvents == 0 {
-		s.MaxEvents = 200_000_000
-	}
-	return s
+	return ls
 }
 
 // Validate reports scenario construction errors.
 func (s MultiScenario) Validate() error {
 	if s.Graph == nil {
-		return fmt.Errorf("experiment: nil topology")
+		return errors.New("experiment: nil topology")
 	}
-	if !s.Graph.Connected() {
-		return fmt.Errorf("experiment: topology must start connected")
-	}
+	seen := make([]bool, s.Graph.NumNodes())
 	for _, o := range s.Origins {
 		if !s.Graph.Valid(o) {
 			return fmt.Errorf("experiment: origin %d not in topology", o)
 		}
+		if seen[o] {
+			return fmt.Errorf("experiment: origin %d listed twice", o)
+		}
+		seen[o] = true
 	}
-	switch s.Event {
-	case TDown:
-		if !s.Graph.Valid(s.FailNode) {
-			return fmt.Errorf("experiment: fail node %d not in topology", s.FailNode)
-		}
-	case TLong:
-		if !s.Graph.HasEdge(s.FailLink.A, s.FailLink.B) {
-			return fmt.Errorf("experiment: Tlong link %v not in topology", s.FailLink)
-		}
-		if !s.Graph.ConnectedWithout(s.FailLink) {
-			return fmt.Errorf("experiment: Tlong link %v is a bridge", s.FailLink)
-		}
-	default:
-		return fmt.Errorf("experiment: unknown event kind %d", int(s.Event))
+	if s.Event == TDown && !s.Graph.Valid(s.FailNode) {
+		return fmt.Errorf("experiment: fail node %d not in topology", s.FailNode)
 	}
-	return s.BGP.Validate()
+	return s.scenario().Validate()
 }
 
 // DestOutcome is the per-destination slice of a multi-prefix run.
@@ -122,168 +124,57 @@ type MultiResult struct {
 	EventsExecuted uint64
 }
 
-// multiObserver records one FIB history per destination.
-type multiObserver struct {
-	n         int
-	histories map[topology.Node]*dataplane.History
-	lastSent  des.Time
-	anySent   bool
-	err       error
-}
-
-func (o *multiObserver) RouteChanged(now des.Time, node, dest, nexthop topology.Node, best routing.Path) {
-	if o.err != nil || node == dest {
-		return
-	}
-	h, ok := o.histories[dest]
-	if !ok {
-		h = dataplane.NewHistory(o.n)
-		o.histories[dest] = h
-	}
-	if err := h.Record(now, node, nexthop); err != nil {
-		o.err = err
-	}
-}
-
-func (o *multiObserver) UpdateSent(now des.Time, from, to topology.Node, update bgp.Update) {
-	if now > o.lastSent {
-		o.lastSent = now
-	}
-	o.anySent = true
-}
-
-var _ bgp.Observer = (*multiObserver)(nil)
-
-// RunMulti executes the multi-prefix scenario.
+// RunMulti executes the multi-prefix scenario: the origins, in the given
+// order, go through the RunContext run loop as N originating nodes, and
+// the totals are sums of the per-origin measurements of the failure phase.
 func RunMulti(s MultiScenario) (*MultiResult, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	s = s.withDefaults()
-
-	sched := des.NewScheduler()
-	net := netsim.New(sched, s.Graph, s.LinkDelay)
-	rng := des.NewRNG(s.Seed)
-	obs := &multiObserver{
-		n:         s.Graph.NumNodes(),
-		histories: make(map[topology.Node]*dataplane.History, len(s.Origins)),
+	ls, plan, err := s.scenario().lowered()
+	if err != nil {
+		return nil, err
+	}
+	origins := s.Origins
+	if len(origins) == 0 {
+		origins = s.Graph.Nodes()
+	}
+	out, err := ls.execute(context.Background(), plan, origins)
+	if err != nil {
+		return nil, err
 	}
 
-	speakers := make([]*bgp.Speaker, s.Graph.NumNodes())
-	for _, v := range s.Graph.Nodes() {
-		sp, err := bgp.NewSpeaker(v, sched, net, s.BGP, rng, obs)
-		if err != nil {
-			return nil, err
-		}
-		speakers[v] = sp
-	}
-	for _, o := range s.Origins {
-		if err := speakers[o].Originate(o); err != nil {
-			return nil, err
-		}
-	}
-
-	budget := s.MaxEvents
-	used := sched.RunLimit(budget)
-	if used >= budget {
-		return nil, fmt.Errorf("%w (initial convergence, %d events)", ErrNoQuiescence, used)
-	}
-	budget -= used
-
-	failAt := sched.Now() + s.SettleDelay
-	switch s.Event {
-	case TDown:
-		if err := net.FailNode(failAt, s.FailNode); err != nil {
-			return nil, err
-		}
-	case TLong:
-		if err := net.FailLink(failAt, s.FailLink.A, s.FailLink.B); err != nil {
-			return nil, err
-		}
-	}
-	obs.lastSent = 0
-	obs.anySent = false
-	used = sched.RunLimit(budget)
-	if used >= budget {
-		return nil, fmt.Errorf("%w (post-failure, %d events)", ErrNoQuiescence, used)
-	}
-	if obs.err != nil {
-		return nil, obs.err
-	}
-
-	convergedAt := failAt
-	if obs.anySent && obs.lastSent > failAt {
-		convergedAt = obs.lastSent
-	}
-	horizon := sched.Now()
-	if convergedAt > horizon {
-		horizon = convergedAt
-	}
-
+	// The phase window is the run's, not the origin's: every origin
+	// reports the same injection instant and convergence time.
+	failure := out.phases[0][out.main]
 	res := &MultiResult{
-		FailAt:          failAt,
-		ConvergenceTime: convergedAt - failAt,
-		PerDest:         make(map[topology.Node]*DestOutcome, len(s.Origins)),
-		EventsExecuted:  sched.Executed(),
+		FailAt:          failure.InjectAt,
+		ConvergenceTime: failure.ConvergenceTime,
+		PerDest:         make(map[topology.Node]*DestOutcome, len(origins)),
+		EventsExecuted:  out.executed,
 	}
-	origins := append([]topology.Node(nil), s.Origins...)
-	sort.Slice(origins, func(i, j int) bool { return origins[i] < origins[j] })
-	for _, dest := range origins {
-		h := obs.histories[dest]
-		if h == nil {
-			continue
-		}
-		out := &DestOutcome{}
-		sources := make([]topology.Node, 0, s.Graph.NumNodes()-1)
-		for _, v := range s.Graph.Nodes() {
-			if v != dest {
-				sources = append(sources, v)
-			}
-		}
-		replay, err := dataplane.Replay(h, dataplane.ReplayConfig{
-			Dest:      dest,
-			Sources:   sources,
-			Start:     failAt,
-			End:       convergedAt,
-			Interval:  s.PacketInterval,
-			TTL:       s.TTL,
-			LinkDelay: s.LinkDelay,
-		})
-		if err != nil {
-			return nil, err
-		}
-		out.Replay = replay
-		affected := false
-		for _, l := range loopanalysis.FindLoops(h, horizon) {
-			if l.End > failAt {
-				out.Loops = append(out.Loops, l)
-			}
-		}
+	for k, dest := range origins {
+		pr := out.phases[k][out.main]
+		res.PerDest[dest] = &DestOutcome{Replay: pr.Replay, Loops: pr.Loops, LoopStats: pr.LoopStats}
 		// A destination counts as affected when any of its FIB entries
 		// changed at or after the failure instant.
 		for _, v := range s.Graph.Nodes() {
-			if v != dest && h.ChangesSince(v, failAt) > 0 {
-				affected = true
+			if out.histories[dest].ChangesSince(v, res.FailAt) > 0 {
+				res.AffectedDests++
 				break
 			}
 		}
-		out.LoopStats = loopanalysis.Summarize(out.Loops)
-		res.PerDest[dest] = out
-		if affected {
-			res.AffectedDests++
-		}
-		res.PacketsSent += replay.Sent
-		res.TTLExhaustions += replay.TTLExhausted
-		res.Delivered += replay.Delivered
-		res.NoRoute += replay.NoRoute
-		res.LoopCount += len(out.Loops)
+		res.PacketsSent += pr.Replay.Sent
+		res.TTLExhaustions += pr.Replay.TTLExhausted
+		res.Delivered += pr.Replay.Delivered
+		res.NoRoute += pr.Replay.NoRoute
+		res.LoopCount += len(pr.Loops)
 	}
 	if res.PacketsSent > 0 {
 		res.LoopingRatio = float64(res.TTLExhaustions) / float64(res.PacketsSent)
 	}
-	for _, sp := range speakers {
-		st := sp.Stats()
-		res.UpdatesSent += st.UpdatesSent()
+	for _, sp := range out.speakers {
+		res.UpdatesSent += sp.Stats().UpdatesSent()
 	}
 	return res, nil
 }

@@ -1,6 +1,11 @@
 package experiment
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"errors"
+	"sort"
 	"testing"
 
 	"bgploop/internal/bgp"
@@ -15,6 +20,7 @@ func TestMultiDestValidate(t *testing.T) {
 	}{
 		{"nil graph", MultiScenario{Event: TDown, BGP: cfg}},
 		{"bad origin", MultiScenario{Graph: topology.Clique(3), Origins: []topology.Node{7}, Event: TDown, BGP: cfg}},
+		{"duplicate origin", MultiScenario{Graph: topology.Clique(3), Origins: []topology.Node{0, 0}, Event: TDown, BGP: cfg}},
 		{"bad fail node", MultiScenario{Graph: topology.Clique(3), Event: TDown, FailNode: 9, BGP: cfg}},
 		{"bridge tlong", MultiScenario{Graph: topology.Chain(3), Event: TLong, FailLink: topology.NormEdge(0, 1), BGP: cfg}},
 		{"no event", MultiScenario{Graph: topology.Clique(3), BGP: cfg}},
@@ -168,7 +174,91 @@ func TestMultiDestEventBudget(t *testing.T) {
 		Seed:      1,
 		MaxEvents: 10,
 	}
-	if _, err := RunMulti(s); err == nil {
-		t.Error("tiny budget accepted")
+	_, err := RunMulti(s)
+	if !errors.Is(err, ErrNoQuiescence) {
+		t.Fatalf("tiny budget gave %v, want ErrNoQuiescence", err)
+	}
+	// The multi-prefix path runs under the same watchdog as Run, so the
+	// failure carries the structured diagnosis.
+	if !errors.As(err, new(*QuiescenceFailure)) {
+		t.Errorf("err = %v (%T), want a *QuiescenceFailure", err, err)
+	}
+}
+
+// digestMulti is the canonical digest of a MultiResult: its JSON with
+// PerDest flattened to a destination-sorted slice.
+func digestMulti(t *testing.T, r *MultiResult) string {
+	t.Helper()
+	type destRow struct {
+		Dest topology.Node
+		*DestOutcome
+	}
+	flat := struct {
+		MultiResult
+		PerDest []destRow
+	}{MultiResult: *r}
+	for dest, out := range r.PerDest {
+		flat.PerDest = append(flat.PerDest, destRow{dest, out})
+	}
+	sort.Slice(flat.PerDest, func(i, j int) bool { return flat.PerDest[i].Dest < flat.PerDest[j].Dest })
+	b, err := json.Marshal(flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+// TestMultiDestGolden pins RunMulti's output on five runs, with guards off
+// and at the full cadence (guards are observation-only on the multi-prefix
+// path too). The digests were recorded from the stand-alone multi-prefix
+// run loop of commit 26e78f0, before RunMulti became a view over the
+// RunContext engine.
+func TestMultiDestGolden(t *testing.T) {
+	inet, err := topology.InternetLike(30, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var busiest topology.Node
+	for _, v := range inet.Nodes() {
+		if inet.Degree(v) > inet.Degree(busiest) {
+			busiest = v
+		}
+	}
+	cfg := bgp.DefaultConfig()
+	cases := []struct {
+		name   string
+		s      MultiScenario
+		digest string
+	}{
+		{"clique5 tdown all origins",
+			MultiScenario{Graph: topology.Clique(5), Event: TDown, FailNode: 0, BGP: cfg, Seed: 7},
+			"a6e166e9260ab51d9af47453d6bd91bbd3f985bee4836fe3bb73747f5cd39e0b"},
+		{"clique5 tdown origins exclude failed node",
+			MultiScenario{Graph: topology.Clique(5), Origins: []topology.Node{3, 1, 4}, Event: TDown, FailNode: 0, BGP: cfg, Seed: 7},
+			"7b56c14f591dc30b59af2aa5259da3fa815b7e3b35963c028fc7cd19ece462d8"},
+		{"bclique4 tlong",
+			MultiScenario{Graph: topology.BClique(4), Event: TLong, FailLink: topology.BCliqueShortcut(4), BGP: cfg, Seed: 1},
+			"41ea60d4976a938207b4c5deb66f9caddb5e6314108de0e242d8795ca440a733"},
+		{"ring6 tlong",
+			MultiScenario{Graph: topology.Ring(6), Event: TLong, FailLink: topology.NormEdge(0, 1), BGP: cfg, Seed: 3},
+			"9db3b8c1ee0c89d51610a98258099dbe90129e97e8659364674b6968a4d24cc3"},
+		{"internet30 tdown busiest",
+			MultiScenario{Graph: inet, Event: TDown, FailNode: busiest, BGP: cfg, Seed: 4},
+			"eeb19719d8f1004a53dbebb09e0a9fe2e911ec96f9355392e26bacfa722a3f8f"},
+	}
+	for _, guard := range []string{"off", "full"} {
+		for _, tt := range cases {
+			t.Run("guard="+guard+"/"+tt.name, func(t *testing.T) {
+				t.Setenv("BGPSIM_GUARD", guard)
+				res, err := RunMulti(tt.s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := digestMulti(t, res); got != tt.digest {
+					t.Errorf("digest = %s, want %s", got, tt.digest)
+				}
+			})
+		}
 	}
 }

@@ -139,13 +139,9 @@ func StaticConvergenceBound(s Scenario) time.Duration {
 	if s.BGP.Damping != nil {
 		return 0
 	}
-	d := s.withDefaults()
-	plan := d.FaultPlan
-	if plan == nil {
-		var err error
-		if plan, err = CanonicalPlan(d); err != nil {
-			return 0
-		}
+	d, plan, err := s.lowered()
+	if err != nil {
+		return 0
 	}
 	n := time.Duration(d.Graph.NumNodes())
 	jitterMax := d.BGP.JitterMax

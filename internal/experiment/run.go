@@ -143,27 +143,28 @@ type Recovery struct {
 	Loops []loopanalysis.Loop
 }
 
-// observer records FIB changes for the scenario's destination and tracks
-// the last update sent.
+// observer records the FIB changes of every tracked destination and the
+// last update sent.
 type observer struct {
-	dest     topology.Node
-	sched    *des.Scheduler
-	history  *dataplane.History
-	lastSent des.Time
-	anySent  bool
-	err      error
+	// histories is indexed by destination node id; nil marks a
+	// destination the run does not measure.
+	histories []*dataplane.History
+	lastSent  des.Time
+	anySent   bool
+	err       error
 }
 
 func (o *observer) RouteChanged(now des.Time, node, dest, nexthop topology.Node, best routing.Path) {
-	if dest != o.dest || o.err != nil {
-		return
-	}
-	if node == o.dest {
+	if o.err != nil || node == dest {
 		// The destination delivers locally; it has no forwarding next hop
 		// and must not appear as a self-loop in the FIB history.
 		return
 	}
-	if err := o.history.Record(now, node, nexthop); err != nil {
+	h := o.histories[dest]
+	if h == nil {
+		return
+	}
+	if err := h.Record(now, node, nexthop); err != nil {
 		o.err = err
 	}
 }
@@ -215,25 +216,116 @@ const quiescenceChunk = 50_000
 // *invariant.ViolationError, and an internal panic is converted into a
 // *invariant.PanicError carrying the event trail and RIB digests. Guards
 // are observation-only: they never change a successful run's Result.
-func RunContext(ctx context.Context, s Scenario) (res *Result, err error) {
+func RunContext(ctx context.Context, s Scenario) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	s = s.withDefaults()
-	plan := s.FaultPlan
-	if plan == nil {
-		var err error
-		if plan, err = CanonicalPlan(s); err != nil {
-			return nil, err
+	s, plan, err := s.lowered()
+	if err != nil {
+		return nil, err
+	}
+	out, err := s.execute(ctx, plan, []topology.Node{s.Dest})
+	if err != nil {
+		return nil, err
+	}
+
+	phases := out.phases[0]
+	main := phases[out.main]
+	res := &Result{
+		Topology:           s.Graph.Name(),
+		Nodes:              s.Graph.NumNodes(),
+		Event:              s.Event,
+		Plan:               plan.Name,
+		Enhancement:        s.BGP.Enhancements.String(),
+		MRAI:               s.BGP.MRAI,
+		Seed:               s.Seed,
+		FailAt:             main.InjectAt,
+		InitialConvergence: out.initialConv,
+		ConvergenceTime:    main.ConvergenceTime,
+		Replay:             main.Replay,
+		LoopingDuration:    main.LoopingDuration,
+		LoopingRatio:       main.LoopingRatio,
+		TTLExhaustions:     main.TTLExhaustions,
+		PacketsSent:        main.PacketsSent,
+		Loops:              main.Loops,
+		LoopStats:          main.LoopStats,
+		FIBChanges:         out.histories[s.Dest].TotalChanges(),
+		EventsExecuted:     out.executed,
+		Phases:             phases,
+		Trace:              out.trace,
+	}
+	if out.recovery >= 0 {
+		rec := phases[out.recovery]
+		res.Recovery = &Recovery{
+			RestoreAt:       rec.InjectAt,
+			ConvergenceTime: rec.ConvergenceTime,
+			Replay:          rec.Replay,
+			LoopingDuration: rec.LoopingDuration,
+			LoopingRatio:    rec.LoopingRatio,
+			TTLExhaustions:  rec.TTLExhaustions,
+			Loops:           rec.Loops,
 		}
 	}
+	for _, sp := range out.speakers {
+		st := sp.Stats()
+		res.Announcements += st.AnnouncementsSent
+		res.Withdrawals += st.WithdrawalsSent
+		res.BestChanges += st.BestChanges
+		res.SSLDConversions += st.SSLDConversions
+		res.GhostFlushes += st.GhostFlushes
+		res.AssertionInvalidations += st.AssertionInvalidations
+		res.RoutesSuppressed += st.RoutesSuppressed
+		res.RoutesReused += st.RoutesReused
+		res.OpensSent += st.OpensSent
+		res.KeepalivesSent += st.KeepalivesSent
+		res.KeepalivesSuppressed += st.KeepalivesSuppressed
+		res.HoldExpiries += st.HoldExpiries
+		res.SessionsEstablished += st.SessionsEstablished
+	}
+	res.UpdatesSent = res.Announcements + res.Withdrawals
+	res.Net = out.net
+	return res, nil
+}
+
+// execution is what one pass of the run loop hands to its views
+// (RunContext, RunMulti): the per-origin phase measurements and the state
+// the run totals are read from.
+type execution struct {
+	// initialConv is the instant of the last update of the cold-start
+	// convergence.
+	initialConv des.Time
+	// phases[k] holds the measured phases of origins[k] in plan order;
+	// main and recovery index into it (recovery is -1 without a
+	// recovery-role phase).
+	phases   [][]PhaseResult
+	main     int
+	recovery int
+	// histories is the observer's per-destination FIB history, indexed by
+	// node id.
+	histories []*dataplane.History
+	speakers  []*bgp.Speaker
+	net       netsim.Stats
+	executed  uint64
+	trace     *trace.Recorder
+}
+
+// execute is the run loop, the only one: s is a validated, defaults-
+// applied scenario and plan its effective fault plan (see lowered). Every
+// node in origins originates its own prefix — a Scenario has the one
+// origin s.Dest — the network converges, and the plan is driven phase by
+// phase under the quiescence watchdog and, when enabled, the invariant
+// guards. Each measured phase is then measured once per origin. The
+// streaming guards watch all traffic; the sweep checks and the
+// oscillation probe watch the routes toward s.Dest only.
+func (s Scenario) execute(ctx context.Context, plan *faultplan.Plan, origins []topology.Node) (out *execution, err error) {
 	mainIdx := plan.MainPhase()
 	if mainIdx < 0 {
 		return nil, errors.New("experiment: fault plan has no measured phase")
 	}
+	numNodes := s.Graph.NumNodes()
 
 	sched := des.NewScheduler()
 	net := netsim.New(sched, s.Graph, s.LinkDelay)
@@ -244,12 +336,17 @@ func RunContext(ctx context.Context, s Scenario) (res *Result, err error) {
 		// existing digest (pinned by TestTransportDisabledIsNoOp).
 		net.SetImpairment(transport.NewModel(rng, s.Transport))
 	}
-	obs := &observer{
-		dest:    s.Dest,
-		sched:   sched,
-		history: dataplane.NewHistory(s.Graph.NumNodes()),
+	// s.Dest is tracked even when it originates nothing (a multi-prefix
+	// T_down may fail a node outside origins): the rib-fib sweep check
+	// reads its history, which then stays empty.
+	obs := &observer{histories: make([]*dataplane.History, numNodes)}
+	obs.histories[s.Dest] = dataplane.NewHistory(numNodes)
+	for _, o := range origins {
+		if obs.histories[o] == nil {
+			obs.histories[o] = dataplane.NewHistory(numNodes)
+		}
 	}
-	probe := bgp.NewOscillationProbe(s.Graph.NumNodes(), s.Dest)
+	probe := bgp.NewOscillationProbe(numNodes, s.Dest)
 
 	var speakerObs bgp.Observer = obs
 	var recorder *trace.Recorder
@@ -263,7 +360,7 @@ func RunContext(ctx context.Context, s Scenario) (res *Result, err error) {
 	// The speakers slice is allocated before the guard engine is built:
 	// the engine's sweep checks close over the backing array, which the
 	// construction loop below fills in.
-	speakers := make([]*bgp.Speaker, s.Graph.NumNodes())
+	speakers := make([]*bgp.Speaker, numNodes)
 
 	var eng *invariant.Engine
 	if s.Guard.Enabled() {
@@ -278,7 +375,7 @@ func RunContext(ctx context.Context, s Scenario) (res *Result, err error) {
 		// and RIB digests instead of unwinding to the trial recovery.
 		defer func() {
 			if r := recover(); r != nil {
-				res = nil
+				out = nil
 				err = eng.CapturePanic(r, debug.Stack())
 			}
 		}()
@@ -355,8 +452,10 @@ func RunContext(ctx context.Context, s Scenario) (res *Result, err error) {
 
 	// Phase 0: cold-start convergence.
 	probe.BeginPhase(sched.Now())
-	if err := speakers[s.Dest].Originate(s.Dest); err != nil {
-		return nil, err
+	for _, o := range origins {
+		if err := speakers[o].Originate(o); err != nil {
+			return nil, err
+		}
 	}
 	if _, err := runToQuiescence("initial convergence"); err != nil {
 		return nil, err
@@ -389,92 +488,60 @@ func RunContext(ctx context.Context, s Scenario) (res *Result, err error) {
 		execs[i] = phaseExec{phase: ph, injectAt: injectAt, end: sched.Now(), convergedAt: convergedAt, used: used}
 	}
 
-	// Replay the packet workload and extract exact loop intervals per
-	// measured phase.
-	sources := make([]topology.Node, 0, s.Graph.NumNodes()-1)
-	for _, v := range s.Graph.Nodes() {
-		if v != s.Dest {
-			sources = append(sources, v)
+	// slot maps plan phase i to its index among the measured phases.
+	slot := func(i int) int {
+		n := 0
+		for _, ph := range plan.Phases[:i] {
+			if ph.Measure {
+				n++
+			}
 		}
+		return n
 	}
-	var phases []PhaseResult
-	byIndex := make(map[int]int, len(plan.Phases)) // plan index -> phases index
-	for i, ex := range execs {
-		if !ex.phase.Measure {
-			continue
-		}
-		pr, err := s.measurePhase(obs.history, sources, execs, i)
-		if err != nil {
-			return nil, err
-		}
-		byIndex[i] = len(phases)
-		phases = append(phases, pr)
-	}
-
-	main := phases[byIndex[mainIdx]]
-	res = &Result{
-		Topology:           s.Graph.Name(),
-		Nodes:              s.Graph.NumNodes(),
-		Event:              s.Event,
-		Plan:               plan.Name,
-		Enhancement:        s.BGP.Enhancements.String(),
-		MRAI:               s.BGP.MRAI,
-		Seed:               s.Seed,
-		FailAt:             main.InjectAt,
-		InitialConvergence: initialConv,
-		ConvergenceTime:    main.ConvergenceTime,
-		Replay:             main.Replay,
-		LoopingDuration:    main.LoopingDuration,
-		LoopingRatio:       main.LoopingRatio,
-		TTLExhaustions:     main.TTLExhaustions,
-		PacketsSent:        main.PacketsSent,
-		Loops:              main.Loops,
-		LoopStats:          main.LoopStats,
-		FIBChanges:         obs.history.TotalChanges(),
-		EventsExecuted:     sched.Executed(),
-		Phases:             phases,
-		Trace:              recorder,
+	out = &execution{
+		initialConv: initialConv,
+		phases:      make([][]PhaseResult, len(origins)),
+		main:        slot(mainIdx),
+		recovery:    -1,
+		histories:   obs.histories,
+		speakers:    speakers,
+		net:         net.Stats(),
+		executed:    sched.Executed(),
+		trace:       recorder,
 	}
 	if recIdx := plan.RecoveryPhase(); recIdx >= 0 {
-		rec := phases[byIndex[recIdx]]
-		res.Recovery = &Recovery{
-			RestoreAt:       rec.InjectAt,
-			ConvergenceTime: rec.ConvergenceTime,
-			Replay:          rec.Replay,
-			LoopingDuration: rec.LoopingDuration,
-			LoopingRatio:    rec.LoopingRatio,
-			TTLExhaustions:  rec.TTLExhaustions,
-			Loops:           rec.Loops,
+		out.recovery = slot(recIdx)
+	}
+	// Replay the packet workload and extract exact loop intervals per
+	// origin and measured phase.
+	for k, dest := range origins {
+		sources := make([]topology.Node, 0, numNodes-1)
+		for _, v := range s.Graph.Nodes() {
+			if v != dest {
+				sources = append(sources, v)
+			}
+		}
+		for i, ex := range execs {
+			if !ex.phase.Measure {
+				continue
+			}
+			pr, err := s.measurePhase(obs.histories[dest], dest, sources, execs, i)
+			if err != nil {
+				return nil, err
+			}
+			out.phases[k] = append(out.phases[k], pr)
 		}
 	}
-	for _, sp := range speakers {
-		st := sp.Stats()
-		res.Announcements += st.AnnouncementsSent
-		res.Withdrawals += st.WithdrawalsSent
-		res.BestChanges += st.BestChanges
-		res.SSLDConversions += st.SSLDConversions
-		res.GhostFlushes += st.GhostFlushes
-		res.AssertionInvalidations += st.AssertionInvalidations
-		res.RoutesSuppressed += st.RoutesSuppressed
-		res.RoutesReused += st.RoutesReused
-		res.OpensSent += st.OpensSent
-		res.KeepalivesSent += st.KeepalivesSent
-		res.KeepalivesSuppressed += st.KeepalivesSuppressed
-		res.HoldExpiries += st.HoldExpiries
-		res.SessionsEstablished += st.SessionsEstablished
-	}
-	res.UpdatesSent = res.Announcements + res.Withdrawals
-	res.Net = net.Stats()
-	return res, nil
+	return out, nil
 }
 
-// measurePhase computes the §4.2 metrics of measured phase i: packet
-// replay over the phase's convergence window and the transient loops
-// attributed to the phase.
-func (s Scenario) measurePhase(history *dataplane.History, sources []topology.Node, execs []phaseExec, i int) (PhaseResult, error) {
+// measurePhase computes the §4.2 metrics of measured phase i for one
+// destination: packet replay over the phase's convergence window and the
+// transient loops attributed to the phase.
+func (s Scenario) measurePhase(history *dataplane.History, dest topology.Node, sources []topology.Node, execs []phaseExec, i int) (PhaseResult, error) {
 	ex := execs[i]
 	replay, err := dataplane.Replay(history, dataplane.ReplayConfig{
-		Dest:      s.Dest,
+		Dest:      dest,
 		Sources:   sources,
 		Start:     ex.injectAt,
 		End:       ex.convergedAt,

@@ -147,6 +147,19 @@ func (s Scenario) withDefaults() Scenario {
 	return s
 }
 
+// lowered is the one place a scenario becomes what the run loop, the
+// cache key and the static bound all work from: the scenario with its
+// defaults applied, and its effective fault plan — the explicit FaultPlan
+// when set, otherwise the canonical compilation of the legacy fields.
+func (s Scenario) lowered() (Scenario, *faultplan.Plan, error) {
+	s = s.withDefaults()
+	if s.FaultPlan != nil {
+		return s, s.FaultPlan, nil
+	}
+	plan, err := CanonicalPlan(s)
+	return s, plan, err
+}
+
 // Validate reports scenario construction errors.
 func (s Scenario) Validate() error {
 	if s.Graph == nil {

@@ -103,7 +103,9 @@ func TestRunTrialsOptsFailureRatioThreshold(t *testing.T) {
 		}
 		return CliqueTDown(4, bgp.DefaultConfig(), 1), nil
 	}
-	agg, results, _, err := RunSweep(gen, 3, SweepOptions{ContinueOnFailure: true})
+	// One worker: with more, the two instant generator failures doom the
+	// sweep while trial 0 is still in flight and cancel it.
+	agg, results, _, err := RunSweep(gen, 3, SweepOptions{ContinueOnFailure: true, Workers: 1})
 	if err == nil {
 		t.Fatal("2/3 failures exceeds the 0.5 threshold; the sweep must error")
 	}
