@@ -235,27 +235,43 @@ func BenchmarkWireUpdateRoundTrip(b *testing.B) {
 }
 
 // BenchmarkReplayThroughput measures raw data-plane replay speed over a
-// permanently looping FIB (worst case: every packet burns a full TTL).
+// FIB history that always holds a loop but moves it every 150 ms, between
+// 1<->2 and 1<->3: every packet burns a full TTL, and since that takes
+// 256 ms, every packet is in flight across at least one FIB change. A loop
+// that never changed would exercise the closed-form path alone, O(1) per
+// packet however long the packet lives.
 func BenchmarkReplayThroughput(b *testing.B) {
-	h := dataplane.NewHistory(3)
-	if err := h.Record(0, 1, 2); err != nil {
-		b.Fatal(err)
-	}
-	if err := h.Record(0, 2, 1); err != nil {
-		b.Fatal(err)
-	}
-	cfg := dataplane.ReplayConfig{
-		Dest:    0,
-		Sources: []topology.Node{1},
-		Start:   0,
-		End:     10 * time.Second,
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := dataplane.Replay(h, cfg); err != nil {
+	const window = 10 * time.Second
+	h := dataplane.NewHistory(4)
+	record := func(at time.Duration, node, nexthop topology.Node) {
+		if err := h.Record(at, node, nexthop); err != nil {
 			b.Fatal(err)
 		}
 	}
+	record(0, 2, 1)
+	record(0, 3, 1)
+	for k := 0; time.Duration(k)*150*time.Millisecond < window+time.Second; k++ {
+		record(time.Duration(k)*150*time.Millisecond, 1, topology.Node(2+k%2))
+	}
+	cfg := dataplane.ReplayConfig{
+		Dest:    0,
+		Sources: []topology.Node{1, 2, 3},
+		Start:   0,
+		End:     window,
+	}
+	b.ReportAllocs()
+	packets := 0
+	for i := 0; i < b.N; i++ {
+		res, err := dataplane.Replay(h, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.TTLExhausted != res.Sent {
+			b.Fatalf("%d of %d packets died in the loop, want all", res.TTLExhausted, res.Sent)
+		}
+		packets += res.Sent
+	}
+	b.ReportMetric(float64(packets)/b.Elapsed().Seconds(), "packets/s")
 }
 
 // BenchmarkInternet110TDown is the paper's headline topology.

@@ -3,10 +3,20 @@
 //
 // The paper's data plane is deliberately feedback-free: packet rates are
 // low enough that queueing is negligible and forwarding never influences
-// routing (§4.2). This package exploits that: the control plane records a
-// timestamped FIB-change history, and packets are *replayed* against that
-// history afterwards — an exact reconstruction of per-packet forwarding at
-// a small fraction of the cost of simulating every hop as a DES event.
+// routing (§4.2). This package exploits that twice. The control plane
+// records a timestamped FIB-change history (History), and packets are
+// *replayed* against that history afterwards — an exact reconstruction of
+// per-packet forwarding without simulating any hop as a DES event. And the
+// history is piecewise constant: History.Epochs yields its static
+// intervals, inside each of which the FIBs are one fixed functional graph
+// and a packet's fate is a function of where it stands, so Replay resolves
+// packets an epoch at a time, most of them in closed form, and walks hop
+// by hop only the few hops that a FIB change forces it to (see Replay).
+// The loop scan of package loopanalysis runs on the same iterator.
+//
+// NextHop, ChangeTimes and Snapshot are the point queries: what the
+// runtime guards read, and what the differential oracles in the tests are
+// written in, so that they share nothing with the epoch code they check.
 package dataplane
 
 import (
@@ -40,10 +50,15 @@ func (h *History) NumNodes() int { return len(h.times) }
 // now. Records must arrive in nondecreasing time order per node (the DES
 // guarantees this). Consecutive records with an unchanged next hop are
 // coalesced; a same-instant record overwrites the previous one (only the
-// final state of an instant is ever observable by packets).
+// final state of an instant is ever observable by packets). A next hop
+// other than topology.None must be a node of the history: Replay and the
+// loop scan index by it unchecked.
 func (h *History) Record(now des.Time, node, nexthop topology.Node) error {
 	if node < 0 || int(node) >= len(h.times) {
 		return fmt.Errorf("dataplane: record for node %d out of range", node)
+	}
+	if nexthop != topology.None && (nexthop < 0 || int(nexthop) >= len(h.times)) {
+		return fmt.Errorf("dataplane: record for node %d: next hop %d out of range", node, nexthop)
 	}
 	ts := h.times[node]
 	if k := len(ts); k > 0 {
@@ -122,7 +137,7 @@ func (h *History) TotalChanges() int {
 }
 
 // ChangeTimes returns the sorted, de-duplicated instants at which any
-// node's FIB changed. This is the snapshot grid for loop analysis.
+// node's FIB changed: the start instants of the history's epochs.
 func (h *History) ChangeTimes() []des.Time {
 	var all []des.Time
 	for _, ts := range h.times {

@@ -84,6 +84,35 @@ func TestHistoryRejectsOutOfOrder(t *testing.T) {
 	}
 }
 
+// A next hop outside the history must be refused at the door: Replay and
+// the loop scan index by next hop unchecked.
+func TestHistoryRejectsOutOfRangeNextHop(t *testing.T) {
+	tests := []struct {
+		nexthop topology.Node
+		wantErr bool
+	}{
+		{topology.None, false},
+		{0, false},
+		{1, false}, // itself: a self-loop FIB is representable
+		{2, false},
+		{3, true},
+		{100, true},
+		{-2, true},
+	}
+	for _, tt := range tests {
+		h := NewHistory(3)
+		mustRecord(t, h, time.Second, 1, 0)
+		for _, at := range []des.Time{time.Second, 2 * time.Second} { // overwrite, append
+			if err := h.Record(at, 1, tt.nexthop); (err != nil) != tt.wantErr {
+				t.Errorf("Record(%v, 1, %d) error = %v, want error %v", at, tt.nexthop, err, tt.wantErr)
+			}
+		}
+		if tt.wantErr && h.NextHop(1, time.Hour) != 0 {
+			t.Errorf("refused next hop %d left a mark: NextHop = %d", tt.nexthop, h.NextHop(1, time.Hour))
+		}
+	}
+}
+
 func TestChangeTimes(t *testing.T) {
 	h := NewHistory(3)
 	mustRecord(t, h, 2*time.Second, 0, 1)

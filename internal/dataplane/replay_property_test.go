@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -91,62 +92,135 @@ func TestPropertyReplayConservation(t *testing.T) {
 	}
 }
 
-// TestPropertyReplayMatchesStepwiseWalk cross-checks the production walker
-// against an independent re-implementation on random histories.
-func TestPropertyReplayMatchesStepwiseWalk(t *testing.T) {
-	naive := func(h *History, dest, src topology.Node, at time.Duration, ttl int, link time.Duration) (delivered, noroute, exhausted bool) {
-		pos, t := src, at
-		for {
-			if pos == dest {
-				return true, false, false
-			}
-			next := h.NextHop(pos, t)
-			if next == topology.None {
-				return false, true, false
-			}
-			if ttl == 0 {
-				return false, false, true
-			}
-			ttl--
-			t += link
-			pos = next
+// decodeCase turns bytes into a small history and a replay configuration,
+// for the seeded differential test and for FuzzReplayMatchesWalk alike.
+// Seven header bytes pick 2-8 nodes, Dest, a TTL of 1-12 (often smaller than
+// tail + cycle), a link delay of 1-3 ms, an interval of 1-6 ms and a send
+// window that starts up to 12 ms into the history and may be empty or
+// inverted. Every following byte pair is one record: the low three bits of
+// the first advance the clock by 0-3.5 ms in half-millisecond steps (0 keeps
+// the instant, so several nodes change at once, the first record can sit at
+// time 0, and consecutive changes are usually closer than one link delay),
+// the rest pick the node (Dest included) and the second byte its next hop
+// (None, Dest and the node itself included).
+func decodeCase(data []byte) (*History, ReplayConfig) {
+	const tick = 500 * time.Microsecond
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	n := 2 + next()%7
+	cfg := ReplayConfig{
+		Dest:      topology.Node(next() % n),
+		TTL:       1 + next()%12,
+		LinkDelay: time.Duration(1+next()%3) * time.Millisecond,
+		Interval:  time.Duration(1+next()%6) * time.Millisecond,
+	}
+	cfg.Start = time.Duration(next()%24) * tick
+	cfg.End = cfg.Start + time.Duration(next()%48-4)*tick
+	for v := 0; v < n; v++ {
+		cfg.Sources = append(cfg.Sources, topology.Node(v))
+	}
+	h := NewHistory(n)
+	var at time.Duration
+	for len(data) >= 2 {
+		a, b := next(), next()
+		at += time.Duration(a&7) * tick
+		// Times never decrease and ids are in range by construction.
+		if err := h.Record(at, topology.Node((a>>3)%n), topology.Node(b%(n+1)-1)); err != nil {
+			panic(err)
 		}
 	}
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
+	return h, cfg
+}
+
+// replayDiff replays cfg over h with Replay and with the walker it
+// replaced and describes the first disagreement ("" if none).
+func replayDiff(h *History, cfg ReplayConfig) (ReplayResult, string) {
+	got, gotErr := Replay(h, cfg)
+	want, wantErr := walkReplay(h, cfg)
+	switch {
+	case (gotErr != nil) != (wantErr != nil):
+		return got, fmt.Sprintf("Replay error = %v, walker error = %v", gotErr, wantErr)
+	case got != want:
+		return got, fmt.Sprintf("Replay = %+v\nwalker = %+v", got, want)
+	}
+	return got, ""
+}
+
+// TestPropertyReplayMatchesStepwiseWalk checks the epoch-major Replay
+// against the packet-major walker it replaced (oracle_test.go), on every
+// ReplayResult field, over seeded random histories of two shapes: dense
+// small ones from decodeCase, where most packets straddle a change, and
+// sparser ones of up to 80 nodes (visited sets of more than one word, TTL
+// below and above the cycle lengths) with a send window that starts
+// mid-history.
+func TestPropertyReplayMatchesStepwiseWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(20041))
+	var sum ReplayResult
+	check := func(i int, h *History, cfg ReplayConfig) {
+		t.Helper()
+		res, diff := replayDiff(h, cfg)
+		if diff != "" {
+			t.Fatalf("case %d, cfg %+v:\n%s", i, cfg, diff)
+		}
+		sum.Sent += res.Sent
+		sum.Delivered += res.Delivered
+		sum.NoRoute += res.NoRoute
+		sum.TTLExhausted += res.TTLExhausted
+		sum.LoopEncounters += res.LoopEncounters
+		sum.DeliveredAfterLoop += res.DeliveredAfterLoop
+	}
+	for i := 0; i < 3000; i++ {
+		data := make([]byte, 7+2*rng.Intn(48))
+		rng.Read(data)
+		h, cfg := decodeCase(data)
+		check(i, h, cfg)
+	}
+	for i := 0; i < 300; i++ {
 		n := 4 + rng.Intn(6)
+		if i%3 == 0 {
+			n = 65 + rng.Intn(16)
+		}
 		h := buildRandomHistory(rng, n, time.Second)
-		src := topology.Node(1 + rng.Intn(n-1))
 		cfg := ReplayConfig{
 			Dest:      0,
-			Sources:   []topology.Node{src},
-			Start:     0,
+			Start:     time.Duration(rng.Intn(400)) * time.Millisecond,
 			End:       time.Second,
-			Interval:  100 * time.Millisecond,
-			TTL:       16,
+			Interval:  time.Duration(5+rng.Intn(60)) * time.Millisecond,
+			TTL:       []int{4, 16, 128}[rng.Intn(3)],
 			LinkDelay: 2 * time.Millisecond,
 		}
-		res, err := Replay(h, cfg)
-		if err != nil {
-			return false
+		for v := 1; v < n; v++ {
+			cfg.Sources = append(cfg.Sources, topology.Node(v))
 		}
-		var wantDelivered, wantNoRoute, wantExhausted int
-		for at := cfg.Start; at < cfg.End; at += cfg.Interval {
-			d, nr, ex := naive(h, cfg.Dest, src, at, cfg.TTL, cfg.LinkDelay)
-			switch {
-			case d:
-				wantDelivered++
-			case nr:
-				wantNoRoute++
-			case ex:
-				wantExhausted++
-			}
+		check(3000+i, h, cfg)
+	}
+	// A generator that drifts into producing no loops, or no escapes from
+	// them, would leave the comparison above vacuous.
+	t.Logf("sent %d: delivered %d (after a loop %d), no route %d, TTL exhausted %d, loop encounters %d",
+		sum.Sent, sum.Delivered, sum.DeliveredAfterLoop, sum.NoRoute, sum.TTLExhausted, sum.LoopEncounters)
+	if sum.Delivered == 0 || sum.DeliveredAfterLoop == 0 || sum.NoRoute == 0 || sum.TTLExhausted == 0 ||
+		sum.LoopEncounters == 0 {
+		t.Errorf("an outcome went missing from the generated cases: %+v", sum)
+	}
+}
+
+// FuzzReplayMatchesWalk is the same comparison driven by the fuzzer: the
+// input decodes (decodeCase) to a small history plus a ReplayConfig.
+func FuzzReplayMatchesWalk(f *testing.F) {
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 256 {
+			data = data[:256] // keep histories small; long inputs add no new shape
 		}
-		return res.Delivered == wantDelivered &&
-			res.NoRoute == wantNoRoute &&
-			res.TTLExhausted == wantExhausted
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
+		h, cfg := decodeCase(data)
+		if _, diff := replayDiff(h, cfg); diff != "" {
+			t.Fatalf("cfg %+v:\n%s", cfg, diff)
+		}
+	})
 }

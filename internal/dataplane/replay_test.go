@@ -305,3 +305,55 @@ func TestReplaySelfLoopFIB(t *testing.T) {
 		t.Errorf("self-loop FIB: %+v, want 1 exhaustion", res)
 	}
 }
+
+// A source outside the history is an error, not an index panic in the
+// middle of the replay. The destination is skipped before it is looked at,
+// as it always was.
+func TestReplayRejectsOutOfRangeSource(t *testing.T) {
+	h := stableChain(t, 3)
+	tests := []struct {
+		name    string
+		sources []topology.Node
+		wantErr bool
+	}{
+		{"in range", []topology.Node{1, 2}, false},
+		{"destination skipped", []topology.Node{0, 1}, false},
+		{"one past the end", []topology.Node{1, 3}, true},
+		{"far past the end", []topology.Node{100}, true},
+		{"none", []topology.Node{topology.None}, true},
+		{"negative", []topology.Node{-7, 1}, true},
+	}
+	for _, tt := range tests {
+		_, err := Replay(h, ReplayConfig{Dest: 0, Sources: tt.sources, End: time.Second})
+		if (err != nil) != tt.wantErr {
+			t.Errorf("%s: Replay error = %v, want error %v", tt.name, err, tt.wantErr)
+		}
+	}
+}
+
+// TestReplayAllocsIndependentOfWindow pins the memory shape: what Replay
+// allocates follows the history and the packets in flight at one time, not
+// the number of packets sent. The history flips a loop every 150 ms, less
+// than a packet's 256 ms lifetime, so packets are in flight, and visited
+// sets in use, at every epoch boundary of either window.
+func TestReplayAllocsIndependentOfWindow(t *testing.T) {
+	h := NewHistory(4)
+	mustRecord(t, h, 0, 2, 1)
+	mustRecord(t, h, 0, 3, 1)
+	for k := 0; k < 200; k++ {
+		mustRecord(t, h, time.Duration(k)*150*time.Millisecond, 1, topology.Node(2+k%2))
+	}
+	allocs := func(window time.Duration) float64 {
+		cfg := ReplayConfig{Dest: 0, Sources: []topology.Node{1, 2, 3}, End: window}
+		return testing.AllocsPerRun(5, func() {
+			if res, err := Replay(h, cfg); err != nil || res.TTLExhausted != res.Sent {
+				t.Fatalf("Replay = %+v, %v; want every packet to die in the loop", res, err)
+			}
+		})
+	}
+	short, long := allocs(3*time.Second), allocs(30*time.Second)
+	t.Logf("allocations: %v over 3 s, %v over 30 s", short, long)
+	if long > short {
+		t.Errorf("Replay allocates with the window: %v allocations over 3 s, %v over 30 s", short, long)
+	}
+}

@@ -3,16 +3,19 @@
 //
 // At every instant the FIBs of all nodes form a functional graph (each
 // node has at most one out-edge, its next hop); a routing loop is exactly
-// a cycle in that graph. The history changes only at recorded instants, so
-// scanning snapshots at those instants yields every loop, its member
-// nodes, and its precise lifetime — the per-loop statistics the paper
-// lists as future work, and an independent validation of the
-// TTL-exhaustion proxy used in its measurements.
+// a cycle in that graph. The history changes only at recorded instants, and
+// a cycle can only die or be born through a node that changed, so one pass
+// over the history's epochs (dataplane.Epochs, the iterator the packet
+// replay runs on too) that looks at the changed nodes alone yields every
+// loop, its member nodes, and its precise lifetime — the per-loop
+// statistics the paper lists as future work, and an independent validation
+// of the TTL-exhaustion proxy used in its measurements.
 package loopanalysis
 
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -57,138 +60,131 @@ func (l Loop) String() string {
 	return b.String()
 }
 
-// key returns the canonical identity of the cycle.
-func loopKey(nodes []topology.Node) string {
-	var b strings.Builder
-	for _, v := range nodes {
-		fmt.Fprintf(&b, "%d,", v)
-	}
-	return b.String()
-}
-
 // FindLoops scans the FIB history up to horizon and returns every routing
 // loop interval, ordered by start time (ties by canonical node list). A
 // cycle that breaks and later re-forms with the same membership yields two
 // separate Loop entries.
+//
+// The scan is incremental over the history's epochs. A cycle of a
+// functional graph is fixed by the next hops of its own members, so at a
+// change instant the cycles that die are exactly the open ones through a
+// changed node, and every cycle that is born runs through a changed node
+// too: following next from each changed node finds them all, and nothing
+// else need be looked at. The state evaluated first is that of instant 0
+// (records at time <= 0 applied); then comes each change instant up to
+// horizon. A loop still open at the end is reported unresolved, ending at
+// horizon.
 func FindLoops(h *dataplane.History, horizon des.Time) []Loop {
-	type active struct {
-		loop  Loop
-		alive bool
+	s := scan{
+		ep:     h.Epochs(),
+		cycle:  make([]int, h.NumNodes()),
+		walked: make([]int, h.NumNodes()),
 	}
-	times := h.ChangeTimes()
-	// Always evaluate the initial state too.
-	grid := make([]des.Time, 0, len(times)+1)
-	grid = append(grid, 0)
-	for _, t := range times {
-		if t != 0 && t <= horizon {
-			grid = append(grid, t)
+	for v := range s.cycle {
+		s.cycle[v] = -1
+	}
+	for s.ep.Next() && s.ep.End <= 0 {
+		// Skip to the epoch that holds instant 0.
+	}
+	for v := range s.cycle {
+		s.open(topology.Node(v), 0)
+	}
+	for s.ep.Next() && s.ep.Start <= horizon {
+		for _, v := range s.ep.Changed {
+			s.close(v, s.ep.Start)
+		}
+		for _, v := range s.ep.Changed {
+			s.open(v, s.ep.Start)
 		}
 	}
-
-	open := make(map[string]*active)
-	var out []Loop
-	next := make([]topology.Node, h.NumNodes())
-
-	for _, t := range grid {
-		h.Snapshot(t, next)
-		cycles := findCycles(next)
-		// Mark all open loops dead, then revive the ones still present.
-		for _, a := range open {
-			a.alive = false
-		}
-		for _, c := range cycles {
-			k := loopKey(c)
-			if a, ok := open[k]; ok {
-				a.alive = true
-				continue
-			}
-			open[k] = &active{
-				loop:  Loop{Nodes: c, Start: t},
-				alive: true,
-			}
-		}
-		for k, a := range open {
-			if a.alive {
-				continue
-			}
-			a.loop.End = t
-			a.loop.Resolved = true
-			out = append(out, a.loop)
-			delete(open, k)
+	out := s.out
+	for _, l := range s.loops {
+		if l.Nodes != nil {
+			l.End = horizon
+			out = append(out, l)
 		}
 	}
-	for _, a := range open {
-		a.loop.End = horizon
-		out = append(out, a.loop)
-	}
+	// Keys are built for this sort only, and only where two loops share a
+	// start instant.
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Start != out[j].Start {
 			return out[i].Start < out[j].Start
 		}
-		return loopKey(out[i].Nodes) < loopKey(out[j].Nodes)
+		return sortKey(out[i].Nodes) < sortKey(out[j].Nodes)
 	})
 	return out
 }
 
-// findCycles returns every cycle of the functional graph next (next[v] is
-// v's out-edge or topology.None), each rotated to start at its smallest
-// node. Standard three-color iteration, O(n).
-func findCycles(next []topology.Node) [][]topology.Node {
-	const (
-		white = 0 // unvisited
-		gray  = 1 // on the current walk
-		black = 2 // finished
-	)
-	state := make([]uint8, len(next))
-	pos := make([]int, len(next)) // index of node within the current walk
-	var cycles [][]topology.Node
-
-	for s := range next {
-		if state[s] != white {
-			continue
-		}
-		var walk []topology.Node
-		v := topology.Node(s)
-		for {
-			if v == topology.None || int(v) >= len(next) {
-				break
-			}
-			if state[v] == black {
-				break
-			}
-			if state[v] == gray {
-				// Found a cycle: walk[pos[v]:] is the cycle body.
-				cycle := append([]topology.Node(nil), walk[pos[v]:]...)
-				cycles = append(cycles, canonical(cycle))
-				break
-			}
-			state[v] = gray
-			pos[v] = len(walk)
-			walk = append(walk, v)
-			v = next[v]
-		}
-		for _, u := range walk {
-			state[u] = black
-		}
-	}
-	return cycles
+// scan is the state of one FindLoops call, positioned on the epoch ep.
+type scan struct {
+	ep *dataplane.Epochs
+	// cycle[v] indexes the open loop through v in loops, -1 if v is on
+	// none. A closed loop leaves a zero Loop behind in loops.
+	cycle []int
+	loops []Loop
+	// walked[v] is the number of the last walk that passed v; walks
+	// counts them.
+	walked []int
+	walks  int
+	out    []Loop
 }
 
-// canonical rotates the cycle so its smallest node comes first.
-func canonical(cycle []topology.Node) []topology.Node {
-	if len(cycle) == 0 {
-		return cycle
+// close ends the open loop through v, if any, at time at.
+func (s *scan) close(v topology.Node, at des.Time) {
+	id := s.cycle[v]
+	if id < 0 {
+		return
 	}
-	min := 0
-	for i, v := range cycle {
-		if v < cycle[min] {
-			min = i
+	l := s.loops[id]
+	s.loops[id] = Loop{}
+	for _, u := range l.Nodes {
+		s.cycle[u] = -1
+	}
+	l.End, l.Resolved = at, true
+	s.out = append(s.out, l)
+}
+
+// open follows next from v and, if the walk returns to v, records the
+// cycle as a loop born at time at. The walk stops early at a node without
+// a route, at a member of an open loop (whose every member is marked, so v
+// is not one of them) and at a node it has passed before (it is circling a
+// cycle that v only leads into).
+func (s *scan) open(v topology.Node, at des.Time) {
+	if s.cycle[v] >= 0 {
+		return
+	}
+	next := s.ep.Hops
+	s.walks++
+	size, least := 1, v
+	for u := next[v]; u != v; u = next[u] {
+		if u == topology.None || s.cycle[u] >= 0 || s.walked[u] == s.walks {
+			return
+		}
+		s.walked[u] = s.walks
+		size++
+		if u < least {
+			least = u
 		}
 	}
-	out := make([]topology.Node, 0, len(cycle))
-	out = append(out, cycle[min:]...)
-	out = append(out, cycle[:min]...)
-	return out
+	// Canonical form: forwarding order from the smallest id.
+	nodes := make([]topology.Node, 0, size)
+	for u := least; len(nodes) < size; u = next[u] {
+		nodes = append(nodes, u)
+		s.cycle[u] = len(s.loops)
+	}
+	s.loops = append(s.loops, Loop{Nodes: nodes, Start: at})
+}
+
+// sortKey renders a canonical node list as "5,6,": the order of loops born
+// at the same instant is the string order of these keys ("10,2," sorts
+// before "2,10,"), as it has been since they were map keys, and digests
+// pin it.
+func sortKey(nodes []topology.Node) string {
+	var b []byte
+	for _, v := range nodes {
+		b = append(strconv.AppendInt(b, int64(v), 10), ',')
+	}
+	return string(b)
 }
 
 // Stats aggregates a set of loop intervals.
