@@ -169,8 +169,7 @@ func InternetLike(n int, seed int64) (*Graph, error) {
 // CompareEnhancements runs a scenario under the five §5 protocol variants
 // and tabulates the metrics side by side.
 func CompareEnhancements(base Scenario) (*Table, error) {
-	variants, names := core.DefaultVariants()
-	return core.CompareEnhancements(base, variants, names)
+	return core.CompareEnhancements(base)
 }
 
 // ReadForensicBundle loads a forensic bundle written by a guarded sweep

@@ -1,15 +1,15 @@
 package bgploop_test
 
-// One benchmark per paper figure (4a..9d) plus ablation and substrate
-// micro-benchmarks. The figure benchmarks run a reduced sweep grid per
-// iteration (virtual time is free; wall time tracks event counts) and
-// additionally report headline metrics from the sweep via b.ReportMetric,
-// so `go test -bench=.` doubles as a compact reproduction report.
+// Ablation and substrate micro-benchmarks. The ablations report their
+// convergence time and TTL exhaustions via b.ReportMetric: `go test
+// -bench=Ablation` regenerates the ablation table of EXPERIMENTS.md. The
+// substrate benchmarks are `go test -bench` smoke for single layers.
 //
-// Full paper-scale figures are regenerated with `go run ./cmd/bgpfig`.
+// The repo's benchmark proper is bench/ (`bash bench/run.sh`); the paper's
+// figures are regenerated with `go run ./cmd/bgpfig` and exercised per
+// figure by the internal/figures tests.
 
 import (
-	"strconv"
 	"testing"
 	"time"
 
@@ -17,89 +17,10 @@ import (
 	"bgploop/internal/bgp"
 	"bgploop/internal/dataplane"
 	"bgploop/internal/experiment"
-	"bgploop/internal/figures"
 	"bgploop/internal/routing"
 	"bgploop/internal/topology"
 	"bgploop/internal/wire"
 )
-
-// benchScale is a small grid that still exercises every sweep dimension.
-func benchScale() figures.Scale {
-	return figures.Scale{
-		CliqueSizes:     []int{5, 8},
-		BCliqueSizes:    []int{5},
-		InternetSizes:   []int{29},
-		MRAIs:           []time.Duration{10 * time.Second, 20 * time.Second},
-		CliqueMRAISize:  6,
-		BCliqueMRAISize: 5,
-		Trials:          1,
-		InternetTrials:  1,
-		Seed:            1,
-		BGP:             bgploop.DefaultConfig(),
-	}
-}
-
-func benchFigure(b *testing.B, id string) {
-	b.Helper()
-	sc := benchScale()
-	b.ReportAllocs()
-	var lastCell float64
-	for i := 0; i < b.N; i++ {
-		tbl, err := figures.Run(id, sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(tbl.Rows) == 0 {
-			b.Fatal("no rows")
-		}
-		last := tbl.Rows[len(tbl.Rows)-1]
-		v, err := strconv.ParseFloat(last[len(last)-1], 64)
-		if err == nil {
-			lastCell = v
-		}
-	}
-	b.ReportMetric(lastCell, "last-cell")
-}
-
-// Figures 4a-4c: overall looping duration vs convergence time.
-func BenchmarkFig4a(b *testing.B) { benchFigure(b, "4a") }
-func BenchmarkFig4b(b *testing.B) { benchFigure(b, "4b") }
-func BenchmarkFig4c(b *testing.B) { benchFigure(b, "4c") }
-
-// Figures 5a-5b: MRAI sweeps of looping duration and convergence.
-func BenchmarkFig5a(b *testing.B) { benchFigure(b, "5a") }
-func BenchmarkFig5b(b *testing.B) { benchFigure(b, "5b") }
-
-// Figures 6a-6c: TTL exhaustions and looping ratio vs size.
-func BenchmarkFig6a(b *testing.B) { benchFigure(b, "6a") }
-func BenchmarkFig6b(b *testing.B) { benchFigure(b, "6b") }
-func BenchmarkFig6c(b *testing.B) { benchFigure(b, "6c") }
-
-// Figures 7a-7b: TTL exhaustions and looping ratio vs MRAI.
-func BenchmarkFig7a(b *testing.B) { benchFigure(b, "7a") }
-func BenchmarkFig7b(b *testing.B) { benchFigure(b, "7b") }
-
-// Figures 8a-8d: T_down enhancement comparison.
-func BenchmarkFig8a(b *testing.B) { benchFigure(b, "8a") }
-func BenchmarkFig8b(b *testing.B) { benchFigure(b, "8b") }
-func BenchmarkFig8c(b *testing.B) { benchFigure(b, "8c") }
-func BenchmarkFig8d(b *testing.B) { benchFigure(b, "8d") }
-
-// Figures 9a-9d: T_long enhancement comparison.
-func BenchmarkFig9a(b *testing.B) { benchFigure(b, "9a") }
-func BenchmarkFig9b(b *testing.B) { benchFigure(b, "9b") }
-func BenchmarkFig9c(b *testing.B) { benchFigure(b, "9c") }
-func BenchmarkFig9d(b *testing.B) { benchFigure(b, "9d") }
-
-// Extension figures x1-x7 (message overhead, loop distributions,
-// topology/policy/delay/damping ablations, recovery phases).
-func BenchmarkFigX1(b *testing.B) { benchFigure(b, "x1") }
-func BenchmarkFigX2(b *testing.B) { benchFigure(b, "x2") }
-func BenchmarkFigX3(b *testing.B) { benchFigure(b, "x3") }
-func BenchmarkFigX4(b *testing.B) { benchFigure(b, "x4") }
-func BenchmarkFigX5(b *testing.B) { benchFigure(b, "x5") }
-func BenchmarkFigX6(b *testing.B) { benchFigure(b, "x6") }
-func BenchmarkFigX7(b *testing.B) { benchFigure(b, "x7") }
 
 // --- ablations ----------------------------------------------------------
 

@@ -41,15 +41,12 @@
 // the HTTP listener shuts down.
 //
 // With -dist the server also acts as a distributed-sweep coordinator:
-// worker processes (`bgpd -worker -coordinator=<url>`, or the thin
-// `bgpworker` binary) register over /v1/work, pull leased chunks of
-// trial indices, execute them through the same sweep engine, and report
-// per-trial results. Crashed or stalled workers have their leases
-// reassigned after -dist-lease-ttl, the tail of each sweep is hedged to
-// idle workers, and the merged output stays byte-identical to a local
-// run. In -worker mode SIGTERM drains gracefully: the lease in hand is
-// finished and reported, no new lease is taken, and the worker
-// deregisters.
+// worker processes (the `bgpworker` binary) register over /v1/work, pull
+// leased chunks of trial indices, execute them through the same sweep
+// engine, and report per-trial results. Crashed or stalled workers have
+// their leases reassigned after -dist-lease-ttl, the tail of each sweep
+// is hedged to idle workers, and the merged output stays byte-identical
+// to a local run.
 package main
 
 import (
@@ -97,12 +94,6 @@ func run(args []string) error {
 		distChunk = fs.Int("dist-chunk", 4, "trials per lease")
 		distTTL   = fs.Duration("dist-lease-ttl", 60*time.Second, "lease deadline; expired leases are reassigned")
 		distHedge = fs.Int("dist-hedge", 2, "hedge the sweep tail when at most this many chunks remain outstanding (0 disables)")
-
-		workerMode  = fs.Bool("worker", false, "run as a fleet worker instead of a server (requires -coordinator)")
-		coordinator = fs.String("coordinator", "", "coordinator base URL for -worker mode, e.g. http://host:8439")
-		workerName  = fs.String("worker-name", "", "advisory worker label sent at registration")
-		workerCache = fs.String("worker-cache-dir", "", "worker-local result cache; re-leased chunks are served from disk")
-		pollIvl     = fs.Duration("poll-interval", 250*time.Millisecond, "idle wait between lease polls in -worker mode")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -110,15 +101,6 @@ func run(args []string) error {
 	if *versionF {
 		fmt.Println("bgpd", buildinfo.Read())
 		return nil
-	}
-	if *workerMode {
-		return runWorker(dist.WorkerConfig{
-			Coordinator:  *coordinator,
-			Name:         *workerName,
-			Parallelism:  *j,
-			CacheDir:     *workerCache,
-			PollInterval: *pollIvl,
-		})
 	}
 
 	var policy serve.PreflightPolicy
@@ -213,50 +195,4 @@ func run(args []string) error {
 	}
 	fmt.Fprintln(os.Stderr, "bgpd: drained, bye")
 	return <-errc
-}
-
-// runWorker is -worker mode: the process joins a coordinator's fleet
-// and loops pull-execute-report until drained. The first SIGINT/SIGTERM
-// drains gracefully — the lease in hand finishes and is reported, no
-// new lease is taken, and the worker deregisters; a second signal
-// abandons the lease (the coordinator reassigns it after the TTL).
-func runWorker(cfg dist.WorkerConfig) error {
-	if cfg.Coordinator == "" {
-		return errors.New("-worker needs -coordinator=<url>")
-	}
-	cfg.Sleep = func(ctx context.Context, d time.Duration) {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-		}
-	}
-	w, err := dist.NewWorker(cfg)
-	if err != nil {
-		return err
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sigc
-		fmt.Fprintln(os.Stderr, "bgpd: worker draining (finishing current lease)...")
-		w.Drain()
-		<-sigc
-		fmt.Fprintln(os.Stderr, "bgpd: worker abandoning lease")
-		cancel()
-	}()
-
-	fmt.Fprintf(os.Stderr, "bgpd: worker joining %s\n", cfg.Coordinator)
-	err = w.Run(ctx)
-	st := w.Stats()
-	fmt.Fprintf(os.Stderr, "bgpd: worker done: %d leases (%d hedged), %d trials, %d trial errors, %d transport retries\n",
-		st.Leases, st.Hedged, st.Trials, st.Errors, st.Retries)
-	if errors.Is(err, context.Canceled) {
-		return nil
-	}
-	return err
 }

@@ -110,9 +110,11 @@ func run(args []string) error {
 		w = f
 	}
 
+	// One suite per invocation: figures over the same cells share sweeps.
+	suite := figures.NewSuite(sc)
 	for i, id := range ids {
 		start := time.Now()
-		tbl, err := figures.Run(id, sc)
+		tbl, err := suite.Run(id)
 		if err != nil {
 			return err
 		}

@@ -21,8 +21,8 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
-	"time"
 
 	"bgploop/internal/bgp"
 	"bgploop/internal/buildinfo"
@@ -52,11 +52,11 @@ func run(args []string) error {
 		digestF   = fs.Bool("digest", false, "print only the canonical result digest (single run) or aggregate digest (sweep) — the provenance handle bgpd serves")
 		scenarioF = fs.String("scenario", "", "run a JSON scenario file instead of building one from flags")
 		jsonOut   = fs.Bool("json", false, "emit the run summary as JSON")
-		topo      = fs.String("topo", "clique", "topology family: clique, bclique, chain, ring, figure1, figure2, internet")
+		topo      = fs.String("topo", "clique", "topology family: "+strings.Join(topology.Families(), ", "))
 		size      = fs.Int("size", 15, "topology size parameter (clique n, bclique n => 2n nodes, internet n)")
 		event     = fs.String("event", "tdown", "failure event: tdown or tlong")
 		mrai      = fs.Duration("mrai", bgp.DefaultMRAI, "MRAI timer value")
-		enhance   = fs.String("enhance", "standard", "protocol variant: standard, ssld, wrate, assertion, ghostflush")
+		enhance   = fs.String("enhance", "standard", "protocol variant: "+strings.Join(bgp.VariantNames(), ", "))
 		seed      = fs.Int64("seed", 1, "simulation seed")
 		showLoops = fs.Bool("loops", false, "print the exact per-loop intervals")
 		horizon   = fs.Duration("horizon", 0, "virtual-time cap; non-quiescence past it aborts with a diagnosis (0 = unlimited)")
@@ -105,7 +105,7 @@ func run(args []string) error {
 	if *scenarioF != "" {
 		scenario, err = experiment.LoadScenarioFile(*scenarioF)
 	} else {
-		scenario, err = buildScenario(*topo, *size, *event, *mrai, *enhance, *seed)
+		scenario, err = experiment.FlagScenario(*topo, *size, *event, *mrai, *enhance, *seed)
 	}
 	if err != nil {
 		return err
@@ -181,8 +181,7 @@ func run(args []string) error {
 	}
 
 	if *compare {
-		variants, names := core.DefaultVariants()
-		tbl, err := core.CompareEnhancements(scenario, variants, names)
+		tbl, err := core.CompareEnhancements(scenario)
 		if err != nil {
 			return err
 		}
@@ -375,78 +374,4 @@ func runSweep(ctx context.Context, s experiment.Scenario, trials, workers int, c
 	fmt.Fprintf(os.Stderr, "bgpsim: %d trials: %d simulated, %d cache hits, %d resumed\n",
 		stats.Trials, stats.Executed, stats.CacheHits, stats.Resumed)
 	return nil
-}
-
-func buildScenario(topo string, size int, event string, mrai time.Duration, enhance string, seed int64) (experiment.Scenario, error) {
-	cfg := bgp.DefaultConfig()
-	cfg.MRAI = mrai
-	switch enhance {
-	case "standard":
-	case "ssld":
-		cfg.Enhancements.SSLD = true
-	case "wrate":
-		cfg.Enhancements.WRATE = true
-	case "assertion":
-		cfg.Enhancements.Assertion = true
-	case "ghostflush":
-		cfg.Enhancements.GhostFlushing = true
-	default:
-		return experiment.Scenario{}, fmt.Errorf("unknown enhancement %q", enhance)
-	}
-
-	wantTLong := false
-	switch event {
-	case "tdown":
-	case "tlong":
-		wantTLong = true
-	default:
-		return experiment.Scenario{}, fmt.Errorf("unknown event %q (want tdown or tlong)", event)
-	}
-
-	switch topo {
-	case "clique":
-		if wantTLong {
-			return experiment.Scenario{}, fmt.Errorf("tlong is not defined for cliques in the paper; use bclique or internet")
-		}
-		return experiment.CliqueTDown(size, cfg, seed), nil
-	case "bclique":
-		if !wantTLong {
-			g := topology.BClique(size)
-			return experiment.TDownScenario(g, 0, cfg, seed), nil
-		}
-		return experiment.BCliqueTLong(size, cfg, seed), nil
-	case "chain":
-		g := topology.Chain(size)
-		if wantTLong {
-			return experiment.Scenario{}, fmt.Errorf("every chain link is a bridge; tlong is undefined")
-		}
-		return experiment.TDownScenario(g, 0, cfg, seed), nil
-	case "ring":
-		g := topology.Ring(size)
-		if wantTLong {
-			return experiment.TLongScenario(g, 0, topology.NormEdge(0, 1), cfg, seed), nil
-		}
-		return experiment.TDownScenario(g, 0, cfg, seed), nil
-	case "figure1":
-		g := topology.Figure1()
-		if wantTLong {
-			return experiment.TLongScenario(g, 0, topology.Figure1FailedLink(), cfg, seed), nil
-		}
-		return experiment.TDownScenario(g, 0, cfg, seed), nil
-	case "figure2":
-		g := topology.Figure2Loop(size, size)
-		if wantTLong {
-			return experiment.TLongScenario(g, 0, topology.NormEdge(0, 1), cfg, seed), nil
-		}
-		return experiment.TDownScenario(g, 0, cfg, seed), nil
-	case "internet":
-		if wantTLong {
-			gen := experiment.InternetTLong(size, cfg, seed)
-			return gen(0)
-		}
-		gen := experiment.InternetTDown(size, cfg, seed)
-		return gen(0)
-	default:
-		return experiment.Scenario{}, fmt.Errorf("unknown topology %q", topo)
-	}
 }

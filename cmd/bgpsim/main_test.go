@@ -6,8 +6,13 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"bgploop/internal/experiment"
 )
 
+// TestBuildScenario drives the -topo/-size/-event/-enhance vocabulary
+// through experiment.FlagScenario, the one function behind it here and
+// in bgpverify.
 func TestBuildScenario(t *testing.T) {
 	tests := []struct {
 		name    string
@@ -38,10 +43,14 @@ func TestBuildScenario(t *testing.T) {
 		{"wrate", "clique", 5, "tdown", "wrate", false},
 		{"assertion", "clique", 5, "tdown", "assertion", false},
 		{"ghostflush", "clique", 5, "tdown", "ghostflush", false},
+		{"star tdown", "star", 5, "tdown", "standard", false},
+		{"star tlong invalid", "star", 5, "tlong", "standard", true},
+		{"ba tdown", "ba", 12, "tdown", "standard", false},
+		{"waxman tdown", "waxman", 12, "tdown", "standard", false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			s, err := buildScenario(tt.topo, tt.size, tt.event, 30*time.Second, tt.enhance, 1)
+			s, err := experiment.FlagScenario(tt.topo, tt.size, tt.event, 30*time.Second, tt.enhance, 1)
 			if tt.wantErr {
 				if err == nil {
 					t.Errorf("accepted")

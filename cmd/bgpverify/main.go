@@ -61,11 +61,11 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	var (
 		versionF = fs.Bool("version", false, "print the build-info stamp (module version, VCS revision) and exit")
 
-		topo    = fs.String("topo", "", "built-in topology family: clique, bclique, chain, ring, star, figure1, figure2, internet")
+		topo    = fs.String("topo", "", "built-in topology family: "+strings.Join(topology.Families(), ", "))
 		size    = fs.Int("size", 10, "topology size parameter")
 		event   = fs.String("event", "tdown", "failure event for built-in topologies: tdown or tlong")
 		mrai    = fs.Duration("mrai", 30*time.Second, "MRAI value recorded in the scenario (does not affect the verdict)")
-		enhance = fs.String("enhance", "standard", "protocol enhancements: standard, ssld, wrate, assertion, ghostflush")
+		enhance = fs.String("enhance", "standard", "protocol variant: "+strings.Join(bgp.VariantNames(), ", "))
 		seed    = fs.Int64("seed", 1, "seed for generated topologies")
 		gadget  = fs.Bool("gadget", false, "analyse the built-in BAD GADGET oscillator fixture")
 
@@ -151,7 +151,7 @@ func collectTargets(args []string, gadget bool, topo string, size int, event str
 		targets = append(targets, target{"BAD GADGET", experiment.BadGadget(0)})
 	}
 	if topo != "" {
-		s, err := buildScenario(topo, size, event, mrai, enhance, seed)
+		s, err := experiment.FlagScenario(topo, size, event, mrai, enhance, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -239,87 +239,4 @@ func render(w io.Writer, name string, rep *safety.Report, quiet bool, maxCand in
 // indent prefixes every line after the first with pad.
 func indent(s, pad string) string {
 	return strings.ReplaceAll(s, "\n", "\n"+pad)
-}
-
-// buildScenario mirrors bgpsim's built-in topology families so the two
-// tools accept the same -topo/-size/-event/-enhance vocabulary.
-func buildScenario(topo string, size int, event string, mrai time.Duration, enhance string, seed int64) (experiment.Scenario, error) {
-	cfg := bgp.DefaultConfig()
-	cfg.MRAI = mrai
-	switch enhance {
-	case "standard":
-	case "ssld":
-		cfg.Enhancements.SSLD = true
-	case "wrate":
-		cfg.Enhancements.WRATE = true
-	case "assertion":
-		cfg.Enhancements.Assertion = true
-	case "ghostflush":
-		cfg.Enhancements.GhostFlushing = true
-	default:
-		return experiment.Scenario{}, fmt.Errorf("unknown enhancement %q", enhance)
-	}
-
-	wantTLong := false
-	switch event {
-	case "tdown":
-	case "tlong":
-		wantTLong = true
-	default:
-		return experiment.Scenario{}, fmt.Errorf("unknown event %q (want tdown or tlong)", event)
-	}
-
-	switch topo {
-	case "clique":
-		if wantTLong {
-			return experiment.Scenario{}, fmt.Errorf("tlong is not defined for cliques; use bclique or internet")
-		}
-		return experiment.CliqueTDown(size, cfg, seed), nil
-	case "bclique":
-		if !wantTLong {
-			g := topology.BClique(size)
-			return experiment.TDownScenario(g, 0, cfg, seed), nil
-		}
-		return experiment.BCliqueTLong(size, cfg, seed), nil
-	case "chain":
-		g := topology.Chain(size)
-		if wantTLong {
-			return experiment.Scenario{}, fmt.Errorf("every chain link is a bridge; tlong is undefined")
-		}
-		return experiment.TDownScenario(g, 0, cfg, seed), nil
-	case "ring":
-		g := topology.Ring(size)
-		if wantTLong {
-			return experiment.TLongScenario(g, 0, topology.NormEdge(0, 1), cfg, seed), nil
-		}
-		return experiment.TDownScenario(g, 0, cfg, seed), nil
-	case "star":
-		g := topology.Star(size)
-		if wantTLong {
-			return experiment.Scenario{}, fmt.Errorf("every star link is a bridge; tlong is undefined")
-		}
-		return experiment.TDownScenario(g, 0, cfg, seed), nil
-	case "figure1":
-		g := topology.Figure1()
-		if wantTLong {
-			return experiment.TLongScenario(g, 0, topology.Figure1FailedLink(), cfg, seed), nil
-		}
-		return experiment.TDownScenario(g, 0, cfg, seed), nil
-	case "figure2":
-		g := topology.Figure2Loop(size, size)
-		if wantTLong {
-			return experiment.TLongScenario(g, 0, topology.NormEdge(0, 1), cfg, seed), nil
-		}
-		return experiment.TDownScenario(g, 0, cfg, seed), nil
-	case "internet":
-		var gen experiment.Generator
-		if wantTLong {
-			gen = experiment.InternetTLong(size, cfg, seed)
-		} else {
-			gen = experiment.InternetTDown(size, cfg, seed)
-		}
-		return gen(0)
-	default:
-		return experiment.Scenario{}, fmt.Errorf("unknown topology %q", topo)
-	}
 }

@@ -1,4 +1,4 @@
-// Command bgpworker is the thin fleet-worker binary: it registers with
+// Command bgpworker is the fleet-worker binary: it registers with
 // a bgpd coordinator (started with -dist), pulls leased chunks of sweep
 // trials over /v1/work, executes them through the same experiment sweep
 // engine behind bgpsim, and reports per-trial results keyed by content
@@ -6,12 +6,12 @@
 //
 //	bgpworker -coordinator http://host:8439 -j 2
 //
-// It is `bgpd -worker` without the server half. SIGINT/SIGTERM drains
-// gracefully: the lease in hand is finished and reported, no new lease
-// is taken, and the worker deregisters so the coordinator's live-worker
-// gauge drops immediately. A second signal abandons the lease — the
-// coordinator reassigns it to another worker after the lease TTL, and
-// the merged sweep output is byte-identical either way.
+// SIGINT/SIGTERM drains gracefully: the lease in hand is finished and
+// reported, no new lease is taken, and the worker deregisters so the
+// coordinator's live-worker gauge drops immediately. A second signal
+// abandons the lease — the coordinator reassigns it to another worker
+// after the lease TTL, and the merged sweep output is byte-identical
+// either way.
 package main
 
 import (

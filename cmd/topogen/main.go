@@ -14,6 +14,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 
 	"bgploop/internal/buildinfo"
 	"bgploop/internal/topology"
@@ -31,9 +32,9 @@ func run(args []string) error {
 	var (
 		versionF = fs.Bool("version", false, "print the build-info stamp (module version, VCS revision) and exit")
 
-		topo  = fs.String("topo", "internet", "family: clique, bclique, chain, ring, star, figure1, figure2, internet")
+		topo  = fs.String("topo", "internet", "family: "+strings.Join(topology.Families(), ", "))
 		size  = fs.Int("size", 29, "size parameter")
-		seed  = fs.Int64("seed", 1, "generator seed (internet only)")
+		seed  = fs.Int64("seed", 1, "generator seed (internet, ba, waxman)")
 		edges = fs.Bool("edges", false, "print the edge list")
 		dot   = fs.Bool("dot", false, "emit Graphviz DOT (with relationships for internet topologies)")
 		hist  = fs.Bool("hist", false, "print the degree histogram")
@@ -47,7 +48,7 @@ func run(args []string) error {
 		return nil
 	}
 
-	g, err := build(*topo, *size, *seed)
+	g, err := topology.Generate(*topo, *size, *seed)
 	if err != nil {
 		return err
 	}
@@ -108,27 +109,4 @@ func run(args []string) error {
 		}
 	}
 	return nil
-}
-
-func build(topo string, size int, seed int64) (*topology.Graph, error) {
-	switch topo {
-	case "clique":
-		return topology.Clique(size), nil
-	case "bclique":
-		return topology.BClique(size), nil
-	case "chain":
-		return topology.Chain(size), nil
-	case "ring":
-		return topology.Ring(size), nil
-	case "star":
-		return topology.Star(size), nil
-	case "figure1":
-		return topology.Figure1(), nil
-	case "figure2":
-		return topology.Figure2Loop(size, size), nil
-	case "internet":
-		return topology.InternetLike(size, seed)
-	default:
-		return nil, fmt.Errorf("unknown topology %q", topo)
-	}
 }

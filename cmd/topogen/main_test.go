@@ -5,20 +5,17 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"bgploop/internal/topology"
 )
 
 func TestBuildFamilies(t *testing.T) {
-	for _, topo := range []string{"clique", "bclique", "chain", "ring", "star", "figure1", "figure2", "internet"} {
-		g, err := build(topo, 8, 1)
-		if err != nil {
+	for _, topo := range topology.Families() {
+		if err := run([]string{"-topo", topo, "-size", "8"}); err != nil {
 			t.Errorf("%s: %v", topo, err)
-			continue
-		}
-		if g.NumNodes() == 0 {
-			t.Errorf("%s: empty graph", topo)
 		}
 	}
-	if _, err := build("moebius", 8, 1); err == nil {
+	if err := run([]string{"-topo", "moebius", "-size", "8"}); err == nil {
 		t.Error("unknown family accepted")
 	}
 }

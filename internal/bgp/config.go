@@ -11,6 +11,7 @@ package bgp
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"bgploop/internal/routing"
@@ -71,33 +72,89 @@ type Enhancements struct {
 	GhostFlushing bool
 }
 
-// String names the active enhancement combination ("standard" when none).
-func (e Enhancements) String() string {
-	switch {
-	case !e.SSLD && !e.WRATE && !e.Assertion && !e.GhostFlushing:
-		return "standard"
-	case e.SSLD && !e.WRATE && !e.Assertion && !e.GhostFlushing:
-		return "ssld"
-	case !e.SSLD && e.WRATE && !e.Assertion && !e.GhostFlushing:
-		return "wrate"
-	case !e.SSLD && !e.WRATE && e.Assertion && !e.GhostFlushing:
-		return "assertion"
-	case !e.SSLD && !e.WRATE && !e.Assertion && e.GhostFlushing:
-		return "ghostflush"
+// Variant is one named protocol variant.
+type Variant struct {
+	Name string
+	E    Enhancements
+}
+
+// Variants is the one table of protocol-variant names: the five variants
+// the paper compares in §5 (Figures 8 and 9), in the paper's order. The
+// -enhance flags, -compare, the figure columns, Enhancements.String and
+// the scenario-spec "enhancements" keys all read it.
+var Variants = []Variant{
+	{"standard", Enhancements{}},
+	{"ssld", Enhancements{SSLD: true}},
+	{"wrate", Enhancements{WRATE: true}},
+	{"assertion", Enhancements{Assertion: true}},
+	{"ghostflush", Enhancements{GhostFlushing: true}},
+}
+
+// VariantNames lists the names of Variants, in order.
+func VariantNames() []string {
+	names := make([]string, len(Variants))
+	for i, v := range Variants {
+		names[i] = v.Name
 	}
-	s := ""
-	for _, part := range []struct {
-		on   bool
-		name string
-	}{{e.SSLD, "ssld"}, {e.WRATE, "wrate"}, {e.Assertion, "assertion"}, {e.GhostFlushing, "ghostflush"}} {
-		if part.on {
-			if s != "" {
-				s += "+"
-			}
-			s += part.name
+	return names
+}
+
+// ssldImmediate names the SSLDImmediate ablation in scenario specs. It
+// is not one of the paper's variants, so no figure column carries it.
+const ssldImmediate = "ssldImmediate"
+
+// VariantByName resolves a protocol-variant name — one of Variants, or
+// the "ssldImmediate" ablation — to its enhancement set.
+func VariantByName(name string) (Enhancements, error) {
+	if name == ssldImmediate {
+		return Enhancements{SSLD: true, SSLDImmediate: true}, nil
+	}
+	for _, v := range Variants {
+		if v.Name == name {
+			return v.E, nil
 		}
 	}
-	return s
+	return Enhancements{}, fmt.Errorf("bgp: unknown protocol variant %q (want %s)", name, strings.Join(VariantNames(), ", "))
+}
+
+// With returns the union of e and o.
+func (e Enhancements) With(o Enhancements) Enhancements {
+	return Enhancements{
+		SSLD:          e.SSLD || o.SSLD,
+		SSLDImmediate: e.SSLDImmediate || o.SSLDImmediate,
+		WRATE:         e.WRATE || o.WRATE,
+		Assertion:     e.Assertion || o.Assertion,
+		GhostFlushing: e.GhostFlushing || o.GhostFlushing,
+	}
+}
+
+// Names lists, in table order, the variant names whose union is e — the
+// inverse of VariantByName, and the keys of a scenario spec's
+// "enhancements" object. SSLD with SSLDImmediate is the single name
+// "ssldImmediate"; standard BGP has no names.
+func (e Enhancements) Names() []string {
+	var names []string
+	for _, v := range Variants[1:] {
+		if e.With(v.E) != e {
+			continue
+		}
+		name := v.Name
+		if v.E.SSLD && e.SSLDImmediate {
+			name = ssldImmediate
+		}
+		names = append(names, name)
+	}
+	return names
+}
+
+// String names the active enhancement combination ("standard" when none).
+// SSLDImmediate does not show: it refines SSLD's timing, not the set.
+func (e Enhancements) String() string {
+	e.SSLDImmediate = false
+	if names := e.Names(); len(names) > 0 {
+		return strings.Join(names, "+")
+	}
+	return Variants[0].Name
 }
 
 // Config parameterises a Speaker. The zero value is invalid; use

@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -45,10 +46,59 @@ func TestEnhancementsString(t *testing.T) {
 		{Enhancements{GhostFlushing: true}, "ghostflush"},
 		{Enhancements{SSLD: true, WRATE: true}, "ssld+wrate"},
 		{Enhancements{Assertion: true, GhostFlushing: true}, "assertion+ghostflush"},
+		// SSLDImmediate refines SSLD's timing; results keep reporting "ssld".
+		{Enhancements{SSLD: true, SSLDImmediate: true}, "ssld"},
+		{Enhancements{SSLD: true, SSLDImmediate: true, WRATE: true}, "ssld+wrate"},
 	}
 	for _, tt := range tests {
 		if got := tt.e.String(); got != tt.want {
 			t.Errorf("%+v.String() = %q, want %q", tt.e, got, tt.want)
+		}
+	}
+}
+
+// TestVariantTable: names and enhancement sets map both ways through the
+// one table — every row, the ssldImmediate ablation, and unions.
+func TestVariantTable(t *testing.T) {
+	if got := strings.Join(VariantNames(), " "); got != "standard ssld wrate assertion ghostflush" {
+		t.Errorf("VariantNames = %q, want the paper's five in the paper's order", got)
+	}
+	for _, v := range Variants {
+		e, err := VariantByName(v.Name)
+		if err != nil || e != v.E {
+			t.Errorf("VariantByName(%q) = %+v, %v; want %+v", v.Name, e, err, v.E)
+		}
+		if v.E.String() != v.Name {
+			t.Errorf("%+v.String() = %q, want %q", v.E, v.E.String(), v.Name)
+		}
+	}
+	if _, err := VariantByName("turbo"); err == nil {
+		t.Error("unknown variant accepted")
+	}
+
+	for _, tt := range []struct {
+		e     Enhancements
+		names string
+	}{
+		{Enhancements{}, ""},
+		{Enhancements{SSLD: true, GhostFlushing: true}, "ssld ghostflush"},
+		{Enhancements{SSLD: true, SSLDImmediate: true}, "ssldImmediate"},
+		{Enhancements{SSLD: true, SSLDImmediate: true, Assertion: true}, "ssldImmediate assertion"},
+	} {
+		names := tt.e.Names()
+		if got := strings.Join(names, " "); got != tt.names {
+			t.Errorf("%+v.Names() = %q, want %q", tt.e, got, tt.names)
+		}
+		var back Enhancements
+		for _, name := range names {
+			e, err := VariantByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			back = back.With(e)
+		}
+		if back != tt.e {
+			t.Errorf("names %q resolve to %+v, want %+v", tt.names, back, tt.e)
 		}
 	}
 }

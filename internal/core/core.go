@@ -169,12 +169,10 @@ func (r *Report) LoopTable() *report.Table {
 }
 
 // CompareEnhancements runs the same scenario under each protocol variant
-// (standard, SSLD, WRATE, Assertion, Ghost Flushing) and tabulates the
-// §4.2 metrics side by side — the per-scenario view of Figures 8 and 9.
-func CompareEnhancements(base experiment.Scenario, variants []bgp.Enhancements, names []string) (*report.Table, error) {
-	if len(variants) != len(names) {
-		return nil, fmt.Errorf("core: %d variants but %d names", len(variants), len(names))
-	}
+// of bgp.Variants (standard, SSLD, WRATE, Assertion, Ghost Flushing) and
+// tabulates the §4.2 metrics side by side — the per-scenario view of
+// Figures 8 and 9.
+func CompareEnhancements(base experiment.Scenario) (*report.Table, error) {
 	tbl := &report.Table{
 		Title: fmt.Sprintf("Enhancement comparison: %s %s", base.Graph.Name(), base.Event),
 		Columns: []string{
@@ -182,14 +180,14 @@ func CompareEnhancements(base experiment.Scenario, variants []bgp.Enhancements, 
 			"ttl_exhaustions", "looping_ratio", "updates_sent",
 		},
 	}
-	for i, e := range variants {
+	for _, v := range bgp.Variants {
 		s := base
-		s.BGP = experiment.WithEnhancements(base.BGP, e)
+		s.BGP = experiment.WithEnhancements(base.BGP, v.E)
 		rep, err := Run(s)
 		if err != nil {
-			return nil, fmt.Errorf("core: variant %s: %w", names[i], err)
+			return nil, fmt.Errorf("core: variant %s: %w", v.Name, err)
 		}
-		tbl.AddFloats(names[i],
+		tbl.AddFloats(v.Name,
 			rep.ConvergenceTime.Seconds(),
 			rep.LoopingDuration.Seconds(),
 			float64(rep.TTLExhaustions),
@@ -197,17 +195,4 @@ func CompareEnhancements(base experiment.Scenario, variants []bgp.Enhancements, 
 			float64(rep.UpdatesSent))
 	}
 	return tbl, nil
-}
-
-// DefaultVariants returns the paper's five protocol variants in order.
-func DefaultVariants() ([]bgp.Enhancements, []string) {
-	return []bgp.Enhancements{
-			{},
-			{SSLD: true},
-			{WRATE: true},
-			{Assertion: true},
-			{GhostFlushing: true},
-		}, []string{
-			"standard", "ssld", "wrate", "assertion", "ghostflush",
-		}
 }

@@ -96,8 +96,7 @@ func TestLoopTable(t *testing.T) {
 }
 
 func TestCompareEnhancements(t *testing.T) {
-	variants, names := DefaultVariants()
-	tbl, err := CompareEnhancements(experiment.CliqueTDown(6, bgp.DefaultConfig(), 4), variants, names)
+	tbl, err := CompareEnhancements(experiment.CliqueTDown(6, bgp.DefaultConfig(), 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,13 +105,6 @@ func TestCompareEnhancements(t *testing.T) {
 	}
 	if tbl.Rows[0][0] != "standard" || tbl.Rows[4][0] != "ghostflush" {
 		t.Errorf("variant order wrong: %v", tbl.Rows)
-	}
-}
-
-func TestCompareEnhancementsMismatch(t *testing.T) {
-	variants, _ := DefaultVariants()
-	if _, err := CompareEnhancements(figure1Scenario(1), variants, []string{"only-one"}); err == nil {
-		t.Error("mismatched names accepted")
 	}
 }
 

@@ -112,9 +112,6 @@ type Coordinator struct {
 	// recovered maps sweep ID -> orphaned grant count folded from the
 	// lease log at startup; consumed by StartSweep.
 	recovered map[string]int
-	// keep holds the compacted records of unfinished sweeps so later
-	// compactions preserve history the fold already accounted for.
-	keep []Record
 }
 
 // New builds a Coordinator and, when Config.StoreDir is set, opens and
@@ -184,7 +181,6 @@ func (c *Coordinator) fold(records []Record) {
 		c.counters.LeasesRecovered += int64(len(f.granted))
 		compacted = append(compacted, f.records...)
 	}
-	c.keep = compacted
 	if err := c.log.Compact(compacted); err != nil {
 		c.counters.LogErrors++
 	}

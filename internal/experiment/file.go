@@ -24,13 +24,16 @@ type ScenarioSpec struct {
 	Topology TopologySpec `json:"topology"`
 	// Event is "tdown" or "tlong".
 	Event string `json:"event"`
-	// Dest is the destination AS; -1 (or omitted with the zero value
-	// semantics below) picks the family default (AS 0 for clique,
-	// b-clique, chain, ring, figure topologies).
+	// Dest is the destination AS. Omitted means AS 0. -1 picks the
+	// family default: AS 0 again, except for the internet family, where it
+	// is the paper's draw among the lowest-degree ASes, keyed by Seed (see
+	// drawTDownDest, and drawTLong for a tlong event) — the destination
+	// trial 0 of InternetTDown/InternetTLong picks for the same seed.
 	Dest *int `json:"dest,omitempty"`
-	// FailLink is the [a, b] link a tlong event fails. For the bclique
-	// family it defaults to the paper's [0, n] shortcut, and for figure1
-	// to the [4 0] link.
+	// FailLink is the [a, b] link a tlong event fails. It defaults to the
+	// paper's [0, n] shortcut for bclique, [4 0] for figure1, [0 1] for
+	// ring and figure2, and for internet with "dest": -1 to the link drawn
+	// together with the destination; no other family has a default.
 	FailLink *[2]int `json:"failLink,omitempty"`
 
 	// Policy selects the route-selection policy by name: "" or
@@ -298,8 +301,9 @@ func NewFaultPlanSpec(p *faultplan.Plan) *FaultPlanSpec {
 
 // TopologySpec names a topology family and its parameters.
 type TopologySpec struct {
-	// Family is one of clique, bclique, chain, ring, star, figure1,
-	// figure2, internet, ba, waxman, file, or edges.
+	// Family is one of the generated families of topology.Families
+	// (clique, bclique, chain, ring, star, figure1, figure2, internet, ba,
+	// waxman), or the spec-only forms file and edges.
 	Family string `json:"family"`
 	// Size is the family's size parameter; for family "edges" it is the
 	// node count.
@@ -317,26 +321,6 @@ type TopologySpec struct {
 // Build constructs the topology described by the spec.
 func (ts TopologySpec) Build() (*topology.Graph, error) {
 	switch ts.Family {
-	case "clique":
-		return topology.Clique(ts.Size), nil
-	case "bclique":
-		return topology.BClique(ts.Size), nil
-	case "chain":
-		return topology.Chain(ts.Size), nil
-	case "ring":
-		return topology.Ring(ts.Size), nil
-	case "star":
-		return topology.Star(ts.Size), nil
-	case "figure1":
-		return topology.Figure1(), nil
-	case "figure2":
-		return topology.Figure2Loop(ts.Size, ts.Size), nil
-	case "internet":
-		return topology.InternetLike(ts.Size, ts.Seed)
-	case "ba":
-		return topology.BarabasiAlbert(ts.Size, 2, ts.Seed)
-	case "waxman":
-		return topology.Waxman(ts.Size, 0.9, 0.25, ts.Seed)
 	case "file":
 		f, err := os.Open(ts.Path)
 		if err != nil {
@@ -357,8 +341,31 @@ func (ts TopologySpec) Build() (*topology.Graph, error) {
 		}
 		return g, nil
 	default:
-		return nil, fmt.Errorf("experiment: unknown topology family %q", ts.Family)
+		return topology.Generate(ts.Family, ts.Size, ts.Seed)
 	}
+}
+
+// FlagScenario materialises the CLIs' -topo/-size/-event/-mrai/-enhance/
+// -seed vocabulary through the spec: the one -seed drives both the
+// generated topology and the run, and the internet family takes the
+// paper's destination draw, so `-topo internet -seed s` is trial 0 of
+// InternetTDown/InternetTLong.
+func FlagScenario(topo string, size int, event string, mrai time.Duration, enhance string, seed int64) (Scenario, error) {
+	spec := ScenarioSpec{
+		Topology:     TopologySpec{Family: topo, Size: size, Seed: seed},
+		Event:        event,
+		Enhancements: map[string]bool{enhance: true},
+		Seed:         seed,
+	}
+	if topo == "internet" {
+		draw := -1
+		spec.Dest = &draw
+	}
+	s, err := spec.Scenario()
+	// Not through MRAISeconds: 1001ms comes back from float seconds as
+	// 1.000999999s, and a nanosecond of MRAI moves digests.
+	s.BGP.MRAI = mrai
+	return s, err
 }
 
 // LoadScenario parses a JSON scenario spec and builds the Scenario.
@@ -403,29 +410,34 @@ func (spec ScenarioSpec) Scenario() (Scenario, error) {
 		if !spec.Enhancements[name] {
 			continue
 		}
-		switch name {
-		case "ssld":
-			cfg.Enhancements.SSLD = true
-		case "ssldImmediate":
-			cfg.Enhancements.SSLD = true
-			cfg.Enhancements.SSLDImmediate = true
-		case "wrate":
-			cfg.Enhancements.WRATE = true
-		case "assertion":
-			cfg.Enhancements.Assertion = true
-		case "ghostflush":
-			cfg.Enhancements.GhostFlushing = true
-		default:
-			return Scenario{}, fmt.Errorf("experiment: unknown enhancement %q", name)
+		e, err := bgp.VariantByName(name)
+		if err != nil {
+			return Scenario{}, fmt.Errorf("experiment: %w", err)
 		}
+		cfg.Enhancements = cfg.Enhancements.With(e)
 	}
 	if spec.Damping {
 		cfg.Damping = bgp.DefaultDamping()
 	}
 
+	// An omitted dest and "dest": -1 on a fixed family both mean AS 0. On
+	// the internet family -1 is the paper's draw, which for a tlong event
+	// picks the failed link together with the destination.
 	dest := topology.Node(0)
-	if spec.Dest != nil {
+	var drawnLink *topology.Edge
+	switch {
+	case spec.Dest == nil:
+	case *spec.Dest != -1:
 		dest = topology.Node(*spec.Dest)
+	case spec.Topology.Family != "internet":
+	case spec.Event == "tlong" && spec.FaultPlan == nil:
+		d, link, err := drawTLong(g, spec.Seed)
+		if err != nil {
+			return Scenario{}, err
+		}
+		dest, drawnLink = d, &link
+	default:
+		dest = drawTDownDest(g, spec.Seed)
 	}
 
 	namedPolicy := ""
@@ -490,15 +502,24 @@ func (spec ScenarioSpec) Scenario() (Scenario, error) {
 		s.Event = TDown
 	case "tlong":
 		s.Event = TLong
-		switch {
+		// Without an explicit link, the per-family default: the failure the
+		// paper (or, for ring and figure2, the §3.2 analysis) studies there.
+		switch family := spec.Topology.Family; {
 		case spec.FailLink != nil:
 			s.FailLink = topology.NormEdge(topology.Node(spec.FailLink[0]), topology.Node(spec.FailLink[1]))
-		case spec.Topology.Family == "bclique":
-			s.FailLink = topology.BCliqueShortcut(spec.Topology.Size)
-		case spec.Topology.Family == "figure1":
-			s.FailLink = topology.Figure1FailedLink()
+		case drawnLink != nil:
+			s.FailLink = *drawnLink
 		default:
-			return Scenario{}, fmt.Errorf("experiment: tlong needs failLink for family %q", spec.Topology.Family)
+			switch family {
+			case "bclique":
+				s.FailLink = topology.BCliqueShortcut(spec.Topology.Size)
+			case "figure1":
+				s.FailLink = topology.Figure1FailedLink()
+			case "ring", "figure2":
+				s.FailLink = topology.NormEdge(0, 1)
+			default:
+				return Scenario{}, fmt.Errorf("experiment: tlong on family %q needs an explicit failLink (a scenario spec field): only bclique, figure1, ring, figure2 and internet with a drawn destination have a default", family)
+			}
 		}
 	default:
 		return Scenario{}, fmt.Errorf("experiment: unknown event %q (want tdown, tlong, or a faultPlan)", spec.Event)
@@ -576,27 +597,13 @@ func NewScenarioSpec(s Scenario) (*ScenarioSpec, error) {
 		spec.MRAISeconds = s.BGP.MRAI.Seconds()
 	}
 
-	e := s.BGP.Enhancements
-	enh := map[string]bool{}
-	switch {
-	case e.SSLDImmediate && !e.SSLD:
+	if e := s.BGP.Enhancements; e.SSLDImmediate && !e.SSLD {
 		return nil, errors.New("experiment: SSLDImmediate without SSLD is not spec-representable")
-	case e.SSLDImmediate:
-		enh["ssldImmediate"] = true
-	case e.SSLD:
-		enh["ssld"] = true
-	}
-	if e.WRATE {
-		enh["wrate"] = true
-	}
-	if e.Assertion {
-		enh["assertion"] = true
-	}
-	if e.GhostFlushing {
-		enh["ghostflush"] = true
-	}
-	if len(enh) > 0 {
-		spec.Enhancements = enh
+	} else if names := e.Names(); len(names) > 0 {
+		spec.Enhancements = make(map[string]bool, len(names))
+		for _, name := range names {
+			spec.Enhancements[name] = true
+		}
 	}
 
 	if s.BGP.Damping != nil {

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"bgploop/internal/bgp"
 	"bgploop/internal/faultplan"
 	"bgploop/internal/topology"
 )
@@ -63,6 +65,156 @@ func TestLoadScenarioTLongDefaults(t *testing.T) {
 	}
 	if s1.FailLink != topology.Figure1FailedLink() {
 		t.Errorf("figure1 FailLink = %v", s1.FailLink)
+	}
+}
+
+// TestLoadScenarioFamilyDefaults: "dest": -1 picks the family default —
+// AS 0 on a fixed family, the paper's draw on the internet family — and a
+// tlong event without failLink picks the family's default link. An
+// omitted dest stays AS 0 everywhere.
+func TestLoadScenarioFamilyDefaults(t *testing.T) {
+	load := func(spec string) Scenario {
+		t.Helper()
+		s, err := LoadScenario(strings.NewReader(spec))
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		return s
+	}
+	for _, tt := range []struct {
+		spec string
+		dest topology.Node
+		link topology.Edge
+	}{
+		{`{"topology": {"family": "clique", "size": 5}, "event": "tdown", "dest": -1}`, 0, topology.Edge{}},
+		{`{"topology": {"family": "ring", "size": 6}, "event": "tlong", "dest": -1}`, 0, topology.NormEdge(0, 1)},
+		{`{"topology": {"family": "ring", "size": 6}, "event": "tlong"}`, 0, topology.NormEdge(0, 1)},
+		{`{"topology": {"family": "figure2", "size": 3}, "event": "tlong"}`, 0, topology.NormEdge(0, 1)},
+		{`{"topology": {"family": "edges", "size": 3, "edges": [[0,1],[1,2],[2,0]]}, "event": "tdown", "dest": -1}`, 0, topology.Edge{}},
+		{`{"topology": {"family": "internet", "size": 29, "seed": 3}, "event": "tdown", "seed": 3}`, 0, topology.Edge{}},
+	} {
+		if s := load(tt.spec); s.Dest != tt.dest || s.FailLink != tt.link {
+			t.Errorf("%s: dest/link = %d/%v, want %d/%v", tt.spec, s.Dest, s.FailLink, tt.dest, tt.link)
+		}
+	}
+
+	// The internet draw is the generators' draw for the same seed, and a
+	// different seed on the same graph draws afresh.
+	cfg := bgp.DefaultConfig()
+	for seed := int64(3); seed <= 5; seed++ {
+		for event, gen := range map[string]Generator{
+			"tdown": InternetTDown(29, cfg, 3),
+			"tlong": InternetTLong(29, cfg, 3),
+		} {
+			want, err := gen(int(seed - 3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := load(fmt.Sprintf(`{"topology": {"family": "internet", "size": 29, "seed": 3},
+				"event": %q, "dest": -1, "seed": %d}`, event, seed))
+			if got.Dest != want.Dest || got.FailLink != want.FailLink || got.CacheKey() != want.CacheKey() {
+				t.Errorf("internet %s seed %d: spec drew dest %d link %v, generator %d %v",
+					event, seed, got.Dest, got.FailLink, want.Dest, want.FailLink)
+			}
+
+			// NewScenarioSpec spells the drawn destination (and link) out,
+			// so the rendered spec is the same scenario with no draw left.
+			back, err := NewScenarioSpec(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if *back.Dest != int(want.Dest) {
+				t.Errorf("rendered dest = %d, want the drawn %d", *back.Dest, want.Dest)
+			}
+			again, err := back.Scenario()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again.Dest != want.Dest || again.FailLink != want.FailLink {
+				t.Errorf("round trip moved dest/link to %d/%v", again.Dest, again.FailLink)
+			}
+		}
+	}
+
+	// An explicit failLink overrides the drawn link, not the drawn dest.
+	s := load(`{"topology": {"family": "internet", "size": 29, "seed": 3}, "event": "tlong", "dest": -1, "seed": 3}`)
+	other := topology.Edge{}
+	for _, e := range s.Graph.Edges() {
+		if e != s.FailLink && s.Graph.ConnectedWithout(e) {
+			other = e
+			break
+		}
+	}
+	o := load(fmt.Sprintf(`{"topology": {"family": "internet", "size": 29, "seed": 3}, "event": "tlong",
+		"dest": -1, "failLink": [%d, %d], "seed": 3}`, other.A, other.B))
+	if o.Dest != s.Dest || o.FailLink != other {
+		t.Errorf("explicit failLink: dest/link = %d/%v, want %d/%v", o.Dest, o.FailLink, s.Dest, other)
+	}
+}
+
+// TestFlagScenarioMatchesSpec: for every (family, event) the CLIs'
+// -topo/-event flags can say, FlagScenario builds the scenario the
+// equivalent hand-written spec file does (same content address) or both
+// refuse; on the internet family that scenario is trial 0 of the paper's
+// generators.
+func TestFlagScenarioMatchesSpec(t *testing.T) {
+	const seed = 3
+	cfg := bgp.DefaultConfig()
+	cfg.MRAI = 10 * time.Second
+	cfg.Enhancements.WRATE = true
+	generators := map[string]Generator{
+		"tdown": InternetTDown(12, cfg, seed),
+		"tlong": InternetTLong(12, cfg, seed),
+	}
+	accepted := 0
+	for _, family := range topology.Families() {
+		for _, event := range []string{"tdown", "tlong"} {
+			dest := ""
+			if family == "internet" {
+				dest = `"dest": -1, `
+			}
+			spec := fmt.Sprintf(`{"topology": {"family": %q, "size": 12, "seed": %d}, "event": %q, %s
+				"mraiSeconds": 10, "enhancements": {"wrate": true}, "seed": %d}`, family, seed, event, dest, seed)
+			want, specErr := LoadScenario(strings.NewReader(spec))
+			got, flagErr := FlagScenario(family, 12, event, 10*time.Second, "wrate", seed)
+			if (specErr == nil) != (flagErr == nil) {
+				t.Errorf("%s %s: spec err %v, flag err %v", family, event, specErr, flagErr)
+				continue
+			}
+			if specErr != nil {
+				continue
+			}
+			accepted++
+			if got.CacheKey() == "" || got.CacheKey() != want.CacheKey() {
+				t.Errorf("%s %s: flag key %q, spec key %q", family, event, got.CacheKey(), want.CacheKey())
+			}
+			if family == "internet" {
+				trial0, err := generators[event](0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.CacheKey() != trial0.CacheKey() {
+					t.Errorf("internet %s: flag scenario is not the generator's trial 0", event)
+				}
+			}
+		}
+	}
+	// Every family takes tdown; tlong only where a default link exists.
+	if want := len(topology.Families()) + len([]string{"bclique", "ring", "figure1", "figure2", "internet"}); accepted != want {
+		t.Errorf("%d (family, event) pairs accepted, want %d", accepted, want)
+	}
+
+	// -mrai reaches the scenario to the nanosecond, which a float-seconds
+	// spec field cannot promise.
+	s, err := FlagScenario("ring", 6, "tlong", 1001*time.Millisecond, "standard", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.BGP.MRAI != 1001*time.Millisecond {
+		t.Errorf("MRAI = %v, want 1.001s exactly", s.BGP.MRAI)
+	}
+	if s, err = FlagScenario("clique", 4, "tdown", 0, "standard", 1); err != nil || s.BGP.MRAI != 0 {
+		t.Errorf("-mrai 0: MRAI = %v, err %v; want an explicit zero", s.BGP.MRAI, err)
 	}
 }
 

@@ -493,11 +493,8 @@ func InternetTDown(n int, cfg bgp.Config, seed int64) Generator {
 		if err != nil {
 			return Scenario{}, err
 		}
-		pick := des.NewRNG(seed + int64(trial)).Stream(fmt.Sprintf("experiment/dest/%d", n))
-		lows := topology.LowestDegreeNodes(g)
-		dest := lows[pick.Intn(len(lows))]
-		s := TDownScenario(g, dest, cfg, seed+int64(trial))
-		return s, nil
+		trialSeed := seed + int64(trial)
+		return TDownScenario(g, drawTDownDest(g, trialSeed), cfg, trialSeed), nil
 	}
 }
 
@@ -510,41 +507,62 @@ func InternetTLong(n int, cfg bgp.Config, seed int64) Generator {
 		if err != nil {
 			return Scenario{}, err
 		}
-		pick := des.NewRNG(seed + int64(trial)).Stream(fmt.Sprintf("experiment/tlong/%d", n))
-		// The paper fails "one of its [the destination's] links", so the
-		// destination must survive the failure: restrict to the
-		// lowest-degree nodes that have at least one incident non-bridge
-		// link (multi-homed stubs).
-		type choice struct {
-			dest topology.Node
-			link topology.Edge
+		trialSeed := seed + int64(trial)
+		dest, link, err := drawTLong(g, trialSeed)
+		if err != nil {
+			return Scenario{}, err
 		}
-		var (
-			choices   []choice
-			minDegree = -1
-		)
-		for _, dest := range g.Nodes() {
-			edges := topology.NonBridgeIncidentEdges(g, dest)
-			if len(edges) == 0 {
-				continue
-			}
-			d := g.Degree(dest)
-			if minDegree == -1 || d < minDegree {
-				minDegree = d
-				choices = choices[:0]
-			}
-			if d == minDegree {
-				for _, e := range edges {
-					choices = append(choices, choice{dest: dest, link: e})
-				}
-			}
-		}
-		if len(choices) == 0 {
-			return Scenario{}, fmt.Errorf("experiment: no failable T_long link in internet-%d", n)
-		}
-		c := choices[pick.Intn(len(choices))]
-		return TLongScenario(g, c.dest, c.link, cfg, seed+int64(trial)), nil
+		return TLongScenario(g, dest, link, cfg, trialSeed), nil
 	}
+}
+
+// drawTDownDest is the paper's T_down destination draw on an
+// Internet-like graph: uniform among the lowest-degree ASes, from the
+// scenario seed's own stream. The generators above and a scenario spec's
+// "dest": -1 both draw here, so the same seed names the same destination
+// on either path.
+func drawTDownDest(g *topology.Graph, seed int64) topology.Node {
+	pick := des.NewRNG(seed).Stream(fmt.Sprintf("experiment/dest/%d", g.NumNodes()))
+	lows := topology.LowestDegreeNodes(g)
+	return lows[pick.Intn(len(lows))]
+}
+
+// drawTLong is the paper's joint T_long draw: it fails "one of its [the
+// destination's] links", so the destination must survive the failure.
+// The choice is uniform over every (destination, incident non-bridge
+// link) pair among the lowest-degree ASes that have such a link at all
+// (multi-homed stubs). Shared like drawTDownDest.
+func drawTLong(g *topology.Graph, seed int64) (topology.Node, topology.Edge, error) {
+	type choice struct {
+		dest topology.Node
+		link topology.Edge
+	}
+	var (
+		choices   []choice
+		minDegree = -1
+	)
+	for _, dest := range g.Nodes() {
+		edges := topology.NonBridgeIncidentEdges(g, dest)
+		if len(edges) == 0 {
+			continue
+		}
+		d := g.Degree(dest)
+		if minDegree == -1 || d < minDegree {
+			minDegree = d
+			choices = choices[:0]
+		}
+		if d == minDegree {
+			for _, e := range edges {
+				choices = append(choices, choice{dest: dest, link: e})
+			}
+		}
+	}
+	if len(choices) == 0 {
+		return 0, topology.Edge{}, fmt.Errorf("experiment: no failable T_long link in %s", g.Name())
+	}
+	pick := des.NewRNG(seed).Stream(fmt.Sprintf("experiment/tlong/%d", g.NumNodes()))
+	c := choices[pick.Intn(len(choices))]
+	return c.dest, c.link, nil
 }
 
 // BCliqueTLong builds the paper's B-Clique T_long scenario: destination

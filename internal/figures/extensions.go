@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"bgploop/internal/bgp"
+	"bgploop/internal/core/sortedmap"
 	"bgploop/internal/des"
 	"bgploop/internal/experiment"
 	"bgploop/internal/loopanalysis"
@@ -17,8 +18,9 @@ import (
 // Extension figures go beyond the paper: message overhead, exact per-loop
 // distributions, topology-model and routing-policy ablations, and the
 // T_up recovery phase. They are registered under x-prefixed IDs and run
-// through the same Run entry point.
-var extRegistry = map[string]runner{
+// through the same Suite, so every sweep here honours Scale.Sweep and x1
+// shares the MRAI cells of Figures 5 and 7.
+var extRegistry = map[string]figure{
 	"x1": {"Update message overhead vs MRAI (T_down Clique, T_long B-Clique)", extX1},
 	"x2": {"Exact transient-loop size/duration distribution (T_down Internet-like)", extX2},
 	"x3": {"Topology-model ablation: hierarchical vs Barabasi-Albert vs Waxman (T_down)", extX3},
@@ -29,27 +31,20 @@ var extRegistry = map[string]runner{
 }
 
 // ExtensionIDs returns the extension figure IDs in order.
-func ExtensionIDs() []string {
-	out := make([]string, 0, len(extRegistry))
-	for id := range extRegistry {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
+func ExtensionIDs() []string { return sortedmap.Keys(extRegistry) }
 
 // extX1: MRAI's purpose is suppressing update storms; this sweep shows the
 // message count falling as MRAI grows while (per Figures 5/7) convergence
 // and looping grow — the trade-off at the heart of the paper.
-func extX1(sc Scale) (*report.Table, error) {
+func extX1(su *Suite) (*report.Table, error) {
+	sc := su.sc
 	tbl := &report.Table{Columns: []string{"mrai_s", "clique_updates", "bclique_updates"}}
 	for _, m := range sc.MRAIs {
-		cfg := experiment.WithMRAI(sc.BGP, m)
-		clique, err := sc.cliqueTDown(sc.CliqueMRAISize, cfg)
+		clique, err := su.cell(cliqueTDown, sc.CliqueMRAISize, m, sc.BGP.Enhancements)
 		if err != nil {
 			return nil, err
 		}
-		bclique, err := sc.bcliqueTLong(sc.BCliqueMRAISize, cfg)
+		bclique, err := su.cell(bcliqueTLong, sc.BCliqueMRAISize, m, sc.BGP.Enhancements)
 		if err != nil {
 			return nil, err
 		}
@@ -60,9 +55,10 @@ func extX1(sc Scale) (*report.Table, error) {
 }
 
 // extX2: the per-loop statistics the paper's §6 lists as next steps.
-func extX2(sc Scale) (*report.Table, error) {
+func extX2(su *Suite) (*report.Table, error) {
+	sc := su.sc
 	n := sc.InternetSizes[len(sc.InternetSizes)-1]
-	_, results, _, err := experiment.RunSweep(experiment.InternetTDown(n, sc.BGP, sc.Seed), sc.InternetTrials, experiment.SweepOptions{})
+	_, results, _, err := experiment.RunSweep(experiment.InternetTDown(n, sc.BGP, sc.Seed), sc.InternetTrials, sc.Sweep)
 	if err != nil {
 		return nil, err
 	}
@@ -101,20 +97,17 @@ func extX2(sc Scale) (*report.Table, error) {
 
 // extX3 tests footnote 1's concern directly: the same T_down workload on
 // three topology models of equal size.
-func extX3(sc Scale) (*report.Table, error) {
+func extX3(su *Suite) (*report.Table, error) {
+	sc := su.sc
 	n := sc.InternetSizes[0]
-	builders := []struct {
-		name  string
-		build func(seed int64) (*topology.Graph, error)
-	}{
-		{"hierarchical", func(seed int64) (*topology.Graph, error) { return topology.InternetLike(n, seed) }},
-		{"barabasi-albert", func(seed int64) (*topology.Graph, error) { return topology.BarabasiAlbert(n, 2, seed) }},
-		{"waxman", func(seed int64) (*topology.Graph, error) { return topology.Waxman(n, 0.9, 0.25, seed) }},
-	}
 	tbl := &report.Table{Columns: []string{"model", "convergence_s", "ttl_exhaustions", "looping_ratio", "max_loop_size"}}
-	for _, b := range builders {
+	for _, b := range []struct{ name, family string }{
+		{"hierarchical", "internet"},
+		{"barabasi-albert", "ba"},
+		{"waxman", "waxman"},
+	} {
 		gen := func(trial int) (experiment.Scenario, error) {
-			g, err := b.build(sc.Seed)
+			g, err := topology.Generate(b.family, n, sc.Seed)
 			if err != nil {
 				return experiment.Scenario{}, err
 			}
@@ -123,7 +116,7 @@ func extX3(sc Scale) (*report.Table, error) {
 			dest := lows[pick.Intn(len(lows))]
 			return experiment.TDownScenario(g, dest, sc.BGP, sc.Seed+int64(trial)), nil
 		}
-		agg, _, _, err := experiment.RunSweep(gen, sc.InternetTrials, experiment.SweepOptions{})
+		agg, _, _, err := experiment.RunSweep(gen, sc.InternetTrials, sc.Sweep)
 		if err != nil {
 			return nil, err
 		}
@@ -136,7 +129,8 @@ func extX3(sc Scale) (*report.Table, error) {
 
 // extX4 compares the paper's shortest-path model against Gao-Rexford
 // policy routing on the same topology and failures.
-func extX4(sc Scale) (*report.Table, error) {
+func extX4(su *Suite) (*report.Table, error) {
+	sc := su.sc
 	n := sc.InternetSizes[0]
 	g, rels, err := topology.GenerateInternetRelations(topology.InternetConfig{Nodes: n, Seed: sc.Seed})
 	if err != nil {
@@ -159,7 +153,7 @@ func extX4(sc Scale) (*report.Table, error) {
 			dest := lows[pick.Intn(len(lows))]
 			return experiment.TDownScenario(g, dest, v.cfg, sc.Seed+int64(trial)), nil
 		}
-		agg, _, _, err := experiment.RunSweep(gen, sc.InternetTrials, experiment.SweepOptions{})
+		agg, _, _, err := experiment.RunSweep(gen, sc.InternetTrials, sc.Sweep)
 		if err != nil {
 			return nil, err
 		}
@@ -174,7 +168,8 @@ func extX4(sc Scale) (*report.Table, error) {
 // routing information exchange is far more significant than all the other
 // factors": scaling the physical delays up or down by 10x barely moves
 // convergence or looping, while scaling MRAI moves both linearly.
-func extX6(sc Scale) (*report.Table, error) {
+func extX6(su *Suite) (*report.Table, error) {
+	sc := su.sc
 	n := sc.CliqueMRAISize
 	type variant struct {
 		name             string
@@ -197,7 +192,7 @@ func extX6(sc Scale) (*report.Table, error) {
 		cfg.MRAI = v.mrai
 		s := experiment.CliqueTDown(n, cfg, sc.Seed)
 		s.LinkDelay = v.linkDelay
-		agg, _, _, err := experiment.RunSweep(experiment.Repeat(s), sc.Trials, experiment.SweepOptions{})
+		agg, _, _, err := experiment.RunSweep(experiment.Repeat(s), sc.Trials, sc.Sweep)
 		if err != nil {
 			return nil, err
 		}
@@ -212,7 +207,8 @@ func extX6(sc Scale) (*report.Table, error) {
 // has suppressed the unstable routes, so the measured failure triggers
 // far less path exploration (at the cost of reuse-timer delays visible in
 // the convergence tail).
-func extX7(sc Scale) (*report.Table, error) {
+func extX7(su *Suite) (*report.Table, error) {
+	sc := su.sc
 	tbl := &report.Table{Columns: []string{
 		"config", "convergence_s", "ttl_exhaustions", "updates_sent", "suppressed", "reused",
 	}}
@@ -244,7 +240,8 @@ func extX7(sc Scale) (*report.Table, error) {
 // extX5 runs flap (fail + repair) workloads and contrasts the failure
 // phase with the recovery (T_up) phase: good news travels without the
 // obsolete-path problem, so recovery loops are rare and short.
-func extX5(sc Scale) (*report.Table, error) {
+func extX5(su *Suite) (*report.Table, error) {
+	sc := su.sc
 	scenarios := []struct {
 		name string
 		s    experiment.Scenario

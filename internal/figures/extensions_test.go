@@ -1,8 +1,12 @@
 package figures
 
 import (
+	"context"
+	"errors"
 	"strconv"
 	"testing"
+
+	"bgploop/internal/sweep"
 )
 
 func TestExtensionIDs(t *testing.T) {
@@ -39,6 +43,42 @@ func TestEveryExtensionRuns(t *testing.T) {
 				if len(row) != len(tbl.Columns) {
 					t.Errorf("ragged row %v", row)
 				}
+			}
+		})
+	}
+}
+
+// TestExtensionsHonourSweepOptions: every sweep an extension figure runs
+// goes through Scale.Sweep — counted in its Stats, stopped by its Context.
+func TestExtensionsHonourSweepOptions(t *testing.T) {
+	sc := tinyScale()
+	// Trials each extension sweeps; x5 and x7 are single runs, not sweeps.
+	sweeps := map[string]int{
+		"x1": 2 * len(sc.MRAIs) * sc.Trials, // clique and bclique per MRAI
+		"x2": sc.InternetTrials,
+		"x3": 3 * sc.InternetTrials, // three topology models
+		"x4": 2 * sc.InternetTrials, // two policies
+		"x6": 5 * sc.Trials,         // five delay models
+	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, id := range ExtensionIDs() {
+		t.Run(id, func(t *testing.T) {
+			var stats sweep.Stats
+			sc := tinyScale()
+			sc.Sweep.Stats = &stats
+			if _, err := Run(id, sc); err != nil {
+				t.Fatal(err)
+			}
+			if stats.Trials != sweeps[id] {
+				t.Errorf("Stats.Trials = %d, want %d", stats.Trials, sweeps[id])
+			}
+			if sweeps[id] == 0 {
+				return
+			}
+			sc.Sweep.Context = canceled
+			if _, err := Run(id, sc); !errors.Is(err, context.Canceled) {
+				t.Errorf("cancelled context: err = %v, want context.Canceled", err)
 			}
 		})
 	}

@@ -1,6 +1,8 @@
 // Package figures regenerates every figure of the paper's evaluation
-// (Figures 4-9). Each figure ID maps to a parameter sweep over the
-// experiment harness and renders the same rows/series the paper plots.
+// (Figures 4-9). The paper plots four workloads (§4.1) over sizes, MRAI
+// values and protocol variants; one such point is a cell, and each figure
+// ID is a view — a choice of axis and metric columns — over cells. A Suite
+// sweeps every cell at most once, however many figures read it.
 //
 // Figure index (paper -> here):
 //
@@ -26,10 +28,11 @@ package figures
 
 import (
 	"fmt"
-	"sort"
+	"strconv"
 	"time"
 
 	"bgploop/internal/bgp"
+	"bgploop/internal/core/sortedmap"
 	"bgploop/internal/experiment"
 	"bgploop/internal/metrics"
 	"bgploop/internal/report"
@@ -56,14 +59,15 @@ type Scale struct {
 	InternetTrials int
 	// Seed is the base seed for every sweep.
 	Seed int64
-	// BGP is the base protocol configuration (enhancements are overridden
-	// by the Figure 8/9 sweeps).
+	// BGP is the base protocol configuration: the size and MRAI figures
+	// run it as given (the MRAI figures replacing its MRAI), the Figure 8/9
+	// columns replace its enhancement set with each variant's.
 	BGP bgp.Config
-	// Sweep configures the trial executor behind every figure sweep:
-	// Workers fans trials across goroutines (byte-identical output to the
-	// sequential path), CacheDir serves unchanged trials from the
-	// content-addressed cache, and a Stats pointer accumulates executor
-	// counters across all of the figure's sweeps.
+	// Sweep configures the trial executor behind every sweep of every
+	// figure, extensions included: Workers fans trials across goroutines
+	// (byte-identical output to the sequential path), CacheDir serves
+	// unchanged trials from the content-addressed cache, Context cancels,
+	// and a Stats pointer accumulates executor counters across sweeps.
 	Sweep experiment.SweepOptions
 }
 
@@ -108,82 +112,234 @@ func mraiGrid(secs ...int) []time.Duration {
 	return out
 }
 
-// Variants are the protocol variants compared in Figures 8 and 9, in the
-// paper's order.
-var Variants = []struct {
-	Name string
-	E    bgp.Enhancements
-}{
-	{"standard", bgp.Enhancements{}},
-	{"ssld", bgp.Enhancements{SSLD: true}},
-	{"wrate", bgp.Enhancements{WRATE: true}},
-	{"assertion", bgp.Enhancements{Assertion: true}},
-	{"ghostflush", bgp.Enhancements{GhostFlushing: true}},
+// workload is one of the paper's four experiment families (§4.1).
+type workload struct {
+	// label names the size axis of Figures 4, 6, 8 and 9.
+	label string
+	// grid reads the workload's part of a scale.
+	grid func(Scale) grid
+	// generator builds the trial generator at size n.
+	generator func(n int, cfg bgp.Config, seed int64) experiment.Generator
 }
 
-// runner is a sweep entry point keyed by figure ID.
-type runner struct {
+// grid is what a Scale says about one workload: the size axis, the fixed
+// size of the MRAI sweeps of Figures 5 and 7 (the paper has none on the
+// Internet-like topologies), and the trials per cell.
+type grid struct {
+	sizes            []int
+	mraiSize, trials int
+}
+
+var (
+	cliqueTDown = &workload{"clique_size",
+		func(sc Scale) grid { return grid{sc.CliqueSizes, sc.CliqueMRAISize, sc.Trials} },
+		func(n int, cfg bgp.Config, seed int64) experiment.Generator {
+			return experiment.Repeat(experiment.CliqueTDown(n, cfg, seed))
+		}}
+	bcliqueTLong = &workload{"bclique_n",
+		func(sc Scale) grid { return grid{sc.BCliqueSizes, sc.BCliqueMRAISize, sc.Trials} },
+		func(n int, cfg bgp.Config, seed int64) experiment.Generator {
+			return experiment.Repeat(experiment.BCliqueTLong(n, cfg, seed))
+		}}
+	internetTDown = &workload{"internet_size",
+		func(sc Scale) grid { return grid{sc.InternetSizes, 0, sc.InternetTrials} },
+		experiment.InternetTDown}
+	internetTLong = &workload{"internet_size",
+		func(sc Scale) grid { return grid{sc.InternetSizes, 0, sc.InternetTrials} },
+		experiment.InternetTLong}
+)
+
+// metric is one plotted column: a mean over a cell's trials.
+type metric struct {
+	column string
+	of     func(experiment.Aggregate) float64
+}
+
+var (
+	loopingDuration = metric{"looping_duration_s", func(a experiment.Aggregate) float64 { return a.LoopingDurationSec.Mean }}
+	convergence     = metric{"convergence_s", func(a experiment.Aggregate) float64 { return a.ConvergenceSec.Mean }}
+	exhaustions     = metric{"ttl_exhaustions", func(a experiment.Aggregate) float64 { return a.TTLExhaustions.Mean }}
+	loopingRatio    = metric{"looping_ratio", func(a experiment.Aggregate) float64 { return a.LoopingRatio.Mean }}
+)
+
+// figure is one registry row: a caption and the view that renders it.
+type figure struct {
 	caption string
-	run     func(Scale) (*report.Table, error)
+	view    func(*Suite) (*report.Table, error)
 }
 
-var registry = map[string]runner{
-	"4a": {"Overall looping duration vs convergence time, T_down Clique", fig4a},
-	"4b": {"Overall looping duration vs convergence time, T_long B-Clique", fig4b},
-	"4c": {"Overall looping duration vs convergence time, T_down Internet-like", fig4c},
-	"5a": {"Looping duration and convergence time vs MRAI, T_down Clique", fig5a},
-	"5b": {"Looping duration and convergence time vs MRAI, T_long B-Clique", fig5b},
-	"6a": {"TTL exhaustions and looping ratio vs size, T_down Clique", fig6a},
-	"6b": {"TTL exhaustions and looping ratio vs size, T_long B-Clique", fig6b},
-	"6c": {"TTL exhaustions and looping ratio vs size, T_down Internet-like", fig6c},
-	"7a": {"TTL exhaustions and looping ratio vs MRAI, T_down Clique", fig7a},
-	"7b": {"TTL exhaustions and looping ratio vs MRAI, T_long B-Clique", fig7b},
-	"8a": {"T_down TTL exhaustions normalised to standard BGP, Clique", fig8a},
-	"8b": {"T_down convergence time per enhancement, Clique", fig8b},
-	"8c": {"T_down TTL exhaustions per enhancement, Internet-like", fig8c},
-	"8d": {"T_down convergence time per enhancement, Internet-like", fig8d},
-	"9a": {"T_long TTL exhaustions normalised to standard BGP, B-Clique", fig9a},
-	"9b": {"T_long convergence time per enhancement, B-Clique", fig9b},
-	"9c": {"T_long TTL exhaustions per enhancement, Internet-like", fig9c},
-	"9d": {"T_long convergence time per enhancement, Internet-like", fig9d},
+var registry = map[string]figure{
+	"4a": {"Overall looping duration vs convergence time, T_down Clique", vsSize(cliqueTDown, loopingDuration, convergence)},
+	"4b": {"Overall looping duration vs convergence time, T_long B-Clique", vsSize(bcliqueTLong, loopingDuration, convergence)},
+	"4c": {"Overall looping duration vs convergence time, T_down Internet-like", vsSize(internetTDown, loopingDuration, convergence)},
+	"5a": {"Looping duration and convergence time vs MRAI, T_down Clique", vsMRAI(cliqueTDown, loopingDuration, convergence)},
+	"5b": {"Looping duration and convergence time vs MRAI, T_long B-Clique", vsMRAI(bcliqueTLong, loopingDuration, convergence)},
+	"6a": {"TTL exhaustions and looping ratio vs size, T_down Clique", vsSize(cliqueTDown, exhaustions, loopingRatio)},
+	"6b": {"TTL exhaustions and looping ratio vs size, T_long B-Clique", vsSize(bcliqueTLong, exhaustions, loopingRatio)},
+	"6c": {"TTL exhaustions and looping ratio vs size, T_down Internet-like", vsSize(internetTDown, exhaustions, loopingRatio)},
+	"7a": {"TTL exhaustions and looping ratio vs MRAI, T_down Clique", vsMRAI(cliqueTDown, exhaustions, loopingRatio)},
+	"7b": {"TTL exhaustions and looping ratio vs MRAI, T_long B-Clique", vsMRAI(bcliqueTLong, exhaustions, loopingRatio)},
+	"8a": {"T_down TTL exhaustions normalised to standard BGP, Clique", perVariant(cliqueTDown, exhaustions, true)},
+	"8b": {"T_down convergence time per enhancement, Clique", perVariant(cliqueTDown, convergence, false)},
+	"8c": {"T_down TTL exhaustions per enhancement, Internet-like", perVariant(internetTDown, exhaustions, false)},
+	"8d": {"T_down convergence time per enhancement, Internet-like", perVariant(internetTDown, convergence, false)},
+	"9a": {"T_long TTL exhaustions normalised to standard BGP, B-Clique", perVariant(bcliqueTLong, exhaustions, true)},
+	"9b": {"T_long convergence time per enhancement, B-Clique", perVariant(bcliqueTLong, convergence, false)},
+	"9c": {"T_long TTL exhaustions per enhancement, Internet-like", perVariant(internetTLong, exhaustions, false)},
+	"9d": {"T_long convergence time per enhancement, Internet-like", perVariant(internetTLong, convergence, false)},
 }
 
 // IDs returns the known figure IDs in order.
-func IDs() []string {
-	out := make([]string, 0, len(registry))
-	for id := range registry {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
+func IDs() []string { return sortedmap.Keys(registry) }
 
 // Caption returns the figure's description, or "" for unknown IDs.
 func Caption(id string) string {
-	if r, ok := registry[id]; ok {
-		return r.caption
+	if f, ok := registry[id]; ok {
+		return f.caption
 	}
 	return extRegistry[id].caption
 }
 
 // Run regenerates one figure (paper "4a".."9d" or extension "x1"..) at
-// the given scale.
+// the given scale: a one-figure Suite.
 func Run(id string, sc Scale) (*report.Table, error) {
-	r, ok := registry[id]
+	return NewSuite(sc).Run(id)
+}
+
+// cell is one swept point: a workload at one size, under the scale's
+// base configuration with this MRAI and enhancement set.
+type cell struct {
+	w    *workload
+	n    int
+	mrai time.Duration
+	e    bgp.Enhancements
+}
+
+// Suite renders figures at one scale and remembers the aggregate of every
+// cell it has swept, so figures that plot different metrics of the same
+// points — 4a and 6a, the MRAI=30 s row of 5a, the "standard" column of
+// 8a — share one sweep. It lives for one call (one bgpfig invocation) and
+// holds aggregates only; Scale.Sweep.CacheDir remains the cross-run
+// result cache. Not safe for concurrent use.
+type Suite struct {
+	sc    Scale
+	cells map[cell]experiment.Aggregate
+}
+
+// NewSuite returns an empty suite at the given scale.
+func NewSuite(sc Scale) *Suite {
+	return &Suite{sc: sc.withDefaults(), cells: make(map[cell]experiment.Aggregate)}
+}
+
+// Run renders one figure, sweeping only the cells no earlier figure of
+// this suite already has.
+func (su *Suite) Run(id string) (*report.Table, error) {
+	f, ok := registry[id]
 	if !ok {
-		r, ok = extRegistry[id]
+		f, ok = extRegistry[id]
 	}
 	if !ok {
 		return nil, fmt.Errorf("figures: unknown figure %q (known: %v + %v)", id, IDs(), ExtensionIDs())
 	}
-	sc = sc.withDefaults()
-	tbl, err := r.run(sc)
+	tbl, err := f.view(su)
 	if err != nil {
 		return nil, fmt.Errorf("figures: %s: %w", id, err)
 	}
 	tbl.Title = "Figure " + id
-	tbl.Caption = r.caption
+	tbl.Caption = f.caption
 	return tbl, nil
+}
+
+// cell returns the cell's aggregate, sweeping it on first use.
+func (su *Suite) cell(w *workload, n int, mrai time.Duration, e bgp.Enhancements) (experiment.Aggregate, error) {
+	c := cell{w, n, mrai, e}
+	if agg, ok := su.cells[c]; ok {
+		return agg, nil
+	}
+	cfg := experiment.WithEnhancements(experiment.WithMRAI(su.sc.BGP, mrai), e)
+	agg, _, _, err := experiment.RunSweep(w.generator(n, cfg, su.sc.Seed), w.grid(su.sc).trials, su.sc.Sweep)
+	if err != nil {
+		return experiment.Aggregate{}, err
+	}
+	su.cells[c] = agg
+	return agg, nil
+}
+
+// addRow appends one row of metric columns read off a cell.
+func addRow(tbl *report.Table, label string, agg experiment.Aggregate, cols []metric) {
+	values := make([]float64, len(cols))
+	for i, m := range cols {
+		values[i] = m.of(agg)
+	}
+	tbl.AddFloats(label, values...)
+}
+
+func columns(axis string, cols []metric) []string {
+	out := []string{axis}
+	for _, m := range cols {
+		out = append(out, m.column)
+	}
+	return out
+}
+
+// vsSize plots the metrics over the workload's size grid under the base
+// configuration (Figures 4 and 6).
+func vsSize(w *workload, cols ...metric) func(*Suite) (*report.Table, error) {
+	return func(su *Suite) (*report.Table, error) {
+		tbl := &report.Table{Columns: columns(w.label, cols)}
+		for _, n := range w.grid(su.sc).sizes {
+			agg, err := su.cell(w, n, su.sc.BGP.MRAI, su.sc.BGP.Enhancements)
+			if err != nil {
+				return nil, err
+			}
+			addRow(tbl, strconv.Itoa(n), agg, cols)
+		}
+		return tbl, nil
+	}
+}
+
+// vsMRAI plots the metrics over the MRAI grid at the workload's fixed
+// MRAI-sweep size (Figures 5 and 7).
+func vsMRAI(w *workload, cols ...metric) func(*Suite) (*report.Table, error) {
+	return func(su *Suite) (*report.Table, error) {
+		tbl := &report.Table{Columns: columns("mrai_s", cols)}
+		n := w.grid(su.sc).mraiSize
+		for _, m := range su.sc.MRAIs {
+			agg, err := su.cell(w, n, m, su.sc.BGP.Enhancements)
+			if err != nil {
+				return nil, err
+			}
+			addRow(tbl, fmt.Sprintf("%g", m.Seconds()), agg, cols)
+		}
+		return tbl, nil
+	}
+}
+
+// perVariant plots one metric over the size grid with one column per
+// bgp.Variants entry (Figures 8 and 9); normalise divides each row by its
+// first, "standard", column.
+func perVariant(w *workload, m metric, normalise bool) func(*Suite) (*report.Table, error) {
+	return func(su *Suite) (*report.Table, error) {
+		tbl := &report.Table{Columns: append([]string{w.label}, bgp.VariantNames()...)}
+		for _, n := range w.grid(su.sc).sizes {
+			values := make([]float64, 0, len(bgp.Variants))
+			for _, v := range bgp.Variants {
+				agg, err := su.cell(w, n, su.sc.BGP.MRAI, v.E)
+				if err != nil {
+					return nil, err
+				}
+				values = append(values, m.of(agg))
+			}
+			if normalise {
+				base := values[0]
+				for i := range values {
+					values[i] = metrics.Ratio(values[i], base)
+				}
+			}
+			tbl.AddFloats(strconv.Itoa(n), values...)
+		}
+		return tbl, nil
+	}
 }
 
 func (sc Scale) withDefaults() Scale {
@@ -219,218 +375,4 @@ func (sc Scale) withDefaults() Scale {
 		sc.BGP = full.BGP
 	}
 	return sc
-}
-
-// --- sweep primitives -------------------------------------------------
-
-func (sc Scale) cliqueTDown(n int, cfg bgp.Config) (experiment.Aggregate, error) {
-	agg, _, _, err := experiment.RunSweep(experiment.Repeat(experiment.CliqueTDown(n, cfg, sc.Seed)), sc.Trials, sc.Sweep)
-	return agg, err
-}
-
-func (sc Scale) bcliqueTLong(n int, cfg bgp.Config) (experiment.Aggregate, error) {
-	agg, _, _, err := experiment.RunSweep(experiment.Repeat(experiment.BCliqueTLong(n, cfg, sc.Seed)), sc.Trials, sc.Sweep)
-	return agg, err
-}
-
-func (sc Scale) internetTDown(n int, cfg bgp.Config) (experiment.Aggregate, error) {
-	agg, _, _, err := experiment.RunSweep(experiment.InternetTDown(n, cfg, sc.Seed), sc.InternetTrials, sc.Sweep)
-	return agg, err
-}
-
-func (sc Scale) internetTLong(n int, cfg bgp.Config) (experiment.Aggregate, error) {
-	agg, _, _, err := experiment.RunSweep(experiment.InternetTLong(n, cfg, sc.Seed), sc.InternetTrials, sc.Sweep)
-	return agg, err
-}
-
-// --- Figures 4 and 6: size sweeps --------------------------------------
-
-type sizeSweep func(sc Scale, n int, cfg bgp.Config) (experiment.Aggregate, error)
-
-func durationVsConvergence(sc Scale, sizes []int, label string, sweep sizeSweep) (*report.Table, error) {
-	tbl := &report.Table{Columns: []string{label, "looping_duration_s", "convergence_s"}}
-	for _, n := range sizes {
-		agg, err := sweep(sc, n, sc.BGP)
-		if err != nil {
-			return nil, err
-		}
-		tbl.AddFloats(fmt.Sprintf("%d", n), agg.LoopingDurationSec.Mean, agg.ConvergenceSec.Mean)
-	}
-	return tbl, nil
-}
-
-func exhaustionsAndRatio(sc Scale, sizes []int, label string, sweep sizeSweep) (*report.Table, error) {
-	tbl := &report.Table{Columns: []string{label, "ttl_exhaustions", "looping_ratio"}}
-	for _, n := range sizes {
-		agg, err := sweep(sc, n, sc.BGP)
-		if err != nil {
-			return nil, err
-		}
-		tbl.AddFloats(fmt.Sprintf("%d", n), agg.TTLExhaustions.Mean, agg.LoopingRatio.Mean)
-	}
-	return tbl, nil
-}
-
-func fig4a(sc Scale) (*report.Table, error) {
-	return durationVsConvergence(sc, sc.CliqueSizes, "clique_size",
-		func(sc Scale, n int, cfg bgp.Config) (experiment.Aggregate, error) { return sc.cliqueTDown(n, cfg) })
-}
-
-func fig4b(sc Scale) (*report.Table, error) {
-	return durationVsConvergence(sc, sc.BCliqueSizes, "bclique_n",
-		func(sc Scale, n int, cfg bgp.Config) (experiment.Aggregate, error) { return sc.bcliqueTLong(n, cfg) })
-}
-
-func fig4c(sc Scale) (*report.Table, error) {
-	return durationVsConvergence(sc, sc.InternetSizes, "internet_size",
-		func(sc Scale, n int, cfg bgp.Config) (experiment.Aggregate, error) { return sc.internetTDown(n, cfg) })
-}
-
-func fig6a(sc Scale) (*report.Table, error) {
-	return exhaustionsAndRatio(sc, sc.CliqueSizes, "clique_size",
-		func(sc Scale, n int, cfg bgp.Config) (experiment.Aggregate, error) { return sc.cliqueTDown(n, cfg) })
-}
-
-func fig6b(sc Scale) (*report.Table, error) {
-	return exhaustionsAndRatio(sc, sc.BCliqueSizes, "bclique_n",
-		func(sc Scale, n int, cfg bgp.Config) (experiment.Aggregate, error) { return sc.bcliqueTLong(n, cfg) })
-}
-
-func fig6c(sc Scale) (*report.Table, error) {
-	return exhaustionsAndRatio(sc, sc.InternetSizes, "internet_size",
-		func(sc Scale, n int, cfg bgp.Config) (experiment.Aggregate, error) { return sc.internetTDown(n, cfg) })
-}
-
-// --- Figures 5 and 7: MRAI sweeps ---------------------------------------
-
-func mraiSweep(sc Scale, sweep func(cfg bgp.Config) (experiment.Aggregate, error), cols []string,
-	row func(experiment.Aggregate) []float64) (*report.Table, error) {
-	tbl := &report.Table{Columns: append([]string{"mrai_s"}, cols...)}
-	for _, m := range sc.MRAIs {
-		agg, err := sweep(experiment.WithMRAI(sc.BGP, m))
-		if err != nil {
-			return nil, err
-		}
-		tbl.AddFloats(fmt.Sprintf("%g", m.Seconds()), row(agg)...)
-	}
-	return tbl, nil
-}
-
-func fig5a(sc Scale) (*report.Table, error) {
-	return mraiSweep(sc,
-		func(cfg bgp.Config) (experiment.Aggregate, error) { return sc.cliqueTDown(sc.CliqueMRAISize, cfg) },
-		[]string{"looping_duration_s", "convergence_s"},
-		func(a experiment.Aggregate) []float64 {
-			return []float64{a.LoopingDurationSec.Mean, a.ConvergenceSec.Mean}
-		})
-}
-
-func fig5b(sc Scale) (*report.Table, error) {
-	return mraiSweep(sc,
-		func(cfg bgp.Config) (experiment.Aggregate, error) { return sc.bcliqueTLong(sc.BCliqueMRAISize, cfg) },
-		[]string{"looping_duration_s", "convergence_s"},
-		func(a experiment.Aggregate) []float64 {
-			return []float64{a.LoopingDurationSec.Mean, a.ConvergenceSec.Mean}
-		})
-}
-
-func fig7a(sc Scale) (*report.Table, error) {
-	return mraiSweep(sc,
-		func(cfg bgp.Config) (experiment.Aggregate, error) { return sc.cliqueTDown(sc.CliqueMRAISize, cfg) },
-		[]string{"ttl_exhaustions", "looping_ratio"},
-		func(a experiment.Aggregate) []float64 {
-			return []float64{a.TTLExhaustions.Mean, a.LoopingRatio.Mean}
-		})
-}
-
-func fig7b(sc Scale) (*report.Table, error) {
-	return mraiSweep(sc,
-		func(cfg bgp.Config) (experiment.Aggregate, error) { return sc.bcliqueTLong(sc.BCliqueMRAISize, cfg) },
-		[]string{"ttl_exhaustions", "looping_ratio"},
-		func(a experiment.Aggregate) []float64 {
-			return []float64{a.TTLExhaustions.Mean, a.LoopingRatio.Mean}
-		})
-}
-
-// --- Figures 8 and 9: enhancement comparisons ---------------------------
-
-// enhancementSweep runs every variant at every size and returns one table
-// per metric extractor.
-func enhancementSweep(sc Scale, sizes []int, label string, sweep sizeSweep,
-	metric func(experiment.Aggregate) float64, normalise bool) (*report.Table, error) {
-	cols := []string{label}
-	for _, v := range Variants {
-		cols = append(cols, v.Name)
-	}
-	tbl := &report.Table{Columns: cols}
-	for _, n := range sizes {
-		values := make([]float64, 0, len(Variants))
-		for _, v := range Variants {
-			cfg := experiment.WithEnhancements(sc.BGP, v.E)
-			agg, err := sweep(sc, n, cfg)
-			if err != nil {
-				return nil, err
-			}
-			values = append(values, metric(agg))
-		}
-		if normalise {
-			base := values[0]
-			for i := range values {
-				values[i] = metrics.Ratio(values[i], base)
-			}
-		}
-		tbl.AddFloats(fmt.Sprintf("%d", n), values...)
-	}
-	return tbl, nil
-}
-
-func exhaustMetric(a experiment.Aggregate) float64 { return a.TTLExhaustions.Mean }
-func convMetric(a experiment.Aggregate) float64    { return a.ConvergenceSec.Mean }
-
-func cliqueSweepFn(sc Scale, n int, cfg bgp.Config) (experiment.Aggregate, error) {
-	return sc.cliqueTDown(n, cfg)
-}
-
-func bcliqueSweepFn(sc Scale, n int, cfg bgp.Config) (experiment.Aggregate, error) {
-	return sc.bcliqueTLong(n, cfg)
-}
-
-func internetTDownFn(sc Scale, n int, cfg bgp.Config) (experiment.Aggregate, error) {
-	return sc.internetTDown(n, cfg)
-}
-
-func internetTLongFn(sc Scale, n int, cfg bgp.Config) (experiment.Aggregate, error) {
-	return sc.internetTLong(n, cfg)
-}
-
-func fig8a(sc Scale) (*report.Table, error) {
-	return enhancementSweep(sc, sc.CliqueSizes, "clique_size", cliqueSweepFn, exhaustMetric, true)
-}
-
-func fig8b(sc Scale) (*report.Table, error) {
-	return enhancementSweep(sc, sc.CliqueSizes, "clique_size", cliqueSweepFn, convMetric, false)
-}
-
-func fig8c(sc Scale) (*report.Table, error) {
-	return enhancementSweep(sc, sc.InternetSizes, "internet_size", internetTDownFn, exhaustMetric, false)
-}
-
-func fig8d(sc Scale) (*report.Table, error) {
-	return enhancementSweep(sc, sc.InternetSizes, "internet_size", internetTDownFn, convMetric, false)
-}
-
-func fig9a(sc Scale) (*report.Table, error) {
-	return enhancementSweep(sc, sc.BCliqueSizes, "bclique_n", bcliqueSweepFn, exhaustMetric, true)
-}
-
-func fig9b(sc Scale) (*report.Table, error) {
-	return enhancementSweep(sc, sc.BCliqueSizes, "bclique_n", bcliqueSweepFn, convMetric, false)
-}
-
-func fig9c(sc Scale) (*report.Table, error) {
-	return enhancementSweep(sc, sc.InternetSizes, "internet_size", internetTLongFn, exhaustMetric, false)
-}
-
-func fig9d(sc Scale) (*report.Table, error) {
-	return enhancementSweep(sc, sc.InternetSizes, "internet_size", internetTLongFn, convMetric, false)
 }

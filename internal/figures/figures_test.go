@@ -8,6 +8,7 @@ import (
 
 	"bgploop/internal/bgp"
 	"bgploop/internal/metrics"
+	"bgploop/internal/sweep"
 )
 
 // tinyScale is even smaller than QuickScale, for per-figure unit tests.
@@ -80,6 +81,71 @@ func TestEveryFigureRuns(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSuiteSweepsEachCellOnce: the 18 paper figures rendered through one
+// suite simulate each distinct (workload, size, MRAI, variant) point once,
+// and every table equals the one a fresh one-figure Run produces.
+func TestSuiteSweepsEachCellOnce(t *testing.T) {
+	sc := tinyScale()
+	var stats sweep.Stats
+	sc.Sweep.Stats = &stats
+	suite := NewSuite(sc)
+	for _, id := range IDs() {
+		got, err := suite.Run(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Run(id, tinyScale())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() {
+			t.Errorf("figure %s through the shared suite:\n%s\nfresh Run:\n%s", id, got, want)
+		}
+	}
+
+	// The distinct cells, counted from the scale alone: every workload at
+	// every size under every variant (the size figures read the
+	// "standard" column's cells), plus the MRAI grid at the two fixed
+	// sizes — which coincides with a size cell where the grid contains
+	// the base MRAI and the fixed size is on the size grid.
+	type point struct {
+		workload string
+		n        int
+		mrai     time.Duration
+		variant  string
+	}
+	trialsOf := map[point]int{}
+	for _, w := range []struct {
+		name     string
+		sizes    []int
+		mraiSize int
+		trials   int
+	}{
+		{"clique-tdown", sc.CliqueSizes, sc.CliqueMRAISize, sc.Trials},
+		{"bclique-tlong", sc.BCliqueSizes, sc.BCliqueMRAISize, sc.Trials},
+		{"internet-tdown", sc.InternetSizes, 0, sc.InternetTrials},
+		{"internet-tlong", sc.InternetSizes, 0, sc.InternetTrials},
+	} {
+		for _, n := range w.sizes {
+			for _, v := range bgp.Variants {
+				trialsOf[point{w.name, n, sc.BGP.MRAI, v.Name}] = w.trials
+			}
+		}
+		if w.mraiSize != 0 {
+			for _, m := range sc.MRAIs {
+				trialsOf[point{w.name, w.mraiSize, m, "standard"}] = w.trials
+			}
+		}
+	}
+	want := 0
+	for _, n := range trialsOf {
+		want += n
+	}
+	if stats.Trials != want {
+		t.Errorf("suite ran %d trials for %d distinct cells worth %d", stats.Trials, len(trialsOf), want)
 	}
 }
 

@@ -51,11 +51,11 @@ func parseGolden(t *testing.T, path string) []goldenSection {
 
 // checkGolden asserts a committed dump carries exactly the registered
 // figure set, with captions verbatim from the registry and at least one
-// data row per figure. The numbers themselves are NOT pinned here —
-// regenerating them takes hours at paper scale (see EXPERIMENTS.md) and
-// their stability is covered by the deterministic-figure tests — but a
-// figure added, removed, or re-captioned in the registry without
-// regenerating the dump can no longer slip through.
+// data row per figure. The numbers themselves are not pinned here but
+// by the CI step that runs `bgpfig -fig all` / `-fig ext` and `cmp`s the
+// output against these files (.github/workflows/ci.yml, build-test); this
+// test catches a figure added, removed, or re-captioned in the registry
+// without regenerating the dump before that step runs.
 func checkGolden(t *testing.T, path string, wantIDs []string) {
 	sections := parseGolden(t, path)
 	var gotIDs []string

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"strings"
 
 	"bgploop/internal/invariant"
 )
@@ -163,4 +164,43 @@ func mustAddEdge(g *Graph, a, b Node) {
 	if err := g.AddEdge(a, b); err != nil {
 		invariant.Unreachable("topology-must-add-edge", err.Error())
 	}
+}
+
+// families is the one table of generated topology families: every name a
+// scenario spec's topology.family or a CLI's -topo can say, apart from
+// the spec-only "file" and "edges" forms. size is the family's size
+// parameter (unused by figure1); seed drives the random families.
+var families = []struct {
+	name  string
+	build func(size int, seed int64) (*Graph, error)
+}{
+	{"clique", func(n int, _ int64) (*Graph, error) { return Clique(n), nil }},
+	{"bclique", func(n int, _ int64) (*Graph, error) { return BClique(n), nil }},
+	{"chain", func(n int, _ int64) (*Graph, error) { return Chain(n), nil }},
+	{"ring", func(n int, _ int64) (*Graph, error) { return Ring(n), nil }},
+	{"star", func(n int, _ int64) (*Graph, error) { return Star(n), nil }},
+	{"figure1", func(int, int64) (*Graph, error) { return Figure1(), nil }},
+	{"figure2", func(n int, _ int64) (*Graph, error) { return Figure2Loop(n, n), nil }},
+	{"internet", InternetLike},
+	{"ba", func(n int, seed int64) (*Graph, error) { return BarabasiAlbert(n, 2, seed) }},
+	{"waxman", func(n int, seed int64) (*Graph, error) { return Waxman(n, 0.9, 0.25, seed) }},
+}
+
+// Families lists the generated family names, in table order.
+func Families() []string {
+	names := make([]string, len(families))
+	for i, f := range families {
+		names[i] = f.name
+	}
+	return names
+}
+
+// Generate builds the named family's graph.
+func Generate(family string, size int, seed int64) (*Graph, error) {
+	for _, f := range families {
+		if f.name == family {
+			return f.build(size, seed)
+		}
+	}
+	return nil, fmt.Errorf("topology: unknown family %q (known: %s)", family, strings.Join(Families(), ", "))
 }

@@ -118,6 +118,31 @@ func TestChainRingStar(t *testing.T) {
 	}
 }
 
+// TestGenerateFamilies: every name in the family table builds a
+// connected graph, by the same constructor its name promises, and an
+// unknown name is refused.
+func TestGenerateFamilies(t *testing.T) {
+	for _, family := range Families() {
+		g, err := Generate(family, 8, 1)
+		if err != nil {
+			t.Errorf("%s: %v", family, err)
+			continue
+		}
+		if g.NumNodes() == 0 || !g.Connected() {
+			t.Errorf("%s: %d nodes, connected = %v", family, g.NumNodes(), g.Connected())
+		}
+	}
+	if g, _ := Generate("bclique", 8, 1); g.Name() != BClique(8).Name() || g.NumEdges() != BClique(8).NumEdges() {
+		t.Errorf("bclique built %s", g.Name())
+	}
+	if g, _ := Generate("figure2", 3, 1); g.Name() != Figure2Loop(3, 3).Name() {
+		t.Errorf("figure2 built %s", g.Name())
+	}
+	if _, err := Generate("moebius", 8, 1); err == nil {
+		t.Error("unknown family accepted")
+	}
+}
+
 func TestInternetLikeProperties(t *testing.T) {
 	for _, n := range PaperInternetSizes {
 		g, err := InternetLike(n, 7)
