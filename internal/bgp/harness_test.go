@@ -87,14 +87,25 @@ func newSim(t *testing.T, g *topology.Graph, dest topology.Node, cfg Config, see
 	return &sim{sched: sched, net: net, speakers: speakers, obs: obs, dest: dest}
 }
 
+// at applies op — one of the network's link operations — to each link in
+// order at virtual time when, in one event.
+func (s *sim) at(t *testing.T, when des.Time, op func(topology.Edge), links ...topology.Edge) {
+	t.Helper()
+	if err := s.net.At(when, func() {
+		for _, e := range links {
+			op(e)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // failLink fails (a, b) one second after the current virtual time and runs
 // the simulation to quiescence, returning the failure instant.
 func (s *sim) failLink(t *testing.T, a, b topology.Node) des.Time {
 	t.Helper()
 	at := s.sched.Now() + time.Second
-	if err := s.net.FailLink(at, a, b); err != nil {
-		t.Fatal(err)
-	}
+	s.at(t, at, s.net.Fail, topology.Edge{A: a, B: b})
 	if s.sched.RunLimit(5_000_000) >= 5_000_000 {
 		t.Fatal("post-failure convergence did not quiesce")
 	}
@@ -106,9 +117,7 @@ func (s *sim) failLink(t *testing.T, a, b topology.Node) des.Time {
 func (s *sim) failNode(t *testing.T, v topology.Node) des.Time {
 	t.Helper()
 	at := s.sched.Now() + time.Second
-	if err := s.net.FailNode(at, v); err != nil {
-		t.Fatal(err)
-	}
+	s.at(t, at, s.net.Fail, s.net.Graph().IncidentEdges(v)...)
 	if s.sched.RunLimit(5_000_000) >= 5_000_000 {
 		t.Fatal("post-failure convergence did not quiesce")
 	}

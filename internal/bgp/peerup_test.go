@@ -13,9 +13,7 @@ import (
 func (s *sim) restoreLink(t *testing.T, a, b topology.Node) des.Time {
 	t.Helper()
 	at := s.sched.Now() + time.Second
-	if err := s.net.RestoreLink(at, a, b); err != nil {
-		t.Fatal(err)
-	}
+	s.at(t, at, s.net.Restore, topology.Edge{A: a, B: b})
 	if s.sched.RunLimit(5_000_000) >= 5_000_000 {
 		t.Fatal("post-restore convergence did not quiesce")
 	}
@@ -74,9 +72,7 @@ func TestTDownTUpCycle(t *testing.T) {
 	s := newSim(t, topology.Clique(5), 0, DefaultConfig(), 24)
 	s.failNode(t, 0)
 	at := s.sched.Now() + time.Second
-	if err := s.net.RestoreNode(at, 0); err != nil {
-		t.Fatal(err)
-	}
+	s.at(t, at, s.net.Restore, s.net.Graph().IncidentEdges(0)...)
 	if s.sched.RunLimit(5_000_000) >= 5_000_000 {
 		t.Fatal("T_up did not quiesce")
 	}

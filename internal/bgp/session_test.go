@@ -87,14 +87,10 @@ func TestHoldExpiryExactlyAtHoldTime(t *testing.T) {
 
 	blackhole := transport.Config{Loss: 0.9999999, MaxRetries: 1, RTOInitial: time.Millisecond}
 	degradeAt := s.sched.Now() + time.Second
-	link := []topology.Edge{topology.NormEdge(0, 1)}
-	if err := s.net.DegradeLinks(degradeAt, link, blackhole); err != nil {
-		t.Fatal(err)
-	}
+	link := topology.NormEdge(0, 1)
+	s.at(t, degradeAt, func(e topology.Edge) { s.net.Degrade(e, blackhole) }, link)
 	restoreAt := degradeAt + 20*time.Second
-	if err := s.net.RestoreImpairments(restoreAt, link); err != nil {
-		t.Fatal(err)
-	}
+	s.at(t, restoreAt, s.net.Undegrade, link)
 
 	hold := des.Time(3 * time.Second) // fsmConfig's HoldTime
 	probe := func(at des.Time, fn func(at des.Time)) {
@@ -149,25 +145,17 @@ func TestKeepaliveSuppressionUnderLoad(t *testing.T) {
 
 	// Benign impairment on 1-2: arms the keepalive machinery without
 	// perturbing delivery beyond a microsecond of jitter.
-	link12 := []topology.Edge{topology.NormEdge(1, 2)}
+	link12 := topology.NormEdge(1, 2)
 	base := s.sched.Now() + time.Second
-	if err := s.net.DegradeLinks(base, link12, transport.Config{Jitter: time.Microsecond}); err != nil {
-		t.Fatal(err)
-	}
+	s.at(t, base, func(e topology.Edge) { s.net.Degrade(e, transport.Config{Jitter: time.Microsecond}) }, link12)
 	// Flap 0-1 every 400ms: each transition makes node 1 send an update
 	// to node 2 well inside the 1s keepalive interval.
 	for i := 0; i < 3; i++ {
 		at := base + des.Time(i)*800*time.Millisecond
-		if err := s.net.FailLink(at+100*time.Millisecond, 0, 1); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.net.RestoreLink(at+500*time.Millisecond, 0, 1); err != nil {
-			t.Fatal(err)
-		}
+		s.at(t, at+100*time.Millisecond, s.net.Fail, topology.NormEdge(0, 1))
+		s.at(t, at+500*time.Millisecond, s.net.Restore, topology.NormEdge(0, 1))
 	}
-	if err := s.net.RestoreImpairments(base+4*time.Second, link12); err != nil {
-		t.Fatal(err)
-	}
+	s.at(t, base+4*time.Second, s.net.Undegrade, link12)
 	if s.sched.RunLimit(5_000_000) >= 5_000_000 {
 		t.Fatal("run did not quiesce after impairment cleared")
 	}

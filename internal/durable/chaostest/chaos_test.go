@@ -181,16 +181,16 @@ func waitJournal(t *testing.T, store string, k int) {
 // jobView is the slice of bgpd's GET /v1/runs/{id} response the harness
 // needs.
 type jobView struct {
-	ID              string `json:"id"`
-	State           string `json:"state"`
-	Trials          int    `json:"trials"`
-	Error           string `json:"error"`
-	AggregateDigest string `json:"aggregateDigest"`
+	ID              string   `json:"id"`
+	State           string   `json:"state"`
+	Trials          int      `json:"trials"`
+	Error           string   `json:"error"`
+	AggregateDigest string   `json:"aggregateDigest"`
 	ResultDigests   []string `json:"resultDigests"`
 	Stats           *struct {
-		Trials   int
-		Executed int
-		Resumed  int
+		Trials    int
+		Executed  int
+		Resumed   int
 		CacheHits int
 	} `json:"stats"`
 }

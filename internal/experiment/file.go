@@ -177,22 +177,28 @@ type PhaseSpec struct {
 	Role string `json:"role,omitempty"`
 }
 
-// ActionSpec is the JSON form of a faultplan.Action.
+// ActionSpec is the JSON form of a faultplan.Action. Beside op and
+// atSeconds, an action carries exactly the fields its op reads
+// (faultplan.Fields): one that is missing is refused, and so is one the op
+// does not read, which would otherwise be dropped silently on the way into
+// the cache key.
 type ActionSpec struct {
-	// Op is one of linkDown, linkUp, nodeDown, nodeUp, groupDown,
-	// groupUp, sessionReset, flapLink, degrade, undegrade.
+	// Op is one of faultplan.Ops: linkDown, linkUp, nodeDown, nodeUp,
+	// groupDown, groupUp, sessionReset, flapLink, degrade, undegrade.
 	Op        string  `json:"op"`
 	AtSeconds float64 `json:"atSeconds,omitempty"`
-	// Link is the [a, b] link of linkDown/linkUp/sessionReset/flapLink
-	// (and of single-link degrade/undegrade); Node the node of
-	// nodeDown/nodeUp; Links the correlated group of groupDown/groupUp
-	// and of correlated degrade/undegrade.
-	Link          *[2]int  `json:"link,omitempty"`
-	Node          *int     `json:"node,omitempty"`
-	Links         [][2]int `json:"links,omitempty"`
-	Cycles        int      `json:"cycles,omitempty"`
-	PeriodSeconds float64  `json:"periodSeconds,omitempty"`
-	// Impairment is the transport configuration a degrade action applies.
+	// Link is the [a, b] link of linkDown/linkUp/sessionReset/flapLink;
+	// Node the node of nodeDown/nodeUp; Links the non-empty correlated
+	// group of groupDown/groupUp. degrade and undegrade take link or
+	// links, never both.
+	Link  *[2]int  `json:"link,omitempty"`
+	Node  *int     `json:"node,omitempty"`
+	Links [][2]int `json:"links,omitempty"`
+	// Cycles and PeriodSeconds belong to flapLink alone.
+	Cycles        int     `json:"cycles,omitempty"`
+	PeriodSeconds float64 `json:"periodSeconds,omitempty"`
+	// Impairment is the transport configuration a degrade action applies;
+	// no other op takes one.
 	Impairment *TransportSpec `json:"impairment,omitempty"`
 }
 
@@ -242,6 +248,27 @@ func (as ActionSpec) action() (faultplan.Action, error) {
 		cfg := as.Impairment.Config()
 		a.Impairment = &cfg
 	}
+	// Present means non-zero after conversion, so what NewFaultPlanSpec
+	// renders of an accepted action is accepted again.
+	reads := a.Fields()
+	for _, f := range []struct {
+		name          string
+		present, read bool
+	}{
+		{"link", as.Link != nil, reads.Link},
+		{"node", as.Node != nil, reads.Node},
+		{"links", len(as.Links) > 0, reads.Links},
+		{"cycles", a.Cycles != 0, reads.Repeat},
+		{"periodSeconds", a.Period != 0, reads.Repeat},
+		{"impairment", as.Impairment != nil, reads.Impairment},
+	} {
+		switch {
+		case f.present && !f.read:
+			return faultplan.Action{}, fmt.Errorf("op %s: unexpected %q", as.Op, f.name)
+		case f.read && !f.present:
+			return faultplan.Action{}, fmt.Errorf("op %s: missing %q", as.Op, f.name)
+		}
+	}
 	return a, nil
 }
 
@@ -261,35 +288,27 @@ func NewFaultPlanSpec(p *faultplan.Plan) *FaultPlanSpec {
 			Role:         string(ph.Role),
 		}
 		for _, a := range ph.Actions {
-			as := ActionSpec{
-				Op:        a.Op.String(),
-				AtSeconds: a.At.Seconds(),
-				Cycles:    a.Cycles,
-			}
-			if a.Period != 0 {
-				as.PeriodSeconds = a.Period.Seconds()
-			}
-			switch a.Op {
-			case faultplan.LinkDown, faultplan.LinkUp, faultplan.SessionReset, faultplan.FlapLink:
+			// Exactly the fields the action reads: rendering must be
+			// lossless, because CacheKey hashes the rendered plan spec and
+			// an omitted field would alias behaviourally distinct plans.
+			as := ActionSpec{Op: a.Op.String(), AtSeconds: a.At.Seconds()}
+			reads := a.Fields()
+			if reads.Link {
 				as.Link = &[2]int{int(a.Link.A), int(a.Link.B)}
-			case faultplan.NodeDown, faultplan.NodeUp:
+			}
+			if reads.Node {
 				n := int(a.Node)
 				as.Node = &n
-			case faultplan.GroupDown, faultplan.GroupUp:
+			}
+			if reads.Links {
 				for _, l := range a.Links {
 					as.Links = append(as.Links, [2]int{int(l.A), int(l.B)})
 				}
-			case faultplan.Degrade, faultplan.Undegrade:
-				// Rendering must be lossless here: CacheKey hashes the
-				// rendered plan spec, so an omitted field would alias
-				// behaviourally distinct plans.
-				if len(a.Links) > 0 {
-					for _, l := range a.Links {
-						as.Links = append(as.Links, [2]int{int(l.A), int(l.B)})
-					}
-				} else {
-					as.Link = &[2]int{int(a.Link.A), int(a.Link.B)}
-				}
+			}
+			if reads.Repeat {
+				as.Cycles, as.PeriodSeconds = a.Cycles, a.Period.Seconds()
+			}
+			if reads.Impairment {
 				as.Impairment = NewTransportSpec(a.Impairment)
 			}
 			phs.Actions = append(phs.Actions, as)

@@ -13,6 +13,7 @@ import (
 	"bgploop/internal/bgp"
 	"bgploop/internal/faultplan"
 	"bgploop/internal/topology"
+	"bgploop/internal/transport"
 )
 
 func TestLoadScenarioBasic(t *testing.T) {
@@ -361,6 +362,7 @@ func TestLoadScenarioFaultPlan(t *testing.T) {
 
 func TestFaultPlanSpecRoundTrip(t *testing.T) {
 	g := topology.Ring(6)
+	lossy := transport.Config{Loss: 0.25, RTOInitial: 250 * time.Millisecond, MaxRetries: 4}
 	plan := &faultplan.Plan{
 		Name: "round-trip",
 		Phases: []faultplan.Phase{
@@ -380,6 +382,17 @@ func TestFaultPlanSpecRoundTrip(t *testing.T) {
 				Actions: []faultplan.Action{
 					faultplan.FailGroup(topology.NormEdge(3, 4), topology.NormEdge(4, 5)),
 					faultplan.ResetSession(topology.NormEdge(5, 0)),
+					faultplan.FailLink(topology.NormEdge(1, 2)).AtOffset(time.Second),
+				},
+			},
+			{
+				Name:  "lossy",
+				Delay: time.Second,
+				Actions: []faultplan.Action{
+					faultplan.DegradeLink(topology.NormEdge(0, 1), lossy),
+					faultplan.DegradeGroup(lossy, topology.NormEdge(2, 3), topology.NormEdge(3, 4)),
+					faultplan.RestoreImpairment(topology.NormEdge(0, 1)).AtOffset(5 * time.Second),
+					faultplan.Action{Op: faultplan.Undegrade, Links: []topology.Edge{topology.NormEdge(2, 3), topology.NormEdge(3, 4)}}.AtOffset(5 * time.Second),
 				},
 			},
 			{
@@ -397,6 +410,18 @@ func TestFaultPlanSpecRoundTrip(t *testing.T) {
 	}
 	if err := plan.Validate(g); err != nil {
 		t.Fatal(err)
+	}
+	// Every row of faultplan's op table makes the trip.
+	used := map[faultplan.Op]bool{}
+	for _, ph := range plan.Phases {
+		for _, a := range ph.Actions {
+			used[a.Op] = true
+		}
+	}
+	for _, op := range faultplan.Ops() {
+		if !used[op] {
+			t.Errorf("op %s is not in the round-trip plan", op)
+		}
 	}
 
 	spec := NewFaultPlanSpec(plan)
@@ -426,6 +451,35 @@ func TestLoadScenarioFaultPlanErrors(t *testing.T) {
 		"no measured phase": `{"topology": {"family": "ring", "size": 4}, "faultPlan": {"phases": [
 			{"name": "p", "actions": [{"op": "linkDown", "link": [0, 1]}]}]}}`,
 		"no phases": `{"topology": {"family": "ring", "size": 4}, "faultPlan": {"phases": []}}`,
+	}
+	// One action per row on Ring(4): a field its op reads is missing (a
+	// nodeDown without "node" used to fail AS 0), or one it does not read
+	// is present (and used to vanish on the way into the cache key).
+	for name, action := range map[string]string{
+		"nodeDown without node":      `{"op": "nodeDown", "link": [1, 2]}`,
+		"nodeUp without node":        `{"op": "nodeUp"}`,
+		"linkDown without link":      `{"op": "linkDown"}`,
+		"sessionReset without link":  `{"op": "sessionReset", "node": 1}`,
+		"groupDown without links":    `{"op": "groupDown", "link": [0, 1]}`,
+		"groupUp with empty links":   `{"op": "groupUp", "links": []}`,
+		"degrade link and links":     `{"op": "degrade", "link": [0, 1], "links": [[1, 2]], "impairment": {"loss": 0.1}}`,
+		"degrade neither":            `{"op": "degrade", "impairment": {"loss": 0.1}}`,
+		"degrade without impairment": `{"op": "degrade", "link": [0, 1]}`,
+		"undegrade link and links":   `{"op": "undegrade", "link": [0, 1], "links": [[1, 2]]}`,
+		"undegrade neither":          `{"op": "undegrade"}`,
+		"flapLink without cycles":    `{"op": "flapLink", "link": [0, 1], "periodSeconds": 1}`,
+		"flapLink without period":    `{"op": "flapLink", "link": [0, 1], "cycles": 2}`,
+		"node on a link op":          `{"op": "linkDown", "link": [0, 1], "node": 3}`,
+		"links on a link op":         `{"op": "linkUp", "link": [0, 1], "links": [[1, 2]]}`,
+		"link on a node op":          `{"op": "nodeDown", "node": 1, "link": [1, 2]}`,
+		"link on a group op":         `{"op": "groupDown", "links": [[0, 1]], "link": [1, 2]}`,
+		"cycles off flapLink":        `{"op": "linkDown", "link": [0, 1], "cycles": 2}`,
+		"periodSeconds off flapLink": `{"op": "sessionReset", "link": [0, 1], "periodSeconds": 0.5}`,
+		"impairment off degrade":     `{"op": "linkDown", "link": [0, 1], "impairment": {"loss": 0.1}}`,
+		"impairment on undegrade":    `{"op": "undegrade", "link": [0, 1], "impairment": {"loss": 0.1}}`,
+	} {
+		cases[name] = `{"topology": {"family": "ring", "size": 4}, "faultPlan": {"phases": [
+			{"name": "p", "measure": true, "actions": [` + action + `]}]}}`
 	}
 	for name, spec := range cases {
 		t.Run(name, func(t *testing.T) {

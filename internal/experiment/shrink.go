@@ -190,64 +190,60 @@ func specBuildable(spec ScenarioSpec) bool {
 	return err == nil
 }
 
-// pinnedNodes collects the node ids a candidate must keep: the
-// destination, the guard's corruption target, and every node referenced
-// by the failure event or fault plan.
-func pinnedNodes(spec ScenarioSpec) map[int]bool {
-	pinned := map[int]bool{}
+// visitRefs calls node on every node id and link on every [a, b] link the
+// spec names outside its topology: the destination, the guard's corruption
+// target, the tlong link, and every fault-plan action's targets (the spec
+// codec refuses target fields an op does not read, so each one counts).
+// The callbacks get pointers into spec and may rewrite them in place.
+func (spec *ScenarioSpec) visitRefs(node func(*int), link func(*[2]int)) {
 	if spec.Dest != nil {
-		pinned[*spec.Dest] = true
-	} else {
-		pinned[0] = true
+		node(spec.Dest)
 	}
 	if spec.Guard != nil && spec.Guard.CorruptFIBNode != nil {
-		pinned[*spec.Guard.CorruptFIBNode] = true
+		node(spec.Guard.CorruptFIBNode)
 	}
 	if spec.FailLink != nil {
-		pinned[spec.FailLink[0]] = true
-		pinned[spec.FailLink[1]] = true
+		link(spec.FailLink)
 	}
-	if spec.FaultPlan != nil {
-		for _, ph := range spec.FaultPlan.Phases {
-			for _, a := range ph.Actions {
-				if a.Link != nil {
-					pinned[a.Link[0]] = true
-					pinned[a.Link[1]] = true
-				}
-				if a.Node != nil {
-					pinned[*a.Node] = true
-				}
-				for _, l := range a.Links {
-					pinned[l[0]] = true
-					pinned[l[1]] = true
-				}
+	if spec.FaultPlan == nil {
+		return
+	}
+	for _, ph := range spec.FaultPlan.Phases {
+		for _, a := range ph.Actions {
+			if a.Node != nil {
+				node(a.Node)
+			}
+			if a.Link != nil {
+				link(a.Link)
+			}
+			for i := range a.Links {
+				link(&a.Links[i])
 			}
 		}
 	}
-	return pinned
 }
 
-// relabel maps a node id after node v was removed: ids above v shift down
-// by one.
-func relabel(id, v int) int {
-	if id > v {
-		return id - 1
-	}
-	return id
-}
-
-// shrinkRemoveNode proposes candidates with one unpinned node removed
-// (its incident links dropped, remaining ids relabeled to stay dense).
+// shrinkRemoveNode proposes candidates with one node removed that the
+// spec does not name (its incident links dropped, remaining ids relabeled
+// to stay dense: ids above the removed one shift down).
 func shrinkRemoveNode(spec ScenarioSpec) []ScenarioSpec {
 	if spec.Topology.Family != "edges" {
 		return nil
 	}
-	pinned := pinnedNodes(spec)
+	pinned := map[int]bool{0: spec.Dest == nil} // an omitted dest is AS 0
+	pin := func(id *int) { pinned[*id] = true }
+	spec.visitRefs(pin, func(l *[2]int) { pin(&l[0]); pin(&l[1]) })
 	var out []ScenarioSpec
 	for v := 0; v < spec.Topology.Size; v++ {
 		if pinned[v] {
 			continue
 		}
+		relabel := func(id *int) {
+			if *id > v {
+				*id--
+			}
+		}
+		relabelLink := func(l *[2]int) { relabel(&l[0]); relabel(&l[1]) }
 		c := cloneSpec(spec)
 		c.Topology.Size--
 		edges := c.Topology.Edges[:0]
@@ -255,37 +251,11 @@ func shrinkRemoveNode(spec ScenarioSpec) []ScenarioSpec {
 			if e[0] == v || e[1] == v {
 				continue
 			}
-			edges = append(edges, [2]int{relabel(e[0], v), relabel(e[1], v)})
+			relabelLink(&e)
+			edges = append(edges, e)
 		}
 		c.Topology.Edges = edges
-		if c.Dest != nil {
-			d := relabel(*c.Dest, v)
-			c.Dest = &d
-		}
-		if c.Guard != nil && c.Guard.CorruptFIBNode != nil {
-			n := relabel(*c.Guard.CorruptFIBNode, v)
-			c.Guard.CorruptFIBNode = &n
-		}
-		if c.FailLink != nil {
-			c.FailLink = &[2]int{relabel(c.FailLink[0], v), relabel(c.FailLink[1], v)}
-		}
-		if c.FaultPlan != nil {
-			for pi := range c.FaultPlan.Phases {
-				for ai := range c.FaultPlan.Phases[pi].Actions {
-					a := &c.FaultPlan.Phases[pi].Actions[ai]
-					if a.Link != nil {
-						a.Link = &[2]int{relabel(a.Link[0], v), relabel(a.Link[1], v)}
-					}
-					if a.Node != nil {
-						n := relabel(*a.Node, v)
-						a.Node = &n
-					}
-					for li := range a.Links {
-						a.Links[li] = [2]int{relabel(a.Links[li][0], v), relabel(a.Links[li][1], v)}
-					}
-				}
-			}
-		}
+		c.visitRefs(relabel, relabelLink)
 		if specBuildable(c) {
 			out = append(out, c)
 		}
@@ -293,40 +263,18 @@ func shrinkRemoveNode(spec ScenarioSpec) []ScenarioSpec {
 	return out
 }
 
-// pinnedEdges collects the [a, b] links a candidate must keep: the
-// failure link and every link referenced by the fault plan.
-func pinnedEdges(spec ScenarioSpec) map[topology.Edge]bool {
-	pinned := map[topology.Edge]bool{}
-	pin := func(l [2]int) {
-		pinned[topology.NormEdge(topology.Node(l[0]), topology.Node(l[1]))] = true
-	}
-	if spec.FailLink != nil {
-		pin(*spec.FailLink)
-	}
-	if spec.FaultPlan != nil {
-		for _, ph := range spec.FaultPlan.Phases {
-			for _, a := range ph.Actions {
-				if a.Link != nil {
-					pin(*a.Link)
-				}
-				for _, l := range a.Links {
-					pin(l)
-				}
-			}
-		}
-	}
-	return pinned
-}
-
-// shrinkRemoveEdge proposes candidates with one unpinned link removed.
+// shrinkRemoveEdge proposes candidates with one link removed that the spec
+// does not name.
 func shrinkRemoveEdge(spec ScenarioSpec) []ScenarioSpec {
 	if spec.Topology.Family != "edges" {
 		return nil
 	}
-	pinned := pinnedEdges(spec)
+	norm := func(l [2]int) topology.Edge { return topology.NormEdge(topology.Node(l[0]), topology.Node(l[1])) }
+	pinned := map[topology.Edge]bool{}
+	spec.visitRefs(func(*int) {}, func(l *[2]int) { pinned[norm(*l)] = true })
 	var out []ScenarioSpec
 	for i, e := range spec.Topology.Edges {
-		if pinned[topology.NormEdge(topology.Node(e[0]), topology.Node(e[1]))] {
+		if pinned[norm(e)] {
 			continue
 		}
 		c := cloneSpec(spec)

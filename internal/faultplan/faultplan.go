@@ -15,11 +15,18 @@
 // T_down, T_long, RestoreDelay and FlapCycles are all expressible as
 // canonical plans (see experiment.CanonicalPlan) that replay byte-for-byte
 // identically to the legacy hard-coded sequence.
+//
+// The package owns the fault vocabulary and its timing: netsim offers five
+// operations that act on one link now, the ops table below gives each Op
+// its name, the Action fields it reads and the operation it applies, and
+// Action.Schedule alone gives an operation a time. No other package lists
+// the ops.
 package faultplan
 
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"bgploop/internal/des"
@@ -66,51 +73,101 @@ const (
 	Undegrade
 )
 
-var opNames = map[Op]string{
-	LinkDown:     "linkDown",
-	LinkUp:       "linkUp",
-	NodeDown:     "nodeDown",
-	NodeUp:       "nodeUp",
-	GroupDown:    "groupDown",
-	GroupUp:      "groupUp",
-	SessionReset: "sessionReset",
-	FlapLink:     "flapLink",
-	Degrade:      "degrade",
-	Undegrade:    "undegrade",
+// Fields says which Action fields an op reads beside Op and At. An op
+// with both Link and Links set takes either: Links when non-empty,
+// otherwise Link.
+type Fields struct {
+	Link, Node, Links bool
+	// Repeat covers Cycles and Period.
+	Repeat     bool
+	Impairment bool
+}
+
+// step does one thing to one link at the current instant.
+type step func(net *netsim.Network, e topology.Edge, a Action)
+
+func fail(net *netsim.Network, e topology.Edge, _ Action)      { net.Fail(e) }
+func restore(net *netsim.Network, e topology.Edge, _ Action)   { net.Restore(e) }
+func bounce(net *netsim.Network, e topology.Edge, _ Action)    { net.BounceSession(e) }
+func degrade(net *netsim.Network, e topology.Edge, a Action)   { net.Degrade(e, *a.Impairment) }
+func undegrade(net *netsim.Network, e topology.Edge, _ Action) { net.Undegrade(e) }
+
+type opRow struct {
+	name string
+	Fields
+	steps []step
+	// transport marks an op that needs an installed impairment model.
+	transport bool
+}
+
+// ops is the fault vocabulary, one row per Op: its name in the JSON
+// scenario schema, the Action fields that name its links and parameters,
+// and what it does to each link — one step, or several taken in rotation,
+// one scheduler event each (see Action.Schedule). Row 0 stays zero and
+// stands in for every unknown op. Everything below and the spec codec
+// (experiment.ActionSpec) read this table: adding an op is a constant
+// above, a row here and, if wanted, a builder at the end of the file.
+var ops = [...]opRow{
+	LinkDown:     {"linkDown", Fields{Link: true}, []step{fail}, false},
+	LinkUp:       {"linkUp", Fields{Link: true}, []step{restore}, false},
+	NodeDown:     {"nodeDown", Fields{Node: true}, []step{fail}, false},
+	NodeUp:       {"nodeUp", Fields{Node: true}, []step{restore}, false},
+	GroupDown:    {"groupDown", Fields{Links: true}, []step{fail}, false},
+	GroupUp:      {"groupUp", Fields{Links: true}, []step{restore}, false},
+	SessionReset: {"sessionReset", Fields{Link: true}, []step{bounce}, false},
+	FlapLink:     {"flapLink", Fields{Link: true, Repeat: true}, []step{fail, restore}, false},
+	Degrade:      {"degrade", Fields{Link: true, Links: true, Impairment: true}, []step{degrade}, true},
+	Undegrade:    {"undegrade", Fields{Link: true, Links: true}, []step{undegrade}, true},
+}
+
+// Ops lists the vocabulary in declaration order.
+func Ops() []Op {
+	out := make([]Op, len(ops)-1)
+	for i := range out {
+		out[i] = Op(i + 1)
+	}
+	return out
+}
+
+// row returns o's table row, the zero row for an unknown op.
+func (o Op) row() *opRow {
+	if o < 0 || int(o) >= len(ops) {
+		o = 0
+	}
+	return &ops[o]
 }
 
 // String names the op as in the JSON scenario schema.
 func (o Op) String() string {
-	if s, ok := opNames[o]; ok {
-		return s
+	if name := o.row().name; name != "" {
+		return name
 	}
 	return fmt.Sprintf("Op(%d)", int(o))
 }
 
 // OpFromString parses the JSON scenario schema's op name.
 func OpFromString(s string) (Op, error) {
-	// Small fixed table; iterate ops in declaration order, not map order.
-	for op := LinkDown; op <= Undegrade; op++ {
-		if opNames[op] == s {
-			return op, nil
+	names := make([]string, len(ops)-1)
+	for i, row := range ops[1:] {
+		if row.name == s {
+			return Op(i + 1), nil
 		}
+		names[i] = row.name
 	}
-	return 0, fmt.Errorf("faultplan: unknown op %q", s)
+	return 0, fmt.Errorf("faultplan: unknown op %q (want %s)", s, strings.Join(names, ", "))
 }
 
 // Action is one entry of a phase's timeline.
 type Action struct {
-	// Op selects the action kind; the fields below are interpreted
-	// according to it.
+	// Op selects the action kind. It reads the fields below that its table
+	// row names (see Fields) and ignores the others.
 	Op Op
 	// At is the action's offset from the phase's injection instant.
 	At time.Duration
-	// Link is the affected link (LinkDown, LinkUp, SessionReset,
-	// FlapLink).
-	Link topology.Edge
-	// Node is the affected node (NodeDown, NodeUp).
-	Node topology.Node
-	// Links is the correlated failure group (GroupDown, GroupUp).
+	// Link, Node (its incident links) and Links (a correlated group, acted
+	// on in the given order) name the links.
+	Link  topology.Edge
+	Node  topology.Node
 	Links []topology.Edge
 	// Cycles and Period parameterise FlapLink.
 	Cycles int
@@ -120,127 +177,111 @@ type Action struct {
 	Impairment *transport.Config
 }
 
-// targets returns the action's affected links for ops that accept either
-// a single Link or a Links group (Degrade, Undegrade).
-func (a Action) targets() []topology.Edge {
-	if len(a.Links) > 0 {
+// Fields returns the fields this action reads: its op's, with a
+// link-or-group op settled on the one it will use. Zero for an unknown op.
+func (a Action) Fields() Fields {
+	f := a.Op.row().Fields
+	if f.Link && f.Links {
+		f.Link, f.Links = len(a.Links) == 0, len(a.Links) > 0
+	}
+	return f
+}
+
+// links returns the links the action acts on, in the order it acts on
+// them: a node's in Graph.IncidentEdges order, a group's as given.
+func (a Action) links(g *topology.Graph) []topology.Edge {
+	switch f := a.Fields(); {
+	case f.Node:
+		return g.IncidentEdges(a.Node)
+	case f.Links:
 		return a.Links
-	}
-	return []topology.Edge{a.Link}
-}
-
-// String renders the action for diagnostics.
-func (a Action) String() string {
-	switch a.Op {
-	case LinkDown, LinkUp, SessionReset:
-		return fmt.Sprintf("%s %v", a.Op, a.Link)
-	case NodeDown, NodeUp:
-		return fmt.Sprintf("%s %d", a.Op, a.Node)
-	case GroupDown, GroupUp:
-		return fmt.Sprintf("%s %v", a.Op, a.Links)
-	case FlapLink:
-		return fmt.Sprintf("%s %v x%d every %v", a.Op, a.Link, a.Cycles, a.Period)
-	case Degrade, Undegrade:
-		return fmt.Sprintf("%s %v", a.Op, a.targets())
-	default:
-		return a.Op.String()
-	}
-}
-
-// Validate checks the action against the topology it will run on.
-func (a Action) Validate(g *topology.Graph) error {
-	if a.At < 0 {
-		return fmt.Errorf("faultplan: action %v has negative offset %v", a, a.At)
-	}
-	switch a.Op {
-	case LinkDown, LinkUp, SessionReset:
-		if !g.HasEdge(a.Link.A, a.Link.B) {
-			return fmt.Errorf("faultplan: %s link %v not in topology", a.Op, a.Link)
-		}
-	case NodeDown, NodeUp:
-		if !g.Valid(a.Node) {
-			return fmt.Errorf("faultplan: %s node %d not in topology", a.Op, a.Node)
-		}
-	case GroupDown, GroupUp:
-		if len(a.Links) == 0 {
-			return fmt.Errorf("faultplan: %s with empty link group", a.Op)
-		}
-		for _, e := range a.Links {
-			if !g.HasEdge(e.A, e.B) {
-				return fmt.Errorf("faultplan: %s link %v not in topology", a.Op, e)
-			}
-		}
-	case FlapLink:
-		if !g.HasEdge(a.Link.A, a.Link.B) {
-			return fmt.Errorf("faultplan: %s link %v not in topology", a.Op, a.Link)
-		}
-		if a.Cycles < 1 {
-			return fmt.Errorf("faultplan: %s needs at least one cycle, got %d", a.Op, a.Cycles)
-		}
-		if a.Period <= 0 {
-			return fmt.Errorf("faultplan: %s needs a positive period, got %v", a.Op, a.Period)
-		}
-	case Degrade, Undegrade:
-		for _, e := range a.targets() {
-			if !g.HasEdge(e.A, e.B) {
-				return fmt.Errorf("faultplan: %s link %v not in topology", a.Op, e)
-			}
-		}
-		if a.Op == Degrade {
-			if a.Impairment == nil {
-				return fmt.Errorf("faultplan: %s without an impairment config", a.Op)
-			}
-			if err := a.Impairment.Validate(); err != nil {
-				return fmt.Errorf("faultplan: %s: %w", a.Op, err)
-			}
-		} else if a.Impairment != nil {
-			return fmt.Errorf("faultplan: %s carries an impairment config", a.Op)
-		}
-	default:
-		return fmt.Errorf("faultplan: unknown op %d", int(a.Op))
+	case f.Link:
+		return []topology.Edge{a.Link}
 	}
 	return nil
 }
 
-// Schedule compiles the action onto the network's scheduler: the action
-// fires at virtual time at + a.At (a FlapLink expands into its full
-// transition timeline from that instant).
-func (a Action) Schedule(net *netsim.Network, at des.Time) error {
-	at += a.At
-	switch a.Op {
-	case LinkDown:
-		return net.FailLink(at, a.Link.A, a.Link.B)
-	case LinkUp:
-		return net.RestoreLink(at, a.Link.A, a.Link.B)
-	case NodeDown:
-		return net.FailNode(at, a.Node)
-	case NodeUp:
-		return net.RestoreNode(at, a.Node)
-	case GroupDown:
-		return net.FailLinks(at, a.Links)
-	case GroupUp:
-		return net.RestoreLinks(at, a.Links)
-	case SessionReset:
-		return net.ResetSession(at, a.Link.A, a.Link.B)
-	case FlapLink:
-		for i := 0; i < a.Cycles; i++ {
-			down := at + des.Time(2*i)*a.Period
-			up := at + des.Time(2*i+1)*a.Period
-			if err := net.FailLink(down, a.Link.A, a.Link.B); err != nil {
-				return err
-			}
-			if err := net.RestoreLink(up, a.Link.A, a.Link.B); err != nil {
-				return err
-			}
+// String renders the action for diagnostics.
+func (a Action) String() string {
+	s, f := a.Op.String(), a.Fields()
+	switch {
+	case f.Node:
+		s += fmt.Sprintf(" %d", a.Node)
+	case f.Links:
+		s += fmt.Sprintf(" %v", a.Links)
+	case f.Link:
+		s += fmt.Sprintf(" %v", a.Link)
+	}
+	if f.Repeat {
+		s += fmt.Sprintf(" x%d every %v", a.Cycles, a.Period)
+	}
+	return s
+}
+
+// Validate checks the action against the topology it will run on.
+func (a Action) Validate(g *topology.Graph) error {
+	f := a.Fields()
+	switch {
+	case a.At < 0:
+		return fmt.Errorf("faultplan: action %v has negative offset %v", a, a.At)
+	case a.Op.row().steps == nil:
+		return fmt.Errorf("faultplan: unknown op %d", int(a.Op))
+	case f.Node && !g.Valid(a.Node):
+		return fmt.Errorf("faultplan: %s node %d not in topology", a.Op, a.Node)
+	case f.Links && len(a.Links) == 0:
+		return fmt.Errorf("faultplan: %s with empty link group", a.Op)
+	case f.Repeat && a.Cycles < 1:
+		return fmt.Errorf("faultplan: %s needs at least one cycle, got %d", a.Op, a.Cycles)
+	case f.Repeat && a.Period <= 0:
+		return fmt.Errorf("faultplan: %s needs a positive period, got %v", a.Op, a.Period)
+	case f.Impairment && a.Impairment == nil:
+		return fmt.Errorf("faultplan: %s without an impairment config", a.Op)
+	case !f.Impairment && a.Impairment != nil:
+		return fmt.Errorf("faultplan: %s carries an impairment config", a.Op)
+	}
+	for _, e := range a.links(g) {
+		if !g.HasEdge(e.A, e.B) {
+			return fmt.Errorf("faultplan: %s link %v not in topology", a.Op, e)
 		}
-		return nil
-	case Degrade:
-		return net.DegradeLinks(at, a.targets(), *a.Impairment)
-	case Undegrade:
-		return net.RestoreImpairments(at, a.targets())
-	default:
+	}
+	if f.Impairment {
+		if err := a.Impairment.Validate(); err != nil {
+			return fmt.Errorf("faultplan: %s: %w", a.Op, err)
+		}
+	}
+	return nil
+}
+
+// Schedule compiles the action onto the network's scheduler, one event
+// per step: the first at virtual time at + a.At, and for a repeating op
+// (FlapLink: down, up, down, up, …) 2·Cycles of them, Period apart. Each
+// event applies its step to the action's links in order. Events are
+// inserted in firing order, so among the same instant's events those of
+// an earlier-scheduled action run first.
+func (a Action) Schedule(net *netsim.Network, at des.Time) error {
+	row := a.Op.row()
+	if row.steps == nil {
 		return fmt.Errorf("faultplan: unknown op %d", int(a.Op))
 	}
+	if row.transport && !net.HasImpairmentModel() {
+		return fmt.Errorf("faultplan: %s without an impairment model (netsim.SetImpairment)", a.Op)
+	}
+	links := a.links(net.Graph())
+	events := len(row.steps)
+	if row.Repeat {
+		events *= a.Cycles
+	}
+	for k := 0; k < events; k++ {
+		do := row.steps[k%len(row.steps)]
+		if err := net.At(at+a.At+des.Time(k)*a.Period, func() {
+			for _, e := range links {
+				do(net, e, a)
+			}
+		}); err != nil {
+			return fmt.Errorf("faultplan: schedule %v: %w", a, err)
+		}
+	}
+	return nil
 }
 
 // NeedsTransport reports whether any action in the plan requires an
@@ -253,7 +294,7 @@ func (p *Plan) NeedsTransport() bool {
 	}
 	for _, ph := range p.Phases {
 		for _, a := range ph.Actions {
-			if a.Op == Degrade || a.Op == Undegrade {
+			if a.Op.row().transport {
 				return true
 			}
 		}

@@ -8,6 +8,7 @@ import (
 	"bgploop/internal/des"
 	"bgploop/internal/netsim"
 	"bgploop/internal/topology"
+	"bgploop/internal/transport"
 )
 
 // recorder logs peer transitions with their virtual times.
@@ -34,7 +35,10 @@ func build(t *testing.T, g *topology.Graph) (*des.Scheduler, *netsim.Network, []
 }
 
 func TestOpStringRoundTrip(t *testing.T) {
-	for op := LinkDown; op <= FlapLink; op++ {
+	if all := Ops(); len(all) != int(Undegrade) || all[0] != LinkDown || all[len(all)-1] != Undegrade {
+		t.Fatalf("Ops() = %v, want every op from %v to %v", all, LinkDown, Undegrade)
+	}
+	for _, op := range Ops() {
 		name := op.String()
 		if strings.HasPrefix(name, "Op(") {
 			t.Fatalf("op %d has no name", int(op))
@@ -47,8 +51,108 @@ func TestOpStringRoundTrip(t *testing.T) {
 			t.Errorf("round trip %q: got %v want %v", name, back, op)
 		}
 	}
-	if _, err := OpFromString("noSuchOp"); err == nil {
-		t.Error("OpFromString accepted an unknown name")
+	_, err := OpFromString("noSuchOp")
+	if err == nil {
+		t.Fatal("OpFromString accepted an unknown name")
+	}
+	for _, op := range Ops() {
+		if !strings.Contains(err.Error(), op.String()) {
+			t.Errorf("error %q does not list %s", err, op)
+		}
+	}
+}
+
+// TestUnknownOp checks the table's zero row: an op outside the vocabulary
+// reads no field, validates nowhere and schedules nothing.
+func TestUnknownOp(t *testing.T) {
+	g := topology.Ring(4)
+	sched, net, _ := build(t, g)
+	for _, op := range []Op{-1, 0, Undegrade + 1} {
+		a := Action{Op: op, Link: topology.NormEdge(0, 1)}
+		if !strings.HasPrefix(op.String(), "Op(") {
+			t.Errorf("op %d is named %q", int(op), op)
+		}
+		if f := a.Fields(); f != (Fields{}) {
+			t.Errorf("op %d reads %+v", int(op), f)
+		}
+		if err := a.Validate(g); err == nil {
+			t.Errorf("op %d validates", int(op))
+		}
+		if err := a.Schedule(net, time.Second); err == nil {
+			t.Errorf("op %d schedules", int(op))
+		}
+	}
+	if (&Plan{Phases: []Phase{{Actions: []Action{{Op: 99}}}}}).NeedsTransport() {
+		t.Error("an unknown op needs a transport model")
+	}
+	if sched.Len() != 0 {
+		t.Errorf("%d events scheduled by unknown ops", sched.Len())
+	}
+}
+
+// TestScheduleEventShape pins what every digest depends on: one scheduler
+// event per action however many links it touches, and 2·Cycles for a flap.
+func TestScheduleEventShape(t *testing.T) {
+	g := topology.Star(5)
+	group := []topology.Edge{topology.NormEdge(0, 1), topology.NormEdge(0, 2), topology.NormEdge(0, 3)}
+	for _, tc := range []struct {
+		a    Action
+		want int
+	}{
+		{FailLink(group[0]), 1},
+		{FailNode(0), 1},
+		{RestoreNode(0), 1},
+		{FailGroup(group...), 1},
+		{RestoreGroup(group...), 1},
+		{ResetSession(group[1]), 1},
+		{Flap(group[2], 4, time.Second), 8},
+	} {
+		sched, net, _ := build(t, g)
+		if err := tc.a.Schedule(net, time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if got := sched.Len(); got != tc.want {
+			t.Errorf("%v scheduled %d events, want %d", tc.a, got, tc.want)
+		}
+	}
+}
+
+// TestScheduleDegrade drives Degrade and Undegrade, single link and group,
+// and the refusal of both on a network without an impairment model.
+func TestScheduleDegrade(t *testing.T) {
+	g := topology.Ring(4)
+	cfg := transport.Config{Loss: 0.5}
+	e01, e12, e23 := topology.NormEdge(0, 1), topology.NormEdge(1, 2), topology.NormEdge(2, 3)
+	sched, net, _ := build(t, g)
+	for _, a := range []Action{DegradeLink(e01, cfg), RestoreImpairment(e01)} {
+		if err := a.Schedule(net, time.Second); err == nil {
+			t.Errorf("%v scheduled without an impairment model", a)
+		}
+	}
+	net.SetImpairment(transport.NewModel(des.NewRNG(1), nil))
+	for _, a := range []Action{
+		DegradeLink(e01, cfg),
+		DegradeGroup(cfg, e12, e23).AtOffset(time.Second),
+		RestoreImpairment(e01).AtOffset(2 * time.Second),
+		{Op: Undegrade, Links: []topology.Edge{e23}, At: 2 * time.Second},
+	} {
+		if err := a.Schedule(net, time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	impaired := func() [3]bool { return [3]bool{net.Impaired(0, 1), net.Impaired(1, 2), net.Impaired(2, 3)} }
+	for _, step := range []struct {
+		until des.Time
+		want  [3]bool
+	}{
+		{time.Second, [3]bool{true, false, false}},
+		{2 * time.Second, [3]bool{true, true, true}},
+		{3 * time.Second, [3]bool{false, true, false}},
+	} {
+		sched.RunUntil(step.until)
+		if got := impaired(); got != step.want {
+			t.Errorf("at %v impaired(0-1, 1-2, 2-3) = %v, want %v", step.until, got, step.want)
+		}
 	}
 }
 
@@ -104,6 +208,18 @@ func TestPlanValidate(t *testing.T) {
 		{"negative offset", &Plan{Phases: []Phase{{
 			Name: "p", Measure: true,
 			Actions: []Action{FailLink(topology.NormEdge(0, 1)).AtOffset(-time.Second)},
+		}}}},
+		{"degrade without impairment", &Plan{Phases: []Phase{{
+			Name: "p", Measure: true,
+			Actions: []Action{{Op: Degrade, Link: topology.NormEdge(0, 1)}},
+		}}}},
+		{"impairment off degrade", &Plan{Phases: []Phase{{
+			Name: "p", Measure: true,
+			Actions: []Action{{Op: LinkDown, Link: topology.NormEdge(0, 1), Impairment: &transport.Config{Loss: 0.1}}},
+		}}}},
+		{"degrade group with a missing link", &Plan{Phases: []Phase{{
+			Name: "p", Measure: true,
+			Actions: []Action{DegradeGroup(transport.Config{Loss: 0.1}, topology.NormEdge(0, 1), topology.NormEdge(0, 2))},
 		}}}},
 	}
 	for _, tc := range cases {

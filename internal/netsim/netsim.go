@@ -1,6 +1,9 @@
 // Package netsim models the message-passing network between BGP speakers:
 // point-to-point links with propagation delay, reliable in-order delivery
-// (the TCP abstraction BGP runs over), and link/node failure events.
+// (the TCP abstraction BGP runs over), and five operations on a link —
+// Fail, Restore, BounceSession, Degrade, Undegrade — that act at the
+// current instant. When they happen, to which links of a node or a group,
+// and under what name is package faultplan's business.
 //
 // Delivery ordering: each link imposes a constant propagation delay and the
 // DES kernel breaks timestamp ties in insertion order, so messages sent
@@ -46,7 +49,7 @@ type Handler interface {
 	// detection is immediate, matching the paper's model.
 	PeerDown(peer topology.Node)
 	// PeerUp is invoked when the session to peer (re)establishes after a
-	// RestoreLink/RestoreNode event.
+	// Restore.
 	PeerUp(peer topology.Node)
 }
 
@@ -272,82 +275,67 @@ func (n *Network) deliver(e topology.Edge, id uint64, from, to topology.Node, pa
 	h.Deliver(from, payload)
 }
 
-// FailLink schedules the failure of link (a, b) at virtual time 'at'. At
-// that instant the link stops carrying traffic, all in-flight messages on
-// it are destroyed, and both endpoints receive PeerDown. Failing an
-// already-failed or non-existent link is a scheduled no-op.
-func (n *Network) FailLink(at des.Time, a, b topology.Node) error {
-	if _, err := n.sched.At(at, func() { n.failLinkNow(a, b) }); err != nil {
-		return fmt.Errorf("netsim: schedule link failure: %w", err)
-	}
-	return nil
+// At runs fn on the network's scheduler at virtual time at. The link
+// operations below act at the current instant; a fault script (package
+// faultplan) gives them a time by wrapping them in At.
+func (n *Network) At(at des.Time, fn func()) error {
+	_, err := n.sched.At(at, fn)
+	return err
 }
 
-// FailNode schedules the simultaneous failure of every link incident to v
-// at virtual time 'at' — the paper's T_down event ("the destination AS
-// becomes unreachable from the rest of the network").
-func (n *Network) FailNode(at des.Time, v topology.Node) error {
-	if _, err := n.sched.At(at, func() {
-		for _, e := range n.graph.IncidentEdges(v) {
-			n.failLinkNow(e.A, e.B)
-		}
-	}); err != nil {
-		return fmt.Errorf("netsim: schedule node failure: %w", err)
-	}
-	return nil
-}
-
-// FailLinks schedules the simultaneous failure of every listed link at
-// virtual time 'at' — a correlated (SRLG-style) failure group: one fiber
-// cut taking down several logical links in a single instant. Links are
-// failed in the given order within one scheduled event, so in-flight loss
-// accounting is deterministic. Already-failed or absent links are skipped.
-func (n *Network) FailLinks(at des.Time, links []topology.Edge) error {
-	group := append([]topology.Edge(nil), links...)
-	if _, err := n.sched.At(at, func() {
-		for _, e := range group {
-			n.failLinkNow(e.A, e.B)
-		}
-	}); err != nil {
-		return fmt.Errorf("netsim: schedule group failure: %w", err)
-	}
-	return nil
-}
-
-// RestoreLinks schedules the simultaneous repair of every listed link at
-// virtual time 'at' — the recovery counterpart of FailLinks.
-func (n *Network) RestoreLinks(at des.Time, links []topology.Edge) error {
-	group := append([]topology.Edge(nil), links...)
-	if _, err := n.sched.At(at, func() {
-		for _, e := range group {
-			n.restoreLinkNow(e.A, e.B)
-		}
-	}); err != nil {
-		return fmt.Errorf("netsim: schedule group restore: %w", err)
-	}
-	return nil
-}
-
-// ResetSession schedules a BGP session reset on link (a, b) at virtual
-// time 'at': the transport session dies (in-flight messages are lost, both
-// endpoints see PeerDown) and immediately re-establishes (both endpoints
-// see PeerUp and exchange full tables), while the physical link stays up.
-// This models a TCP reset / hold-timer expiry rather than a fiber cut.
-// Resetting a failed or absent link is a scheduled no-op.
-func (n *Network) ResetSession(at des.Time, a, b topology.Node) error {
-	if _, err := n.sched.At(at, func() { n.resetSessionNow(a, b) }); err != nil {
-		return fmt.Errorf("netsim: schedule session reset: %w", err)
-	}
-	return nil
-}
-
-func (n *Network) resetSessionNow(a, b topology.Node) {
-	e := topology.NormEdge(a, b)
-	if !n.graph.HasEdge(a, b) || n.down[e] {
+// Fail fails link e now: it stops carrying traffic, all in-flight messages
+// on it are destroyed, and both endpoints receive PeerDown. Failing an
+// already-failed or absent link is a no-op.
+func (n *Network) Fail(e topology.Edge) {
+	e = topology.NormEdge(e.A, e.B)
+	if !n.graph.HasEdge(e.A, e.B) || n.down[e] {
 		return
 	}
-	n.failLinkNow(e.A, e.B)
-	n.restoreLinkNow(e.A, e.B)
+	n.down[e] = true
+	n.dropInflight(e)
+	n.resetEpoch(e)
+	if n.tap != nil {
+		n.tap.SessionDown(e.A, e.B)
+	}
+	if h := n.handlers[e.A]; h != nil {
+		h.PeerDown(e.B)
+	}
+	if h := n.handlers[e.B]; h != nil {
+		h.PeerDown(e.A)
+	}
+}
+
+// Restore repairs link e now: it carries traffic again and both endpoints
+// receive PeerUp. Restoring a link that is up or absent is a no-op.
+func (n *Network) Restore(e topology.Edge) {
+	e = topology.NormEdge(e.A, e.B)
+	if !n.graph.HasEdge(e.A, e.B) || !n.down[e] {
+		return
+	}
+	delete(n.down, e)
+	n.resetEpoch(e) // a restored link starts a fresh session epoch
+	if n.tap != nil {
+		n.tap.SessionUp(e.A, e.B)
+	}
+	if h := n.handlers[e.A]; h != nil {
+		h.PeerUp(e.B)
+	}
+	if h := n.handlers[e.B]; h != nil {
+		h.PeerUp(e.A)
+	}
+}
+
+// BounceSession resets the BGP session on link e now: the transport
+// session dies (in-flight messages are lost, both endpoints see PeerDown)
+// and immediately re-establishes (both endpoints see PeerUp and exchange
+// full tables), while the physical link stays up. This models a TCP reset
+// rather than a fiber cut. Bouncing a failed or absent link is a no-op.
+func (n *Network) BounceSession(e topology.Edge) {
+	if !n.LinkUp(e.A, e.B) {
+		return
+	}
+	n.Fail(e)
+	n.Restore(e)
 }
 
 // KillSession destroys the transport session on the up link (a, b) at the
@@ -387,65 +375,35 @@ func (n *Network) SessionEstablished(a, b topology.Node) {
 	}
 }
 
-// DegradeLinks schedules impairment cfg on every listed link at virtual
-// time 'at' — a correlated degradation group (one flaky fiber, several
-// logical links). Requires an installed impairment model.
-func (n *Network) DegradeLinks(at des.Time, links []topology.Edge, cfg transport.Config) error {
-	if n.imp == nil {
-		return errors.New("netsim: DegradeLinks without an impairment model (SetImpairment)")
-	}
-	group := append([]topology.Edge(nil), links...)
-	if _, err := n.sched.At(at, func() {
-		for _, e := range group {
-			n.degradeLinkNow(e, cfg)
-		}
-	}); err != nil {
-		return fmt.Errorf("netsim: schedule degrade: %w", err)
-	}
-	return nil
+// HasImpairmentModel reports whether SetImpairment installed a model, the
+// precondition of Degrade and Undegrade.
+func (n *Network) HasImpairmentModel() bool { return n.imp != nil }
+
+// Degrade installs impairment cfg on link e now, overriding the base
+// impairment; the link keeps carrying traffic. Requires an installed
+// impairment model. Degrading an absent link is a no-op.
+func (n *Network) Degrade(e topology.Edge, cfg transport.Config) {
+	n.changeImpairment(e, func(e topology.Edge) { n.imp.Degrade(e, cfg) })
 }
 
-// RestoreImpairments schedules the removal of every listed link's
-// impairment override at virtual time 'at', reverting each to the base
-// impairment (or to a clean link when there is none).
-func (n *Network) RestoreImpairments(at des.Time, links []topology.Edge) error {
-	if n.imp == nil {
-		return errors.New("netsim: RestoreImpairments without an impairment model (SetImpairment)")
-	}
-	group := append([]topology.Edge(nil), links...)
-	if _, err := n.sched.At(at, func() {
-		for _, e := range group {
-			n.restoreImpairmentNow(e)
-		}
-	}); err != nil {
-		return fmt.Errorf("netsim: schedule impairment restore: %w", err)
-	}
-	return nil
-}
+// Undegrade removes link e's impairment override now, reverting it to the
+// base impairment (or to a clean link when there is none). Requires an
+// installed impairment model.
+func (n *Network) Undegrade(e topology.Edge) { n.changeImpairment(e, n.imp.Restore) }
 
-func (n *Network) degradeLinkNow(e topology.Edge, cfg transport.Config) {
+// changeImpairment applies change to existing link e's override and tells
+// DegradeAware handlers when that moved the link between degraded and
+// clean. They are not told while the link is down: their sessions are
+// already torn down and re-establishment will re-read the impairment
+// state.
+func (n *Network) changeImpairment(e topology.Edge, change func(topology.Edge)) {
+	e = topology.NormEdge(e.A, e.B)
 	if !n.graph.HasEdge(e.A, e.B) {
 		return
 	}
 	was := n.imp.Impaired(e.A, e.B)
-	n.imp.Degrade(e, cfg)
-	n.notifyImpairment(e, was, n.imp.Impaired(e.A, e.B))
-}
-
-func (n *Network) restoreImpairmentNow(e topology.Edge) {
-	if !n.graph.HasEdge(e.A, e.B) {
-		return
-	}
-	was := n.imp.Impaired(e.A, e.B)
-	n.imp.Restore(e)
-	n.notifyImpairment(e, was, n.imp.Impaired(e.A, e.B))
-}
-
-// notifyImpairment tells DegradeAware handlers about an impairment edge
-// transition (degraded <-> clean). No-op while the link is down: the
-// handlers' sessions are already torn down and re-establishment will
-// re-read the impairment state.
-func (n *Network) notifyImpairment(e topology.Edge, was, now bool) {
+	change(e)
+	now := n.imp.Impaired(e.A, e.B)
 	if was == now || n.down[e] {
 		return
 	}
@@ -483,64 +441,4 @@ func (n *Network) resetEpoch(e topology.Edge) {
 	}
 	delete(n.lastArrival, dirChan{e.A, e.B})
 	delete(n.lastArrival, dirChan{e.B, e.A})
-}
-
-// RestoreLink schedules the repair of link (a, b) at virtual time 'at':
-// the link carries traffic again and both endpoints receive PeerUp.
-// Restoring a link that is up or absent is a scheduled no-op.
-func (n *Network) RestoreLink(at des.Time, a, b topology.Node) error {
-	if _, err := n.sched.At(at, func() { n.restoreLinkNow(a, b) }); err != nil {
-		return fmt.Errorf("netsim: schedule link restore: %w", err)
-	}
-	return nil
-}
-
-// RestoreNode schedules the repair of every failed link incident to v at
-// virtual time 'at' — the recovery (T_up) counterpart of FailNode.
-func (n *Network) RestoreNode(at des.Time, v topology.Node) error {
-	if _, err := n.sched.At(at, func() {
-		for _, e := range n.graph.IncidentEdges(v) {
-			n.restoreLinkNow(e.A, e.B)
-		}
-	}); err != nil {
-		return fmt.Errorf("netsim: schedule node restore: %w", err)
-	}
-	return nil
-}
-
-func (n *Network) restoreLinkNow(a, b topology.Node) {
-	e := topology.NormEdge(a, b)
-	if !n.graph.HasEdge(a, b) || !n.down[e] {
-		return
-	}
-	delete(n.down, e)
-	n.resetEpoch(e) // a restored link starts a fresh session epoch
-	if n.tap != nil {
-		n.tap.SessionUp(e.A, e.B)
-	}
-	if h := n.handlers[e.A]; h != nil {
-		h.PeerUp(e.B)
-	}
-	if h := n.handlers[e.B]; h != nil {
-		h.PeerUp(e.A)
-	}
-}
-
-func (n *Network) failLinkNow(a, b topology.Node) {
-	e := topology.NormEdge(a, b)
-	if !n.graph.HasEdge(a, b) || n.down[e] {
-		return
-	}
-	n.down[e] = true
-	n.dropInflight(e)
-	n.resetEpoch(e)
-	if n.tap != nil {
-		n.tap.SessionDown(e.A, e.B)
-	}
-	if h := n.handlers[e.A]; h != nil {
-		h.PeerDown(e.B)
-	}
-	if h := n.handlers[e.B]; h != nil {
-		h.PeerDown(e.A)
-	}
 }

@@ -48,6 +48,19 @@ func build(t *testing.T, g *topology.Graph, delay time.Duration) (*des.Scheduler
 	return sched, net, recs
 }
 
+// at applies op to each link in order at virtual time when, in one event
+// — what faultplan.Action.Schedule does with the operations under test.
+func at(t *testing.T, net *Network, when des.Time, op func(topology.Edge), links ...topology.Edge) {
+	t.Helper()
+	if err := net.At(when, func() {
+		for _, e := range links {
+			op(e)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSendDeliversAfterDelay(t *testing.T) {
 	g := topology.Chain(2)
 	sched, net, recs := build(t, g, 2*time.Millisecond)
@@ -97,9 +110,7 @@ func TestSendNoLink(t *testing.T) {
 func TestFailLinkNotifiesBothEnds(t *testing.T) {
 	g := topology.Chain(2)
 	sched, net, recs := build(t, g, 0)
-	if err := net.FailLink(5*time.Second, 0, 1); err != nil {
-		t.Fatal(err)
-	}
+	at(t, net, 5*time.Second, net.Fail, topology.Edge{A: 0, B: 1})
 	sched.Run()
 	if len(recs[0].peerDowns) != 1 || recs[0].peerDowns[0] != 1 {
 		t.Errorf("node 0 peerDowns = %v", recs[0].peerDowns)
@@ -122,9 +133,7 @@ func TestFailLinkDestroysInflight(t *testing.T) {
 	if err := net.Send(0, 1, "doomed"); err != nil {
 		t.Fatal(err)
 	}
-	if err := net.FailLink(5*time.Millisecond, 0, 1); err != nil {
-		t.Fatal(err)
-	}
+	at(t, net, 5*time.Millisecond, net.Fail, topology.Edge{A: 0, B: 1})
 	sched.Run()
 	if len(recs[1].deliveries) != 0 {
 		t.Errorf("in-flight message delivered across failed link: %v", recs[1].deliveries)
@@ -137,12 +146,8 @@ func TestFailLinkDestroysInflight(t *testing.T) {
 func TestFailLinkIdempotent(t *testing.T) {
 	g := topology.Chain(2)
 	sched, net, recs := build(t, g, 0)
-	if err := net.FailLink(time.Second, 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.FailLink(2*time.Second, 1, 0); err != nil {
-		t.Fatal(err)
-	}
+	at(t, net, time.Second, net.Fail, topology.Edge{A: 0, B: 1})
+	at(t, net, 2*time.Second, net.Fail, topology.Edge{A: 1, B: 0})
 	sched.Run()
 	if len(recs[0].peerDowns) != 1 {
 		t.Errorf("duplicate failure re-notified: %v", recs[0].peerDowns)
@@ -152,9 +157,7 @@ func TestFailLinkIdempotent(t *testing.T) {
 func TestFailNode(t *testing.T) {
 	g := topology.Star(4) // hub 0 with spokes 1..3
 	sched, net, recs := build(t, g, 0)
-	if err := net.FailNode(time.Second, 0); err != nil {
-		t.Fatal(err)
-	}
+	at(t, net, time.Second, net.Fail, g.IncidentEdges(0)...)
 	sched.Run()
 	for _, spoke := range []topology.Node{1, 2, 3} {
 		if len(recs[spoke].peerDowns) != 1 || recs[spoke].peerDowns[0] != 0 {
@@ -172,12 +175,8 @@ func TestFailNode(t *testing.T) {
 func TestRestoreLink(t *testing.T) {
 	g := topology.Chain(2)
 	sched, net, recs := build(t, g, 0)
-	if err := net.FailLink(time.Second, 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.RestoreLink(2*time.Second, 0, 1); err != nil {
-		t.Fatal(err)
-	}
+	at(t, net, time.Second, net.Fail, topology.Edge{A: 0, B: 1})
+	at(t, net, 2*time.Second, net.Restore, topology.Edge{A: 0, B: 1})
 	sched.Run()
 	if !net.LinkUp(0, 1) {
 		t.Error("link still down after restore")
@@ -201,9 +200,7 @@ func TestRestoreIdempotent(t *testing.T) {
 	g := topology.Chain(2)
 	sched, net, recs := build(t, g, 0)
 	// Restoring an up link is a no-op.
-	if err := net.RestoreLink(time.Second, 0, 1); err != nil {
-		t.Fatal(err)
-	}
+	at(t, net, time.Second, net.Restore, topology.Edge{A: 0, B: 1})
 	sched.Run()
 	if len(recs[0].peerUps) != 0 {
 		t.Errorf("restore of up link fired PeerUp: %v", recs[0].peerUps)
@@ -213,12 +210,8 @@ func TestRestoreIdempotent(t *testing.T) {
 func TestRestoreNode(t *testing.T) {
 	g := topology.Star(4)
 	sched, net, recs := build(t, g, 0)
-	if err := net.FailNode(time.Second, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.RestoreNode(2*time.Second, 0); err != nil {
-		t.Fatal(err)
-	}
+	at(t, net, time.Second, net.Fail, g.IncidentEdges(0)...)
+	at(t, net, 2*time.Second, net.Restore, g.IncidentEdges(0)...)
 	sched.Run()
 	for _, spoke := range []topology.Node{1, 2, 3} {
 		if !net.LinkUp(0, spoke) {
@@ -236,9 +229,7 @@ func TestRestoreNode(t *testing.T) {
 func TestUpNeighbors(t *testing.T) {
 	g := topology.Clique(4)
 	sched, net, _ := build(t, g, 0)
-	if err := net.FailLink(time.Second, 0, 2); err != nil {
-		t.Fatal(err)
-	}
+	at(t, net, time.Second, net.Fail, topology.Edge{A: 0, B: 2})
 	sched.Run()
 	up := net.UpNeighbors(0)
 	if len(up) != 2 || up[0] != 1 || up[1] != 3 {
@@ -281,12 +272,8 @@ func TestFailLinksCorrelated(t *testing.T) {
 	g := topology.Ring(4)
 	sched, net, recs := build(t, g, time.Millisecond)
 	group := []topology.Edge{topology.NormEdge(0, 1), topology.NormEdge(2, 3)}
-	if err := net.FailLinks(time.Second, group); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.RestoreLinks(2*time.Second, group); err != nil {
-		t.Fatal(err)
-	}
+	at(t, net, time.Second, net.Fail, group...)
+	at(t, net, 2*time.Second, net.Restore, group...)
 	sched.Run()
 	for _, v := range g.Nodes() {
 		if len(recs[v].peerDowns) != 1 {
@@ -308,9 +295,7 @@ func TestResetSessionBouncesPeers(t *testing.T) {
 	if err := net.Send(0, 1, "doomed"); err != nil {
 		t.Fatal(err)
 	}
-	if err := net.ResetSession(time.Millisecond, 0, 1); err != nil {
-		t.Fatal(err)
-	}
+	at(t, net, time.Millisecond, net.BounceSession, topology.Edge{A: 0, B: 1})
 	sched.Run()
 	if len(recs[1].deliveries) != 0 {
 		t.Errorf("deliveries = %v, want none (reset loses in-flight messages)", recs[1].deliveries)
@@ -334,12 +319,8 @@ func TestResetSessionBouncesPeers(t *testing.T) {
 func TestResetSessionDownLinkIsNoop(t *testing.T) {
 	g := topology.Chain(2)
 	sched, net, recs := build(t, g, time.Millisecond)
-	if err := net.FailLink(time.Millisecond, 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.ResetSession(2*time.Millisecond, 0, 1); err != nil {
-		t.Fatal(err)
-	}
+	at(t, net, time.Millisecond, net.Fail, topology.Edge{A: 0, B: 1})
+	at(t, net, 2*time.Millisecond, net.BounceSession, topology.Edge{A: 0, B: 1})
 	sched.Run()
 	// Only the failure's PeerDown: resetting a down link does nothing.
 	if len(recs[0].peerDowns) != 1 || len(recs[0].peerUps) != 0 {

@@ -50,12 +50,8 @@ func TestTapMirrorsStats(t *testing.T) {
 	if err := net.Send(0, 1, "c"); err != nil {
 		t.Fatal(err)
 	}
-	if err := net.FailLink(sched.Now()+time.Millisecond, 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.RestoreLink(sched.Now()+time.Second, 0, 1); err != nil {
-		t.Fatal(err)
-	}
+	at(t, net, sched.Now()+time.Millisecond, net.Fail, topology.Edge{A: 0, B: 1})
+	at(t, net, sched.Now()+time.Second, net.Restore, topology.Edge{A: 0, B: 1})
 	sched.Run()
 
 	st := net.Stats()

@@ -354,6 +354,39 @@ func equalStrings(a, b []string) bool {
 const badGadgetBody = `{"spec": {"topology": {"family": "clique", "size": 4}, "event": "tdown",
 	"policy": "badGadget", "mraiSeconds": -1, "maxEvents": 30000}}`
 
+// TestMalformedFaultActionsRefused pins the 400 for a fault-plan action
+// that lacks a field its op reads (nodeDown without "node" used to be
+// admitted and fail AS 0) or carries one it does not read, and that a
+// misspelt op is answered with the accepted vocabulary.
+func TestMalformedFaultActionsRefused(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for action, want := range map[string]string{
+		`{"op": "nodeDown"}`:                            `missing "node"`,
+		`{"op": "nodeDown", "link": [1, 2]}`:            `op nodeDown`,
+		`{"op": "linkDown", "link": [0, 1], "node": 4}`: `unexpected "node"`,
+		`{"op": "linkDwon", "link": [0, 1]}`:            "sessionReset",
+	} {
+		body := `{"spec": {"topology": {"family": "ring", "size": 5}, "faultPlan": {"phases": [
+			{"name": "p", "measure": true, "actions": [` + action + `]}]}}}`
+		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got struct {
+			Error *RequestError `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&got)
+		_ = resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || got.Error == nil || got.Error.Code != "bad_scenario" ||
+			!strings.Contains(got.Error.Message, want) {
+			t.Errorf("%s: status %d, error %+v; want 400 bad_scenario mentioning %s", action, resp.StatusCode, got.Error, want)
+		}
+	}
+}
+
 // TestPreflightStrictRefuses pins the 422 refusal: a statically-UNSAFE
 // submission never reaches the simulator under the default policy.
 func TestPreflightStrictRefuses(t *testing.T) {
