@@ -21,7 +21,12 @@ import (
 //
 // A nil Path means "no route". Paths are treated as immutable: operations
 // return fresh slices and never alias their receiver's backing array in a
-// mutable way.
+// mutable way. That is what lets one path be shared: the slice Table.Best
+// returns is the same one the observer sees, every peer's update carries
+// and the speaker remembers as advertised. Whoever holds a Path may keep it
+// and may not write to it; the one exception is a Table's adj-RIB-in slot,
+// which copies what it is given into storage it owns and overwrites (see
+// Table).
 type Path []topology.Node
 
 // Len returns the AS-path length (hop count metric).
@@ -102,13 +107,16 @@ func (p Path) SuffixFrom(v topology.Node) (Path, bool) {
 // HasDuplicate reports whether any AS appears twice — a malformed path
 // that a correct path-vector implementation can never emit. Used as a
 // simulation invariant.
+//
+// The scan is quadratic and allocates nothing: it runs once per received
+// update, on paths a dozen elements long.
 func (p Path) HasDuplicate() bool {
-	seen := make(map[topology.Node]bool, len(p))
-	for _, a := range p {
-		if seen[a] {
-			return true
+	for i, a := range p {
+		for _, b := range p[:i] {
+			if a == b {
+				return true
+			}
 		}
-		seen[a] = true
 	}
 	return false
 }

@@ -11,8 +11,11 @@ type Candidate struct {
 }
 
 // Policy ranks candidate routes. Better reports whether a is strictly
-// preferred over b. Implementations must define a strict weak ordering so
-// that selection is deterministic.
+// preferred over b. Implementations must define a strict weak ordering.
+// Where it leaves two candidates tied (neither is Better), selection takes
+// the one from the lowest peer ID — in Select's scan and in Table's
+// incremental update alike — so a run is repeatable under any policy, not
+// only under total orders like the built-in ones.
 type Policy interface {
 	Better(a, b Candidate) bool
 }
@@ -35,7 +38,8 @@ var _ Policy = ShortestPath{}
 // Select returns the best candidate under pol from cands, considering only
 // loop-free candidates from the perspective of self (path-based poison
 // reverse: any candidate whose path contains self is skipped). The second
-// return value is false if no loop-free candidate exists.
+// return value is false if no loop-free candidate exists. Among candidates
+// the policy ties, the first in cands wins; Table keeps cands in peer order.
 func Select(pol Policy, self topology.Node, cands []Candidate) (Candidate, bool) {
 	var (
 		best  Candidate

@@ -1,10 +1,6 @@
 package routing
 
-import (
-	"sort"
-
-	"bgploop/internal/topology"
-)
+import "bgploop/internal/topology"
 
 // Table is a node's routing state for a single destination: the adj-RIB-in
 // (the most recent path received from each neighbor, kept even when unused,
@@ -15,28 +11,37 @@ import (
 // when that path contains self; poison reverse is applied at selection
 // time. Retaining the raw path is required by the Assertion enhancement,
 // which reasons about what each neighbor currently claims.
+//
+// Ownership. Each adj-RIB-in slot owns its path storage: Update copies the
+// caller's path into the slot's buffer (reused, so a warm table allocates
+// nothing), and what Received and Invalidate hand out is that buffer —
+// valid until the next mutation of the table, not to be retained or
+// written. The loc-RIB path returned by Best is the opposite: built once
+// per best change and never written again, so callers may keep it.
 type Table struct {
 	self   topology.Node
 	dest   topology.Node
 	policy Policy
 
-	raw map[topology.Node]Path // peer -> last received path (nil = withdrawn)
+	// raw is the adj-RIB-in, one slot per peer heard from, sorted by peer
+	// ID. A slot with an empty path is an explicit withdrawal.
+	raw []Candidate
 
-	best    Candidate
-	hasBest bool
+	// best is the self-prefixed loc-RIB path (nil = no route) and bestPeer
+	// the neighbor it was learned from; best[1:] always equals bestPeer's
+	// slot. The origin's best is the constant (self) via itself.
+	best     Path
+	bestPeer topology.Node
 }
 
 // NewTable returns an empty table for the given node and destination. If
 // self == dest the node originates the destination and its best path is
 // permanently the one-element path (self).
 func NewTable(self, dest topology.Node, policy Policy) *Table {
-	t := &Table{
-		self:   self,
-		dest:   dest,
-		policy: policy,
-		raw:    make(map[topology.Node]Path),
+	t := &Table{self: self, dest: dest, policy: policy, bestPeer: topology.None}
+	if t.IsOrigin() {
+		t.best, t.bestPeer = Path{self}, self
 	}
-	t.recompute()
 	return t
 }
 
@@ -49,12 +54,68 @@ func (t *Table) Dest() topology.Node { return t.dest }
 // IsOrigin reports whether the owning node originates the destination.
 func (t *Table) IsOrigin() bool { return t.self == t.dest }
 
+// find returns the position of peer's slot in raw, or where it would be
+// inserted, and whether it exists.
+func (t *Table) find(peer topology.Node) (int, bool) {
+	lo, hi := 0, len(t.raw)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); t.raw[mid].Peer < peer {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(t.raw) && t.raw[lo].Peer == peer
+}
+
 // Update records path as the latest announcement from peer (nil for an
 // explicit withdrawal) and re-runs route selection. It reports whether the
 // node's best path changed.
+//
+// Selection is incremental. The stored best is the first in peer order of
+// the candidates no other candidate beats, so a new path from a peer that
+// is not the best one can only displace it — one comparison decides — and
+// otherwise leaves it alone whatever that peer held before. A new path
+// from the best peer that equals the old one changes nothing; a different
+// one forces a rescan, and whatever the rescan selects differs from the
+// old best in peer or in path.
 func (t *Table) Update(peer topology.Node, path Path) (changed bool) {
-	t.raw[peer] = path.Clone()
-	return t.recompute()
+	i, ok := t.find(peer)
+	if !ok {
+		t.raw = append(t.raw, Candidate{})
+		copy(t.raw[i+1:], t.raw[i:])
+		t.raw[i] = Candidate{Peer: peer}
+	}
+	slot := &t.raw[i]
+	if t.IsOrigin() {
+		// The origin's route is local and immutable.
+		slot.Path = append(slot.Path[:0], path...)
+		return false
+	}
+	if t.best != nil && peer == t.bestPeer {
+		if path.Equal(slot.Path) {
+			return false
+		}
+		slot.Path = append(slot.Path[:0], path...)
+		t.rescan()
+		return true
+	}
+	slot.Path = append(slot.Path[:0], path...)
+	if len(path) == 0 || path.Contains(t.self) {
+		return false
+	}
+	if t.best != nil {
+		cur := Candidate{Peer: t.bestPeer, Path: t.best[1:]}
+		if peer < t.bestPeer {
+			if t.policy.Better(cur, *slot) {
+				return false
+			}
+		} else if !t.policy.Better(*slot, cur) {
+			return false
+		}
+	}
+	t.setBest(*slot)
+	return true
 }
 
 // Withdraw records an explicit withdrawal from peer.
@@ -66,106 +127,91 @@ func (t *Table) Withdraw(peer topology.Node) (changed bool) {
 // reports whether the best path changed. Unlike Withdraw it also forgets
 // the peer's adj-RIB-in entry entirely.
 func (t *Table) RemovePeer(peer topology.Node) (changed bool) {
-	if _, ok := t.raw[peer]; !ok {
+	i, ok := t.find(peer)
+	if !ok {
 		return false
 	}
-	delete(t.raw, peer)
-	return t.recompute()
+	last := len(t.raw) - 1
+	copy(t.raw[i:], t.raw[i+1:])
+	t.raw[last] = Candidate{}
+	t.raw = t.raw[:last]
+	if t.IsOrigin() || t.best == nil || peer != t.bestPeer {
+		return false
+	}
+	t.rescan()
+	return true
 }
 
 // Received returns the raw adj-RIB-in entry for peer and whether one
-// exists. The path may be nil (explicit withdrawal) and may contain self.
+// exists. The path may be nil (explicit withdrawal) and may contain self;
+// it is the slot's own storage (see Table).
 func (t *Table) Received(peer topology.Node) (Path, bool) {
-	p, ok := t.raw[peer]
-	return p, ok
+	i, ok := t.find(peer)
+	if !ok || len(t.raw[i].Path) == 0 {
+		return nil, ok
+	}
+	return t.raw[i].Path, true
 }
 
 // PeersWithRoutes returns, in ascending order, the peers whose adj-RIB-in
 // entry currently holds a non-nil path.
 func (t *Table) PeersWithRoutes() []topology.Node {
 	var out []topology.Node
-	for peer, p := range t.raw {
-		if len(p) > 0 {
-			out = append(out, peer)
+	for _, c := range t.raw {
+		if len(c.Path) > 0 {
+			out = append(out, c.Peer)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // Invalidate clears (sets to nil) every adj-RIB-in entry for which keep
-// returns false, and reports whether the best path changed. It is the
-// primitive behind the Assertion enhancement's removal of obsolete paths.
+// returns false, visiting peers in ascending order, and reports whether
+// the best path changed — which it did exactly when the best peer's entry
+// was among those cleared. It is the primitive behind the Assertion
+// enhancement's removal of obsolete paths.
 func (t *Table) Invalidate(keep func(peer topology.Node, path Path) bool) (changed bool) {
-	dirty := false
-	for peer, p := range t.raw {
-		if len(p) == 0 {
+	for i := range t.raw {
+		slot := &t.raw[i]
+		if len(slot.Path) == 0 || keep(slot.Peer, slot.Path) {
 			continue
 		}
-		if !keep(peer, p) {
-			t.raw[peer] = nil
-			dirty = true
+		slot.Path = slot.Path[:0]
+		if !t.IsOrigin() && t.best != nil && slot.Peer == t.bestPeer {
+			changed = true
 		}
 	}
-	if !dirty {
-		return false
+	if changed {
+		t.rescan()
 	}
-	return t.recompute()
+	return changed
 }
 
 // Best returns the node's current best path including itself (loc-RIB
 // form, e.g. (5 6 4 0) for node 5), or nil if the destination is
-// unreachable. The origin's best path is (self).
-func (t *Table) Best() Path {
-	if t.IsOrigin() {
-		return Path{t.self}
-	}
-	if !t.hasBest {
-		return nil
-	}
-	return t.best.Path.Prepend(t.self)
-}
+// unreachable. The origin's best path is (self). The returned path is
+// shared and immutable: it is built once per best change and the same
+// slice goes to every caller until the next change.
+func (t *Table) Best() Path { return t.best }
 
 // NextHop returns the forwarding next hop: the selected neighbor, self for
 // the origin, or topology.None when unreachable.
-func (t *Table) NextHop() topology.Node {
-	if t.IsOrigin() {
-		return t.self
-	}
-	if !t.hasBest {
-		return topology.None
-	}
-	return t.best.Peer
-}
+func (t *Table) NextHop() topology.Node { return t.bestPeer }
 
 // HasRoute reports whether the node currently has a route (always true for
 // the origin).
-func (t *Table) HasRoute() bool { return t.IsOrigin() || t.hasBest }
+func (t *Table) HasRoute() bool { return t.best != nil }
 
-// recompute re-runs route selection and reports whether the best changed.
-func (t *Table) recompute() bool {
-	if t.IsOrigin() {
-		// The origin's route is local and immutable.
-		return false
+// rescan re-runs route selection over the whole adj-RIB-in.
+func (t *Table) rescan() {
+	if c, found := Select(t.policy, t.self, t.raw); found {
+		t.setBest(c)
+		return
 	}
-	cands := make([]Candidate, 0, len(t.raw))
-	for peer, p := range t.raw {
-		if len(p) == 0 {
-			continue
-		}
-		cands = append(cands, Candidate{Peer: peer, Path: p})
-	}
-	newBest, found := Select(t.policy, t.self, cands)
-	if !found {
-		changed := t.hasBest
-		t.hasBest = false
-		t.best = Candidate{}
-		return changed
-	}
-	if t.hasBest && t.best.Peer == newBest.Peer && t.best.Path.Equal(newBest.Path) {
-		return false
-	}
-	t.best = newBest
-	t.hasBest = true
-	return true
+	t.best, t.bestPeer = nil, topology.None
+}
+
+// setBest installs c as the loc-RIB entry, building its self-prefixed path.
+func (t *Table) setBest(c Candidate) {
+	t.best, t.bestPeer = c.Path.Prepend(t.self), c.Peer
 }
