@@ -5,10 +5,18 @@
 // reproducible given the same schedule of events and the same RNG seeds.
 // Virtual time is expressed as a time.Duration offset from the start of the
 // simulation; no wall-clock time is ever consulted.
+//
+// There is one event representation. An event is a Receiver plus a small
+// fixed payload (Scheduler.Schedule); a func() is scheduled as the
+// Receiver that calls it (At, After, MustAfter), so Step has a single
+// dispatch path. The queue is a 4-ary heap of {time, seq, *event} values
+// that orders itself without touching the events, and fired or discarded
+// events go back on a free list, so a warm scheduler allocates nothing per
+// event. Because events are reused, a Handle names its event together
+// with the generation it was scheduled under; see Handle.
 package des
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"time"
@@ -27,67 +35,94 @@ type Time = time.Duration
 // the kernel refuses it.
 var ErrPastTime = errors.New("des: event scheduled in the past")
 
+// Receiver is the target of a typed event. Fire is called at the event's
+// instant with the small fixed payload the event was scheduled with: a
+// kind for the receiver to switch on, two scalars and one value. A
+// receiver that schedules through a pointer it already holds, and passes
+// as arg a value that is already an interface or a pointer, makes
+// scheduling and firing allocation-free.
+type Receiver interface {
+	Fire(kind, n int, id uint64, arg any)
+}
+
+// funcEvent adapts a plain func() to Receiver. A func value is
+// pointer-shaped, so the conversion to the interface does not allocate.
+type funcEvent func()
+
+func (f funcEvent) Fire(int, int, uint64, any) { f() }
+
 // Handle identifies a scheduled event and allows it to be cancelled.
 // The zero value is not a valid handle; handles are obtained from
-// Scheduler.At and Scheduler.After.
+// Scheduler.At, After and Schedule.
+//
+// Events are recycled once they have fired or been discarded, so a handle
+// also carries its event's generation — the sequence number the event was
+// scheduled under. A handle kept past its event's firing (timers are
+// routinely cancelled late) no longer matches whatever the event has been
+// reused for: it can neither cancel the new occupant nor report it pending.
 type Handle struct {
-	ev *event
+	ev  *event
+	seq uint64
 }
 
 // Cancel removes the event from the schedule. Cancelling an event that has
 // already fired or been cancelled is a no-op. Cancel reports whether the
 // event was still pending.
 func (h Handle) Cancel() bool {
-	if h.ev == nil || h.ev.cancelled || h.ev.fired {
+	if !h.Pending() {
 		return false
 	}
-	h.ev.cancelled = true
+	h.ev.pending = false
+	h.ev.sched.live--
 	return true
 }
 
 // Pending reports whether the event is still scheduled to fire.
 func (h Handle) Pending() bool {
-	return h.ev != nil && !h.ev.cancelled && !h.ev.fired
+	return h.ev != nil && h.ev.seq == h.seq && h.ev.pending
 }
 
+// event is the out-of-heap part of a scheduled event: what to call and
+// whether it is still wanted. An event belongs to exactly one heap item
+// from Schedule until that item is popped, then to the free list.
 type event struct {
-	at        Time
-	seq       uint64
-	fn        func()
-	cancelled bool
-	fired     bool
+	sched   *Scheduler
+	recv    Receiver
+	arg     any
+	id      uint64
+	seq     uint64 // generation: the seq of the current (or last) scheduling
+	kind, n int
+	pending bool   // scheduled, not yet fired, not cancelled
+	next    *event // free list
 }
 
-type eventHeap []*event
+// item is one heap entry. The ordering key (at, seq) lives in the item so
+// that sifting never dereferences an event.
+type item struct {
+	at  Time
+	seq uint64
+	ev  *event
+}
 
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (a item) before(b item) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
-}
-
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-func (h *eventHeap) Push(x any) { *h = append(*h, x.(*event)) }
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+	return a.seq < b.seq
 }
 
 // Scheduler is the event queue and virtual clock of a simulation.
 // The zero value is a ready-to-use scheduler positioned at time zero.
+//
+// The queue is a 4-ary min-heap of items held by value, ordered by (time,
+// scheduling sequence). Cancellation is lazy: a cancelled event keeps its
+// heap item until the item surfaces and is discarded.
 type Scheduler struct {
 	now     Time
 	seq     uint64
-	queue   eventHeap
+	queue   []item
+	free    *event
+	live    int // pending events: len(queue) minus the cancelled ones
 	stopped bool
 
 	// executed counts events that have fired; useful for instrumentation
@@ -111,15 +146,7 @@ func (s *Scheduler) Now() Time { return s.now }
 
 // Len returns the number of pending (non-cancelled) events. Cancelled events
 // that have not yet been popped are excluded.
-func (s *Scheduler) Len() int {
-	n := 0
-	for _, ev := range s.queue {
-		if !ev.cancelled {
-			n++
-		}
-	}
-	return n
-}
+func (s *Scheduler) Len() int { return s.live }
 
 // Executed returns the number of events that have fired so far.
 func (s *Scheduler) Executed() uint64 { return s.executed }
@@ -132,16 +159,36 @@ func (s *Scheduler) Executed() uint64 { return s.executed }
 // guard engine sees the kernel without perturbing it.
 func (s *Scheduler) SetExecHook(fn func(at Time)) { s.execHook = fn }
 
-// At schedules fn to run at the absolute virtual time t. Events scheduled
-// for the same instant fire in the order they were scheduled.
-func (s *Scheduler) At(t Time, fn func()) (Handle, error) {
+// Schedule arranges for r.Fire(kind, n, id, arg) to be called at the
+// absolute virtual time t. Events scheduled for the same instant fire in
+// the order they were scheduled. It is the one way onto the queue; At and
+// After schedule a func() through it.
+func (s *Scheduler) Schedule(t Time, r Receiver, kind, n int, id uint64, arg any) (Handle, error) {
 	if t < s.now {
 		return Handle{}, fmt.Errorf("%w: now=%v, requested=%v", ErrPastTime, s.now, t)
 	}
-	ev := &event{at: t, seq: s.seq, fn: fn}
+	ev := s.free
+	if ev == nil {
+		// Events are made a block at a time: the free list only ever grows
+		// to the queue's high-water mark, a few thousand on a busy run.
+		block := make([]event, 64)
+		for i := range block[1:] {
+			block[i].next = &block[i+1]
+		}
+		ev = &block[0]
+	}
+	s.free = ev.next
+	*ev = event{sched: s, recv: r, arg: arg, id: id, seq: s.seq, kind: kind, n: n, pending: true}
+	s.push(item{at: t, seq: s.seq, ev: ev})
 	s.seq++
-	heap.Push(&s.queue, ev)
-	return Handle{ev: ev}, nil
+	s.live++
+	return Handle{ev: ev, seq: ev.seq}, nil
+}
+
+// At schedules fn to run at the absolute virtual time t. Events scheduled
+// for the same instant fire in the order they were scheduled.
+func (s *Scheduler) At(t Time, fn func()) (Handle, error) {
+	return s.Schedule(t, funcEvent(fn), 0, 0, 0, nil)
 }
 
 // After schedules fn to run d after the current virtual time. A negative d
@@ -179,20 +226,82 @@ func (s *Scheduler) MustAfter(d time.Duration, fn func()) Handle {
 // empty or the scheduler has been stopped.
 func (s *Scheduler) Step() bool {
 	for len(s.queue) > 0 && !s.stopped {
-		ev := heap.Pop(&s.queue).(*event)
-		if ev.cancelled {
+		it := s.pop()
+		ev := it.ev
+		if !ev.pending {
+			s.release(ev)
 			continue
 		}
-		s.now = ev.at
-		ev.fired = true
+		// Recycle before firing: what the event schedules next reuses it
+		// while it is still in cache.
+		recv, kind, n, id, arg := ev.recv, ev.kind, ev.n, ev.id, ev.arg
+		s.release(ev)
+		s.live--
+		s.now = it.at
 		s.executed++
 		if s.execHook != nil {
-			s.execHook(ev.at)
+			s.execHook(it.at)
 		}
-		ev.fn()
+		recv.Fire(kind, n, id, arg)
 		return true
 	}
 	return false
+}
+
+// release puts a popped event on the free list. Handles to it are dead
+// from here on: pending is false until reuse gives it a new generation.
+func (s *Scheduler) release(ev *event) {
+	ev.recv, ev.arg, ev.pending = nil, nil, false
+	ev.next, s.free = s.free, ev
+}
+
+// push adds it to the heap.
+func (s *Scheduler) push(it item) {
+	q := append(s.queue, it)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !it.before(q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = it
+	s.queue = q
+}
+
+// pop removes and returns the earliest item; the queue must be non-empty.
+func (s *Scheduler) pop() item {
+	q := s.queue
+	top := q[0]
+	last := len(q) - 1
+	it := q[last]
+	q[last] = item{}
+	q = q[:last]
+	s.queue = q
+	i := 0
+	for {
+		first := 4*i + 1
+		if first >= last {
+			break
+		}
+		least := first
+		for c := first + 1; c < first+4 && c < last; c++ {
+			if q[c].before(q[least]) {
+				least = c
+			}
+		}
+		if !q[least].before(it) {
+			break
+		}
+		q[i] = q[least]
+		i = least
+	}
+	if last > 0 {
+		q[i] = it
+	}
+	return top
 }
 
 // Run executes events until the queue is empty (quiescence) or Stop is
@@ -209,12 +318,8 @@ func (s *Scheduler) Run() uint64 {
 // executed by this call.
 func (s *Scheduler) RunUntil(t Time) uint64 {
 	start := s.executed
-	for len(s.queue) > 0 && !s.stopped {
-		next := s.peek()
-		if next == nil {
-			break
-		}
-		if next.at > t {
+	for !s.stopped {
+		if at, ok := s.NextEventTime(); !ok || at > t {
 			break
 		}
 		s.Step()
@@ -243,11 +348,11 @@ func (s *Scheduler) RunLimit(limit uint64) uint64 {
 // phase continues from the true quiescence instant.
 func (s *Scheduler) RunLimitUntil(limit uint64, horizon Time) (n uint64, hitHorizon bool) {
 	for n < limit && !s.stopped {
-		ev := s.peek()
-		if ev == nil {
+		at, ok := s.NextEventTime()
+		if !ok {
 			return n, false
 		}
-		if ev.at > horizon {
+		if at > horizon {
 			return n, true
 		}
 		s.Step()
@@ -262,15 +367,15 @@ func (s *Scheduler) RunLimitUntil(limit uint64, horizon Time) (n uint64, hitHori
 // non-quiescence diagnosis: how much scheduled work remains and how far
 // into virtual time it stretches.
 func (s *Scheduler) PendingCensus() (n int, earliest, latest Time) {
-	for _, ev := range s.queue {
-		if ev.cancelled {
+	for _, it := range s.queue {
+		if !it.ev.pending {
 			continue
 		}
-		if n == 0 || ev.at < earliest {
-			earliest = ev.at
+		if n == 0 || it.at < earliest {
+			earliest = it.at
 		}
-		if n == 0 || ev.at > latest {
-			latest = ev.at
+		if n == 0 || it.at > latest {
+			latest = it.at
 		}
 		n++
 	}
@@ -283,24 +388,15 @@ func (s *Scheduler) Stop() { s.stopped = true }
 // Resume clears a previous Stop so the scheduler can run again.
 func (s *Scheduler) Resume() { s.stopped = false }
 
-// peek returns the earliest non-cancelled pending event, or nil.
-func (s *Scheduler) peek() *event {
-	for len(s.queue) > 0 {
-		if s.queue[0].cancelled {
-			heap.Pop(&s.queue)
-			continue
-		}
-		return s.queue[0]
-	}
-	return nil
-}
-
 // NextEventTime returns the timestamp of the earliest pending event and
-// whether one exists.
+// whether one exists. Cancelled events that have surfaced are discarded on
+// the way.
 func (s *Scheduler) NextEventTime() (Time, bool) {
-	ev := s.peek()
-	if ev == nil {
-		return 0, false
+	for len(s.queue) > 0 {
+		if top := s.queue[0]; top.ev.pending {
+			return top.at, true
+		}
+		s.release(s.pop().ev)
 	}
-	return ev.at, true
+	return 0, false
 }
