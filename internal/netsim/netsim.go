@@ -18,6 +18,13 @@
 // link's delivery times to be non-decreasing. A session transition (link
 // failure, restore, or KillSession) starts a new epoch: in-flight
 // messages are destroyed with the TCP connection and the clamp resets.
+//
+// Because a directed link delivers in send order either way, the messages
+// in flight on it are a FIFO: a delivery is always the head's, a failure
+// drains the two directions' queues merged by message id. All per-link
+// state lives in a directed-link table built once from the graph (see
+// New), and a delivery is a typed scheduler event naming its link, so
+// sending and delivering allocate nothing.
 package netsim
 
 import (
@@ -25,8 +32,8 @@ import (
 	"fmt"
 	"time"
 
-	"bgploop/internal/core/sortedmap"
 	"bgploop/internal/des"
+	"bgploop/internal/invariant"
 	"bgploop/internal/topology"
 	"bgploop/internal/transport"
 )
@@ -99,53 +106,135 @@ type DegradeAware interface {
 	LinkImpairmentCleared(peer topology.Node)
 }
 
-// dirChan identifies one direction of a link for the in-order clamp.
-type dirChan struct{ from, to topology.Node }
+// link is one direction of an adjacency, with everything the network
+// tracks per direction.
+type link struct {
+	from, to topology.Node
+	rev      int  // index of the opposite direction
+	down     bool // failed; always equal on the two directions
+
+	// inflight holds the undelivered messages in send order — which is
+	// delivery order — so that a failure can destroy them (a failed link
+	// delivers nothing, and BGP's TCP session dies with the link).
+	inflight fifo
+
+	// lastArrival is the delivery-time clamp that preserves the in-order
+	// contract per session epoch under retransmission and reordering
+	// delays; clamped says it holds a value (impaired sends only).
+	lastArrival des.Time
+	clamped     bool
+}
+
+// flight is one undelivered message: its id and its delivery event.
+type flight struct {
+	id uint64
+	h  des.Handle
+}
+
+// fifo is a queue of flights over one reused slice.
+type fifo struct {
+	q    []flight
+	head int
+}
+
+func (f *fifo) len() int { return len(f.q) - f.head }
+
+func (f *fifo) push(x flight) {
+	if len(f.q) == cap(f.q) && f.head > 0 && f.head >= len(f.q)/2 {
+		// Reclaim the popped prefix instead of growing; the copy is no
+		// longer than the pops that made room for it.
+		f.q = f.q[:copy(f.q, f.q[f.head:])]
+		f.head = 0
+	}
+	f.q = append(f.q, x)
+}
+
+// pop removes and returns the oldest flight; the queue must be non-empty.
+func (f *fifo) pop() flight {
+	x := f.q[f.head]
+	f.head++
+	if f.head == len(f.q) {
+		f.q, f.head = f.q[:0], 0
+	}
+	return x
+}
 
 // Network connects handlers according to a topology graph and delivers
 // payloads between them with per-link delay.
 type Network struct {
-	sched    *des.Scheduler
-	graph    *topology.Graph
-	delay    time.Duration
-	handlers map[topology.Node]Handler
-	down     map[topology.Edge]bool
+	sched *des.Scheduler
+	graph *topology.Graph
+	delay time.Duration
 
-	// inflight tracks undelivered messages per link so that a failure can
-	// destroy them (a failed link delivers nothing, and BGP's TCP session
-	// dies with the link).
-	inflight map[topology.Edge]map[uint64]des.Handle
+	// The directed-link table: the links out of node v are
+	// links[first[v]:first[v+1]], sorted by far end.
+	first    []int
+	links    []link
+	handlers []Handler // by node
 	nextID   uint64
 
-	// imp, when non-nil, impairs sends; lastArrival is the per-directed-
-	// link delivery-time clamp that preserves the in-order contract per
-	// session epoch under retransmission and reordering delays.
-	imp         *transport.Model
-	lastArrival map[dirChan]des.Time
+	// imp, when non-nil, impairs sends.
+	imp *transport.Model
 
 	stats Stats
 	tap   Tap
 }
 
 // New creates a network over g with the given per-link propagation delay
-// (DefaultLinkDelay if zero). Handlers are attached with Attach.
+// (DefaultLinkDelay if zero). Handlers are attached with Attach. The
+// network takes its links from g as it is now: an edge added to g
+// afterwards does not exist for it (links come and go with Fail and
+// Restore, not by editing the graph).
 func New(sched *des.Scheduler, g *topology.Graph, delay time.Duration) *Network {
 	if delay <= 0 {
 		delay = DefaultLinkDelay
 	}
-	return &Network{
+	n := &Network{
 		sched:    sched,
 		graph:    g,
 		delay:    delay,
-		handlers: make(map[topology.Node]Handler, g.NumNodes()),
-		down:     make(map[topology.Edge]bool),
-		inflight: make(map[topology.Edge]map[uint64]des.Handle),
+		first:    make([]int, g.NumNodes()+1),
+		handlers: make([]Handler, g.NumNodes()),
 	}
+	for _, v := range g.Nodes() {
+		n.first[v] = len(n.links)
+		for _, u := range g.Neighbors(v) {
+			n.links = append(n.links, link{from: v, to: u})
+		}
+	}
+	n.first[g.NumNodes()] = len(n.links)
+	for i := range n.links {
+		n.links[i].rev = n.find(n.links[i].to, n.links[i].from)
+	}
+	return n
 }
 
-// Attach registers the handler for node v, replacing any previous one.
+// find returns the index of the directed link from -> to, or -1 if the
+// graph had no such edge.
+func (n *Network) find(from, to topology.Node) int {
+	if !n.graph.Valid(from) {
+		return -1
+	}
+	lo, hi := n.first[from], n.first[from+1]
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); n.links[mid].to < to {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < n.first[from+1] && n.links[lo].to == to {
+		return lo
+	}
+	return -1
+}
+
+// Attach registers the handler for node v, replacing any previous one. A
+// node outside the graph has no links and gets no handler.
 func (n *Network) Attach(v topology.Node, h Handler) {
-	n.handlers[v] = h
+	if n.graph.Valid(v) {
+		n.handlers[v] = h
+	}
 }
 
 // Graph returns the underlying topology (shared, not a copy).
@@ -163,12 +252,7 @@ func (n *Network) SetTap(t Tap) { n.tap = t }
 // SetImpairment installs (or, with nil, removes) the transport impairment
 // model. An installed model whose links are all clean is a strict no-op:
 // it draws nothing and schedules deliveries at exactly the legacy times.
-func (n *Network) SetImpairment(m *transport.Model) {
-	n.imp = m
-	if m != nil && n.lastArrival == nil {
-		n.lastArrival = make(map[dirChan]des.Time)
-	}
-}
+func (n *Network) SetImpairment(m *transport.Model) { n.imp = m }
 
 // Impaired reports whether the (a, b) link currently has an active
 // impairment.
@@ -178,16 +262,19 @@ func (n *Network) Impaired(a, b topology.Node) bool {
 
 // LinkUp reports whether the (a, b) link exists and has not failed.
 func (n *Network) LinkUp(a, b topology.Node) bool {
-	e := topology.NormEdge(a, b)
-	return n.graph.HasEdge(a, b) && !n.down[e]
+	i := n.find(a, b)
+	return i >= 0 && !n.links[i].down
 }
 
 // UpNeighbors returns v's neighbors over currently-up links, sorted.
 func (n *Network) UpNeighbors(v topology.Node) []topology.Node {
 	var out []topology.Node
-	for _, u := range n.graph.Neighbors(v) {
-		if n.LinkUp(v, u) {
-			out = append(out, u)
+	if !n.graph.Valid(v) {
+		return out
+	}
+	for _, l := range n.links[n.first[v]:n.first[v+1]] {
+		if !l.down {
+			out = append(out, l.to)
 		}
 	}
 	return out
@@ -200,10 +287,11 @@ func (n *Network) UpNeighbors(v topology.Node) []topology.Node {
 // model exhausts is accepted and silently dropped, like the TCP
 // connection it models: the sender learns nothing at send time.
 func (n *Network) Send(from, to topology.Node, payload any) error {
-	if !n.LinkUp(from, to) {
+	i := n.find(from, to)
+	if i < 0 || n.links[i].down {
 		return fmt.Errorf("%w: %v", ErrLinkDown, topology.NormEdge(from, to))
 	}
-	e := topology.NormEdge(from, to)
+	l := &n.links[i]
 	id := n.nextID
 	n.nextID++
 	arrive := n.sched.Now() + n.delay
@@ -223,6 +311,7 @@ func (n *Network) Send(from, to topology.Node, payload any) error {
 			n.stats.Dropped++
 			n.stats.Lost++
 			if n.tap != nil {
+				e := topology.NormEdge(from, to)
 				n.tap.MessageSent(from, to, id)
 				n.tap.MessageLost(e.A, e.B, id)
 			}
@@ -233,25 +322,19 @@ func (n *Network) Send(from, to topology.Node, payload any) error {
 		// the same directed link — TCP's receive buffer resequences late
 		// segments. The clamp persists across Degrade/Restore (same TCP
 		// connection) and resets on session transitions (new epoch).
-		dc := dirChan{from, to}
-		if last, ok := n.lastArrival[dc]; ok && arrive < last {
-			arrive = last
+		if l.clamped && arrive < l.lastArrival {
+			arrive = l.lastArrival
 		}
-		n.lastArrival[dc] = arrive
+		l.lastArrival, l.clamped = arrive, true
 	}
 	// Unreachability justification: arrive >= Now by construction (non-
-	// negative delays, clamp only moves arrivals later), so At cannot
-	// fail with an in-the-past error.
-	h, err := n.sched.At(arrive, func() {
-		n.deliver(e, id, from, to, payload)
-	})
+	// negative delays, clamp only moves arrivals later), so Schedule
+	// cannot fail with an in-the-past error.
+	h, err := n.sched.Schedule(arrive, n, 0, i, id, payload)
 	if err != nil {
 		return fmt.Errorf("netsim: schedule delivery: %w", err)
 	}
-	if n.inflight[e] == nil {
-		n.inflight[e] = make(map[uint64]des.Handle)
-	}
-	n.inflight[e][id] = h
+	l.inflight.push(flight{id: id, h: h})
 	n.stats.Sent++
 	if n.tap != nil {
 		n.tap.MessageSent(from, to, id)
@@ -259,20 +342,25 @@ func (n *Network) Send(from, to topology.Node, payload any) error {
 	return nil
 }
 
-func (n *Network) deliver(e topology.Edge, id uint64, from, to topology.Node, payload any) {
-	delete(n.inflight[e], id)
+// Fire implements des.Receiver: message id arrives over link i. It must be
+// the oldest message in flight there — a directed link delivers in send
+// order (see the package comment) — so anything else at the head means the
+// in-order contract or the in-flight bookkeeping is broken.
+func (n *Network) Fire(_, i int, id uint64, payload any) {
+	l := &n.links[i]
+	if l.inflight.len() == 0 || l.inflight.pop().id != id {
+		invariant.Unreachable("netsim-fifo", fmt.Sprintf("message %d delivered on %d->%d out of send order", id, l.from, l.to))
+	}
 	// Delivered counts endpoint arrivals whether or not a handler is
 	// attached, so Sent == Delivered + Lost + Dropped holds at quiescence
 	// (it previously under-counted handler-less deliveries).
 	n.stats.Delivered++
 	if n.tap != nil {
-		n.tap.MessageDelivered(from, to, id)
+		n.tap.MessageDelivered(l.from, l.to, id)
 	}
-	h := n.handlers[to]
-	if h == nil {
-		return
+	if h := n.handlers[l.to]; h != nil {
+		h.Deliver(l.from, payload)
 	}
-	h.Deliver(from, payload)
 }
 
 // At runs fn on the network's scheduler at virtual time at. The link
@@ -288,12 +376,13 @@ func (n *Network) At(at des.Time, fn func()) error {
 // already-failed or absent link is a no-op.
 func (n *Network) Fail(e topology.Edge) {
 	e = topology.NormEdge(e.A, e.B)
-	if !n.graph.HasEdge(e.A, e.B) || n.down[e] {
+	i := n.find(e.A, e.B)
+	if i < 0 || n.links[i].down {
 		return
 	}
-	n.down[e] = true
-	n.dropInflight(e)
-	n.resetEpoch(e)
+	n.setDown(i, true)
+	n.dropInflight(i)
+	n.resetEpoch(i)
 	if n.tap != nil {
 		n.tap.SessionDown(e.A, e.B)
 	}
@@ -309,11 +398,12 @@ func (n *Network) Fail(e topology.Edge) {
 // receive PeerUp. Restoring a link that is up or absent is a no-op.
 func (n *Network) Restore(e topology.Edge) {
 	e = topology.NormEdge(e.A, e.B)
-	if !n.graph.HasEdge(e.A, e.B) || !n.down[e] {
+	i := n.find(e.A, e.B)
+	if i < 0 || !n.links[i].down {
 		return
 	}
-	delete(n.down, e)
-	n.resetEpoch(e) // a restored link starts a fresh session epoch
+	n.setDown(i, false)
+	n.resetEpoch(i) // a restored link starts a fresh session epoch
 	if n.tap != nil {
 		n.tap.SessionUp(e.A, e.B)
 	}
@@ -348,13 +438,14 @@ func (n *Network) BounceSession(e topology.Edge) {
 // no-op. This runs immediately (not scheduled): it is invoked from inside
 // event handlers at the instant the FSM decides the session is dead.
 func (n *Network) KillSession(a, b topology.Node) {
-	e := topology.NormEdge(a, b)
-	if !n.graph.HasEdge(a, b) || n.down[e] {
+	i := n.find(a, b)
+	if i < 0 || n.links[i].down {
 		return
 	}
-	n.dropInflight(e)
-	n.resetEpoch(e)
+	n.dropInflight(i)
+	n.resetEpoch(i)
 	if n.tap != nil {
+		e := topology.NormEdge(a, b)
 		n.tap.SessionDown(e.A, e.B)
 	}
 }
@@ -366,11 +457,8 @@ func (n *Network) KillSession(a, b topology.Node) {
 // Both endpoints establish independently, so the tap may see the event
 // twice per handshake; observers must tolerate duplicates.
 func (n *Network) SessionEstablished(a, b topology.Node) {
-	e := topology.NormEdge(a, b)
-	if !n.graph.HasEdge(a, b) || n.down[e] {
-		return
-	}
-	if n.tap != nil {
+	if n.tap != nil && n.LinkUp(a, b) {
+		e := topology.NormEdge(a, b)
 		n.tap.SessionUp(e.A, e.B)
 	}
 }
@@ -398,13 +486,14 @@ func (n *Network) Undegrade(e topology.Edge) { n.changeImpairment(e, n.imp.Resto
 // state.
 func (n *Network) changeImpairment(e topology.Edge, change func(topology.Edge)) {
 	e = topology.NormEdge(e.A, e.B)
-	if !n.graph.HasEdge(e.A, e.B) {
+	i := n.find(e.A, e.B)
+	if i < 0 {
 		return
 	}
 	was := n.imp.Impaired(e.A, e.B)
 	change(e)
 	now := n.imp.Impaired(e.A, e.B)
-	if was == now || n.down[e] {
+	if was == now || n.links[i].down {
 		return
 	}
 	for _, pair := range [2][2]topology.Node{{e.A, e.B}, {e.B, e.A}} {
@@ -418,27 +507,38 @@ func (n *Network) changeImpairment(e topology.Edge, change func(topology.Edge)) 
 	}
 }
 
-// dropInflight destroys every undelivered message on link e.
-func (n *Network) dropInflight(e topology.Edge) {
-	// Sorted iteration keeps the cancellation order — and with it the
-	// Lost counter's evolution — identical across runs of the same seed.
-	for _, id := range sortedmap.Keys(n.inflight[e]) {
-		if n.inflight[e][id].Cancel() {
+// setDown marks both directions of link i failed or repaired.
+func (n *Network) setDown(i int, down bool) {
+	n.links[i].down = down
+	n.links[n.links[i].rev].down = down
+}
+
+// dropInflight destroys every undelivered message on both directions of
+// link i, in ascending message id: each direction's queue is already in id
+// order (ids are handed out at send time), so the two are merged. That
+// fixed order keeps the Lost counter's evolution and the tap's MessageLost
+// sequence identical across runs of the same seed.
+func (n *Network) dropInflight(i int) {
+	l := &n.links[i]
+	a, b := &l.inflight, &n.links[l.rev].inflight
+	e := topology.NormEdge(l.from, l.to)
+	for a.len() > 0 || b.len() > 0 {
+		q := a
+		if a.len() == 0 || b.len() > 0 && b.q[b.head].id < a.q[a.head].id {
+			q = b
+		}
+		if f := q.pop(); f.h.Cancel() {
 			n.stats.Lost++
 			if n.tap != nil {
-				n.tap.MessageLost(e.A, e.B, id)
+				n.tap.MessageLost(e.A, e.B, f.id)
 			}
 		}
-		delete(n.inflight[e], id)
 	}
 }
 
 // resetEpoch clears both directions' in-order clamps: the next session
 // over the link is a new epoch and owes no ordering to the old one.
-func (n *Network) resetEpoch(e topology.Edge) {
-	if n.lastArrival == nil {
-		return
-	}
-	delete(n.lastArrival, dirChan{e.A, e.B})
-	delete(n.lastArrival, dirChan{e.B, e.A})
+func (n *Network) resetEpoch(i int) {
+	n.links[i].clamped = false
+	n.links[n.links[i].rev].clamped = false
 }
