@@ -7,7 +7,6 @@ import (
 
 	"bgploop/internal/des"
 	"bgploop/internal/routing"
-	"bgploop/internal/topology"
 )
 
 // DampingConfig enables receiver-side route flap damping (RFC 2439), an
@@ -107,13 +106,14 @@ func (d *dampState) reuseDelay(cfg *DampingConfig) time.Duration {
 // It returns the update that should actually be applied to the routing
 // table now (possibly a synthetic withdrawal while suppressed) and whether
 // any update should be applied at all.
-func (s *Speaker) dampUpdate(st *destState, from topology.Node, up Update) (Update, bool) {
+func (s *Speaker) dampUpdate(st *destState, slot int, up Update) (Update, bool) {
 	cfg := s.cfg.Damping
 	now := s.sched.Now()
-	d := st.damp[from]
+	from := s.nbrs[slot]
+	d := st.damp[slot]
 	if d == nil {
 		d = &dampState{lastDecay: now}
-		st.damp[from] = d
+		st.damp[slot] = d
 	}
 	d.decayTo(now, cfg.HalfLife)
 
@@ -138,38 +138,39 @@ func (s *Speaker) dampUpdate(st *destState, from topology.Node, up Update) (Upda
 
 	if d.suppressed {
 		// Buffer the newest state; reschedule reuse for the new penalty.
-		d.latest = up.Path.Clone()
+		d.latest = up.Path
 		d.reuse.Cancel()
-		s.scheduleReuse(st, from, d)
+		s.scheduleReuse(st, slot, d)
 		return Update{}, false
 	}
 	if d.penalty >= cfg.SuppressThreshold {
 		// Suppress: the table must forget the route until reuse.
 		d.suppressed = true
-		d.latest = up.Path.Clone()
+		d.latest = up.Path
 		s.stats.RoutesSuppressed++
-		s.scheduleReuse(st, from, d)
+		s.scheduleReuse(st, slot, d)
 		return Update{Dest: up.Dest, Withdraw: true}, true
 	}
 	return up, true
 }
 
-func (s *Speaker) scheduleReuse(st *destState, from topology.Node, d *dampState) {
+func (s *Speaker) scheduleReuse(st *destState, slot int, d *dampState) {
 	delay := d.reuseDelay(s.cfg.Damping)
-	d.reuse = s.sched.MustAfter(delay, func() { s.reuseRoute(st, from) })
+	d.reuse = s.sched.MustAfter(delay, func() { s.reuseRoute(st, slot) })
 }
 
 // reuseRoute ends a suppression period: the buffered latest route (if any)
 // re-enters the routing table.
-func (s *Speaker) reuseRoute(st *destState, from topology.Node) {
-	d := st.damp[from]
+func (s *Speaker) reuseRoute(st *destState, slot int) {
+	from := s.nbrs[slot]
+	d := st.damp[slot]
 	if d == nil || !d.suppressed {
 		return
 	}
 	d.decayTo(s.sched.Now(), s.cfg.Damping.HalfLife)
 	d.suppressed = false
 	s.stats.RoutesReused++
-	if !s.peerSet[from] {
+	if !s.up[slot] {
 		return
 	}
 	var changed bool

@@ -81,17 +81,16 @@ func (s SessionState) String() string {
 // FSM disabled it derives the state from the physical link: established
 // when the peer is up, idle otherwise.
 func (s *Speaker) SessionState(peer topology.Node) SessionState {
-	if !s.cfg.Session.Enabled() {
-		if s.peerSet[peer] {
-			return SessionEstablished
-		}
+	slot := s.slot(peer)
+	switch {
+	case slot < 0:
 		return SessionIdle
+	case s.cfg.Session.Enabled():
+		return s.sessions[slot].state
+	case s.up[slot]:
+		return SessionEstablished
 	}
-	sess, ok := s.sessions[peer]
-	if !ok {
-		return SessionIdle
-	}
-	return sess.state
+	return SessionIdle
 }
 
 // PeerEstablished reports whether routes currently flow to/from peer.
@@ -99,14 +98,9 @@ func (s *Speaker) PeerEstablished(peer topology.Node) bool {
 	return s.SessionState(peer) == SessionEstablished
 }
 
-// session returns (creating if needed) the FSM state for peer.
+// session returns the FSM state for peer, which must be a neighbor.
 func (s *Speaker) session(peer topology.Node) *sessionState {
-	sess, ok := s.sessions[peer]
-	if !ok {
-		sess = &sessionState{}
-		s.sessions[peer] = sess
-	}
-	return sess
+	return &s.sessions[s.slot(peer)]
 }
 
 // startConnect enters Connect for peer: new generation, immediate Open,
@@ -226,7 +220,7 @@ func (s *Speaker) establish(peer topology.Node) {
 		s.refreshHold(peer)
 		s.armKeepalive(peer)
 	}
-	s.peerJoin(peer)
+	s.peerJoin(s.slot(peer))
 }
 
 // teardownSession kills the session: timers stop, in-flight messages die
@@ -239,7 +233,7 @@ func (s *Speaker) teardownSession(peer topology.Node) {
 	sess.keep.Cancel()
 	sess.retry.Cancel()
 	s.net.KillSession(s.id, peer)
-	s.peerLeave(peer)
+	s.peerLeave(s.slot(peer))
 }
 
 // holdExpired declares the peer dead after HoldTime of silence. The first
@@ -322,12 +316,10 @@ func (s *Speaker) LinkImpairmentCleared(peer topology.Node) {
 	sess.keep.Cancel()
 }
 
-// noteSent records outbound traffic to peer for keepalive suppression.
-func (s *Speaker) noteSent(peer topology.Node) {
-	if !s.cfg.Session.Enabled() {
-		return
-	}
-	if sess, ok := s.sessions[peer]; ok {
-		sess.lastSent = s.sched.Now()
+// noteSent records outbound traffic to the peer in slot for keepalive
+// suppression.
+func (s *Speaker) noteSent(slot int) {
+	if s.cfg.Session.Enabled() {
+		s.sessions[slot].lastSent = s.sched.Now()
 	}
 }

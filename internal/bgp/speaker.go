@@ -37,13 +37,17 @@ type Speaker struct {
 	rngJit  *rand.Rand
 	rngSess *rand.Rand // session backoff jitter; nil unless the FSM is on
 
-	peerSet map[topology.Node]bool
-	peers   []topology.Node // sorted; kept in sync with peerSet
+	// nbrs is the node's neighbor list, sorted and fixed at construction.
+	// A peer's position in it — its slot — addresses every per-peer slice
+	// here and in destState; a node that is not in it is not a peer.
+	nbrs []topology.Node
+	// up marks the slots whose peering currently carries routes.
+	up []bool
 
-	// sessions holds per-peer FSM state (Config.Session enabled only).
-	// With the FSM off, sessions is nil and the peer set tracks the
-	// physical link directly, as in the paper's model.
-	sessions map[topology.Node]*sessionState
+	// sessions holds per-peer FSM state by slot (Config.Session enabled
+	// only). With the FSM off, sessions is nil and up tracks the physical
+	// link directly, as in the paper's model.
+	sessions []sessionState
 
 	dests     map[topology.Node]*destState
 	destOrder []topology.Node // sorted keys of dests
@@ -55,18 +59,34 @@ type Speaker struct {
 	stats Stats
 }
 
-// destState is the per-destination protocol state beyond the RIB.
+// destState is the per-destination protocol state beyond the RIB. Its
+// per-peer slices are indexed by slot.
 type destState struct {
 	table *routing.Table
 	// adv holds the last route advertised to each peer (nil = withdrawn
 	// or never advertised). BGP advertises "only upon route changes", so
 	// sends are suppressed when the desired route equals adv.
-	adv map[topology.Node]routing.Path
+	adv []routing.Path
 	// mrai holds the per-peer MRAI timer state for this destination.
-	mrai map[topology.Node]*mraiState
-	// damp holds per-peer flap-damping state (Config.Damping only).
-	damp map[topology.Node]*dampState
+	mrai []mraiState
+	// damp holds per-peer flap-damping state, created on a peer's first
+	// update (Config.Damping only; nil otherwise).
+	damp []*dampState
+
+	// announce is the message carrying the current best path, boxed on
+	// the first send after a best change and handed to every peer that is
+	// told; withdraw is the destination's one withdrawal message.
+	announce any
+	withdraw any
 }
+
+// Event kinds a speaker schedules on itself (des.Receiver). n is always a
+// peer slot.
+const (
+	evProcess = iota // an update's processing delay is over; arg is the Update
+	evMRAI           // a reset-model MRAI timer expires; arg is the *destState
+	evTick           // a continuous-model tick with a send pending; arg likewise
+)
 
 type mraiState struct {
 	armed   bool
@@ -100,32 +120,49 @@ func NewSpeaker(id topology.Node, sched *des.Scheduler, net *netsim.Network, cfg
 		obs:     obs,
 		rngProc: rng.Stream(fmt.Sprintf("bgp/proc/%d", id)),
 		rngJit:  rng.Stream(fmt.Sprintf("bgp/jitter/%d", id)),
-		peerSet: make(map[topology.Node]bool),
+		nbrs:    net.Graph().Neighbors(id),
 		dests:   make(map[topology.Node]*destState),
 	}
+	s.up = make([]bool, len(s.nbrs))
 	s.policy = cfg.Policy
 	if cfg.PolicyFor != nil {
 		s.policy = cfg.PolicyFor(id)
 	}
 	if cfg.Session.Enabled() {
 		s.rngSess = rng.Stream(fmt.Sprintf("bgp/session/%d", id))
-		s.sessions = make(map[topology.Node]*sessionState)
+		s.sessions = make([]sessionState, len(s.nbrs))
 	}
 	net.Attach(id, s)
 	if cfg.Session.Enabled() {
 		// Cold start: every peering begins in Connect and must complete a
 		// handshake before routes flow; the peer set stays empty until the
 		// first establish (peerJoin).
-		for _, u := range net.Graph().Neighbors(id) {
+		for _, u := range s.nbrs {
 			s.startConnect(u)
 		}
 	} else {
-		for _, u := range net.Graph().Neighbors(id) {
-			s.peerSet[u] = true
-			s.peers = append(s.peers, u)
+		for slot := range s.up {
+			s.up[slot] = true
 		}
 	}
 	return s, nil
+}
+
+// slot returns peer's position in the neighbor list, or -1 if peer is not
+// a neighbor.
+func (s *Speaker) slot(peer topology.Node) int {
+	lo, hi := 0, len(s.nbrs)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); s.nbrs[mid] < peer {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(s.nbrs) && s.nbrs[lo] == peer {
+		return lo
+	}
+	return -1
 }
 
 // ID returns the speaker's AS number.
@@ -136,7 +173,13 @@ func (s *Speaker) Stats() Stats { return s.stats }
 
 // Peers returns the speaker's current (up) peers in ascending order.
 func (s *Speaker) Peers() []topology.Node {
-	return append([]topology.Node(nil), s.peers...)
+	var out []topology.Node
+	for slot, peer := range s.nbrs {
+		if s.up[slot] {
+			out = append(out, peer)
+		}
+	}
+	return out
 }
 
 // Table returns the routing table for dest, or nil if the speaker has
@@ -158,17 +201,20 @@ func (s *Speaker) Originate(dest topology.Node) error {
 	}
 	st := s.destState(dest)
 	s.obs.RouteChanged(s.sched.Now(), s.id, dest, st.table.NextHop(), st.table.Best())
-	for _, peer := range s.peers {
-		s.advertise(st, peer)
-	}
+	s.advertiseAll(st)
 	return nil
 }
 
 // Deliver implements netsim.Handler. Session messages (Open, Keepalive)
 // are handled at the delivery instant — only routing messages occupy the
 // serial route processor. Updates additionally refresh the sender's hold
-// timer on arrival: any TCP segment from the peer proves liveness.
+// timer on arrival: any TCP segment from the peer proves liveness. A
+// message from a node that is not a neighbor is ignored.
 func (s *Speaker) Deliver(from topology.Node, payload any) {
+	slot := s.slot(from)
+	if slot < 0 {
+		return
+	}
 	if s.cfg.Session.Enabled() {
 		switch m := payload.(type) {
 		case Open:
@@ -181,8 +227,7 @@ func (s *Speaker) Deliver(from topology.Node, payload any) {
 			s.refreshHold(from)
 		}
 	}
-	up, ok := payload.(Update)
-	if !ok {
+	if _, ok := payload.(Update); !ok {
 		s.stats.MalformedDropped++
 		return
 	}
@@ -194,17 +239,41 @@ func (s *Speaker) Deliver(from topology.Node, payload any) {
 	proc := des.Uniform(s.rngProc, s.cfg.ProcDelayMin, s.cfg.ProcDelayMax)
 	completion := start + proc
 	s.busyUntil = completion
-	// Unreachability justification (robustness audit): At fails only for
-	// instants before Now, and completion = max(now, busyUntil) + proc
-	// with proc >= ProcDelayMin >= 0 (enforced by Config.Validate) and
-	// busyUntil only ever advanced, so completion >= now by construction.
-	// Deliver implements netsim.Handler, which has no error channel — a
-	// violated invariant here is a kernel/config bug, not a scenario
-	// condition, and must fail loudly at the violation site. Sweeps
-	// survive it: trial recovery converts the invariant.Unreachable panic
-	// into a forensic bundle with a stable, shrinkable signature.
-	if _, err := s.sched.At(completion, func() { s.process(from, up) }); err != nil {
-		invariant.Unreachable("bgp-deliver-schedule", fmt.Sprintf("impossible past scheduling: %v", err))
+	// completion = max(now, busyUntil) + proc with proc >= ProcDelayMin >= 0
+	// (enforced by Config.Validate) and busyUntil only ever advanced, so
+	// completion >= now by construction. The payload goes on as it came:
+	// one boxed Update serves the send, the delivery and this event.
+	s.schedule(completion, evProcess, slot, payload)
+}
+
+// schedule queues a typed event on the speaker itself (see Fire).
+//
+// Unreachability justification (robustness audit): Schedule fails only for
+// instants before Now, and every caller passes Now plus a delay that is
+// non-negative by construction — a validated config interval, or the
+// processor-queue completion above. The callers are netsim.Handler and
+// timer callbacks, which have no error channel — a violated invariant here
+// is a kernel/config bug, not a scenario condition, and must fail loudly
+// at the violation site. Sweeps survive it: trial recovery converts the
+// invariant.Unreachable panic into a forensic bundle with a stable,
+// shrinkable signature.
+func (s *Speaker) schedule(at des.Time, kind, slot int, arg any) des.Handle {
+	h, err := s.sched.Schedule(at, s, kind, slot, 0, arg)
+	if err != nil {
+		invariant.Unreachable("bgp-schedule", fmt.Sprintf("impossible past scheduling: %v", err))
+	}
+	return h
+}
+
+// Fire implements des.Receiver for the events schedule queues.
+func (s *Speaker) Fire(kind, slot int, _ uint64, arg any) {
+	switch kind {
+	case evProcess:
+		s.process(slot, arg.(Update))
+	case evMRAI:
+		s.mraiExpired(arg.(*destState), slot)
+	case evTick:
+		s.tickFlush(arg.(*destState), slot)
 	}
 }
 
@@ -215,45 +284,39 @@ func (s *Speaker) Deliver(from topology.Node, payload any) {
 // messages* incur processing delay). With the FSM on, the session dies
 // with the link and the peering parks in Idle until PeerUp.
 func (s *Speaker) PeerDown(peer topology.Node) {
+	slot := s.slot(peer)
+	if slot < 0 {
+		return
+	}
 	if s.cfg.Session.Enabled() {
-		sess := s.session(peer)
+		sess := &s.sessions[slot]
 		sess.armed = false
 		sess.hold.Cancel()
 		sess.keep.Cancel()
 		sess.retry.Cancel()
 		sess.state = SessionIdle
-		s.peerLeave(peer)
-		return
 	}
-	s.peerLeave(peer)
+	s.peerLeave(slot)
 }
 
-// peerLeave discards everything learned over the peering with peer —
-// BGP's implicit withdrawal when a session ends, however it ended
-// (physical failure, or hold-timer expiry via teardownSession).
-func (s *Speaker) peerLeave(peer topology.Node) {
-	if !s.peerSet[peer] {
+// peerLeave discards everything learned over the peering in slot — BGP's
+// implicit withdrawal when a session ends, however it ended (physical
+// failure, or hold-timer expiry via teardownSession).
+func (s *Speaker) peerLeave(slot int) {
+	if !s.up[slot] {
 		return
 	}
-	delete(s.peerSet, peer)
-	for i, p := range s.peers {
-		if p == peer {
-			s.peers = append(s.peers[:i], s.peers[i+1:]...)
-			break
-		}
-	}
+	s.up[slot] = false
 	for _, dest := range s.destOrder {
 		st := s.dests[dest]
-		if m, ok := st.mrai[peer]; ok {
-			m.handle.Cancel()
-			delete(st.mrai, peer)
+		st.mrai[slot].handle.Cancel()
+		st.mrai[slot] = mraiState{}
+		if st.damp != nil && st.damp[slot] != nil {
+			st.damp[slot].reuse.Cancel()
+			st.damp[slot] = nil
 		}
-		if d, ok := st.damp[peer]; ok {
-			d.reuse.Cancel()
-			delete(st.damp, peer)
-		}
-		delete(st.adv, peer)
-		if st.table.RemovePeer(peer) {
+		st.adv[slot] = nil
+		if st.table.RemovePeer(s.nbrs[slot]) {
 			s.bestChanged(st)
 		}
 	}
@@ -264,44 +327,46 @@ func (s *Speaker) peerLeave(peer topology.Node) {
 // on a handshake must complete first (startConnect), and routes flow only
 // after establish.
 func (s *Speaker) PeerUp(peer topology.Node) {
+	slot := s.slot(peer)
+	if slot < 0 {
+		return
+	}
 	if s.cfg.Session.Enabled() {
-		if s.session(peer).state != SessionIdle {
+		if s.sessions[slot].state != SessionIdle {
 			return
 		}
 		s.startConnect(peer)
 		return
 	}
-	s.peerJoin(peer)
+	s.peerJoin(slot)
 }
 
 // peerJoin starts the routing exchange of a fresh peering: BGP exchanges
 // full tables on session start, so the speaker advertises its current
 // best route for every known destination to the new peer.
-func (s *Speaker) peerJoin(peer topology.Node) {
-	if s.peerSet[peer] {
+func (s *Speaker) peerJoin(slot int) {
+	if s.up[slot] {
 		return
 	}
-	s.peerSet[peer] = true
-	i := sort.Search(len(s.peers), func(i int) bool { return s.peers[i] >= peer })
-	s.peers = append(s.peers, 0)
-	copy(s.peers[i+1:], s.peers[i:])
-	s.peers[i] = peer
+	s.up[slot] = true
 	for _, dest := range s.destOrder {
 		st := s.dests[dest]
 		// Fresh session: no advertisement state, no timer state.
-		delete(st.adv, peer)
-		delete(st.mrai, peer)
-		s.advertise(st, peer)
+		st.adv[slot] = nil
+		st.mrai[slot] = mraiState{}
+		s.advertise(st, slot)
 	}
 }
 
-// process applies one received update after its processing delay.
-func (s *Speaker) process(from topology.Node, up Update) {
-	if !s.peerSet[from] {
+// process applies one update received over slot after its processing
+// delay.
+func (s *Speaker) process(slot int, up Update) {
+	if !s.up[slot] {
 		// The session died while the update sat in the processor queue;
 		// its contents are obsolete by definition.
 		return
 	}
+	from := s.nbrs[slot]
 	s.stats.UpdatesReceived++
 	if !up.Withdraw && (up.Path.First() != from || up.Path.HasDuplicate()) {
 		s.stats.MalformedDropped++
@@ -309,7 +374,7 @@ func (s *Speaker) process(from topology.Node, up Update) {
 	}
 	st := s.destState(up.Dest)
 	if s.cfg.Damping != nil {
-		applied, ok := s.dampUpdate(st, from, up)
+		applied, ok := s.dampUpdate(st, slot, up)
 		if !ok {
 			return // suppressed: buffered until the reuse timer fires
 		}
@@ -361,16 +426,25 @@ func (s *Speaker) assertionSweep(st *destState, from topology.Node, up Update) b
 // (re)advertises to every peer subject to the timing rules.
 func (s *Speaker) bestChanged(st *destState) {
 	s.stats.BestChanges++
+	st.announce = nil
 	s.obs.RouteChanged(s.sched.Now(), s.id, st.table.Dest(), st.table.NextHop(), st.table.Best())
-	for _, peer := range s.peers {
-		s.advertise(st, peer)
+	s.advertiseAll(st)
+}
+
+// advertiseAll runs advertise for every up peer in ascending order.
+func (s *Speaker) advertiseAll(st *destState) {
+	for slot, up := range s.up {
+		if up {
+			s.advertise(st, slot)
+		}
 	}
 }
 
-// advertise reconciles what peer should be told about st's destination
-// with what it was last told, honouring SSLD, MRAI, WRATE, and Ghost
-// Flushing. It is called on every best change and on MRAI expiry.
-func (s *Speaker) advertise(st *destState, peer topology.Node) {
+// advertise reconciles what the peer in slot should be told about st's
+// destination with what it was last told, honouring SSLD, MRAI, WRATE, and
+// Ghost Flushing. It is called on every best change and on MRAI expiry.
+func (s *Speaker) advertise(st *destState, slot int) {
+	peer := s.nbrs[slot]
 	desired := st.table.Best()
 	if desired != nil && s.cfg.Export != nil {
 		learnedFrom := st.table.NextHop()
@@ -390,8 +464,8 @@ func (s *Speaker) advertise(st *destState, peer topology.Node) {
 		desired = nil
 		ssldConverted = true
 	}
-	adv := st.adv[peer]
-	blocked := s.mraiBlocked(st, peer)
+	adv := st.adv[slot]
+	blocked := s.mraiBlocked(st, slot)
 
 	if desired == nil {
 		if adv == nil {
@@ -407,39 +481,43 @@ func (s *Speaker) advertise(st *destState, peer topology.Node) {
 		gated := s.cfg.Enhancements.WRATE ||
 			(ssldConverted && !s.cfg.Enhancements.SSLDImmediate)
 		if gated && blocked {
-			s.deferSend(st, peer)
+			s.deferSend(st, slot)
 			return
 		}
-		s.send(peer, Update{Dest: st.table.Dest(), Withdraw: true})
+		s.send(slot, st.withdraw)
 		if ssldConverted {
 			s.stats.SSLDConversions++
 		}
-		st.adv[peer] = nil
+		st.adv[slot] = nil
 		if gated {
-			s.noteRateLimitedSend(st, peer)
+			s.noteRateLimitedSend(st, slot)
 		}
 		return
 	}
 
 	if blocked {
-		s.deferSend(st, peer)
-		s.maybeGhostFlush(st, peer, desired)
+		s.deferSend(st, slot)
+		s.maybeGhostFlush(st, slot, desired)
 		return
 	}
 	if desired.Equal(adv) {
 		return
 	}
-	s.send(peer, Update{Dest: st.table.Dest(), Path: desired})
-	st.adv[peer] = desired
-	s.noteRateLimitedSend(st, peer)
+	if st.announce == nil {
+		st.announce = Update{Dest: st.table.Dest(), Path: desired}
+	}
+	s.send(slot, st.announce)
+	st.adv[slot] = desired
+	s.noteRateLimitedSend(st, slot)
 }
 
-// mraiBlocked reports whether a rate-limited send toward peer must wait.
-func (s *Speaker) mraiBlocked(st *destState, peer topology.Node) bool {
+// mraiBlocked reports whether a rate-limited send toward the peer in slot
+// must wait.
+func (s *Speaker) mraiBlocked(st *destState, slot int) bool {
 	if s.cfg.MRAI <= 0 {
 		return false
 	}
-	m := s.mraiFor(st, peer)
+	m := &st.mrai[slot]
 	if !s.cfg.MRAIContinuous {
 		return m.armed
 	}
@@ -452,8 +530,8 @@ func (s *Speaker) mraiBlocked(st *destState, peer topology.Node) bool {
 // will run when the timer releases: at expiry in the reset model (the
 // timer is armed whenever we are blocked), or at the next free-running
 // tick in the continuous model.
-func (s *Speaker) deferSend(st *destState, peer topology.Node) {
-	m := s.mraiFor(st, peer)
+func (s *Speaker) deferSend(st *destState, slot int) {
+	m := &st.mrai[slot]
 	m.pending = true
 	if !s.cfg.MRAIContinuous || m.flushSet {
 		return
@@ -466,14 +544,14 @@ func (s *Speaker) deferSend(st *destState, peer topology.Node) {
 		next = m.phase + (delta/m.interval+1)*m.interval
 	}
 	m.flushSet = true
-	m.handle = s.sched.MustAfter(next-s.sched.Now(), func() { s.tickFlush(st, peer) })
+	m.handle = s.schedule(next, evTick, slot, st)
 }
 
 // noteRateLimitedSend records that a rate-limited update went out: in the
 // reset model this arms the timer; the continuous model free-runs.
-func (s *Speaker) noteRateLimitedSend(st *destState, peer topology.Node) {
+func (s *Speaker) noteRateLimitedSend(st *destState, slot int) {
 	if !s.cfg.MRAIContinuous {
-		s.armMRAI(st, peer)
+		s.armMRAI(st, slot)
 	}
 }
 
@@ -493,73 +571,75 @@ func (s *Speaker) initContinuous(m *mraiState) {
 }
 
 // tickFlush runs at a continuous-model tick with a pending send.
-func (s *Speaker) tickFlush(st *destState, peer topology.Node) {
-	m := s.mraiFor(st, peer)
+func (s *Speaker) tickFlush(st *destState, slot int) {
+	m := &st.mrai[slot]
 	m.flushSet = false
 	if !m.pending {
 		return
 	}
 	m.pending = false
-	if !s.peerSet[peer] {
+	if !s.up[slot] {
 		return
 	}
-	s.advertise(st, peer)
+	s.advertise(st, slot)
 }
 
 // maybeGhostFlush implements Ghost Flushing: if the node has switched to a
 // strictly longer path than the one this peer currently holds, and the
 // announcement is blocked by the MRAI timer, send an immediate withdrawal
 // so the peer flushes the obsolete (shorter) path now.
-func (s *Speaker) maybeGhostFlush(st *destState, peer topology.Node, desired routing.Path) {
+func (s *Speaker) maybeGhostFlush(st *destState, slot int, desired routing.Path) {
 	if !s.cfg.Enhancements.GhostFlushing {
 		return
 	}
-	adv := st.adv[peer]
+	adv := st.adv[slot]
 	if adv == nil || desired.Len() <= adv.Len() {
 		return
 	}
-	s.send(peer, Update{Dest: st.table.Dest(), Withdraw: true})
+	s.send(slot, st.withdraw)
 	s.stats.GhostFlushes++
-	st.adv[peer] = nil
+	st.adv[slot] = nil
 }
 
-// mraiExpired runs when the (st, peer) MRAI timer fires.
-func (s *Speaker) mraiExpired(st *destState, peer topology.Node) {
-	m := s.mraiFor(st, peer)
+// mraiExpired runs when the (st, slot) MRAI timer fires.
+func (s *Speaker) mraiExpired(st *destState, slot int) {
+	m := &st.mrai[slot]
 	m.armed = false
 	if !m.pending {
 		return
 	}
 	m.pending = false
-	if !s.peerSet[peer] {
+	if !s.up[slot] {
 		return
 	}
-	s.advertise(st, peer)
+	s.advertise(st, slot)
 }
 
 // armMRAI starts the per-(destination, peer) MRAI timer with jitter. A
 // zero MRAI disables rate limiting entirely.
-func (s *Speaker) armMRAI(st *destState, peer topology.Node) {
+func (s *Speaker) armMRAI(st *destState, slot int) {
 	if s.cfg.MRAI <= 0 {
 		return
 	}
-	m := s.mraiFor(st, peer)
 	factor := des.UniformFactor(s.rngJit, s.cfg.JitterMin, s.cfg.JitterMax)
 	interval := des.Time(float64(s.cfg.MRAI) * factor)
 	if interval <= 0 {
 		return
 	}
+	m := &st.mrai[slot]
 	m.armed = true
-	m.handle = s.sched.MustAfter(interval, func() { s.mraiExpired(st, peer) })
+	m.handle = s.schedule(s.sched.Now()+interval, evMRAI, slot, st)
 }
 
-// send hands an update to the network and updates counters. A send that
-// races a link failure is silently dropped, like the TCP session it
-// models.
-func (s *Speaker) send(peer topology.Node, up Update) {
-	if err := s.net.Send(s.id, peer, up); err != nil {
+// send hands msg — a boxed Update, shared by every peer it goes to — to the
+// network and updates counters. A send that races a link failure is
+// silently dropped, like the TCP session it models.
+func (s *Speaker) send(slot int, msg any) {
+	peer := s.nbrs[slot]
+	if err := s.net.Send(s.id, peer, msg); err != nil {
 		return
 	}
+	up := msg.(Update)
 	now := s.sched.Now()
 	if up.Withdraw {
 		s.stats.WithdrawalsSent++
@@ -567,7 +647,7 @@ func (s *Speaker) send(peer topology.Node, up Update) {
 		s.stats.AnnouncementsSent++
 	}
 	s.stats.LastUpdateSent = now
-	s.noteSent(peer)
+	s.noteSent(slot)
 	s.obs.UpdateSent(now, s.id, peer, up)
 }
 
@@ -578,10 +658,13 @@ func (s *Speaker) destState(dest topology.Node) *destState {
 		return st
 	}
 	st = &destState{
-		table: routing.NewTable(s.id, dest, s.policy),
-		adv:   make(map[topology.Node]routing.Path),
-		mrai:  make(map[topology.Node]*mraiState),
-		damp:  make(map[topology.Node]*dampState),
+		table:    routing.NewTable(s.id, dest, s.policy),
+		adv:      make([]routing.Path, len(s.nbrs)),
+		mrai:     make([]mraiState, len(s.nbrs)),
+		withdraw: Update{Dest: dest, Withdraw: true},
+	}
+	if s.cfg.Damping != nil {
+		st.damp = make([]*dampState, len(s.nbrs))
 	}
 	s.dests[dest] = st
 	i := sort.Search(len(s.destOrder), func(i int) bool { return s.destOrder[i] >= dest })
@@ -591,13 +674,7 @@ func (s *Speaker) destState(dest topology.Node) *destState {
 	return st
 }
 
-func (s *Speaker) mraiFor(st *destState, peer topology.Node) *mraiState {
-	m, ok := st.mrai[peer]
-	if !ok {
-		m = &mraiState{}
-		st.mrai[peer] = m
-	}
-	return m
-}
-
-var _ netsim.Handler = (*Speaker)(nil)
+var (
+	_ netsim.Handler = (*Speaker)(nil)
+	_ des.Receiver   = (*Speaker)(nil)
+)
