@@ -10,8 +10,8 @@ import "testing"
 func TestNoConcurrencyScopeCoversKernel(t *testing.T) {
 	noconc := NoConcurrencyAnalyzer()
 	for _, p := range []string{
-		"internal/des", "internal/bgp", "internal/netsim", "internal/faultplan",
-		"internal/invariant", "internal/transport",
+		"internal/des", "internal/bgp", "internal/netsim", "internal/routing",
+		"internal/faultplan", "internal/invariant", "internal/transport",
 	} {
 		if !noconc.Match(p) {
 			t.Errorf("noconcurrency no longer covers %s; the kernel must stay single-threaded", p)
@@ -90,5 +90,20 @@ func TestTransportScopeDeterminismAnalyzers(t *testing.T) {
 	}
 	if a := NoGlobalRandAnalyzer(); a.Match != nil && !a.Match("internal/transport") {
 		t.Errorf("%s does not cover internal/transport", a.Name)
+	}
+}
+
+// TestRoutingScopeDeterminismAnalyzers pins internal/routing inside the
+// kernel's contract. Route selection runs on every update; while the RIB
+// was a map outside every scope, a policy that tied two candidates chose
+// between them by map iteration order and maprange never saw it.
+func TestRoutingScopeDeterminismAnalyzers(t *testing.T) {
+	for _, a := range []*Analyzer{
+		NoRealTimeAnalyzer(), MapRangeAnalyzer(),
+		NakedPanicAnalyzer(), NoConcurrencyAnalyzer(),
+	} {
+		if !a.Match("internal/routing") {
+			t.Errorf("%s does not cover internal/routing", a.Name)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package bgp
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"bgploop/internal/des"
@@ -151,16 +152,8 @@ func NewSpeaker(id topology.Node, sched *des.Scheduler, net *netsim.Network, cfg
 // slot returns peer's position in the neighbor list, or -1 if peer is not
 // a neighbor.
 func (s *Speaker) slot(peer topology.Node) int {
-	lo, hi := 0, len(s.nbrs)
-	for lo < hi {
-		if mid := int(uint(lo+hi) >> 1); s.nbrs[mid] < peer {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(s.nbrs) && s.nbrs[lo] == peer {
-		return lo
+	if i, ok := slices.BinarySearch(s.nbrs, peer); ok {
+		return i
 	}
 	return -1
 }

@@ -172,8 +172,8 @@ func (s *Scheduler) Schedule(t Time, r Receiver, kind, n int, id uint64, arg any
 		// Events are made a block at a time: the free list only ever grows
 		// to the queue's high-water mark, a few thousand on a busy run.
 		block := make([]event, 64)
-		for i := range block[1:] {
-			block[i].next = &block[i+1]
+		for i := 1; i < len(block); i++ {
+			block[i-1].next = &block[i]
 		}
 		ev = &block[0]
 	}

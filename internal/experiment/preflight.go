@@ -157,7 +157,7 @@ func StaticConvergenceBound(s Scenario) time.Duration {
 		span := time.Duration(0)
 		for _, a := range ph.Actions {
 			end := a.At
-			if a.Cycles > 0 {
+			if a.Fields().Repeat {
 				end += time.Duration(2*a.Cycles) * a.Period
 			}
 			if end > span {

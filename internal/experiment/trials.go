@@ -541,20 +541,32 @@ func drawTLong(g *topology.Graph, seed int64) (topology.Node, topology.Edge, err
 		choices   []choice
 		minDegree = -1
 	)
-	for _, dest := range g.Nodes() {
-		edges := topology.NonBridgeIncidentEdges(g, dest)
-		if len(edges) == 0 {
+	// A link may fail when the graph stays connected without it: when the
+	// graph is connected and the link is not a bridge. One low-link pass
+	// finds every bridge; asking topology.NonBridgeIncidentEdges per node
+	// is a breadth-first search per incident edge, 2E of them.
+	bridge := make(map[topology.Edge]bool)
+	for _, e := range g.Bridges() {
+		bridge[e] = true
+	}
+	nodes := g.Nodes()
+	if !g.Connected() {
+		nodes = nil
+	}
+	for _, dest := range nodes {
+		d := g.Degree(dest)
+		if minDegree != -1 && d > minDegree {
 			continue
 		}
-		d := g.Degree(dest)
-		if minDegree == -1 || d < minDegree {
-			minDegree = d
-			choices = choices[:0]
-		}
-		if d == minDegree {
-			for _, e := range edges {
-				choices = append(choices, choice{dest: dest, link: e})
+		for _, e := range g.IncidentEdges(dest) {
+			if bridge[e] {
+				continue
 			}
+			if d < minDegree || minDegree == -1 {
+				minDegree = d
+				choices = choices[:0]
+			}
+			choices = append(choices, choice{dest: dest, link: e})
 		}
 	}
 	if len(choices) == 0 {

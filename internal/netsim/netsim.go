@@ -149,9 +149,12 @@ func (f *fifo) push(x flight) {
 	f.q = append(f.q, x)
 }
 
+// front returns the oldest flight; the queue must be non-empty.
+func (f *fifo) front() flight { return f.q[f.head] }
+
 // pop removes and returns the oldest flight; the queue must be non-empty.
 func (f *fifo) pop() flight {
-	x := f.q[f.head]
+	x := f.front()
 	f.head++
 	if f.head == len(f.q) {
 		f.q, f.head = f.q[:0], 0
@@ -210,7 +213,8 @@ func New(sched *des.Scheduler, g *topology.Graph, delay time.Duration) *Network 
 }
 
 // find returns the index of the directed link from -> to, or -1 if the
-// graph had no such edge.
+// graph had no such edge. The search is written out because it runs per
+// send and slices.BinarySearchFunc would copy a whole link per probe.
 func (n *Network) find(from, to topology.Node) int {
 	if !n.graph.Valid(from) {
 		return -1
@@ -252,6 +256,8 @@ func (n *Network) SetTap(t Tap) { n.tap = t }
 // SetImpairment installs (or, with nil, removes) the transport impairment
 // model. An installed model whose links are all clean is a strict no-op:
 // it draws nothing and schedules deliveries at exactly the legacy times.
+// Removing a model while messages it delayed are still in flight is not
+// supported: without the clamp a later send would overtake them.
 func (n *Network) SetImpairment(m *transport.Model) { n.imp = m }
 
 // Impaired reports whether the (a, b) link currently has an active
@@ -524,7 +530,7 @@ func (n *Network) dropInflight(i int) {
 	e := topology.NormEdge(l.from, l.to)
 	for a.len() > 0 || b.len() > 0 {
 		q := a
-		if a.len() == 0 || b.len() > 0 && b.q[b.head].id < a.q[a.head].id {
+		if a.len() == 0 || b.len() > 0 && b.front().id < a.front().id {
 			q = b
 		}
 		if f := q.pop(); f.h.Cancel() {

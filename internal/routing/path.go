@@ -6,6 +6,14 @@
 // The package is protocol-timing-agnostic: it knows nothing about MRAI
 // timers, message delays, or enhancements. Those live in package bgp,
 // which drives this core.
+//
+// Most updates a node receives change nothing — after a T_down each node
+// walks through ever longer obsolete paths — so the RIB is built around
+// the update that is rejected: the adj-RIB-in is a slice of per-peer slots
+// that own their path storage, and selection is incremental, so such an
+// update overwrites one slot in place, makes one policy comparison and
+// allocates nothing. Paths outside a slot are immutable and freely shared
+// (see Path and Table).
 package routing
 
 import (

@@ -1,6 +1,11 @@
 package routing
 
-import "bgploop/internal/topology"
+import (
+	"cmp"
+	"slices"
+
+	"bgploop/internal/topology"
+)
 
 // Table is a node's routing state for a single destination: the adj-RIB-in
 // (the most recent path received from each neighbor, kept even when unused,
@@ -57,15 +62,9 @@ func (t *Table) IsOrigin() bool { return t.self == t.dest }
 // find returns the position of peer's slot in raw, or where it would be
 // inserted, and whether it exists.
 func (t *Table) find(peer topology.Node) (int, bool) {
-	lo, hi := 0, len(t.raw)
-	for lo < hi {
-		if mid := int(uint(lo+hi) >> 1); t.raw[mid].Peer < peer {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(t.raw) && t.raw[lo].Peer == peer
+	return slices.BinarySearchFunc(t.raw, peer, func(c Candidate, peer topology.Node) int {
+		return cmp.Compare(c.Peer, peer)
+	})
 }
 
 // Update records path as the latest announcement from peer (nil for an
@@ -82,26 +81,21 @@ func (t *Table) find(peer topology.Node) (int, bool) {
 func (t *Table) Update(peer topology.Node, path Path) (changed bool) {
 	i, ok := t.find(peer)
 	if !ok {
-		t.raw = append(t.raw, Candidate{})
-		copy(t.raw[i+1:], t.raw[i:])
-		t.raw[i] = Candidate{Peer: peer}
+		t.raw = slices.Insert(t.raw, i, Candidate{Peer: peer})
 	}
 	slot := &t.raw[i]
-	if t.IsOrigin() {
-		// The origin's route is local and immutable.
-		slot.Path = append(slot.Path[:0], path...)
+	wasBest := t.bestVia(peer)
+	if wasBest && path.Equal(slot.Path) {
 		return false
 	}
-	if t.best != nil && peer == t.bestPeer {
-		if path.Equal(slot.Path) {
-			return false
-		}
-		slot.Path = append(slot.Path[:0], path...)
+	slot.Path = append(slot.Path[:0], path...)
+	switch {
+	case wasBest:
 		t.rescan()
 		return true
-	}
-	slot.Path = append(slot.Path[:0], path...)
-	if len(path) == 0 || path.Contains(t.self) {
+	case t.IsOrigin(), len(path) == 0, path.Contains(t.self):
+		// The origin's route is local and immutable; a withdrawal or a
+		// path through self is no candidate.
 		return false
 	}
 	if t.best != nil {
@@ -118,6 +112,11 @@ func (t *Table) Update(peer topology.Node, path Path) (changed bool) {
 	return true
 }
 
+// bestVia reports whether the current best path was learned from peer.
+func (t *Table) bestVia(peer topology.Node) bool {
+	return !t.IsOrigin() && t.best != nil && peer == t.bestPeer
+}
+
 // Withdraw records an explicit withdrawal from peer.
 func (t *Table) Withdraw(peer topology.Node) (changed bool) {
 	return t.Update(peer, nil)
@@ -131,11 +130,8 @@ func (t *Table) RemovePeer(peer topology.Node) (changed bool) {
 	if !ok {
 		return false
 	}
-	last := len(t.raw) - 1
-	copy(t.raw[i:], t.raw[i+1:])
-	t.raw[last] = Candidate{}
-	t.raw = t.raw[:last]
-	if t.IsOrigin() || t.best == nil || peer != t.bestPeer {
+	t.raw = slices.Delete(t.raw, i, i+1)
+	if !t.bestVia(peer) {
 		return false
 	}
 	t.rescan()
@@ -177,7 +173,7 @@ func (t *Table) Invalidate(keep func(peer topology.Node, path Path) bool) (chang
 			continue
 		}
 		slot.Path = slot.Path[:0]
-		if !t.IsOrigin() && t.best != nil && slot.Peer == t.bestPeer {
+		if t.bestVia(slot.Peer) {
 			changed = true
 		}
 	}
