@@ -60,7 +60,8 @@ type (
 	// simulations, CacheHits/CacheMisses against the content-addressed
 	// store, Resumed journal entries, Deduped in-flight shares, and the
 	// Failed/Canceled/Skipped remainder. CacheHitRatio() summarizes the
-	// store's effectiveness; bgpd exposes the same counters on /metrics.
+	// store's effectiveness; bgpd exposes the same counters on /metrics,
+	// minus Resumed — a served job keeps no journal.
 	SweepStats = sweep.Stats
 	// Generator produces the scenario for trial i of a sweep.
 	Generator = experiment.Generator

@@ -8,8 +8,8 @@
 //
 // With -store-dir the server is crash-safe: accepted jobs are written to
 // a fsynced WAL before the submit response, and a restarted bgpd replays
-// the log — incomplete jobs re-enqueue and resume from their sweep
-// journals, finished jobs keep answering GET /v1/runs/{id}.
+// the log — incomplete jobs re-enqueue and take their completed trials
+// from the result cache, finished jobs keep answering GET /v1/runs/{id}.
 //
 //	curl -s localhost:8439/v1/runs -d '{"spec": {"topology": {"family":
 //	  "clique", "size": 10}, "event": "tdown"}, "trials": 4}'
@@ -80,7 +80,6 @@ func run(args []string) error {
 		listen    = fs.String("listen", "localhost:8439", "address to serve on")
 		cache     = fs.String("cache-dir", "", "content-addressed result cache; repeat submissions are served from disk")
 		store     = fs.String("store-dir", "", "durable state root: job WAL under <dir>/wal plus a default cache under <dir>/cache; accepted jobs survive a crash and resume on restart")
-		jsync     = fs.Int("journal-sync", 0, "fsync the sweep checkpoint journal every N trial appends (0 = only on close, 1 = every append)")
 		workers   = fs.Int("workers", 2, "job worker pool width (in-flight job cap)")
 		queue     = fs.Int("queue", 16, "admission queue depth; beyond it submissions get 429")
 		j         = fs.Int("j", 1, "trial parallelism inside each job (results are byte-identical at any width)")
@@ -120,7 +119,6 @@ func run(args []string) error {
 			ChunkSize: *distChunk,
 			LeaseTTL:  *distTTL,
 			HedgeLast: *distHedge,
-			StoreDir:  *store,
 			Now:       time.Now,
 		})
 		if err != nil {
@@ -132,7 +130,6 @@ func run(args []string) error {
 	srv, err := serve.New(serve.Config{
 		CacheDir:     *cache,
 		StoreDir:     *store,
-		JournalSync:  *jsync,
 		Workers:      *workers,
 		QueueDepth:   *queue,
 		TrialWorkers: *j,

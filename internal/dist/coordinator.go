@@ -4,16 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"sync"
 	"time"
-
-	"bgploop/internal/durable"
 )
 
 // Config tunes a Coordinator. The zero value is usable for tests: time
-// stands still unless Now is injected (leases then never expire), and
-// nothing is journaled unless StoreDir is set.
+// stands still unless Now is injected (leases then never expire).
 type Config struct {
 	// ChunkSize caps how many trials one lease carries; <= 0 means 4.
 	// Chunking amortizes per-lease HTTP and scenario-rebuild overhead;
@@ -31,16 +27,6 @@ type Config struct {
 	HedgeLast int
 	// MaxHedges caps duplicate grants per chunk; <= 0 means 1.
 	MaxHedges int
-	// StoreDir, when non-empty, journals lease grants and completions
-	// to a checksummed WAL under <StoreDir>/wal/dist.jsonl, so a
-	// restarted coordinator resumes lease accounting (orphaned grants
-	// surface as recovered/reassigned, not fresh) instead of starting
-	// blind. Trial-result durability lives in the sweep checkpoint
-	// journal, not here.
-	StoreDir string
-	// FS routes lease-log file operations; nil means the real
-	// filesystem.
-	FS durable.FS
 	// Now injects the wall clock for lease deadlines and worker
 	// liveness (cmd/bgpd passes time.Now; the dist package itself may
 	// not touch the clock — detlint's norealtime scope). Nil freezes
@@ -76,12 +62,9 @@ type Counters struct {
 	LeasesReassigned int64 // expired leases whose trials went back to pending
 	LeasesHedged     int64 // duplicate grants issued for tail chunks
 	LeasesCompleted  int64
-	LeasesRecovered  int64 // orphaned grants found in the lease log at startup
 	DuplicateResults int64 // reported trials already merged from another lease
 	RemoteTrials     int64 // trial results merged from workers
 	TrialErrors      int64 // trials a worker reported as failed
-	LogErrors        int64 // lease-log append failures (accounting degraded)
-	DroppedRecords   int64 // torn/corrupt lease-log lines skipped at startup
 }
 
 // workerState tracks one registered worker's liveness.
@@ -93,9 +76,9 @@ type workerState struct {
 }
 
 // Coordinator owns the lease tables of every distributed sweep in the
-// process, the worker registry, and the lease WAL. It is the server
-// half of the /v1/work protocol; internal/serve mounts its handlers and
-// scrapes its counters.
+// process and the worker registry. It is the server half of the
+// /v1/work protocol; internal/serve mounts its handlers and scrapes its
+// counters.
 type Coordinator struct {
 	cfg Config
 
@@ -107,103 +90,19 @@ type Coordinator struct {
 	nextWorker int
 	nextLease  int
 	counters   Counters
-
-	log *Log
-	// recovered maps sweep ID -> orphaned grant count folded from the
-	// lease log at startup; consumed by StartSweep.
-	recovered map[string]int
 }
 
-// New builds a Coordinator and, when Config.StoreDir is set, opens and
-// folds its lease WAL. The error is non-nil only for storage problems.
+// New builds a Coordinator. The error is always nil.
 func New(cfg Config) (*Coordinator, error) {
-	cfg = cfg.withDefaults()
-	c := &Coordinator{
-		cfg:       cfg,
-		sweeps:    map[string]*sweepState{},
-		workers:   map[string]*workerState{},
-		recovered: map[string]int{},
-	}
-	if cfg.StoreDir != "" {
-		log, records, err := OpenLog(cfg.FS, LogPath(cfg.StoreDir))
-		if err != nil {
-			return nil, fmt.Errorf("dist: open lease WAL: %w", err)
-		}
-		c.log = log
-		c.counters.DroppedRecords = int64(log.Dropped())
-		c.fold(records)
-	}
-	return c, nil
+	return &Coordinator{
+		cfg:     cfg.withDefaults(),
+		sweeps:  map[string]*sweepState{},
+		workers: map[string]*workerState{},
+	}, nil
 }
 
-// LogPath locates the lease WAL under a store directory.
-func LogPath(storeDir string) string {
-	return filepath.Join(storeDir, "wal", "dist.jsonl")
-}
-
-// fold replays the lease log: finished sweeps are dropped, and for each
-// unfinished sweep the grants that never completed are counted as
-// orphans — their trials were in flight when the previous coordinator
-// died, and the restarted sweep's re-grants count as reassignments, not
-// fresh work. The log is compacted to the unfinished residue.
-func (c *Coordinator) fold(records []Record) {
-	type sweepFold struct {
-		done    bool
-		granted map[string]bool
-		records []Record
-	}
-	folds := map[string]*sweepFold{}
-	var order []string
-	for _, r := range records {
-		f, ok := folds[r.Sweep]
-		if !ok {
-			f = &sweepFold{granted: map[string]bool{}}
-			folds[r.Sweep] = f
-			order = append(order, r.Sweep)
-		}
-		f.records = append(f.records, r)
-		switch r.Type {
-		case RecordGrant:
-			f.granted[r.Lease] = true
-		case RecordComplete:
-			delete(f.granted, r.Lease)
-		case RecordDone:
-			f.done = true
-		}
-	}
-	var compacted []Record
-	for _, id := range order {
-		f := folds[id]
-		if f.done {
-			continue
-		}
-		c.recovered[id] = len(f.granted)
-		c.counters.LeasesRecovered += int64(len(f.granted))
-		compacted = append(compacted, f.records...)
-	}
-	if err := c.log.Compact(compacted); err != nil {
-		c.counters.LogErrors++
-	}
-}
-
-// append journals one record, degrading to in-memory accounting on
-// failure — a sick disk must not stall the fleet.
-func (c *Coordinator) append(r Record) {
-	if c.log == nil {
-		return
-	}
-	if err := c.log.Append(r); err != nil {
-		c.counters.LogErrors++
-	}
-}
-
-// Close closes the lease WAL.
-func (c *Coordinator) Close() error {
-	if c.log == nil {
-		return nil
-	}
-	return c.log.Close()
-}
+// Close releases nothing and returns nil; the coordinator holds no file.
+func (c *Coordinator) Close() error { return nil }
 
 // Counters snapshots the accounting, computing the liveness and
 // outstanding-lease gauges against the injected clock.
@@ -239,9 +138,7 @@ var ErrSweepFinished = errors.New("dist: sweep finished")
 // StartSweep registers a sweep for distribution: id must be stable
 // across coordinator restarts (the service layer derives it from the
 // job's content address), spec is the scenario spec workers rebuild
-// trials from, and width is the sweep's trial count. Restarting a sweep
-// whose previous incarnation had leases in flight counts those grants
-// as reassigned.
+// trials from, and width is the sweep's trial count.
 func (c *Coordinator) StartSweep(id string, spec []byte, width int) (*Sweep, error) {
 	if id == "" {
 		return nil, errors.New("dist: empty sweep id")
@@ -253,17 +150,11 @@ func (c *Coordinator) StartSweep(id string, spec []byte, width int) (*Sweep, err
 	}
 	c.sweeps[id] = newSweepState(id, spec, width)
 	c.sweepOrder = append(c.sweepOrder, id)
-	if orphans := c.recovered[id]; orphans > 0 {
-		c.counters.LeasesReassigned += int64(orphans)
-		delete(c.recovered, id)
-	}
-	c.append(Record{Type: RecordSweep, Sweep: id, TrialCount: width})
 	return &Sweep{c: c, id: id}, nil
 }
 
-// Finish deregisters the sweep: outstanding leases are dropped, any
-// still-waiting Execute calls fail with ErrSweepFinished, and the lease
-// log records the sweep as done so its records compact away.
+// Finish deregisters the sweep: outstanding leases are dropped and any
+// still-waiting Execute calls fail with ErrSweepFinished.
 func (s *Sweep) Finish() {
 	c := s.c
 	c.mu.Lock()
@@ -298,7 +189,6 @@ func (s *Sweep) Finish() {
 			}
 		}
 	}
-	c.append(Record{Type: RecordDone, Sweep: s.id})
 }
 
 // Execute satisfies one trial through the fleet: it registers the trial
@@ -458,7 +348,7 @@ func (c *Coordinator) acquire(worker string) (l *Lease, hedged, ok bool) {
 	return nil, false, true
 }
 
-// grantLocked creates and journals one lease over the given trials.
+// grantLocked creates one lease over the given trials.
 func (c *Coordinator) grantLocked(sw *sweepState, worker string, trials []int, hedged bool, now time.Time) *Lease {
 	c.nextLease++
 	id := fmt.Sprintf("lease-%06d", c.nextLease)
@@ -475,16 +365,12 @@ func (c *Coordinator) grantLocked(sw *sweepState, worker string, trials []int, h
 	}
 	l := &lease{
 		id: id, sweep: sw.id, worker: worker,
-		trials: trials, attempt: attempt, hedged: hedged,
+		trials: trials, hedged: hedged,
 		deadline: now.Add(c.cfg.LeaseTTL),
 	}
 	sw.leases[id] = l
 	sw.order = append(sw.order, id)
 	c.counters.LeasesGranted++
-	c.append(Record{
-		Type: RecordGrant, Sweep: sw.id, Lease: id, Worker: worker,
-		Trials: trials, Attempt: attempt,
-	})
 	return &Lease{
 		ID: id, Sweep: sw.id, Spec: append([]byte(nil), sw.spec...),
 		Trials: append([]int(nil), trials...), Keys: keys, Attempt: attempt,
@@ -568,11 +454,6 @@ func (c *Coordinator) report(rep *ResultReport) (ReportResponse, error) {
 			}
 		}
 		c.counters.LeasesCompleted++
-		c.append(Record{
-			Type: RecordComplete, Sweep: sw.id, Lease: rep.Lease,
-			Worker: rep.Worker, Trials: l.trials, Attempt: l.attempt,
-			Duplicate: resp.Accepted == 0,
-		})
 	}
 	return resp, nil
 }

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -320,84 +318,6 @@ func TestStaleLeaseFailureDoesNotWin(t *testing.T) {
 	}
 }
 
-// TestCoordinatorRestartRecoversOrphans pins the lease WAL: a
-// coordinator killed with grants outstanding reports them as recovered
-// on restart, and restarting the same sweep counts them reassigned.
-func TestCoordinatorRestartRecoversOrphans(t *testing.T) {
-	dir := t.TempDir()
-	c, err := New(Config{ChunkSize: 2, StoreDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw, err := c.StartSweep("s1", []byte(`{}`), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = startTrials(t, sw, 4)
-	w := c.register("")
-	l1, _ := waitLease(t, c, w)
-	l2, _ := waitLease(t, c, w)
-	if _, err := c.report(resultsFor(l1, w)); err != nil {
-		t.Fatal(err)
-	}
-	_ = l2 // never reported: orphaned grant
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	c2, err := New(Config{ChunkSize: 2, StoreDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = c2.Close() }()
-	if got := c2.Counters().LeasesRecovered; got != 1 {
-		t.Fatalf("LeasesRecovered = %d, want 1 (l2 was outstanding)", got)
-	}
-	if _, err := c2.StartSweep("s1", []byte(`{}`), 4); err != nil {
-		t.Fatal(err)
-	}
-	if got := c2.Counters().LeasesReassigned; got != 1 {
-		t.Errorf("LeasesReassigned after restart = %d, want 1", got)
-	}
-}
-
-// TestFinishedSweepRecordsCompactAway pins log hygiene: once a sweep
-// finishes, a restarted coordinator holds no recovered leases and the
-// compacted log drops the sweep's records.
-func TestFinishedSweepRecordsCompactAway(t *testing.T) {
-	dir := t.TempDir()
-	c, err := New(Config{ChunkSize: 4, StoreDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw, err := c.StartSweep("s1", []byte(`{}`), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chans := startTrials(t, sw, 2)
-	w := c.register("")
-	l, _ := waitLease(t, c, w)
-	if _, err := c.report(resultsFor(l, w)); err != nil {
-		t.Fatal(err)
-	}
-	for _, ch := range chans {
-		<-ch
-	}
-	sw.Finish()
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	c2, err := New(Config{StoreDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = c2.Close() }()
-	if got := c2.Counters().LeasesRecovered; got != 0 {
-		t.Errorf("LeasesRecovered = %d after clean finish, want 0", got)
-	}
-}
-
 // TestSweepFinishFailsWaiters pins Finish semantics: Execute calls
 // still in flight fail with ErrSweepFinished instead of hanging.
 func TestSweepFinishFailsWaiters(t *testing.T) {
@@ -416,47 +336,5 @@ func TestSweepFinishFailsWaiters(t *testing.T) {
 	out := <-chans[0]
 	if !errors.Is(out.err, ErrSweepFinished) {
 		t.Fatalf("waiter got %v, want ErrSweepFinished", out.err)
-	}
-}
-
-// TestLogReplaySkipsTornTail pins the WAL torn-write contract shared
-// with the job WAL and the sweep journal.
-func TestLogReplaySkipsTornTail(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "dist.jsonl")
-	l, _, err := OpenLog(nil, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := l.Append(Record{Type: RecordGrant, Sweep: "s", Lease: fmt.Sprintf("lease-%d", i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Tear the last line mid-record.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data[:len(data)-10], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l2, records, err := OpenLog(nil, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = l2.Close() }()
-	if len(records) != 2 {
-		t.Fatalf("replayed %d records, want 2 (torn tail dropped)", len(records))
-	}
-	if l2.Dropped() != 1 {
-		t.Errorf("Dropped = %d, want 1", l2.Dropped())
-	}
-	// Appends after a torn tail must not collide with surviving seqs.
-	if err := l2.Append(Record{Type: RecordDone, Sweep: "s"}); err != nil {
-		t.Fatal(err)
 	}
 }

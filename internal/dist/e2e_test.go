@@ -296,6 +296,40 @@ func TestDistributedResultsResumeLocally(t *testing.T) {
 	assertParity(t, "local-resume", aggDig2, resDigs2, wantAgg, wantRes)
 }
 
+// TestCoordinatorRestartLeasesOnlyUncachedTrials pins why the
+// coordinator keeps no log: the trials a previous life finished sit in
+// the result cache under their content addresses, so a fresh
+// coordinator restarting the same sweep is asked for — and leases —
+// only the rest.
+func TestCoordinatorRestartLeasesOnlyUncachedTrials(t *testing.T) {
+	wantAgg, wantRes := localOracle(t)
+	cacheDir := t.TempDir()
+	const k = 3
+
+	// The previous life: the first k trials reached the cache.
+	sc, err := testScenarioSpec(t).Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := experiment.RunSweep(experiment.Repeat(sc), k, experiment.SweepOptions{CacheDir: cacheDir}); err != nil {
+		t.Fatal(err)
+	}
+
+	c, err := New(Config{ChunkSize: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	startFleet(t, c, 2)
+	aggDig, resDigs, stats := runDistributed(t, c, experiment.SweepOptions{CacheDir: cacheDir})
+	assertParity(t, "restart", aggDig, resDigs, wantAgg, wantRes)
+	if stats.CacheHits != k || stats.Remote != testTrials-k {
+		t.Errorf("stats = %+v, want CacheHits=%d Remote=%d", stats, k, testTrials-k)
+	}
+	if got := c.Counters().RemoteTrials; got != testTrials-k {
+		t.Errorf("RemoteTrials = %d, want %d (cached trials are never leased)", got, testTrials-k)
+	}
+}
+
 // TestWorkerDrain pins the graceful-drain contract: a draining worker
 // returns nil from Run and deregisters, dropping the live-worker gauge.
 func TestWorkerDrain(t *testing.T) {

@@ -3,7 +3,7 @@ package dist
 import (
 	"encoding/json"
 	"errors"
-	"io"
+	"fmt"
 	"net/http"
 )
 
@@ -50,15 +50,22 @@ func writeWorkJSON(w http.ResponseWriter, v any) {
 }
 
 // decodeWork strictly decodes one JSON body into v: unknown fields,
-// trailing data, and truncation are client errors.
+// trailing data, and truncation are client errors; a body past
+// maxWorkBody is 413 too_large, told apart from malformed JSON.
 func decodeWork(w http.ResponseWriter, r *http.Request, v any) bool {
 	if r.Method != http.MethodPost {
 		writeWorkError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use POST")
 		return false
 	}
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxWorkBody+1))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxWorkBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeWorkError(w, http.StatusRequestEntityTooLarge, "too_large",
+				fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
+			return false
+		}
 		writeWorkError(w, http.StatusBadRequest, "bad_json", "decode request: "+err.Error())
 		return false
 	}

@@ -36,7 +36,6 @@ type lease struct {
 	sweep    string
 	worker   string
 	trials   []int
-	attempt  int
 	hedged   bool // this lease is a duplicate grant of outstanding trials
 	hedges   int  // duplicate grants issued on top of this lease
 	deadline time.Time

@@ -12,9 +12,9 @@
 // order-insensitive:
 //
 //   - the coordinator plugs into sweep.Run through the Remote executor
-//     seam (sweep.Options.Remote), so cache probes, journal resume, the
-//     trial singleflight, and the index-addressed merge are the same
-//     code a local run uses — the merged aggregate is byte-identical to
+//     seam (sweep.Options.Remote), so cache probes, the trial
+//     singleflight, and the index-addressed merge are the same code a
+//     local run uses — the merged aggregate is byte-identical to
 //     `bgpsim -digest` regardless of worker count, chunk size, worker
 //     crashes, or hedging;
 //   - workers rebuild each trial's Scenario from the leased spec and
@@ -27,11 +27,10 @@
 //     to idle workers, first result wins, duplicates are counted and
 //     dropped.
 //
-// Lease grants and completions are journaled to a lease log (a
-// durable.Log), so a restarted coordinator resumes accounting instead of
-// starting blind; the trial results themselves are durable in the
-// sweep's checkpoint journal, which is what actually prevents completed
-// shards from re-running after a restart.
+// The coordinator keeps nothing on disk: a trial's result is installed
+// in the content-addressed cache before the sweep moves on, so a
+// restarted coordinator is handed only the trials the cache does not
+// hold and leases those (TestCoordinatorRestartLeasesOnlyUncachedTrials).
 //
 // The package sits in detlint's "harness" scope: goroutines are allowed
 // (it is orchestration, not kernel), but no wall clock — time arrives
@@ -40,96 +39,7 @@
 // dependence, and no float equality.
 package dist
 
-import (
-	"encoding/json"
-	"errors"
-	"fmt"
-
-	"bgploop/internal/durable"
-)
-
-// RecordVersion is bumped when the lease-log record schema changes;
-// records with a different version are dropped on load.
-const RecordVersion = 1
-
-// Record kinds in the coordinator's lease log.
-const (
-	// RecordSweep marks a sweep beginning distribution.
-	RecordSweep = "sweep"
-	// RecordGrant journals one lease grant (initial, reassigned, or
-	// hedged — Attempt disambiguates).
-	RecordGrant = "grant"
-	// RecordComplete journals a lease completion: the shard's trials
-	// reached the coordinator and were merged (or dropped as hedged
-	// duplicates — Duplicate disambiguates).
-	RecordComplete = "complete"
-	// RecordDone marks a sweep finishing; its records are dropped at the
-	// next compaction.
-	RecordDone = "done"
-)
-
-// Record is one entry in the coordinator's lease log, one JSON object
-// per line, sealed with the durable.Sealed envelope so a torn or
-// bit-rotten line is dropped on load instead of poisoning recovery.
-type Record struct {
-	V    int    `json:"v"`
-	Seq  int    `json:"seq"`
-	Type string `json:"type"` // sweep | grant | complete | done
-
-	// Sweep names the distributed sweep the record belongs to.
-	Sweep string `json:"sweep"`
-	// TrialCount is the sweep width (Type == "sweep").
-	TrialCount int `json:"trialCount,omitempty"`
-
-	// Lease fields (grant/complete).
-	Lease   string `json:"lease,omitempty"`
-	Worker  string `json:"worker,omitempty"`
-	Trials  []int  `json:"trials,omitempty"`
-	Attempt int    `json:"attempt,omitempty"`
-	// Duplicate marks a completion whose trials had already been merged
-	// from another lease (a hedged or reassigned twin finished first).
-	Duplicate bool `json:"duplicate,omitempty"`
-
-	// Sum is the integrity checksum: the first 16 hex characters of
-	// SHA-256 over the record's canonical JSON with Sum itself empty.
-	Sum string `json:"sum"`
-}
-
-// Envelope implements durable.Sealed.
-func (r *Record) Envelope() (*int, *string) { return &r.V, &r.Sum }
-
-// EncodeRecord renders one lease-log line (without the trailing
-// newline), stamping the version and checksum.
-func EncodeRecord(r Record) ([]byte, error) {
-	data, err := durable.Seal(&r, RecordVersion)
-	if err != nil {
-		return nil, fmt.Errorf("dist: encode lease record: %w", err)
-	}
-	return data, nil
-}
-
-// ErrBadRecord marks a lease-log line that failed structural validation
-// or its integrity check.
-var ErrBadRecord = errors.New("dist: bad lease record")
-
-// DecodeRecord parses and verifies one lease-log line. It never panics
-// on hostile input (FuzzLeaseRecord pins that); any structural or
-// checksum failure returns an error wrapping ErrBadRecord.
-func DecodeRecord(line []byte) (Record, error) {
-	var r Record
-	if err := durable.Unseal(line, &r, RecordVersion); err != nil {
-		return Record{}, fmt.Errorf("%w: %v", ErrBadRecord, err)
-	}
-	switch r.Type {
-	case RecordSweep, RecordGrant, RecordComplete, RecordDone:
-	default:
-		return Record{}, fmt.Errorf("%w: unknown type %q", ErrBadRecord, r.Type)
-	}
-	if r.Sweep == "" {
-		return Record{}, fmt.Errorf("%w: empty sweep id", ErrBadRecord)
-	}
-	return r, nil
-}
+import "encoding/json"
 
 // The HTTP wire protocol under /v1/work/. All bodies are JSON; workers
 // authenticate by their coordinator-assigned ID (this is a cluster-

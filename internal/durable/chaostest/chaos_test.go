@@ -3,14 +3,13 @@
 // it against the same store directory, and asserts that the final
 // served digests are byte-identical to an uninterrupted `bgpsim
 // -digest` run of the same scenario — with the resumed run re-executing
-// strictly fewer trials than the sweep width, proving the journal
+// strictly fewer trials than the sweep width, proving the result cache
 // actually carried state across the kills.
 //
-// The kill points are scripted in journal entries, not wall time: the
-// harness polls the sweep's checkpoint journal and fires the SIGKILL
-// when the k-th trial has been durably checkpointed, so every run kills
-// the daemon at the same logical progress points regardless of machine
-// speed.
+// The kill points are scripted in cache objects, not wall time: the
+// harness polls the store's result cache and fires the SIGKILL when the
+// k-th trial's object has been installed, so every run kills the daemon
+// at the same logical progress points regardless of machine speed.
 //
 // Everything here lives in _test.go files on purpose: the package is
 // pure harness, and the determinism linter's production-scope rules
@@ -142,40 +141,31 @@ func (d *daemon) sigkill(t *testing.T) {
 	_ = d.cmd.Wait()
 }
 
-// journalEntries counts checkpointed trials across the store's sweep
-// journals (one line per completed trial; a torn tail line has no
-// newline yet and is deliberately not counted).
-func journalEntries(store string) int {
-	dir := filepath.Join(store, "cache", "journals")
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return 0
-	}
+// cacheObjects counts the trial results installed in the store's cache.
+// Cache.Put writes a tmp-* file and renames it into place, so a result
+// a kill cut short is still a tmp-* and is deliberately not counted.
+func cacheObjects(store string) int {
+	paths, _ := filepath.Glob(filepath.Join(store, "cache", "objects", "*", "*"))
 	n := 0
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".jsonl") {
-			continue
+	for _, p := range paths {
+		if !strings.HasPrefix(filepath.Base(p), "tmp-") {
+			n++
 		}
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			continue
-		}
-		n += bytes.Count(data, []byte{'\n'})
 	}
 	return n
 }
 
-// waitJournal polls until at least k trials are checkpointed.
-func waitJournal(t *testing.T, store string, k int) {
+// waitObjects polls until at least k trial results are installed.
+func waitObjects(t *testing.T, store string, k int) {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
-		if journalEntries(store) >= k {
+		if cacheObjects(store) >= k {
 			return
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	t.Fatalf("journal never reached %d entries (at %d)", k, journalEntries(store))
+	t.Fatalf("cache never reached %d objects (at %d)", k, cacheObjects(store))
 }
 
 // jobView is the slice of bgpd's GET /v1/runs/{id} response the harness
@@ -190,7 +180,6 @@ type jobView struct {
 	Stats           *struct {
 		Trials    int
 		Executed  int
-		Resumed   int
 		CacheHits int
 	} `json:"stats"`
 }
@@ -228,7 +217,7 @@ func waitTerminal(t *testing.T, addr, id string) jobView {
 }
 
 // TestKillRestartDigestParity is the chaos acceptance test: bgpd is
-// SIGKILLed at three scripted journal checkpoints mid-sweep, restarted
+// SIGKILLed at three scripted cache-object counts mid-sweep, restarted
 // each time, and the finally-served digests must be byte-identical to
 // an uninterrupted bgpsim run — with the last lifecycle re-executing
 // strictly fewer trials than the sweep width.
@@ -260,7 +249,7 @@ func TestKillRestartDigestParity(t *testing.T) {
 
 	killPoints := []int{2, 5, 8} // of 10 trials
 	for i, k := range killPoints {
-		waitJournal(t, store, k)
+		waitObjects(t, store, k)
 		d.sigkill(t)
 
 		d = startDaemon(t, bgpd, store, addr)
@@ -279,12 +268,12 @@ func TestKillRestartDigestParity(t *testing.T) {
 		t.Fatal("final job has no stats")
 	}
 	// The resumption proof: the last lifecycle executed strictly fewer
-	// trials than the sweep width — at least the 8 checkpointed before
-	// the final kill were replayed, not re-simulated.
+	// trials than the sweep width — at least the 8 installed before the
+	// final kill were read back, not re-simulated.
 	if final.Stats.Executed >= trials {
 		t.Errorf("final lifecycle executed %d of %d trials; resume did nothing", final.Stats.Executed, trials)
 	}
-	if final.Stats.Executed+final.Stats.Resumed+final.Stats.CacheHits != trials {
+	if final.Stats.Executed+final.Stats.CacheHits != trials {
 		t.Errorf("stats do not add up: %+v", final.Stats)
 	}
 	if len(final.ResultDigests) != trials {
@@ -314,5 +303,17 @@ func TestKillRestartDigestParity(t *testing.T) {
 	}
 	if !strings.Contains(d.out.String(), "WAL recovery") {
 		t.Errorf("bgpd did not log WAL recovery:\n%s", d.out.String())
+	}
+
+	// The store is the two things recovery reads and nothing else.
+	for path, want := range map[string]bool{
+		filepath.Join("wal", "jobs.jsonl"): true,
+		"cache":                            true,
+		filepath.Join("cache", "journals"): false,
+		filepath.Join("wal", "dist.jsonl"): false,
+	} {
+		if _, err := os.Stat(filepath.Join(store, path)); (err == nil) != want {
+			t.Errorf("store path %s: present = %t, want %t", path, err == nil, want)
+		}
 	}
 }

@@ -13,9 +13,9 @@
 //   - Log, the one append-only record file: a line codec plus a sync
 //     cadence gives bgpd's job WAL (accepted jobs are durable before
 //     admission returns, and a killed daemon replays the log on
-//     restart), the coordinator's lease log (internal/dist) and the
-//     sweep checkpoint journal (internal/sweep). Torn or corrupt lines
-//     are counted and dropped on open, and never cost a later record.
+//     restart) and the sweep checkpoint journal (internal/sweep). Torn
+//     or corrupt lines are counted and dropped on open, and never cost
+//     a later record.
 //   - WriteFileAtomic, the shared temp-file + fsync + rename discipline
 //     that keeps cache objects and forensic bundles free of torn files.
 //

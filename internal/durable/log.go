@@ -23,8 +23,8 @@ type Codec[R any] struct {
 }
 
 // Log is the one append-only record file of the repository: bgpd's job
-// WAL, the coordinator's lease log and the sweep checkpoint journal are
-// a Codec and a fold over what OpenLog replays. One record is one line
+// WAL and the sweep checkpoint journal are a Codec and a fold over what
+// OpenLog replays. One record is one line
 // and one Write. Lines the codec rejects — a tail cut short by a crash,
 // a line that fails its checksum — are counted and skipped on open and
 // never fail it. The log is safe for concurrent appenders; sequence
@@ -210,19 +210,10 @@ func (l *Log[R]) Close() error {
 	return cerr
 }
 
-// Sealed is a record that carries the v/seq/sum envelope: a schema
-// version and a checksum over its own canonical JSON, so a torn or
-// bit-rotten line is told apart from a whole one.
-type Sealed interface {
-	// Envelope returns the record's version and checksum fields.
-	Envelope() (v *int, sum *string)
-}
-
 // checksum is the first 16 hex characters of SHA-256 over r's JSON with
-// the checksum field empty; it leaves the field empty.
-func checksum(r Sealed) (string, error) {
-	_, sum := r.Envelope()
-	*sum = ""
+// Sum empty; it leaves Sum empty.
+func checksum(r *Record) (string, error) {
+	r.Sum = ""
 	data, err := json.Marshal(r)
 	if err != nil {
 		return "", err
@@ -231,23 +222,23 @@ func checksum(r Sealed) (string, error) {
 	return hex.EncodeToString(h[:])[:16], nil
 }
 
-// Seal stamps r with version and its checksum and renders the line
+// Seal stamps r with version and its checksum — a torn or bit-rotten
+// line is then told apart from a whole one — and renders the line
 // (without the trailing newline).
-func Seal(r Sealed, version int) ([]byte, error) {
-	v, sum := r.Envelope()
-	*v = version
+func Seal(r *Record, version int) ([]byte, error) {
+	r.V = version
 	s, err := checksum(r)
 	if err != nil {
 		return nil, err
 	}
-	*sum = s
+	r.Sum = s
 	return json.Marshal(r)
 }
 
 // Unseal parses one line into r and verifies its envelope: no unknown
 // fields, nothing after the object, the expected version, a matching
 // checksum. It never panics on hostile input.
-func Unseal(line []byte, r Sealed, version int) error {
+func Unseal(line []byte, r *Record, version int) error {
 	dec := json.NewDecoder(bytes.NewReader(line))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(r); err != nil {
@@ -256,13 +247,12 @@ func Unseal(line []byte, r Sealed, version int) error {
 	if dec.More() {
 		return errors.New("trailing data after record")
 	}
-	v, sum := r.Envelope()
-	if *v != version {
-		return fmt.Errorf("version %d, want %d", *v, version)
+	if r.V != version {
+		return fmt.Errorf("version %d, want %d", r.V, version)
 	}
-	got := *sum
+	got := r.Sum
 	want, err := checksum(r)
-	*sum = got
+	r.Sum = got
 	if err != nil {
 		return err
 	}

@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"testing"
 
-	"bgploop/internal/dist"
 	"bgploop/internal/durable"
 	"bgploop/internal/sweep"
 )
@@ -61,24 +60,6 @@ func walRecord(i int) durable.Record {
 
 func walID(r durable.Record) string { return r.Job + "/" + r.Type + "/" + r.State }
 
-var leaseGolden = []dist.Record{
-	{Type: dist.RecordSweep, Sweep: "ab12/trials=8", TrialCount: 8},
-	{Type: dist.RecordGrant, Sweep: "ab12/trials=8", Lease: "lease-000001",
-		Worker: "w-000001", Trials: []int{0, 1, 2, 3}, Attempt: 1},
-	{Type: dist.RecordComplete, Sweep: "ab12/trials=8", Lease: "lease-000001",
-		Worker: "w-000001", Trials: []int{0, 1, 2, 3}, Attempt: 2, Duplicate: true},
-	{Type: dist.RecordDone, Sweep: "ab12/trials=8"},
-}
-
-func leaseRecord(i int) dist.Record {
-	if i < len(leaseGolden) {
-		return leaseGolden[i]
-	}
-	return dist.Record{Type: dist.RecordGrant, Sweep: "cd34/trials=8", Lease: fmt.Sprintf("lease-%06d", i), Attempt: 1}
-}
-
-func leaseID(r dist.Record) string { return r.Sweep + "/" + r.Type + "/" + r.Lease }
-
 // journalRecord is the i'th test checkpoint: trial, content address, data.
 func journalRecord(i int) (int, string, []byte) {
 	if i == 0 {
@@ -105,24 +86,6 @@ var schemas = []schema{
 				add: func(i int) error { return w.Append(walRecord(i)) }}
 			for _, r := range recs {
 				o.ids = append(o.ids, walID(r))
-			}
-			return o, nil
-		},
-	},
-	{
-		name:   "lease",
-		golden: len(leaseGolden),
-		syncs:  func(int) int { return 0 },
-		id:     func(i int) string { return leaseID(leaseRecord(i)) },
-		open: func(fsys durable.FS, path string, _ bool) (opened, error) {
-			l, recs, err := dist.OpenLog(fsys, path)
-			if err != nil {
-				return opened{}, err
-			}
-			o := opened{dropped: l.Dropped(), close: l.Close,
-				add: func(i int) error { return l.Append(leaseRecord(i)) }}
-			for _, r := range recs {
-				o.ids = append(o.ids, leaseID(r))
 			}
 			return o, nil
 		},
@@ -270,8 +233,8 @@ func TestLogGoldenLines(t *testing.T) {
 
 // TestLogSyncCadence pins what an append costs the disk: one Write per
 // record whatever the schema, and fsyncs at the schema's cadence — every
-// append (WAL), none (lease log), every journalSyncEvery'th (journal) —
-// plus the one Close always adds.
+// append (WAL), every journalSyncEvery'th (journal) — plus the one
+// Close always adds.
 func TestLogSyncCadence(t *testing.T) {
 	const appends = 7
 	eachSchema(t, func(t *testing.T, s schema, path string) {

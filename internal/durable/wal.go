@@ -18,10 +18,12 @@ const RecordVersion = 1
 //     spec verbatim, the dedupe key, and the trial count. Appended (and
 //     fsynced) before the submit response is written, so an accepted job
 //     survives any subsequent crash.
-//   - "state": a lifecycle transition (running, done, failed, canceled).
-//     Terminal records carry the served digests and executor statistics,
-//     so a restarted daemon can keep answering GET /v1/runs/{id} for
-//     jobs that finished in a previous life.
+//   - "state": the job's end — done, failed or canceled, with the
+//     served digests and executor statistics, so a restarted daemon can
+//     keep answering GET /v1/runs/{id} for jobs that finished in a
+//     previous life — or "aborted" for a submission whose enqueue was
+//     refused. A job with no state record is re-enqueued; so is one
+//     whose last record is the "running" older versions wrote.
 //
 // Every record embeds a truncated SHA-256 checksum over its canonical
 // encoding; a torn or bit-rotten line fails the check and is dropped on
@@ -49,9 +51,6 @@ type Record struct {
 	// SHA-256 over the record's canonical JSON with Sum itself empty.
 	Sum string `json:"sum"`
 }
-
-// Envelope implements Sealed.
-func (r *Record) Envelope() (*int, *string) { return &r.V, &r.Sum }
 
 // EncodeRecord renders one WAL line (without the trailing newline),
 // stamping the version and checksum.

@@ -195,10 +195,7 @@ func (s *Server) scrapeGauges() {
 	s.metrics.set("bgpd_dist_leases_reassigned_total", c.LeasesReassigned)
 	s.metrics.set("bgpd_dist_leases_hedged_total", c.LeasesHedged)
 	s.metrics.set("bgpd_dist_leases_completed_total", c.LeasesCompleted)
-	s.metrics.set("bgpd_dist_leases_recovered_total", c.LeasesRecovered)
 	s.metrics.set("bgpd_dist_duplicate_results_total", c.DuplicateResults)
 	s.metrics.set("bgpd_dist_remote_trials_total", c.RemoteTrials)
 	s.metrics.set("bgpd_dist_trial_errors_total", c.TrialErrors)
-	s.metrics.set("bgpd_dist_log_errors_total", c.LogErrors)
-	s.metrics.set("bgpd_dist_dropped_records_total", c.DroppedRecords)
 }

@@ -19,6 +19,10 @@
 //     completion create a fresh job whose trials are all served from
 //     disk (Executed == 0).
 //
+// With Config.StoreDir a restart recovers from two stores and nothing
+// else: the job WAL says which jobs were accepted and which finished
+// (with what digests), the result cache says which trials are done.
+//
 // The package sits in detlint's "harness" scope: goroutines are allowed,
 // but no wall clock (the Config.Now hook injects time), no global rand
 // (job IDs are sequential), no map-order dependence, and no float
@@ -57,26 +61,22 @@ const (
 // uncached unless CacheDir is set, and time stands still unless Now is
 // injected.
 type Config struct {
-	// CacheDir roots the content-addressed result cache and the resume
-	// journals. Empty disables persistence (results are still computed
-	// and served, dedupe degrades to in-flight collapsing only). When
-	// StoreDir is set and CacheDir is empty, CacheDir defaults to
-	// <StoreDir>/cache.
+	// CacheDir roots the content-addressed result cache. Empty disables
+	// persistence (results are still computed and served, dedupe
+	// degrades to in-flight collapsing only). When StoreDir is set and
+	// CacheDir is empty, CacheDir defaults to <StoreDir>/cache.
 	CacheDir string
 	// StoreDir, when non-empty, makes the server crash-safe: every
 	// accepted submission is appended (and fsynced) to a job write-ahead
-	// log under <StoreDir>/wal before admission returns, state
-	// transitions are logged, and a restarted server replays the log —
-	// re-enqueueing incomplete jobs (which resume from their sweep
-	// journals) and restoring terminal job views so GET /v1/runs/{id}
+	// log under <StoreDir>/wal before admission returns, terminal states
+	// are logged, and a restarted server replays the log — re-enqueueing
+	// incomplete jobs (whose completed trials come back from the result
+	// cache) and restoring terminal job views so GET /v1/runs/{id}
 	// survives the restart. Empty disables the WAL.
 	StoreDir string
-	// FS routes WAL, cache, and journal file operations; nil means the
-	// real filesystem. Fault-injection tests pass a durable.FaultFS.
+	// FS routes WAL and cache file operations; nil means the real
+	// filesystem. Fault-injection tests pass a durable.FaultFS.
 	FS durable.FS
-	// JournalSync is the sweep checkpoint journal's fsync cadence (see
-	// sweep.JournalOptions.SyncEvery).
-	JournalSync int
 	// Workers is the job worker-pool width (in-flight job cap); <= 0
 	// means 2.
 	Workers int
@@ -435,7 +435,6 @@ func (s *Server) runJob(j *job) {
 	j.mu.Unlock()
 	s.metrics.observe("bgpd_job_latency_seconds_queue", start.Sub(j.submitted).Seconds())
 	j.log.append(Event{Type: "started"})
-	_ = s.walAppend(durable.Record{Type: "state", Job: j.id, State: string(StateRunning)})
 
 	var (
 		ctx    context.Context
@@ -463,14 +462,12 @@ func (s *Server) runJob(j *job) {
 		},
 	}
 	if s.cfg.CacheDir != "" && j.key != "" {
-		// Cacheable job: content-addressed store, checkpoint journal,
-		// and the process-wide trial singleflight. Uncacheable jobs
-		// (empty CacheKey) run bare — nothing to share or persist.
+		// Cacheable job: content-addressed store and the process-wide
+		// trial singleflight. Uncacheable jobs (empty CacheKey) run bare
+		// — nothing to share or persist.
 		opts.CacheDir = s.cfg.CacheDir
-		opts.Resume = true
 		opts.Flight = s.flight
 		opts.FS = s.cfg.FS
-		opts.JournalSync = s.cfg.JournalSync
 
 		if s.cfg.Dist != nil {
 			// Distributed execution: register the sweep with the
@@ -550,7 +547,6 @@ func (s *Server) recordTrialStats(st sweep.Stats) {
 	s.metrics.inc("bgpd_trials_executed_total", int64(st.Executed))
 	s.metrics.inc("bgpd_trials_cache_hits_total", int64(st.CacheHits))
 	s.metrics.inc("bgpd_trials_cache_misses_total", int64(st.CacheMisses))
-	s.metrics.inc("bgpd_trials_resumed_total", int64(st.Resumed))
 	s.metrics.inc("bgpd_trials_deduped_total", int64(st.Deduped))
 	s.metrics.inc("bgpd_trials_remote_total", int64(st.Remote))
 	s.metrics.inc("bgpd_trials_failed_total", int64(st.Failed))
@@ -617,8 +613,6 @@ func sourceName(src sweep.Source) string {
 		return "executed"
 	case sweep.SourceCache:
 		return "cache"
-	case sweep.SourceJournal:
-		return "journal"
 	case sweep.SourceFlight:
 		return "flight"
 	case sweep.SourceRemote:

@@ -21,9 +21,8 @@ const walStateAborted = "aborted"
 // logs it and /metrics exposes the counters.
 type RecoveryStats struct {
 	// Replayed counts incomplete jobs (accepted but not terminal at the
-	// time of the crash) that were re-enqueued; each resumes from its
-	// existing sweep journal, so already-completed trials are not
-	// re-simulated.
+	// time of the crash) that were re-enqueued; the trials each had
+	// completed are in the result cache, so they are not re-simulated.
 	Replayed int
 	// Restored counts terminal jobs whose final state (digests, stats)
 	// was reconstructed so GET /v1/runs/{id} keeps answering after a

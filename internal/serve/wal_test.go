@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
@@ -23,6 +24,38 @@ func drainServer(t *testing.T, s *Server) {
 	if err := s.Drain(ctx); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
+}
+
+// forgeWAL writes records into store's job WAL, as a daemon that then
+// died would have left them.
+func forgeWAL(t *testing.T, store string, records ...durable.Record) {
+	t.Helper()
+	wal, _, err := durable.OpenWAL(nil, walPath(store))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range records {
+		if err := wal.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// cliqueSpec is cliqueBody as a submission record carries it.
+func cliqueSpec(t *testing.T) (spec []byte, trials int) {
+	t.Helper()
+	req, _, rerr := ParseRunRequest(strings.NewReader(cliqueBody), Limits{})
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	spec, err := json.Marshal(req.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec, req.Trials
 }
 
 // TestWALRestartServesTerminalJob pins the restart-surviving GET: a job
@@ -79,27 +112,10 @@ func TestWALReplaysIncompleteJob(t *testing.T) {
 
 	// Forge the crashed daemon's WAL: one accepted job, marked running,
 	// never finished.
-	req, _, rerr := ParseRunRequest(strings.NewReader(cliqueBody), Limits{})
-	if rerr != nil {
-		t.Fatal(rerr)
-	}
-	spec, err := json.Marshal(req.Spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wal, _, err := durable.OpenWAL(nil, walPath(store))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wal.Append(durable.Record{Type: "job", Job: "job-000007", Key: "k/trials=2", Trials: req.Trials, Spec: spec}); err != nil {
-		t.Fatal(err)
-	}
-	if err := wal.Append(durable.Record{Type: "state", Job: "job-000007", State: string(StateRunning)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := wal.Close(); err != nil {
-		t.Fatal(err)
-	}
+	spec, trials := cliqueSpec(t)
+	forgeWAL(t, store,
+		durable.Record{Type: "job", Job: "job-000007", Key: "k/trials=2", Trials: trials, Spec: spec},
+		durable.Record{Type: "state", Job: "job-000007", State: string(StateRunning)})
 
 	s, ts := newTestServer(t, Config{StoreDir: store})
 	if rec := s.Recovery(); rec.Replayed != 1 || rec.Restored != 0 {
@@ -126,6 +142,51 @@ func TestWALReplaysIncompleteJob(t *testing.T) {
 		t.Fatalf("second recovery = %+v, want 2 restored", rec)
 	}
 	drainServer(t, s2)
+}
+
+// TestRecoveryOfParentStore: a store written before the lease log, the
+// per-job sweep journals and the "running" state record were dropped
+// recovers as it always did — running-then-done restores, running alone
+// re-enqueues — and the files nothing reads any more are left alone.
+func TestRecoveryOfParentStore(t *testing.T) {
+	store := t.TempDir()
+	spec, trials := cliqueSpec(t)
+	forgeWAL(t, store,
+		durable.Record{Type: "job", Job: "job-000001", Key: "k/trials=2", Trials: trials, Spec: spec},
+		durable.Record{Type: "state", Job: "job-000001", State: "running"},
+		durable.Record{Type: "state", Job: "job-000001", State: "done", AggregateDigest: "00ff", ResultDigests: []string{"a1", "b2"}},
+		durable.Record{Type: "job", Job: "job-000002", Key: "k/trials=2", Trials: trials, Spec: spec},
+		durable.Record{Type: "state", Job: "job-000002", State: "running"})
+	stale := map[string]string{
+		filepath.Join(store, "wal", "dist.jsonl"):            `{"v":1,"seq":0,"type":"sweep","sweep":"ab12/trials=8","trialCount":8,"sum":"c60b5d5afac973ae"}` + "\n",
+		filepath.Join(store, "cache", "journals", "x.jsonl"): `{"v":1,"trial":3,"key":"0123abcd","data":{"convergence":1.5,"loops":[{"n":2}]}}` + "\n",
+	}
+	for path, data := range stale {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s, ts := newTestServer(t, Config{StoreDir: store})
+	if rec := s.Recovery(); rec.Replayed != 1 || rec.Restored != 1 || rec.DroppedRecords != 0 {
+		t.Fatalf("recovery = %+v, want 1 replayed / 1 restored / 0 dropped", rec)
+	}
+	if got := getJob(t, ts, "job-000001"); got.State != StateDone || got.AggregateDigest != "00ff" {
+		t.Errorf("restored job = %+v, want done with digest 00ff", got)
+	}
+	if v := waitTerminal(t, ts, "job-000002"); v.State != StateDone {
+		t.Errorf("replayed job state = %s (%s), want done", v.State, v.Error)
+	}
+	drainServer(t, s)
+	for path, want := range stale {
+		got, err := os.ReadFile(path)
+		if err != nil || string(got) != want {
+			t.Errorf("stale %s = %q, %v; want it untouched", path, got, err)
+		}
+	}
 }
 
 // TestWALSubmitRefusedOnStorageFault: when the fsynced admission append
