@@ -27,6 +27,13 @@ import (
 // fixtures live under testdata/<analyzer>/ regardless of package path.
 func RunFixture(t *testing.T, a *Analyzer, dir string) {
 	t.Helper()
+	RunFixtureAs(t, a, dir, "fixture")
+}
+
+// RunFixtureAs is RunFixture with the fixture presented to the analyzer
+// under a module-relative package path, for rules that read Pass.RelPath.
+func RunFixtureAs(t *testing.T, a *Analyzer, dir, relPath string) {
+	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatalf("reading fixture dir: %v", err)
@@ -61,7 +68,7 @@ func RunFixture(t *testing.T, a *Analyzer, dir string) {
 	}
 	tpkg, info := loader.check("fixture", files)
 	pkg := &Package{
-		RelPath: "fixture", Dir: dir,
+		RelPath: relPath, Dir: dir,
 		Fset: fset, Files: files, Filenames: filenames,
 		Types: tpkg, TypesInfo: info,
 	}

@@ -20,22 +20,38 @@ var globalRandNames = map[string]bool{
 
 const randPkg, randV2Pkg = "math/rand", "math/rand/v2"
 
+// streamsOnly reports whether a package must take its generators from
+// des.RNG and may not build one: every simulation package but internal/des
+// itself. A rand.NewSource there seeds a 607-word register before its
+// first draw — per speaker, that was half of an Internet(1000) trial — and
+// its draws are outside the named-stream contract.
+func streamsOnly(relPath string) bool {
+	return inPackages(simPackages...)(relPath) && !inPackages("internal/des")(relPath)
+}
+
 // NoGlobalRandAnalyzer forbids the shared global math/rand generator and
 // wall-clock seeding everywhere in the repo: all randomness must flow
 // from an explicit seed, normally a named stream from internal/des/rng.go.
+// In the simulation packages (streamsOnly) "normally" is "always".
 func NoGlobalRandAnalyzer() *Analyzer {
 	a := &Analyzer{
 		Name: "noglobalrand",
 		Doc: "forbid top-level math/rand draws and wall-clock seeding; all\n" +
-			"randomness must come from an explicit seed (internal/des/rng.go)",
+			"randomness must come from an explicit seed (internal/des/rng.go),\n" +
+			"and in the simulation packages from a des.RNG stream, never rand.New",
 		// No Match: the rule holds repo-wide, tools and figures included.
 	}
 	a.Run = func(pass *Pass) error {
+		streams := streamsOnly(pass.RelPath)
 		for _, file := range pass.Files {
 			ast.Inspect(file, func(n ast.Node) bool {
 				if name := pkgSelector(pass.TypesInfo, n, randPkg, randV2Pkg); name != "" {
 					if globalRandNames[name] {
 						pass.Reportf(n.Pos(), "rand.%s draws from the process-global generator; use a seeded *rand.Rand from des.RNG", name)
+						return false
+					}
+					if streams && (name == "New" || name == "NewSource") {
+						pass.Reportf(n.Pos(), "rand.%s builds a generator next to the simulation; streams come from des.RNG", name)
 						return false
 					}
 					if name == "NewSource" || name == "NewPCG" || name == "NewChaCha8" {

@@ -107,3 +107,24 @@ func TestRoutingScopeDeterminismAnalyzers(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamsOnlyScope pins where noglobalrand refuses rand.New and
+// rand.NewSource outright: the simulation packages, so that an eagerly
+// seeded source cannot come back next to a speaker, but not internal/des
+// (it builds the streams), nor the packages that seed one generator per
+// graph or per fault schedule from an explicit seed.
+func TestStreamsOnlyScope(t *testing.T) {
+	for _, p := range []string{
+		"internal/bgp", "internal/netsim", "internal/routing", "internal/dataplane",
+		"internal/experiment", "internal/faultplan", "internal/invariant", "internal/transport",
+	} {
+		if !streamsOnly(p) {
+			t.Errorf("%s may build its own rand.New; streams must come from des.RNG there", p)
+		}
+	}
+	for _, p := range []string{"internal/des", "internal/topology", "internal/durable", "internal/figures", "cmd/bgpsim", ""} {
+		if streamsOnly(p) {
+			t.Errorf("the streams-only rule covers %s", p)
+		}
+	}
+}

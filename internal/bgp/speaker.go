@@ -119,8 +119,8 @@ func NewSpeaker(id topology.Node, sched *des.Scheduler, net *netsim.Network, cfg
 		net:     net,
 		cfg:     cfg,
 		obs:     obs,
-		rngProc: rng.Stream(fmt.Sprintf("bgp/proc/%d", id)),
-		rngJit:  rng.Stream(fmt.Sprintf("bgp/jitter/%d", id)),
+		rngProc: rng.StreamN("bgp/proc/", int(id)),
+		rngJit:  rng.StreamN("bgp/jitter/", int(id)),
 		nbrs:    net.Graph().Neighbors(id),
 		dests:   make(map[topology.Node]*destState),
 	}
@@ -130,7 +130,7 @@ func NewSpeaker(id topology.Node, sched *des.Scheduler, net *netsim.Network, cfg
 		s.policy = cfg.PolicyFor(id)
 	}
 	if cfg.Session.Enabled() {
-		s.rngSess = rng.Stream(fmt.Sprintf("bgp/session/%d", id))
+		s.rngSess = rng.StreamN("bgp/session/", int(id))
 		s.sessions = make([]sessionState, len(s.nbrs))
 	}
 	net.Attach(id, s)

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -129,5 +130,87 @@ func TestAllocBudgetCliqueTrial(t *testing.T) {
 	}
 	if n > 20000 {
 		t.Errorf("one Clique(10) MRAI=0 trial allocates %v times, budget 20000", n)
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the mean heap bytes one
+// call of f allocates, after one warm-up call.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// The per-router randomness budgets. An Internet(1000) trial opens 2,000
+// streams and most draw fewer than 16 numbers, so a stream costs what it
+// draws: eagerly seeded math/rand sources were 5,376 B and 12.7 µs each, 51 %
+// of the trial and two thirds of its memory.
+
+// A stream that draws ten numbers: the rand.Rand and the compact source.
+func TestAllocBudgetStream(t *testing.T) {
+	skipUnlessAllocsAreOurs(t)
+	rng := des.NewRNG(1)
+	var sum int64
+	open := func() {
+		s := rng.StreamN("bgp/proc/", 417)
+		for i := 0; i < 10; i++ {
+			sum += s.Int63()
+		}
+	}
+	if n := testing.AllocsPerRun(1000, open); n > 2 {
+		t.Errorf("a 10-draw stream allocates %v times, budget 2", n)
+	}
+	if b := bytesPerRun(1000, open); b >= 512 {
+		t.Errorf("a 10-draw stream allocates %.0f B, budget < 512", b)
+	}
+}
+
+// One speaker on a degree-3 node, before its first event.
+func TestAllocBudgetNewSpeaker(t *testing.T) {
+	skipUnlessAllocsAreOurs(t)
+	sched := des.NewScheduler()
+	g := topology.Clique(4)
+	net := netsim.New(sched, g, 2*time.Millisecond)
+	rng := des.NewRNG(1)
+	cfg := bgp.DefaultConfig()
+	build := func() {
+		if _, err := bgp.NewSpeaker(2, sched, net, cfg, rng, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n, b := testing.AllocsPerRun(200, build), bytesPerRun(200, build)
+	t.Logf("NewSpeaker on a degree-3 node: %v allocations, %.0f B", n, b)
+	if n > 8 {
+		t.Errorf("NewSpeaker allocates %v times, budget 8", n)
+	}
+	if b >= 1536 {
+		t.Errorf("NewSpeaker allocates %.0f B, budget < 1536", b)
+	}
+}
+
+// One whole Internet(1000) T_long trial with the generator in it, as the
+// inet1000-tlong benchmark workload runs it: 15.5 MiB while every stream
+// carried a seeded register.
+func TestAllocBudgetInternet1000Trial(t *testing.T) {
+	skipUnlessAllocsAreOurs(t)
+	gen := InternetTLong(1000, bgp.DefaultConfig(), 1)
+	b := bytesPerRun(2, func() {
+		sc, err := gen(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Run(sc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("one Internet(1000) T_long generate + run: %.1f MiB", b/(1<<20))
+	if b >= 8<<20 {
+		t.Errorf("one Internet(1000) T_long trial allocates %.1f MiB, budget < 8", b/(1<<20))
 	}
 }
