@@ -54,8 +54,10 @@ type Speaker struct {
 	destOrder []topology.Node // sorted keys of dests
 
 	// busyUntil models the serial route processor: the instant the node
-	// finishes processing everything currently queued.
+	// finishes processing everything currently queued. The queued
+	// processing events wait on procQ, in completion order.
 	busyUntil des.Time
+	procQ     des.Lane
 
 	stats Stats
 }
@@ -234,24 +236,27 @@ func (s *Speaker) Deliver(from topology.Node, payload any) {
 	s.busyUntil = completion
 	// completion = max(now, busyUntil) + proc with proc >= ProcDelayMin >= 0
 	// (enforced by Config.Validate) and busyUntil only ever advanced, so
-	// completion >= now by construction. The payload goes on as it came:
-	// one boxed Update serves the send, the delivery and this event.
-	s.schedule(completion, evProcess, slot, payload)
+	// completion >= now, and >= every completion already on procQ, by
+	// construction. The payload goes on as it came: one boxed Update serves
+	// the send, the delivery and this event.
+	s.schedule(&s.procQ, completion, evProcess, slot, payload)
 }
 
-// schedule queues a typed event on the speaker itself (see Fire).
+// schedule queues a typed event on the speaker itself (see Fire), on lane
+// when it is not nil.
 //
-// Unreachability justification (robustness audit): Schedule fails only for
-// instants before Now, and every caller passes Now plus a delay that is
-// non-negative by construction — a validated config interval, or the
-// processor-queue completion above. The callers are netsim.Handler and
+// Unreachability justification (robustness audit): ScheduleLane fails only
+// for instants before Now or before the lane's latest, and every caller
+// passes Now plus a delay that is non-negative by construction — a
+// validated config interval, or the processor-queue completion above,
+// which never decreases. The callers are netsim.Handler and
 // timer callbacks, which have no error channel — a violated invariant here
 // is a kernel/config bug, not a scenario condition, and must fail loudly
 // at the violation site. Sweeps survive it: trial recovery converts the
 // invariant.Unreachable panic into a forensic bundle with a stable,
 // shrinkable signature.
-func (s *Speaker) schedule(at des.Time, kind, slot int, arg any) des.Handle {
-	h, err := s.sched.Schedule(at, s, kind, slot, 0, arg)
+func (s *Speaker) schedule(lane *des.Lane, at des.Time, kind, slot int, arg any) des.Handle {
+	h, err := s.sched.ScheduleLane(lane, at, s, kind, slot, 0, arg)
 	if err != nil {
 		invariant.Unreachable("bgp-schedule", fmt.Sprintf("impossible past scheduling: %v", err))
 	}
@@ -537,7 +542,7 @@ func (s *Speaker) deferSend(st *destState, slot int) {
 		next = m.phase + (delta/m.interval+1)*m.interval
 	}
 	m.flushSet = true
-	m.handle = s.schedule(next, evTick, slot, st)
+	m.handle = s.schedule(nil, next, evTick, slot, st)
 }
 
 // noteRateLimitedSend records that a rate-limited update went out: in the
@@ -621,7 +626,7 @@ func (s *Speaker) armMRAI(st *destState, slot int) {
 	}
 	m := &st.mrai[slot]
 	m.armed = true
-	m.handle = s.schedule(s.sched.Now()+interval, evMRAI, slot, st)
+	m.handle = s.schedule(nil, s.sched.Now()+interval, evMRAI, slot, st)
 }
 
 // send hands msg — a boxed Update, shared by every peer it goes to — to the

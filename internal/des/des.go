@@ -13,7 +13,8 @@
 // that orders itself without touching the events, and fired or discarded
 // events go back on a free list, so a warm scheduler allocates nothing per
 // event. Because events are reused, a Handle names its event together
-// with the generation it was scheduled under; see Handle.
+// with the generation it was scheduled under; see Handle. Events that
+// arrive already in time order can wait on a Lane instead of in the heap.
 package des
 
 import (
@@ -84,16 +85,33 @@ func (h Handle) Pending() bool {
 
 // event is the out-of-heap part of a scheduled event: what to call and
 // whether it is still wanted. An event belongs to exactly one heap item
-// from Schedule until that item is popped, then to the free list.
+// from Schedule until that item is popped, then to the free list; a lane
+// entry waits linked behind its predecessor until that one's item leaves
+// the heap, and then gets an item of its own. (96 B: kind and n are
+// int32 so that at and lane fit in the size class.)
 type event struct {
 	sched   *Scheduler
 	recv    Receiver
 	arg     any
 	id      uint64
 	seq     uint64 // generation: the seq of the current (or last) scheduling
-	kind, n int
+	at      Time
+	kind, n int32
 	pending bool   // scheduled, not yet fired, not cancelled
-	next    *event // free list
+	next    *event // free list, or the next entry of the lane; nil otherwise
+	lane    *Lane  // the lane the event waits on, nil for a plain event
+}
+
+// Lane is a FIFO of events whose instants never decrease, such as the
+// completions of a serial processor. Only the lane's first entry is in the
+// heap; the others wait, linked through their events, and each goes onto
+// the heap when the entry ahead of it leaves (fired, or discarded after
+// Cancel). An entry is keyed (time, seq) when it is scheduled, exactly as
+// Schedule would key it, so a lane changes where an event waits and never
+// when it fires. A lane serves one scheduler; the zero value is empty.
+type Lane struct {
+	tail *event // the last entry, nil when the lane is empty
+	last Time   // the latest instant ever scheduled on the lane
 }
 
 // item is one heap entry. The ordering key (at, seq) lives in the item so
@@ -116,13 +134,14 @@ func (a item) before(b item) bool {
 //
 // The queue is a 4-ary min-heap of items held by value, ordered by (time,
 // scheduling sequence). Cancellation is lazy: a cancelled event keeps its
-// heap item until the item surfaces and is discarded.
+// heap item until the item surfaces and is discarded, and a cancelled lane
+// entry keeps its place in the lane until the entry ahead of it leaves.
 type Scheduler struct {
 	now     Time
 	seq     uint64
 	queue   []item
 	free    *event
-	live    int // pending events: len(queue) minus the cancelled ones
+	live    int // pending events, in the heap or waiting on a lane
 	stopped bool
 
 	// executed counts events that have fired; useful for instrumentation
@@ -144,8 +163,8 @@ func NewScheduler() *Scheduler {
 // Now returns the current virtual time.
 func (s *Scheduler) Now() Time { return s.now }
 
-// Len returns the number of pending (non-cancelled) events. Cancelled events
-// that have not yet been popped are excluded.
+// Len returns the number of pending (non-cancelled) events, lane entries
+// included. Cancelled events that have not yet been popped are excluded.
 func (s *Scheduler) Len() int { return s.live }
 
 // Executed returns the number of events that have fired so far.
@@ -161,27 +180,51 @@ func (s *Scheduler) SetExecHook(fn func(at Time)) { s.execHook = fn }
 
 // Schedule arranges for r.Fire(kind, n, id, arg) to be called at the
 // absolute virtual time t. Events scheduled for the same instant fire in
-// the order they were scheduled. It is the one way onto the queue; At and
-// After schedule a func() through it.
+// the order they were scheduled. At and After schedule a func() through it.
+// kind and n must fit in an int32.
 func (s *Scheduler) Schedule(t Time, r Receiver, kind, n int, id uint64, arg any) (Handle, error) {
+	return s.ScheduleLane(nil, t, r, kind, n, id, arg)
+}
+
+// ScheduleLane is Schedule for an event that waits on lane l: it fires
+// exactly when Schedule would have fired it, but until every earlier entry
+// of l has left the heap it waits outside it. An instant before l's latest
+// one is refused with ErrPastTime, never reordered. A nil l is Schedule;
+// it is the one way onto the queue.
+func (s *Scheduler) ScheduleLane(l *Lane, t Time, r Receiver, kind, n int, id uint64, arg any) (Handle, error) {
 	if t < s.now {
 		return Handle{}, fmt.Errorf("%w: now=%v, requested=%v", ErrPastTime, s.now, t)
+	}
+	if l != nil && t < l.last {
+		return Handle{}, fmt.Errorf("%w: lane's last entry=%v, requested=%v", ErrPastTime, l.last, t)
+	}
+	if int(int32(kind)) != kind || int(int32(n)) != n {
+		return Handle{}, fmt.Errorf("des: event kind %d or n %d overflows int32", kind, n)
 	}
 	ev := s.free
 	if ev == nil {
 		// Events are made a block at a time: the free list only ever grows
-		// to the queue's high-water mark, a few thousand on a busy run.
-		block := make([]event, 64)
+		// to the queue's high-water mark, a few thousand on a busy run. 63
+		// events and the allocator's 8-byte header fit the 6 KiB size
+		// class; 64 would spill into the next one, 6.4 KiB.
+		block := make([]event, 63)
 		for i := 1; i < len(block); i++ {
 			block[i-1].next = &block[i]
 		}
 		ev = &block[0]
 	}
 	s.free = ev.next
-	*ev = event{sched: s, recv: r, arg: arg, id: id, seq: s.seq, kind: kind, n: n, pending: true}
-	s.push(item{at: t, seq: s.seq, ev: ev})
+	*ev = event{sched: s, recv: r, arg: arg, id: id, seq: s.seq, at: t, kind: int32(kind), n: int32(n), pending: true, lane: l}
 	s.seq++
 	s.live++
+	if l != nil && l.tail != nil {
+		l.tail.next = ev // waits until its predecessor leaves the heap
+	} else {
+		s.push(item{at: t, seq: ev.seq, ev: ev})
+	}
+	if l != nil {
+		l.tail, l.last = ev, t
+	}
 	return Handle{ev: ev, seq: ev.seq}, nil
 }
 
@@ -234,7 +277,7 @@ func (s *Scheduler) Step() bool {
 		}
 		// Recycle before firing: what the event schedules next reuses it
 		// while it is still in cache.
-		recv, kind, n, id, arg := ev.recv, ev.kind, ev.n, ev.id, ev.arg
+		recv, kind, n, id, arg := ev.recv, int(ev.kind), int(ev.n), ev.id, ev.arg
 		s.release(ev)
 		s.live--
 		s.now = it.at
@@ -272,22 +315,33 @@ func (s *Scheduler) push(it item) {
 }
 
 // pop removes and returns the earliest item; the queue must be non-empty.
+// When the item heads a lane, the lane's next pending entry takes its
+// place, keyed as it was scheduled; otherwise the last item does. Either
+// is then sifted down from the root.
 func (s *Scheduler) pop() item {
 	q := s.queue
 	top := q[0]
-	last := len(q) - 1
-	it := q[last]
-	q[last] = item{}
-	q = q[:last]
-	s.queue = q
+	var it item
+	if next := s.advance(top.ev); next != nil {
+		it = item{at: next.at, seq: next.seq, ev: next}
+	} else {
+		last := len(q) - 1
+		it = q[last]
+		q[last] = item{}
+		q = q[:last]
+		s.queue = q
+		if last == 0 {
+			return top
+		}
+	}
 	i := 0
 	for {
 		first := 4*i + 1
-		if first >= last {
+		if first >= len(q) {
 			break
 		}
 		least := first
-		for c := first + 1; c < first+4 && c < last; c++ {
+		for c := first + 1; c < first+4 && c < len(q); c++ {
 			if q[c].before(q[least]) {
 				least = c
 			}
@@ -298,10 +352,27 @@ func (s *Scheduler) pop() item {
 		q[i] = q[least]
 		i = least
 	}
-	if last > 0 {
-		q[i] = it
-	}
+	q[i] = it
 	return top
+}
+
+// advance is called as ev's heap item leaves. For the first entry of a
+// lane it returns the lane's next pending entry, releasing cancelled ones
+// on the way, or nil when none is left; for a plain event, nil.
+func (s *Scheduler) advance(ev *event) *event {
+	if ev.lane == nil {
+		return nil
+	}
+	next := ev.next
+	for next != nil && !next.pending {
+		dead := next
+		next = next.next
+		s.release(dead)
+	}
+	if next == nil {
+		ev.lane.tail = nil
+	}
+	return next
 }
 
 // Run executes events until the queue is empty (quiescence) or Stop is
@@ -314,8 +385,9 @@ func (s *Scheduler) Run() uint64 {
 }
 
 // RunUntil executes events with timestamps <= t, then advances the clock to
-// t (even if the queue drained earlier). It returns the number of events
-// executed by this call.
+// t (even if the queue drained earlier) — unless a Stop left an event at or
+// before t pending, which must still fire at its own instant. It returns the
+// number of events executed by this call.
 func (s *Scheduler) RunUntil(t Time) uint64 {
 	start := s.executed
 	for !s.stopped {
@@ -325,7 +397,9 @@ func (s *Scheduler) RunUntil(t Time) uint64 {
 		s.Step()
 	}
 	if s.now < t {
-		s.now = t
+		if at, ok := s.NextEventTime(); !ok || at > t {
+			s.now = t
+		}
 	}
 	return s.executed - start
 }
@@ -368,16 +442,20 @@ func (s *Scheduler) RunLimitUntil(limit uint64, horizon Time) (n uint64, hitHori
 // into virtual time it stretches.
 func (s *Scheduler) PendingCensus() (n int, earliest, latest Time) {
 	for _, it := range s.queue {
-		if !it.ev.pending {
-			continue
+		// A heap item's event is followed by the entries waiting behind it
+		// on its lane; a plain event's next is nil.
+		for ev := it.ev; ev != nil; ev = ev.next {
+			if !ev.pending {
+				continue
+			}
+			if n == 0 || ev.at < earliest {
+				earliest = ev.at
+			}
+			if n == 0 || ev.at > latest {
+				latest = ev.at
+			}
+			n++
 		}
-		if n == 0 || it.at < earliest {
-			earliest = it.at
-		}
-		if n == 0 || it.at > latest {
-			latest = it.at
-		}
-		n++
 	}
 	return n, earliest, latest
 }

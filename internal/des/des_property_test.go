@@ -3,6 +3,7 @@ package des
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 )
@@ -21,6 +22,7 @@ type queue interface {
 	Stop()
 	Resume()
 	at(Time, func()) (canceller, error)
+	onLane(k int, t Time, fn func()) (canceller, error)
 }
 
 type canceller interface {
@@ -28,71 +30,143 @@ type canceller interface {
 	Pending() bool
 }
 
-type realQueue struct{ *Scheduler }
+// lanes is how many lanes a script spreads its lane entries over.
+const lanes = 3
 
-func (q realQueue) at(t Time, fn func()) (canceller, error) { return q.At(t, fn) }
+type realQueue struct {
+	*Scheduler
+	lanes [lanes]Lane
+}
 
-type oracleQueue struct{ *oracleScheduler }
+func newRealQueue() *realQueue { return &realQueue{Scheduler: NewScheduler()} }
 
-func (q oracleQueue) at(t Time, fn func()) (canceller, error) { return q.At(t, fn) }
+func (q *realQueue) at(t Time, fn func()) (canceller, error) { return q.At(t, fn) }
 
-// play runs one seeded script against q and returns the transcript of
-// everything observable: each operation's result, the firing order, and
-// after every operation Now, Len, Executed, PendingCensus and
-// NextEventTime. Delays are drawn from a handful of values, mostly zero,
-// so that many events share an instant and the (time, seq) order is
-// carried by seq; events schedule children, cancel their neighbours and
-// stop the run from inside their own firing; handles are cancelled and
-// queried long after their events fired.
-func play(q queue, seed int64, ops int) []string {
-	rng := rand.New(rand.NewSource(seed))
+func (q *realQueue) onLane(k int, t Time, fn func()) (canceller, error) {
+	return q.ScheduleLane(&q.lanes[k], t, funcEvent(fn), 0, 0, 0, nil)
+}
+
+type oracleQueue struct {
+	*oracleScheduler
+	last [lanes]Time
+}
+
+func newOracleQueue() *oracleQueue { return &oracleQueue{oracleScheduler: &oracleScheduler{}} }
+
+func (q *oracleQueue) at(t Time, fn func()) (canceller, error) { return q.At(t, fn) }
+
+func (q *oracleQueue) onLane(k int, t Time, fn func()) (canceller, error) {
+	return q.LaneAt(&q.last[k], t, fn)
+}
+
+// script is where play draws its choices: a seeded math/rand for the
+// property test, the fuzzer's bytes for the fuzz target.
+type script interface{ Intn(n int) int }
+
+// byteScript makes one choice per byte, and zeros once the bytes run out.
+type byteScript []byte
+
+func (b *byteScript) Intn(n int) int {
+	if len(*b) == 0 {
+		return 0
+	}
+	c := int((*b)[0])
+	*b = (*b)[1:]
+	return c % n
+}
+
+// play runs one script against q and returns the transcript of everything
+// observable: each operation's result, the firing order, and after every
+// operation Now, Len, Executed, PendingCensus and NextEventTime. Delays are
+// drawn from a handful of values, mostly zero, so that many events share
+// an instant and the (time, seq) order is carried by seq; events schedule
+// children, cancel their neighbours and stop the run from inside their
+// own firing; handles are cancelled and queried long after their events
+// fired. About a third of the entries go on one of the lanes, at or after
+// the lane's latest instant and so mostly at instants plain events share;
+// the script cancels lane heads and queued entries alike, and offers the
+// lanes entries before their latest instant, which must be refused.
+func play(q queue, src script, ops int) []string {
 	delays := []Time{0, 0, 0, 0, time.Millisecond, time.Millisecond, 2 * time.Millisecond, 7 * time.Millisecond}
 	var (
 		log     []string
 		handles []canceller
+		queued  [lanes][]int // the ids each lane accepted, in order
+		last    [lanes]Time  // each lane's latest accepted instant
 	)
 	logf := func(format string, args ...any) { log = append(log, fmt.Sprintf(format, args...)) }
-	var schedule func(t Time)
-	schedule = func(t Time) {
+	laneAt := func(k int, d Time) Time { return max(q.Now(), last[k]) + d }
+	var schedule func(lane int, t Time) // lane -1 is a plain event
+	schedule = func(lane int, t Time) {
 		id := len(handles)
 		handles = append(handles, nil)
-		h, err := q.at(t, func() {
+		fire := func() {
 			logf("fire %d at %v", id, q.Now())
 			switch {
+			case id%5 == 0 && lane >= 0:
+				k := (lane + 1) % lanes
+				schedule(k, laneAt(k, delays[id%len(delays)]))
 			case id%5 == 0:
-				schedule(q.Now() + delays[id%len(delays)])
+				schedule(-1, q.Now()+delays[id%len(delays)])
 			case id%7 == 0 && id > 0:
 				logf("cancel %d from %d: %v", id-1, id, handles[id-1].Cancel())
 			case id%11 == 0:
 				q.Stop()
 			}
-		})
+		}
+		var (
+			h   canceller
+			err error
+		)
+		if lane < 0 {
+			h, err = q.at(t, fire)
+		} else {
+			h, err = q.onLane(lane, t, fire)
+		}
 		if err != nil {
-			logf("schedule %d at %v: refused", id, t)
+			logf("schedule %d on lane %d at %v: refused", id, lane, t)
 			handles[id] = oracleHandle{} // a handle that was never valid
 			return
 		}
 		handles[id] = h
-		logf("schedule %d at %v", id, t)
+		if lane >= 0 {
+			queued[lane] = append(queued[lane], id)
+			last[lane] = t
+		}
+		logf("schedule %d on lane %d at %v", id, lane, t)
 	}
 	for i := 0; i < ops; i++ {
-		switch r := rng.Intn(20); {
-		case r < 9:
-			schedule(q.Now() + delays[rng.Intn(len(delays))])
-		case r == 9:
-			schedule(q.Now() - Time(rng.Intn(2))) // in the past half the time
-		case r < 13 && len(handles) > 0:
-			k := rng.Intn(len(handles))
+		switch r := src.Intn(24); {
+		case r < 8:
+			schedule(-1, q.Now()+delays[src.Intn(len(delays))])
+		case r == 8:
+			schedule(-1, q.Now()-Time(src.Intn(2))) // in the past half the time
+		case r < 13:
+			k := src.Intn(lanes)
+			schedule(k, laneAt(k, delays[src.Intn(len(delays))]))
+		case r == 13:
+			k := src.Intn(lanes)
+			schedule(k, last[k]-Time(1+src.Intn(2))) // before the lane's latest
+		case r < 16 && len(handles) > 0:
+			k := src.Intn(len(handles))
 			logf("cancel %d: %v", k, handles[k].Cancel())
-		case r < 15 && len(handles) > 0:
-			k := rng.Intn(len(handles))
+		case r == 16:
+			k := src.Intn(lanes)
+			for _, id := range queued[k] { // the lane's first pending entry
+				if handles[id].Pending() {
+					logf("cancel head %d of lane %d: %v", id, k, handles[id].Cancel())
+					break
+				}
+			}
+		case r < 19 && len(handles) > 0:
+			k := src.Intn(len(handles))
 			logf("pending %d: %v", k, handles[k].Pending())
-		case r < 17:
+		case r < 21:
 			logf("step: %v", q.Step())
-		case r == 17:
-			logf("run until: %d", q.RunUntil(q.Now()+delays[rng.Intn(len(delays))]))
-		case r == 18:
-			n, hit := q.RunLimitUntil(uint64(rng.Intn(6)), q.Now()+delays[rng.Intn(len(delays))])
+		case r == 21:
+			logf("run until: %d", q.RunUntil(q.Now()+delays[src.Intn(len(delays))]))
+		case r == 22:
+			n, hit := q.RunLimitUntil(uint64(src.Intn(6)), q.Now()+delays[src.Intn(len(delays))])
 			logf("run limit until: %d %v", n, hit)
 		default:
 			q.Resume()
@@ -108,36 +182,60 @@ func play(q queue, seed int64, ops int) []string {
 	return log
 }
 
-// TestPropertySchedulerMatchesOracle checks the value-heap scheduler
-// against the container/heap one it replaced (oracle_test.go): the same
-// seeded script must produce the same transcript, line for line.
+// sameTranscript fails t at the first line where got and want differ.
+func sameTranscript(t *testing.T, name string, got, want []string) {
+	t.Helper()
+	for i := range want {
+		if i >= len(got) || got[i] != want[i] {
+			g := "(transcript ends)"
+			if i < len(got) {
+				g = got[i]
+			}
+			t.Fatalf("%s, line %d:\n  got  %s\n  want %s", name, i, g, want[i])
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: transcript has %d lines, oracle %d", name, len(got), len(want))
+	}
+}
+
+// TestPropertySchedulerMatchesOracle checks the value-heap scheduler and
+// its lanes against the container/heap scheduler it replaced
+// (oracle_test.go), where a lane entry is a plain At: the same seeded
+// script must produce the same transcript, line for line.
 func TestPropertySchedulerMatchesOracle(t *testing.T) {
-	fired := 0
+	var fired, onLane, refused int
 	for seed := int64(0); seed < 400; seed++ {
 		ops := 40 + int(seed%7)*40
-		got := play(realQueue{NewScheduler()}, seed, ops)
-		want := play(oracleQueue{&oracleScheduler{}}, seed, ops)
-		for i := range want {
-			if i >= len(got) || got[i] != want[i] {
-				g := "(transcript ends)"
-				if i < len(got) {
-					g = got[i]
-				}
-				t.Fatalf("seed %d, line %d:\n  got  %s\n  want %s", seed, i, g, want[i])
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: transcript has %d lines, oracle %d", seed, len(got), len(want))
-		}
+		got := play(newRealQueue(), rand.New(rand.NewSource(seed)), ops)
+		want := play(newOracleQueue(), rand.New(rand.NewSource(seed)), ops)
+		sameTranscript(t, fmt.Sprintf("seed %d", seed), got, want)
 		for _, line := range want {
-			if len(line) > 4 && line[:4] == "fire" {
+			switch {
+			case strings.HasPrefix(line, "fire"):
 				fired++
+			case strings.HasPrefix(line, "schedule") && !strings.Contains(line, "lane -1"):
+				if strings.HasSuffix(line, "refused") {
+					refused++
+				} else {
+					onLane++
+				}
 			}
 		}
 	}
-	if fired < 10000 {
-		t.Errorf("only %d events fired across all scripts; the comparison is nearly vacuous", fired)
+	if fired < 15000 || onLane < 8000 || refused < 1500 {
+		t.Errorf("%d events fired, %d lane entries accepted and %d refused across all scripts; the comparison is nearly vacuous", fired, onLane, refused)
 	}
+}
+
+// FuzzSchedulerMatchesOracle is the property test driven by the fuzzer's
+// bytes, one choice per byte (seeds under testdata/fuzz/).
+func FuzzSchedulerMatchesOracle(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ops := min(len(data), 2000)
+		a, b := byteScript(data), byteScript(data)
+		sameTranscript(t, "script", play(newRealQueue(), &a, ops), play(newOracleQueue(), &b, ops))
+	})
 }
 
 // TestStaleHandleAfterRecycle pins the handle generation check: once an

@@ -2,11 +2,13 @@ package des
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestSchedulerOrdering(t *testing.T) {
@@ -369,5 +371,115 @@ func TestPendingCensus(t *testing.T) {
 	n, earliest, latest = s.PendingCensus()
 	if n != 2 || earliest != 3*time.Second || latest != 7*time.Second {
 		t.Fatalf("census after cancel = (%d, %v, %v), want (2, 3s, 7s)", n, earliest, latest)
+	}
+}
+
+// TestRunUntilAfterStopKeepsClock: a Stop inside RunUntil leaves an event
+// at or before the target pending, so the clock must stay where the stopped
+// event put it — jumping to the target would make the pending event fire
+// in the clock's past and refuse instants before the target that are not.
+func TestRunUntilAfterStopKeepsClock(t *testing.T) {
+	s := NewScheduler()
+	mustAt(t, s, time.Millisecond, s.Stop)
+	mustAt(t, s, 2*time.Millisecond, func() {})
+	if n := s.RunUntil(5 * time.Millisecond); n != 1 {
+		t.Fatalf("RunUntil executed %d events, want 1", n)
+	}
+	if s.Now() != time.Millisecond {
+		t.Errorf("clock after a stopped RunUntil = %v, want 1ms", s.Now())
+	}
+	if _, err := s.At(3*time.Millisecond, func() {}); err != nil {
+		t.Errorf("At(3ms) after a stopped RunUntil: %v", err)
+	}
+	s.Resume()
+	s.Step()
+	if s.Now() != 2*time.Millisecond {
+		t.Errorf("clock after the pending event = %v, want 2ms", s.Now())
+	}
+	// Once nothing is left at or before the target, RunUntil advances.
+	s.RunUntil(5 * time.Millisecond)
+	if s.Now() != 5*time.Millisecond {
+		t.Errorf("clock = %v, want 5ms", s.Now())
+	}
+}
+
+// TestLaneWaitsOutsideHeap: a lane's entries fire exactly where plain
+// events with the same instants would, interleaved with plain events at the
+// same instants, while only the lane's first entry is in the heap; Len and
+// PendingCensus count the ones waiting.
+func TestLaneWaitsOutsideHeap(t *testing.T) {
+	s := NewScheduler()
+	r := &payloadRecorder{}
+	var lane Lane
+	for i := 0; i < 100; i++ {
+		at := Time(i/10) * time.Millisecond
+		if _, err := s.ScheduleLane(&lane, at, r, 1, i, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+		if i%10 == 0 {
+			if _, err := s.Schedule(at, r, 0, i, 0, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if len(s.queue) != 11 || s.Len() != 110 {
+		t.Fatalf("heap holds %d items, Len %d; want 11 and 110", len(s.queue), s.Len())
+	}
+	if n, lo, hi := s.PendingCensus(); n != 110 || lo != 0 || hi != 9*time.Millisecond {
+		t.Fatalf("census = (%d, %v, %v), want (110, 0s, 9ms)", n, lo, hi)
+	}
+	s.Run()
+	var want []string
+	for i := 0; i < 100; i++ {
+		if i%10 == 0 {
+			want = append(want, fmt.Sprintf("0 %d 0 <nil>", i))
+		}
+		want = append(want, fmt.Sprintf("1 %d 0 <nil>", i))
+	}
+	// Each instant's plain event was scheduled after the lane entry at the
+	// same index, so the lane entry fires first.
+	for i := 0; i < len(want); i += 11 {
+		want[i], want[i+1] = want[i+1], want[i]
+	}
+	if fmt.Sprint(r.got) != fmt.Sprint(want) {
+		t.Errorf("fired\n  %v\nwant\n  %v", r.got, want)
+	}
+}
+
+// TestLaneRefusesDisorder: an entry before the lane's latest instant is
+// refused with ErrPastTime, not reordered, even when it is not in the
+// scheduler's past; the refusal leaves the lane as it was, and a drained
+// lane still remembers its latest instant.
+func TestLaneRefusesDisorder(t *testing.T) {
+	s := NewScheduler()
+	r := &payloadRecorder{}
+	var lane Lane
+	if _, err := s.ScheduleLane(&lane, 5*time.Millisecond, r, 0, 0, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ScheduleLane(&lane, 4*time.Millisecond, r, 0, 1, 0, nil); !errors.Is(err, ErrPastTime) {
+		t.Errorf("entry before the lane's latest: error %v, want ErrPastTime", err)
+	}
+	if _, err := s.ScheduleLane(&lane, 5*time.Millisecond, r, 0, 2, 0, nil); err != nil {
+		t.Errorf("entry at the lane's latest instant: %v", err)
+	}
+	s.Run()
+	if fmt.Sprint(r.got) != "[0 0 0 <nil> 0 2 0 <nil>]" || s.Len() != 0 {
+		t.Errorf("fired %v with Len %d, want entries 0 and 2", r.got, s.Len())
+	}
+	if _, err := s.ScheduleLane(&lane, 5*time.Millisecond, r, 0, 4, 0, nil); err != nil {
+		t.Errorf("drained lane refused its latest instant: %v", err)
+	}
+	if _, err := s.ScheduleLane(&lane, 4*time.Millisecond, r, 0, 5, 0, nil); err == nil {
+		t.Error("drained lane forgot its latest instant")
+	}
+}
+
+// An event stays at 96 B with its lane link, so that a block of 63 and the
+// allocator's header fit the 6 KiB size class: the blocks are what a busy
+// trial's queue costs.
+func TestEventSize(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n > 96 {
+		t.Errorf("event is %d B, want <= 96", n)
 	}
 }

@@ -87,6 +87,20 @@ func (s *oracleScheduler) At(t Time, fn func()) (oracleHandle, error) {
 	return oracleHandle{ev: ev}, nil
 }
 
+// LaneAt models an entry on a lane whose latest instant is *last. A lane
+// changes where an event waits, never when it fires, so the entry is a
+// plain At; all the lane adds is the refusal of disorder.
+func (s *oracleScheduler) LaneAt(last *Time, t Time, fn func()) (oracleHandle, error) {
+	if t < *last {
+		return oracleHandle{}, fmt.Errorf("%w: lane's last entry=%v, requested=%v", ErrPastTime, *last, t)
+	}
+	h, err := s.At(t, fn)
+	if err == nil {
+		*last = t
+	}
+	return h, err
+}
+
 func (s *oracleScheduler) Step() bool {
 	for len(s.queue) > 0 && !s.stopped {
 		ev := heap.Pop(&s.queue).(*oracleEvent)
@@ -114,7 +128,7 @@ func (s *oracleScheduler) RunUntil(t Time) uint64 {
 		}
 		s.Step()
 	}
-	if s.now < t {
+	if next := s.peek(); s.now < t && (next == nil || next.at > t) {
 		s.now = t
 	}
 	return s.executed - start

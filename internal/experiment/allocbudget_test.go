@@ -51,23 +51,37 @@ type countingReceiver struct{ fired int }
 func (r *countingReceiver) Fire(int, int, uint64, any) { r.fired++ }
 
 // Scheduling and firing a typed event on a warm scheduler: the event comes
-// off the free list and goes back.
+// off the free list and goes back. On a lane the event is its own link, so
+// waiting there costs nothing either.
 func TestAllocBudgetTypedEvent(t *testing.T) {
 	skipUnlessAllocsAreOurs(t)
 	sched := des.NewScheduler()
 	r := &countingReceiver{}
 	var arg any = r
-	cycle := func() {
-		for i := 0; i < 100; i++ {
-			if _, err := sched.Schedule(sched.Now()+des.Time(i%7), r, 1, i, uint64(i), arg); err != nil {
-				t.Fatal(err)
+	var lane des.Lane
+	for _, leg := range []struct {
+		name     string
+		schedule func(i int) (des.Handle, error)
+	}{
+		{"heap", func(i int) (des.Handle, error) {
+			return sched.Schedule(sched.Now()+des.Time(i%7), r, 1, i, uint64(i), arg)
+		}},
+		{"lane", func(i int) (des.Handle, error) {
+			return sched.ScheduleLane(&lane, sched.Now()+des.Time(i), r, 1, i, uint64(i), arg)
+		}},
+	} {
+		cycle := func() {
+			for i := 0; i < 100; i++ {
+				if _, err := leg.schedule(i); err != nil {
+					t.Fatal(err)
+				}
 			}
+			sched.Run()
 		}
-		sched.Run()
-	}
-	cycle() // warm: grow the heap and the free list
-	if n := testing.AllocsPerRun(100, cycle); n != 0 {
-		t.Errorf("100 schedule+fire cycles allocate %v times, want 0", n)
+		cycle() // warm: grow the heap and the free list
+		if n := testing.AllocsPerRun(100, cycle); n != 0 {
+			t.Errorf("%s: 100 schedule+fire cycles allocate %v times, want 0", leg.name, n)
+		}
 	}
 	if r.fired == 0 {
 		t.Fatal("nothing fired")
@@ -111,25 +125,30 @@ func TestAllocBudgetSendDeliver(t *testing.T) {
 
 // One whole Clique(10) MRAI=0 T_down trial, set-up, replay and loop scan
 // included: about 23 k messages. It took 209 k allocations while every
-// message cost eight.
+// message cost eight, and 1.9 MiB while its processing backlog, about
+// 5,000 events, sat in the event heap rather than on the speakers' lanes.
 func TestAllocBudgetCliqueTrial(t *testing.T) {
 	skipUnlessAllocsAreOurs(t)
 	cfg := bgp.DefaultConfig()
 	cfg.MRAI = 0
 	var sent int
-	n := testing.AllocsPerRun(3, func() {
+	trial := func() {
 		res, err := Run(CliqueTDown(10, cfg, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
 		sent = res.Net.Sent
-	})
-	t.Logf("%v allocations for %d messages", n, sent)
+	}
+	n, b := testing.AllocsPerRun(3, trial), bytesPerRun(3, trial)
+	t.Logf("%v allocations, %.2f MiB for %d messages", n, b/(1<<20), sent)
 	if sent < 20000 {
 		t.Fatalf("only %d messages sent; the trial is not the path-exploration blow-up any more", sent)
 	}
 	if n > 20000 {
 		t.Errorf("one Clique(10) MRAI=0 trial allocates %v times, budget 20000", n)
+	}
+	if b >= 1.75*(1<<20) {
+		t.Errorf("one Clique(10) MRAI=0 trial allocates %.2f MiB, budget < 1.75", b/(1<<20))
 	}
 }
 
