@@ -9,10 +9,13 @@
 // per-packet forwarding without simulating any hop as a DES event. And the
 // history is piecewise constant: History.Epochs yields its static
 // intervals, inside each of which the FIBs are one fixed functional graph
-// and a packet's fate is a function of where it stands, so Replay resolves
-// packets an epoch at a time, most of them in closed form, and walks hop
-// by hop only the few hops that a FIB change forces it to (see Replay).
-// The loop scan of package loopanalysis runs on the same iterator.
+// and a packet's fate is a function of where it stands. So Replay works an
+// epoch at a time and never packet by packet: each source's packets whose
+// lookups the epoch holds are added in closed form, once per source and
+// epoch, and a looping packet waits with every packet of its send instant
+// on the cycle it circles until its TTL runs out or a member of the cycle
+// changes (see Replay). The loop scan of package loopanalysis runs on the
+// same iterator.
 //
 // NextHop, ChangeTimes and Snapshot are the point queries: what the
 // runtime guards read, and what the differential oracles in the tests are

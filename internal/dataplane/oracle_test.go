@@ -31,6 +31,15 @@ func walkReplay(h *History, cfg ReplayConfig) (ReplayResult, error) {
 	return res, nil
 }
 
+// add records one packet, as the walker resolves them: one at a time.
+func (h *HopStats) add(hops int) {
+	h.Count++
+	h.Total += hops
+	if hops > h.Max {
+		h.Max = hops
+	}
+}
+
 // walker carries the epoch-stamped visited array reused across packets so
 // that revisit detection is allocation-free.
 type walker struct {

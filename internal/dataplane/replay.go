@@ -2,6 +2,8 @@ package dataplane
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"time"
 
 	"bgploop/internal/des"
@@ -114,9 +116,10 @@ func (h HopStats) Mean() float64 {
 	return float64(h.Total) / float64(h.Count)
 }
 
-func (h *HopStats) add(hops int) {
-	h.Count++
-	h.Total += hops
+// addN records n > 0 packets of the same hop count.
+func (h *HopStats) addN(hops, n int) {
+	h.Count += n
+	h.Total += hops * n
 	if hops > h.Max {
 		h.Max = hops
 	}
@@ -147,37 +150,90 @@ func (r ReplayResult) LoopingRatio() float64 {
 // at + k*LinkDelay on the node the packet stands on, sees the records with
 // time <= that instant, takes LinkDelay and costs one TTL unit.
 //
-// The work is done epoch by epoch (see Epochs) instead of packet by packet.
-// Inside an epoch the FIBs are one fixed functional graph, in which a
-// packet's fate is a function of the node it stands on, so:
+// The work is done epoch by epoch (see Epochs), and inside an epoch by
+// source and by cohort rather than by packet. Inside an epoch the FIBs are
+// one fixed functional graph, in which a packet's fate is a function of
+// the node it stands on, and every source sends on the same grid
+// Start + k*Interval, so:
 //
-//   - a packet sent in an epoch that also contains its last lookup is
-//     resolved in closed form from its source's class (fates), O(1);
-//   - any other packet becomes an in-flight record that is stepped over
-//     the epoch's next-hop array and carried into the next epoch at the
-//     first lookup that falls outside; once it has revisited a node and
-//     stands on a cycle it jumps all the lookups the epoch or its TTL have
-//     left at once, by index into the cycle.
+//   - the epoch's send instants whose last lookup still falls in the epoch
+//     are a prefix, the same for every packet of a source: they are added
+//     in closed form from the source's class (fates), one multiply per
+//     counter and source;
+//   - of the rest, the instants whose tail and first lap of a cycle still
+//     fall in the epoch are the next run: those packets are bound to
+//     revisit a node and are parked (below) straight from their source;
+//   - the remaining instants are launched, in send order, and each packet
+//     is stepped over the epoch's next-hop array until its fate is sealed,
+//     its next lookup leaves the epoch (it is carried into the next one) or
+//     it has revisited a node and stands on a cycle;
+//   - a looped packet on a cycle dies of TTL exhaustion at
+//     send + TTL*LinkDelay unless a member of the cycle changes first, so
+//     it is parked on the cycle's group as a cohort: one entry (deadline,
+//     phase, count) holds every packet of its send instant that stands on
+//     the same node. At each epoch end the entries due before it are
+//     exhausted; at each boundary the groups that lost a member to
+//     Epochs.Changed go back to flight, every entry fast-forwarded to the
+//     epoch start by index into the ring, and every other group waits on.
 //
 // Every ReplayResult field is a sum, a minimum or a maximum over packets,
-// so the order packets are resolved in cannot show. Memory is O(nodes +
-// packets in flight); in flight are at most
-// sources x ceil(TTL*LinkDelay/Interval) packets whatever the window.
+// so neither the order packets are resolved in nor how they are grouped
+// can show: an entry is charged its hops up to the deadline when it parks
+// and refunded the ones it did not take when it is released. Memory is
+// O(nodes + cohorts alive), whatever the window: a packet lives
+// TTL*LinkDelay, so at most sources x ceil(TTL*LinkDelay/Interval) are in
+// flight, and a group holds at most one entry per ring node and send
+// instant still alive.
 func Replay(h *History, cfg ReplayConfig) (ReplayResult, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
+	r, err := newReplayer(h, cfg)
+	if err != nil {
 		return ReplayResult{}, err
 	}
-	n := h.NumNodes()
-	for _, src := range cfg.Sources {
-		if src != cfg.Dest && (src < 0 || int(src) >= n) {
-			return ReplayResult{}, fmt.Errorf("dataplane: source %d out of range", src)
-		}
+	r.run()
+	return r.res, nil
+}
+
+// newReplayer checks cfg and sets up its replay over h.
+func newReplayer(h *History, cfg ReplayConfig) (replayer, error) {
+	cfg = cfg.withDefaults()
+	if err := cfg.validate(); err != nil {
+		return replayer{}, err
 	}
-	r := replayer{cfg: cfg, ep: h.Epochs(), fates: newFates(n)}
-	send := cfg.Start // the next send instant
-	for (send < cfg.End || len(r.flight) > 0) && r.ep.Next() {
+	n := h.NumNodes()
+	srcs := make([]source, 0, len(cfg.Sources))
+	for _, src := range cfg.Sources {
+		if src == cfg.Dest {
+			continue
+		}
+		if src < 0 || int(src) >= n {
+			return replayer{}, fmt.Errorf("dataplane: source %d out of range", src)
+		}
+		srcs = append(srcs, source{node: src})
+	}
+	r := replayer{
+		cfg:    cfg,
+		ep:     h.Epochs(),
+		fates:  newFates(n),
+		srcs:   srcs,
+		ringOf: make([]ringRef, n),
+	}
+	for v := range r.ringOf {
+		r.ringOf[v].group = -1
+	}
+	return r, nil
+}
+
+// run replays epoch after epoch until no packet is left to send, in flight
+// or parked.
+func (r *replayer) run() {
+	send := r.cfg.Start // the next send instant
+	for (send < r.cfg.End || len(r.flight) > 0 || len(r.live) > 0) && r.ep.Next() {
 		r.classified = false
+		for _, v := range r.ep.Changed {
+			if g := r.ringOf[v].group; g >= 0 {
+				r.release(g)
+			}
+		}
 		live := 0
 		for i := range r.flight {
 			if !r.advance(&r.flight[i]) {
@@ -186,15 +242,13 @@ func Replay(h *History, cfg ReplayConfig) (ReplayResult, error) {
 			}
 		}
 		r.flight = r.flight[:live]
-		for ; send < cfg.End && send < r.ep.End; send += cfg.Interval {
-			for _, src := range cfg.Sources {
-				if src != cfg.Dest {
-					r.send(src, send)
-				}
-			}
+		if last := min(r.cfg.End, r.ep.End); send < last {
+			k := int((last-send-1)/r.cfg.Interval) + 1
+			r.send(send, k)
+			send += des.Time(k) * r.cfg.Interval
 		}
+		r.sweep()
 	}
-	return r.res, nil
 }
 
 // replayer is the state of one Replay call, positioned on the epoch r.ep.
@@ -203,10 +257,12 @@ type replayer struct {
 	res ReplayResult
 	ep  *Epochs
 	// fates classifies r.ep.Hops when classified is set. An epoch is
-	// classified on first need: one that sends no packet and jumps none
+	// classified on first need: one that sends no packet and parks none
 	// costs only the stepping of the packets that cross it.
 	fates      fates
 	classified bool
+	// srcs are the sources other than Dest.
+	srcs []source
 	// flight holds the packets carried over from earlier epochs.
 	flight []packet
 	// seen holds the visited sets, one bit per node, of the packets in
@@ -215,81 +271,167 @@ type replayer struct {
 	// in flight at one time and not the window.
 	seen  [][]uint64
 	spare []int
+	// groups holds the cycles packets are parked on: live lists the ones in
+	// use, free the ones to reuse, and ringOf[v] places node v on the ring
+	// of a live group, if any.
+	groups []group
+	live   []int32
+	free   []int32
+	ringOf []ringRef
+	// merged counts the cohorts folded into an entry already parked, and
+	// released the entries sent back to flight. Nothing reads them but
+	// the tests, which show with them that their cases reach both.
+	merged, released int
 }
 
-// packet is a packet in flight: one whose next lookup is still to happen.
-// It holds no pointer, so carrying it costs the collector nothing.
+// source is a sending node and how it resolves the current epoch's send
+// instants (see send): those before closed in closed form, those from
+// closed to parked as cohorts parked on ring[phase] of group at the
+// deadline, the rest by launch.
+type source struct {
+	node           topology.Node
+	closed, parked int
+	group          int32
+	phase          int
+}
+
+// packet is a cohort in flight: n packets of one send instant, standing on
+// one node, whose next lookup is still to happen. It holds no pointer, so
+// carrying it costs the collector nothing. Its hop count is TTL - ttl.
 type packet struct {
-	pos  topology.Node
-	at   des.Time // instant of the next lookup, on pos
-	ttl  int
-	hops int
+	pos topology.Node
+	at  des.Time // instant of the next lookup, on pos
+	ttl int
 	// seen indexes the set of nodes the packet was looked up on, in
 	// replayer.seen. The set is given back at the first revisit and seen
 	// becomes looped: that mark never resets, so nothing reads the set
-	// again.
+	// again. Only a launched packet (n == 1) ever has one: a released
+	// cohort comes back looped.
 	seen int
+	n    int
 }
 
 // looped is packet.seen for a packet that has revisited a node.
 const looped = -1
 
-// send resolves the packet leaving src at time at: in closed form when all
-// its lookups fall inside the epoch, as a packet in flight otherwise.
-func (r *replayer) send(src topology.Node, at des.Time) {
-	r.res.Sent++
+// group is a cycle of an epoch with the cohorts parked on it. Nothing on
+// the ring has changed since the group formed: a change to a member
+// releases the group.
+type group struct {
+	ring []topology.Node // in forwarding order
+	// entries are ordered by deadline, and no two share deadline and phase.
+	entries []entry
+}
+
+// entry is a parked cohort: n looped packets of one send instant that all
+// do their last lookup, the one that finds the TTL exhausted, at deadline,
+// on ring[phase].
+type entry struct {
+	deadline des.Time
+	phase    int
+	n        int
+}
+
+// ringRef places a node on the ring of a live group (group -1: on none).
+type ringRef struct {
+	group, index int32
+}
+
+// send resolves the k send instants first, first+Interval, ... of the
+// current epoch for every source. A source's instants fall into three runs
+// by how many lookups of a packet the epoch holds: the ones it holds every
+// lookup of are resolved in closed form; then, for a source that leads
+// into a cycle, the ones it holds the tail and one lap of are parked on
+// the cycle; the rest are launched, in send order.
+func (r *replayer) send(first des.Time, k int) {
 	f := r.classify()
-	fate, d, ttl := f.fate[src], int(f.dist[src]), r.cfg.TTL
-	// ends: the walk reaches Dest or a dead end before the TTL runs out.
-	// Arriving at Dest needs no lookup there; finding no route does, and
-	// the walker looks up before it tests the TTL, so d == ttl still ends.
-	ends := fate != fateCycle && d <= ttl
-	lookups := ttl + 1
-	if ends {
-		lookups = d
-		if fate == fateNoRoute {
-			lookups++
+	res, ttl, iv := &r.res, r.cfg.TTL, r.cfg.Interval
+	life := des.Time(ttl) * r.cfg.LinkDelay
+	res.Sent += k * len(r.srcs)
+	launchFrom := k
+	for i := range r.srcs {
+		s := &r.srcs[i]
+		fate, d, lap := f.fate[s.node], int(f.dist[s.node]), f.firstLap(s.node)
+		// ends: the walk reaches Dest or a dead end before the TTL runs out.
+		// Arriving at Dest needs no lookup there; finding no route does, and
+		// the walker looks up before it tests the TTL, so d == ttl still ends.
+		ends := fate != fateCycle && d <= ttl
+		lookups := ttl + 1
+		if ends {
+			lookups = d
+			if fate == fateNoRoute {
+				lookups++
+			}
+		}
+		// revisits: the packet gets back to the node it entered the cycle
+		// on, even if that is on its dying step.
+		revisits := lap > 0 && lap <= ttl
+		s.closed = r.fits(first, k, lookups)
+		s.parked = s.closed
+		if revisits {
+			// With the tail and one lap inside the epoch, the revisit
+			// happens whatever the FIBs say by then, and the packet parks
+			// on the node it entered the cycle on: no visited set, no step.
+			if s.parked = r.fits(first, k, lap); s.parked > s.closed {
+				on := r.place(f.entry(s.node))
+				s.group, s.phase = on.group, ringStep(int(on.index), ttl-lap, len(r.groups[on.group].ring))
+				res.LoopEncounters += s.parked - s.closed
+				res.TotalHops += (s.parked - s.closed) * ttl
+			}
+		}
+		c := s.closed
+		launchFrom = min(launchFrom, c)
+		if c == 0 {
+			continue
+		}
+		switch {
+		case !ends:
+			if revisits {
+				res.LoopEncounters += c
+			}
+			res.TotalHops += c * ttl
+			r.exhaust(first+life, first+des.Time(c-1)*iv+life, c)
+		case fate == fateDelivered:
+			res.Delivered += c
+			res.DeliveredHops.addN(d, c)
+			res.TotalHops += c * d
+		default:
+			res.NoRoute += c
+			res.TotalHops += c * d
 		}
 	}
-	if at+des.Time(lookups-1)*r.cfg.LinkDelay >= r.ep.End {
-		r.launch(src, at)
-		return
-	}
-	switch {
-	case !ends:
-		// The revisit counts even on the dying step.
-		if lap := f.firstLap(src); lap > 0 && lap <= ttl {
-			r.res.LoopEncounters++
+	for j := launchFrom; j < k; j++ {
+		at := first + des.Time(j)*iv
+		for i := range r.srcs {
+			switch s := &r.srcs[i]; {
+			case j < s.closed:
+			case j < s.parked:
+				r.add(&r.groups[s.group], entry{deadline: at + life, phase: s.phase, n: 1})
+			default:
+				r.launch(s.node, at)
+			}
 		}
-		r.res.TotalHops += ttl
-		r.exhaust(at + des.Time(ttl)*r.cfg.LinkDelay)
-	case fate == fateDelivered:
-		r.res.Delivered++
-		r.res.DeliveredHops.add(d)
-		r.res.TotalHops += d
-	default:
-		r.res.NoRoute++
-		r.res.TotalHops += d
 	}
 }
 
-// launch puts the packet leaving src at time at in flight and moves it
-// through the epoch.
+// fits returns how many of the k instants first, first+Interval, ... have
+// a packet's first lookups lookups inside the current epoch.
+func (r *replayer) fits(first des.Time, k, lookups int) int {
+	if r.ep.End == maxTime {
+		return k
+	}
+	room := r.ep.End - first - des.Time(lookups-1)*r.cfg.LinkDelay
+	if room <= 0 {
+		return 0
+	}
+	return min(k, int((room-1)/r.cfg.Interval)+1)
+}
+
+// launch puts the packet leaving src at time at in flight, with a visited
+// set, and moves it through the epoch.
 func (r *replayer) launch(src topology.Node, at des.Time) {
-	p := packet{pos: src, at: at, ttl: r.cfg.TTL}
-	f := &r.fates
-	if lap := f.firstLap(src); lap > 0 && lap <= p.ttl && at+des.Time(lap-1)*r.cfg.LinkDelay < r.ep.End {
-		// The epoch holds the lookups of the whole tail and of one lap of
-		// the cycle: the packet gets back to the node it entered the cycle
-		// on, and whatever the FIBs say by then, that is a revisit. It
-		// never needs a visited set.
-		p.pos, p.seen = f.rotate(src, 0), looped
-		p.at += des.Time(lap) * r.cfg.LinkDelay
-		p.ttl -= lap
-		p.hops = lap
-		r.res.LoopEncounters++
-		r.res.TotalHops += lap
-	} else if k := len(r.spare); k > 0 {
+	p := packet{pos: src, at: at, ttl: r.cfg.TTL, n: 1}
+	if k := len(r.spare); k > 0 {
 		p.seen, r.spare = r.spare[k-1], r.spare[:k-1]
 		clear(r.seen[p.seen])
 	} else {
@@ -301,28 +443,31 @@ func (r *replayer) launch(src topology.Node, at des.Time) {
 	}
 }
 
-func (r *replayer) release(p *packet) {
+func (r *replayer) forget(p *packet) {
 	if p.seen != looped {
 		r.spare = append(r.spare, p.seen)
 		p.seen = looped
 	}
 }
 
-// advance moves p through the current epoch and reports whether its fate
-// was sealed; if not, p's next lookup belongs to a later epoch. Per step
-// the order is: destination test (time-independent, and Dest's own FIB
-// entry is never consulted), revisit mark, lookup, no-route, TTL.
+// advance moves p through the current epoch and reports whether it left
+// flight: its fate was sealed or it was parked. If not, p's next lookup
+// belongs to a later epoch. Per step the order is: destination test
+// (time-independent, and Dest's own FIB entry is never consulted), revisit
+// mark, lookup, no-route, TTL. A looped packet on a cycle parks before its
+// lookup: no node of a cycle is Dest or lacks a route.
 func (r *replayer) advance(p *packet) bool {
 	res, next, end := &r.res, r.ep.Hops, r.ep.End
 	for {
 		if p.pos == r.cfg.Dest {
-			res.Delivered++
-			res.DeliveredHops.add(p.hops)
+			hops := r.cfg.TTL - p.ttl
+			res.Delivered += p.n
+			res.DeliveredHops.addN(hops, p.n)
 			if p.seen == looped {
-				res.DeliveredAfterLoop++
-				res.EscapedHops.add(p.hops)
+				res.DeliveredAfterLoop += p.n
+				res.EscapedHops.addN(hops, p.n)
 			}
-			r.release(p)
+			r.forget(p)
 			return true
 		}
 		if p.at >= end {
@@ -331,52 +476,163 @@ func (r *replayer) advance(p *packet) bool {
 		if p.seen != looped {
 			word, bit := &r.seen[p.seen][p.pos>>6], uint64(1)<<(p.pos&63)
 			if *word&bit != 0 {
-				res.LoopEncounters++
-				r.release(p)
+				res.LoopEncounters += p.n
+				r.forget(p)
 			} else {
 				*word |= bit
 			}
 		}
+		if p.seen == looped && (r.ringOf[p.pos].group >= 0 || r.classify().onCycle(p.pos)) {
+			r.park(p)
+			return true
+		}
 		hop := next[p.pos]
 		if hop == topology.None {
-			res.NoRoute++
-			r.release(p)
+			res.NoRoute += p.n
+			r.forget(p)
 			return true
 		}
 		if p.ttl == 0 {
-			r.exhaust(p.at)
-			r.release(p)
+			r.exhaust(p.at, p.at, p.n)
+			r.forget(p)
 			return true
 		}
-		// A packet that has already revisited a node has nothing left to
-		// mark, and no node of a cycle is Dest or lacks a route, so on a
-		// cycle m steps are a rotation by m.
-		m := 1
-		if p.seen == looped && r.classify().onCycle(p.pos) {
-			m = p.ttl
-			if p.at+des.Time(m)*r.cfg.LinkDelay >= end {
-				// The TTL outlasts the epoch: take the lookups it has left.
-				m = int((end-p.at-1)/r.cfg.LinkDelay) + 1
-			}
-			hop = r.fates.rotate(p.pos, m)
-		}
 		p.pos = hop
-		p.ttl -= m
-		p.hops += m
-		p.at += des.Time(m) * r.cfg.LinkDelay
-		res.TotalHops += m
+		p.ttl--
+		p.at += r.cfg.LinkDelay
+		res.TotalHops += p.n
 	}
 }
 
-func (r *replayer) exhaust(at des.Time) {
+// park puts p, a looped packet standing on a cycle of the current epoch,
+// on that cycle's group. Its remaining hops are charged now; release
+// refunds the ones it does not take.
+func (r *replayer) park(p *packet) {
+	on := r.place(p.pos)
+	g := &r.groups[on.group]
+	r.res.TotalHops += p.ttl * p.n
+	r.add(g, entry{
+		deadline: p.at + des.Time(p.ttl)*r.cfg.LinkDelay,
+		phase:    ringStep(int(on.index), p.ttl, len(g.ring)),
+		n:        p.n,
+	})
+}
+
+// place returns where v, a node on a cycle of the current epoch, stands on
+// its group's ring, forming the group if there is none.
+func (r *replayer) place(v topology.Node) ringRef {
+	if on := r.ringOf[v]; on.group >= 0 {
+		return on
+	}
+	var id int32
+	if k := len(r.free); k > 0 {
+		id, r.free = r.free[k-1], r.free[:k-1]
+	} else {
+		id = int32(len(r.groups))
+		// Room for the cohorts of a 2-cycle over four send instants, a
+		// lifetime of the paper's streams (256 ms at 100 ms), before
+		// the first growth.
+		r.groups = append(r.groups, group{entries: make([]entry, 0, 16)})
+	}
+	g := &r.groups[id]
+	g.ring = append(g.ring[:0], r.fates.cycleOf(v)...)
+	for i, u := range g.ring {
+		r.ringOf[u] = ringRef{group: id, index: int32(i)}
+	}
+	r.live = append(r.live, id)
+	return r.ringOf[v]
+}
+
+// add inserts e in g's entries in deadline order, or merges it into the
+// entry of the same deadline and phase if there is one.
+func (r *replayer) add(g *group, e entry) {
+	// Entries arrive mostly in deadline order: launches go in send order.
+	i := len(g.entries)
+	for i > 0 && g.entries[i-1].deadline > e.deadline {
+		i--
+	}
+	for j := i - 1; j >= 0 && g.entries[j].deadline == e.deadline; j-- {
+		if g.entries[j].phase == e.phase {
+			g.entries[j].n += e.n
+			r.merged++
+			return
+		}
+	}
+	g.entries = slices.Insert(g.entries, i, e)
+}
+
+// release sends the cohorts parked on group id back to flight, each where
+// it stands at its first lookup at or after the epoch start, and unmarks
+// the ring. The emptied group leaves live at the next sweep.
+func (r *replayer) release(id int32) {
+	g := &r.groups[id]
+	m, ld := len(g.ring), r.cfg.LinkDelay
+	for _, e := range g.entries {
+		// The lookups left: the one at the deadline and j before it. The
+		// sweep before this epoch took every entry due earlier, so j >= 0.
+		j := int((e.deadline - r.ep.Start) / ld)
+		k := e.phase - ringStep(0, j, m)
+		if k < 0 {
+			k += m
+		}
+		r.res.TotalHops -= j * e.n
+		r.released++
+		r.flight = append(r.flight, packet{pos: g.ring[k], at: e.deadline - des.Time(j)*ld, ttl: j, seen: looped, n: e.n})
+	}
+	g.entries = g.entries[:0]
+	r.unmark(g)
+}
+
+// sweep exhausts the entries due before the epoch ends and drops the
+// groups left empty.
+func (r *replayer) sweep() {
+	live := r.live[:0]
+	for _, id := range r.live {
+		g := &r.groups[id]
+		k := 0
+		for ; k < len(g.entries) && g.entries[k].deadline < r.ep.End; k++ {
+			e := g.entries[k]
+			r.exhaust(e.deadline, e.deadline, e.n)
+		}
+		g.entries = g.entries[:copy(g.entries, g.entries[k:])]
+		if len(g.entries) > 0 {
+			live = append(live, id)
+			continue
+		}
+		r.unmark(g)
+		r.free = append(r.free, id)
+	}
+	r.live = live
+}
+
+func (r *replayer) unmark(g *group) {
+	for _, u := range g.ring {
+		r.ringOf[u].group = -1
+	}
+	g.ring = g.ring[:0]
+}
+
+// ringStep returns (i + k) mod m for a ring index 0 <= i < m and k >= 0.
+// The remainder is taken in 32 bits whenever k allows, which every real TTL
+// does: a 64-bit division costs several times as much.
+func ringStep(i, k, m int) int {
+	if k <= math.MaxInt32 {
+		return int((uint32(i) + uint32(k)) % uint32(m))
+	}
+	return (i + k) % m
+}
+
+// exhaust records n TTL exhaustions, the earliest at first and the latest
+// at last.
+func (r *replayer) exhaust(first, last des.Time, n int) {
 	res := &r.res
-	res.TTLExhausted++
-	if res.TTLExhausted == 1 || at < res.FirstExhaustion {
-		res.FirstExhaustion = at
+	if res.TTLExhausted == 0 || first < res.FirstExhaustion {
+		res.FirstExhaustion = first
 	}
-	if at > res.LastExhaustion {
-		res.LastExhaustion = at
+	if last > res.LastExhaustion {
+		res.LastExhaustion = last
 	}
+	res.TTLExhausted += n
 }
 
 func (r *replayer) classify() *fates {
@@ -478,9 +734,16 @@ func (f *fates) onCycle(v topology.Node) bool {
 	return f.fate[v] == fateCycle && f.dist[v] == 0
 }
 
-// rotate returns the node m hops after the node that v, a fateCycle node,
-// enters its cycle on (v itself if it is on it).
-func (f *fates) rotate(v topology.Node, m int) topology.Node {
+// entry returns the node that v, a fateCycle node, enters its cycle on (v
+// itself if it is on it).
+func (f *fates) entry(v topology.Node) topology.Node {
 	c := f.cycle[v]
-	return f.ring[int(f.first[c])+(int(f.slot[v])+m)%int(f.length[c])]
+	return f.ring[f.first[c]+f.slot[v]]
+}
+
+// cycleOf returns the cycle v, a fateCycle node, leads into, in forwarding
+// order.
+func (f *fates) cycleOf(v topology.Node) []topology.Node {
+	c := f.cycle[v]
+	return f.ring[f.first[c] : f.first[c]+f.length[c]]
 }

@@ -138,36 +138,117 @@ func decodeCase(data []byte) (*History, ReplayConfig) {
 	return h, cfg
 }
 
-// replayDiff replays cfg over h with Replay and with the walker it
-// replaced and describes the first disagreement ("" if none).
-func replayDiff(h *History, cfg ReplayConfig) (ReplayResult, string) {
-	got, gotErr := Replay(h, cfg)
+// replayDiff replays cfg over h as Replay does and with the walker it
+// replaced and describes the first disagreement ("" if none). It returns
+// the replayer, whose counters say what of the cohort machinery the case
+// reached.
+func replayDiff(h *History, cfg ReplayConfig) (replayer, string) {
+	got, gotErr := newReplayer(h, cfg)
+	if gotErr == nil {
+		got.run()
+	}
 	want, wantErr := walkReplay(h, cfg)
 	switch {
 	case (gotErr != nil) != (wantErr != nil):
 		return got, fmt.Sprintf("Replay error = %v, walker error = %v", gotErr, wantErr)
-	case got != want:
-		return got, fmt.Sprintf("Replay = %+v\nwalker = %+v", got, want)
+	case got.res != want:
+		return got, fmt.Sprintf("Replay = %+v\nwalker = %+v", got.res, want)
 	}
 	return got, ""
 }
 
+// burstyHistory is a convergence-shaped history: a loop-free tree toward
+// node 0 at time 0, then bursts 100-700 ms apart in which a few nodes change
+// their next hop 0-3 ms apart (0: at the same instant): to no route, to a
+// node closer to 0 (a repair), or to a node whose path runs through the
+// changing one, which closes a loop that the tree upstream of it feeds.
+// Half the changes after the first loop fall on a node that closed one.
+// The window starts in the first burst on the 0.5 ms grid of the changes,
+// so lookups land on change instants as well as between them.
+func burstyHistory(rng *rand.Rand, n int) (*History, ReplayConfig) {
+	const tick = 500 * time.Microsecond
+	h := NewHistory(n)
+	next := make([]int, n)
+	record := func(at time.Duration, v, hop int) {
+		next[v] = hop
+		// Times never decrease and ids are in range by construction.
+		if err := h.Record(at, topology.Node(v), topology.Node(hop)); err != nil {
+			panic(err)
+		}
+	}
+	// upstream picks a node whose path passes v, v itself if none is found.
+	upstream := func(v int) int {
+		for try := 0; try < 8; try++ {
+			u := rng.Intn(n)
+			for w, k := u, 0; w > 0 && k < n; w, k = next[w], k+1 {
+				if w == v {
+					return u
+				}
+			}
+		}
+		return v
+	}
+	for v := 1; v < n; v++ {
+		record(0, v, rng.Intn(v))
+	}
+	var at time.Duration
+	var closers []int
+	for b := 5 + rng.Intn(10); b > 0; b-- {
+		at += time.Duration(200+rng.Intn(1200)) * tick
+		for c := 1 + rng.Intn(6); c > 0; c-- {
+			at += time.Duration(rng.Intn(7)) * tick
+			v := 1 + rng.Intn(n-1)
+			if len(closers) > 0 && rng.Intn(2) == 0 {
+				v = closers[rng.Intn(len(closers))]
+			}
+			switch rng.Intn(4) {
+			case 0:
+				record(at, v, int(topology.None))
+			case 1:
+				record(at, v, rng.Intn(v))
+			default:
+				record(at, v, upstream(v))
+				closers = append(closers, v)
+			}
+		}
+	}
+	start := time.Duration(200+rng.Intn(400)) * tick
+	cfg := ReplayConfig{
+		Dest:      0,
+		Start:     start,
+		End:       start + time.Duration(500+rng.Intn(1500))*time.Millisecond,
+		Interval:  DefaultInterval,
+		TTL:       DefaultTTL,
+		LinkDelay: 2 * time.Millisecond,
+	}
+	for v := 1; v < n; v++ {
+		cfg.Sources = append(cfg.Sources, topology.Node(v))
+	}
+	return h, cfg
+}
+
 // TestPropertyReplayMatchesStepwiseWalk checks the epoch-major Replay
 // against the packet-major walker it replaced (oracle_test.go), on every
-// ReplayResult field, over seeded random histories of two shapes: dense
-// small ones from decodeCase, where most packets straddle a change, and
-// sparser ones of up to 80 nodes (visited sets of more than one word, TTL
-// below and above the cycle lengths) with a send window that starts
-// mid-history.
+// ReplayResult field, over seeded random histories of three shapes: dense
+// small ones from decodeCase, where most packets straddle a change; sparser
+// ones of up to 80 nodes (visited sets of more than one word, TTL below and
+// above the cycle lengths) with a send window that starts mid-history; and
+// paper-scale streams over 30-120 nodes whose changes come in bursts
+// (burstyHistory), where cohorts merge on long-lived cycles and are
+// released when a burst breaks them.
 func TestPropertyReplayMatchesStepwiseWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(20041))
 	var sum ReplayResult
+	var merged, released int
 	check := func(i int, h *History, cfg ReplayConfig) {
 		t.Helper()
-		res, diff := replayDiff(h, cfg)
+		r, diff := replayDiff(h, cfg)
 		if diff != "" {
 			t.Fatalf("case %d, cfg %+v:\n%s", i, cfg, diff)
 		}
+		merged += r.merged
+		released += r.released
+		res := r.res
 		sum.Sent += res.Sent
 		sum.Delivered += res.Delivered
 		sum.NoRoute += res.NoRoute
@@ -200,13 +281,23 @@ func TestPropertyReplayMatchesStepwiseWalk(t *testing.T) {
 		}
 		check(3000+i, h, cfg)
 	}
+	merged, released = 0, 0
+	for i := 0; i < 100; i++ {
+		h, cfg := burstyHistory(rng, 30+rng.Intn(91))
+		check(3300+i, h, cfg)
+	}
 	// A generator that drifts into producing no loops, or no escapes from
-	// them, would leave the comparison above vacuous.
+	// them, or cycles no packet waits on together or that never break under
+	// one, would leave the comparison above vacuous.
 	t.Logf("sent %d: delivered %d (after a loop %d), no route %d, TTL exhausted %d, loop encounters %d",
 		sum.Sent, sum.Delivered, sum.DeliveredAfterLoop, sum.NoRoute, sum.TTLExhausted, sum.LoopEncounters)
+	t.Logf("bursty histories: %d cohorts merged into parked entries, %d entries released", merged, released)
 	if sum.Delivered == 0 || sum.DeliveredAfterLoop == 0 || sum.NoRoute == 0 || sum.TTLExhausted == 0 ||
 		sum.LoopEncounters == 0 {
 		t.Errorf("an outcome went missing from the generated cases: %+v", sum)
+	}
+	if merged == 0 || released == 0 {
+		t.Errorf("the bursty histories merged %d cohorts and released %d entries, want both > 0", merged, released)
 	}
 }
 

@@ -357,3 +357,95 @@ func TestReplayAllocsIndependentOfWindow(t *testing.T) {
 		t.Errorf("Replay allocates with the window: %v allocations over 3 s, %v over 30 s", short, long)
 	}
 }
+
+// A 2-cycle that no change touches keeps every packet parked on it while 50
+// FIB changes elsewhere start 50 epochs: each packet dies exactly one
+// lifetime after its send, having taken all of its TTL in hops.
+func TestReplayCycleOutlivesChangesElsewhere(t *testing.T) {
+	h := NewHistory(5)
+	mustRecord(t, h, 0, 1, 2)
+	mustRecord(t, h, 0, 2, 1)
+	mustRecord(t, h, 0, 3, 1) // a tail into the cycle
+	// Node 4 sends nothing and leads nowhere near the cycle; it flips
+	// between the destination and no route every 20 ms from 10 ms.
+	for k := 0; k < 50; k++ {
+		mustRecord(t, h, time.Duration(10+20*k)*time.Millisecond, 4, topology.Node(-(k % 2)))
+	}
+	if got := h.Changes(4); got != 50 {
+		t.Fatalf("node 4 has %d changes, want 50", got)
+	}
+	cfg := ReplayConfig{Dest: 0, Sources: []topology.Node{1, 2, 3}, Start: 0, End: time.Second}
+	res, diff := replayDiff(h, cfg)
+	if diff != "" {
+		t.Fatal(diff)
+	}
+	want := ReplayResult{
+		Sent:            30,
+		TTLExhausted:    30,
+		LoopEncounters:  30,
+		FirstExhaustion: 256 * time.Millisecond,
+		LastExhaustion:  (900 + 256) * time.Millisecond,
+		TotalHops:       30 * 128,
+	}
+	if res.res != want {
+		t.Errorf("Replay = %+v\nwant     %+v", res.res, want)
+	}
+	if res.released != 0 {
+		t.Errorf("%d entries released: no change touches the cycle", res.released)
+	}
+}
+
+// Ten sources funnel into the 3-cycle 1->2->3->1 (four through 1, three
+// through 2, three through 3), sending at 0 and 5 ms. At 45 ms node 3
+// repairs to the destination. Lookups of the packets sent at 5 ms fall on
+// odd milliseconds, so some of them look up at exactly 45 ms and see the
+// repair; those sent at 0 look up on even milliseconds, on both sides of it.
+// A packet that entered the cycle on node e stands on 1, 2, 3 ... from
+// lookup 1 on, so it reaches 3 at the first lookup k >= the break with
+// k = 0, 2, 1 (mod 3) for e = 1, 2, 3 and is delivered after k+1 hops:
+//
+//	sent at 0 ms (first lookup >= 45 ms: k = 23): hops 25, 24, 26
+//	sent at 5 ms (first lookup >= 45 ms: k = 20): hops 22, 21, 23
+//
+// so 4*25+3*24+3*26 + 4*22+3*21+3*23 = 470 hops, the longest 26.
+func TestReplayFunnelIntoBreakingCycle(t *testing.T) {
+	h := NewHistory(14)
+	mustRecord(t, h, 0, 1, 2)
+	mustRecord(t, h, 0, 2, 3)
+	mustRecord(t, h, 0, 3, 1)
+	var sources []topology.Node
+	for v := topology.Node(4); v < 14; v++ {
+		entry := topology.Node(1)
+		if v >= 11 {
+			entry = 3
+		} else if v >= 8 {
+			entry = 2
+		}
+		mustRecord(t, h, 0, v, entry)
+		sources = append(sources, v)
+	}
+	mustRecord(t, h, 45*time.Millisecond, 3, 0)
+	cfg := ReplayConfig{Dest: 0, Sources: sources, Start: 0, End: 10 * time.Millisecond, Interval: 5 * time.Millisecond}
+	res, diff := replayDiff(h, cfg)
+	if diff != "" {
+		t.Fatal(diff)
+	}
+	hops := HopStats{Count: 20, Total: 470, Max: 26}
+	want := ReplayResult{
+		Sent:               20,
+		Delivered:          20,
+		LoopEncounters:     20,
+		DeliveredAfterLoop: 20,
+		TotalHops:          470,
+		DeliveredHops:      hops,
+		EscapedHops:        hops,
+	}
+	if res.res != want {
+		t.Errorf("Replay = %+v\nwant     %+v", res.res, want)
+	}
+	// Two send instants, three phases each: the ten packets of an instant
+	// share three entries.
+	if res.merged != 14 || res.released != 6 {
+		t.Errorf("merged %d cohorts and released %d entries, want 14 and 6", res.merged, res.released)
+	}
+}

@@ -194,6 +194,58 @@ func TestFindLoopsMatchesSnapshotScan(t *testing.T) {
 	}
 }
 
+// decodeHistory turns bytes into a history and a horizon for
+// FuzzFindLoopsMatchesSnapshotScan, in the manner of the replay's decodeCase
+// (package dataplane). The first byte picks 2-15 nodes and the second the
+// horizon; every following byte pair is one record: the low three bits of
+// the first advance the clock by 0-3.5 ms in half-millisecond steps (0
+// keeps the instant, so several nodes change at once and the first record
+// can sit at time 0), the rest pick the node, node 0 included, and the
+// second byte its next hop, None and the node itself included. The horizon
+// falls on the clock's grid, from 2 ms before time 0 to 2 ms past the last
+// record.
+func decodeHistory(data []byte) (*dataplane.History, des.Time) {
+	const tick = 500 * time.Microsecond
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	n := 2 + next()%14
+	hb := next()
+	h := dataplane.NewHistory(n)
+	var at time.Duration
+	for len(data) >= 2 {
+		a, b := next(), next()
+		at += time.Duration(a&7) * tick
+		// Times never decrease and ids are in range by construction.
+		if err := h.Record(at, topology.Node((a>>3)%n), topology.Node(b%(n+1)-1)); err != nil {
+			panic(err)
+		}
+	}
+	return h, time.Duration(hb%int(at/tick+9)-4) * tick
+}
+
+// FuzzFindLoopsMatchesSnapshotScan is TestFindLoopsMatchesSnapshotScan
+// driven by the fuzzer: the input decodes (decodeHistory) to a small
+// history and a horizon.
+func FuzzFindLoopsMatchesSnapshotScan(f *testing.F) {
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 256 {
+			data = data[:256] // keep histories small; long inputs add no new shape
+		}
+		h, horizon := decodeHistory(data)
+		got, want := FindLoops(h, horizon), snapshotFindLoops(h, horizon)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("horizon %v:\n got %v\nwant %v", horizon, got, want)
+		}
+	})
+}
+
 func TestSummarize(t *testing.T) {
 	loops := []Loop{
 		{Nodes: []topology.Node{1, 2}, Start: time.Second, End: 3 * time.Second, Resolved: true},
