@@ -166,6 +166,29 @@ func bytesPerRun(runs int, f func()) float64 {
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
+// Decoding one cached Clique(15) T_down result, the unit of a warm sweep:
+// encoding/json took 718 allocations for this one, about six per loop.
+func TestAllocBudgetDecodeResult(t *testing.T) {
+	skipUnlessAllocsAreOurs(t)
+	res, err := Run(CliqueTDown(15, bgp.DefaultConfig(), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := EncodeResult(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(100, func() {
+		if _, err := DecodeResult(enc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%d loops in %d bytes: %v allocations", len(res.Loops), len(enc), n)
+	if n > 40 {
+		t.Errorf("decoding one Clique(15) result allocates %v times, budget 40", n)
+	}
+}
+
 // The per-router randomness budgets. An Internet(1000) trial opens 2,000
 // streams and most draw fewer than 16 numbers, so a stream costs what it
 // draws: eagerly seeded math/rand sources were 5,376 B and 12.7 µs each, 51 %

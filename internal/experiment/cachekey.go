@@ -9,6 +9,7 @@ import (
 
 	"bgploop/internal/bgp"
 	"bgploop/internal/routing"
+	"bgploop/internal/topology"
 	"bgploop/internal/transport"
 )
 
@@ -255,9 +256,29 @@ func EncodeResult(r *Result) ([]byte, error) {
 // through JSON exactly (integers, IEEE-754 doubles via shortest-round-trip
 // formatting, nanosecond durations), so a decoded result re-encodes — and
 // therefore digests — byte-identically to the fresh one.
+//
+// It reads the bytes in one pass, without reflection, and accepts a subset
+// of what json.Unmarshal into &Result{} accepts: whatever it returns,
+// json.Unmarshal returns a reflect.DeepEqual value for, and every
+// EncodeResult output is accepted. Whitespace and keys in any order are
+// accepted; a repeated key overwrites a scalar and merges into a struct or
+// Recovery, as in encoding/json. Refused: unknown keys (encoding/json
+// ignores them, and matches keys case-insensitively), null anywhere but a
+// list, Recovery or Trace, a top-level null (encoding/json reads it as an
+// empty result), a non-null Trace, a second array for a list that already
+// holds elements, and anything else that is not the JSON EncodeResult
+// writes. A refused cache object is quarantined and its trial re-executed.
+// json.Unmarshal is the oracle of TestDecodeResultMatchesEncodingJSON and
+// FuzzDecodeResult.
 func DecodeResult(data []byte) (*Result, error) {
+	d := resultReader{data: data, nodes: make([]topology.Node, 0, nodeHint(data))}
 	r := &Result{}
-	if err := json.Unmarshal(data, r); err != nil {
+	err := d.result(r)
+	d.next()
+	if err == nil && d.i < len(data) {
+		err = d.fail("data after the result")
+	}
+	if err != nil {
 		return nil, fmt.Errorf("experiment: decode result: %w", err)
 	}
 	return r, nil

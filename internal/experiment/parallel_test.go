@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -90,6 +91,30 @@ func TestSweepCacheRoundTrip(t *testing.T) {
 	_, _, changedStats := sweepDigests(t, Repeat(CliqueTDown(4, cfg, 11)), trials, opts)
 	if changedStats.CacheHits != 0 || changedStats.Executed != trials {
 		t.Errorf("changed-spec stats %+v, want a full re-run", changedStats)
+	}
+}
+
+// TestSweepQuarantinesNullCacheObject: a cache object holding JSON null
+// decodes to nothing, not to an empty Result that encoding/json would make
+// of it, so the sweep quarantines it, re-executes that one trial and
+// digests exactly as the cold run did.
+func TestSweepQuarantinesNullCacheObject(t *testing.T) {
+	dir := t.TempDir()
+	gen := Repeat(CliqueTDown(4, bgp.DefaultConfig(), 13))
+	const trials = 8
+	opts := SweepOptions{Workers: 2, CacheDir: dir}
+	coldAgg, coldTrials, _ := sweepDigests(t, gen, trials, opts)
+
+	key := trialKey(gen, 5)
+	if err := os.WriteFile(filepath.Join(dir, "objects", key[:2], key), []byte("null"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	warmAgg, warmTrials, stats := sweepDigests(t, gen, trials, opts)
+	if stats.Quarantined != 1 || stats.Executed != 1 || stats.CacheHits != trials-1 {
+		t.Errorf("stats %+v, want 1 quarantined / 1 executed / %d hits", stats, trials-1)
+	}
+	if warmAgg != coldAgg || warmTrials[5] != coldTrials[5] {
+		t.Errorf("aggregate digest %s (trial 5 %s) after a null object, cold %s (%s)", warmAgg, warmTrials[5], coldAgg, coldTrials[5])
 	}
 }
 

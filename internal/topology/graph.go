@@ -142,18 +142,17 @@ func (g *Graph) Degree(v Node) int {
 	return len(g.adj[v])
 }
 
-// Edges returns all edges sorted by (A, B).
+// Edges returns all edges sorted by (A, B): the sorted adjacency lists in
+// node order, each edge taken from its smaller endpoint.
 func (g *Graph) Edges() []Edge {
 	out := make([]Edge, 0, len(g.edges))
-	for e := range g.edges {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
+	for v, nbrs := range g.adj {
+		for _, u := range nbrs {
+			if u > Node(v) {
+				out = append(out, Edge{A: Node(v), B: u})
+			}
 		}
-		return out[i].B < out[j].B
-	})
+	}
 	return out
 }
 

@@ -2,6 +2,8 @@ package topology
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -221,6 +223,46 @@ func TestEdgesSorted(t *testing.T) {
 		a, b := edges[i-1], edges[i]
 		if a.A > b.A || (a.A == b.A && a.B >= b.B) {
 			t.Fatalf("Edges not sorted at %d: %v then %v", i, a, b)
+		}
+	}
+}
+
+// edgesBySort is the map dump Edges once was: every edge of the set,
+// sorted by (A, B).
+func edgesBySort(g *Graph) []Edge {
+	out := make([]Edge, 0, len(g.edges))
+	for e := range g.edges {
+		out = append(out, e)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].A != out[j].A {
+			return out[i].A < out[j].A
+		}
+		return out[i].B < out[j].B
+	})
+	return out
+}
+
+// TestEdgesMatchesMapSort: walking the adjacency lists yields exactly the
+// sorted edge set, on every family and as edges are removed.
+func TestEdgesMatchesMapSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, family := range Families() {
+		for _, size := range []int{4, 9, 30} {
+			g, err := Generate(family, size, int64(size))
+			if err != nil {
+				t.Fatalf("%s(%d): %v", family, size, err)
+			}
+			for g.NumEdges() > 0 {
+				if got, want := g.Edges(), edgesBySort(g); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s(%d) with %d edges: Edges %v, sorted edge set %v", family, size, g.NumEdges(), got, want)
+				}
+				e := edgesBySort(g)[rng.Intn(g.NumEdges())]
+				g.RemoveEdge(e.B, e.A)
+			}
+			if got := g.Edges(); len(got) != 0 {
+				t.Fatalf("%s(%d): edgeless graph has edges %v", family, size, got)
+			}
 		}
 	}
 }
