@@ -22,11 +22,10 @@ type Config struct {
 	// HedgeLast enables tail hedging: when a sweep has no pending
 	// trials and at most HedgeLast chunks remain outstanding, an idle
 	// worker is issued a duplicate of the oldest outstanding chunk —
-	// first result wins, the loser is counted and dropped. 0 (the zero
-	// value) disables hedging; bgpd's -dist-hedge flag defaults to 2.
+	// first result wins, the loser is counted and dropped. A chunk is
+	// hedged at most once. 0 (the zero value) disables hedging; bgpd's
+	// -dist-hedge flag defaults to 2.
 	HedgeLast int
-	// MaxHedges caps duplicate grants per chunk; <= 0 means 1.
-	MaxHedges int
 	// Now injects the wall clock for lease deadlines and worker
 	// liveness (cmd/bgpd passes time.Now; the dist package itself may
 	// not touch the clock — detlint's norealtime scope). Nil freezes
@@ -40,9 +39,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.LeaseTTL <= 0 {
 		c.LeaseTTL = 60 * time.Second
-	}
-	if c.MaxHedges <= 0 {
-		c.MaxHedges = 1
 	}
 	if c.Now == nil {
 		c.Now = func() time.Time { return time.Time{} }
@@ -137,8 +133,10 @@ var ErrSweepFinished = errors.New("dist: sweep finished")
 
 // StartSweep registers a sweep for distribution: id must be stable
 // across coordinator restarts (the service layer derives it from the
-// job's content address), spec is the scenario spec workers rebuild
-// trials from, and width is the sweep's trial count.
+// job's content address) and spec is the scenario spec workers rebuild
+// trials from. width, the sweep's trial count, is unused — the trials a
+// sweep wants are the ones Execute registers — and stays in the
+// signature because the benchmark harness (bench/services.go) calls it.
 func (c *Coordinator) StartSweep(id string, spec []byte, width int) (*Sweep, error) {
 	if id == "" {
 		return nil, errors.New("dist: empty sweep id")
@@ -148,7 +146,7 @@ func (c *Coordinator) StartSweep(id string, spec []byte, width int) (*Sweep, err
 	if _, ok := c.sweeps[id]; ok {
 		return nil, fmt.Errorf("dist: sweep %s already active", id)
 	}
-	c.sweeps[id] = newSweepState(id, spec, width)
+	c.sweeps[id] = newSweepState(id, spec)
 	c.sweepOrder = append(c.sweepOrder, id)
 	return &Sweep{c: c, id: id}, nil
 }
@@ -336,7 +334,7 @@ func (c *Coordinator) acquire(worker string) (l *Lease, hedged, ok bool) {
 			if n := sw.outstanding(); n == 0 || n > c.cfg.HedgeLast {
 				continue
 			}
-			cand := sw.hedgeCandidate(worker, c.cfg.MaxHedges)
+			cand := sw.hedgeCandidate(worker)
 			if cand == nil {
 				continue
 			}
@@ -364,7 +362,7 @@ func (c *Coordinator) grantLocked(sw *sweepState, worker string, trials []int, h
 		keys[i] = slot.key
 	}
 	l := &lease{
-		id: id, sweep: sw.id, worker: worker,
+		id: id, worker: worker,
 		trials: trials, hedged: hedged,
 		deadline: now.Add(c.cfg.LeaseTTL),
 	}

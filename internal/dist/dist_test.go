@@ -116,8 +116,8 @@ func TestLeaseExpiryReassignsTrials(t *testing.T) {
 		t.Fatalf("first lease trials = %v, want all 3", l1.Trials)
 	}
 	// The dead worker never reports. Before the TTL, the live worker
-	// sees nothing pending (and nothing to hedge at MaxHedges beyond
-	// budget — HedgeLast default 0 here since Config.HedgeLast is 0).
+	// sees nothing pending (and nothing to hedge: Config.HedgeLast is 0,
+	// which disables hedging).
 	if l, _, _ := c.acquire(live); l != nil {
 		t.Fatalf("premature grant %v while lease outstanding", l.Trials)
 	}
@@ -148,7 +148,7 @@ func TestLeaseExpiryReassignsTrials(t *testing.T) {
 // duplicates, and the waiting Execute calls observe exactly one result.
 func TestHedgedDoubleCompletion(t *testing.T) {
 	clock := newFakeClock()
-	c, err := New(Config{ChunkSize: 4, LeaseTTL: time.Hour, HedgeLast: 2, MaxHedges: 1, Now: clock.Now})
+	c, err := New(Config{ChunkSize: 4, LeaseTTL: time.Hour, HedgeLast: 2, Now: clock.Now})
 	if err != nil {
 		t.Fatal(err)
 	}

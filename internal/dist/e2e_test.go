@@ -194,7 +194,10 @@ func TestDistributedCrashReassignment(t *testing.T) {
 
 	// The victim grabs the first chunk and is never heard from again —
 	// the in-process analogue of SIGKILL mid-lease (the subprocess
-	// harness in disttest kills a real worker).
+	// harness in disttest kills a real worker). It polls only once all
+	// the trials are pending, so its chunk is full whatever the
+	// scheduling of the sweep's goroutines.
+	waitPending(t, c, "e2e/trials=8", testTrials)
 	victim := c.register("victim")
 	vl, _ := waitLease(t, c, victim)
 	if len(vl.Trials) != 4 {
@@ -214,12 +217,31 @@ func TestDistributedCrashReassignment(t *testing.T) {
 	}
 }
 
+// waitPending blocks until sweep id holds n pending trials.
+func waitPending(t *testing.T, c *Coordinator, id string, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		c.mu.Lock()
+		pending := 0
+		if sw, ok := c.sweeps[id]; ok {
+			pending = len(sw.pending)
+		}
+		c.mu.Unlock()
+		if pending == n {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("sweep %s did not reach %d pending trials within 5s", id, n)
+}
+
 // TestDistributedHedgingParity pins tail hedging end to end: a stalled
 // primary's chunk is re-issued to an idle worker (no lease expiry
 // involved), first result wins, and the digests match the oracle.
 func TestDistributedHedgingParity(t *testing.T) {
 	wantAgg, wantRes := localOracle(t)
-	c, err := New(Config{ChunkSize: 4, HedgeLast: 8, MaxHedges: 1})
+	c, err := New(Config{ChunkSize: 4, HedgeLast: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,6 @@ type trialSlot struct {
 // lease is one granted chunk with its deadline.
 type lease struct {
 	id       string
-	sweep    string
 	worker   string
 	trials   []int
 	hedged   bool // this lease is a duplicate grant of outstanding trials
@@ -41,12 +40,14 @@ type lease struct {
 	deadline time.Time
 }
 
+// maxHedges caps the duplicate grants issued on top of one lease.
+const maxHedges = 1
+
 // sweepState is the coordinator-side state of one distributed sweep.
 // All fields are guarded by the Coordinator mutex.
 type sweepState struct {
-	id    string
-	spec  []byte
-	width int
+	id   string
+	spec []byte
 
 	slots   map[int]*trialSlot
 	pending []int // slot indices with cover==0 && !done, ascending
@@ -55,11 +56,10 @@ type sweepState struct {
 	done    bool
 }
 
-func newSweepState(id string, spec []byte, width int) *sweepState {
+func newSweepState(id string, spec []byte) *sweepState {
 	return &sweepState{
 		id:     id,
 		spec:   spec,
-		width:  width,
 		slots:  map[int]*trialSlot{},
 		leases: map[string]*lease{},
 	}
@@ -112,7 +112,7 @@ func (sw *sweepState) outstanding() int {
 // its hedge budget and is not already held by the asking worker. The
 // tail condition — hedge only when nothing is pending and at most
 // hedgeLast primaries remain outstanding — is the caller's job.
-func (sw *sweepState) hedgeCandidate(worker string, maxHedges int) *lease {
+func (sw *sweepState) hedgeCandidate(worker string) *lease {
 	for _, id := range sw.order {
 		l, ok := sw.leases[id]
 		if !ok || l.hedged {

@@ -52,9 +52,6 @@ type WorkerConfig struct {
 	// capped at max). Defaults: 100ms base, 5s max.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// MaxRetries caps consecutive transport retries of one call before
-	// the worker gives the call up; <= 0 means 8.
-	MaxRetries int
 	// Sleep waits for a duration or the context, whichever ends first.
 	// The dist package may not touch the clock (detlint norealtime), so
 	// the real sleeper is injected by cmd/bgpworker; nil means "do not
@@ -74,9 +71,6 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 	}
 	if c.BackoffMax <= 0 {
 		c.BackoffMax = 5 * time.Second
-	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 8
 	}
 	if c.Sleep == nil {
 		c.Sleep = func(context.Context, time.Duration) {}
@@ -318,6 +312,10 @@ func (w *Worker) reportLease(ctx context.Context, l *Lease, results []TrialResul
 	}, &resp)
 }
 
+// callAttempts caps the tries of one call, consecutive transport retries
+// included, before the worker gives the call up.
+const callAttempts = 8
+
 // call POSTs one JSON request with deterministic capped exponential
 // backoff on transient failures (network errors and 5xx). 4xx responses
 // are final; 409 worker_unknown maps to errUnregistered so the loop
@@ -328,7 +326,7 @@ func (w *Worker) call(ctx context.Context, path string, in, out any) error {
 		return err
 	}
 	var last error
-	for attempt := 0; attempt < w.cfg.MaxRetries; attempt++ {
+	for attempt := 0; attempt < callAttempts; attempt++ {
 		if attempt > 0 {
 			w.mu.Lock()
 			w.stats.Retries++
@@ -347,7 +345,7 @@ func (w *Worker) call(ctx context.Context, path string, in, out any) error {
 			return err
 		}
 	}
-	return fmt.Errorf("dist: %s failed after %d attempts: %w", path, w.cfg.MaxRetries, last)
+	return fmt.Errorf("dist: %s failed after %d attempts: %w", path, callAttempts, last)
 }
 
 // once issues one attempt; retry reports whether the failure is

@@ -222,11 +222,11 @@ func checksum(r *Record) (string, error) {
 	return hex.EncodeToString(h[:])[:16], nil
 }
 
-// Seal stamps r with version and its checksum — a torn or bit-rotten
-// line is then told apart from a whole one — and renders the line
-// (without the trailing newline).
-func Seal(r *Record, version int) ([]byte, error) {
-	r.V = version
+// Seal stamps r with RecordVersion and its checksum — a torn or
+// bit-rotten line is then told apart from a whole one — and renders the
+// line (without the trailing newline).
+func Seal(r *Record) ([]byte, error) {
+	r.V = RecordVersion
 	s, err := checksum(r)
 	if err != nil {
 		return nil, err
@@ -236,9 +236,9 @@ func Seal(r *Record, version int) ([]byte, error) {
 }
 
 // Unseal parses one line into r and verifies its envelope: no unknown
-// fields, nothing after the object, the expected version, a matching
-// checksum. It never panics on hostile input.
-func Unseal(line []byte, r *Record, version int) error {
+// fields, nothing after the object, RecordVersion, a matching checksum.
+// It never panics on hostile input.
+func Unseal(line []byte, r *Record) error {
 	dec := json.NewDecoder(bytes.NewReader(line))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(r); err != nil {
@@ -247,8 +247,8 @@ func Unseal(line []byte, r *Record, version int) error {
 	if dec.More() {
 		return errors.New("trailing data after record")
 	}
-	if r.V != version {
-		return fmt.Errorf("version %d, want %d", r.V, version)
+	if r.V != RecordVersion {
+		return fmt.Errorf("version %d, want %d", r.V, RecordVersion)
 	}
 	got := r.Sum
 	want, err := checksum(r)

@@ -58,7 +58,7 @@ func EncodeRecord(r Record) ([]byte, error) {
 	if err := canonicalizeRaw(&r); err != nil {
 		return nil, fmt.Errorf("durable: encode WAL record: %w", err)
 	}
-	data, err := Seal(&r, RecordVersion)
+	data, err := Seal(&r)
 	if err != nil {
 		return nil, fmt.Errorf("durable: encode WAL record: %w", err)
 	}
@@ -74,7 +74,7 @@ var ErrBadRecord = errors.New("durable: bad WAL record")
 // failure returns an error wrapping ErrBadRecord.
 func DecodeRecord(line []byte) (Record, error) {
 	var r Record
-	if err := Unseal(line, &r, RecordVersion); err != nil {
+	if err := Unseal(line, &r); err != nil {
 		return Record{}, fmt.Errorf("%w: %v", ErrBadRecord, err)
 	}
 	if r.Type != "job" && r.Type != "state" {

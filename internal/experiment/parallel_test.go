@@ -118,6 +118,31 @@ func TestSweepQuarantinesNullCacheObject(t *testing.T) {
 	}
 }
 
+// TestSweepUncacheableTrialWithCache: a cache directory does not make an
+// uncacheable scenario fail. A traced result has no content address and
+// refuses to encode, so the sweep must neither encode nor store it.
+func TestSweepUncacheableTrialWithCache(t *testing.T) {
+	s := CliqueTDown(5, bgp.DefaultConfig(), 3)
+	s.TraceLimit = 50
+	for _, workers := range []int{1, 2} {
+		dir := t.TempDir()
+		_, _, stats, err := RunSweep(Repeat(s), 2, SweepOptions{Workers: workers, CacheDir: dir})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if stats.Executed != 2 {
+			t.Errorf("workers=%d: stats %+v, want 2 executed", workers, stats)
+		}
+		objects, err := os.ReadDir(filepath.Join(dir, "objects"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(objects) != 0 {
+			t.Errorf("workers=%d: %d entries under objects/, want none", workers, len(objects))
+		}
+	}
+}
+
 // TestSweepResumeAfterInterrupt interrupts a journaled sweep partway via
 // context cancellation (standing in for a kill), then resumes it; the
 // resumed sweep must re-simulate only the remainder and reproduce the

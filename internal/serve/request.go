@@ -83,8 +83,9 @@ func badRequest(code, format string, args ...any) *RequestError {
 // given limits, returning the request and the materialized scenario.
 // Every failure is a structured *RequestError — malformed JSON, unknown
 // fields, forbidden topology families, oversized topologies or trial
-// counts, and specs that do not materialize all map to 400s; nothing
-// panics (FuzzRunRequest pins that).
+// counts, and specs that do not materialize all map to 400s; a body
+// past an http.MaxBytesReader's limit (the handler's MaxBodyBytes) is
+// 413 too_large. Nothing panics (FuzzRunRequest pins that).
 func ParseRunRequest(body io.Reader, limits Limits) (*RunRequest, experiment.Scenario, *RequestError) {
 	limits = limits.withDefaults()
 
@@ -92,6 +93,11 @@ func ParseRunRequest(body io.Reader, limits Limits) (*RunRequest, experiment.Sce
 	dec.DisallowUnknownFields()
 	var req RunRequest
 	if err := dec.Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return nil, experiment.Scenario{}, &RequestError{Status: http.StatusRequestEntityTooLarge, Code: "too_large",
+				Message: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)}
+		}
 		if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF) {
 			return nil, experiment.Scenario{}, badRequest("bad_json", "request body is truncated or empty")
 		}

@@ -87,17 +87,12 @@ type Config struct {
 	// (sequential, the regression oracle; results are byte-identical at
 	// any width).
 	TrialWorkers int
-	// MaxJobs caps the retained job records; once exceeded the oldest
-	// terminal jobs are evicted. <= 0 means 512.
-	MaxJobs int
 	// JobTimeout, when positive, deadlines each job's execution.
 	JobTimeout time.Duration
 	// Preflight is the static-safety admission policy; "" means strict.
 	Preflight PreflightPolicy
 	// Limits bounds individual submissions; zero fields take defaults.
 	Limits Limits
-	// EventCap bounds each job's event replay buffer; <= 0 means 4096.
-	EventCap int
 	// Now injects the wall clock for latency metrics (cmd/bgpd passes
 	// time.Now; the serve package itself may not touch it — detlint's
 	// norealtime scope). Nil freezes latencies at zero, which only mutes
@@ -113,6 +108,20 @@ type Config struct {
 	Dist *dist.Coordinator
 }
 
+const (
+	// maxJobs caps the retained job records; once exceeded the oldest
+	// terminal jobs are evicted. See Config.jobCap for its floor.
+	maxJobs = 512
+	// eventCap bounds each job's event replay buffer.
+	eventCap = 4096
+)
+
+// jobCap is maxJobs, raised when needed so that every job that can be
+// active at once (queued or running) plus one more fits.
+func (c Config) jobCap() int {
+	return max(maxJobs, c.QueueDepth+c.Workers+1)
+}
+
 func (c Config) withDefaults() Config {
 	if c.StoreDir != "" && c.CacheDir == "" {
 		c.CacheDir = filepath.Join(c.StoreDir, "cache")
@@ -126,17 +135,8 @@ func (c Config) withDefaults() Config {
 	if c.TrialWorkers <= 0 {
 		c.TrialWorkers = 1
 	}
-	if c.MaxJobs <= 0 {
-		c.MaxJobs = 512
-	}
-	if c.MaxJobs < c.QueueDepth+c.Workers+1 {
-		c.MaxJobs = c.QueueDepth + c.Workers + 1
-	}
 	if c.Preflight == "" {
 		c.Preflight = PreflightStrict
-	}
-	if c.EventCap <= 0 {
-		c.EventCap = 4096
 	}
 	if c.Now == nil {
 		c.Now = func() time.Time { return time.Time{} }
@@ -321,7 +321,7 @@ func (s *Server) submit(req *RunRequest, sc experiment.Scenario) submitOutcome {
 	}
 
 	s.evictLocked()
-	if len(s.jobs) >= s.cfg.MaxJobs {
+	if len(s.jobs) >= s.cfg.jobCap() {
 		s.metrics.inc("bgpd_admission_rejects_total", 1)
 		return submitOutcome{err: &RequestError{
 			Status: http.StatusTooManyRequests, Code: "overloaded",
@@ -338,7 +338,7 @@ func (s *Server) submit(req *RunRequest, sc experiment.Scenario) submitOutcome {
 		sc:        sc,
 		state:     StateQueued,
 		warning:   warning,
-		log:       newEventLog(s.cfg.EventCap),
+		log:       newEventLog(),
 		submitted: s.now(),
 	}
 
@@ -361,6 +361,11 @@ func (s *Server) submit(req *RunRequest, sc experiment.Scenario) submitOutcome {
 		}
 	}
 
+	// Log before enqueueing: once queued, a worker may log "started".
+	j.log.append(Event{Type: "queued"})
+	if warning != "" {
+		j.log.append(Event{Type: "warning", Message: warning})
+	}
 	select {
 	case s.queue <- j:
 	default:
@@ -382,9 +387,7 @@ func (s *Server) submit(req *RunRequest, sc experiment.Scenario) submitOutcome {
 	}
 	s.metrics.inc("bgpd_submissions_total", 1)
 	s.metrics.set("bgpd_queue_depth", int64(len(s.queue)))
-	j.log.append(Event{Type: "queued"})
 	if warning != "" {
-		j.log.append(Event{Type: "warning", Message: warning})
 		s.metrics.inc("bgpd_preflight_warnings_total", 1)
 	}
 	return submitOutcome{job: j}
@@ -393,7 +396,7 @@ func (s *Server) submit(req *RunRequest, sc experiment.Scenario) submitOutcome {
 // evictLocked drops the oldest terminal jobs while the table exceeds the
 // retention cap. Active jobs are never evicted. Callers hold s.mu.
 func (s *Server) evictLocked() {
-	for len(s.jobs) >= s.cfg.MaxJobs {
+	for len(s.jobs) >= s.cfg.jobCap() {
 		evicted := false
 		for i, id := range s.order {
 			j := s.jobs[id]

@@ -385,6 +385,30 @@ func TestMalformedFaultActionsRefused(t *testing.T) {
 	}
 }
 
+// TestOversizedSubmitIs413 pins that a POST /v1/runs body past
+// Limits.MaxBodyBytes is 413 too_large, told apart from malformed JSON.
+func TestOversizedSubmitIs413(t *testing.T) {
+	const limit = 256
+	_, ts := newTestServer(t, Config{Limits: Limits{MaxBodyBytes: limit}})
+	body := strings.Repeat(" ", 2*limit) + cliqueBody
+	resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got struct {
+		Error *RequestError `json:"error"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&got)
+	_ = resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || got.Error == nil || got.Error.Code != "too_large" ||
+		!strings.Contains(got.Error.Message, fmt.Sprint(limit)) {
+		t.Errorf("status %d, error %+v; want 413 too_large naming the %d-byte limit", resp.StatusCode, got.Error, limit)
+	}
+}
+
 // TestPreflightStrictRefuses pins the 422 refusal: a statically-UNSAFE
 // submission never reaches the simulator under the default policy.
 func TestPreflightStrictRefuses(t *testing.T) {

@@ -29,21 +29,20 @@ type Event struct {
 }
 
 // eventLog is a job's append-only progress log with bounded replay: all
-// lifecycle events are retained, trial events are retained up to cap,
-// and everything beyond the cap is counted in dropped. Readers follow
-// the log by index under a condition variable, so a slow stream client
-// never blocks the worker appending events.
+// lifecycle events are retained, trial events are retained up to
+// eventCap, and everything beyond the cap is counted in dropped. Readers
+// follow the log by index under a condition variable, so a slow stream
+// client never blocks the worker appending events.
 type eventLog struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	events  []Event
 	dropped int
-	cap     int
 	closed  bool
 }
 
-func newEventLog(capacity int) *eventLog {
-	l := &eventLog{cap: capacity}
+func newEventLog() *eventLog {
+	l := &eventLog{}
 	l.cond = sync.NewCond(&l.mu)
 	return l
 }
@@ -53,7 +52,7 @@ func newEventLog(capacity int) *eventLog {
 // always kept so every stream ends with a terminal event.
 func (l *eventLog) append(e Event) {
 	l.mu.Lock()
-	if e.Type == "trial" && l.cap > 0 && len(l.events) >= l.cap {
+	if e.Type == "trial" && len(l.events) >= eventCap {
 		l.dropped++
 		l.mu.Unlock()
 		return

@@ -130,7 +130,7 @@ func (s *Server) recoverWAL(records []durable.Record) error {
 		if f.last != nil && f.last.State == walStateAborted {
 			continue // rejected enqueue; the client never saw this id
 		}
-		j, err := jobFromRecord(f.submit, s.cfg.EventCap)
+		j, err := jobFromRecord(f.submit)
 		if err != nil {
 			// The spec no longer parses (schema drift across versions):
 			// surface the job as failed rather than silently forgetting an
@@ -209,14 +209,14 @@ func (s *Server) installRecovered(j *job) {
 
 // jobFromRecord rebuilds a job skeleton from its WAL submission record,
 // including the replayable scenario.
-func jobFromRecord(r durable.Record, eventCap int) (*job, error) {
+func jobFromRecord(r durable.Record) (*job, error) {
 	j := &job{
 		id:      r.Job,
 		key:     r.Key,
 		trials:  r.Trials,
 		warning: r.Warning,
 		state:   StateQueued,
-		log:     newEventLog(eventCap),
+		log:     newEventLog(),
 	}
 	j.log.append(Event{Type: "recovered"})
 	if r.Warning != "" {

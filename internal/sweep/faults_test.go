@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"testing"
 
@@ -53,6 +54,31 @@ func TestCacheWriteSurfacesFaults(t *testing.T) {
 				t.Error("a failed cache write left an object behind")
 			}
 		})
+	}
+}
+
+// TestCacheWriteFaultStopsPool: a failed cache write aborts the pool —
+// in-flight trials are canceled and no new one starts — instead of the
+// remaining trials all running before the error is returned.
+func TestCacheWriteFaultStopsPool(t *testing.T) {
+	const trials, workers = 64, 2
+	fsys := durable.NewFaultFS(nil, []durable.Fault{{Op: durable.OpWrite, Kind: durable.FaultENOSPC}})
+	cache, err := OpenCacheFS(t.TempDir(), fsys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ran atomic.Int32
+	task := func(_ context.Context, i int) (int, error) {
+		ran.Add(1)
+		return 1000 + i, nil
+	}
+	_, err = Run(context.Background(), trials, task, Options[int]{Workers: workers, Codec: intCodec(), Cache: cache})
+	if !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("run error = %v, want ENOSPC", err)
+	}
+	// One merged trial, a full result buffer, and one more per worker.
+	if got := ran.Load(); got > 2*workers+1 {
+		t.Errorf("%d of %d tasks ran, want the failed write to stop the pool after at most %d", got, trials, 2*workers+1)
 	}
 }
 

@@ -2,9 +2,11 @@ package sweep
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 )
 
@@ -50,6 +52,72 @@ func TestCacheServesUnchangedTrials(t *testing.T) {
 	for i := 0; i < trials; i++ {
 		if second.Results[i] != first.Results[i] || second.Source[i] != SourceCache {
 			t.Errorf("trial %d: result %d source %v", i, second.Results[i], second.Source[i])
+		}
+	}
+}
+
+// TestEachResultEncodedOnce: a sweep persists each result from the bytes
+// it arrived with and encodes only results that arrived without any —
+// once each, by the merger or by the Flight leader whose bytes the
+// merger reuses. Remote payloads are stored as they came, and a warm
+// re-run encodes nothing.
+func TestEachResultEncodedOnce(t *testing.T) {
+	const trials = 16
+	cases := []struct {
+		name           string
+		flight, remote bool
+		want           int32
+	}{
+		{"cache", false, false, trials},
+		{"cache+flight", true, false, trials},
+		{"cache+remote", false, true, 0},
+		{"cache+flight+remote", true, true, 0},
+	}
+	for _, tc := range cases {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
+				cache, err := OpenCache(t.TempDir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				var encodes atomic.Int32
+				codec := intCodec()
+				encode := codec.Encode
+				codec.Encode = func(v int) ([]byte, error) {
+					encodes.Add(1)
+					return encode(v)
+				}
+				opts := Options[int]{Workers: workers, Codec: codec, Cache: cache}
+				if tc.flight {
+					opts.Flight = NewFlight()
+				}
+				if tc.remote {
+					opts.Remote = func(_ context.Context, i int, _ string) ([]byte, error) { return json.Marshal(1000 + i) }
+				}
+				task := func(_ context.Context, i int) (int, error) { return 1000 + i, nil }
+
+				out, err := Run(context.Background(), trials, task, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := encodes.Load(); got != tc.want {
+					t.Errorf("cold run: %d encodes, want %d", got, tc.want)
+				}
+				for i := 0; i < trials; i++ {
+					if !out.Done(i) || out.Results[i] != 1000+i {
+						t.Fatalf("trial %d: status %v result %d", i, out.Status[i], out.Results[i])
+					}
+				}
+
+				encodes.Store(0)
+				out, err = Run(context.Background(), trials, task, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := encodes.Load(); got != 0 || out.Stats.CacheHits != trials {
+					t.Errorf("warm run: %d encodes, stats %+v; want 0 encodes and %d hits", got, out.Stats, trials)
+				}
+			})
 		}
 	}
 }

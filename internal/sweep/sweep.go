@@ -28,6 +28,21 @@
 //   - Journal: an append-only checkpoint of completed trials, so an
 //     interrupted sweep restarts from where it stopped (Resume).
 //
+// A trial's result comes from the first of these that has it: the
+// journal (replayed up front, before anything runs), the cache, a
+// concurrent execution of the same content address (Flight), the remote
+// executor (Remote), and finally the local Task. Every trial the journal
+// does not replay takes one path, on whichever goroutine runs it: probe
+// the cache, then — unless the sweep is stopping — execute, then hand
+// the result and the bytes it arrived with to the merging goroutine. A
+// stored result is served even when the sweep is aborting or canceled,
+// because the probe comes before any skip or cancellation check. The
+// merger journals every done keyed trial and puts it in the cache unless
+// it came from there, reusing the bytes it arrived with and encoding only
+// when there are none; a trial without a key is never encoded. Any
+// persistence error (encode, journal append, cache read, write or
+// quarantine) aborts the whole sweep.
+//
 // This package is the concurrency boundary of the repository: it is the
 // only simulation-adjacent package allowed to spawn goroutines (detlint's
 // "harness" scope: checked by norealtime, noglobalrand, maprange and
@@ -142,7 +157,13 @@ type Options[T any] struct {
 	// disables both.
 	Codec Codec[T]
 	// Cache, when non-nil, serves unchanged trials from disk and stores
-	// fresh results. Requires Codec.
+	// fresh results. Requires Codec. Each keyed trial the journal did not
+	// replay is probed once, on the goroutine that runs it and before any
+	// skip or cancellation check, so a stored result is served even by an
+	// aborting sweep. A corrupt object is quarantined and counts as a
+	// miss; a read or quarantine error aborts the sweep. Every done keyed
+	// trial that did not come from the cache is put there, from the bytes
+	// it arrived with (remote payload, Flight share) or its encoding.
 	Cache *Cache
 	// Journal, when non-nil, appends every completed trial so an
 	// interrupted sweep can resume. Requires Codec. The journal's
@@ -152,23 +173,30 @@ type Options[T any] struct {
 	// Flight, when non-nil, collapses concurrent executions of the same
 	// content address — across this sweep and every other sweep sharing
 	// the Flight — onto one run. Requires Codec (sharing moves encoded
-	// bytes between callers). Trials without a key never share.
+	// bytes between callers). Trials without a key never share. A cache
+	// hit never reaches the Flight. The leader shares the bytes its
+	// result arrived with (a remote payload) and encodes only when there
+	// are none; those bytes are also what every sharing sweep persists.
 	Flight *Flight
 	// Remote is the pluggable trial-executor seam: when non-nil, trials
-	// that have a content address are satisfied by calling Remote —
-	// which returns the trial's encoded result bytes, e.g. from a
-	// distributed worker fleet (internal/dist) — instead of running the
-	// Task in this process. Trials without a key have no content address
-	// to prove equality across machines, so they always run locally.
-	// Requires a complete Codec; the returned bytes are decoded through
-	// it, and the Codec round-trip contract makes the merged output
-	// byte-identical to a local run. Remote executions still route
-	// through the Flight when one is configured, so concurrent sweeps
-	// wanting the same content address share one remote execution.
+	// that have a content address and miss the cache are satisfied by
+	// calling Remote — which returns the trial's encoded result bytes,
+	// e.g. from a distributed worker fleet (internal/dist) — instead of
+	// running the Task in this process. Trials without a key have no
+	// content address to prove equality across machines, so they always
+	// run locally. Requires a complete Codec; the returned bytes are
+	// decoded through it, and the Codec round-trip contract makes the
+	// merged output byte-identical to a local run. Bytes that do not
+	// decode fall back to the local Task; a Remote error is final. Remote
+	// executions still route through the Flight when one is configured,
+	// so concurrent sweeps wanting the same content address share one
+	// remote execution.
 	Remote func(ctx context.Context, trial int, key string) ([]byte, error)
 	// Progress, when non-nil, is called from the merging goroutine after
-	// each trial reaches a terminal state, in completion order. It must
-	// not block for long; it runs on the sweep's critical path.
+	// each trial reaches a terminal state, in completion order — cache
+	// hits included, which complete on the workers like any other trial.
+	// Journal replays are not reported. It must not block for long; it
+	// runs on the sweep's critical path.
 	Progress func(trial int, st Status, src Source)
 }
 
@@ -258,6 +286,12 @@ func canceledErr(err error) bool {
 // for harness problems (bad arguments, persistence failures); trial
 // failures and cancellations are reported per-slot in the Outcome so the
 // caller can apply its own partial-result policy.
+//
+// The journal is replayed first, in the calling goroutine. Every other
+// trial then runs one pipeline — cache probe, then Flight, Remote or the
+// local Task — inline (Workers == 1) or on the pool, and the calling
+// goroutine merges and persists the results. A persistence error cancels
+// the trials in flight, starts no new ones and is returned.
 func Run[T any](ctx context.Context, trials int, task Task[T], opts Options[T]) (*Outcome[T], error) {
 	if trials <= 0 {
 		return nil, fmt.Errorf("sweep: non-positive trial count %d", trials)
@@ -289,100 +323,61 @@ func Run[T any](ctx context.Context, trials int, task Task[T], opts Options[T]) 
 		Source:  make([]Source, trials),
 		Stats:   Stats{Trials: trials},
 	}
-
-	// Content addresses, computed once and shared by the journal and the
-	// cache.
-	keys := make([]string, trials)
+	s := &sweeper[T]{
+		task: task,
+		opts: opts,
+		out:  out,
+		// Content addresses, computed once and shared by every layer.
+		keys: make([]string, trials),
+		ctl: &controller{
+			failFast:   opts.FailFast,
+			failFastAt: -1,
+			maxRatio:   opts.MaxFailureRatio,
+			trials:     trials,
+			cancels:    make([]context.CancelFunc, trials),
+		},
+	}
 	if opts.Codec.enabled() {
-		for i := range keys {
-			keys[i] = opts.Codec.Key(i)
+		for i := range s.keys {
+			s.keys[i] = opts.Codec.Key(i)
 		}
 	}
 
 	// Replay the resume journal: a journaled result is reused only when
 	// its content address still matches, so a changed scenario spec
-	// invalidates stale checkpoints per trial.
+	// invalidates stale checkpoints per trial. A corrupt entry (e.g. a
+	// torn write from a kill) is ignored; the trial simply re-executes.
 	if opts.Journal != nil {
-		for i := 0; i < trials; i++ {
-			if keys[i] == "" {
-				continue
-			}
-			data, ok := opts.Journal.Lookup(i, keys[i])
-			if !ok {
-				continue
-			}
-			v, err := opts.Codec.Decode(data)
-			if err != nil {
-				// A corrupt entry (e.g. a torn write from a kill) is
-				// ignored; the trial simply re-executes.
-				continue
-			}
-			out.Results[i], out.Status[i], out.Source[i] = v, StatusDone, SourceJournal
-			out.Stats.Resumed++
-		}
-	}
-
-	// Probe the content-addressed cache for the rest.
-	if opts.Cache != nil {
-		for i := 0; i < trials; i++ {
-			if out.Status[i] == StatusDone || keys[i] == "" {
-				continue
-			}
-			data, ok, err := opts.Cache.Get(keys[i])
-			if err != nil {
-				return nil, fmt.Errorf("sweep: cache read trial %d: %w", i, err)
-			}
-			if !ok {
-				out.Stats.CacheMisses++
-				continue
-			}
-			v, err := opts.Codec.Decode(data)
-			if err != nil {
-				// Corrupt object: quarantine the evidence (visible in stats
-				// and /metrics), then treat the probe as a miss so the trial
-				// re-executes and writes a fresh object.
-				if qerr := opts.Cache.Quarantine(keys[i]); qerr != nil {
-					return nil, fmt.Errorf("sweep: quarantine trial %d: %w", i, qerr)
+		for i, key := range s.keys {
+			if data, ok := opts.Journal.Lookup(i, key); ok {
+				if v, err := opts.Codec.Decode(data); err == nil {
+					out.Results[i], out.Status[i], out.Source[i] = v, StatusDone, SourceJournal
+					out.Stats.Resumed++
 				}
-				out.Stats.Quarantined++
-				out.Stats.CacheMisses++
-				continue
-			}
-			out.Results[i], out.Status[i], out.Source[i] = v, StatusDone, SourceCache
-			out.Stats.CacheHits++
-			if err := persist(opts, i, keys[i], data, false); err != nil {
-				return nil, err
-			}
-			if opts.Progress != nil {
-				opts.Progress(i, StatusDone, SourceCache)
 			}
 		}
 	}
 
-	// Everything still pending executes, in ascending index order.
-	var pending []int
+	// Everything else runs, dispatched in ascending index order.
+	pending := make([]int, 0, trials-out.Stats.Resumed)
 	for i := 0; i < trials; i++ {
 		if out.Status[i] != StatusDone {
 			pending = append(pending, i)
 		}
 	}
-
-	ctl := &controller{
-		failFast:   opts.FailFast,
-		failFastAt: -1,
-		maxRatio:   opts.MaxFailureRatio,
-		trials:     trials,
-		cancels:    make([]context.CancelFunc, trials),
-	}
-
-	var runErr error
+	var err error
 	if workers == 1 {
-		runErr = runInline(ctx, task, opts, out, ctl, pending, keys)
+		// The sequential oracle: no goroutines, trials in index order.
+		for _, i := range pending {
+			if err = s.merge(s.run(ctx, i)); err != nil {
+				break
+			}
+		}
 	} else {
-		runErr = runPool(ctx, task, opts, out, ctl, pending, keys, workers)
+		err = s.pool(ctx, pending, workers)
 	}
-	if runErr != nil {
-		return nil, runErr
+	if err != nil {
+		return nil, err
 	}
 
 	for i := 0; i < trials; i++ {
@@ -397,277 +392,248 @@ func Run[T any](ctx context.Context, trials int, task Task[T], opts Options[T]) 
 			switch out.Source[i] {
 			case SourceExecuted:
 				out.Stats.Executed++
+			case SourceCache:
+				out.Stats.CacheHits++
 			case SourceFlight:
 				out.Stats.Deduped++
 			case SourceRemote:
 				out.Stats.Remote++
 			}
 		}
+		// Every keyed trial the journal did not replay was probed once;
+		// each probe that did not hit was a miss.
+		if opts.Cache != nil && s.keys[i] != "" && out.Source[i] != SourceCache && out.Source[i] != SourceJournal {
+			out.Stats.CacheMisses++
+		}
 	}
 	return out, nil
 }
 
-// persist stores one completed trial in the journal and, when fresh, the
-// cache. It is always called from the single merging goroutine, so the
-// underlying appends need no locking beyond the file itself.
-func persist[T any](opts Options[T], trial int, key string, data []byte, fresh bool) error {
-	if key == "" || data == nil {
-		return nil
-	}
-	if opts.Journal != nil {
-		if err := opts.Journal.Append(trial, key, data); err != nil {
-			return fmt.Errorf("sweep: journal trial %d: %w", trial, err)
-		}
-	}
-	if fresh && opts.Cache != nil {
-		if err := opts.Cache.Put(key, data); err != nil {
-			return fmt.Errorf("sweep: cache write trial %d: %w", trial, err)
-		}
-	}
-	return nil
+// sweeper is the state of one Run shared by the trial pipeline and the
+// merger.
+type sweeper[T any] struct {
+	task Task[T]
+	opts Options[T]
+	out  *Outcome[T]
+	keys []string
+	ctl  *controller
 }
 
-// merge records one completed trial into the outcome and applies the
-// failure policy. execSrc is SourceExecuted for trials this sweep ran
-// itself and SourceFlight for results shared from a concurrent execution.
-// Called only from the merging goroutine.
-func merge[T any](opts Options[T], out *Outcome[T], ctl *controller, trial int, key string, v T, execSrc Source, err error) error {
-	src := SourceNone
+// attempt is what one trial's pipeline hands the merger.
+type attempt[T any] struct {
+	trial int
+	v     T
+	// data is the encoding the result arrived with (cache object, remote
+	// payload, Flight share or leader encode); nil when it was produced
+	// locally and never encoded.
+	data []byte
+	src  Source
+	err  error
+	// fatal is a persistence error met on the way (cache read,
+	// quarantine, leader encode); it aborts the sweep.
+	fatal       error
+	skip        bool
+	quarantined bool
+}
+
+// run is trial i's pipeline, on whichever goroutine runs it: probe the
+// cache, then, unless the sweep is canceled or stopping, execute under a
+// per-trial context the controller can cancel.
+func (s *sweeper[T]) run(ctx context.Context, i int) attempt[T] {
+	a := attempt[T]{trial: i}
+	if key := s.keys[i]; s.opts.Cache != nil && key != "" {
+		data, ok, err := s.opts.Cache.Get(key)
+		if err != nil {
+			a.fatal = fmt.Errorf("sweep: cache read trial %d: %w", i, err)
+			return a
+		}
+		if ok {
+			if v, err := s.opts.Codec.Decode(data); err == nil {
+				a.v, a.data, a.src = v, data, SourceCache
+				return a
+			}
+			// Corrupt object: quarantine the evidence (visible in stats
+			// and /metrics), then treat the probe as a miss so the trial
+			// re-executes and writes a fresh object.
+			if err := s.opts.Cache.Quarantine(key); err != nil {
+				a.fatal = fmt.Errorf("sweep: quarantine trial %d: %w", i, err)
+				return a
+			}
+			a.quarantined = true
+		}
+	}
 	switch {
-	case err == nil:
-		out.Results[trial], out.Status[trial], out.Source[trial] = v, StatusDone, execSrc
-		src = execSrc
-		data, encErr := encodeFor(opts, v)
-		if encErr != nil {
-			return fmt.Errorf("sweep: encode trial %d: %w", trial, encErr)
-		}
-		if err := persist(opts, trial, key, data, true); err != nil {
-			return err
-		}
-	case canceledErr(err):
-		out.Errs[trial], out.Status[trial] = err, StatusCanceled
+	case ctx.Err() != nil:
+		a.err = ctx.Err()
+	case s.ctl.shouldSkip(i):
+		a.skip = true
 	default:
-		out.Errs[trial], out.Status[trial] = err, StatusFailed
-		ctl.noteFailure(trial)
+		tctx, cancel := context.WithCancel(ctx)
+		s.ctl.register(i, cancel)
+		s.execute(tctx, &a)
+		s.ctl.unregister(i)
+		cancel()
 	}
-	if opts.Progress != nil {
-		opts.Progress(trial, out.Status[trial], src)
-	}
-	return nil
+	return a
 }
 
-// encodeFor serializes v when persistence is configured.
-func encodeFor[T any](opts Options[T], v T) ([]byte, error) {
-	if !opts.Codec.enabled() || (opts.Cache == nil && opts.Journal == nil) {
-		return nil, nil
+// execute produces a's trial, through the Flight when one is configured
+// and the trial has a key. The leader shares the bytes its result arrived
+// with, encoding only when there are none. A follower decodes the shared
+// bytes (byte-identical on re-encode per the Codec contract, so sharing
+// never changes digests) and is marked SourceFlight; bytes that do not
+// decode make it run the task itself. Errors are never shared — a failed
+// or canceled leader makes the follower produce the trial itself.
+func (s *sweeper[T]) execute(ctx context.Context, a *attempt[T]) {
+	i, key := a.trial, s.keys[a.trial]
+	if s.opts.Flight == nil || key == "" {
+		a.v, a.data, a.src, a.err = s.produce(ctx, i)
+		return
 	}
-	return opts.Codec.Encode(v)
-}
-
-// runInline is the Workers == 1 path: no goroutines, trials execute in
-// index order in the calling goroutine. This is the sequential regression
-// oracle the parallel pool must match byte for byte.
-func runInline[T any](ctx context.Context, task Task[T], opts Options[T], out *Outcome[T], ctl *controller, pending []int, keys []string) error {
-	for _, i := range pending {
-		if err := ctx.Err(); err != nil {
-			out.Errs[i], out.Status[i] = err, StatusCanceled
-			if opts.Progress != nil {
-				opts.Progress(i, StatusCanceled, SourceNone)
+	data, shared, err := s.opts.Flight.Do(ctx, key, func() ([]byte, error) {
+		v, data, src, err := s.produce(ctx, i)
+		if err == nil && data == nil {
+			if data, err = s.opts.Codec.Encode(v); err != nil {
+				a.fatal = fmt.Errorf("sweep: encode trial %d: %w", i, err)
 			}
-			continue
 		}
-		if ctl.shouldSkip(i) {
-			out.Status[i] = StatusSkipped
-			if opts.Progress != nil {
-				opts.Progress(i, StatusSkipped, SourceNone)
-			}
-			continue
-		}
-		v, src, err := executeTrial(ctx, task, opts, i, keys[i])
-		if merr := merge(opts, out, ctl, i, keys[i], v, src, err); merr != nil {
-			return merr
-		}
-	}
-	return nil
-}
-
-// executeTrial runs one trial, routing it through the singleflight when a
-// Flight and a content address are available. The leader's own value is
-// returned directly; a follower decodes the shared bytes (byte-identical
-// on re-encode per the Codec contract, so sharing never changes digests)
-// and is marked SourceFlight. Errors are never shared — a failed or
-// canceled leader makes the follower execute the trial itself.
-//
-// When Options.Remote is set and the trial has a content address, the
-// execution (leader or direct) is satisfied by the remote seam instead of
-// the local task; a remote payload that fails to decode falls back to
-// local execution (byte-identical by determinism), mirroring the cache's
-// corrupt-object-is-a-miss policy.
-func executeTrial[T any](ctx context.Context, task Task[T], opts Options[T], i int, key string) (T, Source, error) {
-	if opts.Flight == nil || key == "" {
-		if opts.Remote != nil && key != "" {
-			return executeRemote(ctx, task, opts, i, key)
-		}
-		v, err := task(ctx, i)
-		return v, SourceExecuted, err
-	}
-	var (
-		leaderV   T
-		isLeader  bool
-		leaderSrc = SourceExecuted
-	)
-	data, shared, err := opts.Flight.Do(ctx, key, func() ([]byte, error) {
-		if opts.Remote != nil {
-			v, src, data, err := remoteBytes(ctx, task, opts, i, key)
-			if err != nil {
-				return nil, err
-			}
-			leaderV, isLeader, leaderSrc = v, true, src
-			return data, nil
-		}
-		v, err := task(ctx, i)
-		if err != nil {
-			return nil, err
-		}
-		data, err := opts.Codec.Encode(v)
-		if err != nil {
-			return nil, err
-		}
-		leaderV, isLeader = v, true
-		return data, nil
+		a.v, a.data, a.src = v, data, src
+		return data, err
 	})
 	switch {
 	case err != nil:
-		var zero T
-		return zero, SourceExecuted, err
-	case isLeader:
-		return leaderV, leaderSrc, nil
+		a.err = err
 	case shared:
-		v, err := opts.Codec.Decode(data)
-		if err != nil {
-			// A shared payload that does not decode falls back to direct
-			// execution, mirroring the cache's corrupt-object-is-a-miss
-			// policy.
-			v, err := task(ctx, i)
-			return v, SourceExecuted, err
+		if v, err := s.opts.Codec.Decode(data); err == nil {
+			a.v, a.data, a.src = v, data, SourceFlight
+		} else {
+			a.v, a.err = s.task(ctx, i)
+			a.src = SourceExecuted
 		}
-		return v, SourceFlight, nil
+	}
+}
+
+// produce runs trial i once: through the remote seam when there is one
+// and the trial has a key, else with the local task. It returns the bytes
+// the result arrived with, nil for a local run. Undecodable remote bytes
+// (a worker bug, not a determinism question) fall back to the local task,
+// mirroring the cache's corrupt-object-is-a-miss policy; remote errors —
+// including cancellation — are final, because the remote layer owns its
+// own retry and reassignment policy.
+func (s *sweeper[T]) produce(ctx context.Context, i int) (T, []byte, Source, error) {
+	if key := s.keys[i]; s.opts.Remote != nil && key != "" {
+		data, err := s.opts.Remote(ctx, i, key)
+		if err != nil {
+			var zero T
+			return zero, nil, SourceNone, err
+		}
+		if v, err := s.opts.Codec.Decode(data); err == nil {
+			return v, data, SourceRemote, nil
+		}
+	}
+	v, err := s.task(ctx, i)
+	return v, nil, SourceExecuted, err
+}
+
+// merge records one attempt into the outcome, persists a done result and
+// applies the failure policy. It runs only on the merging goroutine (the
+// caller of Run), so the journal and the cache writes see one writer. A
+// fatal or persistence error aborts the sweep and is returned.
+func (s *sweeper[T]) merge(a attempt[T]) error {
+	out, i := s.out, a.trial
+	if a.quarantined {
+		out.Stats.Quarantined++
+	}
+	switch {
+	case a.fatal != nil:
+		s.ctl.abort()
+		return a.fatal
+	case a.skip:
+		out.Status[i] = StatusSkipped
+	case a.err == nil:
+		out.Results[i], out.Status[i], out.Source[i] = a.v, StatusDone, a.src
+		if err := s.persist(a); err != nil {
+			s.ctl.abort()
+			return err
+		}
+	case canceledErr(a.err):
+		out.Errs[i], out.Status[i] = a.err, StatusCanceled
 	default:
-		// Unreachable: a nil error from Do means either this caller led
-		// the execution or the payload was shared.
-		v, err := task(ctx, i)
-		return v, SourceExecuted, err
+		out.Errs[i], out.Status[i] = a.err, StatusFailed
+		s.ctl.noteFailure(i)
 	}
+	if s.opts.Progress != nil {
+		s.opts.Progress(i, out.Status[i], out.Source[i])
+	}
+	return nil
 }
 
-// executeRemote satisfies one trial through the remote seam without a
-// Flight.
-func executeRemote[T any](ctx context.Context, task Task[T], opts Options[T], i int, key string) (T, Source, error) {
-	v, src, _, err := remoteBytes(ctx, task, opts, i, key)
-	if err != nil {
-		var zero T
-		return zero, SourceExecuted, err
-	}
-	return v, src, nil
-}
-
-// remoteBytes calls Options.Remote for trial i and decodes the payload.
-// Undecodable bytes (a worker bug, not a determinism question) degrade to
-// local execution; remote errors — including cancellation — propagate,
-// because the remote layer owns its own retry and reassignment policy and
-// its errors are final.
-func remoteBytes[T any](ctx context.Context, task Task[T], opts Options[T], i int, key string) (T, Source, []byte, error) {
-	data, err := opts.Remote(ctx, i, key)
-	if err != nil {
-		var zero T
-		return zero, SourceExecuted, nil, err
-	}
-	v, err := opts.Codec.Decode(data)
-	if err == nil {
-		return v, SourceRemote, data, nil
-	}
-	v, err = task(ctx, i)
-	if err != nil {
-		var zero T
-		return zero, SourceExecuted, nil, err
-	}
-	data, err = opts.Codec.Encode(v)
-	if err != nil {
-		var zero T
-		return zero, SourceExecuted, nil, err
-	}
-	return v, SourceExecuted, data, nil
-}
-
-// runPool is the parallel path: a feeder hands ascending indices to
-// `workers` goroutines; the calling goroutine merges completions. The
-// only shared mutable state is the controller (mutex-guarded) and the
-// channels; results land in index-addressed slots, so merged output is
-// independent of completion order.
-func runPool[T any](ctx context.Context, task Task[T], opts Options[T], out *Outcome[T], ctl *controller, pending []int, keys []string, workers int) error {
-	if workers > len(pending) {
-		workers = len(pending)
-	}
-	if len(pending) == 0 {
+// persist journals a done keyed trial and puts it in the cache unless it
+// came from there. It writes the bytes the result arrived with and
+// encodes only when there are none; a trial without a key is never
+// encoded.
+func (s *sweeper[T]) persist(a attempt[T]) error {
+	key, put := s.keys[a.trial], s.opts.Cache != nil && a.src != SourceCache
+	if key == "" || (s.opts.Journal == nil && !put) {
 		return nil
 	}
-
-	type completion struct {
-		trial int
-		v     T
-		src   Source
-		err   error
-		skip  bool
+	data := a.data
+	if data == nil {
+		var err error
+		if data, err = s.opts.Codec.Encode(a.v); err != nil {
+			return fmt.Errorf("sweep: encode trial %d: %w", a.trial, err)
+		}
 	}
-	idxCh := make(chan int)
-	resCh := make(chan completion, workers)
+	if s.opts.Journal != nil {
+		if err := s.opts.Journal.Append(a.trial, key, data); err != nil {
+			return fmt.Errorf("sweep: journal trial %d: %w", a.trial, err)
+		}
+	}
+	if put {
+		if err := s.opts.Cache.Put(key, data); err != nil {
+			return fmt.Errorf("sweep: cache write trial %d: %w", a.trial, err)
+		}
+	}
+	return nil
+}
 
+// pool is the parallel path: `workers` goroutines take the pending
+// indices in ascending order from a pre-filled channel and run each
+// trial's pipeline; the calling goroutine merges their attempts. The only
+// shared mutable state is the controller (mutex-guarded) and the
+// channels; results land in index-addressed slots, so merged output is
+// independent of completion order.
+func (s *sweeper[T]) pool(ctx context.Context, pending []int, workers int) error {
+	workers = min(workers, len(pending))
+	idx := make(chan int, len(pending))
+	for _, i := range pending {
+		idx <- i
+	}
+	close(idx)
+	// A slot per worker: each can finish a trial while the merger
+	// persists another.
+	res := make(chan attempt[T], workers)
 	var wg sync.WaitGroup
+	work := func() {
+		defer wg.Done()
+		for i := range idx {
+			res <- s.run(ctx, i)
+		}
+	}
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range idxCh {
-				if ctl.shouldSkip(i) {
-					resCh <- completion{trial: i, skip: true}
-					continue
-				}
-				tctx, cancel := context.WithCancel(ctx)
-				ctl.register(i, cancel)
-				v, src, err := executeTrial(tctx, task, opts, i, keys[i])
-				ctl.unregister(i)
-				cancel()
-				resCh <- completion{trial: i, v: v, src: src, err: err}
-			}
-		}()
+		go work()
 	}
-	// The feeder owns idxCh; it always sends every pending index (workers
-	// turn aborted indices into cheap skips), so the merger below receives
-	// exactly len(pending) completions.
-	go func() {
-		defer close(idxCh)
-		for _, i := range pending {
-			idxCh <- i
-		}
-	}()
-
-	var mergeErr error
+	// Every pending index yields exactly one attempt (an aborted sweep's
+	// trials come back as cheap skips); after an error the rest drain.
+	var err error
 	for range pending {
-		c := <-resCh
-		if mergeErr != nil {
-			continue // drain; first error wins
+		if a := <-res; err == nil {
+			err = s.merge(a)
 		}
-		if c.skip {
-			out.Status[c.trial] = StatusSkipped
-			if opts.Progress != nil {
-				opts.Progress(c.trial, StatusSkipped, SourceNone)
-			}
-			continue
-		}
-		mergeErr = merge(opts, out, ctl, c.trial, keys[c.trial], c.v, c.src, c.err)
 	}
 	wg.Wait()
-	return mergeErr
+	return err
 }
 
 // controller coordinates the abort policy between the merging goroutine
@@ -684,21 +650,23 @@ type controller struct {
 	cancels    []context.CancelFunc
 }
 
+// stoppedLocked reports whether trial i must not run; c.mu is held.
+func (c *controller) stoppedLocked(i int) bool {
+	return c.abortAll || (c.failFast && c.failFastAt >= 0 && i > c.failFastAt)
+}
+
 // shouldSkip reports whether trial i must not start.
 func (c *controller) shouldSkip(i int) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.abortAll {
-		return true
-	}
-	return c.failFast && c.failFastAt >= 0 && i > c.failFastAt
+	return c.stoppedLocked(i)
 }
 
 // register installs the cancel function of an in-flight trial.
 func (c *controller) register(i int, cancel context.CancelFunc) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.abortAll || (c.failFast && c.failFastAt >= 0 && i > c.failFastAt) {
+	if c.stoppedLocked(i) {
 		// The abort raced the registration; cancel immediately so the
 		// trial stops at its first context poll.
 		cancel()
@@ -712,6 +680,25 @@ func (c *controller) unregister(i int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.cancels[i] = nil
+}
+
+// abort stops the whole sweep: no trial starts any more and every
+// in-flight trial is canceled.
+func (c *controller) abort() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.abortLocked()
+}
+
+// abortLocked is abort with c.mu held.
+func (c *controller) abortLocked() {
+	c.abortAll = true
+	for j, cancel := range c.cancels {
+		if cancel != nil {
+			cancel()
+			c.cancels[j] = nil
+		}
+	}
 }
 
 // noteFailure records a failed trial and cancels whatever the failure
@@ -734,12 +721,6 @@ func (c *controller) noteFailure(i int) {
 	// every remaining trial succeeds, the sweep is doomed: stop the
 	// in-flight workers instead of letting them run to completion.
 	if c.maxRatio > 0 && float64(c.failures) > c.maxRatio*float64(c.trials) {
-		c.abortAll = true
-		for j, cancel := range c.cancels {
-			if cancel != nil {
-				cancel()
-				c.cancels[j] = nil
-			}
-		}
+		c.abortLocked()
 	}
 }
