@@ -315,3 +315,19 @@ func FuzzReplayMatchesWalk(f *testing.F) {
 		}
 	})
 }
+
+// A source listed more than once sends once per listing, as the walker
+// does: its class counts it that many times and it launches that many
+// packets.
+func TestReplayRepeatedSourcesMatchWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(20043))
+	for i := 0; i < 300; i++ {
+		data := make([]byte, 7+2*rng.Intn(48))
+		rng.Read(data)
+		h, cfg := decodeCase(data)
+		cfg.Sources = append(cfg.Sources, cfg.Sources[rng.Intn(len(cfg.Sources)):]...)
+		if _, diff := replayDiff(h, cfg); diff != "" {
+			t.Fatalf("case %d, cfg %+v:\n%s", i, cfg, diff)
+		}
+	}
+}
