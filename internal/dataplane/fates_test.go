@@ -83,14 +83,14 @@ func TestIncrementalFatesMatchFullClassify(t *testing.T) {
 		data := make([]byte, 7+2*rng.Intn(48))
 		rng.Read(data)
 		h, cfg := decodeCase(data)
-		check(i, h, cfg.Dest)
+		check(i, h.History, cfg.Dest)
 	}
 	for i := 0; i < 200; i++ {
-		check(2000+i, buildRandomHistory(rng, 4+rng.Intn(77), time.Second), 0)
+		check(2000+i, buildRandomHistory(rng, 4+rng.Intn(77), time.Second).History, 0)
 	}
 	for i := 0; i < 50; i++ {
 		h, cfg := burstyHistory(rng, 30+rng.Intn(91))
-		check(2200+i, h, cfg.Dest)
+		check(2200+i, h.History, cfg.Dest)
 	}
 	t.Logf("%d incremental passes, %d full passes (%d of them compactions)", incremental, full, compactions)
 	if incremental == 0 || full == 0 {
@@ -107,7 +107,7 @@ func FuzzIncrementalFates(f *testing.F) {
 			data = data[:256]
 		}
 		h, cfg := decodeCase(data)
-		if _, diff := incrementalDiff(h, cfg.Dest); diff != "" {
+		if _, diff := incrementalDiff(h.History, cfg.Dest); diff != "" {
 			t.Fatal(diff)
 		}
 	})

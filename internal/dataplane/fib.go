@@ -18,159 +18,121 @@
 // runs out or a member of the cycle changes (see Replay). The loop scan of
 // package loopanalysis runs on the same iterator.
 //
-// NextHop, ChangeTimes and Snapshot are the point queries: what the
-// runtime guards read, and what the differential oracles in the tests are
-// written in, so that they share nothing with the epoch code they check.
+// Besides Epochs, a History answers only for the present (NextHop,
+// LastChange). The differential oracles in the tests keep their own
+// per-node record of every change and share nothing with the code they check.
 package dataplane
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"bgploop/internal/des"
 	"bgploop/internal/topology"
 )
 
 // History is the timestamped FIB-change log for one destination across all
-// nodes. Before a node's first recorded change its next hop is
-// topology.None (no route).
+// nodes: every change, once, in (at, node) order. Before a node's first
+// recorded change its next hop is topology.None (no route).
 type History struct {
-	times [][]des.Time
-	hops  [][]topology.Node
-	// log is every record merged in (at, node) order, kept by Record and
-	// shared by every iterator Epochs returns. Record only ever appends to
-	// it or replaces it, never writes an element an iterator can see.
+	// log is shared by every iterator Epochs returns: Record appends to it
+	// or replaces it with an edited copy, never writes an element they see.
 	log []change
+	// Per node: cur is the latest next hop, prev the next hop before the
+	// latest record instant, and last that instant (minTime before any).
+	cur, prev []topology.Node
+	last      []des.Time
+}
+
+// change is one entry of the log: node's next hop becomes hop at time at.
+type change struct {
+	at        des.Time
+	node, hop topology.Node
+}
+
+// cmpChange orders the log by (at, node).
+func cmpChange(a, b change) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.node, b.node)
 }
 
 // NewHistory creates an empty history for a topology of numNodes nodes.
 func NewHistory(numNodes int) *History {
-	return &History{
-		times: make([][]des.Time, numNodes),
-		hops:  make([][]topology.Node, numNodes),
+	h := &History{cur: make([]topology.Node, numNodes), last: make([]des.Time, numNodes)}
+	for v := range numNodes {
+		h.cur[v], h.last[v] = topology.None, minTime
 	}
+	h.prev = slices.Clone(h.cur)
+	return h
 }
 
 // NumNodes returns the number of nodes the history covers.
-func (h *History) NumNodes() int { return len(h.times) }
+func (h *History) NumNodes() int { return len(h.cur) }
 
-// Record appends a FIB change: node's next hop becomes nexthop at time
-// now. Records must arrive in nondecreasing time order per node (the DES
-// guarantees this). Consecutive records with an unchanged next hop are
-// coalesced; a same-instant record overwrites the previous one (only the
-// final state of an instant is ever observable by packets). A next hop
-// other than topology.None must be a node of the history: Replay and the
-// loop scan index by it unchecked.
+// Record notes a FIB change: node's next hop becomes nexthop at time now.
+// Records must arrive in nondecreasing time order per node (the DES
+// guarantees this). A record that leaves the next hop as it is adds
+// nothing, and a same-instant record overwrites the node's earlier one:
+// only the final state of an instant is ever observable by packets. A next
+// hop other than topology.None must be a node of the history: Replay and
+// the loop scan index by it unchecked.
 func (h *History) Record(now des.Time, node, nexthop topology.Node) error {
-	if node < 0 || int(node) >= len(h.times) {
+	if node < 0 || int(node) >= len(h.cur) {
 		return fmt.Errorf("dataplane: record for node %d out of range", node)
 	}
-	if nexthop != topology.None && (nexthop < 0 || int(nexthop) >= len(h.times)) {
+	if nexthop != topology.None && (nexthop < 0 || int(nexthop) >= len(h.cur)) {
 		return fmt.Errorf("dataplane: record for node %d: next hop %d out of range", node, nexthop)
 	}
-	ts := h.times[node]
-	if k := len(ts); k > 0 {
-		if now < ts[k-1] {
-			return fmt.Errorf("dataplane: out-of-order record for node %d: %v after %v", node, now, ts[k-1])
-		}
-		if now == ts[k-1] {
-			h.hops[node][k-1] = nexthop
-			h.coalesce(node)
-			h.log = h.mergeLog()
-			return nil
-		}
-		if h.hops[node][k-1] == nexthop {
-			return nil // no observable change
-		}
-	} else if nexthop == topology.None {
-		return nil // "no route" is already the implicit initial state
+	if now < h.last[node] {
+		return fmt.Errorf("dataplane: out-of-order record for node %d: %v after %v", node, now, h.last[node])
 	}
-	h.times[node] = append(h.times[node], now)
-	h.hops[node] = append(h.hops[node], nexthop)
-	h.logAppend(change{at: now, node: node, hop: nexthop})
+	if nexthop == h.cur[node] {
+		return nil // no observable change
+	}
+	if now > h.last[node] {
+		h.prev[node], h.last[node] = h.cur[node], now
+	}
+	h.cur[node] = nexthop
+	c := change{at: now, node: node, hop: nexthop}
+	drop := nexthop == h.prev[node] // back where it was before the instant
+	if n := len(h.log); !drop && (n == 0 || cmpChange(c, h.log[n-1]) > 0) {
+		h.log = append(h.log, c) // every record the DES makes
+		return nil
+	}
+	h.splice(c, drop)
 	return nil
 }
 
-// coalesce drops the final record if it duplicates its predecessor (can
-// happen after a same-instant overwrite).
-func (h *History) coalesce(node topology.Node) {
-	k := len(h.times[node])
-	if k >= 2 && h.hops[node][k-1] == h.hops[node][k-2] {
-		h.times[node] = h.times[node][:k-1]
-		h.hops[node] = h.hops[node][:k-1]
-	} else if k == 1 && h.hops[node][0] == topology.None {
-		h.times[node] = h.times[node][:0]
-		h.hops[node] = h.hops[node][:0]
+// splice puts c into the log in place of its node's entry at its instant,
+// if there is one, or only removes that entry if drop. It edits a fresh
+// copy, so that a log an iterator holds never changes under it.
+func (h *History) splice(c change, drop bool) {
+	i, found := slices.BinarySearchFunc(h.log, c, cmpChange)
+	j := i
+	if found {
+		j++
 	}
+	var mid []change
+	if !drop {
+		mid = []change{c}
+	}
+	h.log = slices.Concat(h.log[:i], mid, h.log[j:])
 }
 
-// NextHop returns node's forwarding next hop as of time t.
-func (h *History) NextHop(node topology.Node, t des.Time) topology.Node {
-	if node < 0 || int(node) >= len(h.times) {
-		return topology.None
-	}
-	ts := h.times[node]
-	// Index of the last record with time <= t.
-	i := sort.Search(len(ts), func(i int) bool { return ts[i] > t }) - 1
-	if i < 0 {
-		return topology.None
-	}
-	return h.hops[node][i]
-}
+// NextHop returns node's latest next hop.
+func (h *History) NextHop(node topology.Node) topology.Node { return h.cur[node] }
 
-// Changes returns the number of recorded FIB changes for node.
-func (h *History) Changes(node topology.Node) int {
-	if node < 0 || int(node) >= len(h.times) {
-		return 0
+// LastChange returns the instant of the history's latest change, and false
+// if it has none.
+func (h *History) LastChange() (des.Time, bool) {
+	if len(h.log) == 0 {
+		return 0, false
 	}
-	return len(h.times[node])
-}
-
-// ChangesSince returns the number of recorded FIB changes for node at or
-// after time t.
-func (h *History) ChangesSince(node topology.Node, t des.Time) int {
-	if node < 0 || int(node) >= len(h.times) {
-		return 0
-	}
-	ts := h.times[node]
-	i := sort.Search(len(ts), func(i int) bool { return ts[i] >= t })
-	return len(ts) - i
+	return h.log[len(h.log)-1].at, true
 }
 
 // TotalChanges returns the number of recorded FIB changes across all nodes.
-func (h *History) TotalChanges() int {
-	n := 0
-	for _, ts := range h.times {
-		n += len(ts)
-	}
-	return n
-}
-
-// ChangeTimes returns the sorted, de-duplicated instants at which any
-// node's FIB changed: the start instants of the history's epochs.
-func (h *History) ChangeTimes() []des.Time {
-	var all []des.Time
-	for _, ts := range h.times {
-		all = append(all, ts...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	out := all[:0]
-	for i, t := range all {
-		if i == 0 || t != out[len(out)-1] {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// Snapshot fills next (len >= NumNodes) with every node's next hop at time
-// t and returns it; a nil next allocates.
-func (h *History) Snapshot(t des.Time, next []topology.Node) []topology.Node {
-	if next == nil || len(next) < len(h.times) {
-		next = make([]topology.Node, len(h.times))
-	}
-	for v := range h.times {
-		next[v] = h.NextHop(topology.Node(v), t)
-	}
-	return next[:len(h.times)]
-}
+func (h *History) TotalChanges() int { return len(h.log) }

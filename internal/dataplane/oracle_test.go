@@ -7,10 +7,11 @@ import (
 
 // walkReplay is Replay as it stood before the epoch-major rewrite, kept
 // verbatim as the differential oracle: every packet is walked on its own,
-// hop by hop, with one History.NextHop binary search per hop. It has no
-// notion of epochs, so it shares no logic with the code it checks. Unlike
-// Replay it does not check its sources: an out-of-range one panics.
-func walkReplay(h *History, cfg ReplayConfig) (ReplayResult, error) {
+// hop by hop, with one binary search per hop in the per-node logs of the
+// reference history (reference_test.go). It has no notion of epochs, so it
+// shares no logic with the code it checks. Unlike Replay it does not check
+// its sources: an out-of-range one panics.
+func walkReplay(h *refHistory, cfg ReplayConfig) (ReplayResult, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return ReplayResult{}, err
@@ -43,7 +44,7 @@ func (h *HopStats) add(hops int) {
 // walker carries the epoch-stamped visited array reused across packets so
 // that revisit detection is allocation-free.
 type walker struct {
-	h       *History
+	h       *refHistory
 	visited []uint32
 	epoch   uint32
 }

@@ -11,9 +11,9 @@ import (
 )
 
 // buildRandomHistory produces a random but causally-valid FIB history for
-// n nodes over the given span.
-func buildRandomHistory(rng *rand.Rand, n int, span time.Duration) *History {
-	h := NewHistory(n)
+// n nodes over the given span, recorded into a History and the reference.
+func buildRandomHistory(rng *rand.Rand, n int, span time.Duration) dual {
+	h := newDual(n)
 	for v := 1; v < n; v++ { // node 0 is the destination: no FIB entries
 		at := time.Duration(0)
 		changes := rng.Intn(6)
@@ -52,7 +52,7 @@ func TestPropertyReplayConservation(t *testing.T) {
 			TTL:       ttl,
 			LinkDelay: 2 * time.Millisecond,
 		}
-		res, err := Replay(h, cfg)
+		res, err := Replay(h.History, cfg)
 		if err != nil {
 			return false
 		}
@@ -92,8 +92,9 @@ func TestPropertyReplayConservation(t *testing.T) {
 	}
 }
 
-// decodeCase turns bytes into a small history and a replay configuration,
-// for the seeded differential test and for FuzzReplayMatchesWalk alike.
+// decodeCase turns bytes into a small history, recorded into a History and
+// the reference, and a replay configuration, for the seeded differential
+// test and for FuzzReplayMatchesWalk alike.
 // Seven header bytes pick 2-8 nodes, Dest, a TTL of 1-12 (often smaller than
 // tail + cycle), a link delay of 1-3 ms, an interval of 1-6 ms and a send
 // window that starts up to 12 ms into the history and may be empty or
@@ -103,7 +104,7 @@ func TestPropertyReplayConservation(t *testing.T) {
 // time 0, and consecutive changes are usually closer than one link delay),
 // the rest pick the node (Dest included) and the second byte its next hop
 // (None, Dest and the node itself included).
-func decodeCase(data []byte) (*History, ReplayConfig) {
+func decodeCase(data []byte) (dual, ReplayConfig) {
 	const tick = 500 * time.Microsecond
 	next := func() int {
 		if len(data) == 0 {
@@ -125,7 +126,7 @@ func decodeCase(data []byte) (*History, ReplayConfig) {
 	for v := 0; v < n; v++ {
 		cfg.Sources = append(cfg.Sources, topology.Node(v))
 	}
-	h := NewHistory(n)
+	h := newDual(n)
 	var at time.Duration
 	for len(data) >= 2 {
 		a, b := next(), next()
@@ -138,16 +139,16 @@ func decodeCase(data []byte) (*History, ReplayConfig) {
 	return h, cfg
 }
 
-// replayDiff replays cfg over h as Replay does and with the walker it
-// replaced and describes the first disagreement ("" if none). It returns
-// the replayer, whose counters say what of the cohort machinery the case
-// reached.
-func replayDiff(h *History, cfg ReplayConfig) (replayer, string) {
-	got, gotErr := newReplayer(h, cfg)
+// replayDiff replays cfg over h as Replay does and, over the reference,
+// with the walker it replaced and describes the first disagreement ("" if
+// none). It returns the replayer, whose counters say what of the cohort
+// machinery the case reached.
+func replayDiff(h dual, cfg ReplayConfig) (replayer, string) {
+	got, gotErr := newReplayer(h.History, cfg)
 	if gotErr == nil {
 		got.run()
 	}
-	want, wantErr := walkReplay(h, cfg)
+	want, wantErr := walkReplay(h.ref, cfg)
 	switch {
 	case (gotErr != nil) != (wantErr != nil):
 		return got, fmt.Sprintf("Replay error = %v, walker error = %v", gotErr, wantErr)
@@ -165,9 +166,9 @@ func replayDiff(h *History, cfg ReplayConfig) (replayer, string) {
 // Half the changes after the first loop fall on a node that closed one.
 // The window starts in the first burst on the 0.5 ms grid of the changes,
 // so lookups land on change instants as well as between them.
-func burstyHistory(rng *rand.Rand, n int) (*History, ReplayConfig) {
+func burstyHistory(rng *rand.Rand, n int) (dual, ReplayConfig) {
 	const tick = 500 * time.Microsecond
-	h := NewHistory(n)
+	h := newDual(n)
 	next := make([]int, n)
 	record := func(at time.Duration, v, hop int) {
 		next[v] = hop
@@ -240,7 +241,7 @@ func TestPropertyReplayMatchesStepwiseWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(20041))
 	var sum ReplayResult
 	var merged, released int
-	check := func(i int, h *History, cfg ReplayConfig) {
+	check := func(i int, h dual, cfg ReplayConfig) {
 		t.Helper()
 		r, diff := replayDiff(h, cfg)
 		if diff != "" {

@@ -428,7 +428,7 @@ func checkAllocsIndependentOfWindow(t *testing.T, h *History, sources []topology
 // FIB changes elsewhere start 50 epochs: each packet dies exactly one
 // lifetime after its send, having taken all of its TTL in hops.
 func TestReplayCycleOutlivesChangesElsewhere(t *testing.T) {
-	h := NewHistory(5)
+	h := newDual(5)
 	mustRecord(t, h, 0, 1, 2)
 	mustRecord(t, h, 0, 2, 1)
 	mustRecord(t, h, 0, 3, 1) // a tail into the cycle
@@ -437,7 +437,7 @@ func TestReplayCycleOutlivesChangesElsewhere(t *testing.T) {
 	for k := 0; k < 50; k++ {
 		mustRecord(t, h, time.Duration(10+20*k)*time.Millisecond, 4, topology.Node(-(k % 2)))
 	}
-	if got := h.Changes(4); got != 50 {
+	if got := h.ref.Changes(4); got != 50 {
 		t.Fatalf("node 4 has %d changes, want 50", got)
 	}
 	cfg := ReplayConfig{Dest: 0, Sources: []topology.Node{1, 2, 3}, Start: 0, End: time.Second}
@@ -475,7 +475,7 @@ func TestReplayCycleOutlivesChangesElsewhere(t *testing.T) {
 //
 // so 4*25+3*24+3*26 + 4*22+3*21+3*23 = 470 hops, the longest 26.
 func TestReplayFunnelIntoBreakingCycle(t *testing.T) {
-	h := NewHistory(14)
+	h := newDual(14)
 	mustRecord(t, h, 0, 1, 2)
 	mustRecord(t, h, 0, 2, 3)
 	mustRecord(t, h, 0, 3, 1)
@@ -527,7 +527,7 @@ func TestReplayFunnelIntoBreakingCycle(t *testing.T) {
 // their classes, two cohorts merged into an entry already parked, and four
 // entries released when node 3 repairs at 45 ms.
 func TestReplayClassesMergeInStep(t *testing.T) {
-	h := NewHistory(9)
+	h := newDual(9)
 	mustRecord(t, h, 0, 1, 2)
 	mustRecord(t, h, 0, 2, 3)
 	mustRecord(t, h, 0, 3, 1)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"bgploop/internal/bgp"
+	"bgploop/internal/dataplane"
 	"bgploop/internal/des"
 	"bgploop/internal/netsim"
 	"bgploop/internal/routing"
@@ -261,19 +262,53 @@ func TestAllocBudgetInternet1000Trial(t *testing.T) {
 // outside the measurement: 1.89 MiB while replay stepped every looping
 // packet across every FIB change, 1.85 MiB with cohorts parked on their
 // cycles, and 2.09 MiB if every parked packet kept an entry of its own.
+// 8,133 allocations while the FIB history kept a log per node beside its
+// merged one, 7,182 with the one log alone.
 func TestAllocBudgetInternet110Trial(t *testing.T) {
 	skipUnlessAllocsAreOurs(t)
 	sc, err := InternetTDown(110, bgp.DefaultConfig(), 2)(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := bytesPerRun(3, func() {
+	trial := func() {
 		if _, err := Run(sc); err != nil {
 			t.Fatal(err)
 		}
-	})
-	t.Logf("one Internet(110) T_down trial: %.2f MiB", b/(1<<20))
+	}
+	n, b := testing.AllocsPerRun(3, trial), bytesPerRun(3, trial)
+	t.Logf("one Internet(110) T_down trial: %v allocations, %.2f MiB", n, b/(1<<20))
+	if n > 7400 {
+		t.Errorf("one Internet(110) T_down trial allocates %v times, budget 7400", n)
+	}
 	if b >= 2<<20 {
 		t.Errorf("one Internet(110) T_down trial allocates %.2f MiB, budget < 2.0", b/(1<<20))
+	}
+}
+
+// Recording into a 1,000-node history: a first next hop for every node,
+// then a change on every node. The history grows one log, so the cost is
+// its growth, O(log) allocations, whatever the number of nodes.
+func TestAllocBudgetHistoryRecord(t *testing.T) {
+	skipUnlessAllocsAreOurs(t)
+	const n = 1000
+	var h *dataplane.History
+	n0 := testing.AllocsPerRun(20, func() { h = dataplane.NewHistory(n) })
+	record := func() {
+		h = dataplane.NewHistory(n)
+		for round := des.Time(1); round <= 2; round++ {
+			for v := topology.Node(0); v < n; v++ {
+				if err := h.Record(round*time.Millisecond, v, (v+topology.Node(round))%n); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	allocs := testing.AllocsPerRun(20, record) - n0
+	t.Logf("%d records on %d nodes: %v allocations beyond NewHistory's %v", 2*n, n, allocs, n0)
+	if h.TotalChanges() != 2*n {
+		t.Fatalf("%d changes, want %d", h.TotalChanges(), 2*n)
+	}
+	if allocs > 24 {
+		t.Errorf("%d records on %d nodes allocate %v times, budget 24", 2*n, n, allocs)
 	}
 }

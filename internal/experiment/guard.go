@@ -85,7 +85,6 @@ func buildGuardEngine(s Scenario, sched *des.Scheduler, speakers []*bgp.Speaker,
 		if obs.err != nil {
 			return nil // history recording already failed; that error surfaces first
 		}
-		now := sched.Now()
 		for _, sp := range speakers {
 			node := sp.ID()
 			if node == s.Dest {
@@ -95,7 +94,7 @@ func buildGuardEngine(s Scenario, sched *des.Scheduler, speakers []*bgp.Speaker,
 			if t := sp.Table(s.Dest); t != nil {
 				ribNH = t.NextHop()
 			}
-			fibNH := obs.histories[s.Dest].NextHop(node, now)
+			fibNH := obs.histories[s.Dest].NextHop(node)
 			if node == corrupt {
 				fibNH = topology.None
 			}

@@ -158,11 +158,8 @@ func RunMulti(s MultiScenario) (*MultiResult, error) {
 		res.PerDest[dest] = &DestOutcome{Replay: pr.Replay, Loops: pr.Loops, LoopStats: pr.LoopStats}
 		// A destination counts as affected when any of its FIB entries
 		// changed at or after the failure instant.
-		for _, v := range s.Graph.Nodes() {
-			if out.histories[dest].ChangesSince(v, res.FailAt) > 0 {
-				res.AffectedDests++
-				break
-			}
+		if at, ok := out.histories[dest].LastChange(); ok && at >= res.FailAt {
+			res.AffectedDests++
 		}
 		res.PacketsSent += pr.Replay.Sent
 		res.TTLExhaustions += pr.Replay.TTLExhausted

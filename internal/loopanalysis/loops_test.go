@@ -157,15 +157,17 @@ func TestFindLoopsMatchesSnapshotScan(t *testing.T) {
 	var loops, unresolved, selfLoops, sameStart, maxSize int
 	for i := 0; i < 3000; i++ {
 		n := 2 + rng.Intn(14)
-		h := dataplane.NewHistory(n)
+		h, l := dataplane.NewHistory(n), newNodeLog(n)
 		var at time.Duration
 		for k := rng.Intn(60); k > 0; k-- {
 			at += time.Duration(rng.Intn(8)) * tick
-			record(t, h, at, topology.Node(rng.Intn(n)), topology.Node(rng.Intn(n+1)-1))
+			v, hop := topology.Node(rng.Intn(n)), topology.Node(rng.Intn(n+1)-1)
+			record(t, h, at, v, hop)
+			l.record(at, v, hop)
 		}
 		// On the clock's grid, so that it often is a change instant.
 		horizon := time.Duration(rng.Int63n(int64(at/tick)+20)-4) * tick
-		got, want := FindLoops(h, horizon), snapshotFindLoops(h, horizon)
+		got, want := FindLoops(h, horizon), snapshotFindLoops(l, horizon)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("case %d (%d nodes, horizon %v):\n got %v\nwant %v", i, n, horizon, got, want)
 		}
@@ -194,17 +196,17 @@ func TestFindLoopsMatchesSnapshotScan(t *testing.T) {
 	}
 }
 
-// decodeHistory turns bytes into a history and a horizon for
-// FuzzFindLoopsMatchesSnapshotScan, in the manner of the replay's decodeCase
-// (package dataplane). The first byte picks 2-15 nodes and the second the
-// horizon; every following byte pair is one record: the low three bits of
-// the first advance the clock by 0-3.5 ms in half-millisecond steps (0
-// keeps the instant, so several nodes change at once and the first record
-// can sit at time 0), the rest pick the node, node 0 included, and the
-// second byte its next hop, None and the node itself included. The horizon
-// falls on the clock's grid, from 2 ms before time 0 to 2 ms past the last
-// record.
-func decodeHistory(data []byte) (*dataplane.History, des.Time) {
+// decodeHistory turns bytes into a history, its per-node view and a
+// horizon for FuzzFindLoopsMatchesSnapshotScan, in the manner of the
+// replay's decodeCase (package dataplane). The first byte picks 2-15 nodes
+// and the second the horizon; every following byte pair is one record: the
+// low three bits of the first advance the clock by 0-3.5 ms in
+// half-millisecond steps (0 keeps the instant, so several nodes change at
+// once and the first record can sit at time 0), the rest pick the node,
+// node 0 included, and the second byte its next hop, None and the node
+// itself included. The horizon falls on the clock's grid, from 2 ms before
+// time 0 to 2 ms past the last record.
+func decodeHistory(data []byte) (*dataplane.History, *nodeLog, des.Time) {
 	const tick = 500 * time.Microsecond
 	next := func() int {
 		if len(data) == 0 {
@@ -216,17 +218,19 @@ func decodeHistory(data []byte) (*dataplane.History, des.Time) {
 	}
 	n := 2 + next()%14
 	hb := next()
-	h := dataplane.NewHistory(n)
+	h, l := dataplane.NewHistory(n), newNodeLog(n)
 	var at time.Duration
 	for len(data) >= 2 {
 		a, b := next(), next()
 		at += time.Duration(a&7) * tick
+		v, hop := topology.Node((a>>3)%n), topology.Node(b%(n+1)-1)
 		// Times never decrease and ids are in range by construction.
-		if err := h.Record(at, topology.Node((a>>3)%n), topology.Node(b%(n+1)-1)); err != nil {
+		if err := h.Record(at, v, hop); err != nil {
 			panic(err)
 		}
+		l.record(at, v, hop)
 	}
-	return h, time.Duration(hb%int(at/tick+9)-4) * tick
+	return h, l, time.Duration(hb%int(at/tick+9)-4) * tick
 }
 
 // FuzzFindLoopsMatchesSnapshotScan is TestFindLoopsMatchesSnapshotScan
@@ -238,8 +242,8 @@ func FuzzFindLoopsMatchesSnapshotScan(f *testing.F) {
 		if len(data) > 256 {
 			data = data[:256] // keep histories small; long inputs add no new shape
 		}
-		h, horizon := decodeHistory(data)
-		got, want := FindLoops(h, horizon), snapshotFindLoops(h, horizon)
+		h, l, horizon := decodeHistory(data)
+		got, want := FindLoops(h, horizon), snapshotFindLoops(l, horizon)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("horizon %v:\n got %v\nwant %v", horizon, got, want)
 		}

@@ -2,26 +2,75 @@ package loopanalysis
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
-	"bgploop/internal/dataplane"
 	"bgploop/internal/des"
 	"bgploop/internal/topology"
 )
 
+// nodeLog is the per-node view of a FIB history that the snapshot scan
+// reads: each node's changes in time order, recorded beside the
+// dataplane.History under test by the tests' own rules, which are the
+// history's. No route is the initial state, a record that leaves the next
+// hop as it is adds nothing, and the last record of an instant wins.
+type nodeLog struct {
+	times [][]des.Time
+	hops  [][]topology.Node
+}
+
+func newNodeLog(numNodes int) *nodeLog {
+	return &nodeLog{times: make([][]des.Time, numNodes), hops: make([][]topology.Node, numNodes)}
+}
+
+// record notes that v's next hop becomes hop at time at, no earlier than
+// v's last record.
+func (l *nodeLog) record(at des.Time, v, hop topology.Node) {
+	ts, hs := l.times[v], l.hops[v]
+	if k := len(ts); k > 0 && ts[k-1] == at {
+		ts, hs = ts[:k-1], hs[:k-1] // the last record of an instant wins
+	}
+	if k := len(hs); k > 0 && hs[k-1] != hop || k == 0 && hop != topology.None {
+		ts, hs = append(ts, at), append(hs, hop)
+	}
+	l.times[v], l.hops[v] = ts, hs
+}
+
+// changeTimes returns the sorted, de-duplicated instants at which any
+// node's FIB changed.
+func (l *nodeLog) changeTimes() []des.Time {
+	var all []des.Time
+	for _, ts := range l.times {
+		all = append(all, ts...)
+	}
+	slices.Sort(all)
+	return slices.Compact(all)
+}
+
+// snapshot fills next with every node's next hop at time t.
+func (l *nodeLog) snapshot(t des.Time, next []topology.Node) {
+	for v, ts := range l.times {
+		i := sort.Search(len(ts), func(i int) bool { return ts[i] > t }) - 1
+		next[v] = topology.None
+		if i >= 0 {
+			next[v] = l.hops[v][i]
+		}
+	}
+}
+
 // snapshotFindLoops is FindLoops as it stood before the incremental
 // rewrite, kept verbatim as the differential oracle: at every change
-// instant it takes a full History.Snapshot, finds all cycles from scratch
-// and diffs them against the open set by string key. It uses only the
-// history's point queries, so it shares no logic with the epoch iterator
-// the production scan runs on.
-func snapshotFindLoops(h *dataplane.History, horizon des.Time) []Loop {
+// instant it takes a full snapshot of the FIBs, finds all cycles from
+// scratch and diffs them against the open set by string key. It reads the
+// per-node view of its own recorder, so it shares no logic with the
+// history's change log or the epoch iterator the production scan runs on.
+func snapshotFindLoops(h *nodeLog, horizon des.Time) []Loop {
 	type active struct {
 		loop  Loop
 		alive bool
 	}
-	times := h.ChangeTimes()
+	times := h.changeTimes()
 	// Always evaluate the initial state too.
 	grid := make([]des.Time, 0, len(times)+1)
 	grid = append(grid, 0)
@@ -33,10 +82,10 @@ func snapshotFindLoops(h *dataplane.History, horizon des.Time) []Loop {
 
 	open := make(map[string]*active)
 	var out []Loop
-	next := make([]topology.Node, h.NumNodes())
+	next := make([]topology.Node, len(h.times))
 
 	for _, t := range grid {
-		h.Snapshot(t, next)
+		h.snapshot(t, next)
 		cycles := findCycles(next)
 		// Mark all open loops dead, then revive the ones still present.
 		for _, a := range open {

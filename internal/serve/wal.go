@@ -164,8 +164,8 @@ func (s *Server) recoverWAL(records []durable.Record) error {
 			continue
 		}
 		// Accepted but not finished: re-enqueue. The job reruns through the
-		// normal path; with a cache directory it resumes from its existing
-		// sweep journal, so completed trials replay instead of re-executing.
+		// normal path; with a result cache, the trials it finished before
+		// the restart come back as cache hits instead of re-executing.
 		select {
 		case s.queue <- j:
 			j.log.append(Event{Type: "queued", Message: "re-enqueued from WAL"})
@@ -249,7 +249,7 @@ func jobIDNumber(id string) (int, bool) {
 // Recovery reports what WAL replay did when the server started.
 func (s *Server) Recovery() RecoveryStats { return s.recovery }
 
-// quarantinedStats folds the executor's quarantine count into metrics;
+// recordQuarantined folds the executor's quarantine count into metrics;
 // split out so recordTrialStats stays one switchboard.
 func (s *Server) recordQuarantined(st sweep.Stats) {
 	if st.Quarantined > 0 {
