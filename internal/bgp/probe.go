@@ -101,7 +101,7 @@ func (p *OscillationProbe) BeginPhase(now des.Time) {
 	for i := range p.updates {
 		p.updates[i] = 0
 	}
-	p.counts = make(map[uint64]int)
+	clear(p.counts)
 	p.maxRecurrence = 0
 	p.statesDropped = 0
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 
 	"bgploop/internal/des"
 	"bgploop/internal/invariant"
@@ -26,11 +25,16 @@ import (
 //
 // Speakers are driven entirely by the DES kernel and are not safe for
 // concurrent use; the kernel is single-threaded by design.
+//
+// The speakers of a network are built in one pass (NewSpeakers) and live
+// in one slab, sharing one validated Config; their per-peer and
+// per-destination state is carved from slabs of the group.
 type Speaker struct {
 	id     topology.Node
 	sched  *des.Scheduler
 	net    *netsim.Network
-	cfg    Config
+	grp    *group
+	cfg    *Config // the group's
 	obs    Observer
 	policy routing.Policy // resolved from cfg.PolicyFor / cfg.Policy
 
@@ -38,10 +42,13 @@ type Speaker struct {
 	rngJit  *rand.Rand
 	rngSess *rand.Rand // session backoff jitter; nil unless the FSM is on
 
-	// nbrs is the node's neighbor list, sorted and fixed at construction.
-	// A peer's position in it — its slot — addresses every per-peer slice
-	// here and in destState; a node that is not in it is not a peer.
-	nbrs []topology.Node
+	// nbrs is the node's neighbor list: the far ends of its links in
+	// netsim's link order (sorted), copied at construction. A peer's
+	// position in it — its slot — addresses every per-peer slice here and
+	// in destState, and the link to it is link0+slot; a node that is not
+	// in it is not a peer.
+	nbrs  []topology.Node
+	link0 int
 	// up marks the slots whose peering currently carries routes.
 	up []bool
 
@@ -50,8 +57,14 @@ type Speaker struct {
 	// link directly, as in the paper's model.
 	sessions []sessionState
 
-	dests     map[topology.Node]*destState
-	destOrder []topology.Node // sorted keys of dests
+	// dests holds the state of each destination by its index in the
+	// group (see group.index), so ranging over it visits destinations in
+	// ascending order; nil marks one never heard of.
+	dests []*destState
+	// j is the speaker's position in its group and at the offset of its
+	// first link among the group's links: they locate its share of the
+	// group's slabs.
+	j, at int
 
 	// busyUntil models the serial route processor: the instant the node
 	// finishes processing everything currently queued. The queued
@@ -62,10 +75,76 @@ type Speaker struct {
 	stats Stats
 }
 
-// destState is the per-destination protocol state beyond the RIB. Its
-// per-peer slices are indexed by slot.
+// group is what the speakers built in one pass share: the validated
+// configuration, the destination index and the slabs their
+// per-destination state is carved from.
+type group struct {
+	cfg Config
+	// pos maps a destination to its index among the group's origins,
+	// which ascends with the destination; -1 marks a node that originates
+	// nothing. A speaker built alone (NewSpeaker) knows no origins: its
+	// pos is nil and any node is a destination, at index = its id.
+	pos []int32
+	k   int // the number of origins, len(Speaker.dests) in the group
+	// slabs holds the destState of speaker j for destination i at
+	// j*k+i, and its per-peer slots at k*at+i*deg; empty without pos.
+	slabs slabs
+}
+
+// index returns dest's index in a speaker's dests; a negative one means
+// dest is not a destination of the group.
+func (g *group) index(dest topology.Node) int {
+	switch {
+	case g.pos == nil:
+		return int(dest)
+	case uint(dest) < uint(len(g.pos)):
+		return int(g.pos[dest])
+	}
+	return -1
+}
+
+// slabs is storage for destStates and their per-peer slots.
+type slabs struct {
+	states []destState
+	adv    []routing.Path
+	mrai   []mraiState
+	damp   []*dampState // Config.Damping only
+	raw    []routing.Candidate
+}
+
+func makeSlabs(states, slots int, damping bool) slabs {
+	sl := slabs{
+		states: make([]destState, states),
+		adv:    make([]routing.Path, slots),
+		mrai:   make([]mraiState, slots),
+		raw:    make([]routing.Candidate, slots),
+	}
+	if damping {
+		sl.damp = make([]*dampState, slots)
+	}
+	return sl
+}
+
+// carve returns states[st] with the per-peer slots [at, at+deg) as its
+// own. Every slice is cut with its capacity, so none can grow into a
+// neighbour's slots.
+func (sl *slabs) carve(st, at, deg int, self, dest topology.Node, policy routing.Policy) *destState {
+	hi := at + deg
+	ds := &sl.states[st]
+	ds.table.Init(self, dest, policy, sl.raw[at:at:hi])
+	ds.adv = sl.adv[at:hi:hi]
+	ds.mrai = sl.mrai[at:hi:hi]
+	if sl.damp != nil {
+		ds.damp = sl.damp[at:hi:hi]
+	}
+	return ds
+}
+
+// destState is the per-destination protocol state. Its per-peer slices
+// are indexed by slot. It never moves once made: pending MRAI and tick
+// events carry a pointer to it.
 type destState struct {
-	table *routing.Table
+	table routing.Table
 	// adv holds the last route advertised to each peer (nil = withdrawn
 	// or never advertised). BGP advertises "only upon route changes", so
 	// sends are suppressed when the desired route equals adv.
@@ -78,7 +157,8 @@ type destState struct {
 
 	// announce is the message carrying the current best path, boxed on
 	// the first send after a best change and handed to every peer that is
-	// told; withdraw is the destination's one withdrawal message.
+	// told; withdraw is the destination's one withdrawal message, boxed
+	// on its first send.
 	announce any
 	withdraw any
 }
@@ -105,50 +185,135 @@ type mraiState struct {
 	continual bool // interval/phase initialised
 }
 
-// NewSpeaker creates the speaker for node id, attaches it to the network,
-// and initialises its peer set from the node's current neighbors.
+// NewSpeakers creates the speakers of every node of net's graph, in
+// ascending node order, attaches them to the network and starts their
+// peerings; the result is indexed by node. origins are the destinations
+// the speakers will route, each originated by its own node: a speaker
+// ignores an update for any other, and only an origin may Originate.
+func NewSpeakers(sched *des.Scheduler, net *netsim.Network, cfg Config, rng *des.RNG, obs Observer, origins []topology.Node) ([]*Speaker, error) {
+	g := net.Graph()
+	pos := make([]int32, g.NumNodes())
+	for _, o := range origins {
+		if !g.Valid(o) {
+			return nil, fmt.Errorf("bgp: origin %d is not a node of the graph", o)
+		}
+		pos[o] = 1
+	}
+	k := 0
+	for v, origin := range pos {
+		pos[v] = -1
+		if origin == 1 {
+			pos[v], k = int32(k), k+1
+		}
+	}
+	built, err := build(sched, net, cfg, rng, obs, 0, g.NumNodes(), pos, k)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*Speaker, len(built))
+	for v := range built {
+		out[v] = &built[v]
+	}
+	return out, nil
+}
+
+// NewSpeaker creates the speaker for node id alone, attaches it to the
+// network and starts its peerings. It knows no origins, so it routes
+// toward any node and its per-destination state is allocated as each
+// destination is first heard of.
 func NewSpeaker(id topology.Node, sched *des.Scheduler, net *netsim.Network, cfg Config, rng *des.RNG, obs Observer) (*Speaker, error) {
+	s, err := build(sched, net, cfg, rng, obs, id, 1, nil, 0)
+	if err != nil {
+		return nil, err
+	}
+	return &s[0], nil
+}
+
+// build is the one construction pass: the speakers of nodes first through
+// first+count-1, with destination index pos over k origins (see group).
+// Each speaker is made, attached and, with the FSM on, starts connecting
+// before the next is made, as if each had been built on its own.
+func build(sched *des.Scheduler, net *netsim.Network, cfg Config, rng *des.RNG, obs Observer, first topology.Node, count int, pos []int32, k int) ([]Speaker, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
 	if obs == nil {
 		obs = NopObserver{}
 	}
-	s := &Speaker{
-		id:      id,
-		sched:   sched,
-		net:     net,
-		cfg:     cfg,
-		obs:     obs,
-		rngProc: rng.StreamN("bgp/proc/", int(id)),
-		rngJit:  rng.StreamN("bgp/jitter/", int(id)),
-		nbrs:    net.Graph().Neighbors(id),
-		dests:   make(map[topology.Node]*destState),
+	g := &group{cfg: cfg.withDefaults(), pos: pos, k: k}
+	fsm := g.cfg.Session.Enabled()
+	// The nodes' links are contiguous in netsim's table, from base.
+	base, _ := net.Links(first)
+	_, last := net.Links(first + topology.Node(count) - 1)
+	links := last - base
+	if pos != nil {
+		g.slabs = makeSlabs(count*k, links*k, g.cfg.Damping != nil)
 	}
-	s.up = make([]bool, len(s.nbrs))
-	s.policy = cfg.Policy
-	if cfg.PolicyFor != nil {
-		s.policy = cfg.PolicyFor(id)
+	speakers := make([]Speaker, count)
+	nbrs := make([]topology.Node, 0, links)
+	up := make([]bool, links)
+	var sessions []sessionState
+	streams := 2
+	if fsm {
+		sessions = make([]sessionState, links)
+		streams = 3
 	}
-	if cfg.Session.Enabled() {
-		s.rngSess = rng.StreamN("bgp/session/", int(id))
-		s.sessions = make([]sessionState, len(s.nbrs))
+	rngs := make([]rand.Rand, streams*count)
+	rng.OpenN(rngs[:count], "bgp/proc/", int(first))
+	rng.OpenN(rngs[count:2*count], "bgp/jitter/", int(first))
+	if fsm {
+		rng.OpenN(rngs[2*count:], "bgp/session/", int(first))
 	}
-	net.Attach(id, s)
-	if cfg.Session.Enabled() {
-		// Cold start: every peering begins in Connect and must complete a
-		// handshake before routes flow; the peer set stays empty until the
-		// first establish (peerJoin).
-		for _, u := range s.nbrs {
-			s.startConnect(u)
+	dests := make([]*destState, count*k)
+
+	for j := range speakers {
+		id := first + topology.Node(j)
+		lo, hi := net.Links(id)
+		// Slot i is link lo+i because this loop makes it so.
+		for l := lo; l < hi; l++ {
+			nbrs = append(nbrs, net.LinkTo(l))
 		}
-	} else {
-		for slot := range s.up {
-			s.up[slot] = true
+		at, end := lo-base, hi-base
+		s := &speakers[j]
+		*s = Speaker{
+			id:      id,
+			sched:   sched,
+			net:     net,
+			grp:     g,
+			cfg:     &g.cfg,
+			obs:     obs,
+			policy:  g.cfg.Policy,
+			rngProc: &rngs[j],
+			rngJit:  &rngs[count+j],
+			nbrs:    nbrs[at:end:end],
+			link0:   lo,
+			up:      up[at:end:end],
+			dests:   dests[j*k : (j+1)*k : (j+1)*k],
+			j:       j,
+			at:      at,
+		}
+		if g.cfg.PolicyFor != nil {
+			s.policy = g.cfg.PolicyFor(id)
+		}
+		if fsm {
+			s.rngSess = &rngs[2*count+j]
+			s.sessions = sessions[at:end:end]
+		}
+		net.Attach(id, s)
+		if fsm {
+			// Cold start: every peering begins in Connect and must complete
+			// a handshake before routes flow; the peer set stays empty
+			// until the first establish (peerJoin).
+			for _, u := range s.nbrs {
+				s.startConnect(u)
+			}
+		} else {
+			for slot := range s.up {
+				s.up[slot] = true
+			}
 		}
 	}
-	return s, nil
+	return speakers, nil
 }
 
 // slot returns peer's position in the neighbor list, or -1 if peer is not
@@ -180,11 +345,10 @@ func (s *Speaker) Peers() []topology.Node {
 // Table returns the routing table for dest, or nil if the speaker has
 // never heard of it.
 func (s *Speaker) Table(dest topology.Node) *routing.Table {
-	st, ok := s.dests[dest]
-	if !ok {
-		return nil
+	if i := s.grp.index(dest); i >= 0 && i < len(s.dests) && s.dests[i] != nil {
+		return &s.dests[i].table
 	}
-	return st.table
+	return nil
 }
 
 // Originate declares that this speaker's AS originates the destination
@@ -195,6 +359,9 @@ func (s *Speaker) Originate(dest topology.Node) error {
 		return fmt.Errorf("bgp: node %d cannot originate destination %d", s.id, dest)
 	}
 	st := s.destState(dest)
+	if st == nil {
+		return fmt.Errorf("bgp: node %d is not an origin of its speaker group", s.id)
+	}
 	s.obs.RouteChanged(s.sched.Now(), s.id, dest, st.table.NextHop(), st.table.Best())
 	s.advertiseAll(st)
 	return nil
@@ -305,8 +472,10 @@ func (s *Speaker) peerLeave(slot int) {
 		return
 	}
 	s.up[slot] = false
-	for _, dest := range s.destOrder {
-		st := s.dests[dest]
+	for _, st := range s.dests {
+		if st == nil {
+			continue
+		}
 		st.mrai[slot].handle.Cancel()
 		st.mrai[slot] = mraiState{}
 		if st.damp != nil && st.damp[slot] != nil {
@@ -347,8 +516,10 @@ func (s *Speaker) peerJoin(slot int) {
 		return
 	}
 	s.up[slot] = true
-	for _, dest := range s.destOrder {
-		st := s.dests[dest]
+	for _, st := range s.dests {
+		if st == nil {
+			continue
+		}
 		// Fresh session: no advertisement state, no timer state.
 		st.adv[slot] = nil
 		st.mrai[slot] = mraiState{}
@@ -371,6 +542,10 @@ func (s *Speaker) process(slot int, up Update) {
 		return
 	}
 	st := s.destState(up.Dest)
+	if st == nil {
+		s.stats.MalformedDropped++ // not a destination of the group
+		return
+	}
 	if s.cfg.Damping != nil {
 		applied, ok := s.dampUpdate(st, slot, up)
 		if !ok {
@@ -482,7 +657,7 @@ func (s *Speaker) advertise(st *destState, slot int) {
 			s.deferSend(st, slot)
 			return
 		}
-		s.send(slot, st.withdraw)
+		s.send(slot, st.withdrawal())
 		if ssldConverted {
 			s.stats.SSLDConversions++
 		}
@@ -594,7 +769,7 @@ func (s *Speaker) maybeGhostFlush(st *destState, slot int, desired routing.Path)
 	if adv == nil || desired.Len() <= adv.Len() {
 		return
 	}
-	s.send(slot, st.withdraw)
+	s.send(slot, st.withdrawal())
 	s.stats.GhostFlushes++
 	st.adv[slot] = nil
 }
@@ -633,8 +808,7 @@ func (s *Speaker) armMRAI(st *destState, slot int) {
 // network and updates counters. A send that races a link failure is
 // silently dropped, like the TCP session it models.
 func (s *Speaker) send(slot int, msg any) {
-	peer := s.nbrs[slot]
-	if err := s.net.Send(s.id, peer, msg); err != nil {
+	if err := s.net.SendLink(s.link0+slot, msg); err != nil {
 		return
 	}
 	up := msg.(Update)
@@ -646,30 +820,40 @@ func (s *Speaker) send(slot int, msg any) {
 	}
 	s.stats.LastUpdateSent = now
 	s.noteSent(slot)
-	s.obs.UpdateSent(now, s.id, peer, up)
+	s.obs.UpdateSent(now, s.id, s.nbrs[slot], up)
 }
 
-// destState returns (creating if needed) the state for dest.
+// destState returns (creating if needed) the state for dest, or nil if
+// dest is not a destination of the speaker's group.
 func (s *Speaker) destState(dest topology.Node) *destState {
-	st, ok := s.dests[dest]
-	if ok {
-		return st
+	i := s.grp.index(dest)
+	switch {
+	case i < 0:
+		return nil
+	case i >= len(s.dests):
+		// Only a speaker built alone indexes past its dests.
+		s.dests = append(s.dests, make([]*destState, i+1-len(s.dests))...)
+	case s.dests[i] != nil:
+		return s.dests[i]
 	}
-	st = &destState{
-		table:    routing.NewTable(s.id, dest, s.policy),
-		adv:      make([]routing.Path, len(s.nbrs)),
-		mrai:     make([]mraiState, len(s.nbrs)),
-		withdraw: Update{Dest: dest, Withdraw: true},
+	g, deg := s.grp, len(s.nbrs)
+	sl, st, at := &g.slabs, s.j*g.k+i, g.k*s.at+i*deg
+	if g.pos == nil {
+		// A speaker built alone has no origins to carve for: each
+		// destination gets slabs of its own.
+		own := makeSlabs(1, deg, g.cfg.Damping != nil)
+		sl, st, at = &own, 0, 0
 	}
-	if s.cfg.Damping != nil {
-		st.damp = make([]*dampState, len(s.nbrs))
+	s.dests[i] = sl.carve(st, at, deg, s.id, dest, s.policy)
+	return s.dests[i]
+}
+
+// withdrawal returns the destination's withdrawal message.
+func (st *destState) withdrawal() any {
+	if st.withdraw == nil {
+		st.withdraw = Update{Dest: st.table.Dest(), Withdraw: true}
 	}
-	s.dests[dest] = st
-	i := sort.Search(len(s.destOrder), func(i int) bool { return s.destOrder[i] >= dest })
-	s.destOrder = append(s.destOrder, 0)
-	copy(s.destOrder[i+1:], s.destOrder[i:])
-	s.destOrder[i] = dest
-	return st
+	return st.withdraw
 }
 
 var (

@@ -122,8 +122,31 @@ func TestStreamNMatchesStream(t *testing.T) {
 	}
 }
 
+// TestOpenNMatchesStreamN pins each stream of a run to the StreamN it
+// stands for, and the run's cost to one allocation, its sources.
+func TestOpenNMatchesStreamN(t *testing.T) {
+	r := NewRNG(11)
+	for _, first := range []int{0, 5, -4, 999_998} {
+		out := make([]rand.Rand, 7)
+		r.OpenN(out, "bgp/jitter/", first)
+		for i := range out {
+			want := r.StreamN("bgp/jitter/", first+i)
+			for k := 0; k < 40; k++ {
+				if x, y := out[i].Int63(), want.Int63(); x != y {
+					t.Fatalf("OpenN(%d)[%d] draw %d = %d, StreamN gives %d", first, i, k, x, y)
+				}
+			}
+		}
+	}
+	out := make([]rand.Rand, 1000)
+	if got := testing.AllocsPerRun(20, func() { r.OpenN(out, "bgp/proc/", 0) }); got != 1 {
+		t.Errorf("OpenN of %d streams: %v allocations, want 1", len(out), got)
+	}
+}
+
 // TestStreamAllocations pins what opening a stream costs: the rand.Rand and
-// a compact source, nothing for the name.
+// a compact source, nothing for the name. The rand.Rand is on the caller's
+// stack when StreamN is inlined and its result does not escape.
 func TestStreamAllocations(t *testing.T) {
 	if size := unsafe.Sizeof(streamSource{}); size > 160 {
 		t.Errorf("streamSource is %d bytes, want <= 160 (one size class)", size)
@@ -132,8 +155,8 @@ func TestStreamAllocations(t *testing.T) {
 	var sink int64
 	if got := testing.AllocsPerRun(200, func() {
 		sink += r.StreamN("bgp/proc/", 123456).Int63()
-	}); got != 2 {
-		t.Errorf("StreamN + 1 draw: %v allocations, want 2", got)
+	}); got > 2 {
+		t.Errorf("StreamN + 1 draw: %v allocations, want at most 2", got)
 	}
 	if got := testing.AllocsPerRun(200, func() {
 		s := r.Stream("bgp/proc/123456")

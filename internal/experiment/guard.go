@@ -63,7 +63,7 @@ var _ bgp.Observer = (*guardObserver)(nil)
 // floor, and the state digest snapshots every speaker's table. The
 // engine is wired to the kernel and network by the caller; everything
 // registered here is observation-only.
-func buildGuardEngine(s Scenario, sched *des.Scheduler, speakers []*bgp.Speaker, obs *observer) *invariant.Engine {
+func buildGuardEngine(s Scenario, sched *des.Scheduler, speakers *[]*bgp.Speaker, obs *observer) *invariant.Engine {
 	eng := invariant.New(s.Guard)
 	if s.BGP.MRAI > 0 && s.BGP.JitterMin > 0 {
 		eng.SetMRAIWindow(time.Duration(float64(s.BGP.MRAI) * s.BGP.JitterMin))
@@ -85,7 +85,7 @@ func buildGuardEngine(s Scenario, sched *des.Scheduler, speakers []*bgp.Speaker,
 		if obs.err != nil {
 			return nil // history recording already failed; that error surfaces first
 		}
-		for _, sp := range speakers {
+		for _, sp := range *speakers {
 			node := sp.ID()
 			if node == s.Dest {
 				continue // the destination delivers locally; no FIB entry
@@ -114,7 +114,7 @@ func buildGuardEngine(s Scenario, sched *des.Scheduler, speakers []*bgp.Speaker,
 	// local AS (poison reverse is applied at selection time), so only
 	// the best path is constrained.
 	eng.Register("as-path-sanity", func() *invariant.Violation {
-		for _, sp := range speakers {
+		for _, sp := range *speakers {
 			t := sp.Table(s.Dest)
 			if t == nil {
 				continue
@@ -154,7 +154,7 @@ func buildGuardEngine(s Scenario, sched *des.Scheduler, speakers []*bgp.Speaker,
 	// check, not a sweep check: mid-phase the entry may legitimately
 	// linger while the withdrawal is still in flight.
 	eng.RegisterBoundary("session-withdrawal-completeness", func() *invariant.Violation {
-		for _, sp := range speakers {
+		for _, sp := range *speakers {
 			t := sp.Table(s.Dest)
 			if t == nil {
 				continue
@@ -175,8 +175,8 @@ func buildGuardEngine(s Scenario, sched *des.Scheduler, speakers []*bgp.Speaker,
 	})
 
 	eng.SetStateDigest(func() []string {
-		out := make([]string, 0, len(speakers))
-		for _, sp := range speakers {
+		out := make([]string, 0, len(*speakers))
+		for _, sp := range *speakers {
 			t := sp.Table(s.Dest)
 			if t == nil {
 				out = append(out, fmt.Sprintf("node %d: no table", sp.ID()))

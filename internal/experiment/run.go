@@ -357,14 +357,14 @@ func (s Scenario) execute(ctx context.Context, plan *faultplan.Plan, origins []t
 	}
 	speakerObs = bgp.Tee(speakerObs, probe)
 
-	// The speakers slice is allocated before the guard engine is built:
-	// the engine's sweep checks close over the backing array, which the
-	// construction loop below fills in.
-	speakers := make([]*bgp.Speaker, numNodes)
+	// The guard engine is built before the speakers, which send as they
+	// are made when the FSM is on: its checks read the speakers through
+	// &speakers, which holds none until all of them exist.
+	var speakers []*bgp.Speaker
 
 	var eng *invariant.Engine
 	if s.Guard.Enabled() {
-		eng = buildGuardEngine(s, sched, speakers, obs)
+		eng = buildGuardEngine(s, sched, &speakers, obs)
 		sched.SetExecHook(eng.NoteExec)
 		net.SetTap(&guardTap{eng: eng, sched: sched})
 		// The guard observer rides last on the Tee so the measurement
@@ -381,12 +381,8 @@ func (s Scenario) execute(ctx context.Context, plan *faultplan.Plan, origins []t
 		}()
 	}
 
-	for _, v := range s.Graph.Nodes() {
-		sp, err := bgp.NewSpeaker(v, sched, net, s.BGP, rng, speakerObs)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: speaker %d: %w", v, err)
-		}
-		speakers[v] = sp
+	if speakers, err = bgp.NewSpeakers(sched, net, s.BGP, rng, speakerObs, origins); err != nil {
+		return nil, fmt.Errorf("experiment: speakers: %w", err)
 	}
 
 	horizon := des.Time(math.MaxInt64)

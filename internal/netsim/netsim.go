@@ -188,29 +188,48 @@ type Network struct {
 // network takes its links from g as it is now: an edge added to g
 // afterwards does not exist for it (links come and go with Fail and
 // Restore, not by editing the graph).
+//
+// The table is sized from the degrees and filled from one pass over the
+// sorted edge list. Node v's links come out sorted by far end: its edges
+// to smaller nodes precede those to larger ones in that list, each run in
+// ascending order.
 func New(sched *des.Scheduler, g *topology.Graph, delay time.Duration) *Network {
 	if delay <= 0 {
 		delay = DefaultLinkDelay
 	}
+	nodes := g.NumNodes()
 	n := &Network{
 		sched:    sched,
 		graph:    g,
 		delay:    delay,
-		first:    make([]int, g.NumNodes()+1),
-		handlers: make([]Handler, g.NumNodes()),
+		first:    make([]int, nodes+1),
+		handlers: make([]Handler, nodes),
 	}
-	for _, v := range g.Nodes() {
-		n.first[v] = len(n.links)
-		for _, u := range g.Neighbors(v) {
-			n.links = append(n.links, link{from: v, to: u})
-		}
+	for v := 0; v < nodes; v++ {
+		n.first[v+1] = n.first[v] + g.Degree(topology.Node(v))
 	}
-	n.first[g.NumNodes()] = len(n.links)
-	for i := range n.links {
-		n.links[i].rev = n.find(n.links[i].to, n.links[i].from)
+	n.links = make([]link, n.first[nodes])
+	next := append([]int(nil), n.first[:nodes]...)
+	for _, e := range g.Edges() {
+		i, j := next[e.A], next[e.B]
+		n.links[i] = link{from: e.A, to: e.B, rev: j}
+		n.links[j] = link{from: e.B, to: e.A, rev: i}
+		next[e.A], next[e.B] = i+1, j+1
 	}
 	return n
 }
+
+// Links returns the ids of the directed links out of v, lo through hi-1,
+// in ascending order of far end; a node outside the graph has none.
+func (n *Network) Links(v topology.Node) (lo, hi int) {
+	if !n.graph.Valid(v) {
+		return 0, 0
+	}
+	return n.first[v], n.first[v+1]
+}
+
+// LinkTo returns the far end of directed link i.
+func (n *Network) LinkTo(i int) topology.Node { return n.links[i].to }
 
 // find returns the index of the directed link from -> to, or -1 if the
 // graph had no such edge. The search is written out because it runs per
@@ -294,10 +313,23 @@ func (n *Network) UpNeighbors(v topology.Node) []topology.Node {
 // connection it models: the sender learns nothing at send time.
 func (n *Network) Send(from, to topology.Node, payload any) error {
 	i := n.find(from, to)
-	if i < 0 || n.links[i].down {
+	if i < 0 {
 		return fmt.Errorf("%w: %v", ErrLinkDown, topology.NormEdge(from, to))
 	}
+	return n.SendLink(i, payload)
+}
+
+// SendLink is Send over directed link i (see Links), for a sender that
+// already holds the link's id.
+func (n *Network) SendLink(i int, payload any) error {
+	if i < 0 || i >= len(n.links) {
+		return fmt.Errorf("%w: no link %d", ErrLinkDown, i)
+	}
 	l := &n.links[i]
+	from, to := l.from, l.to
+	if l.down {
+		return fmt.Errorf("%w: %v", ErrLinkDown, topology.NormEdge(from, to))
+	}
 	id := n.nextID
 	n.nextID++
 	arrive := n.sched.Now() + n.delay

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -326,5 +327,80 @@ func TestResetSessionDownLinkIsNoop(t *testing.T) {
 	if len(recs[0].peerDowns) != 1 || len(recs[0].peerUps) != 0 {
 		t.Errorf("transitions = %d down / %d up, want 1/0",
 			len(recs[0].peerDowns), len(recs[0].peerUps))
+	}
+}
+
+// TestLinkTable checks the directed-link table New fills from the edge
+// list: node v's links are its neighbors in ascending order, each link's
+// rev is the opposite direction, and an edge added to the graph later is
+// no link.
+func TestLinkTable(t *testing.T) {
+	g := topology.New(7)
+	for _, e := range [][2]topology.Node{{3, 0}, {0, 5}, {6, 3}, {1, 3}, {5, 6}, {2, 4}, {3, 5}, {1, 6}} {
+		if err := g.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, net, _ := build(t, g, time.Millisecond)
+	if err := g.AddEdge(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for _, v := range g.Nodes() {
+		lo, hi := net.Links(v)
+		if lo != total {
+			t.Fatalf("node %d's links start at %d, want %d", v, lo, total)
+		}
+		total = hi
+		var far []topology.Node
+		for i := lo; i < hi; i++ {
+			far = append(far, net.LinkTo(i))
+			l := net.links[i]
+			if l.from != v || net.links[l.rev].from != l.to || net.links[l.rev].to != v || net.links[l.rev].rev != i {
+				t.Fatalf("link %d (%d->%d) and its rev %d disagree", i, l.from, l.to, l.rev)
+			}
+		}
+		want := g.Neighbors(v)
+		if v == 0 || v == 1 {
+			want = slices.DeleteFunc(want, func(u topology.Node) bool { return u == 1-v })
+		}
+		if !slices.Equal(far, want) {
+			t.Fatalf("node %d's links reach %v, want %v", v, far, want)
+		}
+	}
+	if total != len(net.links) || cap(net.links) != 2*8 {
+		t.Fatalf("%d links in a table of len %d, cap %d; want 16 exactly", total, len(net.links), cap(net.links))
+	}
+	if lo, hi := net.Links(7); lo != hi {
+		t.Fatalf("a node outside the graph has links %d..%d", lo, hi)
+	}
+}
+
+// TestSendLinkMatchesSend: a send by link id is the send by endpoints, and
+// refuses a failed or absent link the same way.
+func TestSendLinkMatchesSend(t *testing.T) {
+	sched, net, recs := build(t, topology.Ring(4), time.Millisecond)
+	lo, hi := net.Links(2)
+	for i := lo; i < hi; i++ {
+		if err := net.SendLink(i, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sched.Run()
+	for i := lo; i < hi; i++ {
+		got := recs[net.LinkTo(i)].deliveries
+		if len(got) != 1 || got[0].from != 2 || got[0].payload != i {
+			t.Fatalf("link %d delivered %v to %d, want payload %d from 2", i, got, net.LinkTo(i), i)
+		}
+	}
+	net.Fail(topology.Edge{A: 2, B: 3})
+	i := lo + 1 // 2 -> 3
+	if err := net.SendLink(i, "x"); !errors.Is(err, ErrLinkDown) {
+		t.Fatalf("SendLink on a failed link: %v, want ErrLinkDown", err)
+	}
+	for _, bad := range []int{-1, len(net.links)} {
+		if err := net.SendLink(bad, "x"); !errors.Is(err, ErrLinkDown) {
+			t.Fatalf("SendLink(%d): %v, want ErrLinkDown", bad, err)
+		}
 	}
 }

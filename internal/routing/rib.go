@@ -43,11 +43,21 @@ type Table struct {
 // self == dest the node originates the destination and its best path is
 // permanently the one-element path (self).
 func NewTable(self, dest topology.Node, policy Policy) *Table {
-	t := &Table{self: self, dest: dest, policy: policy, bestPeer: topology.None}
+	t := new(Table)
+	t.Init(self, dest, policy, nil)
+	return t
+}
+
+// Init makes t the empty table NewTable returns, for a table that lives by
+// value inside its owner. Its adj-RIB-in takes its slots from raw's
+// storage, which must have length zero; a slot past raw's capacity moves
+// the adj-RIB-in to fresh storage, so a raw carved from a shared slab with
+// a full slice expression never grows into its neighbour's.
+func (t *Table) Init(self, dest topology.Node, policy Policy, raw []Candidate) {
+	*t = Table{self: self, dest: dest, policy: policy, raw: raw, bestPeer: topology.None}
 	if t.IsOrigin() {
 		t.best, t.bestPeer = Path{self}, self
 	}
-	return t
 }
 
 // Self returns the owning node.

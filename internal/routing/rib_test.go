@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -265,5 +266,37 @@ func TestTableAccessors(t *testing.T) {
 	tab := NewTable(5, 0, ShortestPath{})
 	if tab.Self() != 5 || tab.Dest() != 0 {
 		t.Errorf("Self/Dest = %d/%d", tab.Self(), tab.Dest())
+	}
+}
+
+// TestTableInitKeepsToItsSlots: a table living by value takes its
+// adj-RIB-in slots from the storage Init gives it, and a slot past that
+// storage's capacity moves the adj-RIB-in rather than writing beyond it.
+func TestTableInitKeepsToItsSlots(t *testing.T) {
+	slab := make([]Candidate, 4)
+	var tab Table
+	tab.Init(5, 0, ShortestPath{}, slab[0:0:2])
+	if tab.Self() != 5 || tab.Dest() != 0 || tab.HasRoute() || tab.NextHop() != topology.None {
+		t.Fatalf("fresh table: self %d dest %d route %v next hop %d", tab.Self(), tab.Dest(), tab.HasRoute(), tab.NextHop())
+	}
+	tab.Update(3, Path{3, 0})
+	tab.Update(1, Path{1, 2, 0})
+	if slab[0].Peer != 1 || slab[1].Peer != 3 {
+		t.Fatalf("slots %v, want peers 1 and 3 in the given storage", slab[:2])
+	}
+	tab.Update(2, Path{2, 0})
+	if slab[2].Peer != 0 || slab[2].Path != nil || slab[3].Peer != 0 {
+		t.Fatalf("a third peer wrote past the table's storage: %v", slab)
+	}
+	if got := tab.PeersWithRoutes(); !slices.Equal(got, []topology.Node{1, 2, 3}) {
+		t.Fatalf("peers with routes %v, want [1 2 3]", got)
+	}
+	if !tab.Best().Equal(Path{5, 2, 0}) {
+		t.Fatalf("best %v, want (5 2 0)", tab.Best())
+	}
+	var origin Table
+	origin.Init(4, 4, ShortestPath{}, nil)
+	if !origin.Best().Equal(Path{4}) || origin.NextHop() != 4 {
+		t.Fatalf("origin's best %v via %d, want (4) via itself", origin.Best(), origin.NextHop())
 	}
 }

@@ -6,14 +6,19 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
 
 // countingTask returns a deterministic result per trial and counts how
-// many trials were actually simulated.
+// many trials were actually simulated. Workers run it concurrently, so the
+// append is locked; the caller reads executed after Run returns.
 func countingTask(executed *[]int) Task[int] {
+	var mu sync.Mutex
 	return func(_ context.Context, i int) (int, error) {
+		mu.Lock()
+		defer mu.Unlock()
 		*executed = append(*executed, i)
 		return 1000 + i, nil
 	}
