@@ -53,15 +53,18 @@ type (
 	// TrialFailure reports one failed (or panicked) trial of a sweep,
 	// carrying the replayable Scenario and seed.
 	TrialFailure = experiment.TrialFailure
-	// SweepOptions tunes trial sweeps: failure policy, worker count,
-	// result cache, and checkpoint/resume.
+	// SweepOptions tunes trial sweeps: failure policy, worker count, and
+	// the result cache, which is also an interrupted sweep's checkpoint:
+	// re-running with the same CacheDir simulates only what had not
+	// finished.
 	SweepOptions = experiment.SweepOptions
 	// SweepStats counts how each trial of a sweep was satisfied: Executed
 	// simulations, CacheHits/CacheMisses against the content-addressed
-	// store, Resumed journal entries, Deduped in-flight shares, and the
-	// Failed/Canceled/Skipped remainder. CacheHitRatio() summarizes the
-	// store's effectiveness; bgpd exposes the same counters on /metrics,
-	// minus Resumed — a served job keeps no journal.
+	// store (a re-run interrupted sweep's completed trials are hits),
+	// Deduped in-flight shares, Remote fleet trials, and the
+	// Failed/Canceled/Skipped remainder. Resumed is always 0.
+	// CacheHitRatio() summarizes the store's effectiveness; bgpd exposes
+	// the same counters on /metrics.
 	SweepStats = sweep.Stats
 	// Generator produces the scenario for trial i of a sweep.
 	Generator = experiment.Generator
@@ -132,9 +135,9 @@ func RunContext(ctx context.Context, s Scenario) (*Report, error) {
 func Repeat(s Scenario) Generator { return experiment.Repeat(s) }
 
 // RunSweep fans trials across the parallel sweep executor — workers,
-// content-addressed result cache, checkpoint/resume, and in-flight
-// dedupe are set via SweepOptions — and aggregates the per-trial
-// metrics. At every worker width the outcome is byte-identical to the
+// content-addressed result cache (which also resumes an interrupted
+// sweep), and in-flight dedupe are set via SweepOptions — and aggregates
+// the per-trial metrics. At every worker width the outcome is byte-identical to the
 // sequential path. Guarded trials that fail write a forensic bundle
 // under <SweepOptions.CacheDir>/forensics/ for bgpsim -shrink.
 func RunSweep(gen Generator, trials int, opts SweepOptions) (Aggregate, []*TrialResult, SweepStats, error) {

@@ -7,7 +7,7 @@
 //	bgpfig -fig all                # every figure
 //	bgpfig -fig 8a,8b -quick       # reduced grid, seconds per figure
 //	bgpfig -fig 5a -csv -out fig5a.csv
-//	bgpfig -fig all -j 8 -cache-dir ~/.cache/bgploop -resume
+//	bgpfig -fig all -j 8 -cache-dir ~/.cache/bgploop
 package main
 
 import (
@@ -39,14 +39,13 @@ func run(args []string) error {
 	var (
 		versionF = fs.Bool("version", false, "print the build-info stamp (module version, VCS revision) and exit")
 
-		fig    = fs.String("fig", "", "figure ID (4a..9d), comma-separated list, or 'all'")
-		quick  = fs.Bool("quick", false, "use the reduced smoke-test grid instead of paper scale")
-		csv    = fs.Bool("csv", false, "emit CSV")
-		out    = fs.String("out", "", "write to file instead of stdout")
-		seed   = fs.Int64("seed", 0, "override the base seed (0 keeps the default)")
-		j      = fs.Int("j", 0, "trial parallelism per sweep: 0 = GOMAXPROCS, 1 = sequential (figures are byte-identical at any width)")
-		cache  = fs.String("cache-dir", "", "content-addressed result cache; unchanged trials are served from disk across runs")
-		resume = fs.Bool("resume", false, "resume interrupted sweeps from their checkpoint journals (requires -cache-dir)")
+		fig   = fs.String("fig", "", "figure ID (4a..9d), comma-separated list, or 'all'")
+		quick = fs.Bool("quick", false, "use the reduced smoke-test grid instead of paper scale")
+		csv   = fs.Bool("csv", false, "emit CSV")
+		out   = fs.String("out", "", "write to file instead of stdout")
+		seed  = fs.Int64("seed", 0, "override the base seed (0 keeps the default)")
+		j     = fs.Int("j", 0, "trial parallelism per sweep: 0 = GOMAXPROCS, 1 = sequential (figures are byte-identical at any width)")
+		cache = fs.String("cache-dir", "", "content-addressed result cache; unchanged trials are served from disk across runs, so re-running an interrupted invocation simulates only what it had not finished")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -54,9 +53,6 @@ func run(args []string) error {
 	if *versionF {
 		fmt.Println("bgpfig", buildinfo.Read())
 		return nil
-	}
-	if *resume && *cache == "" {
-		return fmt.Errorf("-resume requires -cache-dir")
 	}
 	if *fig == "" {
 		return fmt.Errorf("missing -fig; known: %s, extensions: %s, or 'all'/'ext'",
@@ -83,15 +79,14 @@ func run(args []string) error {
 		sc.Seed = *seed
 	}
 
-	// Ctrl-C cancels in-flight trials cooperatively; with -cache-dir and
-	// -resume the next invocation picks up where this one stopped.
+	// Ctrl-C cancels in-flight trials cooperatively; with -cache-dir the
+	// next invocation picks up where this one stopped.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	var stats sweep.Stats
 	sc.Sweep = experiment.SweepOptions{
 		Workers:  *j,
 		CacheDir: *cache,
-		Resume:   *resume,
 		Context:  ctx,
 		Stats:    &stats,
 	}
@@ -135,7 +130,7 @@ func run(args []string) error {
 		}
 		fmt.Fprintf(os.Stderr, "bgpfig: figure %s done in %s\n", id, time.Since(start).Round(time.Millisecond))
 	}
-	fmt.Fprintf(os.Stderr, "bgpfig: %d trials total: %d simulated, %d cache hits, %d resumed\n",
-		stats.Trials, stats.Executed, stats.CacheHits, stats.Resumed)
+	fmt.Fprintf(os.Stderr, "bgpfig: %d trials total: %d simulated, %d cache hits\n",
+		stats.Trials, stats.Executed, stats.CacheHits)
 	return nil
 }

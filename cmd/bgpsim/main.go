@@ -68,9 +68,7 @@ func run(args []string) error {
 		csv       = fs.Bool("csv", false, "emit CSV instead of aligned text")
 		trials    = fs.Int("trials", 1, "run a sweep of N trials (seeds seed, seed+1, ...) and print the aggregate")
 		workers   = fs.Int("j", 0, "sweep parallelism: 0 = GOMAXPROCS, 1 = the sequential path (output is byte-identical at any width)")
-		cacheDir  = fs.String("cache-dir", "", "content-addressed result cache; unchanged trials are served from disk instead of re-simulated")
-		resume    = fs.Bool("resume", false, "resume an interrupted sweep from its checkpoint journal (requires -cache-dir)")
-		jsync     = fs.Int("journal-sync", 0, "fsync the checkpoint journal every N trial appends (0 = only on close, 1 = every append; higher N trades durability for fewer fsyncs)")
+		cacheDir  = fs.String("cache-dir", "", "content-addressed result cache; unchanged trials are served from disk instead of re-simulated, so re-running an interrupted sweep simulates only what it had not finished")
 		lossF     = fs.Float64("loss", 0, "per-message loss probability on every link; loss is masked by retransmission (delay, not drop) up to the retry cap")
 		holdF     = fs.Duration("hold", 0, "BGP hold time; non-zero enables the session FSM (keepalive generation, hold-expiry teardown, backoff re-establishment). Keepalives only arm over impaired links, so combine with bounded degrade windows (a faultPlan degrade+undegrade pair) rather than a permanent -loss, which never quiesces")
 		keepF     = fs.Duration("keepalive", 0, "keepalive interval (default hold/3; requires -hold)")
@@ -170,14 +168,11 @@ func run(args []string) error {
 		}
 	}
 
-	if *trials > 1 || *cacheDir != "" || *resume {
+	if *trials > 1 || *cacheDir != "" {
 		if *compare || *showTrace > 0 || *wireDump != "" || *mrtDump != "" || *showLoops {
-			return fmt.Errorf("-trials/-cache-dir/-resume run a sweep; -compare/-trace/-wiredump/-mrt/-loops apply to single runs only")
+			return fmt.Errorf("-trials/-cache-dir run a sweep; -compare/-trace/-wiredump/-mrt/-loops apply to single runs only")
 		}
-		if *resume && *cacheDir == "" {
-			return fmt.Errorf("-resume needs -cache-dir (or set an explicit journal via the library API)")
-		}
-		return runSweep(ctx, scenario, *trials, *workers, *cacheDir, *resume, *jsync, *csv, *jsonOut, *digestF, *preflight != "")
+		return runSweep(ctx, scenario, *trials, *workers, *cacheDir, *csv, *jsonOut, *digestF, *preflight != "")
 	}
 
 	if *compare {
@@ -321,18 +316,20 @@ func runShrink(path, outPath string, maxRuns int) error {
 // runSweep fans trials of the scenario (seeds seed, seed+1, ...) across
 // the parallel executor and prints the aggregate. The output is
 // byte-identical at every -j width.
-func runSweep(ctx context.Context, s experiment.Scenario, trials, workers int, cacheDir string, resume bool, jsync int, csv, jsonOut, digest, preflight bool) error {
+func runSweep(ctx context.Context, s experiment.Scenario, trials, workers int, cacheDir string, csv, jsonOut, digest, preflight bool) error {
 	agg, _, stats, err := experiment.RunSweep(experiment.Repeat(s), trials, experiment.SweepOptions{
-		Workers:     workers,
-		CacheDir:    cacheDir,
-		Resume:      resume,
-		JournalSync: jsync,
-		Context:     ctx,
-		Preflight:   preflight,
+		Workers:   workers,
+		CacheDir:  cacheDir,
+		Context:   ctx,
+		Preflight: preflight,
 	})
 	if err != nil {
 		return err
 	}
+	// The summary goes to stderr in every output mode, so a re-run with
+	// -digest still shows that a warm cache simulated nothing.
+	defer fmt.Fprintf(os.Stderr, "bgpsim: %d trials: %d simulated, %d cache hits\n",
+		stats.Trials, stats.Executed, stats.CacheHits)
 	if digest {
 		d, err := experiment.DigestAggregate(agg)
 		if err != nil {
@@ -365,13 +362,7 @@ func runSweep(ctx context.Context, s experiment.Scenario, trials, workers int, c
 	add("loop_count", agg.LoopCount)
 	add("max_loop_size", agg.MaxLoopSize)
 	if csv {
-		if err := tbl.WriteCSV(os.Stdout); err != nil {
-			return err
-		}
-	} else if err := tbl.WriteText(os.Stdout); err != nil {
-		return err
+		return tbl.WriteCSV(os.Stdout)
 	}
-	fmt.Fprintf(os.Stderr, "bgpsim: %d trials: %d simulated, %d cache hits, %d resumed\n",
-		stats.Trials, stats.Executed, stats.CacheHits, stats.Resumed)
-	return nil
+	return tbl.WriteText(os.Stdout)
 }

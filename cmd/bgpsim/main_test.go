@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -90,6 +91,61 @@ func TestRunBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"-definitely-not-a-flag"}); err == nil {
 		t.Error("bad flag accepted")
+	}
+}
+
+// captureRun runs the CLI with stdout and stderr sent to files and
+// returns what it printed on each.
+func captureRun(t *testing.T, args ...string) (stdout, stderr string, err error) {
+	t.Helper()
+	dir := t.TempDir()
+	outs := make([]*os.File, 2)
+	for i := range outs {
+		f, ferr := os.Create(filepath.Join(dir, fmt.Sprint(i)))
+		if ferr != nil {
+			t.Fatal(ferr)
+		}
+		defer f.Close()
+		outs[i] = f
+	}
+	oldOut, oldErr := os.Stdout, os.Stderr
+	os.Stdout, os.Stderr = outs[0], outs[1]
+	err = run(args)
+	os.Stdout, os.Stderr = oldOut, oldErr
+	var got [2]string
+	for i, f := range outs {
+		data, rerr := os.ReadFile(f.Name())
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		got[i] = string(data)
+	}
+	return got[0], got[1], err
+}
+
+// TestRunResumesFromCache: the result cache is the sweep's only
+// checkpoint. The journal flags are unknown, and a second run on the same
+// -cache-dir simulates nothing and prints the same digest.
+func TestRunResumesFromCache(t *testing.T) {
+	for _, flag := range []string{"-resume", "-journal-sync=1"} {
+		if _, stderr, err := captureRun(t, flag); err == nil || !strings.Contains(stderr, "flag provided but not defined") {
+			t.Errorf("%s: err %v, stderr %q; want an unknown-flag refusal", flag, err, stderr)
+		}
+	}
+	args := []string{"-topo", "clique", "-size", "5", "-event", "tdown", "-trials", "3", "-j", "1", "-cache-dir", t.TempDir(), "-digest"}
+	cold, coldLog, err := captureRun(t, args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, warmLog, err := captureRun(t, args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(coldLog, "3 simulated") || !strings.Contains(warmLog, "0 simulated, 3 cache hits") {
+		t.Errorf("summaries %q then %q, want 3 simulated then 0 simulated, 3 cache hits", coldLog, warmLog)
+	}
+	if cold == "" || warm != cold {
+		t.Errorf("digests %q then %q, want one non-empty digest twice", cold, warm)
 	}
 }
 

@@ -272,10 +272,9 @@ func TestDistributedHedgingParity(t *testing.T) {
 }
 
 // TestDistributedResultsResumeLocally pins "resumed, not recomputed":
-// a distributed sweep with persistence on leaves the same cache objects
-// and checkpoint journal a local run would, so re-running the sweep
-// locally serves every trial from disk (Executed == 0) with identical
-// digests.
+// a distributed sweep with a cache leaves the same cache objects a local
+// run would, so re-running the sweep locally serves every trial from the
+// cache (Executed == 0) with identical digests.
 func TestDistributedResultsResumeLocally(t *testing.T) {
 	wantAgg, wantRes := localOracle(t)
 	cacheDir := t.TempDir()
@@ -285,10 +284,7 @@ func TestDistributedResultsResumeLocally(t *testing.T) {
 		t.Fatal(err)
 	}
 	startFleet(t, c, 2)
-	aggDig, resDigs, stats := runDistributed(t, c, experiment.SweepOptions{
-		CacheDir: cacheDir,
-		Resume:   true,
-	})
+	aggDig, resDigs, stats := runDistributed(t, c, experiment.SweepOptions{CacheDir: cacheDir})
 	assertParity(t, "dist+cache", aggDig, resDigs, wantAgg, wantRes)
 	if stats.Remote == 0 {
 		t.Fatalf("first run stats = %+v, want remote trials", stats)
@@ -301,18 +297,15 @@ func TestDistributedResultsResumeLocally(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg2, results2, stats2, err := experiment.RunSweep(experiment.Repeat(sc), testTrials, experiment.SweepOptions{
-		CacheDir: cacheDir,
-		Resume:   true,
-	})
+	agg2, results2, stats2, err := experiment.RunSweep(experiment.Repeat(sc), testTrials, experiment.SweepOptions{CacheDir: cacheDir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats2.Executed != 0 || stats2.Remote != 0 {
 		t.Fatalf("re-run stats = %+v, want Executed=0 Remote=0 (all from disk)", stats2)
 	}
-	if stats2.Resumed+stats2.CacheHits != testTrials {
-		t.Fatalf("re-run stats = %+v, want %d disk-served trials", stats2, testTrials)
+	if stats2.CacheHits != testTrials {
+		t.Fatalf("re-run stats = %+v, want %d cache hits", stats2, testTrials)
 	}
 	aggDig2, resDigs2 := digests(t, agg2, results2)
 	assertParity(t, "local-resume", aggDig2, resDigs2, wantAgg, wantRes)

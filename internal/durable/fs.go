@@ -1,6 +1,6 @@
 // Package durable is the storage-durability layer underneath the
-// persistence surfaces of the repository: the sweep result cache and
-// resume journals (internal/sweep), forensic bundles
+// persistence surfaces of the repository: the sweep result cache
+// (internal/sweep), forensic bundles
 // (internal/invariant), and bgpd's job write-ahead log (internal/serve).
 //
 // It contributes three things:
@@ -10,12 +10,11 @@
 //     schedule (ENOSPC, EIO, torn writes, crash-point panics) is scripted
 //     by op sequence and replayable by seed, so the exact code paths that
 //     run in production are the ones exercised under injected faults.
-//   - Log, the one append-only record file: a line codec plus a sync
-//     cadence gives bgpd's job WAL (accepted jobs are durable before
-//     admission returns, and a killed daemon replays the log on
-//     restart) and the sweep checkpoint journal (internal/sweep). Torn
-//     or corrupt lines are counted and dropped on open, and never cost
-//     a later record.
+//   - Log, the one append-only record file: a line codec plus
+//     fsync-every-append gives bgpd's job WAL (accepted jobs are durable
+//     before admission returns, and a killed daemon replays the log on
+//     restart). Torn or corrupt lines are counted and dropped on open,
+//     and never cost a later record.
 //   - WriteFileAtomic, the shared temp-file + fsync + rename discipline
 //     that keeps cache objects and forensic bundles free of torn files.
 //
@@ -46,8 +45,8 @@ type File interface {
 }
 
 // FS is the filesystem surface of the durability layer. Every write a
-// crash could tear — cache objects, journals, forensic bundles, the job
-// WAL — routes through an FS, so the fault-injecting implementation
+// crash could tear — cache objects, forensic bundles, the job WAL —
+// routes through an FS, so the fault-injecting implementation
 // covers the real production code paths, not test doubles.
 type FS interface {
 	// OpenFile opens name with the given flag and permissions (os.O_*).

@@ -23,24 +23,23 @@ type Codec[R any] struct {
 }
 
 // Log is the one append-only record file of the repository: bgpd's job
-// WAL and the sweep checkpoint journal are a Codec and a fold over what
-// OpenLog replays. One record is one line
-// and one Write. Lines the codec rejects — a tail cut short by a crash,
+// WAL is a Codec and a fold over what OpenLog replays. One record is one
+// line and one Write. Lines the codec rejects — a tail cut short by a crash,
 // a line that fails its checksum — are counted and skipped on open and
 // never fail it. The log is safe for concurrent appenders; sequence
 // numbers are assigned under the lock.
 type Log[R any] struct {
-	fsys      FS
-	path      string
-	codec     Codec[R]
-	syncEvery int
+	fsys  FS
+	path  string
+	codec Codec[R]
+	// syncEach fsyncs every Append.
+	syncEach bool
 
-	mu       sync.Mutex
-	f        File
-	seq      int
-	bytes    int64
-	dropped  int
-	unsynced int
+	mu      sync.Mutex
+	f       File
+	seq     int
+	bytes   int64
+	dropped int
 	// torn is set while the file may end in a partial line: it did not end
 	// in '\n' at open, or the last Write failed. The next Append then
 	// starts with '\n', so the fragment is dropped on replay alone instead
@@ -51,12 +50,11 @@ type Log[R any] struct {
 const appendFlags = os.O_CREATE | os.O_WRONLY | os.O_APPEND
 
 // OpenLog opens (creating if needed) the log at path and replays its
-// surviving records in append order. syncEvery is the fsync cadence of
-// Append: 0 never fsyncs during the run — an appended line is handed to
-// the OS, which survives a process kill but not a machine crash; 1
-// fsyncs every append; N fsyncs every N appends. Close always fsyncs.
-// With truncate the existing file is discarded unread.
-func OpenLog[R any](fsys FS, path string, codec Codec[R], syncEvery int, truncate bool) (*Log[R], []R, error) {
+// surviving records in append order. With syncEach every Append fsyncs
+// before it returns; without, an appended line is only handed to the OS,
+// which survives a process kill but not a machine crash. Close always
+// fsyncs. With truncate the existing file is discarded unread.
+func OpenLog[R any](fsys FS, path string, codec Codec[R], syncEach, truncate bool) (*Log[R], []R, error) {
 	if path == "" {
 		return nil, nil, errors.New("durable: empty log path")
 	}
@@ -64,7 +62,7 @@ func OpenLog[R any](fsys FS, path string, codec Codec[R], syncEvery int, truncat
 	if err := fsys.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, nil, fmt.Errorf("durable: open log: %w", err)
 	}
-	l := &Log[R]{fsys: fsys, path: path, codec: codec, syncEvery: syncEvery}
+	l := &Log[R]{fsys: fsys, path: path, codec: codec, syncEach: syncEach}
 
 	flags := appendFlags
 	var records []R
@@ -101,9 +99,6 @@ func OpenLog[R any](fsys FS, path string, codec Codec[R], syncEvery int, truncat
 	return l, records, nil
 }
 
-// Path returns the log file path.
-func (l *Log[R]) Path() string { return l.path }
-
 // Bytes returns the log's on-disk size in bytes (as of the last open,
 // compaction, or append).
 func (l *Log[R]) Bytes() int64 {
@@ -120,7 +115,7 @@ func (l *Log[R]) Dropped() int {
 }
 
 // Append writes one record under the next sequence number and, when the
-// cadence says so, fsyncs before returning. A failed Append may leave a
+// log syncs, fsyncs before returning. A failed Append may leave a
 // fragment behind; it never costs a later record.
 func (l *Log[R]) Append(r R) error {
 	l.mu.Lock()
@@ -141,13 +136,9 @@ func (l *Log[R]) Append(r R) error {
 	if err != nil {
 		return fmt.Errorf("durable: log append: %w", err)
 	}
-	if l.syncEvery > 0 {
-		l.unsynced++
-		if l.unsynced >= l.syncEvery {
-			if err := l.f.Sync(); err != nil {
-				return fmt.Errorf("durable: log sync: %w", err)
-			}
-			l.unsynced = 0
+	if l.syncEach {
+		if err := l.f.Sync(); err != nil {
+			return fmt.Errorf("durable: log sync: %w", err)
 		}
 	}
 	l.seq++
@@ -188,13 +179,12 @@ func (l *Log[R]) Compact(records []R) error {
 	l.f = f
 	l.seq = len(records)
 	l.bytes = int64(buf.Len())
-	l.unsynced = 0
 	l.torn = false
 	return nil
 }
 
-// Close syncs and closes the log. The fsync is unconditional — whatever
-// the append cadence, a log that closed cleanly is durable.
+// Close syncs and closes the log. The fsync is unconditional — synced
+// appends or not, a log that closed cleanly is durable.
 func (l *Log[R]) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

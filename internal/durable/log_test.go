@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"bgploop/internal/durable"
-	"bgploop/internal/sweep"
 )
 
 // schema is one record type on top of durable.Log, driven through its
@@ -38,8 +37,6 @@ type opened struct {
 	close   func() error
 }
 
-const journalSyncEvery = 3
-
 var walGolden = []durable.Record{
 	{Type: "job", Job: "job-000001", Key: "ab12/trials=2", Trials: 2,
 		Spec:    json.RawMessage(`{"topology": {"family":"clique","size":4}, "event":"tdown", "note":"a<b"}`),
@@ -60,17 +57,6 @@ func walRecord(i int) durable.Record {
 
 func walID(r durable.Record) string { return r.Job + "/" + r.Type + "/" + r.State }
 
-// journalRecord is the i'th test checkpoint: trial, content address, data.
-func journalRecord(i int) (int, string, []byte) {
-	if i == 0 {
-		return 3, "0123abcd", []byte(`{"convergence":1.5,"loops":[{"n":2}]}`)
-	}
-	return 10 + i, fmt.Sprintf("%08x", i), []byte(fmt.Sprintf(`{"n":%d}`, i))
-}
-
-// maxRecords bounds the test records a journal row probes for.
-const maxRecords = 16
-
 var schemas = []schema{
 	{
 		name:   "wal",
@@ -86,32 +72,6 @@ var schemas = []schema{
 				add: func(i int) error { return w.Append(walRecord(i)) }}
 			for _, r := range recs {
 				o.ids = append(o.ids, walID(r))
-			}
-			return o, nil
-		},
-	},
-	{
-		name:   "journal",
-		golden: 1,
-		syncs:  func(n int) int { return n / journalSyncEvery },
-		id:     func(i int) string { return fmt.Sprint("trial-", i) },
-		open: func(fsys durable.FS, path string, resume bool) (opened, error) {
-			j, err := sweep.OpenJournalOpts(path, resume, sweep.JournalOptions{FS: fsys, SyncEvery: journalSyncEvery})
-			if err != nil {
-				return opened{}, err
-			}
-			o := opened{dropped: -1, close: j.Close, add: func(i int) error {
-				trial, key, data := journalRecord(i)
-				return j.Append(trial, key, data)
-			}}
-			for i := 0; i < maxRecords; i++ {
-				trial, key, _ := journalRecord(i)
-				if _, ok := j.Lookup(trial, key); ok {
-					o.ids = append(o.ids, fmt.Sprint("trial-", i))
-				}
-			}
-			if j.Len() != len(o.ids) {
-				return opened{}, fmt.Errorf("journal loaded %d entries, %d of them test records", j.Len(), len(o.ids))
 			}
 			return o, nil
 		},
@@ -233,8 +193,7 @@ func TestLogGoldenLines(t *testing.T) {
 
 // TestLogSyncCadence pins what an append costs the disk: one Write per
 // record whatever the schema, and fsyncs at the schema's cadence — every
-// append (WAL), every journalSyncEvery'th (journal) — plus the one
-// Close always adds.
+// append for the WAL — plus the one Close always adds.
 func TestLogSyncCadence(t *testing.T) {
 	const appends = 7
 	eachSchema(t, func(t *testing.T, s schema, path string) {

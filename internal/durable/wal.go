@@ -118,5 +118,5 @@ func OpenWAL(fsys FS, path string) (*WAL, []Record, error) {
 	return OpenLog(fsys, path, Codec[Record]{
 		Encode: func(seq int, r Record) ([]byte, error) { r.Seq = seq; return EncodeRecord(r) },
 		Decode: func(line []byte) (Record, int, error) { r, err := DecodeRecord(line); return r, r.Seq, err },
-	}, 1, false)
+	}, true, false)
 }

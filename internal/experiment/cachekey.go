@@ -239,7 +239,7 @@ func (s Scenario) CacheKey() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// EncodeResult serializes a Result for the sweep cache and journal. The
+// EncodeResult serializes a Result for the sweep cache and the wire. The
 // encoding is JSON with the trace excluded; CacheKey already refuses
 // traced scenarios, so a cacheable result never carries one.
 func EncodeResult(r *Result) ([]byte, error) {

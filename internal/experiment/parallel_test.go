@@ -143,22 +143,23 @@ func TestSweepUncacheableTrialWithCache(t *testing.T) {
 	}
 }
 
-// TestSweepResumeAfterInterrupt interrupts a journaled sweep partway via
-// context cancellation (standing in for a kill), then resumes it; the
-// resumed sweep must re-simulate only the remainder and reproduce the
-// uninterrupted run's digests exactly.
+// TestSweepResumeAfterInterrupt interrupts a cached sweep partway via
+// context cancellation (standing in for a kill), then re-runs it on the
+// same CacheDir; the re-run must serve the completed trials from the
+// cache, re-simulate only the remainder and reproduce the uninterrupted
+// run's digests exactly.
 func TestSweepResumeAfterInterrupt(t *testing.T) {
 	gen := Repeat(CliqueTDown(4, bgp.DefaultConfig(), 23))
 	const trials = 6
 	wantAgg, wantTrials, _ := sweepDigests(t, gen, trials, SweepOptions{Workers: 1})
 
-	journal := filepath.Join(t.TempDir(), "sweep.jsonl")
+	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := 0
 	_, _, _, err := RunSweep(gen, trials, SweepOptions{
-		Workers:     1,
-		JournalPath: journal,
-		Context:     ctx,
+		Workers:  1,
+		CacheDir: dir,
+		Context:  ctx,
 		Progress: func(trial int, st sweep.Status, src sweep.Source) {
 			if st == sweep.StatusDone {
 				done++
@@ -174,10 +175,10 @@ func TestSweepResumeAfterInterrupt(t *testing.T) {
 	cancel()
 
 	gotAgg, gotTrials, stats := sweepDigests(t, gen, trials, SweepOptions{
-		Workers: 1, JournalPath: journal, Resume: true,
+		Workers: 1, CacheDir: dir,
 	})
-	if stats.Resumed != 3 || stats.Executed != trials-3 {
-		t.Errorf("resume stats %+v, want 3 resumed / %d executed", stats, trials-3)
+	if stats.CacheHits != 3 || stats.Executed != trials-3 {
+		t.Errorf("re-run stats %+v, want 3 cache hits / %d executed", stats, trials-3)
 	}
 	if gotAgg != wantAgg {
 		t.Errorf("resumed aggregate digest %s, uninterrupted %s", gotAgg, wantAgg)
@@ -186,34 +187,6 @@ func TestSweepResumeAfterInterrupt(t *testing.T) {
 		if gotTrials[i] != wantTrials[i] {
 			t.Errorf("trial %d: resumed digest %s, uninterrupted %s", i, gotTrials[i], wantTrials[i])
 		}
-	}
-}
-
-// TestSweepResumeDerivesJournalFromCache: Resume without an explicit
-// JournalPath derives a per-sweep journal under the cache directory, and
-// a second resumed run re-simulates nothing.
-func TestSweepResumeDerivesJournalFromCache(t *testing.T) {
-	dir := t.TempDir()
-	gen := Repeat(CliqueTDown(4, bgp.DefaultConfig(), 31))
-	opts := SweepOptions{Workers: 1, CacheDir: dir, Resume: true}
-	_, _, first, err := RunSweep(gen, 3, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Executed != 3 {
-		t.Fatalf("cold stats %+v", first)
-	}
-	_, _, second, err := RunSweep(gen, 3, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Executed != 0 || second.Resumed+second.CacheHits != 3 {
-		t.Errorf("second run stats %+v, want everything served from journal/cache", second)
-	}
-
-	// Resume without any persistence location is a configuration error.
-	if _, _, _, err := RunSweep(gen, 3, SweepOptions{Resume: true}); err == nil {
-		t.Error("Resume without JournalPath or CacheDir accepted")
 	}
 }
 

@@ -35,16 +35,10 @@ func SafetyInput(s Scenario, candidates bool) safety.Input {
 	}
 }
 
-// Preflight statically analyses the scenario before any simulation:
-// convergence verdict, dispute-wheel witness when UNSAFE, and the full
-// transient-loop candidate enumeration. It never instantiates the DES
-// kernel.
-func Preflight(s Scenario) (*safety.Report, error) {
-	return safety.Analyze(SafetyInput(s, true))
-}
-
-// PreflightVerdict is Preflight without candidate enumeration — the
-// cheap verdict-only form the sweep layer uses.
+// PreflightVerdict statically analyses the scenario before any
+// simulation — convergence verdict and dispute-wheel witness when
+// UNSAFE, without the transient-loop candidate enumeration — and never
+// instantiates the DES kernel. It is the verdict the sweep layer uses.
 func PreflightVerdict(s Scenario) (*safety.Report, error) {
 	return safety.Analyze(SafetyInput(s, false))
 }

@@ -16,7 +16,7 @@ import (
 // witness, and the sweep-layer preflight gate refuses to simulate it.
 func TestPreflightBadGadgetRefused(t *testing.T) {
 	s := BadGadget(30_000)
-	rep, err := Preflight(s)
+	rep, err := safety.Analyze(SafetyInput(s, true))
 	if err != nil {
 		t.Fatalf("preflight: %v", err)
 	}
@@ -29,8 +29,9 @@ func TestPreflightBadGadgetRefused(t *testing.T) {
 	if err := rep.Wheel.Verify(SafetyInput(s, false)); err != nil {
 		t.Fatalf("witness does not verify: %v", err)
 	}
-	// Preflight also enumerated candidates: the gadget's clique carries
-	// mutual fallback conflicts on every edge not touching the hub.
+	// The full analysis also enumerated candidates: the gadget's clique
+	// carries mutual fallback conflicts on every edge not touching the
+	// hub.
 	if rep.CandidateStats.Pairs == 0 || rep.CandidateStats.Mutual == 0 {
 		t.Fatalf("gadget candidates missing: %+v", rep.CandidateStats)
 	}

@@ -2,11 +2,8 @@ package experiment
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"runtime/debug"
 	"time"
 
@@ -81,17 +78,11 @@ type SweepOptions struct {
 	Workers int
 	// CacheDir, when non-empty, enables the content-addressed result
 	// cache rooted there: trials whose Scenario.CacheKey matches a stored
-	// object are served from disk instead of re-simulated.
+	// object are served from disk instead of re-simulated. Every trial
+	// is stored as it completes, so the cache is also the checkpoint of
+	// an interrupted sweep: re-running it with the same CacheDir
+	// simulates only the trials that had not finished.
 	CacheDir string
-	// JournalPath, when non-empty, checkpoints every completed trial to
-	// that file. With Resume the journal's existing entries are replayed
-	// first (content addresses must still match), so an interrupted sweep
-	// restarts from where it stopped.
-	JournalPath string
-	// Resume replays the checkpoint journal before executing anything.
-	// With an empty JournalPath it derives the journal location from the
-	// sweep's identity under CacheDir (which is then required).
-	Resume bool
 	// Context, when non-nil, cancels in-flight trials cooperatively
 	// (Ctrl-C in cmd/bgpsim); nil means context.Background().
 	Context context.Context
@@ -99,15 +90,14 @@ type SweepOptions struct {
 	// state, in completion order.
 	Progress func(trial int, st sweep.Status, src sweep.Source)
 	// Stats, when non-nil, accumulates executor statistics (executed vs
-	// cached vs resumed vs deduped counts) across sweeps.
+	// cached vs deduped counts) across sweeps.
 	Stats *sweep.Stats
 	// Flight, when non-nil, collapses concurrent executions of the same
 	// scenario content address onto one simulation — across this sweep
 	// and every other sweep sharing the Flight. The service layer
 	// (cmd/bgpd) hands one process-wide Flight to every job so identical
 	// concurrent submissions never simulate a trial twice. Requires the
-	// persistence codec, which CacheDir/JournalPath/Resume or the Flight
-	// itself enable.
+	// persistence codec, which CacheDir or the Flight itself enable.
 	Flight *sweep.Flight
 	// Remote is the distributed-execution seam (see sweep.Options.Remote):
 	// when non-nil, trials with a content address are satisfied by the
@@ -128,15 +118,10 @@ type SweepOptions struct {
 	// the result cache.
 	Preflight bool
 	// FS routes every persistence-layer file operation (cache objects,
-	// journal appends, forensic bundles) through the given filesystem;
-	// nil means the real one. Fault-injection tests pass a
-	// durable.FaultFS so scripted ENOSPC/EIO/crash schedules exercise the
-	// production code paths.
+	// forensic bundles) through the given filesystem; nil means the real
+	// one. Fault-injection tests pass a durable.FaultFS so scripted
+	// ENOSPC/EIO/crash schedules exercise the production code paths.
 	FS durable.FS
-	// JournalSync is the checkpoint journal's fsync cadence (see
-	// sweep.JournalOptions.SyncEvery): 0 never fsyncs during the run, 1
-	// fsyncs every append, N every N appends. Close always fsyncs.
-	JournalSync int
 }
 
 // DefaultMaxFailureRatio is the failure-rate threshold applied when
@@ -183,11 +168,11 @@ type Generator func(trial int) (Scenario, error)
 //
 // The trials run on the internal/sweep executor: Workers > 1 fans them
 // across a goroutine pool with byte-identical output to the sequential
-// path, and CacheDir/JournalPath/Resume enable the content-addressed
-// cache and checkpoint/resume layers. The returned statistics say how
-// many trials were simulated versus served from the cache or the resume
-// journal. The aggregate itself never includes the statistics, so cached
-// and uncached runs of the same sweep digest identically.
+// path, and CacheDir enables the content-addressed cache, which also
+// resumes an interrupted sweep. The returned statistics say how many
+// trials were simulated versus served from the cache. The aggregate
+// itself never includes the statistics, so cached and uncached runs of
+// the same sweep digest identically.
 func RunSweep(gen Generator, trials int, opts SweepOptions) (Aggregate, []*Result, sweep.Stats, error) {
 	if trials <= 0 {
 		return Aggregate{}, nil, sweep.Stats{}, fmt.Errorf("experiment: non-positive trial count %d", trials)
@@ -214,7 +199,7 @@ func RunSweep(gen Generator, trials int, opts SweepOptions) (Aggregate, []*Resul
 	// the empty key and always executes.
 	var codec sweep.Codec[*Result]
 	var keys []string
-	if cache != nil || opts.JournalPath != "" || opts.Resume || opts.Flight != nil || opts.Remote != nil {
+	if cache != nil || opts.Flight != nil || opts.Remote != nil {
 		keys = make([]string, trials)
 		for i := range keys {
 			keys[i] = trialKey(gen, i)
@@ -226,34 +211,13 @@ func RunSweep(gen Generator, trials int, opts SweepOptions) (Aggregate, []*Resul
 		}
 	}
 
-	journalPath := opts.JournalPath
-	if journalPath == "" && opts.Resume {
-		if cache == nil {
-			return Aggregate{}, nil, sweep.Stats{}, errors.New("experiment: Resume needs a JournalPath or a CacheDir to derive one")
-		}
-		dir, err := cache.JournalDir()
-		if err != nil {
-			return Aggregate{}, nil, sweep.Stats{}, err
-		}
-		journalPath = filepath.Join(dir, sweepID(trials, keys)+".jsonl")
-	}
-	var journal *sweep.Journal
-	if journalPath != "" {
-		var err error
-		jopts := sweep.JournalOptions{FS: opts.FS, SyncEvery: opts.JournalSync}
-		if journal, err = sweep.OpenJournalOpts(journalPath, opts.Resume, jopts); err != nil {
-			return Aggregate{}, nil, sweep.Stats{}, err
-		}
-		defer func() { _ = journal.Close() }()
-	}
-
 	forensicsDir := ""
 	if cache != nil {
 		forensicsDir = ForensicsDir(cache.Dir())
 	}
 	// The preflight wrapper rides between key computation and execution:
-	// content addresses come from the unwrapped generator, so journals
-	// and cache objects are identical with preflight on or off.
+	// content addresses come from the unwrapped generator, so cache
+	// objects are identical with preflight on or off.
 	runGen := gen
 	if opts.Preflight {
 		runGen = preflightGenerator(gen, cache)
@@ -271,7 +235,6 @@ func RunSweep(gen Generator, trials int, opts SweepOptions) (Aggregate, []*Resul
 		FailFast: !opts.ContinueOnFailure,
 		Codec:    codec,
 		Cache:    cache,
-		Journal:  journal,
 		Flight:   opts.Flight,
 		Remote:   opts.Remote,
 		Progress: opts.Progress,
@@ -401,19 +364,6 @@ func trialKey(gen Generator, i int) (key string) {
 		return ""
 	}
 	return s.CacheKey()
-}
-
-// sweepID names a sweep for the auto-derived resume journal: a digest of
-// the trial count and every trial's content address, so distinct sweeps
-// sharing a cache directory get distinct journals and re-running the same
-// sweep finds its own checkpoint.
-func sweepID(trials int, keys []string) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "sweep-journal/v1/%d", trials)
-	for _, k := range keys {
-		fmt.Fprintf(h, "\n%s", k)
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }
 
 // runOneTrial generates and runs trial i, converting any error or panic

@@ -55,12 +55,6 @@ func (b *Bundle) Name() string {
 	return "bundle-" + hex.EncodeToString(h.Sum(nil))[:16] + ".json"
 }
 
-// WriteBundle persists b under dir on the real filesystem. See
-// WriteBundleFS.
-func WriteBundle(dir string, b *Bundle) (string, error) {
-	return WriteBundleFS(nil, dir, b)
-}
-
 // WriteBundleFS persists b under dir (creating it if needed) via an
 // atomic temp-write-fsync-rename through fsys (nil means the real
 // filesystem), so a killed sweep never leaves a torn bundle behind and
@@ -82,7 +76,7 @@ func WriteBundleFS(fsys durable.FS, dir string, b *Bundle) (string, error) {
 	return p, nil
 }
 
-// ReadBundle loads a bundle previously written by WriteBundle.
+// ReadBundle loads a bundle previously written by WriteBundleFS.
 func ReadBundle(path string) (*Bundle, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -24,9 +24,9 @@ func TestBundleRoundTrip(t *testing.T) {
 		RIBDigests: []string{"node=2 best=[2 0]"},
 		Scenario:   json.RawMessage(`{"topology":{"family":"clique","size":3}}`),
 	}
-	path, err := WriteBundle(dir, b)
+	path, err := WriteBundleFS(nil, dir, b)
 	if err != nil {
-		t.Fatalf("WriteBundle: %v", err)
+		t.Fatalf("WriteBundleFS: %v", err)
 	}
 	got, err := ReadBundle(path)
 	if err != nil {
@@ -70,8 +70,8 @@ func TestBundleNameDeterministic(t *testing.T) {
 
 func TestWriteBundleLeavesNoTemp(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := WriteBundle(dir, &Bundle{Seed: 7, Signature: "invariant:channel-fifo"}); err != nil {
-		t.Fatalf("WriteBundle: %v", err)
+	if _, err := WriteBundleFS(nil, dir, &Bundle{Seed: 7, Signature: "invariant:channel-fifo"}); err != nil {
+		t.Fatalf("WriteBundleFS: %v", err)
 	}
 	ents, err := os.ReadDir(dir)
 	if err != nil {

@@ -5,22 +5,7 @@ import (
 	"time"
 
 	"bgploop/internal/des"
-	"bgploop/internal/topology"
 )
-
-// Involvement returns, for each node that ever participated in a loop,
-// the total time it spent inside loops (overlapping memberships counted
-// once per loop). The paper's §4.3 observes that "not every node is
-// involved in a loop at a given time"; this quantifies who is.
-func Involvement(loops []Loop) map[topology.Node]time.Duration {
-	out := make(map[topology.Node]time.Duration)
-	for _, l := range loops {
-		for _, v := range l.Nodes {
-			out[v] += l.Duration()
-		}
-	}
-	return out
-}
 
 // TimelinePoint is one step of the loop-concurrency timeline: Active loops
 // exist from At until the next point's At.

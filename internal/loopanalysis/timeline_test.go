@@ -11,26 +11,6 @@ func mkLoop(nodes []topology.Node, start, end time.Duration) Loop {
 	return Loop{Nodes: nodes, Start: start, End: end, Resolved: true}
 }
 
-func TestInvolvement(t *testing.T) {
-	loops := []Loop{
-		mkLoop([]topology.Node{1, 2}, 0, 2*time.Second),
-		mkLoop([]topology.Node{2, 3}, time.Second, 4*time.Second),
-	}
-	inv := Involvement(loops)
-	if inv[1] != 2*time.Second {
-		t.Errorf("node 1 involvement = %v, want 2s", inv[1])
-	}
-	if inv[2] != 5*time.Second {
-		t.Errorf("node 2 involvement = %v, want 5s (both loops)", inv[2])
-	}
-	if inv[3] != 3*time.Second {
-		t.Errorf("node 3 involvement = %v, want 3s", inv[3])
-	}
-	if _, ok := inv[4]; ok {
-		t.Error("uninvolved node present")
-	}
-}
-
 func TestConcurrencyTimeline(t *testing.T) {
 	loops := []Loop{
 		mkLoop([]topology.Node{1, 2}, time.Second, 3*time.Second),

@@ -62,17 +62,3 @@ func (h *Histogram) Cumulative() []uint64 {
 // Count returns the number of observations; Sum their total.
 func (h *Histogram) Count() uint64 { return h.n }
 func (h *Histogram) Sum() float64  { return h.sum }
-
-// Merge adds other's observations into h. The bucket layouts must match
-// (same constructor arguments); mismatched layouts merge only the shared
-// prefix of buckets and the count/sum totals, which keeps the totals
-// correct and degrades only bucket resolution.
-func (h *Histogram) Merge(other *Histogram) {
-	for i := range h.counts {
-		if i < len(other.counts) {
-			h.counts[i] += other.counts[i]
-		}
-	}
-	h.sum += other.sum
-	h.n += other.n
-}

@@ -43,28 +43,6 @@ func TestHistogramUnsortedAndDuplicateBounds(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a := NewHistogram(1, 10)
-	b := NewHistogram(1, 10)
-	a.Observe(0.5)
-	b.Observe(5)
-	b.Observe(50)
-	a.Merge(b)
-	if a.Count() != 3 {
-		t.Fatalf("merged count = %d, want 3", a.Count())
-	}
-	got := a.Cumulative()
-	want := []uint64{1, 2, 3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("merged cumulative = %v, want %v", got, want)
-		}
-	}
-	if math.Abs(a.Sum()-55.5) > 1e-9 {
-		t.Fatalf("merged sum = %g, want 55.5", a.Sum())
-	}
-}
-
 func TestHistogramEmptyBounds(t *testing.T) {
 	h := NewHistogram()
 	h.Observe(42)

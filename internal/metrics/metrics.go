@@ -111,27 +111,3 @@ func Ratio(a, b float64) float64 {
 	}
 	return a / b
 }
-
-// Means collapses per-trial observations: given k metric vectors of equal
-// length, it returns the element-wise mean vector. It is the aggregation
-// used when the paper repeats Internet-topology runs "a number of times
-// with different destination ASes and failed links".
-func Means(rows [][]float64) ([]float64, error) {
-	if len(rows) == 0 {
-		return nil, errors.New("metrics: no rows to average")
-	}
-	width := len(rows[0])
-	out := make([]float64, width)
-	for _, row := range rows {
-		if len(row) != width {
-			return nil, fmt.Errorf("metrics: ragged rows: %d != %d", len(row), width)
-		}
-		for i, x := range row {
-			out[i] += x
-		}
-	}
-	for i := range out {
-		out[i] /= float64(len(rows))
-	}
-	return out, nil
-}

@@ -86,23 +86,6 @@ func TestRatio(t *testing.T) {
 	}
 }
 
-func TestMeans(t *testing.T) {
-	rows := [][]float64{{1, 2}, {3, 4}}
-	got, err := Means(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 2 || got[1] != 3 {
-		t.Errorf("Means = %v", got)
-	}
-	if _, err := Means(nil); err == nil {
-		t.Error("empty Means accepted")
-	}
-	if _, err := Means([][]float64{{1}, {1, 2}}); err == nil {
-		t.Error("ragged Means accepted")
-	}
-}
-
 func TestPropertySampleBounds(t *testing.T) {
 	f := func(xs []float64) bool {
 		for _, x := range xs {

@@ -263,9 +263,6 @@ func (n *Network) Attach(v topology.Node, h Handler) {
 // Graph returns the underlying topology (shared, not a copy).
 func (n *Network) Graph() *topology.Graph { return n.graph }
 
-// LinkDelay returns the per-link propagation delay.
-func (n *Network) LinkDelay() time.Duration { return n.delay }
-
 // Stats returns a snapshot of the message counters.
 func (n *Network) Stats() Stats { return n.stats }
 
@@ -289,20 +286,6 @@ func (n *Network) Impaired(a, b topology.Node) bool {
 func (n *Network) LinkUp(a, b topology.Node) bool {
 	i := n.find(a, b)
 	return i >= 0 && !n.links[i].down
-}
-
-// UpNeighbors returns v's neighbors over currently-up links, sorted.
-func (n *Network) UpNeighbors(v topology.Node) []topology.Node {
-	var out []topology.Node
-	if !n.graph.Valid(v) {
-		return out
-	}
-	for _, l := range n.links[n.first[v]:n.first[v+1]] {
-		if !l.down {
-			out = append(out, l.to)
-		}
-	}
-	return out
 }
 
 // Send schedules payload for delivery from 'from' to 'to' after the link

@@ -232,17 +232,22 @@ func TestUpNeighbors(t *testing.T) {
 	sched, net, _ := build(t, g, 0)
 	at(t, net, time.Second, net.Fail, topology.Edge{A: 0, B: 2})
 	sched.Run()
-	up := net.UpNeighbors(0)
+	var up []topology.Node
+	for _, v := range g.Neighbors(0) {
+		if net.LinkUp(0, v) {
+			up = append(up, v)
+		}
+	}
 	if len(up) != 2 || up[0] != 1 || up[1] != 3 {
-		t.Errorf("UpNeighbors(0) = %v, want [1 3]", up)
+		t.Errorf("up neighbors of 0 = %v, want [1 3]", up)
 	}
 }
 
 func TestDefaultDelayApplied(t *testing.T) {
 	g := topology.Chain(2)
 	net := New(des.NewScheduler(), g, 0)
-	if net.LinkDelay() != DefaultLinkDelay {
-		t.Errorf("LinkDelay = %v, want %v", net.LinkDelay(), DefaultLinkDelay)
+	if net.delay != DefaultLinkDelay {
+		t.Errorf("delay = %v, want %v", net.delay, DefaultLinkDelay)
 	}
 }
 

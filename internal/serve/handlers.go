@@ -24,7 +24,7 @@ type JobView struct {
 	Deduped bool `json:"deduped,omitempty"`
 
 	// Stats reports how the sweep satisfied each trial (simulated,
-	// cache hit, journal resume, in-flight share); see sweep.Stats.
+	// cache hit, in-flight share, remote); see sweep.Stats.
 	Stats *sweep.Stats `json:"stats,omitempty"`
 	// Aggregate carries the metric samples; AggregateDigest and
 	// ResultDigests are the canonical content digests.

@@ -185,12 +185,6 @@ type job struct {
 	finished time.Time
 }
 
-func (j *job) setState(st JobState) {
-	j.mu.Lock()
-	j.state = st
-	j.mu.Unlock()
-}
-
 // Server is the bgpd service core. Create with New, mount via Handler,
 // stop with Drain.
 type Server struct {

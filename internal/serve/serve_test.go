@@ -143,8 +143,8 @@ func TestServedResultsMatchLocalRun(t *testing.T) {
 	if v2.State != StateDone {
 		t.Fatalf("second job state = %s (%s)", v2.State, v2.Error)
 	}
-	if v2.Stats.Executed != 0 || v2.Stats.CacheHits != 2 || v2.Stats.Resumed != 0 {
-		t.Fatalf("second run stats = %+v, want Executed=0, CacheHits=2, Resumed=0", v2.Stats)
+	if v2.Stats.Executed != 0 || v2.Stats.CacheHits != 2 {
+		t.Fatalf("second run stats = %+v, want Executed=0, CacheHits=2", v2.Stats)
 	}
 	if v2.AggregateDigest != wantAgg {
 		t.Errorf("cache-served aggregate digest %s != local %s", v2.AggregateDigest, wantAgg)

@@ -17,7 +17,7 @@ type Event struct {
 	Type string `json:"type"` // queued, started, warning, trial, done, failed, canceled
 	// Trial fields are set for type "trial": the trial index, its
 	// terminal status (done/failed/canceled), and where the result came
-	// from (executed/cache/journal/flight).
+	// from (executed/cache/flight/remote).
 	Trial  *int   `json:"trial,omitempty"`
 	Status string `json:"status,omitempty"`
 	Source string `json:"source,omitempty"`

@@ -49,16 +49,6 @@ func OpenCacheFS(dir string, fsys durable.FS) (*Cache, error) {
 // Dir returns the cache root.
 func (c *Cache) Dir() string { return c.dir }
 
-// JournalDir returns the directory where auto-derived resume journals
-// live, creating it if needed.
-func (c *Cache) JournalDir() (string, error) {
-	dir := filepath.Join(c.dir, "journals")
-	if err := c.fsys.MkdirAll(dir, 0o755); err != nil {
-		return "", fmt.Errorf("sweep: journal dir: %w", err)
-	}
-	return dir, nil
-}
-
 // path maps a key to its object file.
 func (c *Cache) path(key string) (string, error) {
 	if len(key) < 3 || !isHex(key) {

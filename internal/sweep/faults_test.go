@@ -5,7 +5,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync/atomic"
 	"syscall"
 	"testing"
@@ -79,144 +78,6 @@ func TestCacheWriteFaultStopsPool(t *testing.T) {
 	// One merged trial, a full result buffer, and one more per worker.
 	if got := ran.Load(); got > 2*workers+1 {
 		t.Errorf("%d of %d tasks ran, want the failed write to stop the pool after at most %d", got, trials, 2*workers+1)
-	}
-}
-
-// TestJournalAppendSurfacesFaults: ENOSPC and EIO on the journal append
-// path (write with sync=never, fsync with sync=always) surface as
-// structured errors from sweep.Run (table-driven over FaultFS schedules
-// — the satellite coverage for journal appends).
-func TestJournalAppendSurfacesFaults(t *testing.T) {
-	cases := []struct {
-		name      string
-		fault     durable.Fault
-		syncEvery int
-		errno     error
-	}{
-		{"enospc-on-write", durable.Fault{Op: durable.OpWrite, Kind: durable.FaultENOSPC}, 0, syscall.ENOSPC},
-		{"eio-on-write", durable.Fault{Op: durable.OpWrite, Kind: durable.FaultEIO}, 0, syscall.EIO},
-		{"eio-on-sync", durable.Fault{Op: durable.OpSync, Kind: durable.FaultEIO}, 1, syscall.EIO},
-		{"torn-write", durable.Fault{Op: durable.OpWrite, Kind: durable.FaultTorn, TornAt: 4}, 0, syscall.EIO},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "journal.jsonl")
-			fsys := durable.NewFaultFS(nil, []durable.Fault{tc.fault})
-			j, err := OpenJournalOpts(path, false, JournalOptions{FS: fsys, SyncEvery: tc.syncEvery})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var executed []int
-			_, err = Run(context.Background(), 1, countingTask(&executed), Options[int]{
-				Workers: 1,
-				Codec:   intCodec(),
-				Journal: j,
-			})
-			if !errors.Is(err, tc.errno) {
-				t.Fatalf("run error = %v, want %v", err, tc.errno)
-			}
-			if !strings.Contains(err.Error(), "journal") {
-				t.Errorf("error does not name the journal: %v", err)
-			}
-		})
-	}
-}
-
-// TestJournalSyncPolicy pins the fsync cadence: with SyncEvery=N over
-// 6 appends the file fsyncs twice during the run, and Close always adds
-// the final fsync regardless of policy.
-func TestJournalSyncPolicy(t *testing.T) {
-	cases := []struct {
-		name       string
-		syncEvery  int
-		appends    int
-		wantSyncs  int // before Close
-		closeSyncs int // Close's unconditional fsync
-	}{
-		{"never", 0, 6, 0, 1},
-		{"always", 1, 6, 6, 1},
-		{"every-3", 3, 6, 2, 1},
-		{"every-4-partial", 4, 6, 1, 1},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "journal.jsonl")
-			fsys := durable.NewFaultFS(nil, nil) // no faults; just the op counters
-			j, err := OpenJournalOpts(path, false, JournalOptions{FS: fsys, SyncEvery: tc.syncEvery})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < tc.appends; i++ {
-				if err := j.Append(i, testKey(i), []byte("1")); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if got := fsys.Ops()[durable.OpSync]; got != tc.wantSyncs {
-				t.Fatalf("after %d appends: %d fsyncs, want %d", tc.appends, got, tc.wantSyncs)
-			}
-			if err := j.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if got := fsys.Ops()[durable.OpSync]; got != tc.wantSyncs+tc.closeSyncs {
-				t.Fatalf("after Close: %d fsyncs, want %d", got, tc.wantSyncs+tc.closeSyncs)
-			}
-		})
-	}
-}
-
-// TestJournalTornTailRecoveryWithSyncNever pins the satellite
-// requirement: even with sync=never (flush-only appends), a journal cut
-// mid-line resumes from every whole entry and re-executes only the torn
-// one.
-func TestJournalTornTailRecoveryWithSyncNever(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	j, err := OpenJournalOpts(path, false, JournalOptions{SyncEvery: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var executed []int
-	if _, err := Run(context.Background(), 3, countingTask(&executed), Options[int]{
-		Workers: 1,
-		Codec:   intCodec(),
-		Journal: j,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Tear the final line in half, as a kill mid-append would.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.SplitAfter(strings.TrimSuffix(string(data), "\n"), "\n")
-	last := lines[len(lines)-1]
-	torn := strings.Join(lines[:len(lines)-1], "") + last[:len(last)/2]
-	if err := os.WriteFile(path, []byte(torn), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	j2, err := OpenJournalOpts(path, true, JournalOptions{SyncEvery: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = j2.Close() }()
-	if j2.Len() != 2 {
-		t.Fatalf("resumed journal has %d entries, want the 2 whole ones", j2.Len())
-	}
-	executed = nil
-	out, err := Run(context.Background(), 3, countingTask(&executed), Options[int]{
-		Workers: 1,
-		Codec:   intCodec(),
-		Journal: j2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Stats.Resumed != 2 || out.Stats.Executed != 1 || len(executed) != 1 {
-		t.Fatalf("resume stats = %+v (executed %d), want 2 resumed / 1 executed", out.Stats, executed)
 	}
 }
 

@@ -209,176 +209,57 @@ func TestCacheRejectsMalformedKeys(t *testing.T) {
 	}
 }
 
-// TestJournalResume: a journaled sweep replays its completed trials on
-// resume and only executes the remainder.
-func TestJournalResume(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sweep.jsonl")
-	j, err := OpenJournal(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Interrupted first run: only trials 0..3 complete (fail-fast at 4).
-	task := func(_ context.Context, i int) (int, error) {
-		if i == 4 {
-			return 0, errSynthetic
-		}
-		return 1000 + i, nil
-	}
-	opts := Options[int]{Workers: 1, FailFast: true, Codec: intCodec(), Journal: j}
-	if _, err := Run(context.Background(), 8, task, opts); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Resume with a healthy task: 0..3 replay, 4..7 execute.
-	j2, err := OpenJournal(path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = j2.Close() }()
-	if j2.Len() != 4 {
-		t.Fatalf("journal loaded %d entries, want 4", j2.Len())
-	}
-	var executed []int
-	opts2 := Options[int]{Workers: 1, Codec: intCodec(), Journal: j2}
-	out, err := Run(context.Background(), 8, countingTask(&executed), opts2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Stats.Resumed != 4 || out.Stats.Executed != 4 {
-		t.Errorf("stats %+v, want 4 resumed / 4 executed", out.Stats)
-	}
-	for i := 0; i < 8; i++ {
-		want := SourceJournal
-		if i >= 4 {
-			want = SourceExecuted
-		}
-		if out.Results[i] != 1000+i || out.Source[i] != want {
-			t.Errorf("trial %d: result %d source %v", i, out.Results[i], out.Source[i])
-		}
-	}
-}
-
-// TestJournalKeyMismatchInvalidates: a journal entry whose content
-// address no longer matches (the spec changed between runs) must be
-// ignored, so the trial re-executes under the new spec.
-func TestJournalKeyMismatchInvalidates(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sweep.jsonl")
-	j, err := OpenJournal(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var executed []int
-	if _, err := Run(context.Background(), 3, countingTask(&executed),
-		Options[int]{Workers: 1, Codec: intCodec(), Journal: j}); err != nil {
-		t.Fatal(err)
-	}
-	_ = j.Close()
-
-	j2, err := OpenJournal(path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = j2.Close() }()
-	changed := intCodec()
-	changed.Key = func(i int) string { return fmt.Sprintf("%064x", 7_000_000+i) }
-	executed = nil
-	out, err := Run(context.Background(), 3, countingTask(&executed),
-		Options[int]{Workers: 1, Codec: changed, Journal: j2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Stats.Resumed != 0 || len(executed) != 3 {
-		t.Errorf("stale journal replayed: stats %+v, executed %v", out.Stats, executed)
-	}
-}
-
-// TestJournalToleratesTornTail: a kill mid-write leaves a torn final
-// line; the loader must keep every complete entry and drop the tail.
-func TestJournalToleratesTornTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sweep.jsonl")
-	j, err := OpenJournal(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var executed []int
-	if _, err := Run(context.Background(), 3, countingTask(&executed),
-		Options[int]{Workers: 1, Codec: intCodec(), Journal: j}); err != nil {
-		t.Fatal(err)
-	}
-	_ = j.Close()
-
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"v":1,"trial":3,"key":"dead`); err != nil {
-		t.Fatal(err)
-	}
-	_ = f.Close()
-
-	j2, err := OpenJournal(path, true)
-	if err != nil {
-		t.Fatalf("torn tail must not poison the resume: %v", err)
-	}
-	defer func() { _ = j2.Close() }()
-	if j2.Len() != 3 {
-		t.Errorf("loaded %d entries, want the 3 complete ones", j2.Len())
-	}
-}
-
-// TestResumeAfterCancelReproducesFullRun: interrupt a journaled sweep via
-// context cancellation, then resume it; the final outcome must equal an
-// uninterrupted run's.
+// TestResumeAfterCancelReproducesFullRun: interrupt a cached sweep via
+// context cancellation after its third completion, then re-run it on the
+// same cache; the re-run serves the three completed trials, simulates
+// only the rest, and equals an uninterrupted run.
 func TestResumeAfterCancelReproducesFullRun(t *testing.T) {
-	uninterrupted, err := Run(context.Background(), 8,
+	const trials = 8
+	uninterrupted, err := Run(context.Background(), trials,
 		func(_ context.Context, i int) (int, error) { return 1000 + i, nil },
 		Options[int]{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join(t.TempDir(), "sweep.jsonl")
-	j, err := OpenJournal(path, false)
+	cache, err := OpenCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	interrupted := func(tctx context.Context, i int) (int, error) {
-		if i == 4 {
-			cancel() // simulate Ctrl-C mid-sweep
-			return 0, tctx.Err()
-		}
-		return 1000 + i, nil
-	}
-	out, err := Run(ctx, 8, interrupted, Options[int]{Workers: 1, Codec: intCodec(), Journal: j})
+	done := 0
+	var executed []int
+	out, err := Run(ctx, trials, countingTask(&executed), Options[int]{
+		Workers: 1,
+		Codec:   intCodec(),
+		Cache:   cache,
+		Progress: func(_ int, st Status, _ Source) {
+			if st == StatusDone {
+				if done++; done == 3 {
+					cancel() // simulate Ctrl-C mid-sweep
+				}
+			}
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = j.Close()
-	if out.Stats.Executed != 4 || out.Stats.Canceled != 4 {
-		t.Fatalf("interrupted stats %+v, want 4 executed / 4 canceled", out.Stats)
+	if out.Stats.Executed != 3 || out.Stats.Canceled != trials-3 {
+		t.Fatalf("interrupted stats %+v, want 3 executed / %d canceled", out.Stats, trials-3)
 	}
 
-	j2, err := OpenJournal(path, true)
+	executed = nil
+	resumed, err := Run(context.Background(), trials, countingTask(&executed),
+		Options[int]{Workers: 1, Codec: intCodec(), Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = j2.Close() }()
-	var executed []int
-	resumed, err := Run(context.Background(), 8, countingTask(&executed),
-		Options[int]{Workers: 1, Codec: intCodec(), Journal: j2})
-	if err != nil {
-		t.Fatal(err)
+	if resumed.Stats.CacheHits != 3 || resumed.Stats.Executed != trials-3 || len(executed) != trials-3 {
+		t.Errorf("re-run stats %+v (ran %v), want 3 cache hits / %d executed", resumed.Stats, executed, trials-3)
 	}
-	if resumed.Stats.Resumed != 4 || resumed.Stats.Executed != 4 {
-		t.Errorf("resume stats %+v, want 4 resumed / 4 executed", resumed.Stats)
-	}
-	for i := 0; i < 8; i++ {
+	for i := 0; i < trials; i++ {
 		if resumed.Results[i] != uninterrupted.Results[i] {
-			t.Errorf("trial %d: resumed %d, uninterrupted %d", i, resumed.Results[i], uninterrupted.Results[i])
+			t.Errorf("trial %d: re-run %d, uninterrupted %d", i, resumed.Results[i], uninterrupted.Results[i])
 		}
 	}
 }

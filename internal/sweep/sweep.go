@@ -19,29 +19,27 @@
 // goroutine — no goroutines, no channels — which is the sequential
 // regression oracle: `-j N` must produce byte-identical results to it.
 //
-// On top of the executor sit two persistence layers:
-//
-//   - Cache: a content-addressed result store keyed by a canonical digest
-//     of everything that determines a trial's outcome (see
-//     experiment.Scenario.CacheKey). Unchanged trials in a re-run sweep
-//     are served from disk instead of re-simulated.
-//   - Journal: an append-only checkpoint of completed trials, so an
-//     interrupted sweep restarts from where it stopped (Resume).
+// On top of the executor sits one persistence layer, the Cache: a
+// content-addressed result store keyed by a canonical digest of
+// everything that determines a trial's outcome (see
+// experiment.Scenario.CacheKey). Unchanged trials in a re-run sweep are
+// served from disk instead of re-simulated. Every completed keyed trial
+// lands there before the sweep moves on, so the cache is also the
+// checkpoint of an interrupted sweep: re-running it with the same cache
+// serves what finished and simulates only the rest.
 //
 // A trial's result comes from the first of these that has it: the
-// journal (replayed up front, before anything runs), the cache, a
-// concurrent execution of the same content address (Flight), the remote
-// executor (Remote), and finally the local Task. Every trial the journal
-// does not replay takes one path, on whichever goroutine runs it: probe
-// the cache, then — unless the sweep is stopping — execute, then hand
-// the result and the bytes it arrived with to the merging goroutine. A
-// stored result is served even when the sweep is aborting or canceled,
-// because the probe comes before any skip or cancellation check. The
-// merger journals every done keyed trial and puts it in the cache unless
-// it came from there, reusing the bytes it arrived with and encoding only
-// when there are none; a trial without a key is never encoded. Any
-// persistence error (encode, journal append, cache read, write or
-// quarantine) aborts the whole sweep.
+// cache, a concurrent execution of the same content address (Flight),
+// the remote executor (Remote), and finally the local Task. Every trial
+// takes one path, on whichever goroutine runs it: probe the cache, then
+// — unless the sweep is stopping — execute, then hand the result and the
+// bytes it arrived with to the merging goroutine. A stored result is
+// served even when the sweep is aborting or canceled, because the probe
+// comes before any skip or cancellation check. The merger puts every
+// done keyed trial in the cache unless it came from there, reusing the
+// bytes it arrived with and encoding only when there are none; a trial
+// without a key is never encoded. Any persistence error (encode, cache
+// read, write or quarantine) aborts the whole sweep.
 //
 // This package is the concurrency boundary of the repository: it is the
 // only simulation-adjacent package allowed to spawn goroutines (detlint's
@@ -63,8 +61,8 @@ type Status uint8
 const (
 	// StatusSkipped marks a trial that was never started (aborted sweep).
 	StatusSkipped Status = iota
-	// StatusDone marks a trial with a usable result (executed, cached, or
-	// resumed from the journal).
+	// StatusDone marks a trial with a usable result (executed, cached,
+	// shared or remote).
 	StatusDone
 	// StatusFailed marks a trial whose task returned a non-cancellation
 	// error.
@@ -100,8 +98,6 @@ const (
 	// SourceCache means the result was served from the content-addressed
 	// cache.
 	SourceCache
-	// SourceJournal means the result was replayed from a resume journal.
-	SourceJournal
 	// SourceFlight means the result was shared from a concurrent
 	// execution of the same content address (Options.Flight singleflight).
 	SourceFlight
@@ -119,11 +115,12 @@ const (
 // wraps context.Canceled or context.DeadlineExceeded.
 type Task[T any] func(ctx context.Context, trial int) (T, error)
 
-// Codec serializes results for the cache and the journal.
+// Codec serializes results for the cache, the Flight and the remote
+// executor.
 type Codec[T any] struct {
 	// Key returns the canonical content-address of trial i, or "" when
-	// the trial is not cacheable (the trial then always executes and is
-	// never journaled). Key must be a deterministic function of
+	// the trial is not cacheable (the trial then always executes locally
+	// and is never stored). Key must be a deterministic function of
 	// everything that determines the trial's result.
 	Key func(trial int) string
 	// Encode and Decode round-trip a result. Decode(Encode(v)) must
@@ -153,23 +150,17 @@ type Options[T any] struct {
 	// save the sweep, so in-flight workers are canceled instead of
 	// running to completion. Zero disables the early abort.
 	MaxFailureRatio float64
-	// Codec enables the cache and journal layers; the zero Codec
-	// disables both.
+	// Codec enables the cache, Flight and Remote layers; the zero Codec
+	// disables them.
 	Codec Codec[T]
 	// Cache, when non-nil, serves unchanged trials from disk and stores
-	// fresh results. Requires Codec. Each keyed trial the journal did not
-	// replay is probed once, on the goroutine that runs it and before any
-	// skip or cancellation check, so a stored result is served even by an
-	// aborting sweep. A corrupt object is quarantined and counts as a
+	// fresh results. Requires Codec. Each keyed trial is probed once, on
+	// the goroutine that runs it and before any skip or cancellation
+	// check, so a stored result is served even by an aborting sweep. A corrupt object is quarantined and counts as a
 	// miss; a read or quarantine error aborts the sweep. Every done keyed
 	// trial that did not come from the cache is put there, from the bytes
 	// it arrived with (remote payload, Flight share) or its encoding.
 	Cache *Cache
-	// Journal, when non-nil, appends every completed trial so an
-	// interrupted sweep can resume. Requires Codec. The journal's
-	// preloaded entries (opened with resume=true) are replayed before
-	// anything executes.
-	Journal *Journal
 	// Flight, when non-nil, collapses concurrent executions of the same
 	// content address — across this sweep and every other sweep sharing
 	// the Flight — onto one run. Requires Codec (sharing moves encoded
@@ -195,8 +186,7 @@ type Options[T any] struct {
 	// Progress, when non-nil, is called from the merging goroutine after
 	// each trial reaches a terminal state, in completion order — cache
 	// hits included, which complete on the workers like any other trial.
-	// Journal replays are not reported. It must not block for long; it
-	// runs on the sweep's critical path.
+	// It must not block for long; it runs on the sweep's critical path.
 	Progress func(trial int, st Status, src Source)
 }
 
@@ -206,17 +196,19 @@ type Stats struct {
 	// simulated by this run.
 	Trials   int
 	Executed int
-	// CacheHits / CacheMisses count cache probes; Resumed counts trials
-	// replayed from the journal; Deduped counts trials whose result was
-	// shared from a concurrent in-flight execution of the same content
-	// address (Options.Flight) instead of being simulated here; Remote
-	// counts trials satisfied by the remote executor seam
-	// (Options.Remote) rather than this process.
+	// CacheHits / CacheMisses count cache probes; Deduped counts trials
+	// whose result was shared from a concurrent in-flight execution of
+	// the same content address (Options.Flight) instead of being
+	// simulated here; Remote counts trials satisfied by the remote
+	// executor seam (Options.Remote) rather than this process.
 	CacheHits   int
 	CacheMisses int
-	Resumed     int
 	Deduped     int
 	Remote      int
+	// Resumed is always 0: an interrupted sweep resumes through the
+	// cache, so its completed trials count as CacheHits. The field stays
+	// only because the benchmark's served workload reads it.
+	Resumed int
 	// Quarantined counts cache objects that failed to decode and were
 	// moved to the cache's quarantine directory instead of being treated
 	// as silent misses.
@@ -233,7 +225,6 @@ func (s *Stats) Add(other Stats) {
 	s.Executed += other.Executed
 	s.CacheHits += other.CacheHits
 	s.CacheMisses += other.CacheMisses
-	s.Resumed += other.Resumed
 	s.Deduped += other.Deduped
 	s.Remote += other.Remote
 	s.Quarantined += other.Quarantined
@@ -287,8 +278,7 @@ func canceledErr(err error) bool {
 // failures and cancellations are reported per-slot in the Outcome so the
 // caller can apply its own partial-result policy.
 //
-// The journal is replayed first, in the calling goroutine. Every other
-// trial then runs one pipeline — cache probe, then Flight, Remote or the
+// Every trial runs one pipeline — cache probe, then Flight, Remote or the
 // local Task — inline (Workers == 1) or on the pool, and the calling
 // goroutine merges and persists the results. A persistence error cancels
 // the trials in flight, starts no new ones and is returned.
@@ -302,8 +292,8 @@ func Run[T any](ctx context.Context, trials int, task Task[T], opts Options[T]) 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if (opts.Cache != nil || opts.Journal != nil) && !opts.Codec.enabled() {
-		return nil, errors.New("sweep: cache/journal require a complete Codec")
+	if opts.Cache != nil && !opts.Codec.enabled() {
+		return nil, errors.New("sweep: cache requires a complete Codec")
 	}
 	if opts.Flight != nil && !opts.Codec.enabled() {
 		return nil, errors.New("sweep: singleflight requires a complete Codec")
@@ -343,38 +333,16 @@ func Run[T any](ctx context.Context, trials int, task Task[T], opts Options[T]) 
 		}
 	}
 
-	// Replay the resume journal: a journaled result is reused only when
-	// its content address still matches, so a changed scenario spec
-	// invalidates stale checkpoints per trial. A corrupt entry (e.g. a
-	// torn write from a kill) is ignored; the trial simply re-executes.
-	if opts.Journal != nil {
-		for i, key := range s.keys {
-			if data, ok := opts.Journal.Lookup(i, key); ok {
-				if v, err := opts.Codec.Decode(data); err == nil {
-					out.Results[i], out.Status[i], out.Source[i] = v, StatusDone, SourceJournal
-					out.Stats.Resumed++
-				}
-			}
-		}
-	}
-
-	// Everything else runs, dispatched in ascending index order.
-	pending := make([]int, 0, trials-out.Stats.Resumed)
-	for i := 0; i < trials; i++ {
-		if out.Status[i] != StatusDone {
-			pending = append(pending, i)
-		}
-	}
 	var err error
 	if workers == 1 {
 		// The sequential oracle: no goroutines, trials in index order.
-		for _, i := range pending {
+		for i := 0; i < trials; i++ {
 			if err = s.merge(s.run(ctx, i)); err != nil {
 				break
 			}
 		}
 	} else {
-		err = s.pool(ctx, pending, workers)
+		err = s.pool(ctx, trials, workers)
 	}
 	if err != nil {
 		return nil, err
@@ -400,9 +368,9 @@ func Run[T any](ctx context.Context, trials int, task Task[T], opts Options[T]) 
 				out.Stats.Remote++
 			}
 		}
-		// Every keyed trial the journal did not replay was probed once;
-		// each probe that did not hit was a miss.
-		if opts.Cache != nil && s.keys[i] != "" && out.Source[i] != SourceCache && out.Source[i] != SourceJournal {
+		// Every keyed trial was probed once; each probe that did not hit
+		// was a miss.
+		if opts.Cache != nil && s.keys[i] != "" && out.Source[i] != SourceCache {
 			out.Stats.CacheMisses++
 		}
 	}
@@ -537,7 +505,7 @@ func (s *sweeper[T]) produce(ctx context.Context, i int) (T, []byte, Source, err
 
 // merge records one attempt into the outcome, persists a done result and
 // applies the failure policy. It runs only on the merging goroutine (the
-// caller of Run), so the journal and the cache writes see one writer. A
+// caller of Run), so the cache writes see one writer. A
 // fatal or persistence error aborts the sweep and is returned.
 func (s *sweeper[T]) merge(a attempt[T]) error {
 	out, i := s.out, a.trial
@@ -568,13 +536,12 @@ func (s *sweeper[T]) merge(a attempt[T]) error {
 	return nil
 }
 
-// persist journals a done keyed trial and puts it in the cache unless it
-// came from there. It writes the bytes the result arrived with and
-// encodes only when there are none; a trial without a key is never
-// encoded.
+// persist puts a done keyed trial in the cache unless it came from
+// there. It writes the bytes the result arrived with and encodes only
+// when there are none; a trial without a key is never encoded.
 func (s *sweeper[T]) persist(a attempt[T]) error {
-	key, put := s.keys[a.trial], s.opts.Cache != nil && a.src != SourceCache
-	if key == "" || (s.opts.Journal == nil && !put) {
+	key := s.keys[a.trial]
+	if key == "" || s.opts.Cache == nil || a.src == SourceCache {
 		return nil
 	}
 	data := a.data
@@ -584,29 +551,22 @@ func (s *sweeper[T]) persist(a attempt[T]) error {
 			return fmt.Errorf("sweep: encode trial %d: %w", a.trial, err)
 		}
 	}
-	if s.opts.Journal != nil {
-		if err := s.opts.Journal.Append(a.trial, key, data); err != nil {
-			return fmt.Errorf("sweep: journal trial %d: %w", a.trial, err)
-		}
-	}
-	if put {
-		if err := s.opts.Cache.Put(key, data); err != nil {
-			return fmt.Errorf("sweep: cache write trial %d: %w", a.trial, err)
-		}
+	if err := s.opts.Cache.Put(key, data); err != nil {
+		return fmt.Errorf("sweep: cache write trial %d: %w", a.trial, err)
 	}
 	return nil
 }
 
-// pool is the parallel path: `workers` goroutines take the pending
+// pool is the parallel path: `workers` goroutines take the trial
 // indices in ascending order from a pre-filled channel and run each
 // trial's pipeline; the calling goroutine merges their attempts. The only
 // shared mutable state is the controller (mutex-guarded) and the
 // channels; results land in index-addressed slots, so merged output is
 // independent of completion order.
-func (s *sweeper[T]) pool(ctx context.Context, pending []int, workers int) error {
-	workers = min(workers, len(pending))
-	idx := make(chan int, len(pending))
-	for _, i := range pending {
+func (s *sweeper[T]) pool(ctx context.Context, trials, workers int) error {
+	workers = min(workers, trials)
+	idx := make(chan int, trials)
+	for i := 0; i < trials; i++ {
 		idx <- i
 	}
 	close(idx)
@@ -624,10 +584,10 @@ func (s *sweeper[T]) pool(ctx context.Context, pending []int, workers int) error
 	for w := 0; w < workers; w++ {
 		go work()
 	}
-	// Every pending index yields exactly one attempt (an aborted sweep's
+	// Every index yields exactly one attempt (an aborted sweep's
 	// trials come back as cheap skips); after an error the rest drain.
 	var err error
-	for range pending {
+	for range trials {
 		if a := <-res; err == nil {
 			err = s.merge(a)
 		}

@@ -61,7 +61,7 @@ func TestReadStreamGarbage(t *testing.T) {
 	if _, err := ReadStream([]byte{1, 2, 3}); err == nil {
 		t.Error("garbage stream accepted")
 	}
-	msg := MarshalKeepalive()
+	msg := keepalive()
 	stream := append(append([]byte(nil), msg...), msg[:5]...)
 	if _, err := ReadStream(stream); err == nil {
 		t.Error("trailing garbage accepted")

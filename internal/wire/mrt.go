@@ -87,7 +87,7 @@ func UnmarshalMRT(data []byte) (MRTRecord, []byte, error) {
 		LocalAS:   binary.BigEndian.Uint16(b[2:4]),
 		Message:   append([]byte(nil), b[bgp4mpHeaderLen:]...),
 	}
-	if _, err := MessageType(rec.Message); err != nil {
+	if _, _, err := parseHeader(rec.Message); err != nil {
 		return MRTRecord{}, nil, err
 	}
 	return rec, data[mrtHeaderLen+bodyLen:], nil

@@ -46,7 +46,7 @@ func TestMRTErrors(t *testing.T) {
 		t.Error("short record accepted")
 	}
 	// A valid header claiming a non-BGP4MP type.
-	msg := MarshalKeepalive()
+	msg := keepalive()
 	rec, err := MarshalMRT(MRTRecord{Message: msg})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,8 @@
-// Package wire encodes and decodes BGP-4 messages in the RFC 4271 wire
-// format: the 19-byte marker/length/type header, OPEN, UPDATE (withdrawn
-// routes, path attributes, NLRI), KEEPALIVE, and NOTIFICATION.
+// Package wire encodes and decodes BGP-4 UPDATE messages in the RFC 4271
+// wire format: the 19-byte marker/length/type header and the UPDATE body
+// (withdrawn routes, path attributes, NLRI). The header check accepts
+// every RFC 4271 message type, so the stream readers split a capture
+// that holds other messages too.
 //
 // The simulator itself exchanges typed in-memory updates; this codec
 // exists so traces can be exported in, and test vectors imported from,
@@ -94,21 +96,6 @@ type Update struct {
 	NLRI []Prefix
 }
 
-// Open is a decoded BGP OPEN message (without optional parameters).
-type Open struct {
-	Version  byte
-	AS       uint16
-	HoldTime uint16
-	RouterID [4]byte
-}
-
-// Notification is a decoded BGP NOTIFICATION message.
-type Notification struct {
-	Code    byte
-	Subcode byte
-	Data    []byte
-}
-
 // header writes the 19-byte header for a message of the given total
 // length and type.
 func header(buf []byte, totalLen int, msgType byte) {
@@ -141,83 +128,6 @@ func parseHeader(b []byte) (int, byte, error) {
 		return 0, 0, fmt.Errorf("%w: %d", ErrBadType, t)
 	}
 	return total - HeaderLen, t, nil
-}
-
-// MessageType peeks at a buffer and returns its message type.
-func MessageType(b []byte) (byte, error) {
-	_, t, err := parseHeader(b)
-	return t, err
-}
-
-// MarshalKeepalive encodes a KEEPALIVE message.
-func MarshalKeepalive() []byte {
-	buf := make([]byte, HeaderLen)
-	header(buf, HeaderLen, TypeKeepalive)
-	return buf
-}
-
-// MarshalOpen encodes an OPEN message with no optional parameters.
-func MarshalOpen(o Open) []byte {
-	buf := make([]byte, HeaderLen+10)
-	header(buf, len(buf), TypeOpen)
-	b := buf[HeaderLen:]
-	b[0] = o.Version
-	binary.BigEndian.PutUint16(b[1:3], o.AS)
-	binary.BigEndian.PutUint16(b[3:5], o.HoldTime)
-	copy(b[5:9], o.RouterID[:])
-	b[9] = 0 // optional parameters length
-	return buf
-}
-
-// UnmarshalOpen decodes an OPEN message.
-func UnmarshalOpen(msg []byte) (Open, error) {
-	bodyLen, t, err := parseHeader(msg)
-	if err != nil {
-		return Open{}, err
-	}
-	if t != TypeOpen {
-		return Open{}, fmt.Errorf("%w: got type %d, want OPEN", ErrBadType, t)
-	}
-	b := msg[HeaderLen : HeaderLen+bodyLen]
-	if len(b) < 10 {
-		return Open{}, fmt.Errorf("%w: OPEN body %d bytes", ErrMalformed, len(b))
-	}
-	var o Open
-	o.Version = b[0]
-	o.AS = binary.BigEndian.Uint16(b[1:3])
-	o.HoldTime = binary.BigEndian.Uint16(b[3:5])
-	copy(o.RouterID[:], b[5:9])
-	optLen := int(b[9])
-	if 10+optLen != len(b) {
-		return Open{}, fmt.Errorf("%w: OPEN optional parameter length", ErrMalformed)
-	}
-	return o, nil
-}
-
-// MarshalNotification encodes a NOTIFICATION message.
-func MarshalNotification(n Notification) []byte {
-	buf := make([]byte, HeaderLen+2+len(n.Data))
-	header(buf, len(buf), TypeNotification)
-	buf[HeaderLen] = n.Code
-	buf[HeaderLen+1] = n.Subcode
-	copy(buf[HeaderLen+2:], n.Data)
-	return buf
-}
-
-// UnmarshalNotification decodes a NOTIFICATION message.
-func UnmarshalNotification(msg []byte) (Notification, error) {
-	bodyLen, t, err := parseHeader(msg)
-	if err != nil {
-		return Notification{}, err
-	}
-	if t != TypeNotification {
-		return Notification{}, fmt.Errorf("%w: got type %d, want NOTIFICATION", ErrBadType, t)
-	}
-	b := msg[HeaderLen : HeaderLen+bodyLen]
-	if len(b) < 2 {
-		return Notification{}, fmt.Errorf("%w: NOTIFICATION body %d bytes", ErrMalformed, len(b))
-	}
-	return Notification{Code: b[0], Subcode: b[1], Data: append([]byte(nil), b[2:]...)}, nil
 }
 
 // prefixWireLen returns the NLRI encoding length of a prefix.
