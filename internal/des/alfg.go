@@ -9,14 +9,15 @@ package des
 // Word i of a freshly seeded register is a pure function of the seed:
 // Lehmer outputs 21+3i, 22+3i and 23+3i, shifted and XORed with
 // rngCooked[i]. A table of 48271^(21+3i) reaches the first of the three
-// in one modular multiplication, so a word is computed when a draw first
-// reads it (initWord) rather than when the stream is made.
+// in one modular multiplication (initWord).
 //
 // Draw k (from 0) reads words 333-k and 606-k and overwrites 333-k, which
-// is not read again until draw k+273. The first compactDraws draws
-// therefore need no register at all: each is the sum of two initial words,
-// kept in first[k] until a register exists to hold it. DESIGN.md, "Random
-// streams", has the measured draw counts that set compactDraws.
+// is not read again until draw k+273. Before draw 273 no draw reads a word
+// an earlier one wrote, so draw k < 273 is initWord(333-k) + initWord(606-k),
+// a pure function of the seed and k, and needs no register. A stream that
+// reaches draw 273 seeds one in full and replays the 273 writes into it.
+// DESIGN.md, "Random streams", has the measured draw counts: most streams
+// never get there.
 
 const (
 	rngLen   = 607
@@ -24,11 +25,7 @@ const (
 	rngMask  = 1<<63 - 1
 	lehmerA  = 48271
 	lehmerM  = 1<<31 - 1
-	haveLen  = (rngLen + 63) / 64
 	rngFeed0 = rngLen - rngTap // feed index of a fresh register, before draw 0
-
-	// compactDraws is how many draws a stream serves without a register.
-	compactDraws = 16
 )
 
 // rngJump[i] is 48271^(21+3i) mod (2^31-1): the multiplier from the
@@ -48,16 +45,14 @@ var rngJump = func() (jump [rngLen]uint64) {
 
 // streamSource is a rand.Source64 with the sequence of rand.NewSource.
 type streamSource struct {
-	x0    uint64              // normalised seed, in [1, 2^31-2]
-	n     int                 // draws served from first; meaningful while reg == nil
-	first [compactDraws]int64 // draws 0..n-1, i.e. register words 333..334-n
-	reg   *rngRegister        // nil until draw compactDraws
+	x0  uint64       // normalised seed, in [1, 2^31-2]
+	n   int          // draws served; meaningful while reg == nil
+	reg *rngRegister // nil until draw rngTap
 }
 
-// rngRegister is the feedback register, seeded word by word.
+// rngRegister is the state of math/rand's source.
 type rngRegister struct {
 	tap, feed int
-	have      [haveLen]uint64 // bit i set: vec[i] is live, not still to be seeded
 	vec       [rngLen]int64
 }
 
@@ -95,24 +90,16 @@ func (s *streamSource) initWord(i int) int64 {
 	return u ^ rngCooked[i]
 }
 
-// live reports whether vec[i] holds a value; if not, word i is still to be
-// seeded.
-func (r *rngRegister) live(i int) bool {
-	return r.have[i>>6]&(1<<(i&63)) != 0
-}
-
-// set stores x in word i and marks it live.
-func (r *rngRegister) set(i int, x int64) {
-	r.have[i>>6] |= 1 << (i & 63)
-	r.vec[i] = x
-}
-
-// upgrade gives the stream its register after compactDraws draws: the words
-// those draws wrote are live, every other word is still to be seeded.
+// upgrade gives the stream its register just before draw rngTap, the first
+// to read a word an earlier draw wrote: the seeded register as rngTap draws
+// leave it.
 func (s *streamSource) upgrade() *rngRegister {
-	r := &rngRegister{tap: rngLen - compactDraws, feed: rngFeed0 - compactDraws}
-	for k, x := range s.first {
-		r.set(rngFeed0-1-k, x)
+	r := &rngRegister{tap: rngLen - rngTap, feed: rngFeed0 - rngTap}
+	for i := range r.vec {
+		r.vec[i] = s.initWord(i)
+	}
+	for k := 0; k < rngTap; k++ {
+		r.vec[rngFeed0-1-k] += r.vec[rngLen-1-k]
 	}
 	s.reg = r
 	return r
@@ -125,11 +112,9 @@ func (s *streamSource) Int63() int64 {
 func (s *streamSource) Uint64() uint64 {
 	r := s.reg
 	if r == nil {
-		if k := s.n; k < compactDraws {
-			x := s.initWord(rngFeed0-1-k) + s.initWord(rngLen-1-k)
-			s.first[k] = x
+		if k := s.n; k < rngTap {
 			s.n = k + 1
-			return uint64(x)
+			return uint64(s.initWord(rngFeed0-1-k) + s.initWord(rngLen-1-k))
 		}
 		r = s.upgrade()
 	}
@@ -144,12 +129,6 @@ func (s *streamSource) Uint64() uint64 {
 		r.feed += rngLen
 	}
 
-	if !r.live(r.feed) {
-		r.set(r.feed, s.initWord(r.feed))
-	}
-	if !r.live(r.tap) {
-		r.set(r.tap, s.initWord(r.tap))
-	}
 	x := r.vec[r.feed] + r.vec[r.tap]
 	r.vec[r.feed] = x
 	return uint64(x)

@@ -44,7 +44,7 @@ func compareDraws(t *testing.T, got, want rand.Source64, n int, what string) {
 
 // TestStreamSourceMatchesMathRand is the contract of alfg.go: for any seed,
 // the stream source and rand.NewSource produce the same words — through the
-// compact first draws, the upgrade to a register, and three laps of it.
+// draws served without a register, the upgrade to one, and three laps of it.
 func TestStreamSourceMatchesMathRand(t *testing.T) {
 	for _, seed := range oracleSeeds() {
 		got := newStreamSource(seed)
@@ -52,11 +52,13 @@ func TestStreamSourceMatchesMathRand(t *testing.T) {
 		compareDraws(t, got, want, 2000, fmt.Sprintf("seed %d", seed))
 	}
 
-	// Stop at every boundary of the source's life — the last compact draw,
-	// the upgrade, the first read of a written word, the register's wrap —
-	// seed again and compare a second run: a re-seed must leave nothing of
-	// the old register behind.
-	for _, stop := range []int{0, 15, 16, 17, 272, 273, 274, 606, 607, 608} {
+	// Stop at every boundary of the source's life — the last draw without
+	// a register (272), the upgrade (273), the first read of a written word
+	// (274), the reads of the last word the upgrade replayed and of the
+	// first one written after it (545, 546), the register's wrap (606–608),
+	// the second read of a replayed word (880) — seed again and compare a
+	// second run: a re-seed must leave nothing of the old register behind.
+	for _, stop := range []int{0, 272, 273, 274, 545, 546, 606, 607, 608, 880} {
 		for _, seed := range []int64{0, 1, -7, math.MinInt64} {
 			got := newStreamSource(seed)
 			want := rand.NewSource(seed)
@@ -93,7 +95,8 @@ func TestStreamMatchesMathRand(t *testing.T) {
 }
 
 // FuzzStreamSourceMatchesMathRand is the same comparison on seeds and draw
-// counts the fuzzer picks; testdata/fuzz holds the seed-normalisation edges.
+// counts the fuzzer picks; testdata/fuzz holds the seed-normalisation edges
+// and the draw counts around the upgrade.
 func FuzzStreamSourceMatchesMathRand(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, draws uint16) {
 		n := int(draws % 2048)
@@ -145,11 +148,12 @@ func TestOpenNMatchesStreamN(t *testing.T) {
 }
 
 // TestStreamAllocations pins what opening a stream costs: the rand.Rand and
-// a compact source, nothing for the name. The rand.Rand is on the caller's
-// stack when StreamN is inlined and its result does not escape.
+// a 24 B source, nothing for the name, and a register only from draw 273
+// on. The rand.Rand is on the caller's stack when StreamN is inlined and its
+// result does not escape.
 func TestStreamAllocations(t *testing.T) {
-	if size := unsafe.Sizeof(streamSource{}); size > 160 {
-		t.Errorf("streamSource is %d bytes, want <= 160 (one size class)", size)
+	if size := unsafe.Sizeof(streamSource{}); size > 24 {
+		t.Errorf("streamSource is %d bytes, want <= 24", size)
 	}
 	r := NewRNG(3)
 	var sink int64
@@ -158,21 +162,15 @@ func TestStreamAllocations(t *testing.T) {
 	}); got > 2 {
 		t.Errorf("StreamN + 1 draw: %v allocations, want at most 2", got)
 	}
-	if got := testing.AllocsPerRun(200, func() {
-		s := r.Stream("bgp/proc/123456")
-		for k := 0; k < compactDraws; k++ {
-			sink += s.Int63()
+	for _, c := range []struct{ draws, allocs int }{{rngTap, 2}, {1000, 3}} {
+		if got := testing.AllocsPerRun(200, func() {
+			s := r.Stream("bgp/proc/123456")
+			for k := 0; k < c.draws; k++ {
+				sink += s.Int63()
+			}
+		}); got != float64(c.allocs) {
+			t.Errorf("Stream + %d draws: %v allocations, want %d", c.draws, got, c.allocs)
 		}
-	}); got != 2 {
-		t.Errorf("Stream + %d draws: %v allocations, want 2", compactDraws, got)
-	}
-	if got := testing.AllocsPerRun(200, func() {
-		s := r.Stream("bgp/proc/123456")
-		for k := 0; k < 1000; k++ {
-			sink += s.Int63()
-		}
-	}); got != 3 {
-		t.Errorf("Stream + 1000 draws: %v allocations, want 3 (one register)", got)
 	}
 	_ = sink
 }
@@ -207,15 +205,21 @@ func TestUniformSpans(t *testing.T) {
 	}
 }
 
-func BenchmarkStreamTenDraws(b *testing.B) {
-	r := NewRNG(1)
-	var sink int64
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s := r.StreamN("bgp/proc/", i)
-		for k := 0; k < 10; k++ {
-			sink += s.Int63()
-		}
+// BenchmarkStreamDraws opens a stream and draws from it: short of the
+// upgrade (10, 40, 200), just past it (300) and well past it (2,500).
+func BenchmarkStreamDraws(b *testing.B) {
+	for _, draws := range []int{10, 40, 200, 300, 2500} {
+		b.Run(fmt.Sprintf("draws=%d", draws), func(b *testing.B) {
+			r := NewRNG(1)
+			var sink int64
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s := r.StreamN("bgp/proc/", i)
+				for k := 0; k < draws; k++ {
+					sink += s.Int63()
+				}
+			}
+			_ = sink
+		})
 	}
-	_ = sink
 }
