@@ -117,7 +117,10 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		mismatches []string
 	)
 	for _, t := range targets {
-		in := experiment.SafetyInput(t.s, *candidates)
+		in, err := experiment.SafetyInput(t.s, *candidates)
+		if err != nil {
+			return fmt.Errorf("%s: %w", t.name, err)
+		}
 		rep, err := safety.Analyze(in)
 		if err != nil {
 			return fmt.Errorf("%s: %w", t.name, err)

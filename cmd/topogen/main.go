@@ -81,11 +81,7 @@ func run(args []string) error {
 	if *dot {
 		var rels *topology.Relationships
 		if *topo == "internet" {
-			_, r, err := topology.GenerateInternetRelations(topology.InternetConfig{Nodes: *size, Seed: *seed})
-			if err != nil {
-				return err
-			}
-			rels = r
+			rels = topology.InternetRelations(g)
 		}
 		return topology.WriteDOT(os.Stdout, g, rels)
 	}

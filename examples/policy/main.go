@@ -2,10 +2,10 @@
 // extension beyond the paper, whose experiments use plain shortest-path
 // routing (its introduction notes that loops can also arise under policy
 // changes). It runs the same T_down failure on the same Internet-like
-// topology twice: once with shortest-path routing and once with
-// Gao-Rexford customer/peer/provider policies (relationship-based
-// preference + valley-free export filtering), and compares convergence
-// and looping.
+// topology twice: once with shortest-path routing and once with the
+// named "gaoRexford" policy — customer/peer/provider preference and
+// valley-free export over the relationships topology.InternetRelations
+// assigns — and compares convergence and looping.
 package main
 
 import (
@@ -14,11 +14,9 @@ import (
 	"os"
 
 	"bgploop"
-	"bgploop/internal/bgp"
 	"bgploop/internal/des"
 	"bgploop/internal/experiment"
 	"bgploop/internal/report"
-	"bgploop/internal/routing"
 	"bgploop/internal/topology"
 )
 
@@ -33,21 +31,10 @@ func run() error {
 		size   = 48
 		trials = 4
 	)
-	g, rels, err := topology.GenerateInternetRelations(topology.InternetConfig{Nodes: size, Seed: 2})
+	g, err := topology.InternetLike(size, 2)
 	if err != nil {
 		return err
 	}
-	if err := rels.Validate(g); err != nil {
-		return err
-	}
-
-	shortest := bgploop.DefaultConfig()
-
-	gaoRexford := bgploop.DefaultConfig()
-	gaoRexford.PolicyFor = func(self topology.Node) routing.Policy {
-		return routing.GaoRexford{Self: self, Rel: rels}
-	}
-	gaoRexford.Export = bgp.GaoRexfordExport{Rel: rels}
 
 	tbl := &report.Table{
 		Title: fmt.Sprintf("T_down on %s: shortest-path vs Gao-Rexford policy routing", g.Name()),
@@ -57,18 +44,17 @@ func run() error {
 		},
 	}
 
-	for _, variant := range []struct {
-		name string
-		cfg  bgploop.Config
-	}{
-		{"shortest-path", shortest},
-		{"gao-rexford", gaoRexford},
+	for _, variant := range []struct{ name, policy string }{
+		{"shortest-path", ""},
+		{"gao-rexford", experiment.PolicyGaoRexford},
 	} {
 		gen := func(trial int) (experiment.Scenario, error) {
 			pick := des.NewRNG(int64(trial) + 10).Stream("policy/dest")
 			lows := topology.LowestDegreeNodes(g)
 			dest := lows[pick.Intn(len(lows))]
-			return experiment.TDownScenario(g, dest, variant.cfg, int64(trial)+10), nil
+			s := experiment.TDownScenario(g, dest, bgploop.DefaultConfig(), int64(trial)+10)
+			s.NamedPolicy = variant.policy
+			return s, nil
 		}
 		agg, _, _, err := experiment.RunSweep(gen, trials, experiment.SweepOptions{})
 		if err != nil {

@@ -11,10 +11,11 @@ import (
 // Internet-like topology.
 func policySim(t *testing.T, n int, seed int64) (*sim, *topology.Relationships, topology.Node) {
 	t.Helper()
-	g, rels, err := topology.GenerateInternetRelations(topology.InternetConfig{Nodes: n, Seed: seed})
+	g, err := topology.InternetLike(n, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rels := topology.InternetRelations(g)
 	if err := rels.Validate(g); err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"fmt"
 
 	"bgploop/internal/bgp"
-	"bgploop/internal/routing"
 	"bgploop/internal/topology"
 	"bgploop/internal/transport"
 )
@@ -21,14 +20,6 @@ import (
 // v2: Result gained the netsim/session counter fields, so results stored
 // by v1 binaries would digest-mismatch against fresh runs.
 const CacheKeyVersion = 2
-
-// Fingerprinted lets a custom routing.Policy or bgp.ExportPolicy opt into
-// the sweep result cache. The fingerprint must change whenever the
-// policy's decisions could change; scenarios whose policies do not
-// implement it are simply never cached.
-type Fingerprinted interface {
-	CacheFingerprint() string
-}
 
 // cacheKeySpec is the canonical JSON form hashed into a content address.
 // Every field that can influence a Result — including the pure echo
@@ -137,32 +128,6 @@ type bgpKeySpec struct {
 	Enhancements bgp.Enhancements `json:"enhancements"`
 }
 
-// policyFingerprint canonicalizes the route-selection policy, reporting
-// ok=false when the policy cannot be fingerprinted (uncacheable).
-func policyFingerprint(p routing.Policy) (string, bool) {
-	switch p.(type) {
-	case nil:
-		return "shortest-path", true
-	case routing.ShortestPath:
-		return "shortest-path", true
-	}
-	if f, ok := p.(Fingerprinted); ok {
-		return "custom:" + f.CacheFingerprint(), true
-	}
-	return "", false
-}
-
-// exportFingerprint canonicalizes the export policy.
-func exportFingerprint(e bgp.ExportPolicy) (string, bool) {
-	if e == nil {
-		return "everything", true
-	}
-	if f, ok := e.(Fingerprinted); ok {
-		return "custom:" + f.CacheFingerprint(), true
-	}
-	return "", false
-}
-
 // CacheKey returns the scenario's content address for the sweep result
 // cache: a hex sha256 over a canonical encoding of everything that
 // determines the trial's Result (topology, failure event or fault plan,
@@ -171,22 +136,20 @@ func exportFingerprint(e bgp.ExportPolicy) (string, bool) {
 // byte-identical results by construction, so a key hit can substitute a
 // stored result for a simulation.
 //
+// A named policy enters the key by its name: given the graph, the name
+// fully determines the hooks (see the policy table).
+//
 // The empty string means "not cacheable": the scenario's outcome depends
-// on state the key cannot capture — a per-node PolicyFor hook, a custom
-// Policy or Export without a CacheFingerprint, an enabled TraceLimit
-// (traces are excluded from the stored encoding), or a Guard.CorruptFIBNode
-// fault-injection hook (the injected violation depends on the guard
-// configuration, which is otherwise excluded from the key because guards
-// are observation-only).
+// on state the key cannot capture — a PolicyFor or Export hook set by
+// hand, a custom Policy, an enabled TraceLimit (traces are excluded from
+// the stored encoding), or a Guard.CorruptFIBNode fault-injection hook
+// (the injected violation depends on the guard configuration, which is
+// otherwise excluded from the key because guards are observation-only).
 func (s Scenario) CacheKey() string {
-	if s.Graph == nil || s.TraceLimit > 0 || s.BGP.PolicyFor != nil || s.Guard.CorruptFIBNode != nil {
+	if s.Graph == nil || s.TraceLimit > 0 || s.Guard.CorruptFIBNode != nil {
 		return ""
 	}
-	pol, ok := policyFingerprint(s.BGP.Policy)
-	if !ok {
-		return ""
-	}
-	exp, ok := exportFingerprint(s.BGP.Export)
+	pol, exp, ok := s.policyKey()
 	if !ok {
 		return ""
 	}

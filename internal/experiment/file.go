@@ -36,14 +36,17 @@ type ScenarioSpec struct {
 	// together with the destination; no other family has a default.
 	FailLink *[2]int `json:"failLink,omitempty"`
 
-	// Policy selects the route-selection policy by name: "" or
-	// "shortestPath" keeps the default shortest-path ranking, and
-	// "badGadget" installs the Griffin BAD GADGET per-node ranking (the
-	// repo's reference UNSAFE configuration; requires a 4-node topology
-	// with dest 0). Named policies are how spec files — and hence the
-	// bgpd service — reach statically-UNSAFE configurations at all:
-	// everything else the schema can express ranks by path length and is
-	// provably SAFE.
+	// Policy names the routing policy (Scenario.NamedPolicy): "" or
+	// "shortestPath" keeps the paper's shortest-path ranking;
+	// "badGadget" installs Griffin's BAD GADGET per-node ranking, the
+	// repo's reference UNSAFE configuration (a 4-node topology with dest
+	// 0 only); and "gaoRexford" installs Gao-Rexford ranking and
+	// valley-free export over the relationships
+	// topology.InternetRelations assigns to the graph (any graph of at
+	// least 4 nodes, any dest), which the analyzer proves SAFE. The name
+	// is part of the cache and safety keys. Named policies are how spec
+	// files — and hence the bgpd service — reach policy routing and
+	// statically-UNSAFE configurations at all.
 	Policy string `json:"policy,omitempty"`
 
 	// MRAISeconds sets the MRAI timer; zero keeps the default, and a
@@ -459,29 +462,11 @@ func (spec ScenarioSpec) Scenario() (Scenario, error) {
 		dest = drawTDownDest(g, spec.Seed)
 	}
 
-	namedPolicy := ""
-	switch spec.Policy {
-	case "", "shortestPath":
-	case PolicyBadGadget:
-		// The gadget's ring ranking is defined only on the canonical
-		// 4-node layout with the destination at the hub.
-		if n := g.NumNodes(); n != 4 {
-			return Scenario{}, fmt.Errorf("experiment: policy %q needs a 4-node topology, got %d nodes", spec.Policy, n)
-		}
-		if dest != 0 {
-			return Scenario{}, fmt.Errorf("experiment: policy %q needs dest 0, got %d", spec.Policy, dest)
-		}
-		cfg.PolicyFor = badGadgetPolicyFor()
-		namedPolicy = PolicyBadGadget
-	default:
-		return Scenario{}, fmt.Errorf("experiment: unknown policy %q (want shortestPath or badGadget)", spec.Policy)
-	}
-
 	s := Scenario{
 		Graph:            g,
 		Dest:             dest,
 		BGP:              cfg,
-		NamedPolicy:      namedPolicy,
+		NamedPolicy:      spec.Policy,
 		Seed:             spec.Seed,
 		FlapCycles:       spec.FlapCycles,
 		RestoreDelay:     time.Duration(spec.RestoreDelaySeconds * float64(time.Second)),
@@ -557,15 +542,15 @@ func (spec ScenarioSpec) Scenario() (Scenario, error) {
 // removals without re-running a generator.
 //
 // Not every Scenario is spec-representable: a custom routing Policy, a
-// per-node PolicyFor hook without a NamedPolicy marker, a custom Export
-// policy, non-default jitter or processing-delay ranges, a non-default
+// PolicyFor or Export hook set by hand (a named policy travels by its
+// name), non-default jitter or processing-delay ranges, a non-default
 // damping configuration, or an SSLDImmediate flag without SSLD all
 // return an error.
 func NewScenarioSpec(s Scenario) (*ScenarioSpec, error) {
 	if s.Graph == nil {
 		return nil, errors.New("experiment: nil topology is not spec-representable")
 	}
-	if s.BGP.PolicyFor != nil && s.NamedPolicy == "" {
+	if s.BGP.PolicyFor != nil {
 		return nil, errors.New("experiment: per-node PolicyFor hooks are not spec-representable")
 	}
 	switch s.BGP.Policy.(type) {

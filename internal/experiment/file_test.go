@@ -12,6 +12,7 @@ import (
 
 	"bgploop/internal/bgp"
 	"bgploop/internal/faultplan"
+	"bgploop/internal/safety"
 	"bgploop/internal/topology"
 	"bgploop/internal/transport"
 )
@@ -502,8 +503,8 @@ func TestLoadScenarioNamedPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.NamedPolicy != PolicyBadGadget || s.BGP.PolicyFor == nil {
-		t.Fatalf("NamedPolicy = %q, PolicyFor nil = %v; want the badGadget hook installed", s.NamedPolicy, s.BGP.PolicyFor == nil)
+	if s.NamedPolicy != PolicyBadGadget || s.BGP.PolicyFor != nil {
+		t.Fatalf("NamedPolicy = %q, PolicyFor set = %v; want the name and no hook", s.NamedPolicy, s.BGP.PolicyFor != nil)
 	}
 	// The loaded scenario must be the same dispute as the programmatic
 	// fixture: statically UNSAFE.
@@ -514,13 +515,13 @@ func TestLoadScenarioNamedPolicy(t *testing.T) {
 	if rep.Verdict.String() != "UNSAFE" {
 		t.Fatalf("verdict = %s, want UNSAFE", rep.Verdict)
 	}
-	// Named policies remain unfingerprintable for caching purposes.
-	if k := s.CacheKey(); k != "" {
-		t.Errorf("CacheKey = %q, want uncacheable", k)
+	// The name is the policy, so the scenario is cacheable.
+	if k := s.CacheKey(); k == "" {
+		t.Error("CacheKey is empty, want the named policy cacheable")
 	}
 
-	// The marker makes the scenario spec-representable again: round trip
-	// through NewScenarioSpec and re-materialise.
+	// The name makes the scenario spec-representable: round trip through
+	// NewScenarioSpec and re-materialise.
 	back, err := NewScenarioSpec(s)
 	if err != nil {
 		t.Fatal(err)
@@ -532,11 +533,11 @@ func TestLoadScenarioNamedPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.NamedPolicy != PolicyBadGadget || s2.BGP.PolicyFor == nil {
+	if s2.NamedPolicy != PolicyBadGadget {
 		t.Fatal("round-tripped scenario lost the named policy")
 	}
 
-	// The programmatic fixture is spec-representable through the same marker.
+	// The programmatic fixture is spec-representable through the same name.
 	if _, err := NewScenarioSpec(BadGadget(30_000)); err != nil {
 		t.Fatalf("BadGadget fixture is not spec-representable: %v", err)
 	}
@@ -547,9 +548,63 @@ func TestLoadScenarioNamedPolicyErrors(t *testing.T) {
 		`{"topology": {"family": "clique", "size": 5}, "event": "tdown", "policy": "badGadget"}`,
 		`{"topology": {"family": "clique", "size": 4}, "event": "tdown", "dest": 2, "policy": "badGadget"}`,
 		`{"topology": {"family": "clique", "size": 4}, "event": "tdown", "policy": "nope"}`,
+		`{"topology": {"family": "chain", "size": 3}, "event": "tdown", "policy": "gaoRexford"}`,
 	} {
 		if _, err := LoadScenario(strings.NewReader(spec)); err == nil {
 			t.Errorf("LoadScenario(%s) succeeded, want error", spec)
 		}
+	}
+}
+
+// TestGaoRexfordSpecRoundTrip: a Gao-Rexford scenario survives the path
+// forensic bundles take, NewScenarioSpec → Scenario. The "edges" form
+// carries the graph, and the graph alone fixes the relationships, so the
+// round trip keeps the cache key and the result digest (the topology
+// name, edges-N against internet-N, is the one echo field that differs).
+// The analyzer proves it SAFE with the gao-rexford proof.
+func TestGaoRexfordSpecRoundTrip(t *testing.T) {
+	s, err := LoadScenarioFile("../../examples/specs/internet110-gaorexford-tdown.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.NamedPolicy != PolicyGaoRexford || s.BGP.PolicyFor != nil || s.BGP.Export != nil {
+		t.Fatalf("NamedPolicy = %q with hooks set = %v; want the name alone", s.NamedPolicy, s.BGP.PolicyFor != nil || s.BGP.Export != nil)
+	}
+	rep, err := PreflightVerdict(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Verdict != safety.Safe || rep.Proof != "gao-rexford" {
+		t.Fatalf("verdict %s by %q, want SAFE by gao-rexford", rep.Verdict, rep.Proof)
+	}
+
+	spec, err := NewScenarioSpec(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec.Topology.Family != "edges" || spec.Policy != PolicyGaoRexford {
+		t.Fatalf("rendered family %q, policy %q; want edges, %q", spec.Topology.Family, spec.Policy, PolicyGaoRexford)
+	}
+	back, err := spec.Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back.Graph.SetName(s.Graph.Name())
+	if got, want := back.CacheKey(), s.CacheKey(); got != want || want == "" {
+		t.Errorf("round-tripped CacheKey %q, want %q", got, want)
+	}
+	digest := func(s Scenario) string {
+		res, err := Run(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := DigestResult(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	if got, want := digest(back), digest(s); got != want {
+		t.Errorf("round-tripped digest %s, want %s", got, want)
 	}
 }

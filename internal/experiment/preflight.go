@@ -20,10 +20,16 @@ import (
 var ErrStaticallyUnsafe = errors.New("experiment: scenario is statically UNSAFE (dispute wheel)")
 
 // SafetyInput resolves a scenario into the static analyzer's input: the
-// pre-failure topology, destination, per-node policies, export filter,
-// and enhancement flags. Timing fields are deliberately dropped — the
-// verdict is timing-independent.
-func SafetyInput(s Scenario, candidates bool) safety.Input {
+// pre-failure topology, destination, per-node policies (a named policy's
+// hooks installed as Scenario.lowered installs them), export filter, and
+// enhancement flags. Timing fields are deliberately dropped — the
+// verdict is timing-independent. A named policy that does not apply to
+// the scenario is an error.
+func SafetyInput(s Scenario, candidates bool) (safety.Input, error) {
+	s, err := s.withPolicy()
+	if err != nil {
+		return safety.Input{}, err
+	}
 	return safety.Input{
 		Graph:        s.Graph,
 		Dest:         s.Dest,
@@ -32,7 +38,7 @@ func SafetyInput(s Scenario, candidates bool) safety.Input {
 		Export:       s.BGP.Export,
 		Enhancements: s.BGP.Enhancements,
 		Candidates:   candidates,
-	}
+	}, nil
 }
 
 // PreflightVerdict statically analyses the scenario before any
@@ -40,7 +46,11 @@ func SafetyInput(s Scenario, candidates bool) safety.Input {
 // UNSAFE, without the transient-loop candidate enumeration — and never
 // instantiates the DES kernel. It is the verdict the sweep layer uses.
 func PreflightVerdict(s Scenario) (*safety.Report, error) {
-	return safety.Analyze(SafetyInput(s, false))
+	in, err := SafetyInput(s, false)
+	if err != nil {
+		return nil, err
+	}
+	return safety.Analyze(in)
 }
 
 // safetyKeySpec is the canonical JSON form hashed into a safety-verdict
@@ -59,19 +69,13 @@ type safetyKeySpec struct {
 }
 
 // SafetyKey returns the content address of the scenario's static safety
-// report for the sweep cache, or "" when the configuration cannot be
-// fingerprinted (PolicyFor hooks, custom policies without
-// CacheFingerprint — the same uncacheability rules as CacheKey, minus
-// everything timing-related).
+// report for the sweep cache, or "" when the policy cannot be named in
+// the key (the same rule as CacheKey, minus everything timing-related).
 func SafetyKey(s Scenario) string {
-	if s.Graph == nil || s.BGP.PolicyFor != nil {
+	if s.Graph == nil {
 		return ""
 	}
-	pol, ok := policyFingerprint(s.BGP.Policy)
-	if !ok {
-		return ""
-	}
-	exp, ok := exportFingerprint(s.BGP.Export)
+	pol, exp, ok := s.policyKey()
 	if !ok {
 		return ""
 	}

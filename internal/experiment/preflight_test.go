@@ -11,12 +11,21 @@ import (
 	"bgploop/internal/topology"
 )
 
+func mustSafetyInput(t *testing.T, s Scenario, candidates bool) safety.Input {
+	t.Helper()
+	in, err := SafetyInput(s, candidates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
+}
+
 // TestPreflightBadGadgetRefused pins the UNSAFE side of the static
 // analyzer: BAD GADGET is diagnosed with a verified dispute-wheel
 // witness, and the sweep-layer preflight gate refuses to simulate it.
 func TestPreflightBadGadgetRefused(t *testing.T) {
 	s := BadGadget(30_000)
-	rep, err := safety.Analyze(SafetyInput(s, true))
+	rep, err := safety.Analyze(mustSafetyInput(t, s, true))
 	if err != nil {
 		t.Fatalf("preflight: %v", err)
 	}
@@ -26,7 +35,7 @@ func TestPreflightBadGadgetRefused(t *testing.T) {
 	if rep.Wheel == nil || len(rep.Wheel.Pivots) == 0 {
 		t.Fatal("UNSAFE without a wheel witness")
 	}
-	if err := rep.Wheel.Verify(SafetyInput(s, false)); err != nil {
+	if err := rep.Wheel.Verify(mustSafetyInput(t, s, false)); err != nil {
 		t.Fatalf("witness does not verify: %v", err)
 	}
 	// The full analysis also enumerated candidates: the gadget's clique
@@ -149,7 +158,7 @@ func TestObservedLoopsMatchStaticCandidates(t *testing.T) {
 	}
 	totalLoops := 0
 	for _, s := range fixtures {
-		fwd, err := safety.NewForwarding(SafetyInput(s, false))
+		fwd, err := safety.NewForwarding(mustSafetyInput(t, s, false))
 		if err != nil {
 			t.Fatalf("%s: forwarding digraph: %v", s.Graph.Name(), err)
 		}
@@ -210,8 +219,11 @@ func TestSafetyKeyStability(t *testing.T) {
 	if k5 := SafetyKey(CliqueTDown(6, bgp.DefaultConfig(), 1)); k5 == k1 {
 		t.Error("topology did not change the safety key")
 	}
-	if k := SafetyKey(BadGadget(1000)); k != "" {
-		t.Error("PolicyFor scenario should be unfingerprintable")
+	// A named policy enters the key by name: BAD GADGET's K4 keys apart
+	// from the same K4 under shortest path.
+	gadget := SafetyKey(BadGadget(1000))
+	if gadget == "" || gadget == SafetyKey(CliqueTDown(4, bgp.DefaultConfig(), 1)) {
+		t.Errorf("BAD GADGET safety key %q is empty or equals the shortest-path key", gadget)
 	}
 }
 

@@ -108,12 +108,12 @@ type Scenario struct {
 	// (off/phase/every-n/full) and falls back to Off. Guards are
 	// observation-only: enabling them never changes a run's Result.
 	Guard invariant.Config
-	// NamedPolicy records that BGP.PolicyFor was installed from a named
-	// spec policy (ScenarioSpec "policy", e.g. PolicyBadGadget). It lets
-	// NewScenarioSpec invert the otherwise non-representable PolicyFor
-	// hook, so named-policy scenarios survive forensic-bundle and service
-	// round trips. It is a codec marker only: cache and safety keys still
-	// treat PolicyFor scenarios as unfingerprintable.
+	// NamedPolicy selects the routing policy by its name in the policy
+	// table (PolicyShortestPath, PolicyBadGadget, PolicyGaoRexford); ""
+	// is shortest path. The table's hooks are installed when the scenario
+	// is lowered, never stored here, so a named scenario sets neither
+	// BGP.PolicyFor nor BGP.Export, and its cache and safety keys hash
+	// the name.
 	NamedPolicy string
 
 	// staticHorizon is a derived watchdog horizon installed by
@@ -149,10 +149,14 @@ func (s Scenario) withDefaults() Scenario {
 
 // lowered is the one place a scenario becomes what the run loop, the
 // cache key and the static bound all work from: the scenario with its
-// defaults applied, and its effective fault plan — the explicit FaultPlan
-// when set, otherwise the canonical compilation of the legacy fields.
+// defaults applied and its named policy's hooks installed, and its
+// effective fault plan — the explicit FaultPlan when set, otherwise the
+// canonical compilation of the legacy fields.
 func (s Scenario) lowered() (Scenario, *faultplan.Plan, error) {
-	s = s.withDefaults()
+	s, err := s.withDefaults().withPolicy()
+	if err != nil {
+		return s, nil, err
+	}
 	if s.FaultPlan != nil {
 		return s, s.FaultPlan, nil
 	}
@@ -182,8 +186,8 @@ func (s Scenario) Validate() error {
 	if err := s.Guard.Validate(); err != nil {
 		return err
 	}
-	if s.NamedPolicy != "" && s.BGP.PolicyFor == nil {
-		return fmt.Errorf("experiment: NamedPolicy %q marker without its PolicyFor hook", s.NamedPolicy)
+	if _, err := s.policy(); err != nil {
+		return err
 	}
 	if n := s.Guard.CorruptFIBNode; n != nil {
 		if !s.Graph.Valid(topology.Node(*n)) {

@@ -11,7 +11,6 @@ import (
 	"bgploop/internal/experiment"
 	"bgploop/internal/loopanalysis"
 	"bgploop/internal/report"
-	"bgploop/internal/routing"
 	"bgploop/internal/topology"
 )
 
@@ -132,26 +131,22 @@ func extX3(su *Suite) (*report.Table, error) {
 func extX4(su *Suite) (*report.Table, error) {
 	sc := su.sc
 	n := sc.InternetSizes[0]
-	g, rels, err := topology.GenerateInternetRelations(topology.InternetConfig{Nodes: n, Seed: sc.Seed})
+	g, err := topology.InternetLike(n, sc.Seed)
 	if err != nil {
 		return nil, err
 	}
-	gr := sc.BGP
-	gr.PolicyFor = func(self topology.Node) routing.Policy {
-		return routing.GaoRexford{Self: self, Rel: rels}
-	}
-	gr.Export = bgp.GaoRexfordExport{Rel: rels}
-
 	tbl := &report.Table{Columns: []string{"policy", "convergence_s", "ttl_exhaustions", "looping_ratio", "updates_sent"}}
-	for _, v := range []struct {
-		name string
-		cfg  bgp.Config
-	}{{"shortest-path", sc.BGP}, {"gao-rexford", gr}} {
+	for _, v := range []struct{ name, policy string }{
+		{"shortest-path", ""},
+		{"gao-rexford", experiment.PolicyGaoRexford},
+	} {
 		gen := func(trial int) (experiment.Scenario, error) {
 			pick := des.NewRNG(sc.Seed + int64(trial)).Stream("figures/x4")
 			lows := topology.LowestDegreeNodes(g)
 			dest := lows[pick.Intn(len(lows))]
-			return experiment.TDownScenario(g, dest, v.cfg, sc.Seed+int64(trial)), nil
+			s := experiment.TDownScenario(g, dest, sc.BGP, sc.Seed+int64(trial))
+			s.NamedPolicy = v.policy
+			return s, nil
 		}
 		agg, _, _, err := experiment.RunSweep(gen, sc.InternetTrials, sc.Sweep)
 		if err != nil {
@@ -223,7 +218,7 @@ func extX7(su *Suite) (*report.Table, error) {
 		cfg.Damping = v.damping
 		s := experiment.BCliqueTLong(sc.BCliqueMRAISize, cfg, sc.Seed)
 		s.FlapCycles = 3
-		res, err := experiment.Run(s)
+		res, err := su.runOne(s)
 		if err != nil {
 			return nil, err
 		}
@@ -255,7 +250,7 @@ func extX5(su *Suite) (*report.Table, error) {
 	for _, sc2 := range scenarios {
 		s := sc2.s
 		s.RestoreDelay = time.Second
-		res, err := experiment.Run(s)
+		res, err := su.runOne(s)
 		if err != nil {
 			return nil, err
 		}
@@ -267,4 +262,17 @@ func extX5(su *Suite) (*report.Table, error) {
 			res.Recovery.ConvergenceTime.Seconds(), float64(res.Recovery.TTLExhaustions))
 	}
 	return tbl, nil
+}
+
+// runOne runs s as a one-trial sweep, so single-run figures share
+// Scale.Sweep's cache, workers and trial count with the rest.
+func (su *Suite) runOne(s experiment.Scenario) (*experiment.Result, error) {
+	_, results, _, err := experiment.RunSweep(experiment.Repeat(s), 1, su.sc.Sweep)
+	if err != nil {
+		return nil, err
+	}
+	if len(results) == 0 {
+		return nil, fmt.Errorf("figures: %s: the trial failed", s.Graph.Name())
+	}
+	return results[0], nil
 }

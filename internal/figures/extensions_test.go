@@ -52,13 +52,15 @@ func TestEveryExtensionRuns(t *testing.T) {
 // goes through Scale.Sweep — counted in its Stats, stopped by its Context.
 func TestExtensionsHonourSweepOptions(t *testing.T) {
 	sc := tinyScale()
-	// Trials each extension sweeps; x5 and x7 are single runs, not sweeps.
+	// Trials each extension sweeps.
 	sweeps := map[string]int{
 		"x1": 2 * len(sc.MRAIs) * sc.Trials, // clique and bclique per MRAI
 		"x2": sc.InternetTrials,
 		"x3": 3 * sc.InternetTrials, // three topology models
 		"x4": 2 * sc.InternetTrials, // two policies
+		"x5": 2,                     // one run per flap workload
 		"x6": 5 * sc.Trials,         // five delay models
+		"x7": 2,                     // one run with, one without damping
 	}
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()

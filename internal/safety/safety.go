@@ -346,56 +346,5 @@ func (in Input) allGaoRexford() bool {
 	if !ok || exp.Rel != rel {
 		return false
 	}
-	return acyclicProviders(in.Graph, rel)
-}
-
-// acyclicProviders checks that the "is a customer of" digraph has no
-// cycle (iterative DFS, deterministic order).
-func acyclicProviders(g *topology.Graph, rel *topology.Relationships) bool {
-	const (
-		unvisited = 0
-		onStack   = 1
-		done      = 2
-	)
-	state := make([]int, g.NumNodes())
-	for _, start := range g.Nodes() {
-		if state[start] != unvisited {
-			continue
-		}
-		type frame struct {
-			v   topology.Node
-			idx int
-		}
-		stack := []frame{{v: start}}
-		state[start] = onStack
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			nbrs := g.Neighbors(f.v)
-			advanced := false
-			for f.idx < len(nbrs) {
-				u := nbrs[f.idx]
-				f.idx++
-				// Arc v→u when u is v's provider.
-				if rel.Kind(f.v, u) != topology.RelProvider {
-					continue
-				}
-				switch state[u] {
-				case onStack:
-					return false
-				case unvisited:
-					state[u] = onStack
-					stack = append(stack, frame{v: u})
-					advanced = true
-				}
-				if advanced {
-					break
-				}
-			}
-			if !advanced {
-				state[f.v] = done
-				stack = stack[:len(stack)-1]
-			}
-		}
-	}
-	return true
+	return rel.Acyclic(in.Graph)
 }

@@ -5,10 +5,10 @@ import (
 	"math/rand"
 )
 
-// InternetConfig parameterises the synthetic "Internet-like" topology
-// generator that stands in for the paper's Internet-derived topologies
-// (29/48/75/110 nodes, extracted from real BGP routing tables with
-// Premore's method, which are no longer obtainable).
+// InternetLike generates an Internet-like AS topology of n >= 4 nodes, the
+// stand-in for the paper's Internet-derived topologies (29/48/75/110
+// nodes, extracted from real BGP routing tables with Premore's method,
+// which are no longer obtainable). Equal n and seed give identical graphs.
 //
 // The generator reproduces the structural properties the paper's results
 // depend on: a small densely-meshed tier-1 core; a mid tier of regional
@@ -21,151 +21,66 @@ import (
 // notes (footnote 1) that power-law generators are unsuitable at these
 // small sizes, so a structural/hierarchical generator is the appropriate
 // substitute.
-type InternetConfig struct {
-	// Nodes is the total AS count. Must be >= 4.
-	Nodes int
-	// CoreSize is the number of fully meshed tier-1 ASes. If zero, a
-	// size-dependent default (Nodes/12 clamped to [3, 8]) is used.
-	CoreSize int
-	// MidFraction is the fraction of ASes in the mid tier. If zero, 0.3
-	// is used.
-	MidFraction float64
-	// ClusterSize is the number of mid-tier ASes per regional cluster.
-	// Clusters are fully peered inside and sparsely connected outside.
-	// If zero, 3 is used.
-	ClusterSize int
-	// StubDualHomeProb is the probability that a stub AS connects to two
-	// providers (in different clusters) instead of one. If zero, 0.35 is
-	// used.
-	StubDualHomeProb float64
-	// StubChainProb is the probability that a single-homed stub buys
-	// transit from an earlier stub instead of a mid-tier provider,
-	// forming multi-level customer trees. Those trees matter for the
-	// WRATE results: while a provider's withdrawal is rate-limited, its
-	// whole customer subtree keeps injecting packets into the looping
-	// region instead of dropping them locally. If zero, 0.3 is used.
-	StubChainProb float64
-	// Seed drives the generator; equal configs with equal seeds produce
-	// identical graphs.
-	Seed int64
-}
-
-func (c InternetConfig) withDefaults() InternetConfig {
-	if c.CoreSize == 0 {
-		c.CoreSize = c.Nodes / 12
-		if c.CoreSize < 3 {
-			c.CoreSize = 3
-		}
-		if c.CoreSize > 8 {
-			c.CoreSize = 8
-		}
-	}
-	if c.MidFraction == 0 {
-		c.MidFraction = 0.3
-	}
-	if c.ClusterSize == 0 {
-		c.ClusterSize = 3
-	}
-	if c.StubDualHomeProb == 0 {
-		c.StubDualHomeProb = 0.35
-	}
-	if c.StubChainProb == 0 {
-		c.StubChainProb = 0.3
-	}
-	return c
-}
-
-// InternetLike generates an Internet-like AS topology of n nodes with
-// default tier parameters. See InternetConfig for the model.
-func InternetLike(n int, seed int64) (*Graph, error) {
-	return GenerateInternet(InternetConfig{Nodes: n, Seed: seed})
-}
-
-// GenerateInternet generates an Internet-like AS topology from cfg.
+//
 // The result is always connected. Node IDs are assigned tier by tier:
 // core first, then mid tier, then stubs, so high IDs are predominantly
-// low-degree stub ASes.
-func GenerateInternet(cfg InternetConfig) (*Graph, error) {
-	g, _, err := GenerateInternetRelations(cfg)
-	return g, err
-}
+// low-degree stub ASes. A provider always has a lower ID than its
+// customer, which is what lets InternetRelations recover every link's
+// business relationship from the graph alone.
+func InternetLike(n int, seed int64) (*Graph, error) {
+	if n < 4 {
+		return nil, fmt.Errorf("topology: internet-like graph needs >= 4 nodes, got %d", n)
+	}
+	const (
+		// stubDualHomeProb is the probability that a stub AS connects to
+		// two providers (in different clusters) instead of one.
+		stubDualHomeProb = 0.35
+		// stubChainProb is the probability that a single-homed stub buys
+		// transit from an earlier stub instead of a mid-tier provider,
+		// forming multi-level customer trees. Those trees matter for the
+		// WRATE results: while a provider's withdrawal is rate-limited,
+		// its whole customer subtree keeps injecting packets into the
+		// looping region instead of dropping them locally.
+		stubChainProb = 0.3
+	)
+	nCore, providers, clusters := internetTiers(n)
 
-// GenerateInternetRelations is GenerateInternet plus the business
-// relationship of every generated edge: core links and intra-cluster mid
-// links are peerings; every inter-tier link is provider-customer. The
-// provider-customer digraph is acyclic by construction, satisfying the
-// Gao-Rexford convergence precondition.
-func GenerateInternetRelations(cfg InternetConfig) (*Graph, *Relationships, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Nodes < 4 {
-		return nil, nil, fmt.Errorf("topology: internet-like graph needs >= 4 nodes, got %d", cfg.Nodes)
-	}
-	rels := NewRelationships()
-	nCore := cfg.CoreSize
-	if nCore >= cfg.Nodes {
-		nCore = cfg.Nodes - 1
-	}
-	nMid := int(float64(cfg.Nodes) * cfg.MidFraction)
-	if nCore+nMid >= cfg.Nodes {
-		nMid = cfg.Nodes - nCore - 1
-	}
-	if nMid < 1 {
-		nMid = 1
-	}
-
-	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x42A57))
-	g := New(cfg.Nodes)
-	g.SetName(fmt.Sprintf("internet-%d", cfg.Nodes))
+	rng := rand.New(rand.NewSource(seed ^ 0x42A57))
+	g := New(n)
+	g.SetName(fmt.Sprintf("internet-%d", n))
 
 	// Tier 1: full mesh core (settlement-free tier-1 peerings).
 	for a := 0; a < nCore; a++ {
 		for b := a + 1; b < nCore; b++ {
 			mustAddEdge(g, Node(a), Node(b))
-			rels.SetPeers(Node(a), Node(b))
 		}
 	}
 
-	// Tier 2: regional provider clusters. Mid-tier ASes n_core..n_core+
-	// n_mid-1 are grouped into consecutive clusters of ClusterSize.
-	// Within a cluster every pair peers (a small regional mesh). Each
-	// cluster hangs off the core through its first member, attached
-	// degree-preferentially (popular tier-1s attract more customers),
-	// and gains one extra uplink from a random member to a random
-	// earlier provider, so the cluster is not single-exit.
-	providers := nCore + nMid
-	clusters := clusterRanges(nCore, providers, cfg.ClusterSize)
+	// Tier 2: regional provider clusters. Within a cluster every pair
+	// is linked (a small regional mesh). Each cluster hangs off the core
+	// through its first member, attached degree-preferentially (popular
+	// tier-1s attract more customers), and gains one extra uplink from a
+	// random member to a random earlier provider, so the cluster is not
+	// single-exit.
 	for _, cl := range clusters {
 		for a := cl.lo; a < cl.hi; a++ {
 			for b := a + 1; b < cl.hi; b++ {
 				mustAddEdge(g, Node(a), Node(b))
-				if a == cl.lo {
-					// The cluster head resells transit to the other
-					// members; without this, provider-learned routes
-					// could never reach them under Gao-Rexford export
-					// rules (peers do not give each other transit).
-					rels.SetProviderCustomer(Node(a), Node(b))
-				} else {
-					rels.SetPeers(Node(a), Node(b))
-				}
 			}
 		}
 		head := pickPreferential(g, rng, 0, nCore, Node(-1))
 		mustAddEdge(g, Node(cl.lo), head)
-		rels.SetProviderCustomer(head, Node(cl.lo))
 		member := Node(cl.lo + rng.Intn(cl.hi-cl.lo))
 		if cl.lo > nCore {
 			up := Node(rng.Intn(cl.lo)) // any earlier core or mid AS
 			if member != up && !g.HasEdge(member, up) {
 				mustAddEdge(g, member, up)
-				rels.SetProviderCustomer(up, member)
 			} else if alt := pickPreferential(g, rng, 0, nCore, Node(-1)); !g.HasEdge(member, alt) && member != alt {
 				mustAddEdge(g, member, alt)
-				rels.SetProviderCustomer(alt, member)
 			}
 		} else if alt := pickPreferential(g, rng, 0, nCore, Node(-1)); !g.HasEdge(member, alt) && member != alt {
 			// The first cluster's extra uplink must go to the core.
 			mustAddEdge(g, member, alt)
-			rels.SetProviderCustomer(alt, member)
 		}
 	}
 
@@ -174,22 +89,19 @@ func GenerateInternetRelations(cfg InternetConfig) (*Graph, *Relationships, erro
 	// provider is chosen degree-preferentially; a dual-homed stub adds a
 	// provider from a different cluster, giving it the short-primary /
 	// long-backup structure whose failure the T_long experiments probe.
-	for v := providers; v < cfg.Nodes; v++ {
-		if v > providers && rng.Float64() < cfg.StubChainProb {
+	for v := providers; v < n; v++ {
+		if v > providers && rng.Float64() < stubChainProb {
 			// A deeper customer: single-homed under an earlier stub.
 			parent := Node(providers + rng.Intn(v-providers))
 			mustAddEdge(g, Node(v), parent)
-			rels.SetProviderCustomer(parent, Node(v))
 			continue
 		}
 		primary := pickPreferential(g, rng, nCore, providers, Node(-1))
 		mustAddEdge(g, Node(v), primary)
-		rels.SetProviderCustomer(primary, Node(v))
-		if rng.Float64() < cfg.StubDualHomeProb && len(clusters) > 1 {
+		if rng.Float64() < stubDualHomeProb && len(clusters) > 1 {
 			secondary := pickPreferential(g, rng, nCore, providers, primary)
 			if clusterOf(clusters, secondary) != clusterOf(clusters, primary) {
 				mustAddEdge(g, Node(v), secondary)
-				rels.SetProviderCustomer(secondary, Node(v))
 			} else {
 				// Resample uniformly outside the primary's cluster.
 				pc := clusterOf(clusters, primary)
@@ -205,12 +117,58 @@ func GenerateInternetRelations(cfg InternetConfig) (*Graph, *Relationships, erro
 				if len(pool) > 0 {
 					second := pool[rng.Intn(len(pool))]
 					mustAddEdge(g, Node(v), second)
-					rels.SetProviderCustomer(second, Node(v))
 				}
 			}
 		}
 	}
-	return g, rels, nil
+	return g, nil
+}
+
+// InternetRelations returns the business relationship of every link of
+// g under the Internet-like model's tiers for g's node count: core links
+// and links between two non-head members of one mid-tier cluster are
+// peerings, and on every other link the lower ID is the provider (a
+// cluster head resells transit to its members; without that,
+// provider-learned routes could never reach them under Gao-Rexford
+// export rules, since peers do not give each other transit). On a graph
+// from InternetLike these are exactly the relationships the generator
+// builds its tiers on; on any graph every link is annotated, and since
+// providers always have the lower ID the customer-provider digraph is
+// acyclic, satisfying the Gao-Rexford convergence precondition.
+func InternetRelations(g *Graph) *Relationships {
+	nCore, _, clusters := internetTiers(g.NumNodes())
+	rels := NewRelationships()
+	for _, e := range g.Edges() { // e.A < e.B
+		c := clusterOf(clusters, e.A)
+		switch {
+		case int(e.B) < nCore,
+			c >= 0 && c == clusterOf(clusters, e.B) && int(e.A) != clusters[c].lo:
+			rels.SetPeers(e.A, e.B)
+		default:
+			rels.SetProviderCustomer(e.A, e.B)
+		}
+	}
+	return rels
+}
+
+// internetTiers splits n ASes into the tier-1 core [0, nCore), the mid
+// tier [nCore, providers) in consecutive clusters of three, and the
+// stubs [providers, n). The core is n/12 clamped to [3, 8] ASes and the
+// mid tier 30 % of all ASes.
+func internetTiers(n int) (nCore, providers int, clusters []clusterRange) {
+	nCore = min(max(n/12, 3), 8)
+	if nCore >= n {
+		nCore = n - 1
+	}
+	nMid := int(float64(n) * 0.3)
+	if nCore+nMid >= n {
+		nMid = n - nCore - 1
+	}
+	if nMid < 1 {
+		nMid = 1
+	}
+	providers = nCore + nMid
+	return nCore, providers, clusterRanges(nCore, providers, 3)
 }
 
 type clusterRange struct{ lo, hi int } // [lo, hi)

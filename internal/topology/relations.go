@@ -101,46 +101,43 @@ func (r *Relationships) Validate(g *Graph) error {
 			return fmt.Errorf("topology: edge %v has no relationship annotation", e)
 		}
 	}
-	// Cycle check on the provider->customer digraph via Kahn's algorithm.
-	indeg := make(map[Node]int)
-	succ := make(map[Node][]Node)
-	for e, k := range r.rel {
-		var provider, customer Node
-		switch k {
-		case RelCustomer:
-			provider, customer = e.A, e.B
+	if !r.Acyclic(g) {
+		return fmt.Errorf("topology: customer-provider relationships contain a cycle")
+	}
+	return nil
+}
+
+// Acyclic reports whether the provider->customer digraph over g's
+// annotated edges has no cycle (Kahn's algorithm).
+func (r *Relationships) Acyclic(g *Graph) bool {
+	n := g.NumNodes()
+	indeg := make([]int, n)
+	succ := make([][]Node, n)
+	for _, e := range g.Edges() {
+		switch r.Kind(e.A, e.B) {
+		case RelCustomer: // B is A's customer
+			succ[e.A] = append(succ[e.A], e.B)
+			indeg[e.B]++
 		case RelProvider:
-			provider, customer = e.B, e.A
-		default:
-			continue
+			succ[e.B] = append(succ[e.B], e.A)
+			indeg[e.A]++
 		}
-		succ[provider] = append(succ[provider], customer)
-		indeg[customer]++
 	}
-	var queue []Node
-	total := 0
-	for _, v := range g.Nodes() {
-		if indeg[v] == 0 {
-			queue = append(queue, v)
+	queue := make([]Node, 0, n)
+	for v, d := range indeg {
+		if d == 0 {
+			queue = append(queue, Node(v))
 		}
-		total++
 	}
-	seen := 0
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		seen++
-		for _, u := range succ[v] {
+	for i := 0; i < len(queue); i++ {
+		for _, u := range succ[queue[i]] {
 			indeg[u]--
 			if indeg[u] == 0 {
 				queue = append(queue, u)
 			}
 		}
 	}
-	if seen != total {
-		return fmt.Errorf("topology: customer-provider relationships contain a cycle")
-	}
-	return nil
+	return len(queue) == n
 }
 
 // ValleyFree reports whether the AS path (front = most recent AS, back =

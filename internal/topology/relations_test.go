@@ -100,17 +100,51 @@ func TestValleyFree(t *testing.T) {
 	}
 }
 
+// TestGeneratedRelationsValid checks InternetRelations on generated
+// Internet-like graphs: every link annotated and the hierarchy acyclic,
+// the core a full peering mesh, every cluster head the provider of its
+// members, and every stub's providers at lower IDs (its customers at
+// higher ones).
 func TestGeneratedRelationsValid(t *testing.T) {
-	for _, n := range PaperInternetSizes {
-		g, rels, err := GenerateInternetRelations(InternetConfig{Nodes: n, Seed: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := rels.Validate(g); err != nil {
-			t.Errorf("n=%d: %v", n, err)
-		}
-		if rels.Len() != g.NumEdges() {
-			t.Errorf("n=%d: %d annotations for %d edges", n, rels.Len(), g.NumEdges())
+	for _, n := range []int{4, 5, 7, 12, 29, 48, 75, 110, 300, 1000} {
+		for seed := int64(1); seed <= 5; seed++ {
+			g, err := InternetLike(n, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rels := InternetRelations(g)
+			if err := rels.Validate(g); err != nil {
+				t.Errorf("n=%d seed=%d: %v", n, seed, err)
+			}
+			if rels.Len() != g.NumEdges() {
+				t.Errorf("n=%d seed=%d: %d annotations for %d edges", n, seed, rels.Len(), g.NumEdges())
+			}
+			nCore, providers, clusters := internetTiers(n)
+			for a := Node(0); a < Node(nCore); a++ {
+				for b := a + 1; b < Node(nCore); b++ {
+					if !g.HasEdge(a, b) || rels.Kind(a, b) != RelPeer {
+						t.Errorf("n=%d seed=%d: core link %d-%d is not a peering", n, seed, a, b)
+					}
+				}
+			}
+			for _, cl := range clusters {
+				for m := cl.lo + 1; m < cl.hi; m++ {
+					if rels.Kind(Node(cl.lo), Node(m)) != RelCustomer {
+						t.Errorf("n=%d seed=%d: cluster head %d is not the provider of member %d", n, seed, cl.lo, m)
+					}
+				}
+			}
+			for v := Node(providers); v < Node(n); v++ {
+				for _, u := range g.Neighbors(v) {
+					want := RelCustomer
+					if u < v {
+						want = RelProvider
+					}
+					if got := rels.Kind(v, u); got != want {
+						t.Errorf("n=%d seed=%d: stub %d sees neighbor %d as %v, want %v", n, seed, v, u, got, want)
+					}
+				}
+			}
 		}
 	}
 }
