@@ -17,6 +17,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -149,21 +150,23 @@ func run(args []string) error {
 		if *preflight != "warn" && *preflight != "strict" {
 			return fmt.Errorf("-preflight %q: want warn or strict", *preflight)
 		}
-		rep, err := experiment.PreflightVerdict(scenario)
+		rep, err := experiment.Preflight(scenario, *preflight == "strict")
+		if errors.Is(err, experiment.ErrStaticallyUnsafe) {
+			return fmt.Errorf("preflight: %w\n(re-run without -preflight strict to simulate anyway)", err)
+		}
 		if err != nil {
 			return fmt.Errorf("preflight: %w", err)
 		}
 		switch rep.Verdict {
 		case safety.Unsafe:
-			if *preflight == "strict" {
-				return fmt.Errorf("preflight: scenario is statically UNSAFE — %s\n%s\n(re-run without -preflight strict to simulate anyway)", rep.Reason, rep.Wheel)
-			}
 			fmt.Fprintf(os.Stderr, "bgpsim: warning: scenario is statically UNSAFE — %s\n%s\n", rep.Reason, rep.Wheel)
 		case safety.Unknown:
 			fmt.Fprintf(os.Stderr, "bgpsim: preflight: verdict UNKNOWN — %s\n", rep.Reason)
 		case safety.Safe:
 			fmt.Fprintf(os.Stderr, "bgpsim: preflight: SAFE (%s); watchdog horizon %v\n",
 				rep.Proof, experiment.StaticConvergenceBound(scenario))
+			// The bound rides on the base scenario, so Repeat carries it
+			// to every trial of a sweep.
 			scenario = experiment.WithStaticBound(scenario, rep)
 		}
 	}
@@ -172,7 +175,7 @@ func run(args []string) error {
 		if *compare || *showTrace > 0 || *wireDump != "" || *mrtDump != "" || *showLoops {
 			return fmt.Errorf("-trials/-cache-dir run a sweep; -compare/-trace/-wiredump/-mrt/-loops apply to single runs only")
 		}
-		return runSweep(ctx, scenario, *trials, *workers, *cacheDir, *csv, *jsonOut, *digestF, *preflight != "")
+		return runSweep(ctx, scenario, *trials, *workers, *cacheDir, *csv, *jsonOut, *digestF)
 	}
 
 	if *compare {
@@ -316,12 +319,11 @@ func runShrink(path, outPath string, maxRuns int) error {
 // runSweep fans trials of the scenario (seeds seed, seed+1, ...) across
 // the parallel executor and prints the aggregate. The output is
 // byte-identical at every -j width.
-func runSweep(ctx context.Context, s experiment.Scenario, trials, workers int, cacheDir string, csv, jsonOut, digest, preflight bool) error {
+func runSweep(ctx context.Context, s experiment.Scenario, trials, workers int, cacheDir string, csv, jsonOut, digest bool) error {
 	agg, _, stats, err := experiment.RunSweep(experiment.Repeat(s), trials, experiment.SweepOptions{
-		Workers:   workers,
-		CacheDir:  cacheDir,
-		Context:   ctx,
-		Preflight: preflight,
+		Workers:  workers,
+		CacheDir: cacheDir,
+		Context:  ctx,
 	})
 	if err != nil {
 		return err

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -225,6 +226,58 @@ func TestRunWatchdogFlags(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "verdict") {
 		t.Errorf("err = %v, want a verdict in the diagnosis", err)
+	}
+}
+
+// TestRunPreflightGate: -preflight runs the static gate once, before a
+// single run or a sweep. Under warn BAD GADGET is simulated and fails on
+// the watchdog's oscillating diagnosis; under strict it is refused
+// before any trial runs, in every mode. A SAFE spec's static bound rides
+// on every trial and leaves the sweep digest as it is without the gate.
+func TestRunPreflightGate(t *testing.T) {
+	gadget := "../../examples/specs/unsafe/badgadget.json"
+	for _, mode := range []string{"single", "trials", "cache-dir"} {
+		t.Run(mode, func(t *testing.T) {
+			args := []string{"-scenario", gadget, "-digest"}
+			dir := filepath.Join(t.TempDir(), "cache")
+			switch mode {
+			case "trials":
+				args = append(args, "-trials", "2")
+			case "cache-dir":
+				args = append(args, "-cache-dir", dir)
+			}
+			_, _, err := captureRun(t, append(args, "-preflight", "strict")...)
+			if !errors.Is(err, experiment.ErrStaticallyUnsafe) || strings.Contains(err.Error(), "trial") {
+				t.Errorf("strict: err %v, want a statically UNSAFE refusal before any trial", err)
+			}
+			if _, err := os.Stat(dir); !os.IsNotExist(err) {
+				t.Errorf("strict: cache dir exists (%v); the sweep must not have started", err)
+			}
+			_, stderr, err := captureRun(t, append(args, "-preflight", "warn")...)
+			if err == nil || errors.Is(err, experiment.ErrStaticallyUnsafe) || !strings.Contains(err.Error(), "oscillating") {
+				t.Errorf("warn: err %v, want the watchdog's oscillating diagnosis", err)
+			}
+			if !strings.Contains(stderr, "warning: scenario is statically UNSAFE") {
+				t.Errorf("warn: stderr %q, want the UNSAFE warning", stderr)
+			}
+		})
+	}
+
+	clique := []string{"-scenario", "../../examples/specs/clique15-tdown.json", "-trials", "2", "-digest"}
+	plain, _, err := captureRun(t, clique...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gated, stderr, err := captureRun(t, append(clique, "-preflight", "strict")...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(stderr, "preflight: SAFE") {
+		t.Errorf("stderr %q, want the SAFE verdict", stderr)
+	}
+	const want = "867bd5100951f8c585799fff6fdb99d5374ad812046a47a05fc61b91d34fb7eb\n"
+	if plain != want || gated != want {
+		t.Errorf("digests %q without -preflight, %q with strict; want %q for both", plain, gated, want)
 	}
 }
 

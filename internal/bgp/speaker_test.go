@@ -299,13 +299,22 @@ func TestMalformedUpdateDropped(t *testing.T) {
 	s := newSim(t, topology.Chain(2), 0, fastConfig(), 14)
 	sp := s.speakers[1]
 	before := sp.Stats().MalformedDropped
+	tbl := sp.Table(0)
+	best := tbl.Best().Clone()
+	received, _ := tbl.Received(0)
+	received = received.Clone()
 	// A path not starting with the sender.
 	sp.Deliver(0, Update{Dest: 0, Path: pathOf(9, 0)})
 	// A non-Update payload.
 	sp.Deliver(0, "garbage")
+	// A path that starts with the sender but repeats an AS.
+	sp.Deliver(0, Update{Dest: 0, Path: pathOf(0, 5, 0)})
 	s.sched.Run()
-	if got := sp.Stats().MalformedDropped - before; got != 2 {
-		t.Errorf("MalformedDropped = %d, want 2", got)
+	if got := sp.Stats().MalformedDropped - before; got != 3 {
+		t.Errorf("MalformedDropped = %d, want 3", got)
+	}
+	if got, _ := tbl.Received(0); !got.Equal(received) || !tbl.Best().Equal(best) {
+		t.Errorf("table changed: received %v best %v, want %v and %v", got, tbl.Best(), received, best)
 	}
 }
 

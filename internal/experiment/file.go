@@ -44,7 +44,7 @@ type ScenarioSpec struct {
 	// valley-free export over the relationships
 	// topology.InternetRelations assigns to the graph (any graph of at
 	// least 4 nodes, any dest), which the analyzer proves SAFE. The name
-	// is part of the cache and safety keys. Named policies are how spec
+	// is part of the cache key. Named policies are how spec
 	// files — and hence the bgpd service — reach policy routing and
 	// statically-UNSAFE configurations at all.
 	Policy string `json:"policy,omitempty"`

@@ -9,10 +9,10 @@ import (
 	"bgploop/internal/topology"
 )
 
-// TestKeysGolden pins the bytes of CacheKey and SafetyKey on the shipped
-// specs, the paper's scenario builders and one fault-plan and one
-// transport spec. A key that moves orphans every cache object and cached
-// verdict stored under it, so the values are a contract: they were
+// TestKeysGolden pins the bytes of CacheKey on the shipped specs, the
+// paper's scenario builders and one fault-plan and one transport spec. A
+// key that moves orphans every cache object stored under it, so the
+// values are a contract: they were
 // recorded before policy naming moved into the policy table, and that
 // move had to keep every one of them.
 func TestKeysGolden(t *testing.T) {
@@ -48,43 +48,43 @@ func TestKeysGolden(t *testing.T) {
 	}
 	cfg := bgp.DefaultConfig()
 	cases := []struct {
-		name                string
-		build               func(t *testing.T) Scenario
-		cacheKey, safetyKey string
+		name     string
+		build    func(t *testing.T) Scenario
+		cacheKey string
 	}{
 		{"bclique8-tlong-ssld", spec("bclique8-tlong-ssld.json"),
 			"f81dd2db2eccb622c0ddc23038a7879fc30740a075d56141c08888605a6ed503",
-			"10fd2d4f8f8bb0d29e7491e460951ab5b2bf9d71e2997c2788627149768449d8"},
+		},
 		{"clique15-tdown", spec("clique15-tdown.json"),
 			"cc3aca736a449d975c87b84c8188c6101317703770d36bc5530a1929bf814a09",
-			"04045ca9337ef4645dc6fb7603fe6b1870a0c54339ee1bfd53858a2f9e62bb07"},
+		},
 		{"degraded-clique", spec("degraded-clique.json"),
 			"70664c7654f2f5210dd6ce9c04b96d9d137129b3ef351047d075088012ae3e11",
-			"33259d77f0427c5b28a34b929112a75259fee3259c64de347e26b74c5b54619b"},
+		},
 		{"figure1-tlong", spec("figure1-tlong.json"),
 			"e1f398aaa7d0e80ca6b742bdbd6b80e050a89c12d0ff056d442a5a95eee72e21",
-			"d52dd403037196d8bcb2f3f11a3a692eea18cfce590e3d19d448ced2a37e0831"},
+		},
 		{"CliqueTDown(15)", fixed(CliqueTDown(15, cfg, 1)),
 			"cc3aca736a449d975c87b84c8188c6101317703770d36bc5530a1929bf814a09",
-			"04045ca9337ef4645dc6fb7603fe6b1870a0c54339ee1bfd53858a2f9e62bb07"},
+		},
 		{"BCliqueTLong(8)", fixed(BCliqueTLong(8, cfg, 1)),
 			"40c3acf1b9023d143de89b9a380b132adbfd2868235be3b76446710f642462fa",
-			"dfd2fc0f81e9f95239824fe0c7adb817ccfe5b198f2250a9408c7f76c96ffa57"},
+		},
 		{"InternetTDown(110)", trial0(InternetTDown(110, cfg, 1)),
 			"d973ad6868078e6d2909b8a0cceb179f2ff67d16643680789eb582d019f19bce",
-			"c283cbd06cdeb4cd57f6988a9b5cf59fc20c99735372e37a2afe746b7884efe0"},
+		},
 		{"InternetTLong(1000)", trial0(InternetTLong(1000, cfg, 1)),
 			"8b6a496ee7550bcc91abebbb11dfbc97b84f5736fb9a347e6c8b4e02a5f1bbb1",
-			"7dbb4d450b3e36a488c37aec012906188aef46a9128444e16a421ff1502369c4"},
+		},
 		{"fault plan", inline(`{"topology": {"family": "bclique", "size": 5}, "seed": 4,
 			"faultPlan": {"name": "flap", "phases": [{"name": "flap", "delaySeconds": 1, "measure": true, "role": "main",
 			"actions": [{"op": "flapLink", "link": [0, 5], "cycles": 2, "periodSeconds": 3}]}]}}`),
 			"a6b37a680119c0f4487c34ce3dcc43a63ba43e17d29be2f3f6cac61840d40f49",
-			"79ae6692da1c82a089cdd511467f17ec5732f30cbfcee3f4a9c559dcd25ddbd9"},
+		},
 		{"transport", inline(`{"topology": {"family": "ring", "size": 6}, "event": "tlong", "seed": 2,
 			"transport": {"loss": 0.1, "reorderProb": 0.2, "reorderWindowSeconds": 0.05, "jitterSeconds": 0.01}}`),
 			"f4246c3888d77d4aae86344f5d2b0bcaad9e42cfe012d8423451a21a8844644e",
-			"a0e7a2b19de5f00a98fc6d9aacff151b441eb75211bf6924051b72b580b79d44"},
+		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -92,14 +92,11 @@ func TestKeysGolden(t *testing.T) {
 			if got := s.CacheKey(); got != c.cacheKey {
 				t.Errorf("CacheKey = %s, want %s", got, c.cacheKey)
 			}
-			if got := SafetyKey(s); got != c.safetyKey {
-				t.Errorf("SafetyKey = %s, want %s", got, c.safetyKey)
-			}
 		})
 	}
 }
 
-// TestNamedPolicyKeys: a named policy enters both keys by its name, so
+// TestNamedPolicyKeys: a named policy enters CacheKey by its name, so
 // BAD GADGET and Gao-Rexford scenarios are cacheable and key apart from
 // the same graph under shortest path, while hooks set by hand (the
 // tests' fault-injection seam) stay uncacheable, and a name beside hooks
@@ -122,21 +119,13 @@ func TestNamedPolicyKeys(t *testing.T) {
 		{"gaoRexford", gaoRexford, inet},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			for _, k := range []struct {
-				kind            string
-				named, shortest string
-			}{
-				{"CacheKey", c.named.CacheKey(), c.shortest.CacheKey()},
-				{"SafetyKey", SafetyKey(c.named), SafetyKey(c.shortest)},
-			} {
-				if k.named == "" || k.named == k.shortest {
-					t.Errorf("%s = %q, want non-empty and apart from the shortest-path %q", k.kind, k.named, k.shortest)
-				}
+			if named, shortest := c.named.CacheKey(), c.shortest.CacheKey(); named == "" || named == shortest {
+				t.Errorf("CacheKey = %q, want non-empty and apart from the shortest-path %q", named, shortest)
 			}
 			// "shortestPath" spelled out is the default, not a new key.
 			sp := c.shortest
 			sp.NamedPolicy = PolicyShortestPath
-			if sp.CacheKey() != c.shortest.CacheKey() || SafetyKey(sp) != SafetyKey(c.shortest) {
+			if sp.CacheKey() != c.shortest.CacheKey() {
 				t.Error(`NamedPolicy "shortestPath" moved the shortest-path keys`)
 			}
 		})
@@ -153,9 +142,6 @@ func TestNamedPolicyKeys(t *testing.T) {
 		name, s := c.name, c.s
 		if k := s.CacheKey(); k != "" {
 			t.Errorf("hand-set %s: CacheKey = %q, want uncacheable", name, k)
-		}
-		if k := SafetyKey(s); k != "" {
-			t.Errorf("hand-set %s: SafetyKey = %q, want uncacheable", name, k)
 		}
 		s.NamedPolicy = PolicyGaoRexford
 		if err := s.Validate(); err == nil {

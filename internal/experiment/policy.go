@@ -37,8 +37,8 @@ type namedPolicy struct {
 }
 
 // policies is the one table of named routing policies. A name fully
-// determines its hooks given the graph, so the cache and safety keys
-// hash the name in place of the hooks, and a scenario travels as a spec
+// determines its hooks given the graph, so the cache key hashes the
+// name in place of the hooks, and a scenario travels as a spec
 // (forensic bundles, bgpd, dist workers) by its name alone.
 var policies = map[string]namedPolicy{
 	PolicyShortestPath: {},
@@ -118,7 +118,7 @@ func (s Scenario) withPolicy() (Scenario, error) {
 	return s, err
 }
 
-// policyKey is the (policy, export) pair CacheKey and SafetyKey hash. The
+// policyKey is the (policy, export) pair CacheKey hashes. The
 // shortest-path default keeps "shortest-path" and "everything", a named
 // policy contributes its name, and ok is false for what a key cannot see:
 // a PolicyFor or Export hook set by hand (the tests' fault-injection

@@ -1,17 +1,11 @@
 package experiment
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
-	"bgploop/internal/bgp"
 	"bgploop/internal/safety"
-	"bgploop/internal/sweep"
 )
 
 // ErrStaticallyUnsafe marks a scenario refused by preflight: its policy
@@ -44,7 +38,7 @@ func SafetyInput(s Scenario, candidates bool) (safety.Input, error) {
 // PreflightVerdict statically analyses the scenario before any
 // simulation — convergence verdict and dispute-wheel witness when
 // UNSAFE, without the transient-loop candidate enumeration — and never
-// instantiates the DES kernel. It is the verdict the sweep layer uses.
+// instantiates the DES kernel. Preflight turns it into a refusal.
 func PreflightVerdict(s Scenario) (*safety.Report, error) {
 	in, err := SafetyInput(s, false)
 	if err != nil {
@@ -53,68 +47,22 @@ func PreflightVerdict(s Scenario) (*safety.Report, error) {
 	return safety.Analyze(in)
 }
 
-// safetyKeySpec is the canonical JSON form hashed into a safety-verdict
-// content address. Only the analyzer's actual inputs appear: topology,
-// destination, ranking, export, enhancements. Timing, seeds, and fault
-// plans are irrelevant to the verdict and deliberately excluded, so one
-// cached verdict serves a whole seed sweep.
-type safetyKeySpec struct {
-	V            int              `json:"v"`
-	Nodes        int              `json:"nodes"`
-	Edges        [][2]int         `json:"edges"`
-	Dest         int              `json:"dest"`
-	Policy       string           `json:"policy"`
-	Export       string           `json:"export"`
-	Enhancements bgp.Enhancements `json:"enhancements"`
-}
-
-// SafetyKey returns the content address of the scenario's static safety
-// report for the sweep cache, or "" when the policy cannot be named in
-// the key (the same rule as CacheKey, minus everything timing-related).
-func SafetyKey(s Scenario) string {
-	if s.Graph == nil {
-		return ""
-	}
-	pol, exp, ok := s.policyKey()
-	if !ok {
-		return ""
-	}
-	edges := s.Graph.Edges()
-	spec := safetyKeySpec{
-		V:            CacheKeyVersion,
-		Nodes:        s.Graph.NumNodes(),
-		Edges:        make([][2]int, len(edges)),
-		Dest:         int(s.Dest),
-		Policy:       pol,
-		Export:       exp,
-		Enhancements: s.BGP.Enhancements,
-	}
-	for i, e := range edges {
-		spec.Edges[i] = [2]int{int(e.A), int(e.B)}
-	}
-	b, err := json.Marshal(spec)
+// Preflight is the static safety gate bgpsim and bgpd run once before a
+// scenario is simulated or admitted. It returns the PreflightVerdict
+// report; when strict is set and the verdict is UNSAFE it also returns
+// an error wrapping ErrStaticallyUnsafe that carries the reason and the
+// rendered dispute wheel. It is the only place a verdict becomes a
+// refusal: a SAFE caller arms the watchdog with WithStaticBound, and a
+// non-strict caller simulates an UNSAFE scenario anyway.
+func Preflight(s Scenario, strict bool) (*safety.Report, error) {
+	rep, err := PreflightVerdict(s)
 	if err != nil {
-		return ""
+		return nil, err
 	}
-	sum := sha256.Sum256([]byte("safety/" + string(b)))
-	return hex.EncodeToString(sum[:])
-}
-
-// EncodeSafetyReport serializes a safety report for the sweep cache.
-func EncodeSafetyReport(r *safety.Report) ([]byte, error) {
-	if r == nil {
-		return nil, errors.New("experiment: encode nil safety report")
+	if strict && rep.Verdict == safety.Unsafe {
+		return rep, fmt.Errorf("%w: %s\n%s", ErrStaticallyUnsafe, rep.Reason, rep.Wheel)
 	}
-	return json.Marshal(r)
-}
-
-// DecodeSafetyReport is the inverse of EncodeSafetyReport.
-func DecodeSafetyReport(data []byte) (*safety.Report, error) {
-	r := &safety.Report{}
-	if err := json.Unmarshal(data, r); err != nil {
-		return nil, fmt.Errorf("experiment: decode safety report: %w", err)
-	}
-	return r, nil
+	return rep, nil
 }
 
 // StaticConvergenceBound derives a finite virtual-time watchdog horizon
@@ -165,70 +113,6 @@ func StaticConvergenceBound(s Scenario) time.Duration {
 		total += ph.Delay + span + perPhase
 	}
 	return 4 * total
-}
-
-// preflightGenerator wraps a Generator with the static safety gate used
-// by SweepOptions.Preflight: every scenario is analysed (verdict only),
-// UNSAFE scenarios are refused with an error wrapping
-// ErrStaticallyUnsafe and rendering the dispute-wheel witness, and SAFE
-// scenarios get the derived watchdog horizon. Verdicts are memoized by
-// SafetyKey across the sweep (workers call the generator concurrently)
-// and persisted in the sweep cache when one is available.
-func preflightGenerator(gen Generator, cache *sweep.Cache) Generator {
-	var (
-		mu   sync.Mutex
-		memo = map[string]*safety.Report{}
-	)
-	verdictFor := func(s Scenario) (*safety.Report, error) {
-		key := SafetyKey(s)
-		if key != "" {
-			mu.Lock()
-			rep, ok := memo[key]
-			mu.Unlock()
-			if ok {
-				return rep, nil
-			}
-			if cache != nil {
-				if data, ok, err := cache.Get(key); err == nil && ok {
-					if rep, err := DecodeSafetyReport(data); err == nil {
-						mu.Lock()
-						memo[key] = rep
-						mu.Unlock()
-						return rep, nil
-					}
-				}
-			}
-		}
-		rep, err := PreflightVerdict(s)
-		if err != nil {
-			return nil, err
-		}
-		if key != "" {
-			mu.Lock()
-			memo[key] = rep
-			mu.Unlock()
-			if cache != nil {
-				if data, err := EncodeSafetyReport(rep); err == nil {
-					_ = cache.Put(key, data)
-				}
-			}
-		}
-		return rep, nil
-	}
-	return func(trial int) (Scenario, error) {
-		s, err := gen(trial)
-		if err != nil {
-			return Scenario{}, err
-		}
-		rep, err := verdictFor(s)
-		if err != nil {
-			return Scenario{}, fmt.Errorf("experiment: preflight: %w", err)
-		}
-		if rep.Verdict == safety.Unsafe {
-			return Scenario{}, fmt.Errorf("%w: %s\n%s", ErrStaticallyUnsafe, rep.Reason, rep.Wheel)
-		}
-		return WithStaticBound(s, rep), nil
-	}
 }
 
 // WithStaticBound returns s with its quiescence watchdog horizon set

@@ -22,7 +22,7 @@ func mustSafetyInput(t *testing.T, s Scenario, candidates bool) safety.Input {
 
 // TestPreflightBadGadgetRefused pins the UNSAFE side of the static
 // analyzer: BAD GADGET is diagnosed with a verified dispute-wheel
-// witness, and the sweep-layer preflight gate refuses to simulate it.
+// witness, and the strict preflight gate refuses it.
 func TestPreflightBadGadgetRefused(t *testing.T) {
 	s := BadGadget(30_000)
 	rep, err := safety.Analyze(mustSafetyInput(t, s, true))
@@ -45,12 +45,19 @@ func TestPreflightBadGadgetRefused(t *testing.T) {
 		t.Fatalf("gadget candidates missing: %+v", rep.CandidateStats)
 	}
 
-	_, _, _, err = RunSweep(Repeat(s), 2, SweepOptions{Workers: 1, Preflight: true})
+	gated, err := Preflight(s, true)
 	if !errors.Is(err, ErrStaticallyUnsafe) {
-		t.Fatalf("sweep error = %v, want ErrStaticallyUnsafe", err)
+		t.Fatalf("strict preflight error = %v, want ErrStaticallyUnsafe", err)
 	}
-	if !strings.Contains(err.Error(), "dispute wheel") {
-		t.Fatalf("refusal does not render the wheel: %v", err)
+	if gated == nil || gated.Verdict != safety.Unsafe {
+		t.Fatalf("strict preflight report = %+v, want the UNSAFE verdict", gated)
+	}
+	if !strings.Contains(err.Error(), rep.Reason) || !strings.Contains(err.Error(), gated.Wheel.String()) {
+		t.Fatalf("refusal does not carry the reason and the rendered wheel: %v", err)
+	}
+	// Without strict the verdict is reported, not refused.
+	if warned, err := Preflight(s, false); err != nil || warned.Verdict != safety.Unsafe {
+		t.Fatalf("non-strict preflight = %+v, %v; want UNSAFE and no error", warned, err)
 	}
 }
 
@@ -96,7 +103,7 @@ func mixedScenarios(t *testing.T) []Scenario {
 
 // TestDifferentialSafeSweep is the SAFE side of the cross-validation:
 // every scenario in the mixed corpus is statically SAFE, and running
-// all of them through the preflight-gated sweep — where SAFE verdicts
+// all of them through a preflight-gated sweep — where SAFE verdicts
 // arm a *finite* watchdog horizon derived from the static convergence
 // bound — completes without a single quiescence failure. A dispute-type
 // oscillation, or an unsound static bound, would trip the watchdog and
@@ -113,20 +120,28 @@ func TestDifferentialSafeSweep(t *testing.T) {
 				i, s.Graph.Name(), rep.Verdict, rep.Reason)
 		}
 	}
-	// The preflight generator must actually arm the finite horizon.
-	armed, err := preflightGenerator(Repeat(scenarios[0]), nil)(0)
-	if err != nil {
-		t.Fatalf("preflight generator: %v", err)
+	// Each trial passes the strict gate and arms the finite horizon its
+	// SAFE verdict allows, as bgpsim does for its base scenario.
+	armed := func(trial int) (Scenario, error) {
+		s := scenarios[trial]
+		rep, err := Preflight(s, true)
+		if err != nil {
+			return Scenario{}, err
+		}
+		return WithStaticBound(s, rep), nil
 	}
-	if armed.staticHorizon <= 0 {
+	first, err := armed(0)
+	if err != nil {
+		t.Fatalf("preflight: %v", err)
+	}
+	if first.staticHorizon <= 0 {
 		t.Fatal("SAFE scenario did not get a static watchdog horizon")
 	}
-	if bound := StaticConvergenceBound(scenarios[0]); armed.staticHorizon != bound {
-		t.Fatalf("horizon %v != static bound %v", armed.staticHorizon, bound)
+	if bound := StaticConvergenceBound(scenarios[0]); first.staticHorizon != bound {
+		t.Fatalf("horizon %v != static bound %v", first.staticHorizon, bound)
 	}
 
-	gen := func(trial int) (Scenario, error) { return scenarios[trial], nil }
-	agg, results, _, err := RunSweep(gen, len(scenarios), SweepOptions{Preflight: true})
+	agg, results, _, err := RunSweep(armed, len(scenarios), SweepOptions{})
 	if err != nil {
 		t.Fatalf("preflight-gated sweep failed: %v", err)
 	}
@@ -189,41 +204,6 @@ func TestObservedLoopsMatchStaticCandidates(t *testing.T) {
 	}
 	if totalLoops == 0 {
 		t.Fatal("differential is vacuous: fixtures produced no loops")
-	}
-}
-
-// TestSafetyKeyStability pins the safety cache key: timing and seeds do
-// not change it, topology and enhancements do, and unfingerprintable
-// configurations yield "".
-func TestSafetyKeyStability(t *testing.T) {
-	base := CliqueTDown(5, bgp.DefaultConfig(), 1)
-	k1 := SafetyKey(base)
-	if k1 == "" {
-		t.Fatal("clique scenario should be fingerprintable")
-	}
-	reseeded := CliqueTDown(5, bgp.DefaultConfig(), 99)
-	reseeded.LinkDelay = base.LinkDelay + time.Millisecond
-	if k2 := SafetyKey(reseeded); k2 != k1 {
-		t.Error("seed/timing changed the safety key")
-	}
-	cfg := bgp.DefaultConfig()
-	cfg.MRAI = 5 * time.Second
-	if k3 := SafetyKey(CliqueTDown(5, cfg, 1)); k3 != k1 {
-		t.Error("MRAI changed the safety key")
-	}
-	cfg = bgp.DefaultConfig()
-	cfg.Enhancements.SSLD = true
-	if k4 := SafetyKey(CliqueTDown(5, cfg, 1)); k4 == k1 {
-		t.Error("enhancements did not change the safety key")
-	}
-	if k5 := SafetyKey(CliqueTDown(6, bgp.DefaultConfig(), 1)); k5 == k1 {
-		t.Error("topology did not change the safety key")
-	}
-	// A named policy enters the key by name: BAD GADGET's K4 keys apart
-	// from the same K4 under shortest path.
-	gadget := SafetyKey(BadGadget(1000))
-	if gadget == "" || gadget == SafetyKey(CliqueTDown(4, bgp.DefaultConfig(), 1)) {
-		t.Errorf("BAD GADGET safety key %q is empty or equals the shortest-path key", gadget)
 	}
 }
 

@@ -112,8 +112,7 @@ type Scenario struct {
 	// table (PolicyShortestPath, PolicyBadGadget, PolicyGaoRexford); ""
 	// is shortest path. The table's hooks are installed when the scenario
 	// is lowered, never stored here, so a named scenario sets neither
-	// BGP.PolicyFor nor BGP.Export, and its cache and safety keys hash
-	// the name.
+	// BGP.PolicyFor nor BGP.Export, and its cache key hashes the name.
 	NamedPolicy string
 
 	// staticHorizon is a derived watchdog horizon installed by

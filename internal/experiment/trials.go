@@ -107,16 +107,6 @@ type SweepOptions struct {
 	// uses, so the merged aggregate is byte-identical to a local run.
 	// Uncacheable trials (empty CacheKey) always run locally.
 	Remote func(ctx context.Context, trial int, key string) ([]byte, error)
-	// Preflight runs the static safety analysis (internal/safety) on
-	// every generated scenario before simulating it: statically-UNSAFE
-	// scenarios are refused with ErrStaticallyUnsafe carrying the
-	// dispute-wheel witness, and statically-SAFE scenarios get a finite
-	// quiescence watchdog horizon derived from the static convergence
-	// bound (see WithStaticBound — cache keys and results are
-	// unchanged). Verdicts are memoized per safety content address for
-	// the duration of the sweep and, when CacheDir is set, persisted in
-	// the result cache.
-	Preflight bool
 	// FS routes every persistence-layer file operation (cache objects,
 	// forensic bundles) through the given filesystem; nil means the real
 	// one. Fault-injection tests pass a durable.FaultFS so scripted
@@ -215,15 +205,8 @@ func RunSweep(gen Generator, trials int, opts SweepOptions) (Aggregate, []*Resul
 	if cache != nil {
 		forensicsDir = ForensicsDir(cache.Dir())
 	}
-	// The preflight wrapper rides between key computation and execution:
-	// content addresses come from the unwrapped generator, so cache
-	// objects are identical with preflight on or off.
-	runGen := gen
-	if opts.Preflight {
-		runGen = preflightGenerator(gen, cache)
-	}
 	task := func(tctx context.Context, i int) (*Result, error) {
-		res, fail := runOneTrial(tctx, runGen, i)
+		res, fail := runOneTrial(tctx, gen, i)
 		if fail != nil {
 			attachForensics(fail, forensicsDir, opts.FS)
 			return nil, fail

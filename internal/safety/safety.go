@@ -76,32 +76,6 @@ func (v Verdict) MarshalJSON() ([]byte, error) {
 	return []byte(`"` + v.String() + `"`), nil
 }
 
-// UnmarshalJSON decodes a verdict keyword (case-sensitive).
-func (v *Verdict) UnmarshalJSON(data []byte) error {
-	got, err := ParseVerdict(string(data))
-	if err != nil {
-		return err
-	}
-	*v = got
-	return nil
-}
-
-// ParseVerdict parses a verdict keyword, tolerating surrounding quotes.
-func ParseVerdict(s string) (Verdict, error) {
-	for len(s) >= 2 && s[0] == '"' && s[len(s)-1] == '"' {
-		s = s[1 : len(s)-1]
-	}
-	switch s {
-	case "SAFE", "safe":
-		return Safe, nil
-	case "UNSAFE", "unsafe":
-		return Unsafe, nil
-	case "UNKNOWN", "unknown":
-		return Unknown, nil
-	}
-	return Unknown, fmt.Errorf("safety: unknown verdict %q", s)
-}
-
 // Limits bounds the exhaustive universe enumeration so the analysis
 // always terminates quickly. Zero fields take defaults. Hitting a limit
 // truncates the universe: UNSAFE verdicts (found wheels) remain sound,

@@ -41,6 +41,7 @@ import (
 	"bgploop/internal/dist"
 	"bgploop/internal/durable"
 	"bgploop/internal/experiment"
+	"bgploop/internal/safety"
 	"bgploop/internal/sweep"
 )
 
@@ -266,22 +267,21 @@ type submitOutcome struct {
 }
 
 // submit runs admission control for one parsed request: preflight gate,
-// dedupe against in-flight jobs, capacity check, enqueue.
+// dedupe against in-flight jobs, capacity check, enqueue. The job runs
+// the scenario as admitted, with no static watchdog bound: a job the WAL
+// recovers is rebuilt from its spec, so it could not carry one either.
 func (s *Server) submit(req *RunRequest, sc experiment.Scenario) submitOutcome {
 	warning := ""
-	rep, err := experiment.PreflightVerdict(sc)
-	if err != nil {
+	rep, err := experiment.Preflight(sc, s.cfg.Preflight == PreflightStrict)
+	if err != nil && !errors.Is(err, experiment.ErrStaticallyUnsafe) {
 		return submitOutcome{err: &RequestError{
 			Status: http.StatusBadRequest, Code: "preflight_error",
 			Message: fmt.Sprintf("static analysis failed: %v", err),
 		}}
 	}
-	if rep.Verdict.String() == "UNSAFE" {
-		detail := rep.Reason
-		if rep.Wheel != nil {
-			detail += "\n" + rep.Wheel.String()
-		}
-		if s.cfg.Preflight == PreflightStrict {
+	if rep.Verdict == safety.Unsafe {
+		detail := rep.Reason + "\n" + rep.Wheel.String()
+		if err != nil {
 			s.metrics.inc("bgpd_preflight_refusals_total", 1)
 			return submitOutcome{err: &RequestError{
 				Status: http.StatusUnprocessableEntity, Code: "statically_unsafe",
