@@ -141,8 +141,8 @@ func (sl *slabs) carve(st, at, deg int, self, dest topology.Node, policy routing
 }
 
 // destState is the per-destination protocol state. Its per-peer slices
-// are indexed by slot. It never moves once made: pending MRAI and tick
-// events carry a pointer to it.
+// are indexed by slot. It never moves once made: pending MRAI events
+// carry a pointer to it.
 type destState struct {
 	table routing.Table
 	// adv holds the last route advertised to each peer (nil = withdrawn
@@ -167,21 +167,25 @@ type destState struct {
 // peer slot.
 const (
 	evProcess = iota // an update's processing delay is over; arg is the Update
-	evMRAI           // a reset-model MRAI timer expires; arg is the *destState
-	evTick           // a continuous-model tick with a send pending; arg likewise
+	evMRAI           // an MRAI timer releases the sends waiting on it; arg is the *destState
 )
 
+// mraiState is the MRAI timer of one (destination, peer) pair.
 type mraiState struct {
-	armed   bool
-	pending bool // re-evaluate what to advertise when the timer expires
-	handle  des.Handle
+	// timer is the instant a waiting send is released. In the reset model
+	// armMRAI reserves the expiry's key (des.Scheduler.Reserve), the timer
+	// runs while the key is reserved, and only deferSend claims it as an
+	// event: an expiry no send waits on never enters the event queue. In
+	// the continuous model it is the next tick, reserved and claimed
+	// together when a send goes pending.
+	timer   des.Reservation
+	pending bool // re-evaluate what to advertise when the timer releases
 
 	// Continuous timer model (Config.MRAIContinuous): the timer
 	// free-runs with a fixed jittered interval from a random phase, and
 	// sends are released only at tick instants.
 	interval  des.Time
 	phase     des.Time
-	flushSet  bool // a tick-flush event is scheduled
 	continual bool // interval/phase initialised
 }
 
@@ -430,6 +434,16 @@ func (s *Speaker) schedule(lane *des.Lane, at des.Time, kind, slot int, arg any)
 	return h
 }
 
+// reserve reserves the key of an MRAI release of slot at at; see schedule
+// for why a refusal is unreachable.
+func (s *Speaker) reserve(at des.Time, slot int, st *destState) des.Reservation {
+	r, err := s.sched.Reserve(at, s, evMRAI, slot, 0, st)
+	if err != nil {
+		invariant.Unreachable("bgp-schedule", fmt.Sprintf("impossible past scheduling: %v", err))
+	}
+	return r
+}
+
 // Fire implements des.Receiver for the events schedule queues.
 func (s *Speaker) Fire(kind, slot int, _ uint64, arg any) {
 	switch kind {
@@ -437,8 +451,6 @@ func (s *Speaker) Fire(kind, slot int, _ uint64, arg any) {
 		s.process(slot, arg.(Update))
 	case evMRAI:
 		s.mraiExpired(arg.(*destState), slot)
-	case evTick:
-		s.tickFlush(arg.(*destState), slot)
 	}
 }
 
@@ -476,7 +488,7 @@ func (s *Speaker) peerLeave(slot int) {
 		if st == nil {
 			continue
 		}
-		st.mrai[slot].handle.Cancel()
+		s.sched.Drop(st.mrai[slot].timer)
 		st.mrai[slot] = mraiState{}
 		if st.damp != nil && st.damp[slot] != nil {
 			st.damp[slot].reuse.Cancel()
@@ -692,7 +704,7 @@ func (s *Speaker) mraiBlocked(st *destState, slot int) bool {
 	}
 	m := &st.mrai[slot]
 	if !s.cfg.MRAIContinuous {
-		return m.armed
+		return s.sched.Reserved(m.timer)
 	}
 	s.initContinuous(m)
 	delta := s.sched.Now() - m.phase
@@ -700,24 +712,23 @@ func (s *Speaker) mraiBlocked(st *destState, slot int) bool {
 }
 
 // deferSend marks the (destination, peer) pair dirty and ensures a flush
-// will run when the timer releases: at expiry in the reset model (the
-// timer is armed whenever we are blocked), or at the next free-running
-// tick in the continuous model.
+// will run when the timer releases: it claims the running expiry in the
+// reset model (the timer is running whenever we are blocked), or the next
+// free-running tick in the continuous model.
 func (s *Speaker) deferSend(st *destState, slot int) {
 	m := &st.mrai[slot]
 	m.pending = true
-	if !s.cfg.MRAIContinuous || m.flushSet {
-		return
+	if s.cfg.MRAIContinuous && !s.sched.Reserved(m.timer) {
+		next := m.phase
+		if delta := s.sched.Now() - m.phase; delta >= 0 {
+			next += (delta/m.interval + 1) * m.interval
+		}
+		m.timer = s.reserve(next, slot, st)
 	}
-	delta := s.sched.Now() - m.phase
-	var next des.Time
-	if delta < 0 {
-		next = m.phase
-	} else {
-		next = m.phase + (delta/m.interval+1)*m.interval
+	var ok bool
+	if m.timer, ok = s.sched.Claim(m.timer, s, evMRAI, slot, 0, st); !ok {
+		invariant.Unreachable("bgp-mrai-claim", "a send waits on an MRAI timer that is not running")
 	}
-	m.flushSet = true
-	m.handle = s.schedule(nil, next, evTick, slot, st)
 }
 
 // noteRateLimitedSend records that a rate-limited update went out: in the
@@ -743,20 +754,6 @@ func (s *Speaker) initContinuous(m *mraiState) {
 	m.continual = true
 }
 
-// tickFlush runs at a continuous-model tick with a pending send.
-func (s *Speaker) tickFlush(st *destState, slot int) {
-	m := &st.mrai[slot]
-	m.flushSet = false
-	if !m.pending {
-		return
-	}
-	m.pending = false
-	if !s.up[slot] {
-		return
-	}
-	s.advertise(st, slot)
-}
-
 // maybeGhostFlush implements Ghost Flushing: if the node has switched to a
 // strictly longer path than the one this peer currently holds, and the
 // announcement is blocked by the MRAI timer, send an immediate withdrawal
@@ -774,10 +771,11 @@ func (s *Speaker) maybeGhostFlush(st *destState, slot int, desired routing.Path)
 	st.adv[slot] = nil
 }
 
-// mraiExpired runs when the (st, slot) MRAI timer fires.
+// mraiExpired runs when the (st, slot) MRAI timer releases a waiting
+// send: a claimed reset-model expiry or a continuous-model tick. With an
+// exec hook attached every reset-model expiry fires, waited on or not.
 func (s *Speaker) mraiExpired(st *destState, slot int) {
 	m := &st.mrai[slot]
-	m.armed = false
 	if !m.pending {
 		return
 	}
@@ -799,9 +797,7 @@ func (s *Speaker) armMRAI(st *destState, slot int) {
 	if interval <= 0 {
 		return
 	}
-	m := &st.mrai[slot]
-	m.armed = true
-	m.handle = s.schedule(nil, s.sched.Now()+interval, evMRAI, slot, st)
+	st.mrai[slot].timer = s.reserve(s.sched.Now()+interval, slot, st)
 }
 
 // send hands msg — a boxed Update, shared by every peer it goes to — to the

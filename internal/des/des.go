@@ -15,11 +15,21 @@
 // event. Because events are reused, a Handle names its event together
 // with the generation it was scheduled under; see Handle. Events that
 // arrive already in time order can wait on a Lane instead of in the heap.
+//
+// An event that will usually turn out not to be needed, such as a timer
+// expiry that finds nothing to do, can be reserved instead (Reserve): its
+// (time, seq) key is set aside in a pointer-free slab, and the key becomes
+// an event only if it is claimed (Claim) before the clock passes it. An
+// unclaimed key counts as one executed event that fires nothing, at
+// exactly its key, so Executed, Len, the run loops' limits and horizons,
+// PendingCensus and NextEventTime read as if it were an event. With an
+// exec hook attached a reservation is an event from the start.
 package des
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"bgploop/internal/invariant"
@@ -129,6 +139,33 @@ func (a item) before(b item) bool {
 	return a.seq < b.seq
 }
 
+// Reservation names a key set aside by Reserve, and the event it became
+// once claimed. The zero value names nothing: it is never reserved.
+type Reservation struct {
+	h   Handle // the event once there is one; while only a key, h.seq is its seq
+	key int32  // 1 + the key's slab index while it is only a key, 0 otherwise
+}
+
+// rkey is a reserved key in the scheduler's slab (16 B, no pointers). A
+// free entry has seq freeSeq and, in at, 1 + the next free entry's index.
+type rkey struct {
+	at  Time
+	seq uint64
+}
+
+// freeSeq marks a free slab entry; no event is ever keyed with it.
+const freeSeq = math.MaxUint64
+
+// item is k as a heap key, for ordering.
+func (k rkey) item() item { return item{at: k.at, seq: k.seq} }
+
+// keyRef is a reserved key in the exact run path's ordering (see
+// runExact), with the slab index it was reserved at.
+type keyRef struct {
+	rkey
+	i int32
+}
+
 // Scheduler is the event queue and virtual clock of a simulation.
 // The zero value is a ready-to-use scheduler positioned at time zero.
 //
@@ -136,16 +173,32 @@ func (a item) before(b item) bool {
 // scheduling sequence). Cancellation is lazy: a cancelled event keeps its
 // heap item until the item surfaces and is discarded, and a cancelled lane
 // entry keeps its place in the lane until the entry ahead of it leaves.
+//
+// Reserved keys are unordered in a slab beside the heap. The clock passes
+// them lazily: a key is passed once the clock has reached it, and a passed
+// key stays in the slab, uncounted, until a sweep counts and frees it.
+// Every run loop ends with a sweep, so between runs the slab holds only
+// keys ahead of the clock.
 type Scheduler struct {
 	now     Time
+	cur     uint64 // 1 + the seq of the event or key the clock last stopped at
 	seq     uint64
 	queue   []item
 	free    *event
 	live    int // pending events, in the heap or waiting on a lane
 	stopped bool
 
-	// executed counts events that have fired; useful for instrumentation
-	// and for guarding against runaway simulations.
+	keys     []rkey
+	keyFree  int32 // 1 + the first free slab entry, 0 when none is free
+	reserved int   // occupied slab entries, passed or not
+	// rq orders the reserved keys while runExact interleaves them with the
+	// heap (exact is set); it is empty otherwise.
+	rq    []keyRef
+	exact bool
+
+	// executed counts events that have fired and keys that have been
+	// passed (once swept); useful for instrumentation and for guarding
+	// against runaway simulations.
 	executed uint64
 
 	// execHook, when set, observes every fired event just before its
@@ -164,18 +217,28 @@ func NewScheduler() *Scheduler {
 func (s *Scheduler) Now() Time { return s.now }
 
 // Len returns the number of pending (non-cancelled) events, lane entries
-// included. Cancelled events that have not yet been popped are excluded.
-func (s *Scheduler) Len() int { return s.live }
+// and reserved keys the clock has not passed included. Cancelled events
+// that have not yet been popped are excluded.
+func (s *Scheduler) Len() int {
+	s.sweep()
+	return s.live + s.reserved
+}
 
-// Executed returns the number of events that have fired so far.
-func (s *Scheduler) Executed() uint64 { return s.executed }
+// Executed returns the number of events that have fired so far, passed
+// reserved keys included.
+func (s *Scheduler) Executed() uint64 {
+	s.sweep()
+	return s.executed
+}
 
 // SetExecHook installs (or, with nil, removes) the per-event observation
 // hook. The hook fires once per executed event, after the clock has
 // advanced to the event's timestamp and before the event function runs —
 // i.e. at a point where all simulation state is between-events
 // consistent. Hooks must be observation-only; they are how the invariant
-// guard engine sees the kernel without perturbing it.
+// guard engine sees the kernel without perturbing it. While a hook is
+// attached, Reserve schedules an event, so the hook sees every key fire;
+// keys reserved before it was attached pass unobserved.
 func (s *Scheduler) SetExecHook(fn func(at Time)) { s.execHook = fn }
 
 // Schedule arranges for r.Fire(kind, n, id, arg) to be called at the
@@ -198,9 +261,31 @@ func (s *Scheduler) ScheduleLane(l *Lane, t Time, r Receiver, kind, n int, id ui
 	if l != nil && t < l.last {
 		return Handle{}, fmt.Errorf("%w: lane's last entry=%v, requested=%v", ErrPastTime, l.last, t)
 	}
-	if int(int32(kind)) != kind || int(int32(n)) != n {
-		return Handle{}, fmt.Errorf("des: event kind %d or n %d overflows int32", kind, n)
+	if err := fitsInt32(kind, n); err != nil {
+		return Handle{}, err
 	}
+	ev := s.newEvent(t, s.seq, r, kind, n, id, arg, l)
+	s.seq++
+	if l != nil && l.tail != nil {
+		l.tail.next = ev // waits until its predecessor leaves the heap
+	} else {
+		s.push(item{at: t, seq: ev.seq, ev: ev})
+	}
+	if l != nil {
+		l.tail, l.last = ev, t
+	}
+	return Handle{ev: ev, seq: ev.seq}, nil
+}
+
+func fitsInt32(kind, n int) error {
+	if int(int32(kind)) != kind || int(int32(n)) != n {
+		return fmt.Errorf("des: event kind %d or n %d overflows int32", kind, n)
+	}
+	return nil
+}
+
+// newEvent takes an event off the free list, pending with key (t, seq).
+func (s *Scheduler) newEvent(t Time, seq uint64, r Receiver, kind, n int, id uint64, arg any, l *Lane) *event {
 	ev := s.free
 	if ev == nil {
 		// Events are made a block at a time: the free list only ever grows
@@ -214,18 +299,125 @@ func (s *Scheduler) ScheduleLane(l *Lane, t Time, r Receiver, kind, n int, id ui
 		ev = &block[0]
 	}
 	s.free = ev.next
-	*ev = event{sched: s, recv: r, arg: arg, id: id, seq: s.seq, at: t, kind: int32(kind), n: int32(n), pending: true, lane: l}
-	s.seq++
+	*ev = event{sched: s, recv: r, arg: arg, id: id, seq: seq, at: t, kind: int32(kind), n: int32(n), pending: true, lane: l}
 	s.live++
-	if l != nil && l.tail != nil {
-		l.tail.next = ev // waits until its predecessor leaves the heap
-	} else {
-		s.push(item{at: t, seq: ev.seq, ev: ev})
+	return ev
+}
+
+// Reserve sets aside the key (t, seq) that Schedule would give an event
+// for r.Fire(kind, n, id, arg) at t, without making the event: the key
+// waits in a slab outside the heap. Until the clock passes it the key is
+// reserved (Reserved), and Claim makes it an event with that same key;
+// a key the clock passes unclaimed counts as one executed event that
+// fired nothing. Drop discards a key before it is passed, as Cancel
+// discards an event. With an exec hook attached Reserve is Schedule, and
+// the event fires whether it is claimed or not, so r must do nothing when
+// no claim was wanted.
+func (s *Scheduler) Reserve(t Time, r Receiver, kind, n int, id uint64, arg any) (Reservation, error) {
+	if s.execHook != nil {
+		h, err := s.Schedule(t, r, kind, n, id, arg)
+		return Reservation{h: h}, err
 	}
-	if l != nil {
-		l.tail, l.last = ev, t
+	if t < s.now {
+		return Reservation{}, fmt.Errorf("%w: now=%v, requested=%v", ErrPastTime, s.now, t)
 	}
-	return Handle{ev: ev, seq: ev.seq}, nil
+	if err := fitsInt32(kind, n); err != nil {
+		return Reservation{}, err
+	}
+	if s.keyFree == 0 {
+		s.makeRoom()
+	}
+	i := s.keyFree - 1
+	s.keyFree = int32(s.keys[i].at)
+	s.keys[i] = rkey{at: t, seq: s.seq}
+	s.reserved++
+	if s.exact {
+		s.rqPush(keyRef{rkey: s.keys[i], i: i})
+	}
+	s.seq++
+	return Reservation{h: Handle{seq: s.keys[i].seq}, key: i + 1}, nil
+}
+
+// Reserved reports whether r is still ahead of the clock: a key not yet
+// passed, claimed or dropped, or the pending event a claim made of it.
+func (s *Scheduler) Reserved(r Reservation) bool {
+	if r.key == 0 {
+		return r.h.Pending()
+	}
+	k := s.keys[r.key-1]
+	return k.seq == r.h.seq && !s.passed(k)
+}
+
+// Claim makes the reserved key r an event for recv.Fire(kind, n, id, arg)
+// with r's own key, and returns r naming that event. A reservation that
+// already is an event is returned as it is. ok is false, and nothing
+// happens, when r is no longer reserved (see Reserved).
+func (s *Scheduler) Claim(r Reservation, recv Receiver, kind, n int, id uint64, arg any) (_ Reservation, ok bool) {
+	if !s.Reserved(r) {
+		return r, false
+	}
+	if r.key == 0 {
+		return r, true
+	}
+	k := s.keys[r.key-1]
+	s.freeKey(r.key - 1)
+	ev := s.newEvent(k.at, k.seq, recv, kind, n, id, arg, nil)
+	s.push(item{at: k.at, seq: k.seq, ev: ev})
+	return Reservation{h: Handle{ev: ev, seq: k.seq}}, true
+}
+
+// Drop discards r as Cancel discards an event: a dropped key is never
+// counted. It reports whether r was still reserved; a key the clock has
+// already passed stays counted.
+func (s *Scheduler) Drop(r Reservation) bool {
+	if r.key == 0 {
+		return r.h.Cancel()
+	}
+	if !s.Reserved(r) {
+		return false
+	}
+	s.freeKey(r.key - 1)
+	return true
+}
+
+// passed reports whether the clock has reached key k.
+func (s *Scheduler) passed(k rkey) bool {
+	return k.at < s.now || k.at == s.now && k.seq < s.cur
+}
+
+func (s *Scheduler) freeKey(i int32) {
+	s.keys[i] = rkey{at: Time(s.keyFree), seq: freeSeq}
+	s.keyFree = i + 1
+	s.reserved--
+}
+
+// sweep counts and frees every key the clock has passed.
+func (s *Scheduler) sweep() {
+	if s.reserved == 0 {
+		return
+	}
+	for i, k := range s.keys {
+		if k.seq != freeSeq && s.passed(k) {
+			s.freeKey(int32(i))
+			s.executed++
+		}
+	}
+}
+
+// makeRoom frees a slab entry when none is: it sweeps, and doubles the
+// slab if that leaves it more than three quarters full, so that the next
+// sweep is at least a quarter of the slab's reservations away.
+func (s *Scheduler) makeRoom() {
+	s.sweep()
+	if s.reserved <= len(s.keys)*3/4 && s.keyFree != 0 {
+		return
+	}
+	old := len(s.keys)
+	s.keys = append(s.keys, make([]rkey, max(64, old))...)
+	for i := len(s.keys) - 1; i >= old; i-- {
+		s.keys[i] = rkey{at: Time(s.keyFree), seq: freeSeq}
+		s.keyFree = int32(i + 1)
+	}
 }
 
 // At schedules fn to run at the absolute virtual time t. Events scheduled
@@ -265,30 +457,40 @@ func (s *Scheduler) MustAfter(d time.Duration, fn func()) Handle {
 	return h
 }
 
-// Step pops and executes the next event. It reports false when the queue is
-// empty or the scheduler has been stopped.
+// Step executes the next event, or passes the next reserved key. It
+// reports false when there is neither or the scheduler has been stopped.
 func (s *Scheduler) Step() bool {
-	for len(s.queue) > 0 && !s.stopped {
-		it := s.pop()
-		ev := it.ev
-		if !ev.pending {
-			s.release(ev)
-			continue
+	n, _ := s.RunLimitUntil(1, math.MaxInt64)
+	return n == 1
+}
+
+// peek returns the heap's earliest pending item, discarding cancelled ones
+// on the way.
+func (s *Scheduler) peek() (item, bool) {
+	for len(s.queue) > 0 {
+		if top := s.queue[0]; top.ev.pending {
+			return top, true
 		}
-		// Recycle before firing: what the event schedules next reuses it
-		// while it is still in cache.
-		recv, kind, n, id, arg := ev.recv, int(ev.kind), int(ev.n), ev.id, ev.arg
-		s.release(ev)
-		s.live--
-		s.now = it.at
-		s.executed++
-		if s.execHook != nil {
-			s.execHook(it.at)
-		}
-		recv.Fire(kind, n, id, arg)
-		return true
+		s.release(s.pop().ev)
 	}
-	return false
+	return item{}, false
+}
+
+// fire pops and executes the heap's earliest item, which must be pending.
+func (s *Scheduler) fire() {
+	it := s.pop()
+	ev := it.ev
+	// Recycle before firing: what the event schedules next reuses it
+	// while it is still in cache.
+	recv, kind, n, id, arg := ev.recv, int(ev.kind), int(ev.n), ev.id, ev.arg
+	s.release(ev)
+	s.live--
+	s.now, s.cur = it.at, it.seq+1
+	s.executed++
+	if s.execHook != nil {
+		s.execHook(it.at)
+	}
+	recv.Fire(kind, n, id, arg)
 }
 
 // release puts a popped event on the free list. Handles to it are dead
@@ -378,10 +580,8 @@ func (s *Scheduler) advance(ev *event) *event {
 // Run executes events until the queue is empty (quiescence) or Stop is
 // called. It returns the number of events executed by this call.
 func (s *Scheduler) Run() uint64 {
-	start := s.executed
-	for s.Step() {
-	}
-	return s.executed - start
+	n, _ := s.RunLimitUntil(math.MaxUint64, math.MaxInt64)
+	return n
 }
 
 // RunUntil executes events with timestamps <= t, then advances the clock to
@@ -389,28 +589,19 @@ func (s *Scheduler) Run() uint64 {
 // before t pending, which must still fire at its own instant. It returns the
 // number of events executed by this call.
 func (s *Scheduler) RunUntil(t Time) uint64 {
-	start := s.executed
-	for !s.stopped {
-		if at, ok := s.NextEventTime(); !ok || at > t {
-			break
-		}
-		s.Step()
-	}
+	n, _ := s.RunLimitUntil(math.MaxUint64, t)
 	if s.now < t {
 		if at, ok := s.NextEventTime(); !ok || at > t {
 			s.now = t
 		}
 	}
-	return s.executed - start
+	return n
 }
 
 // RunLimit executes at most limit events, returning the number executed.
 // It is a guard against accidental non-terminating simulations.
 func (s *Scheduler) RunLimit(limit uint64) uint64 {
-	var n uint64
-	for n < limit && s.Step() {
-		n++
-	}
+	n, _ := s.RunLimitUntil(limit, math.MaxInt64)
 	return n
 }
 
@@ -419,42 +610,168 @@ func (s *Scheduler) RunLimit(limit uint64) uint64 {
 // run stopped because the next pending event lies beyond the horizon (the
 // virtual-time watchdog condition). Unlike RunUntil the clock is not
 // advanced to the horizon when the queue drains early, so a subsequent
-// phase continues from the true quiescence instant.
+// phase continues from the true quiescence instant. It is every run
+// loop's one loop, and counts a reserved key the clock passes as an
+// event at its own key.
 func (s *Scheduler) RunLimitUntil(limit uint64, horizon Time) (n uint64, hitHorizon bool) {
-	for n < limit && !s.stopped {
-		at, ok := s.NextEventTime()
-		if !ok {
-			return n, false
+	start := s.executed
+	// Fire heap events while the limit could not be reached even if every
+	// key in the slab were passed before the next one.
+	for !s.stopped {
+		it, ok := s.peek()
+		if !ok || it.at > horizon || uint64(s.reserved) >= limit-(s.executed-start) {
+			break
 		}
-		if at > horizon {
-			return n, true
-		}
-		s.Step()
-		n++
+		s.fire()
 	}
-	return n, false
+	s.sweep()
+	n = s.executed - start
+	if s.stopped || n >= limit {
+		return n, false
+	}
+	it, ok := s.peek()
+	if ok && it.at <= horizon {
+		return s.runExact(start, limit, horizon)
+	}
+	// The heap is drained or waits beyond the horizon, so what is left at
+	// or before it is keys: they pass in one count if the limit allows.
+	var (
+		c    uint64
+		last rkey
+	)
+	for _, k := range s.keys {
+		if k.seq != freeSeq && k.at <= horizon {
+			c++
+			if c == 1 || last.item().before(k.item()) {
+				last = k
+			}
+		}
+	}
+	if c > limit-n {
+		return s.runExact(start, limit, horizon)
+	}
+	if c > 0 {
+		s.now, s.cur = last.at, last.seq+1
+		s.sweep()
+		n += c
+	}
+	if n == limit {
+		return n, false
+	}
+	return n, ok || s.reserved > 0
+}
+
+// runExact continues RunLimitUntil where its limit may fall among reserved
+// keys: it orders them, and those reserved meanwhile, in rq and takes the
+// earlier of rq's and the heap's first key at each step, so that it stops
+// at exactly the event or key the limit or the horizon falls on.
+func (s *Scheduler) runExact(start, limit uint64, horizon Time) (n uint64, hitHorizon bool) {
+	for i, k := range s.keys {
+		if k.seq != freeSeq {
+			s.rq = append(s.rq, keyRef{rkey: k, i: int32(i)})
+		}
+	}
+	for i := len(s.rq)/2 - 1; i >= 0; i-- {
+		s.rqDown(i)
+	}
+	s.exact = true
+	for !s.stopped && s.executed-start < limit {
+		it, ok := s.peek()
+		for len(s.rq) > 0 && s.keys[s.rq[0].i].seq != s.rq[0].seq {
+			s.rqPop() // claimed or dropped
+		}
+		if len(s.rq) > 0 && (!ok || s.rq[0].item().before(it)) {
+			k := s.rq[0]
+			if k.at > horizon {
+				hitHorizon = true
+				break
+			}
+			s.rqPop()
+			s.freeKey(k.i)
+			s.now, s.cur = k.at, k.seq+1
+			s.executed++
+			continue
+		}
+		if !ok {
+			break
+		}
+		if it.at > horizon {
+			hitHorizon = true
+			break
+		}
+		s.fire()
+	}
+	s.exact = false
+	s.rq = s.rq[:0]
+	return s.executed - start, hitHorizon
+}
+
+// rqPush, rqPop and rqDown keep rq a binary min-heap.
+func (s *Scheduler) rqPush(k keyRef) {
+	s.rq = append(s.rq, k)
+	for i := len(s.rq) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !s.rq[i].item().before(s.rq[p].item()) {
+			break
+		}
+		s.rq[i], s.rq[p] = s.rq[p], s.rq[i]
+		i = p
+	}
+}
+
+func (s *Scheduler) rqPop() {
+	last := len(s.rq) - 1
+	s.rq[0] = s.rq[last]
+	s.rq = s.rq[:last]
+	s.rqDown(0)
+}
+
+func (s *Scheduler) rqDown(i int) {
+	q := s.rq
+	for {
+		least, c := i, 2*i+1
+		if c < len(q) && q[c].item().before(q[least].item()) {
+			least = c
+		}
+		if c+1 < len(q) && q[c+1].item().before(q[least].item()) {
+			least = c + 1
+		}
+		if least == i {
+			return
+		}
+		q[i], q[least] = q[least], q[i]
+		i = least
+	}
 }
 
 // PendingCensus reports the number of pending (non-cancelled) events and
-// the earliest and latest pending timestamps. With no pending events both
-// timestamps are zero. It is the scheduler's contribution to the
-// non-quiescence diagnosis: how much scheduled work remains and how far
-// into virtual time it stretches.
+// reserved keys, and the earliest and latest pending timestamps. With
+// none pending both timestamps are zero. It is the scheduler's
+// contribution to the non-quiescence diagnosis: how much scheduled work
+// remains and how far into virtual time it stretches.
 func (s *Scheduler) PendingCensus() (n int, earliest, latest Time) {
+	s.sweep()
+	note := func(at Time) {
+		if n == 0 || at < earliest {
+			earliest = at
+		}
+		if n == 0 || at > latest {
+			latest = at
+		}
+		n++
+	}
 	for _, it := range s.queue {
 		// A heap item's event is followed by the entries waiting behind it
 		// on its lane; a plain event's next is nil.
 		for ev := it.ev; ev != nil; ev = ev.next {
-			if !ev.pending {
-				continue
+			if ev.pending {
+				note(ev.at)
 			}
-			if n == 0 || ev.at < earliest {
-				earliest = ev.at
-			}
-			if n == 0 || ev.at > latest {
-				latest = ev.at
-			}
-			n++
+		}
+	}
+	for _, k := range s.keys {
+		if k.seq != freeSeq {
+			note(k.at)
 		}
 	}
 	return n, earliest, latest
@@ -466,15 +783,17 @@ func (s *Scheduler) Stop() { s.stopped = true }
 // Resume clears a previous Stop so the scheduler can run again.
 func (s *Scheduler) Resume() { s.stopped = false }
 
-// NextEventTime returns the timestamp of the earliest pending event and
-// whether one exists. Cancelled events that have surfaced are discarded on
-// the way.
+// NextEventTime returns the timestamp of the earliest pending event or
+// reserved key and whether one exists. Cancelled events that have
+// surfaced are discarded on the way.
 func (s *Scheduler) NextEventTime() (Time, bool) {
-	for len(s.queue) > 0 {
-		if top := s.queue[0]; top.ev.pending {
-			return top.at, true
+	s.sweep()
+	it, ok := s.peek()
+	at := it.at
+	for _, k := range s.keys {
+		if k.seq != freeSeq && (!ok || k.at < at) {
+			at, ok = k.at, true
 		}
-		s.release(s.pop().ev)
 	}
-	return 0, false
+	return at, ok
 }

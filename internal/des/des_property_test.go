@@ -19,15 +19,25 @@ type queue interface {
 	RunLimitUntil(uint64, Time) (uint64, bool)
 	PendingCensus() (int, Time, Time)
 	NextEventTime() (Time, bool)
+	Run() uint64
 	Stop()
 	Resume()
 	at(Time, func()) (canceller, error)
 	onLane(k int, t Time, fn func()) (canceller, error)
+	// reserve reserves a key at t; fn is what an exec-hooked scheduler
+	// fires at the key, claimed or not.
+	reserve(t Time, fn func()) (reservation, error)
 }
 
 type canceller interface {
 	Cancel() bool
 	Pending() bool
+}
+
+type reservation interface {
+	claim(fn func()) bool
+	reserved() bool
+	drop() bool
 }
 
 // lanes is how many lanes a script spreads its lane entries over.
@@ -38,7 +48,33 @@ type realQueue struct {
 	lanes [lanes]Lane
 }
 
-func newRealQueue() *realQueue { return &realQueue{Scheduler: NewScheduler()} }
+// newRealQueue returns the scheduler under test; hooked attaches an exec
+// hook, under which reservations are events from the start.
+func newRealQueue(hooked bool) *realQueue {
+	q := &realQueue{Scheduler: NewScheduler()}
+	if hooked {
+		q.SetExecHook(func(Time) {})
+	}
+	return q
+}
+
+func (q *realQueue) reserve(t Time, fn func()) (reservation, error) {
+	r, err := q.Reserve(t, funcEvent(fn), 0, 0, 0, nil)
+	return &realReservation{q: q.Scheduler, r: r}, err
+}
+
+type realReservation struct {
+	q *Scheduler
+	r Reservation
+}
+
+func (r *realReservation) claim(fn func()) (ok bool) {
+	r.r, ok = r.q.Claim(r.r, funcEvent(fn), 0, 0, 0, nil)
+	return ok
+}
+
+func (r *realReservation) reserved() bool { return r.q.Reserved(r.r) }
+func (r *realReservation) drop() bool     { return r.q.Drop(r.r) }
 
 func (q *realQueue) at(t Time, fn func()) (canceller, error) { return q.At(t, fn) }
 
@@ -58,6 +94,8 @@ func (q *oracleQueue) at(t Time, fn func()) (canceller, error) { return q.At(t, 
 func (q *oracleQueue) onLane(k int, t Time, fn func()) (canceller, error) {
 	return q.LaneAt(&q.last[k], t, fn)
 }
+
+func (q *oracleQueue) reserve(t Time, _ func()) (reservation, error) { return q.Reserve(t) }
 
 // script is where play draws its choices: a seeded math/rand for the
 // property test, the fuzzer's bytes for the fuzz target.
@@ -86,16 +124,55 @@ func (b *byteScript) Intn(n int) int {
 // the lane's latest instant and so mostly at instants plain events share;
 // the script cancels lane heads and queued entries alike, and offers the
 // lanes entries before their latest instant, which must be refused.
+// Reserved keys are made, claimed, dropped and queried from the script and
+// from inside events, so that claims land at a key's own instant, before
+// it and after the clock passed it; a claimed key's event reserves and
+// stops in turn, and run limits fall among reserved keys.
 func play(q queue, src script, ops int) []string {
 	delays := []Time{0, 0, 0, 0, time.Millisecond, time.Millisecond, 2 * time.Millisecond, 7 * time.Millisecond}
+	limits := []uint64{0, 1, 2, 4, 9, 40}
 	var (
 		log     []string
 		handles []canceller
 		queued  [lanes][]int // the ids each lane accepted, in order
 		last    [lanes]Time  // each lane's latest accepted instant
+		resvs   []reservation
+		claimed []bool
+		bodies  []func() // what each reserved key's event does once claimed
 	)
 	logf := func(format string, args ...any) { log = append(log, fmt.Sprintf(format, args...)) }
 	laneAt := func(k int, d Time) Time { return max(q.Now(), last[k]) + d }
+	var reserve func(t Time)
+	reserve = func(t Time) {
+		k := len(resvs)
+		body := func() {
+			logf("fire reservation %d at %v", k, q.Now())
+			switch {
+			case k%3 == 0:
+				reserve(q.Now() + delays[k%len(delays)])
+			case k%4 == 3:
+				q.Stop()
+			}
+		}
+		claimed, bodies = append(claimed, false), append(bodies, body)
+		r, err := q.reserve(t, func() {
+			if claimed[k] {
+				body()
+			}
+		})
+		if err != nil {
+			logf("reserve %d at %v: refused", k, t)
+			resvs = append(resvs, oracleHandle{})
+			return
+		}
+		resvs = append(resvs, r)
+		logf("reserve %d at %v", k, t)
+	}
+	claim := func(k int) bool {
+		ok := resvs[k].claim(bodies[k])
+		claimed[k] = claimed[k] || ok
+		return ok
+	}
 	var schedule func(lane int, t Time) // lane -1 is a plain event
 	schedule = func(lane int, t Time) {
 		id := len(handles)
@@ -112,6 +189,16 @@ func play(q queue, src script, ops int) []string {
 				logf("cancel %d from %d: %v", id-1, id, handles[id-1].Cancel())
 			case id%11 == 0:
 				q.Stop()
+			}
+			switch k := len(resvs) - 1; {
+			case id%3 == 0:
+				reserve(q.Now() + delays[id%len(delays)])
+			case id%4 == 1 && k >= 0:
+				logf("claim %d from %d: %v", k, id, claim(k))
+			case id%8 == 2 && k >= 0:
+				logf("reserved %d from %d: %v", k, id, resvs[k].reserved())
+			case id%10 == 7 && k >= 0:
+				logf("drop 0 from %d: %v", id, resvs[0].drop())
 			}
 		}
 		var (
@@ -136,7 +223,7 @@ func play(q queue, src script, ops int) []string {
 		logf("schedule %d on lane %d at %v", id, lane, t)
 	}
 	for i := 0; i < ops; i++ {
-		switch r := src.Intn(24); {
+		switch r := src.Intn(30); {
 		case r < 8:
 			schedule(-1, q.Now()+delays[src.Intn(len(delays))])
 		case r == 8:
@@ -166,17 +253,27 @@ func play(q queue, src script, ops int) []string {
 		case r == 21:
 			logf("run until: %d", q.RunUntil(q.Now()+delays[src.Intn(len(delays))]))
 		case r == 22:
-			n, hit := q.RunLimitUntil(uint64(src.Intn(6)), q.Now()+delays[src.Intn(len(delays))])
+			n, hit := q.RunLimitUntil(limits[src.Intn(len(limits))], q.Now()+delays[src.Intn(len(delays))])
 			logf("run limit until: %d %v", n, hit)
-		default:
+		case r == 23:
 			q.Resume()
+		case r < 26:
+			reserve(q.Now() + delays[src.Intn(len(delays))] - Time(src.Intn(8)/7)) // in the past one time in eight
+		case r < 28 && len(resvs) > 0:
+			k := src.Intn(len(resvs))
+			logf("claim %d: %v", k, claim(k))
+		case r == 28 && len(resvs) > 0:
+			k := src.Intn(len(resvs))
+			logf("drop %d: %v", k, resvs[k].drop())
+		case len(resvs) > 0:
+			k := src.Intn(len(resvs))
+			logf("reserved %d: %v", k, resvs[k].reserved())
 		}
 		n, lo, hi := q.PendingCensus()
 		next, ok := q.NextEventTime()
 		logf("now %v len %d executed %d census %d %v %v next %v %v", q.Now(), q.Len(), q.Executed(), n, lo, hi, next, ok)
 	}
-	q.Resume()
-	for q.Step() {
+	for q.Resume(); q.Run() > 0; q.Resume() {
 	}
 	logf("drained at %v, executed %d, len %d", q.Now(), q.Executed(), q.Len())
 	return log
@@ -199,21 +296,28 @@ func sameTranscript(t *testing.T, name string, got, want []string) {
 	}
 }
 
-// TestPropertySchedulerMatchesOracle checks the value-heap scheduler and
-// its lanes against the container/heap scheduler it replaced
-// (oracle_test.go), where a lane entry is a plain At: the same seeded
-// script must produce the same transcript, line for line.
+// TestPropertySchedulerMatchesOracle checks the value-heap scheduler, its
+// lanes and its reserved keys, with and without an exec hook, against the
+// container/heap scheduler it replaced (oracle_test.go), where a lane
+// entry is a plain At and a reserved key a null At: the same seeded script
+// must produce the same transcript, line for line.
 func TestPropertySchedulerMatchesOracle(t *testing.T) {
-	var fired, onLane, refused int
+	var fired, onLane, refused, claimed, passed int
 	for seed := int64(0); seed < 400; seed++ {
-		ops := 40 + int(seed%7)*40
-		got := play(newRealQueue(), rand.New(rand.NewSource(seed)), ops)
-		want := play(newOracleQueue(), rand.New(rand.NewSource(seed)), ops)
-		sameTranscript(t, fmt.Sprintf("seed %d", seed), got, want)
+		ops := 50 + int(seed%7)*50
+		oracle := newOracleQueue()
+		want := play(oracle, rand.New(rand.NewSource(seed)), ops)
+		for _, hooked := range []bool{false, true} {
+			got := play(newRealQueue(hooked), rand.New(rand.NewSource(seed)), ops)
+			sameTranscript(t, fmt.Sprintf("seed %d, hooked %v", seed, hooked), got, want)
+		}
+		passed += oracle.passed
 		for _, line := range want {
 			switch {
 			case strings.HasPrefix(line, "fire"):
 				fired++
+			case strings.HasPrefix(line, "claim") && strings.HasSuffix(line, "true"):
+				claimed++
 			case strings.HasPrefix(line, "schedule") && !strings.Contains(line, "lane -1"):
 				if strings.HasSuffix(line, "refused") {
 					refused++
@@ -223,8 +327,11 @@ func TestPropertySchedulerMatchesOracle(t *testing.T) {
 			}
 		}
 	}
-	if fired < 15000 || onLane < 8000 || refused < 1500 {
-		t.Errorf("%d events fired, %d lane entries accepted and %d refused across all scripts; the comparison is nearly vacuous", fired, onLane, refused)
+	t.Logf("%d events fired, %d lane entries accepted and %d refused, %d reserved keys claimed and %d passed unclaimed",
+		fired, onLane, refused, claimed, passed)
+	if fired < 15000 || onLane < 8000 || refused < 1500 || claimed < 3000 || passed < 6000 {
+		t.Errorf("%d events fired, %d lane entries accepted and %d refused, %d reserved keys claimed and %d passed unclaimed across all scripts; the comparison is nearly vacuous",
+			fired, onLane, refused, claimed, passed)
 	}
 }
 
@@ -233,8 +340,12 @@ func TestPropertySchedulerMatchesOracle(t *testing.T) {
 func FuzzSchedulerMatchesOracle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops := min(len(data), 2000)
-		a, b := byteScript(data), byteScript(data)
-		sameTranscript(t, "script", play(newRealQueue(), &a, ops), play(newOracleQueue(), &b, ops))
+		b := byteScript(data)
+		want := play(newOracleQueue(), &b, ops)
+		for _, hooked := range []bool{false, true} {
+			a := byteScript(data)
+			sameTranscript(t, fmt.Sprintf("script, hooked %v", hooked), play(newRealQueue(hooked), &a, ops), want)
+		}
 	})
 }
 

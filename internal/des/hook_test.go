@@ -57,3 +57,29 @@ func TestExecHookSkipsCancelledEvents(t *testing.T) {
 		t.Fatalf("hook fired %d times, want 1 (cancelled events are not executed)", hooks)
 	}
 }
+
+// TestExecHookSeesReservedKeys pins where a reserved key waits: without a
+// hook it is counted as the clock passes it and fires nothing, with one it
+// is an event from the start, fired (and seen by the hook) claimed or not.
+func TestExecHookSeesReservedKeys(t *testing.T) {
+	for _, hooked := range []bool{false, true} {
+		s := NewScheduler()
+		var hooks, fired int
+		if hooked {
+			s.SetExecHook(func(Time) { hooks++ })
+		}
+		r, err := s.Reserve(time.Millisecond, funcEvent(func() { fired++ }), 0, 0, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !s.Reserved(r) || s.Len() != 1 {
+			t.Fatalf("hooked %v: reserved %v, Len %d after Reserve", hooked, s.Reserved(r), s.Len())
+		}
+		if n := s.Run(); n != 1 || s.Now() != time.Millisecond || s.Reserved(r) {
+			t.Fatalf("hooked %v: Run executed %d, now %v, still reserved %v", hooked, n, s.Now(), s.Reserved(r))
+		}
+		if want := map[bool]int{false: 0, true: 1}[hooked]; hooks != want || fired != want {
+			t.Errorf("hooked %v: hook saw %d events and the key fired %d times, want %d", hooked, hooks, fired, want)
+		}
+	}
+}

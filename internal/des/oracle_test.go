@@ -8,13 +8,15 @@ import (
 // oracleScheduler is the container/heap scheduler of boxed *oracleEvent
 // closures that the value heap replaced, kept as the reference the
 // differential test compares against. Len and PendingCensus walk the queue;
-// handles point at events that are never reused.
+// handles point at events that are never reused. A reserved key is a null
+// event, counted when it surfaces; a claim gives it its function in place.
 type oracleScheduler struct {
 	now      Time
 	seq      uint64
 	queue    oracleHeap
 	stopped  bool
 	executed uint64
+	passed   int // null events executed: keys that were never claimed
 }
 
 type oracleEvent struct {
@@ -38,6 +40,20 @@ func (h oracleHandle) Cancel() bool {
 func (h oracleHandle) Pending() bool {
 	return h.ev != nil && !h.ev.cancelled && !h.ev.fired
 }
+
+// claim, reserved and drop make a reserved key's handle a reservation.
+func (h oracleHandle) claim(fn func()) bool {
+	if !h.Pending() {
+		return false
+	}
+	if h.ev.fn == nil {
+		h.ev.fn = fn
+	}
+	return true
+}
+
+func (h oracleHandle) reserved() bool { return h.Pending() }
+func (h oracleHandle) drop() bool     { return h.Cancel() }
 
 type oracleHeap []*oracleEvent
 
@@ -87,6 +103,9 @@ func (s *oracleScheduler) At(t Time, fn func()) (oracleHandle, error) {
 	return oracleHandle{ev: ev}, nil
 }
 
+// Reserve models a reserved key: a null event.
+func (s *oracleScheduler) Reserve(t Time) (oracleHandle, error) { return s.At(t, nil) }
+
 // LaneAt models an entry on a lane whose latest instant is *last. A lane
 // changes where an event waits, never when it fires, so the entry is a
 // plain At; all the lane adds is the refusal of disorder.
@@ -110,6 +129,10 @@ func (s *oracleScheduler) Step() bool {
 		s.now = ev.at
 		ev.fired = true
 		s.executed++
+		if ev.fn == nil {
+			s.passed++
+			return true
+		}
 		ev.fn()
 		return true
 	}
@@ -163,6 +186,13 @@ func (s *oracleScheduler) PendingCensus() (n int, earliest, latest Time) {
 		n++
 	}
 	return n, earliest, latest
+}
+
+func (s *oracleScheduler) Run() uint64 {
+	start := s.executed
+	for s.Step() {
+	}
+	return s.executed - start
 }
 
 func (s *oracleScheduler) Stop()   { s.stopped = true }

@@ -245,8 +245,10 @@ func TestAllocBudgetNewSpeaker(t *testing.T) {
 // One whole Internet(1000) T_long trial with the generator in it, as the
 // inet1000-tlong benchmark workload runs it: 15.5 MiB while every stream
 // carried a seeded register, 4.2 MiB while one came with the 17th draw and
-// 3.5 MiB with none before the 274th; 32.7 k allocations while each router
-// built its own state, 14.5 k with the speakers built in one pass.
+// 3.5 MiB with none before the 274th, 3.40 MiB while every MRAI expiry was
+// an event and 3.20 MiB with those no send waits on kept out of the event
+// queue; 32.7 k allocations while each router built its own state, 14.5 k
+// with the speakers built in one pass.
 func TestAllocBudgetInternet1000Trial(t *testing.T) {
 	skipUnlessAllocsAreOurs(t)
 	gen := InternetTLong(1000, bgp.DefaultConfig(), 1)
@@ -260,12 +262,12 @@ func TestAllocBudgetInternet1000Trial(t *testing.T) {
 		}
 	}
 	n, b := testing.AllocsPerRun(2, trial), bytesPerRun(2, trial)
-	t.Logf("one Internet(1000) T_long generate + run: %v allocations, %.1f MiB", n, b/(1<<20))
+	t.Logf("one Internet(1000) T_long generate + run: %v allocations, %.3f MiB", n, b/(1<<20))
 	if n > 16000 {
 		t.Errorf("one Internet(1000) T_long trial allocates %v times, budget 16000", n)
 	}
-	if b >= 4<<20 {
-		t.Errorf("one Internet(1000) T_long trial allocates %.1f MiB, budget < 4", b/(1<<20))
+	if b >= 3.3*(1<<20) {
+		t.Errorf("one Internet(1000) T_long trial allocates %.3f MiB, budget < 3.3", b/(1<<20))
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"bgploop/internal/bgp"
 	"bgploop/internal/invariant"
@@ -40,7 +41,12 @@ func guarded(s Scenario, c invariant.Cadence) Scenario {
 
 // TestGuardDigestParity is the observation-only guarantee: a run with
 // guards Full (and every other cadence) produces a byte-identical
-// DigestResult to the same run with guards Off.
+// DigestResult to the same run with guards Off. It is also the eager-
+// equals-deferred guarantee for MRAI expiries: with guards off the
+// scheduler counts an expiry no send waits on without ever making it an
+// event, and any cadence attaches the exec hook, under which every expiry
+// is an event; the Internet(110) runs are where most expiries find
+// nothing to send.
 func TestGuardDigestParity(t *testing.T) {
 	scenarios := map[string]Scenario{
 		"bclique-tlong": BCliqueTLong(4, bgp.DefaultConfig(), 7),
@@ -49,6 +55,16 @@ func TestGuardDigestParity(t *testing.T) {
 	recov := scenarios["bclique-tlong"]
 	recov.RestoreDelay = 500 * 1e6 // 500 ms: exercise multi-phase boundaries
 	scenarios["bclique-recovery"] = recov
+	for name, gen := range map[string]Generator{
+		"internet110-tdown": InternetTDown(110, bgp.DefaultConfig(), 3),
+		"internet110-tlong": InternetTLong(110, bgp.DefaultConfig(), 5),
+	} {
+		s, err := gen(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scenarios[name] = s
+	}
 
 	for name, s := range scenarios {
 		t.Run(name, func(t *testing.T) {
@@ -72,6 +88,46 @@ func TestGuardDigestParity(t *testing.T) {
 				if got != want {
 					t.Errorf("cadence %s: digest %s, want %s (guards are not observation-only)", c, got, want)
 				}
+			}
+		})
+	}
+}
+
+// TestGuardWatchdogParity pins the watchdog's cuts, eager against
+// deferred MRAI expiries (guards full against off): a run cut by its
+// phase event budget and one cut by its virtual-time horizon must stop at
+// the same event and instant, so their diagnoses — events used, clock,
+// pending census — read the same byte for byte.
+func TestGuardWatchdogParity(t *testing.T) {
+	tdown, err := InternetTDown(110, bgp.DefaultConfig(), 3)(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tdown.PhaseEventBudget = 4000
+	tlong, err := InternetTLong(110, bgp.DefaultConfig(), 5)(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tlong.Horizon = 60 * time.Second
+	for name, c := range map[string]struct {
+		s       Scenario
+		horizon bool
+	}{
+		"phase-budget": {tdown, false},
+		"horizon":      {tlong, true},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var text [2]string
+			for i, cadence := range []invariant.Cadence{invariant.CadenceOff, invariant.CadenceFull} {
+				_, err := Run(guarded(c.s, cadence))
+				var qf *QuiescenceFailure
+				if !errors.As(err, &qf) || qf.HorizonHit != c.horizon {
+					t.Fatalf("cadence %s: error %v, want a watchdog cut (horizon %v)", cadence, err, c.horizon)
+				}
+				text[i] = err.Error()
+			}
+			if text[0] != text[1] {
+				t.Errorf("watchdog diagnosis differs:\n  off  %s\n  full %s", text[0], text[1])
 			}
 		})
 	}
