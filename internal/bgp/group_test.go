@@ -29,16 +29,33 @@ type groupCase struct {
 	origins                  []topology.Node // in Originate order, distinct
 	flap                     topology.Edge   // failed, then restored
 	seed                     int64
+	deliver                  *groupDeliver // handed to a speaker before the flap, or nil
+}
+
+// groupDeliver is an update Deliver hands straight to a speaker, as if
+// its neighbour had sent it: any path over the graph's ids, a malformed
+// one included.
+type groupDeliver struct {
+	to, from topology.Node
+	up       Update
 }
 
 func (c groupCase) String() string {
-	return fmt.Sprintf("n=%d edges=%v variant=%s continuous=%v fsm=%v damping=%v origins=%v flap=%v seed=%d",
-		c.n, c.edges, Variants[c.variant].Name, c.continuous, c.fsm, c.damping, c.origins, c.flap, c.seed)
+	deliver := "none"
+	if d := c.deliver; d != nil {
+		deliver = fmt.Sprintf("%d->%d %v", d.from, d.to, d.up)
+	}
+	return fmt.Sprintf("n=%d edges=%v variant=%s continuous=%v fsm=%v damping=%v origins=%v flap=%v seed=%d deliver=%s",
+		c.n, c.edges, Variants[c.variant].Name, c.continuous, c.fsm, c.damping, c.origins, c.flap, c.seed, deliver)
 }
 
 // decodeGroupCase reads a case from data, taking zeros once it runs out:
 // variant and flags, then a connected graph of 2–12 nodes (a random tree
-// plus extra edges), 1–3 origins, the flapped edge and the seed.
+// plus extra edges), 1–3 origins, the flapped edge and the seed. Then, if
+// the next byte is not a multiple of 8, a delivered announcement: its
+// path length (that byte mod 8), receiver, sender (a neighbour of the
+// receiver, the path's first AS), the rest of the path and the origin it
+// names as destination.
 func decodeGroupCase(data []byte) groupCase {
 	next := func() int {
 		if len(data) == 0 {
@@ -68,6 +85,16 @@ func decodeGroupCase(data []byte) groupCase {
 	}
 	c.flap = c.edges[next()%len(c.edges)]
 	c.seed = int64(next())
+	if length := next() % 8; length > 0 {
+		to := topology.Node(next() % c.n)
+		nbrs := g.Neighbors(to)
+		path := routing.Path{nbrs[next()%len(nbrs)]}
+		for len(path) < length {
+			path = append(path, topology.Node(next()%c.n))
+		}
+		dest := c.origins[next()%len(c.origins)]
+		c.deliver = &groupDeliver{to: to, from: path[0], up: Update{Dest: dest, Path: path}}
+	}
 	return c
 }
 
@@ -137,6 +164,12 @@ func runGroupCase(t *testing.T, c groupCase, asGroup bool) []string {
 		}
 	}
 	settle("initial convergence")
+	if d := c.deliver; d != nil {
+		if err := net.At(sched.Now()+time.Second, func() { speakers[d.to].Deliver(d.from, d.up) }); err != nil {
+			t.Fatal(err)
+		}
+		settle("the delivered update")
+	}
 	for _, op := range []func(topology.Edge){net.Fail, net.Restore} {
 		if err := net.At(sched.Now()+time.Second, func() { op(c.flap) }); err != nil {
 			t.Fatal(err)
@@ -222,14 +255,15 @@ func checkGroupCase(t *testing.T, c groupCase) []string {
 }
 
 // TestSpeakerGroupMatchesPerNode runs every variant × MRAI model × FSM ×
-// damping combination on random small graphs.
+// damping combination on random small graphs, some with a delivered
+// update.
 func TestSpeakerGroupMatchesPerNode(t *testing.T) {
 	graphs := 6
 	if testing.Short() {
 		graphs = 2
 	}
 	r := rand.New(rand.NewSource(1))
-	var cases, multi, suppressed, lines int
+	var cases, multi, suppressed, delivered, lines int
 	for variant := range Variants {
 		for flags := 0; flags < 8; flags++ {
 			for i := 0; i < graphs; i++ {
@@ -242,6 +276,9 @@ func TestSpeakerGroupMatchesPerNode(t *testing.T) {
 				if len(c.origins) > 1 {
 					multi++
 				}
+				if c.deliver != nil {
+					delivered++
+				}
 				if slices.ContainsFunc(out, func(l string) bool {
 					return !strings.Contains(l, "RoutesSuppressed:0 ") && strings.Contains(l, "RoutesSuppressed:")
 				}) {
@@ -251,9 +288,10 @@ func TestSpeakerGroupMatchesPerNode(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d cases (%d with several origins, %d with a route damped), %d observed lines each side", cases, multi, suppressed, lines)
-	if multi == 0 || suppressed == 0 {
-		t.Fatal("no case had several origins, or none damped a route")
+	t.Logf("%d cases (%d with several origins, %d with a route damped, %d with a delivered update), %d observed lines each side",
+		cases, multi, suppressed, delivered, lines)
+	if multi == 0 || suppressed == 0 || delivered == 0 {
+		t.Fatal("no case had several origins, or none damped a route, or none delivered an update")
 	}
 }
 

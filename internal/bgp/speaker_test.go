@@ -208,6 +208,73 @@ func TestSSLDConvertsToWithdrawal(t *testing.T) {
 	}
 }
 
+// TestSSLDSenderASPathLoopDetection ports FRR's
+// sender-as-path-loop-detection topotest: three routers, sessions r1-r2
+// and r2-r3, where the neighbour originating the prefix prepends another
+// router's AS to its announcement. Here r3 prepends r1. r2 still takes the
+// path, but with SSLD it must not announce to r1 a path that contains r1:
+// it withdraws the path it had announced instead, and counts one
+// conversion. Standard BGP announces the looped path and converts nothing.
+func TestSSLDSenderASPathLoopDetection(t *testing.T) {
+	const r1, r2, r3 topology.Node = 0, 1, 2
+	run := func(ssld bool) (*sim, des.Time) {
+		g := topology.New(3)
+		for _, e := range []topology.Edge{{A: r1, B: r2}, {A: r2, B: r3}} {
+			if err := g.AddEdge(e.A, e.B); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cfg := fastConfig()
+		cfg.Enhancements.SSLD = ssld
+		s := newSim(t, g, r3, cfg, 13)
+		if got := s.best(r1).String(); got != "(0 1 2)" {
+			t.Fatalf("r1 converged to %s, want (0 1 2)", got)
+		}
+		at := s.sched.Now() + time.Second
+		if err := s.net.At(at, func() {
+			s.speakers[r2].Deliver(r3, Update{Dest: r3, Path: pathOf(r3, r1)})
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if s.sched.RunLimit(5_000_000) >= 5_000_000 {
+			t.Fatal("did not quiesce after the prepended announcement")
+		}
+		if got := s.best(r2).String(); got != "(1 2 0)" {
+			t.Errorf("ssld=%v: r2 best %s, want the prepended path (1 2 0)", ssld, got)
+		}
+		return s, at
+	}
+
+	s, at := run(true)
+	var toR1 []Update
+	for _, r := range s.obs.sent {
+		if r.at >= at && r.from == r2 && r.to == r1 {
+			toR1 = append(toR1, r.update)
+		}
+	}
+	if len(toR1) != 1 || !toR1[0].Withdraw {
+		t.Errorf("SSLD: r2 sent r1 %v after the prepended announcement, want one withdrawal", toR1)
+	}
+	if got := s.speakers[r2].Stats().SSLDConversions; got != 1 {
+		t.Errorf("SSLD: r2 counted %d conversions, want 1", got)
+	}
+	if got := s.best(r1); got != nil {
+		t.Errorf("SSLD: r1 kept %s, want no route", got)
+	}
+
+	s, at = run(false)
+	announced := false
+	for _, r := range s.obs.sent {
+		announced = announced || (r.at >= at && r.from == r2 && r.to == r1 && !r.update.Withdraw && r.update.Path.Contains(r1))
+	}
+	if !announced {
+		t.Error("standard BGP: r2 never announced the looped path to r1; the fixture does not exercise SSLD")
+	}
+	if got := s.totals().SSLDConversions; got != 0 {
+		t.Errorf("standard BGP counted %d SSLD conversions", got)
+	}
+}
+
 func TestAssertionRemovesObsoletePaths(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Enhancements.Assertion = true

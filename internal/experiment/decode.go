@@ -356,10 +356,16 @@ func (d *resultReader) nodeList(p *[]topology.Node) error {
 	}
 	start := len(d.nodes)
 	err := d.array(func() error {
-		var v int
-		err := d.int(&v)
+		var v int64
+		if err := d.i64(&v); err != nil {
+			return err
+		}
+		// encoding/json's range for an int32, None and below included.
+		if int64(topology.Node(v)) != v {
+			return d.fail("integer overflows int32")
+		}
 		d.nodes = append(d.nodes, topology.Node(v))
-		return err
+		return nil
 	})
 	*p = d.nodes[start:len(d.nodes):len(d.nodes)]
 	return err

@@ -43,7 +43,8 @@ var traceType = reflect.TypeOf((*trace.Recorder)(nil))
 
 // filler sets every exported field reachable from a value non-zero:
 // nested structs, pointers, lists of length 2, 0 (non-nil) and 3 in turn,
-// negative durations, unsigned values past MaxInt64, exponent-form floats
+// negative durations, node ids near both ends of the int32 range,
+// unsigned values past MaxInt64, exponent-form floats
 // and names that need escaping. Only the trace stays nil: it is never
 // encoded.
 type filler struct{ values, lists int }
@@ -74,6 +75,13 @@ func (f *filler) fill(t *testing.T, v reflect.Value) {
 		x := int64(f.values) * 1_000_003
 		if v.Type() == reflect.TypeOf(time.Duration(0)) && f.values%2 == 1 {
 			x = -x
+		}
+		v.SetInt(x)
+	case reflect.Int32:
+		// Both ends of the range, None's sign included.
+		x := int64(math.MaxInt32 - f.values)
+		if f.values%2 == 1 {
+			x = math.MinInt32 + int64(f.values)
 		}
 		v.SetInt(x)
 	case reflect.Uint64:
@@ -195,6 +203,35 @@ func TestDecodeResultMatchesEncodingJSON(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, full) {
 		t.Fatalf("reordered, indented JSON with an escaped key decodes to\n%+v\nwant %+v", got, full)
+	}
+}
+
+// TestDecodeResultNodeIDRange: a Loop.Nodes id is read into an int32, so
+// DecodeResult refuses exactly the ids encoding/json refuses there, and
+// takes the rest, None and other negatives included, at the same value.
+func TestDecodeResultNodeIDRange(t *testing.T) {
+	for _, id := range []int64{1 << 31, 1 << 32, math.MinInt32 - 1, math.MaxInt64} {
+		data := []byte(fmt.Sprintf(`{"Loops":[{"Nodes":[1,%d]}]}`, id))
+		if _, err := DecodeResult(data); err == nil {
+			t.Errorf("DecodeResult accepts node %d", id)
+		}
+		if err := json.Unmarshal(data, &Result{}); err == nil {
+			t.Errorf("encoding/json accepts node %d", id)
+		}
+	}
+	for _, id := range []int64{-2, -1, 0, math.MaxInt32, math.MinInt32} {
+		data := []byte(fmt.Sprintf(`{"Loops":[{"Nodes":[1,%d]}]}`, id))
+		got, err := DecodeResult(data)
+		if err != nil {
+			t.Fatalf("DecodeResult refuses node %d: %v", id, err)
+		}
+		want := &Result{}
+		if err := json.Unmarshal(data, want); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) || int64(got.Loops[0].Nodes[1]) != id {
+			t.Errorf("node %d decodes to %+v, encoding/json to %+v", id, got.Loops, want.Loops)
+		}
 	}
 }
 

@@ -239,13 +239,21 @@ func (as ActionSpec) action() (faultplan.Action, error) {
 		Period: time.Duration(as.PeriodSeconds * float64(time.Second)),
 	}
 	if as.Link != nil {
-		a.Link = topology.NormEdge(topology.Node(as.Link[0]), topology.Node(as.Link[1]))
+		if a.Link, err = topology.EdgeOf(as.Link[0], as.Link[1]); err != nil {
+			return faultplan.Action{}, fmt.Errorf("op %s: link: %w", as.Op, err)
+		}
 	}
 	if as.Node != nil {
-		a.Node = topology.Node(*as.Node)
+		if a.Node, err = topology.NodeOf(*as.Node); err != nil {
+			return faultplan.Action{}, fmt.Errorf("op %s: node: %w", as.Op, err)
+		}
 	}
 	for _, l := range as.Links {
-		a.Links = append(a.Links, topology.NormEdge(topology.Node(l[0]), topology.Node(l[1])))
+		e, err := topology.EdgeOf(l[0], l[1])
+		if err != nil {
+			return faultplan.Action{}, fmt.Errorf("op %s: links: %w", as.Op, err)
+		}
+		a.Links = append(a.Links, e)
 	}
 	if as.Impairment != nil {
 		cfg := as.Impairment.Config()
@@ -356,8 +364,12 @@ func (ts TopologySpec) Build() (*topology.Graph, error) {
 		}
 		g := topology.New(ts.Size)
 		g.SetName(fmt.Sprintf("edges-%d", ts.Size))
-		for _, e := range ts.Edges {
-			if err := g.AddEdge(topology.Node(e[0]), topology.Node(e[1])); err != nil {
+		for _, l := range ts.Edges {
+			e, err := topology.EdgeOf(l[0], l[1])
+			if err != nil {
+				return nil, fmt.Errorf("experiment: edges topology: %w", err)
+			}
+			if err := g.AddEdge(e.A, e.B); err != nil {
 				return nil, fmt.Errorf("experiment: edges topology: %w", err)
 			}
 		}
@@ -450,7 +462,9 @@ func (spec ScenarioSpec) Scenario() (Scenario, error) {
 	switch {
 	case spec.Dest == nil:
 	case *spec.Dest != -1:
-		dest = topology.Node(*spec.Dest)
+		if dest, err = topology.NodeOf(*spec.Dest); err != nil {
+			return Scenario{}, fmt.Errorf("experiment: dest: %w", err)
+		}
 	case spec.Topology.Family != "internet":
 	case spec.Event == "tlong" && spec.FaultPlan == nil:
 		d, link, err := drawTLong(g, spec.Seed)
@@ -510,7 +524,9 @@ func (spec ScenarioSpec) Scenario() (Scenario, error) {
 		// paper (or, for ring and figure2, the §3.2 analysis) studies there.
 		switch family := spec.Topology.Family; {
 		case spec.FailLink != nil:
-			s.FailLink = topology.NormEdge(topology.Node(spec.FailLink[0]), topology.Node(spec.FailLink[1]))
+			if s.FailLink, err = topology.EdgeOf(spec.FailLink[0], spec.FailLink[1]); err != nil {
+				return Scenario{}, fmt.Errorf("experiment: failLink: %w", err)
+			}
 		case drawnLink != nil:
 			s.FailLink = *drawnLink
 		default:

@@ -12,9 +12,10 @@ import (
 // FuzzScenarioSpecJSON throws arbitrary JSON at the scenario-file loader:
 // no input may panic, and any spec that loads into a valid Scenario must
 // survive the NewScenarioSpec round trip (re-materialising into an
-// equally valid Scenario). Oversized generated topologies and the
-// file-reading family are skipped — the target fuzzes the codec, not the
-// generators.
+// equally valid Scenario), and every node id it reads must be a node of
+// its topology, never an id wrapped onto one. Oversized generated
+// topologies and the file-reading family are skipped — the target fuzzes
+// the codec, not the generators.
 func FuzzScenarioSpecJSON(f *testing.F) {
 	f.Add([]byte(`{"topology": {"family": "clique", "size": 4}, "event": "tdown", "seed": 2}`))
 	f.Add([]byte(`{"topology": {"family": "bclique", "size": 3}, "event": "tlong", "mraiSeconds": 5}`))
@@ -49,6 +50,7 @@ func FuzzScenarioSpecJSON(f *testing.F) {
 		if err != nil {
 			return
 		}
+		checkIDsInTopology(t, data, s.Graph.NumNodes())
 		spec, err := NewScenarioSpec(s)
 		if err != nil {
 			// Loaded scenarios use only spec-representable configuration.
@@ -58,6 +60,30 @@ func FuzzScenarioSpecJSON(f *testing.F) {
 			t.Fatalf("round-tripped spec does not materialise: %v", err)
 		}
 	})
+}
+
+// checkIDsInTopology fails if a spec that loaded reads a node id outside
+// [0, n): the destination (-1 is the draw), the guard's corruption target,
+// the tlong link, the fault plan's targets and the edge list.
+func checkIDsInTopology(t *testing.T, data []byte, n int) {
+	t.Helper()
+	var spec ScenarioSpec
+	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&spec); err != nil {
+		t.Fatalf("loaded spec does not decode again: %v", err)
+	}
+	check := func(id *int) {
+		if (*id < 0 || *id >= n) && !(id == spec.Dest && *id == -1) {
+			t.Fatalf("loaded spec reads node %d of a %d-node topology", *id, n)
+		}
+	}
+	link := func(l *[2]int) { check(&l[0]); check(&l[1]) }
+	if spec.Event != "tlong" || spec.FaultPlan != nil {
+		spec.FailLink = nil // not read: the event fails no link
+	}
+	spec.visitRefs(check, link)
+	for i := range spec.Topology.Edges {
+		link(&spec.Topology.Edges[i])
+	}
 }
 
 // planShape canonicalizes the structure of a plan for round-trip

@@ -63,15 +63,14 @@ var _ bgp.Observer = (*guardObserver)(nil)
 // floor, and the state digest snapshots every speaker's table. The
 // engine is wired to the kernel and network by the caller; everything
 // registered here is observation-only.
-func buildGuardEngine(s Scenario, sched *des.Scheduler, speakers *[]*bgp.Speaker, obs *observer) *invariant.Engine {
+func buildGuardEngine(s Scenario, sched *des.Scheduler, speakers *[]*bgp.Speaker, obs *observer) (*invariant.Engine, error) {
+	corrupt, err := s.corruptFIBNode()
+	if err != nil {
+		return nil, err
+	}
 	eng := invariant.New(s.Guard)
 	if s.BGP.MRAI > 0 && s.BGP.JitterMin > 0 {
 		eng.SetMRAIWindow(time.Duration(float64(s.BGP.MRAI) * s.BGP.JitterMin))
-	}
-
-	corrupt := topology.None
-	if s.Guard.CorruptFIBNode != nil {
-		corrupt = topology.Node(*s.Guard.CorruptFIBNode)
 	}
 
 	// RIB/FIB coherence: between events, every node's recorded FIB next
@@ -187,5 +186,5 @@ func buildGuardEngine(s Scenario, sched *des.Scheduler, speakers *[]*bgp.Speaker
 		return out
 	})
 
-	return eng
+	return eng, nil
 }

@@ -364,7 +364,9 @@ func (s Scenario) execute(ctx context.Context, plan *faultplan.Plan, origins []t
 
 	var eng *invariant.Engine
 	if s.Guard.Enabled() {
-		eng = buildGuardEngine(s, sched, &speakers, obs)
+		if eng, err = buildGuardEngine(s, sched, &speakers, obs); err != nil {
+			return nil, err
+		}
 		sched.SetExecHook(eng.NoteExec)
 		net.SetTap(&guardTap{eng: eng, sched: sched})
 		// The guard observer rides last on the Tee so the measurement

@@ -163,6 +163,23 @@ func (s Scenario) lowered() (Scenario, *faultplan.Plan, error) {
 	return s, plan, err
 }
 
+// corruptFIBNode is the guard's corruption target, or None without one.
+// The target must be a node of the topology other than the destination.
+func (s Scenario) corruptFIBNode() (topology.Node, error) {
+	n := s.Guard.CorruptFIBNode
+	if n == nil {
+		return topology.None, nil
+	}
+	v, err := topology.NodeOf(*n)
+	if err != nil || !s.Graph.Valid(v) {
+		return topology.None, fmt.Errorf("experiment: CorruptFIBNode %d not in topology", *n)
+	}
+	if v == s.Dest {
+		return topology.None, errors.New("experiment: CorruptFIBNode must not be the destination (the destination has no forwarding entry)")
+	}
+	return v, nil
+}
+
 // Validate reports scenario construction errors.
 func (s Scenario) Validate() error {
 	if s.Graph == nil {
@@ -188,13 +205,8 @@ func (s Scenario) Validate() error {
 	if _, err := s.policy(); err != nil {
 		return err
 	}
-	if n := s.Guard.CorruptFIBNode; n != nil {
-		if !s.Graph.Valid(topology.Node(*n)) {
-			return fmt.Errorf("experiment: CorruptFIBNode %d not in topology", *n)
-		}
-		if topology.Node(*n) == s.Dest {
-			return errors.New("experiment: CorruptFIBNode must not be the destination (the destination has no forwarding entry)")
-		}
+	if _, err := s.corruptFIBNode(); err != nil {
+		return err
 	}
 	if s.FaultPlan != nil {
 		// The plan supersedes the single-event fields entirely.

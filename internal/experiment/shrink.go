@@ -9,7 +9,6 @@ import (
 
 	"bgploop/internal/durable"
 	"bgploop/internal/invariant"
-	"bgploop/internal/topology"
 )
 
 // ForensicsDirName is the subdirectory of a sweep cache directory where
@@ -269,8 +268,10 @@ func shrinkRemoveEdge(spec ScenarioSpec) []ScenarioSpec {
 	if spec.Topology.Family != "edges" {
 		return nil
 	}
-	norm := func(l [2]int) topology.Edge { return topology.NormEdge(topology.Node(l[0]), topology.Node(l[1])) }
-	pinned := map[topology.Edge]bool{}
+	// Links compare as the spec spells them, ordered: no id is narrowed
+	// to a Node, so an id no Node holds never aliases a real one.
+	norm := func(l [2]int) [2]int { return [2]int{min(l[0], l[1]), max(l[0], l[1])} }
+	pinned := map[[2]int]bool{}
 	spec.visitRefs(func(*int) {}, func(l *[2]int) { pinned[norm(*l)] = true })
 	var out []ScenarioSpec
 	for i, e := range spec.Topology.Edges {

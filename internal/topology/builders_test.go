@@ -2,6 +2,8 @@ package topology
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -274,6 +276,25 @@ func TestReadEdgeListErrors(t *testing.T) {
 				t.Errorf("input %q accepted", tt.in)
 			}
 		})
+	}
+}
+
+// TestReadEdgeListRefusesOutOfRangeIDs: an endpoint no Node holds is an
+// error naming its line, never an id wrapped into the graph (1 <-> 2^32
+// would otherwise read as the edge 0-1).
+func TestReadEdgeListRefusesOutOfRangeIDs(t *testing.T) {
+	for _, id := range []int{1 << 31, 1 << 32, -2, -1} {
+		for _, in := range []string{fmt.Sprintf("nodes 3\n1 %d\n", id), fmt.Sprintf("nodes 3\n%d 1\n", id)} {
+			_, err := ReadEdgeList(strings.NewReader(in))
+			if err == nil || !strings.Contains(err.Error(), "line 2: topology: node id") {
+				t.Errorf("input %q: got error %v, want a line-2 id error", in, err)
+			}
+		}
+	}
+	for _, n := range []int{-1, 1<<31 + 1} {
+		if _, err := ReadEdgeList(strings.NewReader(fmt.Sprintf("nodes %d\n", n))); err == nil {
+			t.Errorf("node count %d accepted", n)
+		}
 	}
 }
 

@@ -10,16 +10,45 @@ package topology
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 )
 
 // Node identifies an Autonomous System in a topology. Node IDs are dense:
-// a graph of n nodes uses IDs 0..n-1.
-type Node int
+// a graph of n nodes uses IDs 0..n-1. They are 4 bytes wide, as BGP's AS
+// numbers are (RFC 6793): paths, FIB records and loops are runs of ids,
+// and most of a trial's bytes. The sign is kept for None.
+type Node int32
 
 // None is the sentinel "no node" value, used e.g. as a FIB next hop when a
 // destination is unreachable.
 const None Node = -1
+
+// MaxNode is the largest id a Node holds.
+const MaxNode = math.MaxInt32
+
+// NodeOf converts an id read from outside the simulator (a spec, an edge
+// list) to a Node. An id outside [0, MaxNode] is an error,
+// never wrapped: Node(4294967296) would run as node 0.
+func NodeOf(v int) (Node, error) {
+	if v < 0 || v > MaxNode {
+		return None, fmt.Errorf("topology: node id %d outside [0, %d]", v, MaxNode)
+	}
+	return Node(v), nil
+}
+
+// EdgeOf is NodeOf for both ends of a link, normalised.
+func EdgeOf(a, b int) (Edge, error) {
+	na, err := NodeOf(a)
+	if err != nil {
+		return Edge{}, err
+	}
+	nb, err := NodeOf(b)
+	if err != nil {
+		return Edge{}, err
+	}
+	return NormEdge(na, nb), nil
+}
 
 // Edge is an undirected adjacency between two ASes. Normalised edges have
 // A < B; use NormEdge to normalise.

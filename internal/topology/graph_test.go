@@ -37,6 +37,25 @@ func TestAddRemoveEdge(t *testing.T) {
 	}
 }
 
+func TestNodeOfAndEdgeOf(t *testing.T) {
+	for _, v := range []int{0, 1, MaxNode} {
+		if n, err := NodeOf(v); err != nil || int(n) != v {
+			t.Errorf("NodeOf(%d) = %d, %v", v, n, err)
+		}
+	}
+	for _, v := range []int{-1, -2, MaxNode + 1, 1 << 32, 1<<32 + 1} {
+		if n, err := NodeOf(v); err == nil {
+			t.Errorf("NodeOf(%d) = %d, want an error", v, n)
+		}
+		if e, err := EdgeOf(1, v); err == nil {
+			t.Errorf("EdgeOf(1, %d) = %v, want an error", v, e)
+		}
+	}
+	if e, err := EdgeOf(MaxNode, 3); err != nil || e != (Edge{A: 3, B: MaxNode}) {
+		t.Errorf("EdgeOf(MaxNode, 3) = %v, %v", e, err)
+	}
+}
+
 func TestAddEdgeErrors(t *testing.T) {
 	g := New(3)
 	if err := g.AddEdge(0, 0); err == nil {

@@ -93,6 +93,9 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 			if _, err := fmt.Sscanf(rest, "%d", &n); err != nil {
 				return nil, fmt.Errorf("topology: line %d: bad node count %q: %w", line, rest, err)
 			}
+			if n < 0 || n-1 > MaxNode {
+				return nil, fmt.Errorf("topology: line %d: node count %d outside [0, %d]", line, n, int64(MaxNode)+1)
+			}
 			g = New(n)
 			if name != "" {
 				g.SetName(name)
@@ -106,7 +109,11 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		if _, err := fmt.Sscanf(text, "%d %d", &a, &b); err != nil {
 			return nil, fmt.Errorf("topology: line %d: bad edge %q: %w", line, text, err)
 		}
-		if err := g.AddEdge(Node(a), Node(b)); err != nil {
+		e, err := EdgeOf(a, b)
+		if err != nil {
+			return nil, fmt.Errorf("topology: line %d: %w", line, err)
+		}
+		if err := g.AddEdge(e.A, e.B); err != nil {
 			return nil, fmt.Errorf("topology: line %d: %w", line, err)
 		}
 	}

@@ -7,9 +7,10 @@ import (
 )
 
 // FuzzWireDecode throws arbitrary bytes at the RFC 4271 decoder: no
-// input may panic, and any UPDATE that decodes must survive a
+// input may panic, any UPDATE that decodes must survive a
 // marshal/unmarshal round trip unchanged (the decoder and encoder agree
-// on the canonical form).
+// on the canonical form), and a simulator update read from it carries
+// each AS as the same, non-negative node id.
 func FuzzWireDecode(f *testing.F) {
 	// Seed with one well-formed message of each type plus corrupt
 	// variants; the checked-in corpus under testdata/fuzz extends these.
@@ -47,6 +48,18 @@ func FuzzWireDecode(f *testing.F) {
 		}
 		if !reflect.DeepEqual(u, u2) {
 			t.Fatalf("round trip changed the update:\n first %+v\nsecond %+v", u, u2)
+		}
+		sim, err := DecodeSimUpdate(data)
+		if err != nil || sim.Withdraw {
+			return
+		}
+		if len(sim.Path) != len(u.ASPath) {
+			t.Fatalf("simulator path %v for AS_PATH %v", sim.Path, u.ASPath)
+		}
+		for i, as := range u.ASPath {
+			if sim.Path[i] < 0 || int(sim.Path[i]) != int(as) {
+				t.Fatalf("AS %d read as node %d", as, sim.Path[i])
+			}
 		}
 	})
 }

@@ -65,6 +65,26 @@ func TestEncodeSimUpdateBadAS(t *testing.T) {
 	}
 }
 
+// TestDecodeSimUpdateTopBitAS: an AS with its top bit set reads as the
+// same, positive node id; none turns negative or wraps.
+func TestDecodeSimUpdateTopBitAS(t *testing.T) {
+	msg, err := MarshalUpdate(Update{
+		ASPath:  []uint16{0x8000, 0xFFFF, 0},
+		NextHop: [4]byte{10, 255, 0, 1},
+		NLRI:    []Prefix{SimPrefix(0)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := DecodeSimUpdate(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (routing.Path{32768, 65535, 0}); !out.Path.Equal(want) {
+		t.Errorf("path %v, want %v", out.Path, want)
+	}
+}
+
 func TestDecodeSimUpdateWrongShape(t *testing.T) {
 	// Two NLRI entries: not a simulator message.
 	msg, err := MarshalUpdate(Update{
