@@ -6,10 +6,10 @@
 //
 //	bgpworker -coordinator http://host:8439 -j 2
 //
-// SIGINT/SIGTERM drains gracefully: the lease in hand is finished and
+// SIGINT/SIGTERM drains gracefully: every lease in hand is finished and
 // reported, no new lease is taken, and the worker deregisters so the
 // coordinator's live-worker gauge drops immediately. A second signal
-// abandons the lease — the coordinator reassigns it to another worker
+// abandons the leases — the coordinator reassigns them to other workers
 // after the lease TTL, and the merged sweep output is byte-identical
 // either way.
 package main
@@ -42,7 +42,7 @@ func run(args []string) error {
 
 		coordinator = fs.String("coordinator", "", "coordinator base URL, e.g. http://host:8439 (required)")
 		name        = fs.String("name", "", "advisory worker label sent at registration")
-		j           = fs.Int("j", 1, "trial parallelism within each lease")
+		j           = fs.Int("j", 1, "trials run at once, across leases: a free slot takes the next leased trial")
 		cache       = fs.String("cache-dir", "", "worker-local result cache; re-leased chunks are served from disk")
 		poll        = fs.Duration("poll-interval", 250*time.Millisecond, "idle wait between lease polls")
 	)
@@ -82,10 +82,10 @@ func run(args []string) error {
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		<-sigc
-		fmt.Fprintln(os.Stderr, "bgpworker: draining (finishing current lease)...")
+		fmt.Fprintln(os.Stderr, "bgpworker: draining (finishing the leases in hand)...")
 		w.Drain()
 		<-sigc
-		fmt.Fprintln(os.Stderr, "bgpworker: abandoning lease")
+		fmt.Fprintln(os.Stderr, "bgpworker: abandoning leases")
 		cancel()
 	}()
 

@@ -381,7 +381,8 @@ func (c *Coordinator) grantLocked(sw *sweepState, worker string, trials []int, h
 // version-skewed worker rebuilt a different scenario) is rejected.
 // Reports remain valid after lease expiry — the work is content-
 // addressed, so a straggler's late result still merges if its trials
-// are still wanted.
+// are still wanted. report takes ownership of rep's result bytes: an
+// accepted trial's Data goes to its waiter as is, uncopied.
 func (c *Coordinator) report(rep *ResultReport) (ReportResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -436,7 +437,7 @@ func (c *Coordinator) report(rep *ResultReport) (ReportResponse, error) {
 		slot.done = true
 		sw.removePending(tr.Trial)
 		c.counters.RemoteTrials++
-		slot.ch <- trialOutcome{data: append([]byte(nil), tr.Data...)}
+		slot.ch <- trialOutcome{data: tr.Data}
 		resp.Accepted++
 	}
 

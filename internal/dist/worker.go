@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,8 +38,9 @@ type WorkerConfig struct {
 	Name string
 	// Client issues the HTTP calls; nil means http.DefaultClient.
 	Client *http.Client
-	// Parallelism is the trial-level parallelism within one lease
-	// (sweep executor Workers); 0 means GOMAXPROCS, 1 is sequential.
+	// Parallelism is how many trials the worker runs at once, across
+	// leases: a slot that ends a trial takes the next leased one, whatever
+	// lease it belongs to; 0 means GOMAXPROCS, 1 is sequential.
 	Parallelism int
 	// CacheDir, when non-empty, gives the worker its own local
 	// content-addressed result cache — a reassigned or hedged chunk the
@@ -62,6 +64,9 @@ type WorkerConfig struct {
 func (c WorkerConfig) withDefaults() WorkerConfig {
 	if c.Client == nil {
 		c.Client = http.DefaultClient
+	}
+	if c.Parallelism <= 0 {
+		c.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	if c.PollInterval <= 0 {
 		c.PollInterval = 250 * time.Millisecond
@@ -90,13 +95,17 @@ type WorkerStats struct {
 // Worker is the fleet half of the protocol: it registers with a
 // coordinator, pulls leases, executes their trials through
 // experiment.RunSweep, and reports per-trial results. Drain makes it
-// finish the lease in hand, refuse new ones, and deregister.
+// finish every lease in hand, refuse new ones, and deregister.
 type Worker struct {
 	cfg      WorkerConfig
-	id       string
 	draining atomic.Bool
+	// trial runs one trial into tr (Data or Error); tests swap it for a
+	// fake that blocks on their signal.
+	trial func(ctx context.Context, gen experiment.Generator, tr *TrialResult)
 
+	regMu sync.Mutex // serialises rejoins
 	mu    sync.Mutex
+	id    string
 	stats WorkerStats
 }
 
@@ -105,10 +114,12 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Coordinator == "" {
 		return nil, errors.New("dist: worker needs a coordinator URL")
 	}
-	return &Worker{cfg: cfg.withDefaults()}, nil
+	w := &Worker{cfg: cfg.withDefaults()}
+	w.trial = w.runTrial
+	return w, nil
 }
 
-// Drain requests a graceful stop: the lease in hand finishes and is
+// Drain requests a graceful stop: every lease in hand finishes and is
 // reported, no new lease is taken, and the worker deregisters. Safe
 // from any goroutine (SIGTERM handlers).
 func (w *Worker) Drain() { w.draining.Store(true) }
@@ -120,133 +131,231 @@ func (w *Worker) Stats() WorkerStats {
 	return w.stats
 }
 
-// Run is the worker loop: register, then poll-execute-report until the
-// context is canceled or Drain is called. A canceled context abandons
-// the lease in hand (the coordinator reassigns it after the TTL); Drain
-// finishes it first. Run returns nil on a clean drain.
+// held is one lease in the worker's hands. Its trials run on whichever
+// slots are free; the slot that ends the last one queues its report.
+type held struct {
+	lease   *Lease
+	hedged  bool
+	gen     experiment.Generator
+	results []TrialResult
+	left    int // trials not yet ended; guarded by Worker.mu
+}
+
+// Run is the worker: register, then keep Parallelism trial slots busy
+// until the context is canceled or Drain is called. One poller asks for
+// a lease only when a slot is idle and no leased trial waits to start;
+// a lease's trials go to whichever slots are free, and a reporter sends
+// each lease's results as soon as its last trial ends while the slots
+// go on computing. A canceled context abandons the leases in hand (the
+// coordinator reassigns them after the TTL); Drain finishes and reports
+// every one of them first. Run returns nil on a clean drain.
 func (w *Worker) Run(ctx context.Context) error {
 	if err := w.register(ctx); err != nil {
 		return err
 	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	n := w.cfg.Parallelism
+	// A slot sends one idle token, then waits for one trial: at most n
+	// tokens are ever unclaimed, so the send never blocks.
+	idle := make(chan struct{}, n)
+	trials := make(chan func())    // runs one leased trial, then ends it
+	reports := make(chan *held, n) // a slot ending a lease rarely waits on the last report
+	var slots sync.WaitGroup
+	for i := 0; i < n; i++ {
+		slots.Add(1)
+		go func() {
+			defer slots.Done()
+			idle <- struct{}{}
+			for run := range trials {
+				run()
+				idle <- struct{}{}
+			}
+		}()
+	}
+	reported := make(chan error, 1)
+	go func() { reported <- w.report(ctx, cancel, reports) }()
+
+	err := w.feed(ctx, idle, trials, reports)
+	close(trials)
+	slots.Wait()
+	close(reports)
+	if rerr := <-reported; rerr != nil {
+		err = rerr
+	} else if err == nil {
+		err = ctx.Err() // canceled mid-drain: the unreported leases are abandoned
+	}
+	if err != nil {
+		return err
+	}
+	return w.deregister(ctx)
+}
+
+// feed is the poller. Each idle token is one slot waiting for one
+// trial: feed hands it the oldest queued trial, polling for a lease
+// first when none is queued. It returns nil once a drain leaves nothing
+// queued, and the error that stops the worker otherwise.
+func (w *Worker) feed(ctx context.Context, idle <-chan struct{}, trials chan<- func(), reports chan<- *held) error {
+	var queue []func()
 	for {
-		if err := ctx.Err(); err != nil {
-			return err
+		select {
+		case <-idle:
+		case <-ctx.Done():
+			return ctx.Err()
 		}
-		if w.draining.Load() {
-			return w.deregister(ctx)
-		}
-		resp, err := w.poll(ctx)
-		if err != nil {
-			if errors.Is(err, errUnregistered) {
+		for len(queue) == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if w.draining.Load() {
+				return nil
+			}
+			id := w.workerID()
+			resp, err := w.poll(ctx, id)
+			switch {
+			case errors.Is(err, errUnregistered):
 				// Coordinator restarted and lost the registry: rejoin.
-				if err := w.register(ctx); err != nil {
+				if err := w.rejoin(ctx, id); err != nil {
 					return err
 				}
-				continue
-			}
-			return err
-		}
-		if resp.Lease == nil {
-			w.cfg.Sleep(ctx, w.cfg.PollInterval)
-			continue
-		}
-		results := w.execute(ctx, resp.Lease)
-		w.mu.Lock()
-		w.stats.Leases++
-		if resp.Hedged {
-			w.stats.Hedged++
-		}
-		w.mu.Unlock()
-		if err := ctx.Err(); err != nil {
-			return err // crash-style exit: the lease expires and is reassigned
-		}
-		if err := w.reportLease(ctx, resp.Lease, results); err != nil {
-			if errors.Is(err, errUnregistered) {
-				// The work is lost to a restarted coordinator; the new
-				// incarnation re-grants it. Rejoin and continue.
-				if err := w.register(ctx); err != nil {
-					return err
+			case err != nil:
+				return err
+			case resp.Lease == nil:
+				w.cfg.Sleep(ctx, w.cfg.PollInterval)
+			default:
+				h := w.accept(resp)
+				if h.left == 0 {
+					w.end(h, reports)
 				}
-				continue
+				for j := 0; j < h.left; j++ {
+					queue = append(queue, func() {
+						w.trial(ctx, h.gen, &h.results[j])
+						w.end(h, reports)
+					})
+				}
 			}
-			return err
 		}
+		trials <- queue[0]
+		queue = queue[1:]
 	}
 }
 
-// execute runs one lease's trials through the experiment sweep path and
-// builds the per-trial report. It never fails as a whole: trial
-// failures become per-trial Error entries.
-func (w *Worker) execute(ctx context.Context, l *Lease) []TrialResult {
+// report is the reporter: it sends each finished lease's results while
+// the slots keep computing. A failed report that is not a lost
+// registration cancels the worker, and report returns its error once
+// the slots have stopped.
+func (w *Worker) report(ctx context.Context, cancel context.CancelFunc, reports <-chan *held) error {
+	var failed error
+	for h := range reports {
+		if ctx.Err() != nil {
+			continue // abandoned: the coordinator reassigns it after the TTL
+		}
+		id := w.workerID()
+		err := w.reportLease(ctx, id, h.lease, h.results)
+		if errors.Is(err, errUnregistered) {
+			// The work is lost to a restarted coordinator; the new
+			// incarnation re-grants it. Rejoin and continue.
+			err = w.rejoin(ctx, id)
+		}
+		if err != nil && ctx.Err() == nil {
+			failed = err
+			cancel()
+		}
+	}
+	return failed
+}
+
+// end notes that one of h's trials ended, or that h failed before any
+// could run. The last end counts the lease and queues its report.
+func (w *Worker) end(h *held, reports chan<- *held) {
+	w.mu.Lock()
+	h.left--
+	last := h.left <= 0
+	if last {
+		w.stats.Leases++
+		if h.hedged {
+			w.stats.Hedged++
+		}
+	}
+	w.mu.Unlock()
+	if last {
+		reports <- h
+	}
+}
+
+// accept takes a granted lease into the worker's hands. It rebuilds the
+// scenario and verifies every trial's content address before any of the
+// lease's trials simulates; a lease that fails here comes back with its
+// results filled in and nothing left to run.
+func (w *Worker) accept(resp *LeaseResponse) *held {
+	l := resp.Lease
+	h := &held{lease: l, hedged: resp.Hedged}
+	fail := func(msg string) *held {
+		h.results = failAll(l, msg)
+		return h
+	}
 	var spec SweepSpec
 	if err := json.Unmarshal(l.Spec, &spec); err != nil {
-		return failAll(l, fmt.Sprintf("decode sweep spec: %v", err))
+		return fail(fmt.Sprintf("decode sweep spec: %v", err))
 	}
 	sc, err := spec.Spec.Scenario()
 	if err != nil {
-		return failAll(l, fmt.Sprintf("materialize scenario: %v", err))
+		return fail(fmt.Sprintf("materialize scenario: %v", err))
 	}
-	gen := experiment.Repeat(sc)
-
-	// Verify every trial's content address against the lease before
-	// simulating anything: a key mismatch means this binary would
-	// compute a different scenario than the coordinator addressed
-	// (version skew), and its results must not enter the merge. The
-	// computed key is reported so the coordinator classifies the trial
-	// as a mismatch and re-pends it for a compatible worker.
-	keys := make([]string, len(l.Trials))
+	h.gen = experiment.Repeat(sc)
+	h.results = make([]TrialResult, len(l.Trials))
 	for j, trial := range l.Trials {
-		s, err := gen(trial)
+		s, err := h.gen(trial)
 		if err != nil {
-			return failAll(l, fmt.Sprintf("generate trial %d: %v", trial, err))
+			return fail(fmt.Sprintf("generate trial %d: %v", trial, err))
 		}
-		keys[j] = s.CacheKey()
-		if j < len(l.Keys) && keys[j] != l.Keys[j] {
-			return w.mismatch(l, keys)
+		h.results[j] = TrialResult{Trial: trial, Key: s.CacheKey()}
+		if j < len(l.Keys) && h.results[j].Key != l.Keys[j] {
+			// Version skew: this binary would compute a different
+			// scenario than the coordinator addressed. The computed keys
+			// go back without data, so the coordinator rejects each
+			// trial as a mismatch and re-pends it for a compatible
+			// worker.
+			for k, trial := range l.Trials {
+				h.results[k].Trial = trial
+				h.results[k].Error = "cache key mismatch: worker/coordinator version skew"
+			}
+			return h
 		}
 	}
+	h.left = len(l.Trials)
+	return h
+}
 
-	subGen := func(j int) (experiment.Scenario, error) { return gen(l.Trials[j]) }
-	agg, results, _, _ := experiment.RunSweep(subGen, len(l.Trials), experiment.SweepOptions{
+// runTrial simulates one trial through the experiment sweep path, so a
+// trial the worker's own cache holds is served from disk, and fills in
+// its report entry. Trial failures become the entry's Error.
+func (w *Worker) runTrial(ctx context.Context, gen experiment.Generator, tr *TrialResult) {
+	one := func(int) (experiment.Scenario, error) { return gen(tr.Trial) }
+	agg, results, _, _ := experiment.RunSweep(one, 1, experiment.SweepOptions{
 		ContinueOnFailure: true,
-		MaxFailureRatio:   1, // per-trial reporting: never abort the chunk
-		Workers:           w.cfg.Parallelism,
+		MaxFailureRatio:   1, // per-trial reporting: never abort
+		Workers:           1,
 		CacheDir:          w.cfg.CacheDir,
 		Context:           ctx,
 	})
-	failed := map[int]*experiment.TrialFailure{}
-	for _, f := range agg.Failures {
-		failed[f.Trial] = f
-	}
-	// Successful results come back in ascending sub-trial order; walk a
-	// cursor over them, consuming one per non-failed sub-index.
-	out := make([]TrialResult, 0, len(l.Trials))
-	cursor := 0
-	for j, trial := range l.Trials {
-		tr := TrialResult{Trial: trial, Key: keys[j]}
-		if f, ok := failed[j]; ok {
-			tr.Error = f.Err.Error()
-			w.mu.Lock()
-			w.stats.Errors++
-			w.mu.Unlock()
-		} else if cursor < len(results) {
-			data, err := experiment.EncodeResult(results[cursor])
-			cursor++
-			if err != nil {
-				tr.Error = fmt.Sprintf("encode result: %v", err)
-			} else {
-				tr.Data = data
-			}
-		} else {
-			// Canceled before this trial ran (context abort mid-chunk).
-			tr.Error = "trial not executed"
+	switch {
+	case len(agg.Failures) > 0:
+		tr.Error = agg.Failures[0].Err.Error()
+	case len(results) == 0:
+		tr.Error = "trial not executed" // canceled before it ran
+	default:
+		var err error
+		if tr.Data, err = experiment.EncodeResult(results[0]); err != nil {
+			tr.Error = fmt.Sprintf("encode result: %v", err)
 		}
-		w.mu.Lock()
-		w.stats.Trials++
-		w.mu.Unlock()
-		out = append(out, tr)
 	}
-	return out
+	w.mu.Lock()
+	w.stats.Trials++
+	if len(agg.Failures) > 0 {
+		w.stats.Errors++
+	}
+	w.mu.Unlock()
 }
 
 // failAll reports every trial of a lease failed with one message
@@ -263,17 +372,6 @@ func failAll(l *Lease, msg string) []TrialResult {
 	return out
 }
 
-// mismatch reports the worker's computed keys without data or error:
-// the coordinator rejects each as a key mismatch and the trials go back
-// to pending when the lease completes, for a compatible worker to take.
-func (w *Worker) mismatch(l *Lease, keys []string) []TrialResult {
-	out := make([]TrialResult, len(l.Trials))
-	for j, trial := range l.Trials {
-		out[j] = TrialResult{Trial: trial, Key: keys[j], Error: "cache key mismatch: worker/coordinator version skew"}
-	}
-	return out
-}
-
 // register obtains the worker's canonical ID, retrying transient
 // transport errors.
 func (w *Worker) register(ctx context.Context) error {
@@ -284,31 +382,52 @@ func (w *Worker) register(ctx context.Context) error {
 	if resp.Worker == "" {
 		return errors.New("dist: register: coordinator assigned empty worker id")
 	}
+	w.mu.Lock()
 	w.id = resp.Worker
+	w.mu.Unlock()
 	return nil
+}
+
+// rejoin re-registers after the coordinator refused stale, the ID a
+// call presented (it restarted and lost the registry). The poller and
+// the reporter may both see the refusal; only the first rejoins.
+func (w *Worker) rejoin(ctx context.Context, stale string) error {
+	w.regMu.Lock()
+	defer w.regMu.Unlock()
+	if w.workerID() != stale {
+		return nil
+	}
+	return w.register(ctx)
+}
+
+// workerID is the ID the worker presents on its calls.
+func (w *Worker) workerID() string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.id
 }
 
 // deregister says goodbye; errors are ignored (the liveness window
 // lapses anyway).
 func (w *Worker) deregister(ctx context.Context) error {
-	_ = w.call(ctx, "/v1/work/deregister", DeregisterRequest{Worker: w.id}, nil)
+	_ = w.call(ctx, "/v1/work/deregister", DeregisterRequest{Worker: w.workerID()}, nil)
 	return nil
 }
 
-// poll asks for a lease.
-func (w *Worker) poll(ctx context.Context) (*LeaseResponse, error) {
+// poll asks for a lease as worker id.
+func (w *Worker) poll(ctx context.Context, id string) (*LeaseResponse, error) {
 	var resp LeaseResponse
-	if err := w.call(ctx, "/v1/work/lease", LeaseRequest{Worker: w.id}, &resp); err != nil {
+	if err := w.call(ctx, "/v1/work/lease", LeaseRequest{Worker: id}, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
 }
 
-// reportLease returns a completed lease's results.
-func (w *Worker) reportLease(ctx context.Context, l *Lease, results []TrialResult) error {
+// reportLease returns a completed lease's results as worker id.
+func (w *Worker) reportLease(ctx context.Context, id string, l *Lease, results []TrialResult) error {
 	var resp ReportResponse
 	return w.call(ctx, "/v1/work/result", ResultReport{
-		Worker: w.id, Sweep: l.Sweep, Lease: l.ID, Results: results,
+		Worker: id, Sweep: l.Sweep, Lease: l.ID, Results: results,
 	}, &resp)
 }
 

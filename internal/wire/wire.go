@@ -245,7 +245,9 @@ func MarshalUpdate(u Update) ([]byte, error) {
 	return buf, nil
 }
 
-// UnmarshalUpdate decodes an UPDATE message.
+// UnmarshalUpdate decodes an UPDATE message. An UPDATE without NLRI
+// has its path attributes checked and then dropped, so it decodes to
+// what MarshalUpdate writes for it.
 func UnmarshalUpdate(msg []byte) (Update, error) {
 	bodyLen, t, err := parseHeader(msg)
 	if err != nil {
@@ -325,6 +327,12 @@ func UnmarshalUpdate(msg []byte) (Update, error) {
 	u.NLRI, err = parsePrefixes(nlri)
 	if err != nil {
 		return Update{}, err
+	}
+	if len(u.NLRI) == 0 {
+		// The attributes describe the announced routes: without NLRI
+		// they were validated above but carry nothing, and MarshalUpdate
+		// writes none.
+		u.Origin, u.ASPath, u.NextHop = OriginIGP, nil, [4]byte{}
 	}
 	return u, nil
 }

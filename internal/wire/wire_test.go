@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -153,11 +154,13 @@ func TestMalformedUpdates(t *testing.T) {
 }
 
 func TestExtendedLengthAttribute(t *testing.T) {
-	// Hand-build an update with an extended-length ORIGIN attribute.
+	// Hand-build an update with an extended-length ORIGIN attribute. It
+	// announces a route: without NLRI the decoder drops the attributes.
 	body := []byte{
 		0, 0, // no withdrawn
 		0, 5, // attrs length
 		flagTransitive | 0x10, AttrOrigin, 0, 1, OriginEGP,
+		24, 10, 0, 42, // NLRI 10.0.42.0/24
 	}
 	msg := make([]byte, HeaderLen+len(body))
 	header(msg, len(msg), TypeUpdate)
@@ -168,6 +171,37 @@ func TestExtendedLengthAttribute(t *testing.T) {
 	}
 	if u.Origin != OriginEGP {
 		t.Errorf("origin = %d", u.Origin)
+	}
+}
+
+// TestUpdateWithoutNLRIDropsAttributes pins the decoder to the
+// encoder's rule that attributes travel only with NLRI: a well-formed
+// attribute on an update without NLRI is dropped, a malformed one still
+// refuses the message, and the simulator still reads neither as a route.
+func TestUpdateWithoutNLRIDropsAttributes(t *testing.T) {
+	update := func(attrs ...byte) []byte {
+		body := append([]byte{0, 0, 0, byte(len(attrs))}, attrs...)
+		msg := make([]byte, HeaderLen+len(body))
+		header(msg, len(msg), TypeUpdate)
+		copy(msg[HeaderLen:], body)
+		return msg
+	}
+	msg := update(flagTransitive, AttrNextHop, 4, 48, 48, 48, 48)
+	u, err := UnmarshalUpdate(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (Update{Origin: OriginIGP}); !reflect.DeepEqual(u, want) {
+		t.Errorf("decoded %+v, want %+v", u, want)
+	}
+	if re, err := MarshalUpdate(u); err != nil || !bytes.Equal(re, update()) {
+		t.Errorf("re-marshaled % x (%v), want the bare update", re, err)
+	}
+	if _, err := DecodeSimUpdate(msg); err == nil {
+		t.Error("DecodeSimUpdate accepted an update with no route")
+	}
+	if _, err := UnmarshalUpdate(update(flagTransitive, AttrNextHop, 3, 48, 48, 48)); !errors.Is(err, ErrMalformed) {
+		t.Errorf("3-byte NEXT_HOP without NLRI: err %v, want ErrMalformed", err)
 	}
 }
 
