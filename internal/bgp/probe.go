@@ -57,9 +57,9 @@ const maxTrackedStates = 1 << 16
 // updates are still flowing distinguishes "oscillating" from the merely
 // "still converging" — the diagnosis the non-quiescence watchdog reports.
 //
-// The probe is O(1) per observer callback: the global fingerprint is
-// maintained incrementally by XOR-ing out a node's old contribution and
-// XOR-ing in the new one, so attaching it to every run is cheap.
+// The global fingerprint is maintained incrementally, XOR-ing out a
+// node's old contribution and XOR-ing in the new one. Runs carry no probe:
+// it rides only the deterministic re-run that diagnoses a watchdog cut.
 type OscillationProbe struct {
 	dest topology.Node
 

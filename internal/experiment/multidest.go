@@ -139,7 +139,7 @@ func RunMulti(s MultiScenario) (*MultiResult, error) {
 	if len(origins) == 0 {
 		origins = s.Graph.Nodes()
 	}
-	out, err := ls.execute(context.Background(), plan, origins)
+	out, err := ls.execute(context.Background(), plan, origins, nil)
 	if err != nil {
 		return nil, err
 	}

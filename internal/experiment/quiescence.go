@@ -84,15 +84,23 @@ func (q *QuiescenceFailure) Error() string {
 	return b.String()
 }
 
+// cut names where the watchdog stopped the run.
+func (q *QuiescenceFailure) cut() string {
+	return fmt.Sprintf("phase %q after %d events at %v", q.Phase, q.EventsExecuted, q.VirtualTime)
+}
+
 // Unwrap makes errors.Is(err, ErrNoQuiescence) hold.
 func (q *QuiescenceFailure) Unwrap() error { return ErrNoQuiescence }
 
 // diagnoseQuiescenceFailure assembles the watchdog diagnosis from the
 // scheduler's pending-event census and the oscillation probe's phase
-// snapshot.
+// snapshot; without a probe, the cut alone.
 func diagnoseQuiescenceFailure(phase string, sched *des.Scheduler, probe *bgp.OscillationProbe, budget, used uint64, hitHorizon bool) error {
 	pending, earliest, latest := sched.PendingCensus()
-	stats := probe.Snapshot(sched.Now())
+	var stats bgp.OscillationStats
+	if probe != nil {
+		stats = probe.Snapshot(sched.Now())
+	}
 	talkers := stats.Talkers
 	if len(talkers) > maxReportedTalkers {
 		talkers = talkers[:maxReportedTalkers]

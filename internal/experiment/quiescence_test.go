@@ -1,11 +1,16 @@
 package experiment
 
 import (
+	"context"
 	"errors"
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
 	"bgploop/internal/bgp"
+	"bgploop/internal/invariant"
 )
 
 func TestQuiescenceFailureOscillating(t *testing.T) {
@@ -137,4 +142,94 @@ func contains(s, sub string) bool {
 		}
 	}
 	return false
+}
+
+// countdownCtx is a deterministic cancellation: Err reports nil for the
+// first polls calls and context.Canceled from then on. seen counts calls.
+type countdownCtx struct {
+	context.Context
+	polls, seen int
+}
+
+func (c *countdownCtx) Err() error {
+	c.seen++
+	if c.seen > c.polls {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestRediagnoseCancellation cancels a cut run at every one of its
+// watchdog polls. The cut run and its diagnosis re-run poll alike, so the
+// second half of the polls falls in the re-run: there too the error must
+// wrap context.Canceled and carry no diagnosis.
+func TestRediagnoseCancellation(t *testing.T) {
+	s := BadGadget(3*quiescenceChunk - 1) // three chunks, so three polls per run
+	all := &countdownCtx{Context: context.Background(), polls: math.MaxInt}
+	_, want := RunContext(all, s)
+	if !errors.As(want, new(*QuiescenceFailure)) {
+		t.Fatalf("uncanceled run: error %v, want a watchdog cut", want)
+	}
+	n := all.seen
+	if n != 6 {
+		t.Fatalf("cut run and re-run polled %d times, want 3 each", n)
+	}
+	for k := 0; k < n; k++ {
+		_, err := RunContext(&countdownCtx{Context: context.Background(), polls: k}, s)
+		if !errors.Is(err, context.Canceled) || errors.As(err, new(*QuiescenceFailure)) {
+			t.Errorf("canceled at poll %d of %d: error %v, want one wrapping context.Canceled and no diagnosis", k+1, n, err)
+		}
+	}
+	_, err := RunContext(&countdownCtx{Context: context.Background(), polls: n}, s)
+	if err == nil || err.Error() != want.Error() {
+		t.Errorf("canceled after the last poll: error %v, want the diagnosis %v", err, want)
+	}
+}
+
+// TestSameCut checks the comparison that keeps a diagnosis re-run honest:
+// only a re-run stopped in the same phase, after the same events, at the
+// same virtual time gives the diagnosis; a cancellation passes through;
+// anything else is an error naming both cuts that carries no diagnosis.
+func TestSameCut(t *testing.T) {
+	cut := &QuiescenceFailure{Phase: "failure", EventsExecuted: 4000, EventBudget: 4000, VirtualTime: 3 * time.Second, PendingEvents: 9}
+	diag := *cut
+	diag.DistinctStates, diag.MaxStateRecurrence, diag.Verdict = 12, 3, VerdictStillConverging
+	if got := sameCut(cut, &diag); got != error(&diag) {
+		t.Errorf("same cut: got %v, want the re-run's diagnosis", got)
+	}
+	canceled := fmt.Errorf("experiment: run canceled during failure: %w", context.Canceled)
+	if got := sameCut(cut, canceled); got != canceled {
+		t.Errorf("canceled re-run: got %v, want its error as is", got)
+	}
+	late := fmt.Errorf("experiment: run canceled during failure: %w", context.DeadlineExceeded)
+	if got := sameCut(cut, late); got != late {
+		t.Errorf("timed-out re-run: got %v, want its error as is", got)
+	}
+	moved := func(f func(q *QuiescenceFailure)) *QuiescenceFailure {
+		q := diag
+		f(&q)
+		return &q
+	}
+	for _, c := range []struct {
+		name  string
+		rerun error
+		names []string
+	}{
+		{"other phase", moved(func(q *QuiescenceFailure) { q.Phase = "recovery" }), []string{`phase "recovery"`, `phase "failure"`}},
+		{"other events", moved(func(q *QuiescenceFailure) { q.EventsExecuted = 3999 }), []string{"after 3999 events", "after 4000 events"}},
+		{"other time", moved(func(q *QuiescenceFailure) { q.VirtualTime = 2 * time.Second }), []string{"at 2s", "at 3s"}},
+		{"quiesced", nil, []string{cut.cut()}},
+		{"violation", &invariant.ViolationError{V: invariant.Violation{ID: "rib-fib-coherence"}}, []string{cut.cut(), "rib-fib-coherence"}},
+	} {
+		err := sameCut(cut, c.rerun)
+		if err == nil || errors.As(err, new(*QuiescenceFailure)) || errors.Is(err, ErrNoQuiescence) {
+			t.Errorf("%s: got %v, want an error without a diagnosis", c.name, err)
+			continue
+		}
+		for _, want := range c.names {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not name %q", c.name, err, want)
+			}
+		}
+	}
 }

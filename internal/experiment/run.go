@@ -208,7 +208,9 @@ const quiescenceChunk = 50_000
 // elsewhere, failure-ratio doom, Ctrl-C) stops an in-flight trial in
 // bounded time. The DES kernel itself stays single-threaded and knows
 // nothing about contexts; cancellation lives entirely in this harness
-// layer. The returned error wraps ctx.Err() when the run was interrupted.
+// layer. The returned error wraps ctx.Err() when the run was interrupted,
+// also in the re-run that diagnoses a watchdog cut: a run cut by its event
+// budget, phase budget or horizon runs twice (see execute).
 //
 // With guards enabled (Scenario.Guard or BGPSIM_GUARD) an invariant
 // engine observes the run through the kernel exec hook, the network tap,
@@ -227,7 +229,7 @@ func RunContext(ctx context.Context, s Scenario) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	out, err := s.execute(ctx, plan, []topology.Node{s.Dest})
+	out, err := s.execute(ctx, plan, []topology.Node{s.Dest}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -319,8 +321,10 @@ type execution struct {
 // phase under the quiescence watchdog and, when enabled, the invariant
 // guards. Each measured phase is then measured once per origin. The
 // streaming guards watch all traffic; the sweep checks and the
-// oscillation probe watch the routes toward s.Dest only.
-func (s Scenario) execute(ctx context.Context, plan *faultplan.Plan, origins []topology.Node) (out *execution, err error) {
+// oscillation probe watch the routes toward s.Dest only. Runs pass a nil
+// probe; a watchdog cut is then run again with one attached from phase 0,
+// so a run that quiesces never pays for the diagnosis.
+func (s Scenario) execute(ctx context.Context, plan *faultplan.Plan, origins []topology.Node, probe *bgp.OscillationProbe) (out *execution, err error) {
 	mainIdx := plan.MainPhase()
 	if mainIdx < 0 {
 		return nil, errors.New("experiment: fault plan has no measured phase")
@@ -346,7 +350,14 @@ func (s Scenario) execute(ctx context.Context, plan *faultplan.Plan, origins []t
 			obs.histories[o] = dataplane.NewHistory(numNodes)
 		}
 	}
-	probe := bgp.NewOscillationProbe(numNodes, s.Dest)
+	if probe == nil {
+		defer func() {
+			if cut, ok := err.(*QuiescenceFailure); ok {
+				_, again := s.execute(ctx, plan, origins, bgp.NewOscillationProbe(numNodes, s.Dest))
+				err = sameCut(cut, again)
+			}
+		}()
+	}
 
 	var speakerObs bgp.Observer = obs
 	var recorder *trace.Recorder
@@ -355,7 +366,9 @@ func (s Scenario) execute(ctx context.Context, plan *faultplan.Plan, origins []t
 		recorder.Limit = s.TraceLimit
 		speakerObs = recorder
 	}
-	speakerObs = bgp.Tee(speakerObs, probe)
+	if probe != nil { // never a nil *OscillationProbe: Tee skips nil interfaces only
+		speakerObs = bgp.Tee(speakerObs, probe)
+	}
 
 	// The guard engine is built before the speakers, which send as they
 	// are made when the FSM is on: its checks read the speakers through
@@ -449,7 +462,9 @@ func (s Scenario) execute(ctx context.Context, plan *faultplan.Plan, origins []t
 	}
 
 	// Phase 0: cold-start convergence.
-	probe.BeginPhase(sched.Now())
+	if probe != nil {
+		probe.BeginPhase(sched.Now())
+	}
 	for _, o := range origins {
 		if err := speakers[o].Originate(o); err != nil {
 			return nil, err
@@ -474,7 +489,9 @@ func (s Scenario) execute(ctx context.Context, plan *faultplan.Plan, origins []t
 			obs.lastSent = 0 // reset: measure the last update after this injection
 			obs.anySent = false
 		}
-		probe.BeginPhase(sched.Now())
+		if probe != nil {
+			probe.BeginPhase(sched.Now())
+		}
 		used, err := runToQuiescence(ph.Name)
 		if err != nil {
 			return nil, err
@@ -531,6 +548,21 @@ func (s Scenario) execute(ctx context.Context, plan *faultplan.Plan, origins []t
 		}
 	}
 	return out, nil
+}
+
+// sameCut turns the re-run of a cut run into its diagnosis: the re-run's
+// own at the same cut, its cancellation as is, else an error naming both.
+func sameCut(cut *QuiescenceFailure, rerun error) error {
+	again, ok := rerun.(*QuiescenceFailure)
+	switch {
+	case ok && again.cut() == cut.cut():
+		return again
+	case ok:
+		return fmt.Errorf("experiment: diagnosis re-run stopped in %s, the run in %s", again.cut(), cut.cut())
+	case errors.Is(rerun, context.Canceled) || errors.Is(rerun, context.DeadlineExceeded):
+		return rerun
+	}
+	return fmt.Errorf("experiment: the run stopped in %s, its diagnosis re-run with %v", cut.cut(), rerun)
 }
 
 // measurePhase computes the §4.2 metrics of measured phase i for one
