@@ -57,6 +57,11 @@ func TestInternetLike(t *testing.T) {
 	if g.NumNodes() != 29 || !g.Connected() {
 		t.Errorf("internet graph malformed: %d nodes", g.NumNodes())
 	}
+	for _, v := range []bgploop.Node{-1, 29} {
+		if got := g.IncidentEdges(v); got != nil {
+			t.Errorf("IncidentEdges(%d) = %v, want nil", v, got)
+		}
+	}
 }
 
 func TestCompareEnhancements(t *testing.T) {

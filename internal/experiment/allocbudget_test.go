@@ -309,6 +309,25 @@ func TestAllocBudgetSpeakerGroup(t *testing.T) {
 	}
 }
 
+// Building the Internet(1000) graph: 117 KiB while a map keyed by edge sat
+// beside the sorted adjacency lists, 46 % of the build; 63 KiB with the
+// lists alone (Internet(10000): 999 and 542 KiB).
+func TestAllocBudgetInternetGraph(t *testing.T) {
+	skipUnlessAllocsAreOurs(t)
+	var g *topology.Graph
+	build := func() {
+		var err error
+		if g, err = topology.InternetLike(1000, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b := bytesPerRun(5, build)
+	t.Logf("InternetLike(1000), %d edges: %.1f KiB", g.NumEdges(), b/(1<<10))
+	if b >= 70*(1<<10) {
+		t.Errorf("building InternetLike(1000) allocates %.1f KiB, budget < 70", b/(1<<10))
+	}
+}
+
 // One whole Internet(110) T_down trial, the paper's headline rung, built
 // outside the measurement: 1.89 MiB while replay stepped every looping
 // packet across every FIB change, 1.85 MiB with cohorts parked on their

@@ -54,6 +54,22 @@ func TestSpecRefusesOutOfRangeNodeIDs(t *testing.T) {
 	}
 }
 
+// TestSpecRefusesNodeIDsPastTheGraph feeds the link fields ids a Node
+// holds but the graph does not: n+3, where HasEdge's search of the
+// adjacency lists must not index past them.
+func TestSpecRefusesNodeIDsPastTheGraph(t *testing.T) {
+	const plan = `{"topology": {"family": "clique", "size": 4}, "dest": 3, "seed": 1, "faultPlan": {"phases": [{"name": "p", "measure": true, "role": "main", "actions": [%s]}]}}`
+	for _, site := range []struct{ name, spec string }{
+		{"failLink", `{"topology": {"family": "ring", "size": 5}, "dest": 3, "seed": 1, "event": "tlong", "failLink": [0, 8]}`},
+		{"action link", fmt.Sprintf(plan, `{"op": "linkDown", "link": [7, 1]}`)},
+		{"action links", fmt.Sprintf(plan, `{"op": "groupDown", "links": [[0, 1], [7, 2]]}`)},
+	} {
+		if _, err := LoadScenario(strings.NewReader(site.spec)); err == nil || !strings.Contains(err.Error(), "not in topology") {
+			t.Errorf("%s: got error %v, want one containing %q", site.name, err, "not in topology")
+		}
+	}
+}
+
 // TestScenarioRefusesOutOfRangeCorruptFIBNode holds Validate and the guard
 // engine's builder, which read the corruption target straight from a
 // Scenario, to the same range.

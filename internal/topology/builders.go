@@ -149,7 +149,7 @@ func Figure2Loop(m, k int) *Graph {
 // both endpoints so a failure here is a bug in the builder itself.
 //
 // Unreachability justification (robustness audit): AddEdge fails only for
-// out-of-range endpoints, self-loops, or duplicate edges. Every caller is
+// out-of-range endpoints or self-loops. Every caller is
 // a deterministic topology builder in this file that computes endpoints
 // from the graph size it just allocated, so no user input can reach this
 // path — only an arithmetic bug in a builder. The builders' exported

@@ -38,18 +38,17 @@ func BarabasiAlbert(n, m int, seed int64) (*Graph, error) {
 		start = 2
 	}
 	for v := start; v < n; v++ {
-		chosen := make(map[Node]bool, m)
-		for len(chosen) < m {
+		// v's edges so far are exactly the targets it has chosen.
+		for g.Degree(Node(v)) < m {
 			u := pickPreferential(g, rng, 0, v, Node(-1))
-			if chosen[u] {
+			if g.HasEdge(Node(v), u) {
 				// Resample uniformly to guarantee progress on small
 				// graphs with concentrated degree mass.
 				u = Node(rng.Intn(v))
 			}
-			if chosen[u] {
+			if g.HasEdge(Node(v), u) {
 				continue
 			}
-			chosen[u] = true
 			mustAddEdge(g, Node(v), u)
 		}
 	}
@@ -94,11 +93,10 @@ func Waxman(n int, alpha, beta float64, seed int64) (*Graph, error) {
 	// its geometrically nearest node in the root component.
 	patched := false
 	for {
-		comp := componentOf(g)
-		root := comp[0]
+		hops := g.ShortestPathLens(0) // -1 off node 0's component
 		var far Node = None
 		for _, v := range g.Nodes() {
-			if comp[v] != root {
+			if hops[v] == -1 {
 				far = v
 				break
 			}
@@ -108,7 +106,7 @@ func Waxman(n int, alpha, beta float64, seed int64) (*Graph, error) {
 		}
 		best, bestD := None, math.Inf(1)
 		for _, v := range g.Nodes() {
-			if comp[v] != root {
+			if hops[v] == -1 {
 				continue
 			}
 			if d := dist(int(far), int(v)); d < bestD {
@@ -122,30 +120,4 @@ func Waxman(n int, alpha, beta float64, seed int64) (*Graph, error) {
 		g.SetName(g.Name() + "+")
 	}
 	return g, nil
-}
-
-// componentOf labels every node with a component representative.
-func componentOf(g *Graph) []Node {
-	comp := make([]Node, g.NumNodes())
-	for i := range comp {
-		comp[i] = None
-	}
-	for _, s := range g.Nodes() {
-		if comp[s] != None {
-			continue
-		}
-		comp[s] = s
-		queue := []Node{s}
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for _, u := range g.Neighbors(v) {
-				if comp[u] == None {
-					comp[u] = s
-					queue = append(queue, u)
-				}
-			}
-		}
-	}
-	return comp
 }

@@ -8,9 +8,9 @@
 package topology
 
 import (
-	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -67,13 +67,15 @@ func NormEdge(a, b Node) Edge {
 // String renders the edge as "[a b]", matching the paper's link notation.
 func (e Edge) String() string { return fmt.Sprintf("[%d %d]", e.A, e.B) }
 
-// Graph is an undirected simple graph over nodes 0..n-1.
+// Graph is an undirected simple graph over nodes 0..n-1. Its sorted
+// adjacency lists are its one edge set: an edge (a, b) is b in a's list
+// and a in b's.
 // The zero value is an empty graph with no nodes; use New.
 type Graph struct {
-	n     int
-	adj   [][]Node // sorted adjacency lists
-	edges map[Edge]bool
-	name  string
+	n      int
+	adj    [][]Node // sorted adjacency lists
+	nEdges int
+	name   string
 }
 
 // New returns an edgeless graph with n nodes (IDs 0..n-1).
@@ -81,11 +83,7 @@ func New(n int) *Graph {
 	if n < 0 {
 		n = 0
 	}
-	return &Graph{
-		n:     n,
-		adj:   make([][]Node, n),
-		edges: make(map[Edge]bool),
-	}
+	return &Graph{n: n, adj: make([][]Node, n)}
 }
 
 // Name returns the human-readable label of the graph ("clique-15", ...).
@@ -103,7 +101,7 @@ func (g *Graph) SetName(name string) { g.name = name }
 func (g *Graph) NumNodes() int { return g.n }
 
 // NumEdges returns the number of undirected edges.
-func (g *Graph) NumEdges() int { return len(g.edges) }
+func (g *Graph) NumEdges() int { return g.nEdges }
 
 // Nodes returns all node IDs in ascending order.
 func (g *Graph) Nodes() []Node {
@@ -126,31 +124,36 @@ func (g *Graph) AddEdge(a, b Node) error {
 	if a == b {
 		return fmt.Errorf("topology: self-loop at node %d", a)
 	}
-	e := NormEdge(a, b)
-	if g.edges[e] {
+	if g.HasEdge(a, b) {
 		return nil
 	}
-	g.edges[e] = true
 	g.adj[a] = insertSorted(g.adj[a], b)
 	g.adj[b] = insertSorted(g.adj[b], a)
+	g.nEdges++
 	return nil
 }
 
 // RemoveEdge deletes the undirected edge (a, b) if present and reports
 // whether it existed.
 func (g *Graph) RemoveEdge(a, b Node) bool {
-	e := NormEdge(a, b)
-	if !g.edges[e] {
+	if !g.HasEdge(a, b) {
 		return false
 	}
-	delete(g.edges, e)
 	g.adj[a] = removeSorted(g.adj[a], b)
 	g.adj[b] = removeSorted(g.adj[b], a)
+	g.nEdges--
 	return true
 }
 
-// HasEdge reports whether the undirected edge (a, b) exists.
-func (g *Graph) HasEdge(a, b Node) bool { return g.edges[NormEdge(a, b)] }
+// HasEdge reports whether the undirected edge (a, b) exists: a binary
+// search of a's list. An end outside the graph has no edges.
+func (g *Graph) HasEdge(a, b Node) bool {
+	if !g.Valid(a) || !g.Valid(b) {
+		return false
+	}
+	_, ok := slices.BinarySearch(g.adj[a], b)
+	return ok
+}
 
 // Neighbors returns the sorted neighbor list of v. The returned slice is a
 // copy and safe to retain.
@@ -174,7 +177,7 @@ func (g *Graph) Degree(v Node) int {
 // Edges returns all edges sorted by (A, B): the sorted adjacency lists in
 // node order, each edge taken from its smaller endpoint.
 func (g *Graph) Edges() []Edge {
-	out := make([]Edge, 0, len(g.edges))
+	out := make([]Edge, 0, g.nEdges)
 	for v, nbrs := range g.adj {
 		for _, u := range nbrs {
 			if u > Node(v) {
@@ -185,8 +188,12 @@ func (g *Graph) Edges() []Edge {
 	return out
 }
 
-// IncidentEdges returns the edges incident to v, sorted.
+// IncidentEdges returns the edges incident to v, sorted; nil if v is not
+// a node of the graph.
 func (g *Graph) IncidentEdges(v Node) []Edge {
+	if !g.Valid(v) {
+		return nil
+	}
 	nbrs := g.adj[v]
 	out := make([]Edge, 0, len(nbrs))
 	for _, u := range nbrs {
@@ -198,10 +205,7 @@ func (g *Graph) IncidentEdges(v Node) []Edge {
 // Clone returns a deep copy of the graph.
 func (g *Graph) Clone() *Graph {
 	c := New(g.n)
-	c.name = g.name
-	for e := range g.edges {
-		c.edges[e] = true
-	}
+	c.name, c.nEdges = g.name, g.nEdges
 	for v := range g.adj {
 		c.adj[v] = append([]Node(nil), g.adj[v]...)
 	}
@@ -210,12 +214,7 @@ func (g *Graph) Clone() *Graph {
 
 // Connected reports whether the graph is connected (an empty graph and a
 // single-node graph are connected).
-func (g *Graph) Connected() bool {
-	if g.n <= 1 {
-		return true
-	}
-	return g.reachableFrom(0, Edge{A: None, B: None}) == g.n
-}
+func (g *Graph) Connected() bool { return g.ConnectedWithout(Edge{A: None, B: None}) }
 
 // ConnectedWithout reports whether the graph remains connected after
 // removing edge e (i.e. whether e is not a bridge).
@@ -337,41 +336,46 @@ func (g *Graph) Bridges() []Edge {
 	return out
 }
 
-// Validate performs internal consistency checks (adjacency lists sorted and
-// symmetric with the edge set). It is used by tests and the topology tools.
+// Validate checks the adjacency lists: each strictly increasing, every
+// entry another node of the graph, twice NumEdges entries in all, and
+// every edge in both ends' lists. It is used by tests and the topology
+// tools.
 func (g *Graph) Validate() error {
-	seen := 0
+	entries := 0
 	for v, nbrs := range g.adj {
-		if !sort.SliceIsSorted(nbrs, func(i, j int) bool { return nbrs[i] < nbrs[j] }) {
-			return fmt.Errorf("topology: adjacency of %d not sorted", v)
-		}
-		for _, u := range nbrs {
-			if !g.edges[NormEdge(Node(v), u)] {
-				return fmt.Errorf("topology: adjacency %d-%d missing from edge set", v, u)
+		for i, u := range nbrs {
+			switch {
+			case i > 0 && u <= nbrs[i-1]:
+				return fmt.Errorf("topology: adjacency of %d not strictly increasing", v)
+			case !g.Valid(u) || u == Node(v):
+				return fmt.Errorf("topology: adjacency of %d holds %d (n=%d)", v, u, g.n)
 			}
-			seen++
 		}
+		entries += len(nbrs)
 	}
-	if seen != 2*len(g.edges) {
-		return errors.New("topology: adjacency/edge-set cardinality mismatch")
+	if entries != 2*g.nEdges {
+		return fmt.Errorf("topology: %d adjacency entries for %d edges", entries, g.nEdges)
+	}
+	// Every list is sorted now, so HasEdge's search can be trusted.
+	for v, nbrs := range g.adj {
+		for _, u := range nbrs {
+			if !g.HasEdge(u, Node(v)) {
+				return fmt.Errorf("topology: %d is in the adjacency of %d, not %d in that of %d", u, v, v, u)
+			}
+		}
 	}
 	return nil
 }
 
 func insertSorted(s []Node, v Node) []Node {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	if i < len(s) && s[i] == v {
-		return s
+	if i, ok := slices.BinarySearch(s, v); !ok {
+		return slices.Insert(s, i, v)
 	}
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
 	return s
 }
 
 func removeSorted(s []Node, v Node) []Node {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	if i < len(s) && s[i] == v {
+	if i, ok := slices.BinarySearch(s, v); ok {
 		return append(s[:i], s[i+1:]...)
 	}
 	return s

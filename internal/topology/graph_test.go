@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -235,6 +236,54 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsCorruptLists corrupts the adjacency lists or the edge
+// count of a Chain(4), 0-1-2-3, one way at a time.
+func TestValidateRejectsCorruptLists(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(g *Graph)
+		want    string
+	}{
+		{"unsorted", func(g *Graph) { g.adj[1] = []Node{2, 0} }, "not strictly increasing"},
+		{"duplicate", func(g *Graph) { g.adj[1] = []Node{0, 0, 2} }, "not strictly increasing"},
+		// 3 moves from 2's list to 0's: the entry count still matches.
+		{"asymmetric", func(g *Graph) { g.adj[0], g.adj[2] = []Node{1, 3}, []Node{1} }, "not 0 in that of 3"},
+		{"beyond n", func(g *Graph) { g.adj[3] = []Node{2, 4} }, "holds 4"},
+		{"negative", func(g *Graph) { g.adj[0] = []Node{-1, 1} }, "holds -1"},
+		{"self-loop", func(g *Graph) { g.adj[1] = []Node{0, 1, 2} }, "holds 1"},
+		{"count", func(g *Graph) { g.nEdges++ }, "6 adjacency entries for 4 edges"},
+	} {
+		g := Chain(4)
+		if err := g.Validate(); err != nil {
+			t.Fatalf("%s: Chain(4) invalid before the corruption: %v", tc.name, err)
+		}
+		tc.corrupt(g)
+		if err := g.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestInvalidNodeQueries: a node id outside the graph has no neighbours,
+// no incident edges and no edges, and asking does not panic.
+func TestInvalidNodeQueries(t *testing.T) {
+	g := Clique(4)
+	for _, v := range []Node{None, -2, 4, 7, MaxNode} {
+		if g.Neighbors(v) != nil || g.Degree(v) != 0 || g.IncidentEdges(v) != nil {
+			t.Errorf("node %d: Neighbors %v, Degree %d, IncidentEdges %v", v, g.Neighbors(v), g.Degree(v), g.IncidentEdges(v))
+		}
+		if g.HasEdge(0, v) || g.HasEdge(v, 0) || g.HasEdge(v, v) {
+			t.Errorf("node %d has an edge", v)
+		}
+		if g.RemoveEdge(v, 1) {
+			t.Errorf("RemoveEdge(%d, 1) removed an edge", v)
+		}
+	}
+	if g.NumEdges() != 6 {
+		t.Errorf("NumEdges = %d, want 6", g.NumEdges())
+	}
+}
+
 func TestEdgesSorted(t *testing.T) {
 	g := Clique(5)
 	edges := g.Edges()
@@ -248,9 +297,9 @@ func TestEdgesSorted(t *testing.T) {
 
 // edgesBySort is the map dump Edges once was: every edge of the set,
 // sorted by (A, B).
-func edgesBySort(g *Graph) []Edge {
-	out := make([]Edge, 0, len(g.edges))
-	for e := range g.edges {
+func edgesBySort(set map[Edge]bool) []Edge {
+	out := make([]Edge, 0, len(set))
+	for e := range set {
 		out = append(out, e)
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -263,7 +312,9 @@ func edgesBySort(g *Graph) []Edge {
 }
 
 // TestEdgesMatchesMapSort: walking the adjacency lists yields exactly the
-// sorted edge set, on every family and as edges are removed.
+// sorted edge set, on every family and as edges are removed. The set is
+// read off the generated graph with HasEdge on every pair and then kept
+// apart from it, losing each edge the graph loses.
 func TestEdgesMatchesMapSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, family := range Families() {
@@ -272,12 +323,23 @@ func TestEdgesMatchesMapSort(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s(%d): %v", family, size, err)
 			}
-			for g.NumEdges() > 0 {
-				if got, want := g.Edges(), edgesBySort(g); !reflect.DeepEqual(got, want) {
+			set := map[Edge]bool{}
+			for a := Node(0); int(a) < g.NumNodes(); a++ {
+				for b := a + 1; int(b) < g.NumNodes(); b++ {
+					if g.HasEdge(a, b) {
+						set[Edge{A: a, B: b}] = true
+					}
+				}
+			}
+			for len(set) > 0 {
+				if got, want := g.Edges(), edgesBySort(set); !reflect.DeepEqual(got, want) || g.NumEdges() != len(set) {
 					t.Fatalf("%s(%d) with %d edges: Edges %v, sorted edge set %v", family, size, g.NumEdges(), got, want)
 				}
-				e := edgesBySort(g)[rng.Intn(g.NumEdges())]
-				g.RemoveEdge(e.B, e.A)
+				e := edgesBySort(set)[rng.Intn(len(set))]
+				delete(set, e)
+				if !g.RemoveEdge(e.B, e.A) {
+					t.Fatalf("%s(%d): RemoveEdge%v found no edge", family, size, e)
+				}
 			}
 			if got := g.Edges(); len(got) != 0 {
 				t.Fatalf("%s(%d): edgeless graph has edges %v", family, size, got)

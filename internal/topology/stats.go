@@ -1,7 +1,5 @@
 package topology
 
-import "sort"
-
 // Stats summarises the structural properties of a graph. It backs the
 // topogen tool and the topology sections of EXPERIMENTS.md.
 type Stats struct {
@@ -90,7 +88,6 @@ func LowestDegreeNodes(g *Graph) []Node {
 			out = append(out, v)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
