@@ -20,6 +20,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -35,6 +36,7 @@ import (
 	"bgploop/internal/safety"
 	"bgploop/internal/sweep"
 	"bgploop/internal/topology"
+	"bgploop/internal/trace"
 	"bgploop/internal/transport"
 	"bgploop/internal/wire"
 )
@@ -139,12 +141,8 @@ func run(args []string) error {
 	if *phaseBudg > 0 {
 		scenario.PhaseEventBudget = *phaseBudg
 	}
-	if *showTrace > 0 {
-		// Record generously; the post-failure filter trims afterwards.
-		scenario.TraceLimit = *showTrace * 64
-	}
-	if (*wireDump != "" || *mrtDump != "") && scenario.TraceLimit == 0 {
-		scenario.TraceLimit = 1 << 20
+	if *showTrace > 0 || *wireDump != "" || *mrtDump != "" {
+		scenario.TraceLimit = traceLimit
 	}
 	if *preflight != "" {
 		if *preflight != "warn" && *preflight != "strict" {
@@ -238,32 +236,14 @@ func run(args []string) error {
 		}
 	}
 	if *wireDump != "" && rep.Trace != nil {
-		f, err := os.Create(*wireDump)
-		if err != nil {
+		if err := writeDump(os.Stderr, *wireDump, "UPDATE messages", rep.Trace, wire.DumpTrace); err != nil {
 			return err
 		}
-		n, derr := wire.DumpTrace(f, rep.Trace.Events())
-		if cerr := f.Close(); derr == nil {
-			derr = cerr
-		}
-		if derr != nil {
-			return derr
-		}
-		fmt.Fprintf(os.Stderr, "bgpsim: wrote %d UPDATE messages to %s\n", n, *wireDump)
 	}
 	if *mrtDump != "" && rep.Trace != nil {
-		f, err := os.Create(*mrtDump)
-		if err != nil {
+		if err := writeDump(os.Stderr, *mrtDump, "MRT records", rep.Trace, wire.DumpTraceMRT); err != nil {
 			return err
 		}
-		n, derr := wire.DumpTraceMRT(f, rep.Trace.Events())
-		if cerr := f.Close(); derr == nil {
-			derr = cerr
-		}
-		if derr != nil {
-			return derr
-		}
-		fmt.Fprintf(os.Stderr, "bgpsim: wrote %d MRT records to %s\n", n, *mrtDump)
 	}
 	if *showTrace > 0 && rep.Trace != nil {
 		fmt.Println()
@@ -280,6 +260,32 @@ func run(args []string) error {
 			fmt.Println(e)
 			printed++
 		}
+	}
+	return nil
+}
+
+// traceLimit is the one recording limit behind -trace, -wiredump and
+// -mrt; -trace prints the first N recorded events at or after the failure.
+const traceLimit = 1 << 20
+
+// writeDump writes the update events of rec to path in one wire format
+// and reports the count on stderr. Events the recorder's limit dropped are
+// missing from the file, so their count is reported too.
+func writeDump(stderr io.Writer, path, what string, rec *trace.Recorder, dump func(io.Writer, []trace.Event) (int, error)) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	n, derr := dump(f, rec.Events())
+	if cerr := f.Close(); derr == nil {
+		derr = cerr
+	}
+	if derr != nil {
+		return derr
+	}
+	fmt.Fprintf(stderr, "bgpsim: wrote %d %s to %s\n", n, what, path)
+	if d := rec.Dropped(); d > 0 {
+		fmt.Fprintf(stderr, "bgpsim: warning: trace limit of %d events reached; %d later protocol events are missing from %s\n", rec.Limit, d, path)
 	}
 	return nil
 }

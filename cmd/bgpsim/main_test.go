@@ -9,7 +9,11 @@ import (
 	"testing"
 	"time"
 
+	"bgploop/internal/bgp"
 	"bgploop/internal/experiment"
+	"bgploop/internal/routing"
+	"bgploop/internal/trace"
+	"bgploop/internal/wire"
 )
 
 // TestBuildScenario drives the -topo/-size/-event/-enhance vocabulary
@@ -180,6 +184,72 @@ func TestRunWireAndMRTDumps(t *testing.T) {
 		if fi.Size() == 0 {
 			t.Errorf("%s is empty", p)
 		}
+	}
+}
+
+// TestRunTraceShowsTheFailure: on Internet(110) T_down seed 3, initial
+// convergence alone sends thousands of events, so -trace must record past
+// it and print exactly the first N events at or after the failure.
+func TestRunTraceShowsTheFailure(t *testing.T) {
+	const n = 5
+	stdout, _, err := captureRun(t, "-topo", "internet", "-size", "110", "-event", "tdown", "-seed", "3", "-trace", fmt.Sprint(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const header = "Protocol trace from the failure instant ("
+	at := strings.Index(stdout, header)
+	if at < 0 {
+		t.Fatalf("no trace header in:\n%s", stdout)
+	}
+	rest := stdout[at+len(header):]
+	end := strings.Index(rest, "):\n")
+	if end < 0 {
+		t.Fatalf("malformed trace header in:\n%s", stdout[at:])
+	}
+	failAt, err := time.ParseDuration(rest[:end])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []string
+	for _, line := range strings.Split(rest[end+len("):\n"):], "\n") {
+		f := strings.Fields(line)
+		if len(f) < 2 || (f[1] != "announce" && f[1] != "withdraw" && f[1] != "route") {
+			continue
+		}
+		events = append(events, line)
+		if eventAt, err := time.ParseDuration(f[0]); err != nil || eventAt < failAt {
+			t.Errorf("event %q is not at or after the failure instant %v", line, failAt)
+		}
+	}
+	if len(events) != n {
+		t.Errorf("%d event lines after the trace header, want %d:\n%s", len(events), n, stdout[at:])
+	}
+}
+
+// TestWriteDumpReportsDropped: a dump cut by the recorder's limit says how
+// many events it is missing instead of passing for a whole trace.
+func TestWriteDumpReportsDropped(t *testing.T) {
+	rec := &trace.Recorder{Limit: 2}
+	for i := 0; i < 5; i++ {
+		rec.UpdateSent(time.Duration(i)*time.Second, 1, 2, bgp.Update{Dest: 0, Path: routing.Path{1, 0}})
+	}
+	path := filepath.Join(t.TempDir(), "t.bgp")
+	var stderr strings.Builder
+	if err := writeDump(&stderr, path, "UPDATE messages", rec, wire.DumpTrace); err != nil {
+		t.Fatal(err)
+	}
+	if got := stderr.String(); !strings.Contains(got, "wrote 2 UPDATE messages") || !strings.Contains(got, "3 later protocol events are missing") {
+		t.Errorf("stderr %q, want 2 written and 3 reported missing", got)
+	}
+
+	whole := &trace.Recorder{}
+	whole.UpdateSent(time.Second, 1, 2, bgp.Update{Dest: 0, Withdraw: true})
+	stderr.Reset()
+	if err := writeDump(&stderr, path, "MRT records", whole, wire.DumpTraceMRT); err != nil {
+		t.Fatal(err)
+	}
+	if got := stderr.String(); got != "bgpsim: wrote 1 MRT records to "+path+"\n" {
+		t.Errorf("stderr %q for a whole trace, want only the count", got)
 	}
 }
 

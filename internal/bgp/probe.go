@@ -9,22 +9,30 @@ import (
 )
 
 // Tee fans out observer events to several observers in call order. Nil
-// entries are skipped; a single surviving observer is returned unwrapped.
+// entries are skipped; a single surviving observer is returned unwrapped,
+// without allocating.
 func Tee(obs ...Observer) Observer {
-	var list teeObserver
+	n := 0
+	var only Observer
+	for _, o := range obs {
+		if o != nil {
+			n++
+			only = o
+		}
+	}
+	switch n {
+	case 0:
+		return NopObserver{}
+	case 1:
+		return only
+	}
+	list := make(teeObserver, 0, n)
 	for _, o := range obs {
 		if o != nil {
 			list = append(list, o)
 		}
 	}
-	switch len(list) {
-	case 0:
-		return NopObserver{}
-	case 1:
-		return list[0]
-	default:
-		return list
-	}
+	return list
 }
 
 type teeObserver []Observer

@@ -45,6 +45,10 @@ func TestTeeUnwrapsSingletonAndEmpty(t *testing.T) {
 	if _, ok := Tee(nil, nil).(NopObserver); !ok {
 		t.Errorf("Tee with no live observers should be a NopObserver")
 	}
+	// Every untraced, unguarded trial calls Tee with one live observer.
+	if n := testing.AllocsPerRun(100, func() { _ = Tee(a, nil, nil, nil) }); n != 0 {
+		t.Errorf("Tee with one live observer allocates %v times, want 0", n)
+	}
 }
 
 func TestOscillationProbeDetectsRecurrence(t *testing.T) {

@@ -58,7 +58,6 @@ type ScenarioSpec struct {
 	FlapCycles          int             `json:"flapCycles,omitempty"`
 	RestoreDelaySeconds float64         `json:"restoreDelaySeconds,omitempty"`
 	Seed                int64           `json:"seed,omitempty"`
-	TraceLimit          int             `json:"traceLimit,omitempty"`
 	// Workload parameters; zero keeps the harness defaults.
 	PacketIntervalSeconds float64 `json:"packetIntervalSeconds,omitempty"`
 	TTL                   int     `json:"ttl,omitempty"`
@@ -484,7 +483,6 @@ func (spec ScenarioSpec) Scenario() (Scenario, error) {
 		Seed:             spec.Seed,
 		FlapCycles:       spec.FlapCycles,
 		RestoreDelay:     time.Duration(spec.RestoreDelaySeconds * float64(time.Second)),
-		TraceLimit:       spec.TraceLimit,
 		MaxEvents:        spec.MaxEvents,
 		PhaseEventBudget: spec.PhaseEventBudget,
 		Horizon:          time.Duration(spec.HorizonSeconds * float64(time.Second)),
@@ -561,7 +559,8 @@ func (spec ScenarioSpec) Scenario() (Scenario, error) {
 // PolicyFor or Export hook set by hand (a named policy travels by its
 // name), non-default jitter or processing-delay ranges, a non-default
 // damping configuration, or an SSLDImmediate flag without SSLD all
-// return an error.
+// return an error. TraceLimit is not carried: a trace is observation
+// only, and a spec replays the run, not its trace.
 func NewScenarioSpec(s Scenario) (*ScenarioSpec, error) {
 	if s.Graph == nil {
 		return nil, errors.New("experiment: nil topology is not spec-representable")
@@ -594,7 +593,6 @@ func NewScenarioSpec(s Scenario) (*ScenarioSpec, error) {
 		FlapCycles:          s.FlapCycles,
 		RestoreDelaySeconds: s.RestoreDelay.Seconds(),
 		Seed:                s.Seed,
-		TraceLimit:          s.TraceLimit,
 		MaxEvents:           s.MaxEvents,
 		PhaseEventBudget:    s.PhaseEventBudget,
 		HorizonSeconds:      s.Horizon.Seconds(),

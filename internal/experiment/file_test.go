@@ -293,6 +293,10 @@ func TestLoadScenarioErrors(t *testing.T) {
 		"unknown enhance": `{"topology": {"family": "clique", "size": 4}, "event": "tdown", "enhancements": {"warp": true}}`,
 		"tlong no link":   `{"topology": {"family": "clique", "size": 4}, "event": "tlong"}`,
 		"bridge link":     `{"topology": {"family": "chain", "size": 4}, "event": "tlong", "failLink": [0, 1]}`,
+		// A trace limit is a Go-level switch (Scenario.TraceLimit): a spec
+		// could only record a trace nothing reads and make its job
+		// uncacheable.
+		"trace limit": `{"topology": {"family": "clique", "size": 4}, "event": "tdown", "traceLimit": 50}`,
 	}
 	for name, spec := range cases {
 		t.Run(name, func(t *testing.T) {

@@ -314,6 +314,26 @@ type execution struct {
 	trace     *trace.Recorder
 }
 
+// fanOut is the run's one observer fan-out, in call order: the
+// measurement observer, then the trace, the oscillation probe and the
+// guards, which ride last so the views they check have already seen each
+// event. An absent view reaches Tee as a nil interface, never as a
+// typed-nil pointer (which Tee would keep), so an untraced, unguarded run
+// hands the speakers the bare *observer.
+func fanOut(obs *observer, recorder *trace.Recorder, probe *bgp.OscillationProbe, eng *invariant.Engine) bgp.Observer {
+	var traceView, probeView, guardView bgp.Observer
+	if recorder != nil {
+		traceView = recorder
+	}
+	if probe != nil {
+		probeView = probe
+	}
+	if eng != nil {
+		guardView = &guardObserver{eng: eng}
+	}
+	return bgp.Tee(obs, traceView, probeView, guardView)
+}
+
 // execute is the run loop, the only one: s is a validated, defaults-
 // applied scenario and plan its effective fault plan (see lowered). Every
 // node in origins originates its own prefix — a Scenario has the one
@@ -359,15 +379,9 @@ func (s Scenario) execute(ctx context.Context, plan *faultplan.Plan, origins []t
 		}()
 	}
 
-	var speakerObs bgp.Observer = obs
 	var recorder *trace.Recorder
 	if s.TraceLimit > 0 {
-		recorder = trace.NewRecorder(obs)
-		recorder.Limit = s.TraceLimit
-		speakerObs = recorder
-	}
-	if probe != nil { // never a nil *OscillationProbe: Tee skips nil interfaces only
-		speakerObs = bgp.Tee(speakerObs, probe)
+		recorder = &trace.Recorder{Limit: s.TraceLimit}
 	}
 
 	// The guard engine is built before the speakers, which send as they
@@ -382,9 +396,6 @@ func (s Scenario) execute(ctx context.Context, plan *faultplan.Plan, origins []t
 		}
 		sched.SetExecHook(eng.NoteExec)
 		net.SetTap(&guardTap{eng: eng, sched: sched})
-		// The guard observer rides last on the Tee so the measurement
-		// observer (and trace recorder) have already seen each event.
-		speakerObs = bgp.Tee(speakerObs, &guardObserver{eng: eng})
 		// Panic-to-diagnostic conversion: with guards on, an internal
 		// panic becomes a structured PanicError carrying the event trail
 		// and RIB digests instead of unwinding to the trial recovery.
@@ -396,7 +407,7 @@ func (s Scenario) execute(ctx context.Context, plan *faultplan.Plan, origins []t
 		}()
 	}
 
-	if speakers, err = bgp.NewSpeakers(sched, net, s.BGP, rng, speakerObs, origins); err != nil {
+	if speakers, err = bgp.NewSpeakers(sched, net, s.BGP, rng, fanOut(obs, recorder, probe, eng), origins); err != nil {
 		return nil, fmt.Errorf("experiment: speakers: %w", err)
 	}
 

@@ -76,7 +76,9 @@ type Scenario struct {
 	// MaxEvents guards against runaway simulations (50M if zero).
 	MaxEvents uint64
 	// TraceLimit, when positive, records up to that many protocol events
-	// (updates sent, route changes) into Result.Trace.
+	// (updates sent, route changes) into Result.Trace. It is a Go-level
+	// switch: spec files do not carry it, and a traced scenario is
+	// uncacheable.
 	TraceLimit int
 	// RestoreDelay, when positive, repairs the failed link(s) that long
 	// after the post-failure convergence quiesces — a T_up recovery event

@@ -385,6 +385,21 @@ func TestMalformedFaultActionsRefused(t *testing.T) {
 	}
 }
 
+// TestParseRunRequestRefusals pins request bodies ParseRunRequest answers
+// with a 400 before anything runs.
+func TestParseRunRequestRefusals(t *testing.T) {
+	for _, tt := range []struct{ name, body, code string }{
+		// Tracing is a Go-level switch; a spec cannot ask for a trace
+		// the service would never return.
+		{"spec traceLimit", `{"spec": {"topology": {"family": "clique", "size": 5}, "event": "tdown", "traceLimit": 50}}`, "bad_json"},
+	} {
+		_, _, rerr := ParseRunRequest(strings.NewReader(tt.body), Limits{})
+		if rerr == nil || rerr.Status != http.StatusBadRequest || rerr.Code != tt.code {
+			t.Errorf("%s: error %+v, want 400 %s", tt.name, rerr, tt.code)
+		}
+	}
+}
+
 // TestOversizedSubmitIs413 pins that a POST /v1/runs body past
 // Limits.MaxBodyBytes is 413 too_large, told apart from malformed JSON.
 func TestOversizedSubmitIs413(t *testing.T) {

@@ -1,14 +1,12 @@
 // Package trace records protocol event traces from a simulation run: every
 // update sent, every best-path change, with virtual timestamps. The paper's
 // "next steps" section proposes examining route-change traces to measure
-// per-loop statistics; this package provides those traces, with filtering
-// and rendering for human inspection (bgpsim -trace).
+// per-loop statistics; this package records those traces and renders each
+// event as one line for human inspection (bgpsim -trace).
 package trace
 
 import (
 	"fmt"
-	"io"
-	"strings"
 
 	"bgploop/internal/bgp"
 	"bgploop/internal/des"
@@ -81,27 +79,16 @@ func (e Event) String() string {
 	}
 }
 
-// Recorder collects events as a bgp.Observer. A zero Recorder records
-// everything; set Limit and filters as needed. Recorder may wrap another
-// observer so tracing composes with metric collection.
+// Recorder collects events as a bgp.Observer, one view on the run's
+// observer fan-out (bgp.Tee). A zero Recorder records everything; Limit
+// caps it.
 type Recorder struct {
-	// Next, when non-nil, also receives every callback (chaining).
-	Next bgp.Observer
 	// Limit caps the number of stored events (0 = unlimited). When the
 	// limit is reached, further events are counted but not stored.
 	Limit int
-	// OnlyNode restricts recording to one node when >= 0.
-	OnlyNode topology.Node
-	// Since drops events before this virtual time.
-	Since des.Time
 
 	events  []Event
 	dropped int
-}
-
-// NewRecorder returns a Recorder capturing all nodes from time zero.
-func NewRecorder(next bgp.Observer) *Recorder {
-	return &Recorder{Next: next, OnlyNode: topology.None}
 }
 
 // Events returns the recorded events in order.
@@ -110,22 +97,13 @@ func (r *Recorder) Events() []Event { return r.events }
 // Dropped returns how many events were suppressed by Limit.
 func (r *Recorder) Dropped() int { return r.dropped }
 
-// Len returns the number of stored events.
-func (r *Recorder) Len() int { return len(r.events) }
-
 // RouteChanged implements bgp.Observer.
 func (r *Recorder) RouteChanged(now des.Time, node, dest, nexthop topology.Node, best routing.Path) {
-	if r.Next != nil {
-		r.Next.RouteChanged(now, node, dest, nexthop, best)
-	}
 	r.add(Event{At: now, Kind: KindRouteChange, Node: node, Dest: dest, NextHop: nexthop, Path: best.Clone()})
 }
 
 // UpdateSent implements bgp.Observer.
 func (r *Recorder) UpdateSent(now des.Time, from, to topology.Node, update bgp.Update) {
-	if r.Next != nil {
-		r.Next.UpdateSent(now, from, to, update)
-	}
 	kind := KindAnnounce
 	if update.Withdraw {
 		kind = KindWithdraw
@@ -134,74 +112,11 @@ func (r *Recorder) UpdateSent(now des.Time, from, to topology.Node, update bgp.U
 }
 
 func (r *Recorder) add(e Event) {
-	if e.At < r.Since {
-		return
-	}
-	if r.OnlyNode != topology.None && e.Node != r.OnlyNode {
-		return
-	}
 	if r.Limit > 0 && len(r.events) >= r.Limit {
 		r.dropped++
 		return
 	}
 	r.events = append(r.events, e)
-}
-
-// Filter returns the stored events satisfying keep.
-func (r *Recorder) Filter(keep func(Event) bool) []Event {
-	var out []Event
-	for _, e := range r.events {
-		if keep(e) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Write renders all stored events, one per line.
-func (r *Recorder) Write(w io.Writer) error {
-	var b strings.Builder
-	for _, e := range r.events {
-		b.WriteString(e.String())
-		b.WriteByte('\n')
-	}
-	if r.dropped > 0 {
-		fmt.Fprintf(&b, "... %d more events suppressed by trace limit\n", r.dropped)
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// Summary aggregates a trace into per-kind counts — handy in tests and
-// for the bgpsim footer line.
-type Summary struct {
-	Announces    int
-	Withdraws    int
-	RouteChanges int
-	FirstAt      des.Time
-	LastAt       des.Time
-}
-
-// Summarize computes a Summary over the stored events.
-func (r *Recorder) Summarize() Summary {
-	var s Summary
-	for i, e := range r.events {
-		switch e.Kind {
-		case KindAnnounce:
-			s.Announces++
-		case KindWithdraw:
-			s.Withdraws++
-		case KindRouteChange:
-			s.RouteChanges++
-		}
-		if i == 0 || e.At < s.FirstAt {
-			s.FirstAt = e.At
-		}
-		if e.At > s.LastAt {
-			s.LastAt = e.At
-		}
-	}
-	return s
 }
 
 var _ bgp.Observer = (*Recorder)(nil)

@@ -19,66 +19,42 @@ func sampleUpdate(withdraw bool) bgp.Update {
 }
 
 func TestRecorderCaptures(t *testing.T) {
-	r := NewRecorder(nil)
+	var r Recorder
 	r.UpdateSent(time.Second, 5, 6, sampleUpdate(false))
 	r.UpdateSent(2*time.Second, 4, 5, sampleUpdate(true))
 	r.RouteChanged(3*time.Second, 5, 0, 6, nil)
 	r.RouteChanged(4*time.Second, 5, 0, topology.None, nil)
 
-	if r.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", r.Len())
+	want := []struct {
+		at   des.Time
+		kind Kind
+	}{
+		{time.Second, KindAnnounce},
+		{2 * time.Second, KindWithdraw},
+		{3 * time.Second, KindRouteChange},
+		{4 * time.Second, KindRouteChange},
 	}
-	s := r.Summarize()
-	if s.Announces != 1 || s.Withdraws != 1 || s.RouteChanges != 2 {
-		t.Errorf("summary = %+v", s)
+	got := r.Events()
+	if len(got) != len(want) || r.Dropped() != 0 {
+		t.Fatalf("recorded %d events (%d dropped), want %d", len(got), r.Dropped(), len(want))
 	}
-	if s.FirstAt != time.Second || s.LastAt != 4*time.Second {
-		t.Errorf("summary times = %v..%v", s.FirstAt, s.LastAt)
-	}
-}
-
-func TestRecorderChainsToNext(t *testing.T) {
-	tail := NewRecorder(nil)
-	head := NewRecorder(tail)
-	head.UpdateSent(time.Second, 1, 2, sampleUpdate(false))
-	head.RouteChanged(time.Second, 1, 0, 2, nil)
-	if tail.Len() != 2 {
-		t.Errorf("chained observer saw %d events, want 2", tail.Len())
+	for i, w := range want {
+		if got[i].At != w.at || got[i].Kind != w.kind {
+			t.Errorf("event %d = %v %v, want %v %v", i, got[i].At, got[i].Kind, w.at, w.kind)
+		}
 	}
 }
 
 func TestRecorderLimit(t *testing.T) {
-	r := NewRecorder(nil)
-	r.Limit = 2
+	r := Recorder{Limit: 2}
 	for i := 0; i < 5; i++ {
 		r.RouteChanged(des.Time(i)*time.Second, 1, 0, 2, nil)
 	}
-	if r.Len() != 2 || r.Dropped() != 3 {
-		t.Errorf("len=%d dropped=%d, want 2/3", r.Len(), r.Dropped())
+	if len(r.Events()) != 2 || r.Dropped() != 3 {
+		t.Errorf("len=%d dropped=%d, want 2/3", len(r.Events()), r.Dropped())
 	}
-	var b strings.Builder
-	if err := r.Write(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "3 more events suppressed") {
-		t.Errorf("output missing suppression note:\n%s", b.String())
-	}
-}
-
-func TestRecorderFilters(t *testing.T) {
-	r := NewRecorder(nil)
-	r.OnlyNode = 5
-	r.Since = 2 * time.Second
-	r.RouteChanged(time.Second, 5, 0, 6, nil)              // too early
-	r.RouteChanged(3*time.Second, 4, 0, 6, nil)            // wrong node
-	r.RouteChanged(3*time.Second, 5, 0, 6, nil)            // kept
-	r.UpdateSent(4*time.Second, 5, 6, sampleUpdate(false)) // kept
-	if r.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", r.Len())
-	}
-	got := r.Filter(func(e Event) bool { return e.Kind == KindAnnounce })
-	if len(got) != 1 || got[0].Peer != 6 {
-		t.Errorf("Filter = %v", got)
+	if last := r.Events()[1].At; last != time.Second {
+		t.Errorf("kept event at %v, want the first two (last at 1s)", last)
 	}
 }
 
@@ -124,7 +100,7 @@ func TestKindString(t *testing.T) {
 }
 
 func TestRecorderClonesPaths(t *testing.T) {
-	r := NewRecorder(nil)
+	var r Recorder
 	p := routing.Path{5, 4, 0}
 	r.UpdateSent(time.Second, 5, 6, bgp.Update{Dest: 0, Path: p})
 	p[0] = 99
