@@ -102,8 +102,10 @@ func TestDampingStableRouteUnaffected(t *testing.T) {
 
 func TestDampingAttributeFlap(t *testing.T) {
 	// Path changes (not withdrawals) accrue the attribute penalty: 4
-	// changes x 500 = 2000 >= threshold.
-	s := newSim(t, topology.Chain(2), 0, dampingConfig(), 34)
+	// changes x 500 = 2000 >= threshold. The paths name nodes 5, 6 and 9,
+	// so the graph has them: a path through a node past the graph is
+	// dropped as malformed.
+	s := newSim(t, topology.Chain(10), 0, dampingConfig(), 34)
 	sp := s.speakers[1]
 	paths := []Update{
 		{Dest: 9, Path: pathOf(0, 5, 9)},

@@ -89,6 +89,31 @@ type group struct {
 	// slabs holds the destState of speaker j for destination i at
 	// j*k+i, and its per-peer slots at k*at+i*deg; empty without pos.
 	slabs slabs
+	// stamp holds, per node of the graph, the generation gen of the last
+	// received path that named it (see simple); made on the first check.
+	stamp []uint32
+	gen   uint32
+}
+
+// simple reports whether every AS on p is a node of an n-node graph and no
+// AS repeats, in one pass: a node already stamped with this check's
+// generation is on p twice. The stamps are cleared when gen wraps, so a
+// stale stamp never equals a live generation.
+func (g *group) simple(p routing.Path, n int) bool {
+	if g.stamp == nil {
+		g.stamp = make([]uint32, n)
+	}
+	if g.gen++; g.gen == 0 {
+		clear(g.stamp)
+		g.gen = 1
+	}
+	for _, v := range p {
+		if uint(v) >= uint(len(g.stamp)) || g.stamp[v] == g.gen {
+			return false
+		}
+		g.stamp[v] = g.gen
+	}
+	return true
 }
 
 // index returns dest's index in a speaker's dests; a negative one means
@@ -540,7 +565,9 @@ func (s *Speaker) peerJoin(slot int) {
 }
 
 // process applies one update received over slot after its processing
-// delay.
+// delay. An announcement is accepted only if its path starts at the sender,
+// names nodes of the graph and repeats none; the table then keeps that path
+// as it came, shared with the sender and every other receiver.
 func (s *Speaker) process(slot int, up Update) {
 	if !s.up[slot] {
 		// The session died while the update sat in the processor queue;
@@ -549,7 +576,7 @@ func (s *Speaker) process(slot int, up Update) {
 	}
 	from := s.nbrs[slot]
 	s.stats.UpdatesReceived++
-	if !up.Withdraw && (up.Path.First() != from || up.Path.HasDuplicate()) {
+	if !up.Withdraw && (up.Path.First() != from || !s.grp.simple(up.Path, s.net.Graph().NumNodes())) {
 		s.stats.MalformedDropped++
 		return
 	}

@@ -1,10 +1,14 @@
 package bgp
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 	"time"
 
 	"bgploop/internal/des"
+	"bgploop/internal/routing"
 	"bgploop/internal/topology"
 )
 
@@ -376,13 +380,116 @@ func TestMalformedUpdateDropped(t *testing.T) {
 	sp.Deliver(0, "garbage")
 	// A path that starts with the sender but repeats an AS.
 	sp.Deliver(0, Update{Dest: 0, Path: pathOf(0, 5, 0)})
+	// A simple path that names a node past the graph.
+	sp.Deliver(0, Update{Dest: 0, Path: pathOf(0, 2)})
 	s.sched.Run()
-	if got := sp.Stats().MalformedDropped - before; got != 3 {
-		t.Errorf("MalformedDropped = %d, want 3", got)
+	if got := sp.Stats().MalformedDropped - before; got != 4 {
+		t.Errorf("MalformedDropped = %d, want 4", got)
 	}
 	if got, _ := tbl.Received(0); !got.Equal(received) || !tbl.Best().Equal(best) {
 		t.Errorf("table changed: received %v best %v, want %v and %v", got, tbl.Best(), received, best)
 	}
+}
+
+// simpleOracle is the all-pairs scan the stamp check replaced, with the
+// range check beside it: every id a node of an n-node graph, none twice.
+func simpleOracle(p routing.Path, n int) bool {
+	for i, a := range p {
+		if a < 0 || int(a) >= n {
+			return false
+		}
+		for _, b := range p[:i] {
+			if a == b {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// simpleCase replays data against one group's stamp check and the oracle
+// and describes the first disagreement, or returns "". data[0] picks the
+// node count, data[1] starts the generation within three checks of its
+// wrap, and the rest is paths separated by 0xfe. A path byte maps onto
+// every node, -1, n and MaxNode.
+func simpleCase(data []byte) string {
+	if len(data) < 2 {
+		return ""
+	}
+	n := 1 + int(data[0]%16)
+	g := &group{stamp: make([]uint32, n), gen: math.MaxUint32 - uint32(data[1]%4)}
+	for i := range g.stamp {
+		g.stamp[i] = uint32(i) % 3 // stale stamps from before the wrap
+	}
+	var p routing.Path
+	check := func() string {
+		if got, want := g.simple(p, n), simpleOracle(p, n); got != want {
+			return fmt.Sprintf("n %d, generation %d: simple(%v) = %v, oracle %v", n, g.gen, p, got, want)
+		}
+		p = nil
+		return ""
+	}
+	for _, b := range data[2:] {
+		if b == 0xfe {
+			if diff := check(); diff != "" {
+				return diff
+			}
+			continue
+		}
+		switch v := int(b) % (n + 3); v {
+		case n:
+			p = append(p, topology.None)
+		case n + 1:
+			p = append(p, topology.Node(n))
+		case n + 2:
+			p = append(p, topology.MaxNode)
+		default:
+			p = append(p, topology.Node(v))
+		}
+	}
+	return check()
+}
+
+func TestSimpleMatchesOracle(t *testing.T) {
+	for _, data := range [][]byte{
+		{3, 0, 0, 1, 2, 3},                   // every node of 4, over stale stamps
+		{3, 1, 0, 1, 0},                      // a repeat
+		{3, 1, 0, 4},                         // -1
+		{3, 1, 1, 5, 0},                      // n
+		{3, 1, 6},                            // MaxNode
+		{3, 2, 1, 2, 0xfe, 1, 2, 0xfe, 2, 1}, // one path on both sides of the wrap
+		{3, 3, 0xfe, 0xfe, 0xfe, 0xfe, 3, 2, 1, 0xfe, 1, 1},
+	} {
+		if diff := simpleCase(data); diff != "" {
+			t.Errorf("case %v: %s", data, diff)
+		}
+	}
+}
+
+// TestSimpleAcrossWrap starts the generation at its last value: the next
+// check wraps it, and a stamp left from an old generation 1 must not read
+// as the node being on the path already.
+func TestSimpleAcrossWrap(t *testing.T) {
+	g := &group{stamp: []uint32{0, 1, 1, 0}, gen: math.MaxUint32}
+	if !g.simple(pathOf(1, 2, 0), 4) {
+		t.Fatal("a simple path is refused across the wrap")
+	}
+	if g.gen != 1 || !slices.Equal(g.stamp, []uint32{1, 1, 1, 0}) {
+		t.Fatalf("after the wrap: generation %d, stamps %v; want 1, [1 1 1 0]", g.gen, g.stamp)
+	}
+	if g.simple(pathOf(3, 1, 3), 4) || !g.simple(pathOf(3, 1), 4) {
+		t.Fatal("checks after the wrap disagree with the oracle")
+	}
+}
+
+func FuzzSimpleMatchesOracle(f *testing.F) {
+	f.Add([]byte{3, 0, 0, 1, 2, 3})
+	f.Add([]byte{9, 3, 0, 1, 0xfe, 2, 2, 0xfe, 9, 10, 11, 0xfe, 0xff})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if diff := simpleCase(data); diff != "" {
+			t.Fatal(diff)
+		}
+	})
 }
 
 func TestProcessingDelayIsSerial(t *testing.T) {

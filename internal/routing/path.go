@@ -10,10 +10,10 @@
 // Most updates a node receives change nothing — after a T_down each node
 // walks through ever longer obsolete paths — so the RIB is built around
 // the update that is rejected: the adj-RIB-in is a slice of per-peer slots
-// that own their path storage, and selection is incremental, so such an
-// update overwrites one slot in place, makes one policy comparison and
-// allocates nothing. Paths outside a slot are immutable and freely shared
-// (see Path and Table).
+// that keep the announced path itself, and selection is incremental, so
+// such an update overwrites one slot, makes one policy comparison and
+// allocates nothing. Paths are immutable and freely shared (see Path and
+// Table).
 package routing
 
 import (
@@ -31,10 +31,9 @@ import (
 // return fresh slices and never alias their receiver's backing array in a
 // mutable way. That is what lets one path be shared: the slice Table.Best
 // returns is the same one the observer sees, every peer's update carries
-// and the speaker remembers as advertised. Whoever holds a Path may keep it
-// and may not write to it; the one exception is a Table's adj-RIB-in slot,
-// which copies what it is given into storage it owns and overwrites (see
-// Table).
+// and the speaker remembers as advertised, and the receiver's adj-RIB-in
+// slot keeps it as it came (see Table). Whoever holds a Path may keep it and
+// may not write to it.
 type Path []topology.Node
 
 // Len returns the AS-path length (hop count metric).
@@ -110,23 +109,6 @@ func (p Path) SuffixFrom(v topology.Node) (Path, bool) {
 		}
 	}
 	return nil, false
-}
-
-// HasDuplicate reports whether any AS appears twice — a malformed path
-// that a correct path-vector implementation can never emit. Used as a
-// simulation invariant.
-//
-// The scan is quadratic and allocates nothing: it runs once per received
-// update, on paths a dozen elements long.
-func (p Path) HasDuplicate() bool {
-	for i, a := range p {
-		for _, b := range p[:i] {
-			if a == b {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // String renders the path in the paper's notation, e.g. "(5 6 4 0)".

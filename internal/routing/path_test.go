@@ -101,15 +101,6 @@ func TestSuffixFrom(t *testing.T) {
 	}
 }
 
-func TestHasDuplicate(t *testing.T) {
-	if p(1, 2, 3).HasDuplicate() {
-		t.Error("clean path reported duplicate")
-	}
-	if !p(1, 2, 1).HasDuplicate() {
-		t.Error("duplicate not detected")
-	}
-}
-
 func TestPropertyPrependContains(t *testing.T) {
 	f := func(nodes []uint8, v uint8) bool {
 		base := make(Path, len(nodes))

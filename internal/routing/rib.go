@@ -17,12 +17,13 @@ import (
 // time. Retaining the raw path is required by the Assertion enhancement,
 // which reasons about what each neighbor currently claims.
 //
-// Ownership. Each adj-RIB-in slot owns its path storage: Update copies the
-// caller's path into the slot's buffer (reused, so a warm table allocates
-// nothing), and what Received and Invalidate hand out is that buffer —
-// valid until the next mutation of the table, not to be retained or
-// written. The loc-RIB path returned by Best is the opposite: built once
-// per best change and never written again, so callers may keep it.
+// Ownership. The table shares paths, it never copies them: an adj-RIB-in
+// slot holds the very slice Update was given, so what Received and
+// Invalidate hand out is the announced path. That is sound because every
+// Path is immutable (see Path): the caller of Update may not write to the
+// path afterwards, and the table never writes to it either. The loc-RIB
+// path returned by Best is built once per best change, the only allocation
+// of a warm table.
 type Table struct {
 	self   topology.Node
 	dest   topology.Node
@@ -98,7 +99,7 @@ func (t *Table) Update(peer topology.Node, path Path) (changed bool) {
 	if wasBest && path.Equal(slot.Path) {
 		return false
 	}
-	slot.Path = append(slot.Path[:0], path...)
+	slot.Path = path
 	switch {
 	case wasBest:
 		t.rescan()
@@ -150,7 +151,7 @@ func (t *Table) RemovePeer(peer topology.Node) (changed bool) {
 
 // Received returns the raw adj-RIB-in entry for peer and whether one
 // exists. The path may be nil (explicit withdrawal) and may contain self;
-// it is the slot's own storage (see Table).
+// it is the slice the peer announced (see Table).
 func (t *Table) Received(peer topology.Node) (Path, bool) {
 	i, ok := t.find(peer)
 	if !ok || len(t.raw[i].Path) == 0 {
@@ -182,7 +183,7 @@ func (t *Table) Invalidate(keep func(peer topology.Node, path Path) bool) (chang
 		if len(slot.Path) == 0 || keep(slot.Peer, slot.Path) {
 			continue
 		}
-		slot.Path = slot.Path[:0]
+		slot.Path = nil
 		if t.bestVia(slot.Peer) {
 			changed = true
 		}

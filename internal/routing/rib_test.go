@@ -179,13 +179,18 @@ func TestBestIsSelfPrefixed(t *testing.T) {
 	}
 }
 
-func TestUpdateClonesInput(t *testing.T) {
+// TestUpdateSharesInput: a slot keeps the announced slice itself, not a
+// copy, and the best path is that slice with self in front.
+func TestUpdateSharesInput(t *testing.T) {
 	tab := newTestTable(5)
 	path := p(4, 0)
 	tab.Update(4, path)
-	path[0] = 9
-	if raw, _ := tab.Received(4); !raw.Equal(p(4, 0)) {
-		t.Error("table aliased caller's path slice")
+	raw, ok := tab.Received(4)
+	if !ok || len(raw) != len(path) || &raw[0] != &path[0] {
+		t.Fatalf("Received(4) = %v, %v: not the announced slice", raw, ok)
+	}
+	if !tab.Best()[1:].Equal(path) {
+		t.Errorf("best %v, want (5) in front of %v", tab.Best(), path)
 	}
 }
 
