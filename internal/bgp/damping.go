@@ -106,7 +106,7 @@ func (d *dampState) reuseDelay(cfg *DampingConfig) time.Duration {
 // It returns the update that should actually be applied to the routing
 // table now (possibly a synthetic withdrawal while suppressed) and whether
 // any update should be applied at all.
-func (s *Speaker) dampUpdate(st *destState, slot int, up Update) (Update, bool) {
+func (s *Speaker) dampUpdate(st *destState, slot int, up *Update) (*Update, bool) {
 	cfg := s.cfg.Damping
 	now := s.sched.Now()
 	from := s.nbrs[slot]
@@ -141,7 +141,7 @@ func (s *Speaker) dampUpdate(st *destState, slot int, up Update) (Update, bool) 
 		d.latest = up.Path
 		d.reuse.Cancel()
 		s.scheduleReuse(st, slot, d)
-		return Update{}, false
+		return nil, false
 	}
 	if d.penalty >= cfg.SuppressThreshold {
 		// Suppress: the table must forget the route until reuse.
@@ -149,7 +149,7 @@ func (s *Speaker) dampUpdate(st *destState, slot int, up Update) (Update, bool) 
 		d.latest = up.Path
 		s.stats.RoutesSuppressed++
 		s.scheduleReuse(st, slot, d)
-		return Update{Dest: up.Dest, Withdraw: true}, true
+		return &st.wd, true
 	}
 	return up, true
 }

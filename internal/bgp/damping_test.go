@@ -41,9 +41,9 @@ func TestDampingConfigValidate(t *testing.T) {
 func flap(s *sim, times int) {
 	sp := s.speakers[1]
 	for i := 0; i < times; i++ {
-		sp.Deliver(0, Update{Dest: 0, Path: pathOf(0)})
+		sp.Deliver(0, &Update{Dest: 0, Path: pathOf(0)})
 		s.sched.RunUntil(s.sched.Now() + time.Second)
-		sp.Deliver(0, Update{Dest: 0, Withdraw: true})
+		sp.Deliver(0, &Update{Dest: 0, Withdraw: true})
 		s.sched.RunUntil(s.sched.Now() + time.Second)
 	}
 }
@@ -56,7 +56,7 @@ func TestDampingSuppressesFlappingRoute(t *testing.T) {
 		t.Fatal("flapping route never suppressed")
 	}
 	// While suppressed, a fresh announcement must not be installed.
-	sp.Deliver(0, Update{Dest: 0, Path: pathOf(0)})
+	sp.Deliver(0, &Update{Dest: 0, Path: pathOf(0)})
 	s.sched.RunUntil(s.sched.Now() + time.Second)
 	if sp.Table(0).HasRoute() {
 		t.Error("suppressed route was installed")
@@ -72,7 +72,7 @@ func TestDampingReusesAfterDecay(t *testing.T) {
 	}
 	// Deliver the final (good) announcement while suppressed, then let
 	// the penalty decay: running to quiescence executes the reuse event.
-	sp.Deliver(0, Update{Dest: 0, Path: pathOf(0)})
+	sp.Deliver(0, &Update{Dest: 0, Path: pathOf(0)})
 	s.sched.Run()
 	if sp.Stats().RoutesReused == 0 {
 		t.Fatal("suppression never ended")
@@ -107,7 +107,7 @@ func TestDampingAttributeFlap(t *testing.T) {
 	// dropped as malformed.
 	s := newSim(t, topology.Chain(10), 0, dampingConfig(), 34)
 	sp := s.speakers[1]
-	paths := []Update{
+	paths := []*Update{
 		{Dest: 9, Path: pathOf(0, 5, 9)},
 		{Dest: 9, Path: pathOf(0, 6, 9)},
 		{Dest: 9, Path: pathOf(0, 5, 9)},

@@ -37,7 +37,7 @@ type groupCase struct {
 // one included.
 type groupDeliver struct {
 	to, from topology.Node
-	up       Update
+	up       *Update
 }
 
 func (c groupCase) String() string {
@@ -93,7 +93,7 @@ func decodeGroupCase(data []byte) groupCase {
 			path = append(path, topology.Node(next()%c.n))
 		}
 		dest := c.origins[next()%len(c.origins)]
-		c.deliver = &groupDeliver{to: to, from: path[0], up: Update{Dest: dest, Path: path}}
+		c.deliver = &groupDeliver{to: to, from: path[0], up: &Update{Dest: dest, Path: path}}
 	}
 	return c
 }
@@ -370,7 +370,7 @@ func TestSpeakerGroupOrigins(t *testing.T) {
 	if len(speakers[1].dests) != 2 {
 		t.Fatalf("%d destinations for origins {0, 2}", len(speakers[1].dests))
 	}
-	speakers[1].Deliver(0, Update{Dest: 1, Path: routing.Path{0, 1}})
+	speakers[1].Deliver(0, &Update{Dest: 1, Path: routing.Path{0, 1}})
 	sched.Run()
 	if speakers[1].Stats().MalformedDropped != 1 || speakers[1].Table(1) != nil {
 		t.Fatalf("an update for a non-origin was taken: %+v", speakers[1].Stats())

@@ -12,6 +12,11 @@ import (
 // announcement carrying the sender's full AS path, or an explicit
 // withdrawal. Announced paths start with the sending AS, as in the paper's
 // notation (node 5 announces "(5 6 4 0)").
+//
+// On the network an update is a *Update, immutable once sent and shared
+// by every peer told: announcements come from the speaker group's update
+// slab, a withdrawal is one value per destination. A speaker counts any
+// other payload, an Update by value included, as malformed.
 type Update struct {
 	// Dest identifies the destination prefix by its originating AS.
 	Dest topology.Node

@@ -76,8 +76,9 @@ type Speaker struct {
 }
 
 // group is what the speakers built in one pass share: the validated
-// configuration, the destination index and the slabs their
-// per-destination state is carved from.
+// configuration, the destination index, the slabs their per-destination
+// state is carved from and the storage the paths and announcements of their
+// best changes are cut from.
 type group struct {
 	cfg Config
 	// pos maps a destination to its index among the group's origins,
@@ -93,6 +94,26 @@ type group struct {
 	// received path that named it (see simple); made on the first check.
 	stamp []uint32
 	gen   uint32
+	// paths is the arena of every table's best path; ups is the unused tail
+	// of the announcements' block, upsNext the next one's size.
+	paths   routing.Arena
+	ups     []Update
+	upsNext int
+}
+
+// announcement boxes the announcement of path toward dest in the group's
+// update slab, whose blocks start at 16 updates and double up to 64: a
+// trial leaves at most one block's tail unused. Nothing in the slab is
+// reused: the *Update stays as it was while anything holds it.
+func (g *group) announcement(dest topology.Node, path routing.Path) *Update {
+	if len(g.ups) == 0 {
+		g.ups = make([]Update, max(g.upsNext, 16))
+		g.upsNext = min(2*len(g.ups), 64)
+	}
+	u := &g.ups[0]
+	g.ups = g.ups[1:]
+	*u = Update{Dest: dest, Path: path}
+	return u
 }
 
 // simple reports whether every AS on p is a node of an n-node graph and no
@@ -151,12 +172,13 @@ func makeSlabs(states, slots int, damping bool) slabs {
 }
 
 // carve returns states[st] with the per-peer slots [at, at+deg) as its
-// own. Every slice is cut with its capacity, so none can grow into a
-// neighbour's slots.
-func (sl *slabs) carve(st, at, deg int, self, dest topology.Node, policy routing.Policy) *destState {
+// own and its best paths cut from arena. Every slice is cut with its
+// capacity, so none can grow into a neighbour's slots.
+func (sl *slabs) carve(st, at, deg int, self, dest topology.Node, policy routing.Policy, arena *routing.Arena) *destState {
 	hi := at + deg
 	ds := &sl.states[st]
-	ds.table.Init(self, dest, policy, sl.raw[at:at:hi])
+	ds.table.Init(self, dest, policy, sl.raw[at:at:hi], arena)
+	ds.wd = Update{Dest: dest, Withdraw: true}
 	ds.adv = sl.adv[at:hi:hi]
 	ds.mrai = sl.mrai[at:hi:hi]
 	if sl.damp != nil {
@@ -180,18 +202,18 @@ type destState struct {
 	// update (Config.Damping only; nil otherwise).
 	damp []*dampState
 
-	// announce is the message carrying the current best path, boxed on
-	// the first send after a best change and handed to every peer that is
-	// told; withdraw is the destination's one withdrawal message, boxed
-	// on its first send.
-	announce any
-	withdraw any
+	// announce is the message carrying the current best path, boxed in
+	// the group's update slab on the first send after a best change and
+	// handed to every peer that is told; wd is the destination's one
+	// withdrawal, sent as &wd. Neither changes once sent.
+	announce *Update
+	wd       Update
 }
 
 // Event kinds a speaker schedules on itself (des.Receiver). n is always a
 // peer slot.
 const (
-	evProcess = iota // an update's processing delay is over; arg is the Update
+	evProcess = iota // an update's processing delay is over; arg is the *Update
 	evMRAI           // an MRAI timer releases the sends waiting on it; arg is the *destState
 )
 
@@ -414,11 +436,12 @@ func (s *Speaker) Deliver(from topology.Node, payload any) {
 		case Keepalive:
 			s.refreshHold(from)
 			return
-		case Update:
+		case *Update:
 			s.refreshHold(from)
 		}
 	}
-	if _, ok := payload.(Update); !ok {
+	up, ok := payload.(*Update)
+	if !ok || up == nil {
 		s.stats.MalformedDropped++
 		return
 	}
@@ -433,9 +456,9 @@ func (s *Speaker) Deliver(from topology.Node, payload any) {
 	// completion = max(now, busyUntil) + proc with proc >= ProcDelayMin >= 0
 	// (enforced by Config.Validate) and busyUntil only ever advanced, so
 	// completion >= now, and >= every completion already on procQ, by
-	// construction. The payload goes on as it came: one boxed Update serves
-	// the send, the delivery and this event.
-	s.schedule(&s.procQ, completion, evProcess, slot, payload)
+	// construction. The update goes on as it came: one *Update serves the
+	// send, the delivery and this event.
+	s.schedule(&s.procQ, completion, evProcess, slot, up)
 }
 
 // schedule queues a typed event on the speaker itself (see Fire), on lane
@@ -473,7 +496,7 @@ func (s *Speaker) reserve(at des.Time, slot int, st *destState) des.Reservation 
 func (s *Speaker) Fire(kind, slot int, _ uint64, arg any) {
 	switch kind {
 	case evProcess:
-		s.process(slot, arg.(Update))
+		s.process(slot, arg.(*Update))
 	case evMRAI:
 		s.mraiExpired(arg.(*destState), slot)
 	}
@@ -568,7 +591,7 @@ func (s *Speaker) peerJoin(slot int) {
 // delay. An announcement is accepted only if its path starts at the sender,
 // names nodes of the graph and repeats none; the table then keeps that path
 // as it came, shared with the sender and every other receiver.
-func (s *Speaker) process(slot int, up Update) {
+func (s *Speaker) process(slot int, up *Update) {
 	if !s.up[slot] {
 		// The session died while the update sat in the processor queue;
 		// its contents are obsolete by definition.
@@ -610,7 +633,7 @@ func (s *Speaker) process(slot int, up Update) {
 // receives path(u, new) from neighbor u, v removes any stored path that
 // includes u and contains a sub-path from u different from path(u, new);
 // on a withdrawal from u, every stored path through u is removed.
-func (s *Speaker) assertionSweep(st *destState, from topology.Node, up Update) bool {
+func (s *Speaker) assertionSweep(st *destState, from topology.Node, up *Update) bool {
 	invalidated := 0
 	changed := st.table.Invalidate(func(peer topology.Node, path routing.Path) bool {
 		if peer == from {
@@ -696,7 +719,7 @@ func (s *Speaker) advertise(st *destState, slot int) {
 			s.deferSend(st, slot)
 			return
 		}
-		s.send(slot, st.withdrawal())
+		s.send(slot, &st.wd)
 		if ssldConverted {
 			s.stats.SSLDConversions++
 		}
@@ -716,7 +739,7 @@ func (s *Speaker) advertise(st *destState, slot int) {
 		return
 	}
 	if st.announce == nil {
-		st.announce = Update{Dest: st.table.Dest(), Path: desired}
+		st.announce = s.grp.announcement(st.table.Dest(), desired)
 	}
 	s.send(slot, st.announce)
 	st.adv[slot] = desired
@@ -793,7 +816,7 @@ func (s *Speaker) maybeGhostFlush(st *destState, slot int, desired routing.Path)
 	if adv == nil || desired.Len() <= adv.Len() {
 		return
 	}
-	s.send(slot, st.withdrawal())
+	s.send(slot, &st.wd)
 	s.stats.GhostFlushes++
 	st.adv[slot] = nil
 }
@@ -827,14 +850,13 @@ func (s *Speaker) armMRAI(st *destState, slot int) {
 	st.mrai[slot].timer = s.reserve(s.sched.Now()+interval, slot, st)
 }
 
-// send hands msg — a boxed Update, shared by every peer it goes to — to the
-// network and updates counters. A send that races a link failure is
-// silently dropped, like the TCP session it models.
-func (s *Speaker) send(slot int, msg any) {
-	if err := s.net.SendLink(s.link0+slot, msg); err != nil {
+// send hands up — shared by every peer it goes to — to the network and
+// updates counters. A send that races a link failure is silently dropped,
+// like the TCP session it models.
+func (s *Speaker) send(slot int, up *Update) {
+	if err := s.net.SendLink(s.link0+slot, up); err != nil {
 		return
 	}
-	up := msg.(Update)
 	now := s.sched.Now()
 	if up.Withdraw {
 		s.stats.WithdrawalsSent++
@@ -843,7 +865,7 @@ func (s *Speaker) send(slot int, msg any) {
 	}
 	s.stats.LastUpdateSent = now
 	s.noteSent(slot)
-	s.obs.UpdateSent(now, s.id, s.nbrs[slot], up)
+	s.obs.UpdateSent(now, s.id, s.nbrs[slot], *up)
 }
 
 // destState returns (creating if needed) the state for dest, or nil if
@@ -867,16 +889,8 @@ func (s *Speaker) destState(dest topology.Node) *destState {
 		own := makeSlabs(1, deg, g.cfg.Damping != nil)
 		sl, st, at = &own, 0, 0
 	}
-	s.dests[i] = sl.carve(st, at, deg, s.id, dest, s.policy)
+	s.dests[i] = sl.carve(st, at, deg, s.id, dest, s.policy, &g.paths)
 	return s.dests[i]
-}
-
-// withdrawal returns the destination's withdrawal message.
-func (st *destState) withdrawal() any {
-	if st.withdraw == nil {
-		st.withdraw = Update{Dest: st.table.Dest(), Withdraw: true}
-	}
-	return st.withdraw
 }
 
 var (

@@ -236,7 +236,7 @@ func TestSSLDSenderASPathLoopDetection(t *testing.T) {
 		}
 		at := s.sched.Now() + time.Second
 		if err := s.net.At(at, func() {
-			s.speakers[r2].Deliver(r3, Update{Dest: r3, Path: pathOf(r3, r1)})
+			s.speakers[r2].Deliver(r3, &Update{Dest: r3, Path: pathOf(r3, r1)})
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -375,16 +375,18 @@ func TestMalformedUpdateDropped(t *testing.T) {
 	received, _ := tbl.Received(0)
 	received = received.Clone()
 	// A path not starting with the sender.
-	sp.Deliver(0, Update{Dest: 0, Path: pathOf(9, 0)})
+	sp.Deliver(0, &Update{Dest: 0, Path: pathOf(9, 0)})
 	// A non-Update payload.
 	sp.Deliver(0, "garbage")
+	// An Update by value: routes travel as *Update only.
+	sp.Deliver(0, Update{Dest: 0, Path: pathOf(0)})
 	// A path that starts with the sender but repeats an AS.
-	sp.Deliver(0, Update{Dest: 0, Path: pathOf(0, 5, 0)})
+	sp.Deliver(0, &Update{Dest: 0, Path: pathOf(0, 5, 0)})
 	// A simple path that names a node past the graph.
-	sp.Deliver(0, Update{Dest: 0, Path: pathOf(0, 2)})
+	sp.Deliver(0, &Update{Dest: 0, Path: pathOf(0, 2)})
 	s.sched.Run()
-	if got := sp.Stats().MalformedDropped - before; got != 4 {
-		t.Errorf("MalformedDropped = %d, want 4", got)
+	if got := sp.Stats().MalformedDropped - before; got != 5 {
+		t.Errorf("MalformedDropped = %d, want 5", got)
 	}
 	if got, _ := tbl.Received(0); !got.Equal(received) || !tbl.Best().Equal(best) {
 		t.Errorf("table changed: received %v best %v, want %v and %v", got, tbl.Best(), received, best)
@@ -499,8 +501,8 @@ func TestProcessingDelayIsSerial(t *testing.T) {
 	s := newSim(t, topology.Chain(3), 0, cfg, 15)
 	sp := s.speakers[1]
 	start := s.sched.Now()
-	sp.Deliver(0, Update{Dest: 0, Path: pathOf(0)})
-	sp.Deliver(2, Update{Dest: 0, Withdraw: true})
+	sp.Deliver(0, &Update{Dest: 0, Path: pathOf(0)})
+	sp.Deliver(2, &Update{Dest: 0, Withdraw: true})
 	busy := sp.busyUntil
 	if busy-start < 2*cfg.ProcDelayMin {
 		t.Errorf("two queued messages busy for %v, want >= %v", busy-start, 2*cfg.ProcDelayMin)

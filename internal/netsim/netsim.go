@@ -23,8 +23,10 @@
 // in flight on it are a FIFO: a delivery is always the head's, a failure
 // drains the two directions' queues merged by message id. All per-link
 // state lives in a directed-link table built once from the graph (see
-// New), and a delivery is a typed scheduler event naming its link, so
-// sending and delivering allocate nothing.
+// New), each link's FIFO is a list threaded through one network-wide pool
+// of flights with a free list, and a delivery is a typed scheduler event
+// naming its link, so sending and delivering allocate nothing but a pool
+// chunk when more messages are in flight than ever before.
 package netsim
 
 import (
@@ -113,10 +115,11 @@ type link struct {
 	rev      int  // index of the opposite direction
 	down     bool // failed; always equal on the two directions
 
-	// inflight holds the undelivered messages in send order — which is
-	// delivery order — so that a failure can destroy them (a failed link
-	// delivers nothing, and BGP's TCP session dies with the link).
-	inflight fifo
+	// head and tail index the oldest and newest undelivered message in
+	// the network's flight pool (0: none), linked in send order — delivery
+	// order — so that a failure can destroy them (a failed link delivers
+	// nothing, and BGP's TCP session dies with the link).
+	head, tail int32
 
 	// lastArrival is the delivery-time clamp that preserves the in-order
 	// contract per session epoch under retransmission and reordering
@@ -125,42 +128,20 @@ type link struct {
 	clamped     bool
 }
 
-// flight is one undelivered message: its id and its delivery event.
+// flight is one undelivered message: its id, its delivery event and the
+// pool index of the next flight on its link, or of the next free one.
 type flight struct {
-	id uint64
-	h  des.Handle
+	id   uint64
+	h    des.Handle
+	next int32
 }
 
-// fifo is a queue of flights over one reused slice.
-type fifo struct {
-	q    []flight
-	head int
-}
+// flightChunk is the size of a pool chunk. The pool grows a chunk at a time
+// and never moves, so it holds at most a chunk more than it ever needed.
+const flightChunk = 64
 
-func (f *fifo) len() int { return len(f.q) - f.head }
-
-func (f *fifo) push(x flight) {
-	if len(f.q) == cap(f.q) && f.head > 0 && f.head >= len(f.q)/2 {
-		// Reclaim the popped prefix instead of growing; the copy is no
-		// longer than the pops that made room for it.
-		f.q = f.q[:copy(f.q, f.q[f.head:])]
-		f.head = 0
-	}
-	f.q = append(f.q, x)
-}
-
-// front returns the oldest flight; the queue must be non-empty.
-func (f *fifo) front() flight { return f.q[f.head] }
-
-// pop removes and returns the oldest flight; the queue must be non-empty.
-func (f *fifo) pop() flight {
-	x := f.front()
-	f.head++
-	if f.head == len(f.q) {
-		f.q, f.head = f.q[:0], 0
-	}
-	return x
-}
+// entry returns the pool's flight at index at.
+func (n *Network) entry(at int32) *flight { return &n.flights[at/flightChunk][at%flightChunk] }
 
 // Network connects handlers according to a topology graph and delivers
 // payloads between them with per-link delay.
@@ -175,6 +156,12 @@ type Network struct {
 	links    []link
 	handlers []Handler // by node
 	nextID   uint64
+
+	// flights is the in-flight pool every link's FIFO is threaded
+	// through, in chunks that never move; index 0 is the null one, used
+	// counts the indices handed out and free heads the free list.
+	flights    [][]flight
+	used, free int32
 
 	// imp, when non-nil, impairs sends.
 	imp *transport.Model
@@ -204,6 +191,7 @@ func New(sched *des.Scheduler, g *topology.Graph, delay time.Duration) *Network 
 		delay:    delay,
 		first:    make([]int, nodes+1),
 		handlers: make([]Handler, nodes),
+		used:     1,
 	}
 	for v := 0; v < nodes; v++ {
 		n.first[v+1] = n.first[v] + g.Degree(topology.Node(v))
@@ -355,7 +343,7 @@ func (n *Network) SendLink(i int, payload any) error {
 	if err != nil {
 		return fmt.Errorf("netsim: schedule delivery: %w", err)
 	}
-	l.inflight.push(flight{id: id, h: h})
+	n.push(l, flight{id: id, h: h})
 	n.stats.Sent++
 	if n.tap != nil {
 		n.tap.MessageSent(from, to, id)
@@ -369,7 +357,7 @@ func (n *Network) SendLink(i int, payload any) error {
 // in-order contract or the in-flight bookkeeping is broken.
 func (n *Network) Fire(_, i int, id uint64, payload any) {
 	l := &n.links[i]
-	if l.inflight.len() == 0 || l.inflight.pop().id != id {
+	if l.head == 0 || n.pop(l).id != id {
 		invariant.Unreachable("netsim-fifo", fmt.Sprintf("message %d delivered on %d->%d out of send order", id, l.from, l.to))
 	}
 	// Delivered counts endpoint arrivals whether or not a handler is
@@ -534,21 +522,53 @@ func (n *Network) setDown(i int, down bool) {
 	n.links[n.links[i].rev].down = down
 }
 
+// push appends f to link l's in-flight FIFO, in a pool slot off the free
+// list if there is one.
+func (n *Network) push(l *link, f flight) {
+	at := n.free
+	if at != 0 {
+		n.free = n.entry(at).next
+	} else {
+		if int(n.used) >= len(n.flights)*flightChunk {
+			n.flights = append(n.flights, make([]flight, flightChunk))
+		}
+		at, n.used = n.used, n.used+1
+	}
+	*n.entry(at) = f
+	if l.tail != 0 {
+		n.entry(l.tail).next = at
+	} else {
+		l.head = at
+	}
+	l.tail = at
+}
+
+// pop removes and returns the oldest flight of link l, which must have
+// one, and frees its slot.
+func (n *Network) pop(l *link) flight {
+	at := l.head
+	f := *n.entry(at)
+	if l.head = f.next; l.head == 0 {
+		l.tail = 0
+	}
+	n.entry(at).next, n.free = n.free, at
+	return f
+}
+
 // dropInflight destroys every undelivered message on both directions of
 // link i, in ascending message id: each direction's queue is already in id
 // order (ids are handed out at send time), so the two are merged. That
 // fixed order keeps the Lost counter's evolution and the tap's MessageLost
 // sequence identical across runs of the same seed.
 func (n *Network) dropInflight(i int) {
-	l := &n.links[i]
-	a, b := &l.inflight, &n.links[l.rev].inflight
-	e := topology.NormEdge(l.from, l.to)
-	for a.len() > 0 || b.len() > 0 {
+	a, b := &n.links[i], &n.links[n.links[i].rev]
+	e := topology.NormEdge(a.from, a.to)
+	for a.head != 0 || b.head != 0 {
 		q := a
-		if a.len() == 0 || b.len() > 0 && b.front().id < a.front().id {
+		if a.head == 0 || b.head != 0 && n.entry(b.head).id < n.entry(a.head).id {
 			q = b
 		}
-		if f := q.pop(); f.h.Cancel() {
+		if f := n.pop(q); f.h.Cancel() {
 			n.stats.Lost++
 			if n.tap != nil {
 				n.tap.MessageLost(e.A, e.B, f.id)

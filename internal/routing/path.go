@@ -12,8 +12,9 @@
 // the update that is rejected: the adj-RIB-in is a slice of per-peer slots
 // that keep the announced path itself, and selection is incremental, so
 // such an update overwrites one slot, makes one policy comparison and
-// allocates nothing. Paths are immutable and freely shared (see Path and
-// Table).
+// allocates nothing; the update that does change the best path takes the
+// new one from an arena the tables of a group share. Paths are immutable
+// and freely shared (see Path, Arena and Table).
 package routing
 
 import (
@@ -89,6 +90,40 @@ func (p Path) Prepend(v topology.Node) Path {
 	out := make(Path, 0, len(p)+1)
 	out = append(out, v)
 	return append(out, p...)
+}
+
+// Arena builds prepended paths out of shared blocks of node ids, one
+// allocation per block rather than per best change. Blocks start at
+// arenaMin ids and double up to arenaMax; a longer path gets storage of its
+// own. Every path is cut with cap == len, so an append to it moves and never
+// writes into the next one, and nothing is reused: a block stays live while
+// any path in it does. The zero Arena is ready to use; a nil *Arena
+// allocates every path on its own, as Path.Prepend does.
+type Arena struct {
+	free []topology.Node // the unused tail of the current block
+	next int             // the size of the next block
+}
+
+const (
+	arenaMin = 64
+	arenaMax = 1024
+)
+
+// Prepend returns p.Prepend(v), cut from the arena.
+func (a *Arena) Prepend(p Path, v topology.Node) Path {
+	n := len(p) + 1
+	if a == nil || n > max(a.next, arenaMin) {
+		return p.Prepend(v)
+	}
+	if n > len(a.free) {
+		a.free = make([]topology.Node, max(a.next, arenaMin))
+		a.next = min(2*len(a.free), arenaMax)
+	}
+	out := Path(a.free[:n:n])
+	a.free = a.free[n:]
+	out[0] = v
+	copy(out[1:], p)
+	return out
 }
 
 // Clone returns an independent copy of the path (nil stays nil).

@@ -75,6 +75,59 @@ func TestPathPrependDoesNotAlias(t *testing.T) {
 	}
 }
 
+// TestArenaPathsAreSealed: every path the arena hands out has cap == len,
+// so an append to one moves it and leaves the next path in the block as
+// it was.
+func TestArenaPathsAreSealed(t *testing.T) {
+	var a Arena
+	first := a.Prepend(p(4, 0), 5)
+	second := a.Prepend(p(2, 0), 3)
+	if cap(first) != len(first) || cap(second) != len(second) {
+		t.Fatalf("cap/len %d/%d and %d/%d, want equal", cap(first), len(first), cap(second), len(second))
+	}
+	grown := append(first, 9)
+	grown[0] = 7
+	if !first.Equal(p(5, 4, 0)) || !second.Equal(p(3, 2, 0)) {
+		t.Fatalf("an append to an arena path wrote through: first %v, second %v", first, second)
+	}
+}
+
+// TestArenaMatchesPrepend: Arena.Prepend builds what Path.Prepend builds —
+// on the empty path, on short paths filling several blocks, and on paths
+// longer than any block — and a nil arena falls back to Path.Prepend.
+func TestArenaMatchesPrepend(t *testing.T) {
+	var a Arena
+	var nilArena *Arena
+	var kept, wants []Path
+	for i := 0; i < 3*arenaMax; i++ {
+		n := i % 9
+		if i%500 == 7 {
+			n = arenaMax + i%3 // longer than a block
+		}
+		base := make(Path, n)
+		for j := range base {
+			base[j] = topology.Node(j*7 + i)
+		}
+		v := topology.Node(i % 100)
+		want := base.Prepend(v)
+		for _, got := range []Path{a.Prepend(base, v), nilArena.Prepend(base, v)} {
+			if !got.Equal(want) || cap(got) != len(got) {
+				t.Fatalf("step %d: Prepend(%d ids, %d) = %v (cap %d), want %v", i, n, v, got, cap(got), want)
+			}
+		}
+		kept, wants = append(kept, a.Prepend(base, v)), append(wants, want)
+	}
+	var empty Path
+	if got := a.Prepend(empty, 3); !got.Equal(p(3)) || !empty.Prepend(3).Equal(got) {
+		t.Fatalf("Prepend on the empty path = %v, want (3)", got)
+	}
+	for i := range kept {
+		if !kept[i].Equal(wants[i]) {
+			t.Fatalf("path %d changed to %v after later Prepends, want %v", i, kept[i], wants[i])
+		}
+	}
+}
+
 func TestPathClone(t *testing.T) {
 	var nilPath Path
 	if nilPath.Clone() != nil {

@@ -22,8 +22,9 @@ import (
 // Invalidate hand out is the announced path. That is sound because every
 // Path is immutable (see Path): the caller of Update may not write to the
 // path afterwards, and the table never writes to it either. The loc-RIB
-// path returned by Best is built once per best change, the only allocation
-// of a warm table.
+// path returned by Best is built once per best change, from the arena the
+// table was given (see Arena), so a warm table on a warm arena allocates
+// nothing.
 type Table struct {
 	self   topology.Node
 	dest   topology.Node
@@ -38,14 +39,15 @@ type Table struct {
 	// slot. The origin's best is the constant (self) via itself.
 	best     Path
 	bestPeer topology.Node
+	arena    *Arena // where best is built; nil: on its own
 }
 
-// NewTable returns an empty table for the given node and destination. If
-// self == dest the node originates the destination and its best path is
-// permanently the one-element path (self).
+// NewTable returns an empty table, with no arena, for the given node and
+// destination. If self == dest the node originates the destination and its
+// best path is permanently the one-element path (self).
 func NewTable(self, dest topology.Node, policy Policy) *Table {
 	t := new(Table)
-	t.Init(self, dest, policy, nil)
+	t.Init(self, dest, policy, nil, nil)
 	return t
 }
 
@@ -53,11 +55,12 @@ func NewTable(self, dest topology.Node, policy Policy) *Table {
 // value inside its owner. Its adj-RIB-in takes its slots from raw's
 // storage, which must have length zero; a slot past raw's capacity moves
 // the adj-RIB-in to fresh storage, so a raw carved from a shared slab with
-// a full slice expression never grows into its neighbour's.
-func (t *Table) Init(self, dest topology.Node, policy Policy, raw []Candidate) {
-	*t = Table{self: self, dest: dest, policy: policy, raw: raw, bestPeer: topology.None}
+// a full slice expression never grows into its neighbour's. Its best paths
+// are cut from arena, which the tables of a group may share.
+func (t *Table) Init(self, dest topology.Node, policy Policy, raw []Candidate, arena *Arena) {
+	*t = Table{self: self, dest: dest, policy: policy, raw: raw, bestPeer: topology.None, arena: arena}
 	if t.IsOrigin() {
-		t.best, t.bestPeer = Path{self}, self
+		t.best, t.bestPeer = arena.Prepend(nil, self), self
 	}
 }
 
@@ -220,5 +223,5 @@ func (t *Table) rescan() {
 
 // setBest installs c as the loc-RIB entry, building its self-prefixed path.
 func (t *Table) setBest(c Candidate) {
-	t.best, t.bestPeer = c.Path.Prepend(t.self), c.Peer
+	t.best, t.bestPeer = t.arena.Prepend(c.Path, t.self), c.Peer
 }

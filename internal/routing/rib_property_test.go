@@ -43,8 +43,8 @@ type caseStats struct {
 	ops, changed, unchanged, noRoute int
 }
 
-// tableDiff applies the case to a Table and to the oracle and returns a
-// description of the first observable difference, or "".
+// tableDiff applies the case to a Table on an arena and to the oracle and
+// returns a description of the first observable difference, or "".
 func tableDiff(data []byte, st *caseStats) string {
 	if len(data) == 0 {
 		return ""
@@ -57,7 +57,8 @@ func tableDiff(data []byte, st *caseStats) string {
 	if data[0]&1 == 1 {
 		pol = GaoRexford{Self: self, Rel: caseRelationships()}
 	}
-	got, want := NewTable(self, 0, pol), newOracleTable(self, 0, pol)
+	got, want := new(Table), newOracleTable(self, 0, pol)
+	got.Init(self, 0, pol, nil, new(Arena))
 
 	data = data[1:]
 	next := func() byte {
@@ -102,7 +103,7 @@ func tableDiff(data []byte, st *caseStats) string {
 		if a != b {
 			return fail("changed", a, b)
 		}
-		if g, w := got.Best(), want.Best(); !g.Equal(w) || (g == nil) != (w == nil) {
+		if g, w := got.Best(), want.Best(); !g.Equal(w) || (g == nil) != (w == nil) || cap(g) != len(g) {
 			return fail("Best", g, w)
 		}
 		if g, w := got.NextHop(), want.NextHop(); g != w {

@@ -280,7 +280,7 @@ func TestTableAccessors(t *testing.T) {
 func TestTableInitKeepsToItsSlots(t *testing.T) {
 	slab := make([]Candidate, 4)
 	var tab Table
-	tab.Init(5, 0, ShortestPath{}, slab[0:0:2])
+	tab.Init(5, 0, ShortestPath{}, slab[0:0:2], nil)
 	if tab.Self() != 5 || tab.Dest() != 0 || tab.HasRoute() || tab.NextHop() != topology.None {
 		t.Fatalf("fresh table: self %d dest %d route %v next hop %d", tab.Self(), tab.Dest(), tab.HasRoute(), tab.NextHop())
 	}
@@ -300,7 +300,7 @@ func TestTableInitKeepsToItsSlots(t *testing.T) {
 		t.Fatalf("best %v, want (5 2 0)", tab.Best())
 	}
 	var origin Table
-	origin.Init(4, 4, ShortestPath{}, nil)
+	origin.Init(4, 4, ShortestPath{}, nil, new(Arena))
 	if !origin.Best().Equal(Path{4}) || origin.NextHop() != 4 {
 		t.Fatalf("origin's best %v via %d, want (4) via itself", origin.Best(), origin.NextHop())
 	}
