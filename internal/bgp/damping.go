@@ -154,9 +154,9 @@ func (s *Speaker) dampUpdate(st *destState, slot int, up *Update) (*Update, bool
 	return up, true
 }
 
+// scheduleReuse arms the reuse timer of the suppressed route from slot.
 func (s *Speaker) scheduleReuse(st *destState, slot int, d *dampState) {
-	delay := d.reuseDelay(s.cfg.Damping)
-	d.reuse = s.sched.MustAfter(delay, func() { s.reuseRoute(st, slot) })
+	d.reuse = s.schedule(nil, s.sched.Now()+d.reuseDelay(s.cfg.Damping), evReuse, slot, st)
 }
 
 // reuseRoute ends a suppression period: the buffered latest route (if any)

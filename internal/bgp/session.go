@@ -98,27 +98,22 @@ func (s *Speaker) PeerEstablished(peer topology.Node) bool {
 	return s.SessionState(peer) == SessionEstablished
 }
 
-// session returns the FSM state for peer, which must be a neighbor.
-func (s *Speaker) session(peer topology.Node) *sessionState {
-	return &s.sessions[s.slot(peer)]
-}
-
-// startConnect enters Connect for peer: new generation, immediate Open,
-// retry timer armed.
-func (s *Speaker) startConnect(peer topology.Node) {
-	sess := s.session(peer)
+// startConnect enters Connect on the peering in slot: new generation,
+// immediate Open, retry timer armed.
+func (s *Speaker) startConnect(slot int) {
+	sess := &s.sessions[slot]
 	sess.state = SessionConnect
 	sess.localGen++
 	sess.attempts = 0
-	s.sendOpen(peer, 0)
-	s.armRetry(peer)
+	s.sendOpen(slot, 0)
+	s.armRetry(slot)
 }
 
-// sendOpen transmits Open{localGen, ack} to peer. Like update sends, an
-// Open racing a link failure is silently dropped.
-func (s *Speaker) sendOpen(peer topology.Node, ack uint64) {
-	sess := s.session(peer)
-	if err := s.net.Send(s.id, peer, Open{Gen: sess.localGen, Ack: ack}); err != nil {
+// sendOpen transmits Open{localGen, ack} to the peer in slot. Like update
+// sends, an Open racing a link failure is silently dropped.
+func (s *Speaker) sendOpen(slot int, ack uint64) {
+	sess := &s.sessions[slot]
+	if err := s.net.SendLink(s.link0+slot, Open{Gen: sess.localGen, Ack: ack}); err != nil {
 		return
 	}
 	s.stats.OpensSent++
@@ -127,8 +122,8 @@ func (s *Speaker) sendOpen(peer topology.Node, ack uint64) {
 
 // armRetry schedules the next connection attempt with capped exponential
 // backoff and multiplicative jitter.
-func (s *Speaker) armRetry(peer topology.Node) {
-	sess := s.session(peer)
+func (s *Speaker) armRetry(slot int) {
+	sess := &s.sessions[slot]
 	sess.retry.Cancel()
 	base := s.connectBackoff(sess.attempts)
 	factor := des.UniformFactor(s.rngSess, s.cfg.JitterMin, s.cfg.JitterMax)
@@ -136,7 +131,7 @@ func (s *Speaker) armRetry(peer topology.Node) {
 	if delay <= 0 {
 		delay = 1
 	}
-	sess.retry = s.sched.MustAfter(delay, func() { s.retryExpired(peer) })
+	sess.retry = s.schedule(nil, s.sched.Now()+delay, evRetry, slot, nil)
 }
 
 // connectBackoff returns the base backoff of attempt i (0-based),
@@ -154,19 +149,19 @@ func (s *Speaker) connectBackoff(i int) des.Time {
 }
 
 // retryExpired re-sends the Open after a silent ConnectRetry interval.
-func (s *Speaker) retryExpired(peer topology.Node) {
-	sess := s.session(peer)
+func (s *Speaker) retryExpired(slot int) {
+	sess := &s.sessions[slot]
 	if sess.state != SessionConnect {
 		return
 	}
 	sess.attempts++
-	s.sendOpen(peer, 0)
-	s.armRetry(peer)
+	s.sendOpen(slot, 0)
+	s.armRetry(slot)
 }
 
 // handleOpen runs the handshake state machine at the delivery instant.
-func (s *Speaker) handleOpen(from topology.Node, o Open) {
-	sess := s.session(from)
+func (s *Speaker) handleOpen(slot int, o Open) {
+	sess := &s.sessions[slot]
 	switch sess.state {
 	case SessionIdle:
 		// Link considered down locally; a racing Open is obsolete.
@@ -178,35 +173,36 @@ func (s *Speaker) handleOpen(from topology.Node, o Open) {
 		sess.peerGen = o.Gen
 		if o.Ack == 0 {
 			// Unsolicited Open: complete the handshake with an ack.
-			s.sendOpen(from, o.Gen)
+			s.sendOpen(slot, o.Gen)
 		}
-		s.establish(from)
+		s.establish(slot)
 	case SessionEstablished:
 		if o.Gen == sess.peerGen {
 			// Retransmitted handshake of the current connection.
 			if o.Ack == 0 {
-				s.sendOpen(from, o.Gen)
+				s.sendOpen(slot, o.Gen)
 			}
-			s.refreshHold(from)
+			s.refreshHold(slot)
 			return
 		}
 		// New peer generation: the peer restarted the session (e.g. its
 		// hold timer expired while ours survived). Flush and re-establish.
-		s.teardownSession(from)
+		s.teardownSession(slot)
 		sess.state = SessionConnect
 		sess.localGen++
 		sess.attempts = 0
 		sess.peerGen = o.Gen
-		s.sendOpen(from, o.Gen)
-		s.establish(from)
+		s.sendOpen(slot, o.Gen)
+		s.establish(slot)
 	}
 }
 
 // establish completes the handshake: the session carries routes from this
 // instant, the network layer (and through it the invariant engine) sees
 // SessionUp, and full tables are exchanged (peerJoin).
-func (s *Speaker) establish(peer topology.Node) {
-	sess := s.session(peer)
+func (s *Speaker) establish(slot int) {
+	sess := &s.sessions[slot]
+	peer := s.nbrs[slot]
 	sess.state = SessionEstablished
 	sess.attempts = 0
 	sess.retry.Cancel()
@@ -217,100 +213,108 @@ func (s *Speaker) establish(peer topology.Node) {
 	s.net.SessionEstablished(s.id, peer)
 	if s.net.Impaired(s.id, peer) {
 		sess.armed = true
-		s.refreshHold(peer)
-		s.armKeepalive(peer)
+		s.refreshHold(slot)
+		s.armKeepalive(slot)
 	}
-	s.peerJoin(s.slot(peer))
+	s.peerJoin(slot)
+}
+
+// stopTimers disarms the hold/keepalive machinery of the peering in slot
+// and cancels its retry timer.
+func (s *Speaker) stopTimers(slot int) {
+	sess := &s.sessions[slot]
+	sess.armed = false
+	sess.hold.Cancel()
+	sess.keep.Cancel()
+	sess.retry.Cancel()
 }
 
 // teardownSession kills the session: timers stop, in-flight messages die
 // with the TCP connection (KillSession), and everything learned over the
 // peer is withdrawn (peerLeave). The caller decides the successor state.
-func (s *Speaker) teardownSession(peer topology.Node) {
-	sess := s.session(peer)
-	sess.armed = false
-	sess.hold.Cancel()
-	sess.keep.Cancel()
-	sess.retry.Cancel()
-	s.net.KillSession(s.id, peer)
-	s.peerLeave(s.slot(peer))
+func (s *Speaker) teardownSession(slot int) {
+	s.stopTimers(slot)
+	s.net.KillSession(s.id, s.nbrs[slot])
+	s.peerLeave(slot)
 }
 
 // holdExpired declares the peer dead after HoldTime of silence. The first
 // reconnection attempt waits one ConnectRetry backoff — the FSM backs off
 // rather than hammering a link that just starved it.
-func (s *Speaker) holdExpired(peer topology.Node) {
-	sess := s.session(peer)
+func (s *Speaker) holdExpired(slot int) {
+	sess := &s.sessions[slot]
 	if sess.state != SessionEstablished {
 		return
 	}
 	s.stats.HoldExpiries++
-	s.teardownSession(peer)
+	s.teardownSession(slot)
 	sess.state = SessionConnect
 	sess.localGen++
 	sess.attempts = 0
-	s.armRetry(peer)
+	s.armRetry(slot)
 }
 
 // refreshHold restarts the hold timer after hearing from the peer. No-op
 // while the machinery is disarmed (link clean).
-func (s *Speaker) refreshHold(peer topology.Node) {
-	sess := s.session(peer)
+func (s *Speaker) refreshHold(slot int) {
+	sess := &s.sessions[slot]
 	if !sess.armed {
 		return
 	}
 	sess.hold.Cancel()
-	sess.hold = s.sched.MustAfter(des.Time(s.cfg.Session.HoldTime), func() { s.holdExpired(peer) })
+	sess.hold = s.schedule(nil, s.sched.Now()+des.Time(s.cfg.Session.HoldTime), evHold, slot, nil)
 }
 
 // armKeepalive schedules the next keepalive tick.
-func (s *Speaker) armKeepalive(peer topology.Node) {
-	sess := s.session(peer)
+func (s *Speaker) armKeepalive(slot int) {
+	sess := &s.sessions[slot]
 	sess.keep.Cancel()
-	sess.keep = s.sched.MustAfter(des.Time(s.cfg.Session.KeepaliveInterval), func() { s.keepTick(peer) })
+	sess.keep = s.schedule(nil, s.sched.Now()+des.Time(s.cfg.Session.KeepaliveInterval), evKeep, slot, nil)
 }
 
 // keepTick sends a keepalive unless other traffic to the peer already
 // refreshed it within the interval (RFC 4271 §4.4 suppression).
-func (s *Speaker) keepTick(peer topology.Node) {
-	sess := s.session(peer)
+func (s *Speaker) keepTick(slot int) {
+	sess := &s.sessions[slot]
 	if sess.state != SessionEstablished || !sess.armed {
 		return
 	}
 	if s.sched.Now()-sess.lastSent >= des.Time(s.cfg.Session.KeepaliveInterval) {
-		if err := s.net.Send(s.id, peer, Keepalive{}); err == nil {
+		if err := s.net.SendLink(s.link0+slot, Keepalive{}); err == nil {
 			s.stats.KeepalivesSent++
 			sess.lastSent = s.sched.Now()
 		}
 	} else {
 		s.stats.KeepalivesSuppressed++
 	}
-	s.armKeepalive(peer)
+	s.armKeepalive(slot)
 }
 
 // LinkDegraded implements netsim.DegradeAware: an impairment appeared on
 // the link to peer, so the hold/keepalive machinery arms.
 func (s *Speaker) LinkDegraded(peer topology.Node) {
-	if !s.cfg.Session.Enabled() {
+	slot := s.slot(peer)
+	if !s.cfg.Session.Enabled() || slot < 0 {
 		return
 	}
-	sess := s.session(peer)
+	sess := &s.sessions[slot]
 	if sess.state != SessionEstablished || sess.armed {
 		return
 	}
 	sess.armed = true
-	s.refreshHold(peer)
-	s.armKeepalive(peer)
+	s.refreshHold(slot)
+	s.armKeepalive(slot)
 }
 
 // LinkImpairmentCleared implements netsim.DegradeAware: the link to peer
 // is clean again; delivery is reliable, so the timers disarm and the run
 // can quiesce.
 func (s *Speaker) LinkImpairmentCleared(peer topology.Node) {
-	if !s.cfg.Session.Enabled() {
+	slot := s.slot(peer)
+	if !s.cfg.Session.Enabled() || slot < 0 {
 		return
 	}
-	sess := s.session(peer)
+	sess := &s.sessions[slot]
 	sess.armed = false
 	sess.hold.Cancel()
 	sess.keep.Cancel()

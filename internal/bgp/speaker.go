@@ -215,6 +215,10 @@ type destState struct {
 const (
 	evProcess = iota // an update's processing delay is over; arg is the *Update
 	evMRAI           // an MRAI timer releases the sends waiting on it; arg is the *destState
+	evRetry          // the session's ConnectRetry timer expired
+	evHold           // the session's hold timer expired
+	evKeep           // the session's keepalive timer ticked
+	evReuse          // a damped route's suppression ends; arg is the *destState
 )
 
 // mraiState is the MRAI timer of one (destination, peer) pair.
@@ -355,8 +359,8 @@ func build(sched *des.Scheduler, net *netsim.Network, cfg Config, rng *des.RNG, 
 			// Cold start: every peering begins in Connect and must complete
 			// a handshake before routes flow; the peer set stays empty
 			// until the first establish (peerJoin).
-			for _, u := range s.nbrs {
-				s.startConnect(u)
+			for slot := range s.nbrs {
+				s.startConnect(slot)
 			}
 		} else {
 			for slot := range s.up {
@@ -431,13 +435,13 @@ func (s *Speaker) Deliver(from topology.Node, payload any) {
 	if s.cfg.Session.Enabled() {
 		switch m := payload.(type) {
 		case Open:
-			s.handleOpen(from, m)
+			s.handleOpen(slot, m)
 			return
 		case Keepalive:
-			s.refreshHold(from)
+			s.refreshHold(slot)
 			return
 		case *Update:
-			s.refreshHold(from)
+			s.refreshHold(slot)
 		}
 	}
 	up, ok := payload.(*Update)
@@ -462,18 +466,28 @@ func (s *Speaker) Deliver(from topology.Node, payload any) {
 }
 
 // schedule queues a typed event on the speaker itself (see Fire), on lane
-// when it is not nil.
+// when it is not nil. It is the one way a speaker sets a timer.
 //
 // Unreachability justification (robustness audit): ScheduleLane fails only
 // for instants before Now or before the lane's latest, and every caller
-// passes Now plus a delay that is non-negative by construction — a
-// validated config interval, or the processor-queue completion above,
-// which never decreases. The callers are netsim.Handler and
-// timer callbacks, which have no error channel — a violated invariant here
-// is a kernel/config bug, not a scenario condition, and must fail loudly
-// at the violation site. Sweeps survive it: trial recovery converts the
-// invariant.Unreachable panic into a forensic bundle with a stable,
-// shrinkable signature.
+// passes Now plus a delay that is non-negative by construction:
+//   - the processor-queue completion (Deliver), which never decreases;
+//   - the MRAI expiry and continuous tick (armMRAI, deferSend): a
+//     validated MRAI >= 0 times a jitter factor Config.Validate keeps
+//     positive, and a reset-model interval <= 0 is never armed;
+//   - the hold time and keepalive interval (refreshHold, armKeepalive),
+//     which SessionConfig.Validate refuses when negative (the hold time
+//     is positive whenever the FSM runs);
+//   - the connect backoff (armRetry), clamped to >= 1 after its jitter;
+//   - the damping reuse delay (scheduleReuse): reuseDelay returns 0 at or
+//     below the reuse threshold and above it a positive number of the
+//     half lives DampingConfig.Validate keeps positive.
+//
+// The callers are netsim.Handler entry points and timer events, which have
+// no error channel — a violated invariant here is a kernel/config bug, not
+// a scenario condition, and must fail loudly at the violation site. Sweeps
+// survive it: trial recovery converts the invariant.Unreachable panic into
+// a forensic bundle with a stable, shrinkable signature.
 func (s *Speaker) schedule(lane *des.Lane, at des.Time, kind, slot int, arg any) des.Handle {
 	h, err := s.sched.ScheduleLane(lane, at, s, kind, slot, 0, arg)
 	if err != nil {
@@ -499,6 +513,14 @@ func (s *Speaker) Fire(kind, slot int, _ uint64, arg any) {
 		s.process(slot, arg.(*Update))
 	case evMRAI:
 		s.mraiExpired(arg.(*destState), slot)
+	case evRetry:
+		s.retryExpired(slot)
+	case evHold:
+		s.holdExpired(slot)
+	case evKeep:
+		s.keepTick(slot)
+	case evReuse:
+		s.reuseRoute(arg.(*destState), slot)
 	}
 }
 
@@ -514,12 +536,8 @@ func (s *Speaker) PeerDown(peer topology.Node) {
 		return
 	}
 	if s.cfg.Session.Enabled() {
-		sess := &s.sessions[slot]
-		sess.armed = false
-		sess.hold.Cancel()
-		sess.keep.Cancel()
-		sess.retry.Cancel()
-		sess.state = SessionIdle
+		s.stopTimers(slot)
+		s.sessions[slot].state = SessionIdle
 	}
 	s.peerLeave(slot)
 }
@@ -562,7 +580,7 @@ func (s *Speaker) PeerUp(peer topology.Node) {
 		if s.sessions[slot].state != SessionIdle {
 			return
 		}
-		s.startConnect(peer)
+		s.startConnect(slot)
 		return
 	}
 	s.peerJoin(slot)

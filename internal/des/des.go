@@ -8,13 +8,13 @@
 //
 // There is one event representation. An event is a Receiver plus a small
 // fixed payload (Scheduler.Schedule); a func() is scheduled as the
-// Receiver that calls it (At, After, MustAfter), so Step has a single
-// dispatch path. The queue is a 4-ary heap of {time, seq, *event} values
-// that orders itself without touching the events, and fired or discarded
-// events go back on a free list, so a warm scheduler allocates nothing per
-// event. Because events are reused, a Handle names its event together
-// with the generation it was scheduled under; see Handle. Events that
-// arrive already in time order can wait on a Lane instead of in the heap.
+// Receiver that calls it (At), so Step has a single dispatch path. The
+// queue is a 4-ary heap of {time, seq, *event} values that orders itself
+// without touching the events, and fired or discarded events go back on a
+// free list, so a warm scheduler allocates nothing per event. Because
+// events are reused, a Handle names its event together with the
+// generation it was scheduled under; see Handle. Events that arrive
+// already in time order can wait on a Lane instead of in the heap.
 //
 // An event that will usually turn out not to be needed, such as a timer
 // expiry that finds nothing to do, can be reserved instead (Reserve): its
@@ -31,8 +31,6 @@ import (
 	"fmt"
 	"math"
 	"time"
-
-	"bgploop/internal/invariant"
 )
 
 // Time is a virtual-time instant, measured as an offset from the start of
@@ -64,7 +62,7 @@ func (f funcEvent) Fire(int, int, uint64, any) { f() }
 
 // Handle identifies a scheduled event and allows it to be cancelled.
 // The zero value is not a valid handle; handles are obtained from
-// Scheduler.At, After and Schedule.
+// Scheduler.At, Schedule and ScheduleLane.
 //
 // Events are recycled once they have fired or been discarded, so a handle
 // also carries its event's generation — the sequence number the event was
@@ -243,7 +241,7 @@ func (s *Scheduler) SetExecHook(fn func(at Time)) { s.execHook = fn }
 
 // Schedule arranges for r.Fire(kind, n, id, arg) to be called at the
 // absolute virtual time t. Events scheduled for the same instant fire in
-// the order they were scheduled. At and After schedule a func() through it.
+// the order they were scheduled. At schedules a func() through it.
 // kind and n must fit in an int32.
 func (s *Scheduler) Schedule(t Time, r Receiver, kind, n int, id uint64, arg any) (Handle, error) {
 	return s.ScheduleLane(nil, t, r, kind, n, id, arg)
@@ -424,37 +422,6 @@ func (s *Scheduler) makeRoom() {
 // for the same instant fire in the order they were scheduled.
 func (s *Scheduler) At(t Time, fn func()) (Handle, error) {
 	return s.Schedule(t, funcEvent(fn), 0, 0, 0, nil)
-}
-
-// After schedules fn to run d after the current virtual time. A negative d
-// is rejected with ErrPastTime.
-func (s *Scheduler) After(d time.Duration, fn func()) (Handle, error) {
-	return s.At(s.now+d, fn)
-}
-
-// MustAfter is After for delays known to be non-negative by construction
-// (e.g. timer intervals from a validated config). It treats ErrPastTime
-// as an unreachable state, which in that context indicates a programming
-// error, not a runtime condition.
-//
-// Unreachability justification (see the robustness audit): After fails
-// only when d < 0, i.e. the requested instant lies before Now. Every call
-// site is required to pass a delay derived from a validated, non-negative
-// config value or an explicit max(now, t) - now computation, so a failure
-// here cannot be triggered by scenario input — only by a new call site
-// breaking the invariant. Converting it to a returned error would force
-// callers (timer re-arms deep inside event handlers) to invent an error
-// path for a condition that is impossible by construction; failing loudly
-// at the exact violation site is the safer behaviour. The panic is routed
-// through invariant.Unreachable so that harness-level recovery
-// (experiment trial recovery) converts it into a forensic bundle with a
-// stable, shrinkable signature instead of killing the whole sweep.
-func (s *Scheduler) MustAfter(d time.Duration, fn func()) Handle {
-	h, err := s.After(d, fn)
-	if err != nil {
-		invariant.Unreachable("des-must-after", err.Error())
-	}
-	return h
 }
 
 // Step executes the next event, or passes the next reserved key. It

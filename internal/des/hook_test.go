@@ -16,7 +16,7 @@ func TestExecHookObservesEveryEvent(t *testing.T) {
 		}
 	})
 	for _, d := range []time.Duration{30 * time.Millisecond, 10 * time.Millisecond, 20 * time.Millisecond} {
-		if _, err := s.After(d, func() { ran++ }); err != nil {
+		if _, err := s.At(s.Now()+d, func() { ran++ }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -31,7 +31,7 @@ func TestExecHookObservesEveryEvent(t *testing.T) {
 	}
 	// Removing the hook stops observation.
 	s.SetExecHook(nil)
-	if _, err := s.After(time.Millisecond, func() { ran++ }); err != nil {
+	if _, err := s.At(s.Now()+time.Millisecond, func() { ran++ }); err != nil {
 		t.Fatal(err)
 	}
 	s.Run()
@@ -44,12 +44,12 @@ func TestExecHookSkipsCancelledEvents(t *testing.T) {
 	s := NewScheduler()
 	var hooks int
 	s.SetExecHook(func(Time) { hooks++ })
-	h, err := s.After(time.Millisecond, func() { t.Fatal("cancelled event ran") })
+	h, err := s.At(s.Now()+time.Millisecond, func() { t.Fatal("cancelled event ran") })
 	if err != nil {
 		t.Fatal(err)
 	}
 	h.Cancel()
-	if _, err := s.After(2*time.Millisecond, func() {}); err != nil {
+	if _, err := s.At(s.Now()+2*time.Millisecond, func() {}); err != nil {
 		t.Fatal(err)
 	}
 	s.Run()

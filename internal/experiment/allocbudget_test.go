@@ -183,6 +183,35 @@ func TestAllocBudgetCliqueTrial(t *testing.T) {
 	}
 }
 
+// One degraded-clique trial, the session FSM's run: four of a Clique(5)'s
+// links lose half their messages for 15 s, so hold timers expire, sessions
+// re-establish with backoff and keepalives flow until the impairment
+// clears. 679 allocations while every retry, hold and keepalive timer was
+// a closure of its own, 229 with them typed events on the speaker.
+func TestAllocBudgetSessionTrial(t *testing.T) {
+	skipUnlessAllocsAreOurs(t)
+	sc, err := LoadScenarioFile("../../examples/specs/degraded-clique.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var expiries, keepalives int
+	trial := func() {
+		res, err := Run(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		expiries, keepalives = res.HoldExpiries, res.KeepalivesSent
+	}
+	n := testing.AllocsPerRun(3, trial)
+	t.Logf("%v allocations; %d hold expiries, %d keepalives", n, expiries, keepalives)
+	if expiries == 0 || keepalives == 0 {
+		t.Fatalf("%d hold expiries, %d keepalives: the trial no longer runs the FSM's timers", expiries, keepalives)
+	}
+	if n > 300 {
+		t.Errorf("one degraded-clique trial allocates %v times, budget 300", n)
+	}
+}
+
 // bytesPerRun is testing.AllocsPerRun for bytes: the mean heap bytes one
 // call of f allocates, after one warm-up call.
 func bytesPerRun(runs int, f func()) float64 {

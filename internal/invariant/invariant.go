@@ -188,7 +188,7 @@ func (e *PanicError) Error() string { return "panic: " + e.Value }
 // by construction. Its text is deterministic (virtual times only), so it
 // can serve as a shrinkable failure signature.
 type UnreachableError struct {
-	// ID names the guarded site (e.g. "des-must-after").
+	// ID names the guarded site (e.g. "bgp-schedule").
 	ID string
 	// Detail describes the impossible state.
 	Detail string
