@@ -72,11 +72,12 @@ type (
 	TrialResult = experiment.Result
 	// Aggregate summarizes a sweep's per-trial metrics.
 	Aggregate = experiment.Aggregate
-	// GuardConfig selects the runtime invariant-guard cadence and the
-	// forensic parameters of a run (Scenario.Guard). Guards are
-	// observation-only: enabling them never changes a run's results.
+	// GuardConfig switches the runtime invariant guards of a run
+	// (Scenario.Guard) and carries the corruptFIBNode self-test hook.
+	// Guards are observation-only: enabling them never changes a run's
+	// results.
 	GuardConfig = invariant.Config
-	// GuardCadence is the sweep-check schedule of the guard engine.
+	// GuardCadence is the guard switch: GuardOff or GuardFull.
 	GuardCadence = invariant.Cadence
 	// Violation is one detected invariant breach with its bounded event
 	// trail.
@@ -94,14 +95,10 @@ type (
 	ScenarioSpec = experiment.ScenarioSpec
 )
 
-// Guard cadences for GuardConfig.Cadence.
+// Guard switch values for GuardConfig.Cadence.
 const (
 	// GuardOff disables the guards (the default).
 	GuardOff = invariant.CadenceOff
-	// GuardPhase checks sweep invariants at phase boundaries only.
-	GuardPhase = invariant.CadencePhase
-	// GuardEveryN checks sweep invariants every GuardConfig.EveryN events.
-	GuardEveryN = invariant.CadenceEveryN
 	// GuardFull checks sweep invariants after every kernel event.
 	GuardFull = invariant.CadenceFull
 )

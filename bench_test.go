@@ -115,13 +115,7 @@ func BenchmarkMultiDest(b *testing.B) {
 	b.ReportAllocs()
 	var exh float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunMulti(experiment.MultiScenario{
-			Graph:    g,
-			Event:    experiment.TDown,
-			FailNode: busiest,
-			BGP:      bgp.DefaultConfig(),
-			Seed:     int64(i + 1),
-		})
+		res, err := experiment.RunMulti(experiment.TDownScenario(g, busiest, bgp.DefaultConfig(), int64(i+1)), nil)
 		if err != nil {
 			b.Fatal(err)
 		}

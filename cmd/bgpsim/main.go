@@ -76,7 +76,7 @@ func run(args []string) error {
 		holdF     = fs.Duration("hold", 0, "BGP hold time; non-zero enables the session FSM (keepalive generation, hold-expiry teardown, backoff re-establishment). Keepalives only arm over impaired links, so combine with bounded degrade windows (a faultPlan degrade+undegrade pair) rather than a permanent -loss, which never quiesces")
 		keepF     = fs.Duration("keepalive", 0, "keepalive interval (default hold/3; requires -hold)")
 		backoffF  = fs.Duration("reconnect-backoff", 0, "session re-establishment backoff base, doubling per failed attempt (default 30s; requires -hold)")
-		guardF    = fs.String("guard", "", "runtime invariant guard cadence: off, phase, every-n, full (default: $BGPSIM_GUARD, else off)")
+		guardF    = fs.String("guard", "", "runtime invariant guards: off or full (default: $BGPSIM_GUARD, else off)")
 		preflight = fs.String("preflight", "", "static safety analysis before simulating: warn (report and continue) or strict (refuse UNSAFE scenarios); SAFE runs get a finite watchdog horizon derived from the static bound")
 		shrinkF   = fs.String("shrink", "", "shrink a forensic bundle file to a minimal reproducing scenario spec and exit")
 		shrinkOut = fs.String("shrink-out", "", "write the shrunk scenario spec to this file instead of stdout")

@@ -358,6 +358,12 @@ func TestRunGuardFlag(t *testing.T) {
 	if err := run([]string{"-topo", "clique", "-size", "4", "-event", "tdown", "-guard", "sometimes"}); err == nil {
 		t.Error("unknown guard cadence accepted")
 	}
+	// Guards are off or full: no other cadence is accepted.
+	for _, cadence := range []string{"phase", "every-n"} {
+		if err := run([]string{"-topo", "clique", "-size", "4", "-event", "tdown", "-guard", cadence}); err == nil {
+			t.Errorf("-guard %s accepted", cadence)
+		}
+	}
 }
 
 func TestRunShrinkEndToEnd(t *testing.T) {

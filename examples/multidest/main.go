@@ -36,14 +36,7 @@ func run() error {
 		}
 	}
 
-	s := experiment.MultiScenario{
-		Graph:    g,
-		Event:    experiment.TDown,
-		FailNode: busiest,
-		BGP:      bgp.DefaultConfig(),
-		Seed:     4,
-	}
-	res, err := experiment.RunMulti(s)
+	res, err := experiment.RunMulti(experiment.TDownScenario(g, busiest, bgp.DefaultConfig(), 4), nil)
 	if err != nil {
 		return err
 	}
@@ -63,8 +56,14 @@ func run() error {
 			rows = append(rows, row{dest, out})
 		}
 	}
+	// Rows come from a map: ties break by destination, so the table
+	// prints the same on every run.
 	sort.Slice(rows, func(i, j int) bool {
-		return rows[i].out.Replay.TTLExhausted > rows[j].out.Replay.TTLExhausted
+		a, b := rows[i].out.Replay.TTLExhausted, rows[j].out.Replay.TTLExhausted
+		if a != b {
+			return a > b
+		}
+		return rows[i].dest < rows[j].dest
 	})
 	tbl := &report.Table{
 		Title:   "Destinations with transient loops (top 10 by TTL exhaustions)",

@@ -70,7 +70,8 @@ func (c *DampingConfig) Validate() error {
 }
 
 // dampState tracks the figure of merit for one (destination, peer) route
-// at the receiving speaker.
+// at the receiving speaker. The zero value is a peer with no flap history:
+// a zero penalty decays to zero whatever its lastDecay.
 type dampState struct {
 	penalty    float64
 	lastDecay  des.Time
@@ -110,11 +111,7 @@ func (s *Speaker) dampUpdate(st *destState, slot int, up *Update) (*Update, bool
 	cfg := s.cfg.Damping
 	now := s.sched.Now()
 	from := s.nbrs[slot]
-	d := st.damp[slot]
-	if d == nil {
-		d = &dampState{lastDecay: now}
-		st.damp[slot] = d
-	}
+	d := &st.damp[slot]
 	d.decayTo(now, cfg.HalfLife)
 
 	// Penalise the flap.
@@ -163,8 +160,8 @@ func (s *Speaker) scheduleReuse(st *destState, slot int, d *dampState) {
 // re-enters the routing table.
 func (s *Speaker) reuseRoute(st *destState, slot int) {
 	from := s.nbrs[slot]
-	d := st.damp[slot]
-	if d == nil || !d.suppressed {
+	d := &st.damp[slot]
+	if !d.suppressed {
 		return
 	}
 	d.decayTo(s.sched.Now(), s.cfg.Damping.HalfLife)

@@ -41,6 +41,9 @@ func (u Update) String() string {
 // delivery instant — only *routing* messages occupy the serial route
 // processor, matching the paper's model where failure detection and
 // session management are instantaneous relative to route processing.
+//
+// Like an announcement, an Open travels as a *Open boxed in a slab of the
+// speaker group; a speaker counts an Open by value as malformed.
 type Open struct {
 	// Gen is the sender's connection generation, incremented each time the
 	// sender re-enters Connect. It lets the receiver tell a retransmitted

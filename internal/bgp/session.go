@@ -109,11 +109,12 @@ func (s *Speaker) startConnect(slot int) {
 	s.armRetry(slot)
 }
 
-// sendOpen transmits Open{localGen, ack} to the peer in slot. Like update
-// sends, an Open racing a link failure is silently dropped.
+// sendOpen transmits Open{localGen, ack}, boxed in the group's Open slab,
+// to the peer in slot. Like update sends, an Open racing a link failure is
+// silently dropped.
 func (s *Speaker) sendOpen(slot int, ack uint64) {
 	sess := &s.sessions[slot]
-	if err := s.net.SendLink(s.link0+slot, Open{Gen: sess.localGen, Ack: ack}); err != nil {
+	if err := s.net.SendLink(s.link0+slot, s.grp.opens.box(Open{Gen: sess.localGen, Ack: ack})); err != nil {
 		return
 	}
 	s.stats.OpensSent++
@@ -160,7 +161,7 @@ func (s *Speaker) retryExpired(slot int) {
 }
 
 // handleOpen runs the handshake state machine at the delivery instant.
-func (s *Speaker) handleOpen(slot int, o Open) {
+func (s *Speaker) handleOpen(slot int, o *Open) {
 	sess := &s.sessions[slot]
 	switch sess.state {
 	case SessionIdle:

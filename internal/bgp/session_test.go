@@ -236,3 +236,35 @@ func TestSessionMessagesBypassRouteProcessor(t *testing.T) {
 	}
 	sched.Run()
 }
+
+// TestSessionOpenByValueMalformed: Opens travel as *Open only. An Open by
+// value, or a nil *Open, is counted as malformed and leaves the session
+// alone, while the same retransmitted handshake by pointer is re-acked.
+func TestSessionOpenByValueMalformed(t *testing.T) {
+	s := newSim(t, topology.Chain(2), 0, fsmConfig(), 3)
+	sp := s.speakers[0]
+	if !sp.PeerEstablished(1) {
+		t.Fatalf("session not established: %v", sp.SessionState(1))
+	}
+	retransmit := Open{Gen: sp.sessions[sp.slot(1)].peerGen}
+	before := sp.Stats()
+	sp.Deliver(1, retransmit)
+	sp.Deliver(1, (*Open)(nil))
+	s.sched.RunLimit(1000)
+	st := sp.Stats()
+	if got := st.MalformedDropped - before.MalformedDropped; got != 2 {
+		t.Errorf("MalformedDropped = %d, want 2", got)
+	}
+	if st.OpensSent != before.OpensSent {
+		t.Errorf("a malformed Open was answered: %d Opens sent, was %d", st.OpensSent, before.OpensSent)
+	}
+	sp.Deliver(1, &retransmit)
+	s.sched.RunLimit(1000)
+	if st := sp.Stats(); st.OpensSent != before.OpensSent+1 || st.MalformedDropped != before.MalformedDropped+2 {
+		t.Errorf("a retransmitted *Open: %d Opens sent, %d malformed; want %d and %d",
+			st.OpensSent, st.MalformedDropped, before.OpensSent+1, before.MalformedDropped+2)
+	}
+	if !sp.PeerEstablished(1) {
+		t.Errorf("session not established after the retransmit: %v", sp.SessionState(1))
+	}
+}

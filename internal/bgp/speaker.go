@@ -94,26 +94,32 @@ type group struct {
 	// received path that named it (see simple); made on the first check.
 	stamp []uint32
 	gen   uint32
-	// paths is the arena of every table's best path; ups is the unused tail
-	// of the announcements' block, upsNext the next one's size.
-	paths   routing.Arena
-	ups     []Update
-	upsNext int
+	// paths is the arena of every table's best path; ups and opens box
+	// the announcements and the Opens the speakers send.
+	paths routing.Arena
+	ups   slab[Update]
+	opens slab[Open]
 }
 
-// announcement boxes the announcement of path toward dest in the group's
-// update slab, whose blocks start at 16 updates and double up to 64: a
-// trial leaves at most one block's tail unused. Nothing in the slab is
-// reused: the *Update stays as it was while anything holds it.
-func (g *group) announcement(dest topology.Node, path routing.Path) *Update {
-	if len(g.ups) == 0 {
-		g.ups = make([]Update, max(g.upsNext, 16))
-		g.upsNext = min(2*len(g.ups), 64)
+// slab boxes messages in blocks that start at 16 and double up to 64: a
+// trial leaves at most one block's tail unused. Nothing in a slab is
+// reused: a message boxed there stays as it was sent while anything
+// holds it.
+type slab[T any] struct {
+	free []T // the unused tail of the current block
+	next int // the next block's size
+}
+
+// box copies m into the slab and returns its address.
+func (s *slab[T]) box(m T) *T {
+	if len(s.free) == 0 {
+		s.free = make([]T, max(s.next, 16))
+		s.next = min(2*len(s.free), 64)
 	}
-	u := &g.ups[0]
-	g.ups = g.ups[1:]
-	*u = Update{Dest: dest, Path: path}
-	return u
+	p := &s.free[0]
+	s.free = s.free[1:]
+	*p = m
+	return p
 }
 
 // simple reports whether every AS on p is a node of an n-node graph and no
@@ -154,7 +160,7 @@ type slabs struct {
 	states []destState
 	adv    []routing.Path
 	mrai   []mraiState
-	damp   []*dampState // Config.Damping only
+	damp   []dampState // Config.Damping only
 	raw    []routing.Candidate
 }
 
@@ -166,7 +172,7 @@ func makeSlabs(states, slots int, damping bool) slabs {
 		raw:    make([]routing.Candidate, slots),
 	}
 	if damping {
-		sl.damp = make([]*dampState, slots)
+		sl.damp = make([]dampState, slots)
 	}
 	return sl
 }
@@ -198,9 +204,10 @@ type destState struct {
 	adv []routing.Path
 	// mrai holds the per-peer MRAI timer state for this destination.
 	mrai []mraiState
-	// damp holds per-peer flap-damping state, created on a peer's first
-	// update (Config.Damping only; nil otherwise).
-	damp []*dampState
+	// damp holds per-peer flap-damping state, zero for a peer with no
+	// flap history and again after its session ends (Config.Damping
+	// only; nil otherwise).
+	damp []dampState
 
 	// announce is the message carrying the current best path, boxed in
 	// the group's update slab on the first send after a best change and
@@ -434,9 +441,11 @@ func (s *Speaker) Deliver(from topology.Node, payload any) {
 	}
 	if s.cfg.Session.Enabled() {
 		switch m := payload.(type) {
-		case Open:
-			s.handleOpen(slot, m)
-			return
+		case *Open:
+			if m != nil {
+				s.handleOpen(slot, m)
+				return
+			}
 		case Keepalive:
 			s.refreshHold(slot)
 			return
@@ -556,9 +565,9 @@ func (s *Speaker) peerLeave(slot int) {
 		}
 		s.sched.Drop(st.mrai[slot].timer)
 		st.mrai[slot] = mraiState{}
-		if st.damp != nil && st.damp[slot] != nil {
+		if st.damp != nil {
 			st.damp[slot].reuse.Cancel()
-			st.damp[slot] = nil
+			st.damp[slot] = dampState{}
 		}
 		st.adv[slot] = nil
 		if st.table.RemovePeer(s.nbrs[slot]) {
@@ -757,7 +766,7 @@ func (s *Speaker) advertise(st *destState, slot int) {
 		return
 	}
 	if st.announce == nil {
-		st.announce = s.grp.announcement(st.table.Dest(), desired)
+		st.announce = s.grp.ups.box(Update{Dest: st.table.Dest(), Path: desired})
 	}
 	s.send(slot, st.announce)
 	st.adv[slot] = desired

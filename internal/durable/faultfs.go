@@ -6,8 +6,7 @@ import (
 	"sync"
 	"syscall"
 
-	"hash/fnv"
-	"math/rand"
+	"bgploop/internal/des"
 )
 
 // Op classifies a filesystem operation for fault matching.
@@ -152,13 +151,11 @@ func NewFaultFS(inner FS, schedule []Fault) *FaultFS {
 // RandomSchedule derives a replayable fault schedule from a master
 // seed: n faults spread over the first ops operations (any class), with
 // kinds drawn among ENOSPC, EIO, and torn writes. The draws come from
-// the named stream "durable/faults" using the same seed-mixing scheme
-// as des.RNG.Stream (replicated here because durable sits below the
-// simulator in the import graph), so the schedule is a pure function of
-// the seed — rerunning a failing fault test with the same seed
-// reproduces the identical failure sequence.
+// the named stream des.NewRNG(seed).Stream("durable/faults"), so the
+// schedule is a pure function of the seed — rerunning a failing fault
+// test with the same seed reproduces the identical failure sequence.
 func RandomSchedule(seed int64, ops, n int) []Fault {
-	rng := scheduleStream(seed)
+	rng := des.NewRNG(seed).Stream("durable/faults")
 	if ops <= 0 || n <= 0 {
 		return nil
 	}
@@ -330,13 +327,3 @@ func (f *faultFile) Sync() error {
 }
 
 func (f *faultFile) Close() error { return f.inner.Close() }
-
-// scheduleStream derives the named deterministic RNG for RandomSchedule,
-// mirroring des.RNG.Stream("durable/faults") bit for bit.
-func scheduleStream(seed int64) *rand.Rand {
-	h := fnv.New64a()
-	// Writes to an FNV hash never fail.
-	_, _ = h.Write([]byte("durable/faults"))
-	mixed := h.Sum64() ^ (uint64(seed) * 0x9E3779B97F4A7C15)
-	return rand.New(rand.NewSource(int64(mixed)))
-}

@@ -135,12 +135,28 @@ func TestRecoverCrashRepanicsOnRealBugs(t *testing.T) {
 }
 
 // TestRandomScheduleReplayable pins the seeded-schedule contract: the
-// same seed yields byte-identical schedules, a different seed differs.
+// same seed yields byte-identical schedules, a different seed differs,
+// and seed 42 draws the schedule it drew while the stream was a local
+// copy of des.RNG.Stream("durable/faults"), so every seeded chaos
+// schedule stays the same.
 func TestRandomScheduleReplayable(t *testing.T) {
 	a := RandomSchedule(42, 100, 8)
 	b := RandomSchedule(42, 100, 8)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed produced different schedules:\n%v\n%v", a, b)
+	}
+	want := []Fault{
+		{Op: OpAny, Seq: 63, Kind: FaultTorn, TornAt: 14},
+		{Op: OpAny, Seq: 4, Kind: FaultTorn, TornAt: 10},
+		{Op: OpAny, Seq: 43, Kind: FaultTorn, TornAt: 13},
+		{Op: OpAny, Seq: 99, Kind: FaultEIO},
+		{Op: OpAny, Seq: 94, Kind: FaultTorn, TornAt: 5},
+		{Op: OpAny, Seq: 38, Kind: FaultENOSPC},
+		{Op: OpAny, Seq: 90, Kind: FaultEIO},
+		{Op: OpAny, Seq: 40, Kind: FaultENOSPC},
+	}
+	if !reflect.DeepEqual(a, want) {
+		t.Fatalf("RandomSchedule(42, 100, 8) = %+v, want %+v", a, want)
 	}
 	if len(a) != 8 {
 		t.Fatalf("schedule has %d faults, want 8", len(a))

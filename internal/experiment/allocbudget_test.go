@@ -187,7 +187,9 @@ func TestAllocBudgetCliqueTrial(t *testing.T) {
 // links lose half their messages for 15 s, so hold timers expire, sessions
 // re-establish with backoff and keepalives flow until the impairment
 // clears. 679 allocations while every retry, hold and keepalive timer was
-// a closure of its own, 229 with them typed events on the speaker.
+// a closure of its own, 229 with them typed events on the speaker, 153
+// with each Open cut from the speaker group's slab instead of boxed on
+// its own.
 func TestAllocBudgetSessionTrial(t *testing.T) {
 	skipUnlessAllocsAreOurs(t)
 	sc, err := LoadScenarioFile("../../examples/specs/degraded-clique.json")
@@ -207,8 +209,37 @@ func TestAllocBudgetSessionTrial(t *testing.T) {
 	if expiries == 0 || keepalives == 0 {
 		t.Fatalf("%d hold expiries, %d keepalives: the trial no longer runs the FSM's timers", expiries, keepalives)
 	}
-	if n > 300 {
-		t.Errorf("one degraded-clique trial allocates %v times, budget 300", n)
+	if n > 180 {
+		t.Errorf("one degraded-clique trial allocates %v times, budget 180", n)
+	}
+}
+
+// One clique5-flap-damping trial, the only damping run: three pre-flaps
+// build penalties until routes are suppressed, and their reuse timers end
+// the suppressions. 367 allocations while each (destination, peer) damping
+// state was boxed on the peer's first update, 315 with it held by value in
+// the speaker group's slab.
+func TestAllocBudgetDampingTrial(t *testing.T) {
+	skipUnlessAllocsAreOurs(t)
+	sc, err := LoadScenarioFile("../../examples/specs/clique5-flap-damping.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var suppressed, reused int
+	trial := func() {
+		res, err := Run(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		suppressed, reused = res.RoutesSuppressed, res.RoutesReused
+	}
+	n := testing.AllocsPerRun(3, trial)
+	t.Logf("%v allocations; %d routes suppressed, %d reused", n, suppressed, reused)
+	if suppressed == 0 || reused == 0 {
+		t.Fatalf("%d suppressed, %d reused: the trial no longer runs flap damping", suppressed, reused)
+	}
+	if n > 340 {
+		t.Errorf("one clique5-flap-damping trial allocates %v times, budget 340", n)
 	}
 }
 

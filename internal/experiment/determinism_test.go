@@ -180,7 +180,7 @@ func TestFanOutLeavesOutAbsentViews(t *testing.T) {
 	}
 	rec := &trace.Recorder{}
 	probe := bgp.NewOscillationProbe(2, 0)
-	all := reflect.ValueOf(fanOut(obs, rec, probe, invariant.New(invariant.Config{Cadence: invariant.CadenceFull})))
+	all := reflect.ValueOf(fanOut(obs, rec, probe, invariant.New()))
 	if all.Kind() != reflect.Slice || all.Len() != 4 {
 		t.Fatalf("fanOut with every view = %v, want a fan-out of 4", all)
 	}

@@ -55,14 +55,9 @@ func TestQuiescenceDiagnosisGolden(t *testing.T) {
 		{"internet110-tlong-horizon", run(tlong)},
 		{"badgadget", run(BadGadget(30_000))},
 		{"clique5-multi-max-events", func() error {
-			_, err := RunMulti(MultiScenario{
-				Graph:     topology.Clique(5),
-				Event:     TDown,
-				FailNode:  0,
-				BGP:       bgp.DefaultConfig(),
-				Seed:      1,
-				MaxEvents: 10,
-			})
+			s := TDownScenario(topology.Clique(5), 0, bgp.DefaultConfig(), 1)
+			s.MaxEvents = 10
+			_, err := RunMulti(s, nil)
 			return err
 		}},
 	}

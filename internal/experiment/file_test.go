@@ -297,6 +297,12 @@ func TestLoadScenarioErrors(t *testing.T) {
 		// could only record a trace nothing reads and make its job
 		// uncacheable.
 		"trace limit": `{"topology": {"family": "clique", "size": 4}, "event": "tdown", "traceLimit": 50}`,
+		// Guards are off or full: a spec sets no sweep period, no trail
+		// size and no other cadence.
+		"guard everyN":    `{"topology": {"family": "clique", "size": 4}, "event": "tdown", "guard": {"cadence": "full", "everyN": 10}}`,
+		"guard trailSize": `{"topology": {"family": "clique", "size": 4}, "event": "tdown", "guard": {"cadence": "full", "trailSize": 8}}`,
+		"guard phase":     `{"topology": {"family": "clique", "size": 4}, "event": "tdown", "guard": {"cadence": "phase"}}`,
+		"guard every-n":   `{"topology": {"family": "clique", "size": 4}, "event": "tdown", "guard": {"cadence": "every-n"}}`,
 	}
 	for name, spec := range cases {
 		t.Run(name, func(t *testing.T) {

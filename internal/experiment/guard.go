@@ -68,7 +68,7 @@ func buildGuardEngine(s Scenario, sched *des.Scheduler, speakers *[]*bgp.Speaker
 	if err != nil {
 		return nil, err
 	}
-	eng := invariant.New(s.Guard)
+	eng := invariant.New()
 	if s.BGP.MRAI > 0 && s.BGP.JitterMin > 0 {
 		eng.SetMRAIWindow(time.Duration(float64(s.BGP.MRAI) * s.BGP.JitterMin))
 	}

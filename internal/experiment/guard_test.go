@@ -33,19 +33,18 @@ func poisonedPolicyFor(victim topology.Node) func(topology.Node) routing.Policy 
 	}
 }
 
-// guarded returns s with the given guard cadence.
+// guarded returns s with guards switched to c.
 func guarded(s Scenario, c invariant.Cadence) Scenario {
 	s.Guard = invariant.Config{Cadence: c}
 	return s
 }
 
 // TestGuardDigestParity is the observation-only guarantee: a run with
-// guards Full (and every other cadence) produces a byte-identical
-// DigestResult to the same run with guards Off. It is also the eager-
-// equals-deferred guarantee for MRAI expiries: with guards off the
-// scheduler counts an expiry no send waits on without ever making it an
-// event, and any cadence attaches the exec hook, under which every expiry
-// is an event; the Internet(110) runs are where most expiries find
+// guards full produces a byte-identical DigestResult to the same run
+// with guards off. It is also the eager-equals-deferred guarantee for
+// MRAI expiries: with guards off the scheduler counts an expiry no send
+// waits on without ever making it an event, and guards on attach the exec
+// hook, under which every expiry is an event; the Internet(110) runs are where most expiries find
 // nothing to send.
 func TestGuardDigestParity(t *testing.T) {
 	scenarios := map[string]Scenario{
@@ -76,18 +75,16 @@ func TestGuardDigestParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, c := range []invariant.Cadence{invariant.CadencePhase, invariant.CadenceEveryN, invariant.CadenceFull} {
-				res, err := Run(guarded(s, c))
-				if err != nil {
-					t.Fatalf("Run(%s): %v", c, err)
-				}
-				got, err := DigestResult(res)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != want {
-					t.Errorf("cadence %s: digest %s, want %s (guards are not observation-only)", c, got, want)
-				}
+			res, err := Run(guarded(s, invariant.CadenceFull))
+			if err != nil {
+				t.Fatalf("Run(full): %v", err)
+			}
+			got, err := DigestResult(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("guards full: digest %s, want %s (guards are not observation-only)", got, want)
 			}
 		})
 	}
@@ -243,7 +240,7 @@ func TestForensicBundleWrittenAndShrunk(t *testing.T) {
 // trial layer classifies it exactly like the legacy recover path.
 func TestGuardedPanicBecomesForensicError(t *testing.T) {
 	s := CliqueTDown(4, bgp.DefaultConfig(), 5)
-	s.Guard = invariant.Config{Cadence: invariant.CadencePhase}
+	s.Guard = invariant.Config{Cadence: invariant.CadenceFull}
 	s.BGP.PolicyFor = poisonedPolicyFor(2)
 
 	_, err := Run(s)

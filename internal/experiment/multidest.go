@@ -3,98 +3,20 @@
 // measured over the failure phase. MultiResult's totals are sums of those
 // per-origin phase measurements. The streaming invariant guards cover
 // every prefix; the rib-fib and as-path sweep checks and the oscillation
-// probe stay bound to the lowered Scenario.Dest.
+// probe stay bound to Scenario.Dest.
 
 package experiment
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
-	"bgploop/internal/bgp"
 	"bgploop/internal/dataplane"
 	"bgploop/internal/des"
 	"bgploop/internal/loopanalysis"
 	"bgploop/internal/topology"
 )
-
-// MultiScenario is the multi-prefix extension of Scenario: every AS in
-// Origins originates its own prefix (the paper studies a single
-// destination; this workload measures how one failure disturbs routing to
-// *every* destination simultaneously, exercising the per-(destination,
-// peer) MRAI timers).
-type MultiScenario struct {
-	// Graph is the AS topology.
-	Graph *topology.Graph
-	// Origins lists the prefix-originating ASes (every node if empty).
-	Origins []topology.Node
-	// Event selects the failure: TDown fails every link of FailNode;
-	// TLong fails FailLink.
-	Event    EventKind
-	FailNode topology.Node
-	FailLink topology.Edge
-	// BGP configures every speaker.
-	BGP bgp.Config
-	// PacketInterval, TTL, LinkDelay, SettleDelay, Seed, MaxEvents as in
-	// Scenario.
-	PacketInterval time.Duration
-	TTL            int
-	LinkDelay      time.Duration
-	SettleDelay    time.Duration
-	Seed           int64
-	MaxEvents      uint64
-}
-
-// scenario lowers the multi-prefix scenario to the Scenario the run loop
-// executes. Scenario.Dest is what the T_down canonical plan fails and what
-// the per-destination checks watch: the failed node for T_down, the first
-// origin for T_long.
-func (s MultiScenario) scenario() Scenario {
-	ls := Scenario{
-		Graph:          s.Graph,
-		Event:          s.Event,
-		FailLink:       s.FailLink,
-		BGP:            s.BGP,
-		PacketInterval: s.PacketInterval,
-		TTL:            s.TTL,
-		LinkDelay:      s.LinkDelay,
-		SettleDelay:    s.SettleDelay,
-		Seed:           s.Seed,
-		MaxEvents:      s.MaxEvents,
-	}
-	if s.Event == TDown {
-		ls.Dest = s.FailNode
-	} else if len(s.Origins) > 0 {
-		ls.Dest = s.Origins[0]
-	}
-	if ls.MaxEvents == 0 {
-		ls.MaxEvents = 200_000_000
-	}
-	return ls
-}
-
-// Validate reports scenario construction errors.
-func (s MultiScenario) Validate() error {
-	if s.Graph == nil {
-		return errors.New("experiment: nil topology")
-	}
-	seen := make([]bool, s.Graph.NumNodes())
-	for _, o := range s.Origins {
-		if !s.Graph.Valid(o) {
-			return fmt.Errorf("experiment: origin %d not in topology", o)
-		}
-		if seen[o] {
-			return fmt.Errorf("experiment: origin %d listed twice", o)
-		}
-		seen[o] = true
-	}
-	if s.Event == TDown && !s.Graph.Valid(s.FailNode) {
-		return fmt.Errorf("experiment: fail node %d not in topology", s.FailNode)
-	}
-	return s.scenario().Validate()
-}
 
 // DestOutcome is the per-destination slice of a multi-prefix run.
 type DestOutcome struct {
@@ -124,22 +46,35 @@ type MultiResult struct {
 	EventsExecuted uint64
 }
 
-// RunMulti executes the multi-prefix scenario: the origins, in the given
-// order, go through the RunContext run loop as N originating nodes, and
-// the totals are sums of the per-origin measurements of the failure phase.
-func RunMulti(s MultiScenario) (*MultiResult, error) {
+// RunMulti executes the multi-prefix extension of s: every AS in origins
+// (every node if empty) originates its own prefix, and one failure
+// disturbs routing to all of them at once. s.Dest is the node a T_down
+// fails and the destination the sweep checks watch. The origins, in the
+// given order, go through the RunContext run loop as N originating nodes,
+// and the totals are sums of the per-origin measurements of the failure
+// phase.
+func RunMulti(s Scenario, origins []topology.Node) (*MultiResult, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	ls, plan, err := s.scenario().lowered()
+	seen := make([]bool, s.Graph.NumNodes())
+	for _, o := range origins {
+		if !s.Graph.Valid(o) {
+			return nil, fmt.Errorf("experiment: origin %d not in topology", o)
+		}
+		if seen[o] {
+			return nil, fmt.Errorf("experiment: origin %d listed twice", o)
+		}
+		seen[o] = true
+	}
+	s, plan, err := s.lowered()
 	if err != nil {
 		return nil, err
 	}
-	origins := s.Origins
 	if len(origins) == 0 {
 		origins = s.Graph.Nodes()
 	}
-	out, err := ls.execute(context.Background(), plan, origins, nil)
+	out, err := s.execute(context.Background(), plan, origins, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"sort"
+	"strings"
 	"testing"
 
 	"bgploop/internal/bgp"
@@ -15,20 +16,23 @@ import (
 func TestMultiDestValidate(t *testing.T) {
 	cfg := bgp.DefaultConfig()
 	cases := []struct {
-		name string
-		s    MultiScenario
+		name    string
+		s       Scenario
+		origins []topology.Node
+		want    string
 	}{
-		{"nil graph", MultiScenario{Event: TDown, BGP: cfg}},
-		{"bad origin", MultiScenario{Graph: topology.Clique(3), Origins: []topology.Node{7}, Event: TDown, BGP: cfg}},
-		{"duplicate origin", MultiScenario{Graph: topology.Clique(3), Origins: []topology.Node{0, 0}, Event: TDown, BGP: cfg}},
-		{"bad fail node", MultiScenario{Graph: topology.Clique(3), Event: TDown, FailNode: 9, BGP: cfg}},
-		{"bridge tlong", MultiScenario{Graph: topology.Chain(3), Event: TLong, FailLink: topology.NormEdge(0, 1), BGP: cfg}},
-		{"no event", MultiScenario{Graph: topology.Clique(3), BGP: cfg}},
+		{"nil graph", Scenario{Event: TDown, BGP: cfg}, nil, "nil topology"},
+		{"bad origin", TDownScenario(topology.Clique(3), 0, cfg, 0), []topology.Node{7}, "origin 7 not in topology"},
+		{"duplicate origin", TDownScenario(topology.Clique(3), 0, cfg, 0), []topology.Node{0, 0}, "origin 0 listed twice"},
+		{"bad fail node", TDownScenario(topology.Clique(3), 9, cfg, 0), nil, "destination 9 not in topology"},
+		{"bridge tlong", TLongScenario(topology.Chain(3), 0, topology.NormEdge(0, 1), cfg, 0), nil, "is a bridge"},
+		{"no event", Scenario{Graph: topology.Clique(3), BGP: cfg}, nil, "unknown event kind"},
 	}
 	for _, tt := range cases {
 		t.Run(tt.name, func(t *testing.T) {
-			if err := tt.s.Validate(); err == nil {
-				t.Errorf("%s accepted", tt.name)
+			_, err := RunMulti(tt.s, tt.origins)
+			if err == nil || !strings.Contains(err.Error(), tt.want) {
+				t.Errorf("%s: err = %v, want one containing %q", tt.name, err, tt.want)
 			}
 		})
 	}
@@ -36,14 +40,7 @@ func TestMultiDestValidate(t *testing.T) {
 
 func TestMultiDestTLong(t *testing.T) {
 	g := topology.BClique(4)
-	s := MultiScenario{
-		Graph:    g,
-		Event:    TLong,
-		FailLink: topology.BCliqueShortcut(4),
-		BGP:      bgp.DefaultConfig(),
-		Seed:     1,
-	}
-	res, err := RunMulti(s)
+	res, err := RunMulti(TLongScenario(g, 0, topology.BCliqueShortcut(4), bgp.DefaultConfig(), 1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,14 +71,7 @@ func TestMultiDestTLong(t *testing.T) {
 
 func TestMultiDestTDown(t *testing.T) {
 	g := topology.Clique(5)
-	s := MultiScenario{
-		Graph:    g,
-		Event:    TDown,
-		FailNode: 0,
-		BGP:      bgp.DefaultConfig(),
-		Seed:     2,
-	}
-	res, err := RunMulti(s)
+	res, err := RunMulti(TDownScenario(g, 0, bgp.DefaultConfig(), 2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,15 +106,7 @@ func TestMultiDestSingleOriginMatchesScenario(t *testing.T) {
 	// single-destination harness on the core metrics.
 	g := topology.Clique(5)
 	cfg := bgp.DefaultConfig()
-	multi := MultiScenario{
-		Graph:    g,
-		Origins:  []topology.Node{0},
-		Event:    TDown,
-		FailNode: 0,
-		BGP:      cfg,
-		Seed:     7,
-	}
-	mres, err := RunMulti(multi)
+	mres, err := RunMulti(TDownScenario(g, 0, cfg, 7), []topology.Node{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,18 +126,12 @@ func TestMultiDestSingleOriginMatchesScenario(t *testing.T) {
 }
 
 func TestMultiDestDeterministic(t *testing.T) {
-	s := MultiScenario{
-		Graph:    topology.Clique(4),
-		Event:    TDown,
-		FailNode: 0,
-		BGP:      bgp.DefaultConfig(),
-		Seed:     5,
-	}
-	a, err := RunMulti(s)
+	s := TDownScenario(topology.Clique(4), 0, bgp.DefaultConfig(), 5)
+	a, err := RunMulti(s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunMulti(s)
+	b, err := RunMulti(s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,15 +142,9 @@ func TestMultiDestDeterministic(t *testing.T) {
 }
 
 func TestMultiDestEventBudget(t *testing.T) {
-	s := MultiScenario{
-		Graph:     topology.Clique(5),
-		Event:     TDown,
-		FailNode:  0,
-		BGP:       bgp.DefaultConfig(),
-		Seed:      1,
-		MaxEvents: 10,
-	}
-	_, err := RunMulti(s)
+	s := TDownScenario(topology.Clique(5), 0, bgp.DefaultConfig(), 1)
+	s.MaxEvents = 10
+	_, err := RunMulti(s, nil)
 	if !errors.Is(err, ErrNoQuiescence) {
 		t.Fatalf("tiny budget gave %v, want ErrNoQuiescence", err)
 	}
@@ -210,10 +180,10 @@ func digestMulti(t *testing.T, r *MultiResult) string {
 }
 
 // TestMultiDestGolden pins RunMulti's output on five runs, with guards off
-// and at the full cadence (guards are observation-only on the multi-prefix
-// path too). The digests were recorded from the stand-alone multi-prefix
-// run loop of commit 26e78f0, before RunMulti became a view over the
-// RunContext engine.
+// and full (guards are observation-only on the multi-prefix path too).
+// The digests were recorded from the stand-alone multi-prefix run loop of
+// commit 26e78f0, before RunMulti became a view over the RunContext
+// engine.
 func TestMultiDestGolden(t *testing.T) {
 	inet, err := topology.InternetLike(30, 2)
 	if err != nil {
@@ -227,31 +197,32 @@ func TestMultiDestGolden(t *testing.T) {
 	}
 	cfg := bgp.DefaultConfig()
 	cases := []struct {
-		name   string
-		s      MultiScenario
-		digest string
+		name    string
+		s       Scenario
+		origins []topology.Node
+		digest  string
 	}{
 		{"clique5 tdown all origins",
-			MultiScenario{Graph: topology.Clique(5), Event: TDown, FailNode: 0, BGP: cfg, Seed: 7},
+			TDownScenario(topology.Clique(5), 0, cfg, 7), nil,
 			"a6e166e9260ab51d9af47453d6bd91bbd3f985bee4836fe3bb73747f5cd39e0b"},
 		{"clique5 tdown origins exclude failed node",
-			MultiScenario{Graph: topology.Clique(5), Origins: []topology.Node{3, 1, 4}, Event: TDown, FailNode: 0, BGP: cfg, Seed: 7},
+			TDownScenario(topology.Clique(5), 0, cfg, 7), []topology.Node{3, 1, 4},
 			"7b56c14f591dc30b59af2aa5259da3fa815b7e3b35963c028fc7cd19ece462d8"},
 		{"bclique4 tlong",
-			MultiScenario{Graph: topology.BClique(4), Event: TLong, FailLink: topology.BCliqueShortcut(4), BGP: cfg, Seed: 1},
+			TLongScenario(topology.BClique(4), 0, topology.BCliqueShortcut(4), cfg, 1), nil,
 			"41ea60d4976a938207b4c5deb66f9caddb5e6314108de0e242d8795ca440a733"},
 		{"ring6 tlong",
-			MultiScenario{Graph: topology.Ring(6), Event: TLong, FailLink: topology.NormEdge(0, 1), BGP: cfg, Seed: 3},
+			TLongScenario(topology.Ring(6), 0, topology.NormEdge(0, 1), cfg, 3), nil,
 			"9db3b8c1ee0c89d51610a98258099dbe90129e97e8659364674b6968a4d24cc3"},
 		{"internet30 tdown busiest",
-			MultiScenario{Graph: inet, Event: TDown, FailNode: busiest, BGP: cfg, Seed: 4},
+			TDownScenario(inet, busiest, cfg, 4), nil,
 			"eeb19719d8f1004a53dbebb09e0a9fe2e911ec96f9355392e26bacfa722a3f8f"},
 	}
 	for _, guard := range []string{"off", "full"} {
 		for _, tt := range cases {
 			t.Run("guard="+guard+"/"+tt.name, func(t *testing.T) {
 				t.Setenv("BGPSIM_GUARD", guard)
-				res, err := RunMulti(tt.s)
+				res, err := RunMulti(tt.s, tt.origins)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -462,8 +462,8 @@ func (s Scenario) execute(ctx context.Context, plan *faultplan.Plan, origins []t
 		}
 		if eng != nil {
 			// Quiescence reached: the queue is drained, so message
-			// conservation must hold with equality and a sweep pass runs
-			// regardless of cadence.
+			// conservation must hold with equality, a sweep pass runs and
+			// so do the boundary-only checks.
 			eng.PhaseBoundary(sched.Now(), phaseName)
 			if verr := eng.Err(); verr != nil {
 				return used, verr

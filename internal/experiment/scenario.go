@@ -105,10 +105,11 @@ type Scenario struct {
 	// a phase whose next pending event lies beyond the horizon aborts
 	// with a QuiescenceFailure diagnosis. Zero disables the cap.
 	Horizon time.Duration
-	// Guard configures the runtime invariant guards (internal/invariant).
+	// Guard switches the runtime invariant guards (internal/invariant).
 	// An unset cadence consults the BGPSIM_GUARD environment variable
-	// (off/phase/every-n/full) and falls back to Off. Guards are
-	// observation-only: enabling them never changes a run's Result.
+	// (off or full; any other value reads as off) and falls back to Off.
+	// Guards are observation-only: enabling them never changes a run's
+	// Result.
 	Guard invariant.Config
 	// NamedPolicy selects the routing policy by its name in the policy
 	// table (PolicyShortestPath, PolicyBadGadget, PolicyGaoRexford); ""

@@ -18,7 +18,7 @@ func shrinkFixture(t *testing.T) ScenarioSpec {
 		"topology": {"family": "edges", "size": 7,
 			"edges": [[0,1],[1,2],[2,3],[3,4],[4,5],[5,6],[0,6],[1,3],[2,4],[3,5],[1,6]]},
 		"dest": 2, "seed": 1,
-		"guard": {"cadence": "phase", "corruptFIBNode": 1},
+		"guard": {"cadence": "full", "corruptFIBNode": 1},
 		"faultPlan": {"phases": [{"name": "p", "measure": true, "role": "main", "actions": [
 			{"op": "linkDown", "link": [2, 3]},
 			{"op": "nodeDown", "node": 5, "atSeconds": 1},

@@ -138,7 +138,7 @@ func degradedScenario(n int, loss float64, seed int64) Scenario {
 // impairment layer: a loss-rate sweep over {0, 1%, 5%, 10%} on
 // Clique(10) produces byte-identical digests at -j 1 and -j GOMAXPROCS,
 // and a re-run against the same cache is served entirely from disk with
-// unchanged digests. The guard engine runs at full cadence throughout —
+// unchanged digests. The guard engine runs with guards full throughout —
 // the invariants (conservation, FIFO-per-epoch, RIB/FIB coherence) must
 // hold under impairment, and observation must stay free.
 func TestDegradedDigestParity(t *testing.T) {

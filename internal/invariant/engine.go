@@ -56,8 +56,6 @@ type namedCheck struct {
 // and Err keeps returning the first ViolationError, so the trail and
 // digests always describe the earliest observable breach.
 type Engine struct {
-	cfg    Config
-	everyN uint64
 	window time.Duration // MRAI floor; 0 disables the soundness check
 
 	trail     []TrailEntry
@@ -66,7 +64,6 @@ type Engine struct {
 
 	haveExec bool
 	lastExec time.Duration
-	executed uint64
 	sweeps   uint64
 
 	fifo    map[uint64]uint64                // directed channel -> last delivered message id
@@ -80,26 +77,18 @@ type Engine struct {
 	violation *ViolationError
 }
 
-// New returns an engine for the given configuration. Defaults are applied
-// here (EveryN, TrailSize), so callers may pass a sparse Config.
-func New(cfg Config) *Engine {
-	if cfg.EveryN == 0 {
-		cfg.EveryN = DefaultEveryN
-	}
-	if cfg.TrailSize == 0 {
-		cfg.TrailSize = DefaultTrailSize
-	}
+// New returns an engine with an empty trail of trailSize entries.
+func New() *Engine {
 	return &Engine{
-		cfg:     cfg,
-		everyN:  cfg.EveryN,
-		trail:   make([]TrailEntry, cfg.TrailSize),
+		trail:   make([]TrailEntry, trailSize),
 		fifo:    make(map[uint64]uint64),
 		chans:   make(map[uint64]*chanCount),
 		lastAnn: make(map[uint64]map[int]time.Duration),
 	}
 }
 
-// Register adds a sweep check evaluated at the configured cadence. The id
+// Register adds a sweep check evaluated after every executed event and
+// at every phase boundary. The id
 // is used for the Violation when the check leaves it empty.
 func (e *Engine) Register(id string, fn Check) {
 	e.checks = append(e.checks, namedCheck{id: id, fn: fn})
@@ -131,15 +120,12 @@ func (e *Engine) Err() error {
 	return e.violation
 }
 
-// Sweeps returns how many sweep-check passes have run (cadence
-// instrumentation for tests and reports).
+// Sweeps returns how many sweep-check passes have run (instrumentation
+// for tests and reports).
 func (e *Engine) Sweeps() uint64 { return e.sweeps }
 
 // note appends an entry to the bounded trail ring.
 func (e *Engine) note(t TrailEntry) {
-	if len(e.trail) == 0 {
-		return
-	}
 	e.trail[e.trailNext] = t
 	e.trailNext++
 	if e.trailNext == len(e.trail) {
@@ -200,7 +186,7 @@ func (e *Engine) CapturePanic(r any, stack []byte) *PanicError {
 }
 
 // NoteExec observes one executed kernel event: it enforces clock
-// monotonicity and drives the sweep cadence.
+// monotonicity and runs a sweep pass.
 func (e *Engine) NoteExec(at time.Duration) {
 	if e.violation != nil {
 		return
@@ -217,15 +203,7 @@ func (e *Engine) NoteExec(at time.Duration) {
 	}
 	e.haveExec = true
 	e.lastExec = at
-	e.executed++
-	switch e.cfg.Cadence {
-	case CadenceFull:
-		e.runSweep(at)
-	case CadenceEveryN:
-		if e.executed%e.everyN == 0 {
-			e.runSweep(at)
-		}
-	}
+	e.runSweep(at)
 }
 
 // runSweep evaluates the registered checks and the conservation
@@ -250,8 +228,7 @@ func (e *Engine) runSweep(at time.Duration) {
 }
 
 // PhaseBoundary marks a quiescence point: the event queue is empty, so
-// message conservation must hold with equality, and a sweep pass runs
-// regardless of cadence.
+// message conservation must hold with equality, and a sweep pass runs.
 func (e *Engine) PhaseBoundary(at time.Duration, name string) {
 	if e.violation != nil {
 		return

@@ -25,7 +25,7 @@ func mustViolation(t *testing.T, e *Engine, wantID string) *ViolationError {
 }
 
 func TestClockMonotonicity(t *testing.T) {
-	e := New(Config{Cadence: CadenceFull})
+	e := New()
 	e.NoteExec(1 * time.Second)
 	e.NoteExec(1 * time.Second) // equal timestamps are legal
 	e.NoteExec(2 * time.Second)
@@ -40,7 +40,7 @@ func TestClockMonotonicity(t *testing.T) {
 }
 
 func TestChannelFIFO(t *testing.T) {
-	e := New(Config{Cadence: CadenceFull})
+	e := New()
 	e.NoteSend(0, 1, 2, 10)
 	e.NoteSend(0, 1, 2, 11)
 	e.NoteSend(0, 2, 1, 12) // reverse direction: independent channel
@@ -69,7 +69,7 @@ func TestChannelFIFO(t *testing.T) {
 // delivered in a *new* epoch is legal, while the same inversion within one
 // epoch stays a violation (TestChannelFIFO).
 func TestFIFOEpochExemption(t *testing.T) {
-	e := New(Config{Cadence: CadenceFull})
+	e := New()
 	e.NoteSend(0, 1, 2, 10)
 	e.NoteSend(0, 1, 2, 11)
 	e.NoteDeliver(time.Second, 1, 2, 11)
@@ -88,7 +88,7 @@ func TestFIFOEpochExemption(t *testing.T) {
 // TestRegisterBoundary checks boundary-only checks run at PhaseBoundary
 // and never during sweeps.
 func TestRegisterBoundary(t *testing.T) {
-	e := New(Config{Cadence: CadenceFull})
+	e := New()
 	calls := 0
 	e.RegisterBoundary("session-withdrawal-completeness", func() *Violation {
 		calls++
@@ -112,7 +112,7 @@ func TestRegisterBoundary(t *testing.T) {
 }
 
 func TestConservationInequality(t *testing.T) {
-	e := New(Config{Cadence: CadencePhase})
+	e := New()
 	// Deliver a message that was never sent: delivered > sent.
 	e.NoteDeliver(time.Second, 3, 4, 7)
 	e.PhaseBoundary(time.Second, "main")
@@ -120,7 +120,7 @@ func TestConservationInequality(t *testing.T) {
 }
 
 func TestConservationEqualityAtBoundary(t *testing.T) {
-	e := New(Config{Cadence: CadencePhase})
+	e := New()
 	e.NoteSend(0, 1, 2, 1)
 	e.NoteSend(0, 1, 2, 2)
 	e.NoteDeliver(time.Second, 1, 2, 1)
@@ -138,7 +138,7 @@ func TestConservationEqualityAtBoundary(t *testing.T) {
 }
 
 func TestConservationCountsLost(t *testing.T) {
-	e := New(Config{Cadence: CadencePhase})
+	e := New()
 	e.NoteSend(0, 1, 2, 1)
 	e.NoteSend(0, 2, 1, 2) // opposite direction shares the undirected channel
 	e.NoteDeliver(time.Second, 1, 2, 1)
@@ -150,7 +150,7 @@ func TestConservationCountsLost(t *testing.T) {
 }
 
 func TestMRAISoundness(t *testing.T) {
-	e := New(Config{Cadence: CadenceFull})
+	e := New()
 	e.SetMRAIWindow(10 * time.Second)
 	e.NoteUpdate(0, 1, 2, 0, false)
 	e.NoteUpdate(5*time.Second, 1, 2, 5, false) // other dest: independent window
@@ -167,7 +167,7 @@ func TestMRAISoundness(t *testing.T) {
 }
 
 func TestMRAIClearsOnSessionTransition(t *testing.T) {
-	e := New(Config{Cadence: CadenceFull})
+	e := New()
 	e.SetMRAIWindow(10 * time.Second)
 	e.NoteUpdate(0, 1, 2, 0, false)
 	e.NoteSessionDown(time.Second, 2, 1)
@@ -180,7 +180,7 @@ func TestMRAIClearsOnSessionTransition(t *testing.T) {
 }
 
 func TestMRAISameInstantIsLegal(t *testing.T) {
-	e := New(Config{Cadence: CadenceFull})
+	e := New()
 	e.SetMRAIWindow(10 * time.Second)
 	// The continuous MRAI model may flush several best-path changes at
 	// one tick instant; equal timestamps must not trip the check.
@@ -194,7 +194,7 @@ func TestMRAISameInstantIsLegal(t *testing.T) {
 }
 
 func TestMRAIDisabledWindow(t *testing.T) {
-	e := New(Config{Cadence: CadenceFull})
+	e := New()
 	// Window 0 = MRAI disabled; back-to-back announcements are legal.
 	e.NoteUpdate(0, 1, 2, 0, false)
 	e.NoteUpdate(0, 1, 2, 0, false)
@@ -203,39 +203,8 @@ func TestMRAIDisabledWindow(t *testing.T) {
 	}
 }
 
-func TestCadenceEveryN(t *testing.T) {
-	e := New(Config{Cadence: CadenceEveryN, EveryN: 10})
-	calls := 0
-	e.Register("probe", func() *Violation { calls++; return nil })
-	for i := 0; i < 100; i++ {
-		e.NoteExec(time.Duration(i) * time.Millisecond)
-	}
-	if calls != 10 {
-		t.Fatalf("every-10 cadence ran the check %d times over 100 events, want 10", calls)
-	}
-	if e.Sweeps() != 10 {
-		t.Fatalf("Sweeps() = %d, want 10", e.Sweeps())
-	}
-}
-
-func TestCadencePhaseOnly(t *testing.T) {
-	e := New(Config{Cadence: CadencePhase})
-	calls := 0
-	e.Register("probe", func() *Violation { calls++; return nil })
-	for i := 0; i < 100; i++ {
-		e.NoteExec(time.Duration(i) * time.Millisecond)
-	}
-	if calls != 0 {
-		t.Fatalf("phase cadence ran the check %d times mid-run, want 0", calls)
-	}
-	e.PhaseBoundary(time.Second, "main")
-	if calls != 1 {
-		t.Fatalf("phase boundary ran the check %d times, want 1", calls)
-	}
-}
-
 func TestRegisteredCheckViolation(t *testing.T) {
-	e := New(Config{Cadence: CadenceFull})
+	e := New()
 	e.SetStateDigest(func() []string { return []string{"node=1 best=[1 0]"} })
 	e.NoteDeliver(time.Second, 0, 1, 1)
 	e.Register("rib-fib-coherence", func() *Violation {
@@ -255,7 +224,7 @@ func TestRegisteredCheckViolation(t *testing.T) {
 }
 
 func TestEngineFreezesOnFirstViolation(t *testing.T) {
-	e := New(Config{Cadence: CadenceFull})
+	e := New()
 	e.NoteExec(2 * time.Second)
 	e.NoteExec(1 * time.Second) // first violation: monotonicity
 	first := mustViolation(t, e, "des-clock-monotonic")
@@ -269,23 +238,23 @@ func TestEngineFreezesOnFirstViolation(t *testing.T) {
 }
 
 func TestTrailRingWraps(t *testing.T) {
-	e := New(Config{Cadence: CadenceFull, TrailSize: 4})
-	for i := 0; i < 10; i++ {
+	e := New()
+	for i := 0; i < trailSize+6; i++ {
 		e.NoteDeliver(time.Duration(i)*time.Second, 0, 1, uint64(i+1))
 	}
 	trail := e.Trail()
-	if len(trail) != 4 {
-		t.Fatalf("trail length = %d, want 4", len(trail))
+	if len(trail) != trailSize {
+		t.Fatalf("trail length = %d, want %d", len(trail), trailSize)
 	}
-	for i, want := range []string{"msg 7", "msg 8", "msg 9", "msg 10"} {
-		if trail[i].Detail != want {
-			t.Fatalf("trail[%d] = %q, want %q (oldest-first order broken)", i, trail[i].Detail, want)
+	for i, entry := range trail {
+		if want := fmt.Sprintf("msg %d", i+7); entry.Detail != want {
+			t.Fatalf("trail[%d] = %q, want %q (oldest-first order broken)", i, entry.Detail, want)
 		}
 	}
 }
 
 func TestCapturePanic(t *testing.T) {
-	e := New(Config{Cadence: CadenceFull})
+	e := New()
 	e.SetStateDigest(func() []string { return []string{"node=0 best=nil"} })
 	e.NoteDeliver(time.Second, 0, 1, 1)
 	pe := e.CapturePanic(fmt.Errorf("boom at %v", 3*time.Second), []byte("stack"))
@@ -298,7 +267,7 @@ func TestCapturePanic(t *testing.T) {
 }
 
 func TestCapturePanicDigestPanics(t *testing.T) {
-	e := New(Config{Cadence: CadenceFull})
+	e := New()
 	e.SetStateDigest(func() []string { panic("corrupt state") })
 	pe := e.CapturePanic("boom", nil)
 	if len(pe.RIBDigests) != 1 || !strings.Contains(pe.RIBDigests[0], "digest panic") {
@@ -321,19 +290,23 @@ func TestUnreachablePanics(t *testing.T) {
 }
 
 func TestParseCadence(t *testing.T) {
-	for _, s := range []string{"", "off", "phase", "every-n", "full"} {
+	for _, s := range []string{"", "off", "full"} {
 		if _, err := ParseCadence(s); err != nil {
 			t.Fatalf("ParseCadence(%q): %v", s, err)
 		}
 	}
-	if _, err := ParseCadence("sometimes"); err == nil {
-		t.Fatal("ParseCadence accepted an unknown cadence")
+	for _, s := range []string{"phase", "every-n", "sometimes"} {
+		if _, err := ParseCadence(s); err == nil || !strings.Contains(err.Error(), "want off or full") {
+			t.Fatalf("ParseCadence(%q) = %v, want an off-or-full refusal", s, err)
+		}
 	}
 	if c := FromEnv("full"); c != CadenceFull {
 		t.Fatalf("FromEnv(full) = %q", c)
 	}
-	if c := FromEnv("nonsense"); c != CadenceOff {
-		t.Fatalf("FromEnv(nonsense) = %q, want off", c)
+	for _, v := range []string{"nonsense", "phase", "every-n"} {
+		if c := FromEnv(v); c != CadenceOff {
+			t.Fatalf("FromEnv(%s) = %q, want off", v, c)
+		}
 	}
 	if (Config{}).Enabled() || (Config{Cadence: CadenceOff}).Enabled() {
 		t.Fatal("off/unset config reports enabled")

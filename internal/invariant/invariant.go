@@ -6,16 +6,17 @@
 // channels deliver messages in FIFO order, a speaker's installed FIB next
 // hop tracks its best route, an accepted AS path never contains the local
 // AS, and no announcement leaves inside a peer's MRAI window. This
-// package makes those properties explicit run-time conditions, checked at
-// a configurable cadence, so that a violation is caught at the first
-// event where it is observable — with a bounded event trail and RIB
-// digests captured for the diagnosis — instead of surfacing thousands of
-// events later as a wrong metric or a bare panic.
+// package makes those properties explicit run-time conditions, checked
+// after every event while guards are on, so that a violation is caught at
+// the first event where it is observable — with a bounded event trail and
+// RIB digests captured for the diagnosis — instead of surfacing thousands
+// of events later as a wrong metric or a bare panic.
 //
-// The package is deliberately a leaf: it imports no other simulator
-// packages so that the kernel (internal/des), the topology builders, and
+// The package sits low in the import order: it imports only durable (to
+// write forensic bundles) and core/sortedmap, and neither reaches a
+// package that calls Unreachable, so the topology builders, netsim and
 // the BGP speaker can all route their impossible-state panics through
-// Unreachable. Node identifiers are plain ints and virtual times are
+// it. Node identifiers are plain ints and virtual times are
 // time.Durations (des.Time is an alias of time.Duration).
 //
 // Guards are observation-only by contract: an Engine never consumes
@@ -33,11 +34,11 @@ import (
 // NoNode marks a Violation field that does not identify a node or peer.
 const NoNode = -1
 
-// Cadence selects how often the sweep invariants (the O(nodes) RIB scans:
-// RIB/FIB coherence, AS-path sanity) are evaluated. The streaming
+// Cadence switches the guards. With guards on, the sweep invariants (the
+// O(nodes) RIB scans: RIB/FIB coherence, AS-path sanity) run after every
+// executed kernel event and at every phase boundary, and the streaming
 // invariants (clock monotonicity, channel FIFO, message conservation,
-// MRAI soundness) are O(1) per event and always active while an engine is
-// attached, regardless of cadence.
+// MRAI soundness) are checked per event.
 type Cadence string
 
 const (
@@ -45,11 +46,6 @@ const (
 	CadenceUnset Cadence = ""
 	// CadenceOff disables guards entirely; no engine is attached.
 	CadenceOff Cadence = "off"
-	// CadencePhase sweeps only at phase boundaries (quiescence points).
-	CadencePhase Cadence = "phase"
-	// CadenceEveryN sweeps every Config.EveryN executed events, and at
-	// phase boundaries.
-	CadenceEveryN Cadence = "every-n"
 	// CadenceFull sweeps after every executed kernel event.
 	CadenceFull Cadence = "full"
 )
@@ -58,32 +54,21 @@ const (
 // into a Cadence. The empty string parses as CadenceUnset.
 func ParseCadence(s string) (Cadence, error) {
 	switch Cadence(s) {
-	case CadenceUnset, CadenceOff, CadencePhase, CadenceEveryN, CadenceFull:
+	case CadenceUnset, CadenceOff, CadenceFull:
 		return Cadence(s), nil
 	}
-	return CadenceUnset, fmt.Errorf("invariant: unknown guard cadence %q (want off, phase, every-n, or full)", s)
+	return CadenceUnset, fmt.Errorf("invariant: unknown guard cadence %q (want off or full)", s)
 }
 
-// DefaultEveryN is the sweep period used by CadenceEveryN when
-// Config.EveryN is zero.
-const DefaultEveryN = 1000
+// trailSize is the capacity of the forensic event-trail ring buffer.
+const trailSize = 256
 
-// DefaultTrailSize is the ring-buffer capacity for the event trail when
-// Config.TrailSize is zero.
-const DefaultTrailSize = 256
-
-// Config selects the guard cadence and forensic parameters for a run. The
-// zero value means "unset": the experiment harness then consults the
-// BGPSIM_GUARD environment variable and falls back to Off.
+// Config switches the guards for a run. The zero value means "unset":
+// the experiment harness then consults the BGPSIM_GUARD environment
+// variable and falls back to Off.
 type Config struct {
-	// Cadence is the sweep-check schedule; see the Cadence constants.
+	// Cadence is the guard switch; see the Cadence constants.
 	Cadence Cadence `json:"cadence,omitempty"`
-	// EveryN is the sweep period for CadenceEveryN (default
-	// DefaultEveryN).
-	EveryN uint64 `json:"everyN,omitempty"`
-	// TrailSize bounds the forensic event-trail ring buffer (default
-	// DefaultTrailSize).
-	TrailSize int `json:"trailSize,omitempty"`
 	// CorruptFIBNode is a fault-injection self-test hook: when set, the
 	// RIB/FIB coherence check sees the node's FIB entry as empty, so a
 	// guarded run must report a rib-fib-coherence violation once that
@@ -101,18 +86,13 @@ func (c Config) Enabled() bool {
 
 // Validate rejects malformed guard configurations.
 func (c Config) Validate() error {
-	if _, err := ParseCadence(string(c.Cadence)); err != nil {
-		return err
-	}
-	if c.TrailSize < 0 {
-		return fmt.Errorf("invariant: negative TrailSize %d", c.TrailSize)
-	}
-	return nil
+	_, err := ParseCadence(string(c.Cadence))
+	return err
 }
 
 // FromEnv maps a BGPSIM_GUARD environment value onto a Cadence,
-// tolerating unknown values by treating them as Off (an environment
-// variable must never abort a run).
+// tolerating unknown values, "phase" and "every-n" included, by treating
+// them as Off: an environment variable must never abort a run.
 func FromEnv(v string) Cadence {
 	c, err := ParseCadence(v)
 	if err != nil || c == CadenceUnset {
