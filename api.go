@@ -63,8 +63,8 @@ type (
 	// store (a re-run interrupted sweep's completed trials are hits),
 	// Deduped in-flight shares, Remote fleet trials, and the
 	// Failed/Canceled/Skipped remainder. Resumed is always 0.
-	// CacheHitRatio() summarizes the store's effectiveness; bgpd exposes
-	// the same counters on /metrics.
+	// bgpd exposes the same counters on /metrics, with a cache hit ratio
+	// (bgpd_cache_hit_ratio_bp) it derives from its own running totals.
 	SweepStats = sweep.Stats
 	// Generator produces the scenario for trial i of a sweep.
 	Generator = experiment.Generator

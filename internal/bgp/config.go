@@ -189,9 +189,10 @@ type Config struct {
 	// peers. A best route that may not be exported to a peer is
 	// withdrawn from it. Nil exports everything (the paper's model).
 	Export ExportPolicy
-	// Damping, when non-nil, enables RFC 2439 route flap damping at every
-	// speaker (an extension beyond the paper; see DefaultDamping).
-	Damping *DampingConfig
+	// Damping enables RFC 2439 route flap damping, with the classic
+	// parameters, at every speaker (an extension beyond the paper; see
+	// damping.go).
+	Damping bool
 	// Session parameterises the BGP session FSM (hold/keepalive timers,
 	// re-establishment backoff). The zero value disables the FSM entirely:
 	// sessions follow the physical link, as in the paper's model.
@@ -328,11 +329,6 @@ func (c Config) Validate() error {
 	}
 	if c.ProcDelayMin < 0 || c.ProcDelayMax < c.ProcDelayMin {
 		return fmt.Errorf("bgp: bad processing delay range [%v, %v]", c.ProcDelayMin, c.ProcDelayMax)
-	}
-	if c.Damping != nil {
-		if err := c.Damping.Validate(); err != nil {
-			return err
-		}
 	}
 	if err := c.Session.Validate(); err != nil {
 		return err

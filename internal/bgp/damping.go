@@ -1,7 +1,6 @@
 package bgp
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -9,65 +8,20 @@ import (
 	"bgploop/internal/routing"
 )
 
-// DampingConfig enables receiver-side route flap damping (RFC 2439), an
-// extension beyond the paper: each (peer, destination) route accumulates a
-// penalty on every flap; while the penalty exceeds the suppress threshold
-// the route is unusable, and it is reused once the exponentially-decaying
-// penalty falls below the reuse threshold.
-type DampingConfig struct {
-	// WithdrawalPenalty is added when the peer withdraws the route
-	// (default 1000, the classic figure of merit).
-	WithdrawalPenalty float64
-	// AttributePenalty is added when the peer re-announces the route
-	// with a different path (default 500).
-	AttributePenalty float64
-	// SuppressThreshold is the penalty above which the route is
-	// suppressed (default 2000).
-	SuppressThreshold float64
-	// ReuseThreshold is the penalty below which a suppressed route is
-	// reused (default 750).
-	ReuseThreshold float64
-	// HalfLife is the penalty's exponential-decay half life (default
-	// 15 minutes).
-	HalfLife time.Duration
-	// MaxPenalty caps the accumulated penalty (default 12000), bounding
-	// the maximum suppression time.
-	MaxPenalty float64
-}
-
-// DefaultDamping returns the classic RFC 2439 parameters.
-func DefaultDamping() *DampingConfig {
-	return &DampingConfig{
-		WithdrawalPenalty: 1000,
-		AttributePenalty:  500,
-		SuppressThreshold: 2000,
-		ReuseThreshold:    750,
-		HalfLife:          15 * time.Minute,
-		MaxPenalty:        12000,
-	}
-}
-
-// Validate reports configuration errors.
-func (c *DampingConfig) Validate() error {
-	if c.WithdrawalPenalty < 0 || c.AttributePenalty < 0 {
-		return fmt.Errorf("bgp: negative damping penalties")
-	}
-	if c.SuppressThreshold <= c.ReuseThreshold {
-		return fmt.Errorf("bgp: suppress threshold %g must exceed reuse threshold %g",
-			c.SuppressThreshold, c.ReuseThreshold)
-	}
-	if c.ReuseThreshold <= 0 {
-		return fmt.Errorf("bgp: non-positive reuse threshold %g", c.ReuseThreshold)
-	}
-	if c.HalfLife <= 0 {
-		return fmt.Errorf("bgp: non-positive damping half life %v", c.HalfLife)
-	}
-	if c.MaxPenalty < c.SuppressThreshold {
-		return fmt.Errorf("bgp: max penalty %g below suppress threshold %g",
-			c.MaxPenalty, c.SuppressThreshold)
-	}
-	return nil
-}
+// Route flap damping (RFC 2439), an extension beyond the paper, runs at
+// every speaker when Config.Damping is set: each (peer, destination) route
+// accumulates a penalty on every flap; while the penalty exceeds the
+// suppress threshold the route is unusable, and it is reused once the
+// exponentially-decaying penalty falls below the reuse threshold. The
+// parameters are the classic RFC 2439 figures.
+const (
+	dampWithdrawalPenalty = 1000             // added when the peer withdraws the route
+	dampAttributePenalty  = 500              // added when the peer re-announces it with another path
+	dampSuppressThreshold = 2000             // the route is suppressed at this penalty
+	dampReuseThreshold    = 750              // a suppressed route is reused below this penalty
+	dampHalfLife          = 15 * time.Minute // the penalty's exponential-decay half life
+	dampMaxPenalty        = 12000            // caps the penalty, bounding the suppression time
+)
 
 // dampState tracks the figure of merit for one (destination, peer) route
 // at the receiving speaker. The zero value is a peer with no flap history:
@@ -84,23 +38,23 @@ type dampState struct {
 }
 
 // decayTo brings the penalty forward to virtual time now.
-func (d *dampState) decayTo(now des.Time, halfLife time.Duration) {
+func (d *dampState) decayTo(now des.Time) {
 	if now <= d.lastDecay {
 		return
 	}
 	elapsed := float64(now - d.lastDecay)
-	d.penalty *= math.Exp2(-elapsed / float64(halfLife))
+	d.penalty *= math.Exp2(-elapsed / float64(dampHalfLife))
 	d.lastDecay = now
 }
 
 // reuseDelay returns how long until the penalty decays to the reuse
 // threshold.
-func (d *dampState) reuseDelay(cfg *DampingConfig) time.Duration {
-	if d.penalty <= cfg.ReuseThreshold {
+func (d *dampState) reuseDelay() time.Duration {
+	if d.penalty <= dampReuseThreshold {
 		return 0
 	}
-	halfLives := math.Log2(d.penalty / cfg.ReuseThreshold)
-	return time.Duration(halfLives * float64(cfg.HalfLife))
+	halfLives := math.Log2(d.penalty / dampReuseThreshold)
+	return time.Duration(halfLives * float64(dampHalfLife))
 }
 
 // dampUpdate runs the flap-damping state machine for an update from peer.
@@ -108,17 +62,15 @@ func (d *dampState) reuseDelay(cfg *DampingConfig) time.Duration {
 // table now (possibly a synthetic withdrawal while suppressed) and whether
 // any update should be applied at all.
 func (s *Speaker) dampUpdate(st *destState, slot int, up *Update) (*Update, bool) {
-	cfg := s.cfg.Damping
-	now := s.sched.Now()
 	from := s.nbrs[slot]
 	d := &st.damp[slot]
-	d.decayTo(now, cfg.HalfLife)
+	d.decayTo(s.sched.Now())
 
 	// Penalise the flap.
 	if up.Withdraw {
 		// Only a withdrawal of something we actually held is a flap.
 		if prev, ok := st.table.Received(from); ok && prev != nil || d.suppressed && d.latest != nil {
-			d.penalty += cfg.WithdrawalPenalty
+			d.penalty += dampWithdrawalPenalty
 		}
 	} else {
 		prev, ok := st.table.Received(from)
@@ -126,11 +78,11 @@ func (s *Speaker) dampUpdate(st *destState, slot int, up *Update) (*Update, bool
 			prev, ok = d.latest, true
 		}
 		if ok && prev != nil && !prev.Equal(up.Path) {
-			d.penalty += cfg.AttributePenalty
+			d.penalty += dampAttributePenalty
 		}
 	}
-	if d.penalty > cfg.MaxPenalty {
-		d.penalty = cfg.MaxPenalty
+	if d.penalty > dampMaxPenalty {
+		d.penalty = dampMaxPenalty
 	}
 
 	if d.suppressed {
@@ -140,7 +92,7 @@ func (s *Speaker) dampUpdate(st *destState, slot int, up *Update) (*Update, bool
 		s.scheduleReuse(st, slot, d)
 		return nil, false
 	}
-	if d.penalty >= cfg.SuppressThreshold {
+	if d.penalty >= dampSuppressThreshold {
 		// Suppress: the table must forget the route until reuse.
 		d.suppressed = true
 		d.latest = up.Path
@@ -153,7 +105,7 @@ func (s *Speaker) dampUpdate(st *destState, slot int, up *Update) (*Update, bool
 
 // scheduleReuse arms the reuse timer of the suppressed route from slot.
 func (s *Speaker) scheduleReuse(st *destState, slot int, d *dampState) {
-	d.reuse = s.schedule(nil, s.sched.Now()+d.reuseDelay(s.cfg.Damping), evReuse, slot, st)
+	d.reuse = s.schedule(nil, s.sched.Now()+d.reuseDelay(), evReuse, slot, st)
 }
 
 // reuseRoute ends a suppression period: the buffered latest route (if any)
@@ -164,7 +116,7 @@ func (s *Speaker) reuseRoute(st *destState, slot int) {
 	if !d.suppressed {
 		return
 	}
-	d.decayTo(s.sched.Now(), s.cfg.Damping.HalfLife)
+	d.decayTo(s.sched.Now())
 	d.suppressed = false
 	s.stats.RoutesReused++
 	if !s.up[slot] {

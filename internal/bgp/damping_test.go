@@ -10,29 +10,8 @@ import (
 func dampingConfig() Config {
 	cfg := fastConfig()
 	cfg.MRAI = 0 // isolate damping behaviour from rate limiting
-	cfg.Damping = DefaultDamping()
+	cfg.Damping = true
 	return cfg
-}
-
-func TestDampingConfigValidate(t *testing.T) {
-	good := DefaultDamping()
-	if err := good.Validate(); err != nil {
-		t.Fatalf("default damping invalid: %v", err)
-	}
-	cases := []func(*DampingConfig){
-		func(c *DampingConfig) { c.WithdrawalPenalty = -1 },
-		func(c *DampingConfig) { c.SuppressThreshold = c.ReuseThreshold },
-		func(c *DampingConfig) { c.ReuseThreshold = 0 },
-		func(c *DampingConfig) { c.HalfLife = 0 },
-		func(c *DampingConfig) { c.MaxPenalty = 1 },
-	}
-	for i, mutate := range cases {
-		c := DefaultDamping()
-		mutate(c)
-		if err := c.Validate(); err == nil {
-			t.Errorf("case %d accepted", i)
-		}
-	}
 }
 
 // flap drives node 1's view of peer 0 through announce/withdraw cycles by
@@ -126,13 +105,13 @@ func TestDampingAttributeFlap(t *testing.T) {
 
 func TestDampingDecayHalfLife(t *testing.T) {
 	d := &dampState{penalty: 1000, lastDecay: 0}
-	d.decayTo(des15min(), 15*time.Minute)
+	d.decayTo(des15min())
 	if d.penalty < 499 || d.penalty > 501 {
 		t.Errorf("penalty after one half life = %v, want ~500", d.penalty)
 	}
 	// Decay is monotone in time and idempotent for now <= lastDecay.
 	p := d.penalty
-	d.decayTo(0, 15*time.Minute)
+	d.decayTo(0)
 	if d.penalty != p {
 		t.Error("backwards decay changed the penalty")
 	}
@@ -141,15 +120,14 @@ func TestDampingDecayHalfLife(t *testing.T) {
 func des15min() (t time.Duration) { return 15 * time.Minute }
 
 func TestDampingReuseDelay(t *testing.T) {
-	cfg := DefaultDamping()
 	d := &dampState{penalty: 1500}
-	delay := d.reuseDelay(cfg)
+	delay := d.reuseDelay()
 	// 1500 -> 750 is exactly one half life.
 	if delay < 14*time.Minute || delay > 16*time.Minute {
 		t.Errorf("reuse delay = %v, want ~15m", delay)
 	}
 	d.penalty = 100
-	if d.reuseDelay(cfg) != 0 {
+	if d.reuseDelay() != 0 {
 		t.Error("below-threshold penalty should reuse immediately")
 	}
 }

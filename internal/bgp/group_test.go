@@ -127,12 +127,7 @@ func runGroupCase(t *testing.T, c groupCase, asGroup bool) []string {
 	if c.fsm {
 		cfg.Session = SessionConfig{HoldTime: 9 * time.Second}
 	}
-	if c.damping {
-		// One withdrawal or two path changes suppress, and a suppressed
-		// route is reused within the run.
-		cfg.Damping = &DampingConfig{WithdrawalPenalty: 1000, AttributePenalty: 500,
-			SuppressThreshold: 900, ReuseThreshold: 400, HalfLife: 10 * time.Second, MaxPenalty: 3000}
-	}
+	cfg.Damping = c.damping
 	sched := des.NewScheduler()
 	net := netsim.New(sched, g, netsim.DefaultLinkDelay)
 	rng := des.NewRNG(c.seed)
@@ -170,11 +165,20 @@ func runGroupCase(t *testing.T, c groupCase, asGroup bool) []string {
 		}
 		settle("the delivered update")
 	}
-	for _, op := range []func(topology.Edge){net.Fail, net.Restore} {
-		if err := net.At(sched.Now()+time.Second, func() { op(c.flap) }); err != nil {
-			t.Fatal(err)
+	// A withdrawal adds 1000 to a damped route's penalty, suppression
+	// starts at 2000 and the penalty decays in between, so a damped case
+	// flaps three times; a suppressed route is reused within the run.
+	cycles := 1
+	if c.damping {
+		cycles = 3
+	}
+	for range cycles {
+		for _, op := range []func(topology.Edge){net.Fail, net.Restore} {
+			if err := net.At(sched.Now()+time.Second, func() { op(c.flap) }); err != nil {
+				t.Fatal(err)
+			}
+			settle("the flap")
 		}
-		settle("the flap")
 	}
 
 	out := obs.lines

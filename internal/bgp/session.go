@@ -178,24 +178,62 @@ func (s *Speaker) handleOpen(slot int, o *Open) {
 		}
 		s.establish(slot)
 	case SessionEstablished:
-		if o.Gen == sess.peerGen {
-			// Retransmitted handshake of the current connection.
-			if o.Ack == 0 {
+		switch {
+		case o.Gen == sess.peerGen:
+			// Retransmitted handshake of the current connection. Ack it
+			// unless it already acks our generation: 0 means the peer
+			// still waits for our ack, any other value that it holds a
+			// wrong one.
+			if o.Ack != sess.localGen {
 				s.sendOpen(slot, o.Gen)
 			}
 			s.refreshHold(slot)
-			return
+		case o.Ack == sess.localGen:
+			// The peer restarted in answer to our current generation: it
+			// has flushed what we sent, and its own table follows this
+			// Open on the wire. Re-sync against its generation without
+			// starting one of ours, which the peer would read as a
+			// restart in turn, forever.
+			sess.peerGen = o.Gen
+			s.sendOpen(slot, o.Gen)
+			s.resync(slot)
+		case o.Gen < sess.peerGen:
+			// Generations only grow: an Open older than the connection
+			// we hold is stale.
+		default:
+			// New peer generation: the peer restarted the session (e.g.
+			// its hold timer expired while ours survived). Flush and
+			// re-establish under a generation of ours above any the peer
+			// has acked, so that it cannot take the new one for the
+			// connection it holds.
+			s.teardownSession(slot)
+			sess.state = SessionConnect
+			sess.localGen = max(sess.localGen, o.Ack) + 1
+			sess.attempts = 0
+			sess.peerGen = o.Gen
+			s.sendOpen(slot, o.Gen)
+			s.establish(slot)
 		}
-		// New peer generation: the peer restarted the session (e.g. its
-		// hold timer expired while ours survived). Flush and re-establish.
-		s.teardownSession(slot)
-		sess.state = SessionConnect
-		sess.localGen++
-		sess.attempts = 0
-		sess.peerGen = o.Gen
-		s.sendOpen(slot, o.Gen)
-		s.establish(slot)
 	}
+}
+
+// resync re-sends the full table over the live session in slot after the
+// peer restarted against it. Nothing is flushed and no message in flight
+// dies: the peer's fresh table is behind its Open, and every route it held
+// from us is replaced by the one it is sent now. Like establish, it
+// reports SessionUp, so per-session invariant state starts over.
+func (s *Speaker) resync(slot int) {
+	s.net.SessionEstablished(s.id, s.nbrs[slot])
+	for _, st := range s.dests {
+		if st == nil {
+			continue
+		}
+		s.sched.Drop(st.mrai[slot].timer)
+		st.adv[slot] = nil
+		st.mrai[slot] = mraiState{}
+		s.advertise(st, slot)
+	}
+	s.refreshHold(slot)
 }
 
 // establish completes the handshake: the session carries routes from this

@@ -1,6 +1,8 @@
 package bgp
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -267,4 +269,140 @@ func TestSessionOpenByValueMalformed(t *testing.T) {
 	if !sp.PeerEstablished(1) {
 		t.Errorf("session not established after the retransmit: %v", sp.SessionState(1))
 	}
+}
+
+// handshakeSim is an established FSM network over g in which every node
+// originates its own prefix, run to quiescence.
+type handshakeSim struct {
+	sched    *des.Scheduler
+	speakers []*Speaker
+}
+
+// handshakeBudget bounds the events one delivered Open may cost: a
+// restart and the table exchanges it starts, many times over.
+const handshakeBudget = 1_000_000
+
+func newHandshakeSim(t *testing.T, g *topology.Graph, seed int64) *handshakeSim {
+	t.Helper()
+	sched := des.NewScheduler()
+	net := netsim.New(sched, g, netsim.DefaultLinkDelay)
+	speakers, err := NewSpeakers(sched, net, fsmConfig(), des.NewRNG(seed), nil, g.Nodes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range speakers {
+		if err := sp.Originate(sp.ID()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sched.RunLimit(handshakeBudget) >= handshakeBudget {
+		t.Fatal("initial convergence did not quiesce")
+	}
+	return &handshakeSim{sched: sched, speakers: speakers}
+}
+
+// deliver hands o to speaker to as if from had sent it and runs the
+// network until it drains.
+func (h *handshakeSim) deliver(t *testing.T, to, from topology.Node, o Open) {
+	t.Helper()
+	h.speakers[to].Deliver(from, &o)
+	if h.sched.RunLimit(handshakeBudget) >= handshakeBudget {
+		t.Fatalf("%+v from %d to %d: the run did not drain in %d events", o, from, to, handshakeBudget)
+	}
+}
+
+// ribs lists every speaker's table for every destination: best path, next
+// hop and the path received from each peer.
+func (h *handshakeSim) ribs() []string {
+	var out []string
+	for _, sp := range h.speakers {
+		for _, d := range h.speakers {
+			tab := sp.Table(d.ID())
+			line := fmt.Sprintf("%d to %d: best %v via %d;", sp.ID(), d.ID(), tab.Best(), tab.NextHop())
+			for _, u := range tab.PeersWithRoutes() {
+				p, _ := tab.Received(u)
+				line += fmt.Sprintf(" %d:%v", u, p)
+			}
+			out = append(out, line)
+		}
+	}
+	return out
+}
+
+// checkSettled fails unless every session is established at both ends,
+// each end holding the generation the other end runs, and the tables are
+// want.
+func (h *handshakeSim) checkSettled(t *testing.T, want []string) {
+	t.Helper()
+	for _, sp := range h.speakers {
+		for _, u := range sp.nbrs {
+			mine, theirs := &sp.sessions[sp.slot(u)], &h.speakers[u].sessions[h.speakers[u].slot(sp.ID())]
+			if mine.state != SessionEstablished {
+				t.Errorf("node %d: session to %d is %v, want established", sp.ID(), u, mine.state)
+			}
+			if mine.peerGen != theirs.localGen {
+				t.Errorf("node %d holds generation %d of node %d, which runs %d", sp.ID(), mine.peerGen, u, theirs.localGen)
+			}
+		}
+	}
+	if got := h.ribs(); !slices.Equal(got, want) {
+		t.Errorf("tables differ from the undisturbed run:\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestSessionOpenSettles: an Open of a new peer generation delivered to an
+// established session restarts it once. The peer's answer acks our new
+// generation and must re-sync the session, not restart it again, or the
+// two ends restart each other forever. An Open older than the generation
+// held is stale. Either way the session ends established with the tables
+// of an undisturbed run.
+func TestSessionOpenSettles(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		open  Open
+		stale bool // ignored: the receiver sends nothing and keeps its session
+	}{
+		{"new generation", Open{Gen: 99}, false},
+		{"older generation", Open{Gen: 0}, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			h := newHandshakeSim(t, topology.Chain(2), 3)
+			want, before := h.ribs(), h.speakers[1].Stats()
+			h.deliver(t, 1, 0, c.open)
+			h.checkSettled(t, want)
+			if after := h.speakers[1].Stats(); c.stale && after != before {
+				t.Errorf("a stale Open was acted on: stats %+v, were %+v", after, before)
+			}
+		})
+	}
+}
+
+// FuzzSessionHandshake delivers a short sequence of Opens with arbitrary
+// generations and acks to an established two- or three-node network, each
+// after the previous one drained. Every run must drain within the budget
+// and end with every session established and the undisturbed tables.
+//
+// Input: the topology (Chain(2), Chain(3) or a triangle) and the seed, then
+// up to eight Opens of three bytes each: the (receiver, sender) pair, Gen
+// and Ack.
+func FuzzSessionHandshake(f *testing.F) {
+	f.Add([]byte{2, 1, 1, 2, 1, 3, 4, 2, 0, 1, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		g := []*topology.Graph{topology.Chain(2), topology.Chain(3), topology.Clique(3)}[int(data[0])%3]
+		h := newHandshakeSim(t, g, int64(data[1]))
+		want := h.ribs()
+		edges := g.Edges()
+		for ops, rest := 0, data[2:]; ops < 8 && len(rest) >= 3; ops, rest = ops+1, rest[3:] {
+			i := int(rest[0]) % (2 * len(edges))
+			to, from := edges[i/2].A, edges[i/2].B
+			if i%2 == 1 {
+				to, from = from, to
+			}
+			h.deliver(t, to, from, Open{Gen: uint64(rest[1]), Ack: uint64(rest[2])})
+		}
+		h.checkSettled(t, want)
+	})
 }

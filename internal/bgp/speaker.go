@@ -309,7 +309,7 @@ func build(sched *des.Scheduler, net *netsim.Network, cfg Config, rng *des.RNG, 
 	_, last := net.Links(first + topology.Node(count) - 1)
 	links := last - base
 	if pos != nil {
-		g.slabs = makeSlabs(count*k, links*k, g.cfg.Damping != nil)
+		g.slabs = makeSlabs(count*k, links*k, g.cfg.Damping)
 	}
 	speakers := make([]Speaker, count)
 	nbrs := make([]topology.Node, 0, links)
@@ -489,8 +489,8 @@ func (s *Speaker) Deliver(from topology.Node, payload any) {
 //     is positive whenever the FSM runs);
 //   - the connect backoff (armRetry), clamped to >= 1 after its jitter;
 //   - the damping reuse delay (scheduleReuse): reuseDelay returns 0 at or
-//     below the reuse threshold and above it a positive number of the
-//     half lives DampingConfig.Validate keeps positive.
+//     below the reuse threshold and above it a positive number of half
+//     lives.
 //
 // The callers are netsim.Handler entry points and timer events, which have
 // no error channel — a violated invariant here is a kernel/config bug, not
@@ -635,7 +635,7 @@ func (s *Speaker) process(slot int, up *Update) {
 		s.stats.MalformedDropped++ // not a destination of the group
 		return
 	}
-	if s.cfg.Damping != nil {
+	if s.cfg.Damping {
 		applied, ok := s.dampUpdate(st, slot, up)
 		if !ok {
 			return // suppressed: buffered until the reuse timer fires
@@ -913,7 +913,7 @@ func (s *Speaker) destState(dest topology.Node) *destState {
 	if g.pos == nil {
 		// A speaker built alone has no origins to carve for: each
 		// destination gets slabs of its own.
-		own := makeSlabs(1, deg, g.cfg.Damping != nil)
+		own := makeSlabs(1, deg, g.cfg.Damping)
 		sl, st, at = &own, 0, 0
 	}
 	s.dests[i] = sl.carve(st, at, deg, s.id, dest, s.policy, &g.paths)

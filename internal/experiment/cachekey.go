@@ -111,17 +111,22 @@ func newSessionKeySpec(cfg bgp.SessionConfig) *sessionKeySpec {
 	}
 }
 
+// dampingKey is what a damped scenario hashes under "damping": the RFC
+// 2439 parameters as they were encoded while they were a struct of their
+// own, kept byte for byte so that no damped key moves.
+const dampingKey = `{"WithdrawalPenalty":1000,"AttributePenalty":500,"SuppressThreshold":2000,"ReuseThreshold":750,"HalfLife":900000000000,"MaxPenalty":12000}`
+
 // bgpKeySpec is the hashable form of bgp.Config.
 type bgpKeySpec struct {
-	MRAINs         int64              `json:"mraiNs"`
-	MRAIContinuous bool               `json:"mraiContinuous"`
-	JitterMin      float64            `json:"jitterMin"`
-	JitterMax      float64            `json:"jitterMax"`
-	ProcDelayMinNs int64              `json:"procDelayMinNs"`
-	ProcDelayMaxNs int64              `json:"procDelayMaxNs"`
-	Policy         string             `json:"policy"`
-	Export         string             `json:"export"`
-	Damping        *bgp.DampingConfig `json:"damping,omitempty"`
+	MRAINs         int64           `json:"mraiNs"`
+	MRAIContinuous bool            `json:"mraiContinuous"`
+	JitterMin      float64         `json:"jitterMin"`
+	JitterMax      float64         `json:"jitterMax"`
+	ProcDelayMinNs int64           `json:"procDelayMinNs"`
+	ProcDelayMaxNs int64           `json:"procDelayMaxNs"`
+	Policy         string          `json:"policy"`
+	Export         string          `json:"export"`
+	Damping        json.RawMessage `json:"damping,omitempty"`
 	// Session is the FSM configuration, normalized and omitted when
 	// disabled (HoldTime zero keeps the pre-FSM behaviour and key).
 	Session      *sessionKeySpec  `json:"session,omitempty"`
@@ -175,7 +180,6 @@ func (s Scenario) CacheKey() string {
 			ProcDelayMaxNs: int64(d.BGP.ProcDelayMax),
 			Policy:         pol,
 			Export:         exp,
-			Damping:        d.BGP.Damping,
 			Session:        newSessionKeySpec(d.BGP.Session),
 			Enhancements:   d.BGP.Enhancements,
 		},
@@ -187,6 +191,9 @@ func (s Scenario) CacheKey() string {
 		MaxEvents:        d.MaxEvents,
 		PhaseEventBudget: d.PhaseEventBudget,
 		HorizonNs:        int64(d.Horizon),
+	}
+	if d.BGP.Damping {
+		spec.BGP.Damping = json.RawMessage(dampingKey)
 	}
 	for i, e := range edges {
 		spec.Edges[i] = [2]int{int(e.A), int(e.B)}

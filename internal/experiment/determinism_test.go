@@ -94,7 +94,7 @@ func TestCanonicalPlanByteIdentical(t *testing.T) {
 	flapped := TDownScenario(topology.Clique(5), 0, bgp.DefaultConfig(), 11)
 	flapped.FlapCycles = 2
 	flapped.RestoreDelay = 2 * time.Second
-	flapped.BGP.Damping = bgp.DefaultDamping()
+	flapped.BGP.Damping = true
 
 	recovered := TLongScenario(topology.Figure1(), 0, topology.Figure1FailedLink(), bgp.DefaultConfig(), 7)
 	recovered.RestoreDelay = time.Second

@@ -80,10 +80,9 @@ type ScenarioSpec struct {
 	// MaxEvents caps the whole run; PhaseEventBudget caps each plan
 	// phase; HorizonSeconds caps the run's virtual time. Zero keeps the
 	// harness defaults (50M events, unlimited phase budget and horizon).
-	MaxEvents        uint64            `json:"maxEvents,omitempty"`
-	PhaseEventBudget uint64            `json:"phaseEventBudget,omitempty"`
-	HorizonSeconds   float64           `json:"horizonSeconds,omitempty"`
-	Extra            map[string]string `json:"-"`
+	MaxEvents        uint64  `json:"maxEvents,omitempty"`
+	PhaseEventBudget uint64  `json:"phaseEventBudget,omitempty"`
+	HorizonSeconds   float64 `json:"horizonSeconds,omitempty"`
 }
 
 // TransportSpec is the JSON form of a transport.Config (seconds-based
@@ -436,6 +435,7 @@ func (spec ScenarioSpec) Scenario() (Scenario, error) {
 		cfg.MRAI = 0
 	}
 	cfg.MRAIContinuous = spec.MRAIContinuous
+	cfg.Damping = spec.Damping
 	// Sorted iteration: with several enhancement keys the map order is
 	// random, and any future order-dependent handling (or error text)
 	// must not vary between loads of the same spec.
@@ -448,9 +448,6 @@ func (spec ScenarioSpec) Scenario() (Scenario, error) {
 			return Scenario{}, fmt.Errorf("experiment: %w", err)
 		}
 		cfg.Enhancements = cfg.Enhancements.With(e)
-	}
-	if spec.Damping {
-		cfg.Damping = bgp.DefaultDamping()
 	}
 
 	// An omitted dest and "dest": -1 on a fixed family both mean AS 0. On
@@ -590,6 +587,7 @@ func NewScenarioSpec(s Scenario) (*ScenarioSpec, error) {
 			Edges:  make([][2]int, len(edges)),
 		},
 		MRAIContinuous:      s.BGP.MRAIContinuous,
+		Damping:             s.BGP.Damping,
 		FlapCycles:          s.FlapCycles,
 		RestoreDelaySeconds: s.RestoreDelay.Seconds(),
 		Seed:                s.Seed,
@@ -622,13 +620,6 @@ func NewScenarioSpec(s Scenario) (*ScenarioSpec, error) {
 		for _, name := range names {
 			spec.Enhancements[name] = true
 		}
-	}
-
-	if s.BGP.Damping != nil {
-		if *s.BGP.Damping != *bgp.DefaultDamping() {
-			return nil, errors.New("experiment: non-default damping configuration is not spec-representable")
-		}
-		spec.Damping = true
 	}
 
 	spec.Transport = NewTransportSpec(s.Transport)

@@ -237,7 +237,7 @@ func TestLoadScenarioExplicitLinkAndDest(t *testing.T) {
 	if s.Dest != 2 || s.FailLink != topology.NormEdge(2, 3) {
 		t.Errorf("dest/link = %d/%v", s.Dest, s.FailLink)
 	}
-	if s.BGP.Damping == nil {
+	if !s.BGP.Damping {
 		t.Error("damping not enabled")
 	}
 	if s.FlapCycles != 1 || s.RestoreDelay != 1500*time.Millisecond {

@@ -58,6 +58,9 @@ func TestKeysGolden(t *testing.T) {
 		{"clique15-tdown", spec("clique15-tdown.json"),
 			"cc3aca736a449d975c87b84c8188c6101317703770d36bc5530a1929bf814a09",
 		},
+		{"clique5-flap-damping", spec("clique5-flap-damping.json"),
+			"a13507d8de974486bfaa70c1fb019856c3a9e67a4a3c837cd331522cd825c51e",
+		},
 		{"degraded-clique", spec("degraded-clique.json"),
 			"70664c7654f2f5210dd6ce9c04b96d9d137129b3ef351047d075088012ae3e11",
 		},

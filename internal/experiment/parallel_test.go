@@ -219,7 +219,7 @@ func TestScenarioCacheKey(t *testing.T) {
 		{"seed", func(s *Scenario) { s.Seed = 6 }},
 		{"mrai", func(s *Scenario) { s.BGP.MRAI = 5 * time.Second }},
 		{"enhancement", func(s *Scenario) { s.BGP.Enhancements.SSLD = true }},
-		{"damping", func(s *Scenario) { s.BGP.Damping = bgp.DefaultDamping() }},
+		{"damping", func(s *Scenario) { s.BGP.Damping = true }},
 		{"dest", func(s *Scenario) { s.Dest = 1 }},
 		{"flapcycles", func(s *Scenario) { s.FlapCycles = 1 }},
 		{"graph", func(s *Scenario) { s.Graph = topology.Clique(5) }},

@@ -82,7 +82,7 @@ func Preflight(s Scenario, strict bool) (*safety.Report, error) {
 // route-flap damping is enabled: damping's suppression/reuse timers
 // legitimately stretch convergence past any structural bound.
 func StaticConvergenceBound(s Scenario) time.Duration {
-	if s.BGP.Damping != nil {
+	if s.BGP.Damping {
 		return 0
 	}
 	d, plan, err := s.lowered()

@@ -220,7 +220,7 @@ func TestStaticBoundProperties(t *testing.T) {
 		t.Errorf("bound not monotone in size: %v !> %v", large, small)
 	}
 	damped := CliqueTDown(4, bgp.DefaultConfig(), 1)
-	damped.BGP.Damping = bgp.DefaultDamping()
+	damped.BGP.Damping = true
 	if b := StaticConvergenceBound(damped); b != 0 {
 		t.Errorf("damping scenario got bound %v, want 0 (no bound)", b)
 	}

@@ -81,7 +81,7 @@ func TestFlapCyclesRun(t *testing.T) {
 
 func TestFlapCyclesWithDampingSuppresses(t *testing.T) {
 	cfg := bgp.DefaultConfig()
-	cfg.Damping = bgp.DefaultDamping()
+	cfg.Damping = true
 	s := BCliqueTLong(4, cfg, 6)
 	s.FlapCycles = 3
 	res, err := Run(s)

@@ -39,11 +39,11 @@ func extX1(su *Suite) (*report.Table, error) {
 	sc := su.sc
 	tbl := &report.Table{Columns: []string{"mrai_s", "clique_updates", "bclique_updates"}}
 	for _, m := range sc.MRAIs {
-		clique, err := su.cell(cliqueTDown, sc.CliqueMRAISize, m, sc.BGP.Enhancements)
+		clique, err := su.cell(cliqueTDown, sc.CliqueMRAISize, m, bgp.Enhancements{})
 		if err != nil {
 			return nil, err
 		}
-		bclique, err := su.cell(bcliqueTLong, sc.BCliqueMRAISize, m, sc.BGP.Enhancements)
+		bclique, err := su.cell(bcliqueTLong, sc.BCliqueMRAISize, m, bgp.Enhancements{})
 		if err != nil {
 			return nil, err
 		}
@@ -57,7 +57,7 @@ func extX1(su *Suite) (*report.Table, error) {
 func extX2(su *Suite) (*report.Table, error) {
 	sc := su.sc
 	n := sc.InternetSizes[len(sc.InternetSizes)-1]
-	_, results, _, err := experiment.RunSweep(experiment.InternetTDown(n, sc.BGP, sc.Seed), sc.InternetTrials, sc.Sweep)
+	_, results, _, err := experiment.RunSweep(experiment.InternetTDown(n, bgp.DefaultConfig(), sc.Seed), sc.InternetTrials, sc.Sweep)
 	if err != nil {
 		return nil, err
 	}
@@ -89,7 +89,7 @@ func extX2(su *Suite) (*report.Table, error) {
 			float64(len(durs))/float64(total),
 			(sum / time.Duration(len(durs))).Seconds(),
 			max.Seconds(),
-			loopanalysis.WorstCaseResolution(s, sc.BGP.MRAI).Seconds())
+			loopanalysis.WorstCaseResolution(s, bgp.DefaultMRAI).Seconds())
 	}
 	return tbl, nil
 }
@@ -113,7 +113,7 @@ func extX3(su *Suite) (*report.Table, error) {
 			pick := des.NewRNG(sc.Seed + int64(trial)).Stream("figures/x3/" + b.name)
 			lows := topology.LowestDegreeNodes(g)
 			dest := lows[pick.Intn(len(lows))]
-			return experiment.TDownScenario(g, dest, sc.BGP, sc.Seed+int64(trial)), nil
+			return experiment.TDownScenario(g, dest, bgp.DefaultConfig(), sc.Seed+int64(trial)), nil
 		}
 		agg, _, _, err := experiment.RunSweep(gen, sc.InternetTrials, sc.Sweep)
 		if err != nil {
@@ -144,7 +144,7 @@ func extX4(su *Suite) (*report.Table, error) {
 			pick := des.NewRNG(sc.Seed + int64(trial)).Stream("figures/x4")
 			lows := topology.LowestDegreeNodes(g)
 			dest := lows[pick.Intn(len(lows))]
-			s := experiment.TDownScenario(g, dest, sc.BGP, sc.Seed+int64(trial))
+			s := experiment.TDownScenario(g, dest, bgp.DefaultConfig(), sc.Seed+int64(trial))
 			s.NamedPolicy = v.policy
 			return s, nil
 		}
@@ -172,7 +172,7 @@ func extX6(su *Suite) (*report.Table, error) {
 		linkDelay        time.Duration
 		mrai             time.Duration
 	}
-	base := sc.BGP
+	base := bgp.DefaultConfig()
 	variants := []variant{
 		{"paper (proc 0.1-0.5s, link 2ms, mrai 30s)", 100 * time.Millisecond, 500 * time.Millisecond, 2 * time.Millisecond, 30 * time.Second},
 		{"10x link delay", 100 * time.Millisecond, 500 * time.Millisecond, 20 * time.Millisecond, 30 * time.Second},
@@ -207,22 +207,16 @@ func extX7(su *Suite) (*report.Table, error) {
 	tbl := &report.Table{Columns: []string{
 		"config", "convergence_s", "ttl_exhaustions", "updates_sent", "suppressed", "reused",
 	}}
-	for _, v := range []struct {
-		name    string
-		damping *bgp.DampingConfig
-	}{
-		{"no damping", nil},
-		{"rfc2439 damping", bgp.DefaultDamping()},
-	} {
-		cfg := sc.BGP
-		cfg.Damping = v.damping
+	for i, name := range []string{"no damping", "rfc2439 damping"} {
+		cfg := bgp.DefaultConfig()
+		cfg.Damping = i == 1
 		s := experiment.BCliqueTLong(sc.BCliqueMRAISize, cfg, sc.Seed)
 		s.FlapCycles = 3
 		res, err := su.runOne(s)
 		if err != nil {
 			return nil, err
 		}
-		tbl.AddFloats(v.name,
+		tbl.AddFloats(name,
 			res.ConvergenceTime.Seconds(),
 			float64(res.TTLExhaustions),
 			float64(res.UpdatesSent),
@@ -241,8 +235,8 @@ func extX5(su *Suite) (*report.Table, error) {
 		name string
 		s    experiment.Scenario
 	}{
-		{"clique-tdown", experiment.CliqueTDown(sc.CliqueMRAISize, sc.BGP, sc.Seed)},
-		{"bclique-tlong", experiment.BCliqueTLong(sc.BCliqueMRAISize, sc.BGP, sc.Seed)},
+		{"clique-tdown", experiment.CliqueTDown(sc.CliqueMRAISize, bgp.DefaultConfig(), sc.Seed)},
+		{"bclique-tlong", experiment.BCliqueTLong(sc.BCliqueMRAISize, bgp.DefaultConfig(), sc.Seed)},
 	}
 	tbl := &report.Table{Columns: []string{
 		"workload", "fail_conv_s", "fail_exhaustions", "recover_conv_s", "recover_exhaustions",

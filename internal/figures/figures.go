@@ -59,10 +59,6 @@ type Scale struct {
 	InternetTrials int
 	// Seed is the base seed for every sweep.
 	Seed int64
-	// BGP is the base protocol configuration: the size and MRAI figures
-	// run it as given (the MRAI figures replacing its MRAI), the Figure 8/9
-	// columns replace its enhancement set with each variant's.
-	BGP bgp.Config
 	// Sweep configures the trial executor behind every sweep of every
 	// figure, extensions included: Workers fans trials across goroutines
 	// (byte-identical output to the sequential path), CacheDir serves
@@ -83,7 +79,6 @@ func FullScale() Scale {
 		Trials:          3,
 		InternetTrials:  5,
 		Seed:            1,
-		BGP:             bgp.DefaultConfig(),
 	}
 }
 
@@ -100,7 +95,6 @@ func QuickScale() Scale {
 		Trials:          2,
 		InternetTrials:  2,
 		Seed:            1,
-		BGP:             bgp.DefaultConfig(),
 	}
 }
 
@@ -206,8 +200,8 @@ func Run(id string, sc Scale) (*report.Table, error) {
 	return NewSuite(sc).Run(id)
 }
 
-// cell is one swept point: a workload at one size, under the scale's
-// base configuration with this MRAI and enhancement set.
+// cell is one swept point: a workload at one size, under the paper's
+// configuration (bgp.DefaultConfig) with this MRAI and enhancement set.
 type cell struct {
 	w    *workload
 	n    int
@@ -256,7 +250,7 @@ func (su *Suite) cell(w *workload, n int, mrai time.Duration, e bgp.Enhancements
 	if agg, ok := su.cells[c]; ok {
 		return agg, nil
 	}
-	cfg := experiment.WithEnhancements(experiment.WithMRAI(su.sc.BGP, mrai), e)
+	cfg := experiment.WithEnhancements(experiment.WithMRAI(bgp.DefaultConfig(), mrai), e)
 	agg, _, _, err := experiment.RunSweep(w.generator(n, cfg, su.sc.Seed), w.grid(su.sc).trials, su.sc.Sweep)
 	if err != nil {
 		return experiment.Aggregate{}, err
@@ -282,13 +276,13 @@ func columns(axis string, cols []metric) []string {
 	return out
 }
 
-// vsSize plots the metrics over the workload's size grid under the base
-// configuration (Figures 4 and 6).
+// vsSize plots the metrics over the workload's size grid under the
+// paper's configuration (Figures 4 and 6).
 func vsSize(w *workload, cols ...metric) func(*Suite) (*report.Table, error) {
 	return func(su *Suite) (*report.Table, error) {
 		tbl := &report.Table{Columns: columns(w.label, cols)}
 		for _, n := range w.grid(su.sc).sizes {
-			agg, err := su.cell(w, n, su.sc.BGP.MRAI, su.sc.BGP.Enhancements)
+			agg, err := su.cell(w, n, bgp.DefaultMRAI, bgp.Enhancements{})
 			if err != nil {
 				return nil, err
 			}
@@ -305,7 +299,7 @@ func vsMRAI(w *workload, cols ...metric) func(*Suite) (*report.Table, error) {
 		tbl := &report.Table{Columns: columns("mrai_s", cols)}
 		n := w.grid(su.sc).mraiSize
 		for _, m := range su.sc.MRAIs {
-			agg, err := su.cell(w, n, m, su.sc.BGP.Enhancements)
+			agg, err := su.cell(w, n, m, bgp.Enhancements{})
 			if err != nil {
 				return nil, err
 			}
@@ -324,7 +318,7 @@ func perVariant(w *workload, m metric, normalise bool) func(*Suite) (*report.Tab
 		for _, n := range w.grid(su.sc).sizes {
 			values := make([]float64, 0, len(bgp.Variants))
 			for _, v := range bgp.Variants {
-				agg, err := su.cell(w, n, su.sc.BGP.MRAI, v.E)
+				agg, err := su.cell(w, n, bgp.DefaultMRAI, v.E)
 				if err != nil {
 					return nil, err
 				}
@@ -370,9 +364,6 @@ func (sc Scale) withDefaults() Scale {
 	}
 	if sc.Seed == 0 {
 		sc.Seed = full.Seed
-	}
-	if sc.BGP.MRAI == 0 && sc.BGP.Policy == nil {
-		sc.BGP = full.BGP
 	}
 	return sc
 }

@@ -23,7 +23,6 @@ func tinyScale() Scale {
 		Trials:          1,
 		InternetTrials:  1,
 		Seed:            1,
-		BGP:             bgp.DefaultConfig(),
 	}
 }
 
@@ -131,7 +130,7 @@ func TestSuiteSweepsEachCellOnce(t *testing.T) {
 	} {
 		for _, n := range w.sizes {
 			for _, v := range bgp.Variants {
-				trialsOf[point{w.name, n, sc.BGP.MRAI, v.Name}] = w.trials
+				trialsOf[point{w.name, n, bgp.DefaultMRAI, v.Name}] = w.trials
 			}
 		}
 		if w.mraiSize != 0 {
@@ -209,9 +208,6 @@ func TestScaleDefaults(t *testing.T) {
 	full := FullScale()
 	if len(sc.CliqueSizes) != len(full.CliqueSizes) || sc.Trials != full.Trials {
 		t.Errorf("zero Scale did not default to FullScale: %+v", sc)
-	}
-	if err := sc.BGP.Validate(); err != nil {
-		t.Errorf("defaulted BGP config invalid: %v", err)
 	}
 }
 

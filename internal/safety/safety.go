@@ -22,8 +22,8 @@
 //     means convergence is not guaranteed (BAD-GADGET-style
 //     configurations may oscillate forever); it does not by itself
 //     prove divergence from every start.
-//   - UNKNOWN: the universe had to be truncated (Limits) before the
-//     analysis could certify either way.
+//   - UNKNOWN: the universe had to be truncated (maxPaths,
+//     maxPathsPerNode) before the analysis could certify either way.
 //
 // Independently of the convergence verdict, the package enumerates
 // transient-loop candidates: ordered (node, fallback-path) pairs whose
@@ -50,7 +50,7 @@ type Verdict int
 
 const (
 	// Unknown means the analysis could not certify the scenario either
-	// way (the permitted-path universe was truncated by Limits).
+	// way (the permitted-path universe was truncated).
 	Unknown Verdict = iota
 	// Safe means no dispute wheel exists: convergence is guaranteed.
 	Safe
@@ -76,35 +76,17 @@ func (v Verdict) MarshalJSON() ([]byte, error) {
 	return []byte(`"` + v.String() + `"`), nil
 }
 
-// Limits bounds the exhaustive universe enumeration so the analysis
-// always terminates quickly. Zero fields take defaults. Hitting a limit
-// truncates the universe: UNSAFE verdicts (found wheels) remain sound,
-// but SAFE can no longer be certified and the verdict degrades to
-// UNKNOWN.
-type Limits struct {
-	// MaxPathsPerNode caps the permitted paths kept per node
-	// (default 512).
-	MaxPathsPerNode int
-	// MaxPaths caps the total permitted paths across all nodes
-	// (default 8192).
-	MaxPaths int
-	// MaxPathLen caps the hop length of enumerated paths (default: the
-	// number of nodes, i.e. no effective cap for simple paths).
-	MaxPathLen int
-}
-
-func (l Limits) withDefaults(n int) Limits {
-	if l.MaxPathsPerNode == 0 {
-		l.MaxPathsPerNode = 512
-	}
-	if l.MaxPaths == 0 {
-		l.MaxPaths = 8192
-	}
-	if l.MaxPathLen == 0 || l.MaxPathLen > n {
-		l.MaxPathLen = n
-	}
-	return l
-}
+// The exhaustive universe enumeration is bounded so the analysis always
+// terminates quickly. Hitting a bound truncates the universe: UNSAFE
+// verdicts (found wheels) remain sound, but SAFE can no longer be
+// certified and the verdict degrades to UNKNOWN. Paths are simple, so
+// their length needs no bound of its own.
+const (
+	// maxPathsPerNode caps the permitted paths kept per node.
+	maxPathsPerNode = 512
+	// maxPaths caps the total permitted paths across all nodes.
+	maxPaths = 8192
+)
 
 // Input is a resolved scenario configuration for analysis. It is built
 // from the same ingredients as an experiment.Scenario but carries no
@@ -128,8 +110,6 @@ type Input struct {
 	// Enhancements marks which convergence enhancements the scenario
 	// runs; used to annotate transient-loop candidates.
 	Enhancements bgp.Enhancements
-	// Limits bounds the exhaustive analysis.
-	Limits Limits
 	// Candidates requests transient-loop candidate enumeration in
 	// addition to the convergence verdict.
 	Candidates bool
@@ -200,7 +180,7 @@ type UniverseStats struct {
 // enumerating paths (shortest-path ranking at every node; Gao-Rexford
 // ranking plus export with an acyclic customer-provider hierarchy) —
 // this is what lets large cliques verify in microseconds. Otherwise it
-// enumerates the permitted-path universe under Limits, builds the
+// enumerates the bounded permitted-path universe, builds the
 // dispute digraph, and searches for a wheel.
 func Analyze(in Input) (*Report, error) {
 	if in.Graph == nil {

@@ -134,10 +134,9 @@ func TestExhaustiveSafeTriangle(t *testing.T) {
 
 func TestTruncationYieldsUnknown(t *testing.T) {
 	in := Input{
-		Graph:  topology.Clique(7),
+		Graph:  topology.Clique(8), // 1,957 simple paths per node, above maxPathsPerNode
 		Dest:   0,
 		Policy: likeShortestPath{},
-		Limits: Limits{MaxPaths: 20},
 	}
 	rep, err := Analyze(in)
 	if err != nil {

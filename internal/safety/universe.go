@@ -38,12 +38,12 @@ func (u *Universe) Index(v topology.Node, p routing.Path) int {
 	return -1
 }
 
-// buildUniverse enumerates the permitted-path universe under in.Limits.
+// buildUniverse enumerates the permitted-path universe under maxPaths and
+// maxPathsPerNode.
 // The traversal is deterministic: the queue is FIFO, neighbors are
 // visited in sorted order, and the final per-node path lists are sorted
 // canonically.
 func buildUniverse(in Input) *Universe {
-	lim := in.Limits.withDefaults(in.Graph.NumNodes())
 	u := &Universe{Paths: make(map[topology.Node][]routing.Path)}
 
 	trivial := routing.Path{in.Dest}
@@ -55,12 +55,6 @@ func buildUniverse(in Input) *Universe {
 		p := queue[0]
 		queue = queue[1:]
 		v := p.First()
-		if p.Len() >= lim.MaxPathLen {
-			if anyExtension(in, p) {
-				u.truncate("path length limit")
-			}
-			continue
-		}
 		// learnedFrom is the neighbor v itself learned the route from:
 		// None when v originates (v == dest), else the second element.
 		learnedFrom := topology.None
@@ -75,11 +69,11 @@ func buildUniverse(in Input) *Universe {
 				continue
 			}
 			np := p.Prepend(nb)
-			if len(u.Paths[nb]) >= lim.MaxPathsPerNode {
+			if len(u.Paths[nb]) >= maxPathsPerNode {
 				u.truncate("per-node path limit")
 				continue
 			}
-			if u.Stats.Paths >= lim.MaxPaths {
+			if u.Stats.Paths >= maxPaths {
 				u.truncate("total path limit")
 				continue
 			}
@@ -93,22 +87,6 @@ func buildUniverse(in Input) *Universe {
 		sortPaths(u.Paths[topology.Node(v)])
 	}
 	return u
-}
-
-// anyExtension reports whether p could extend to at least one neighbor,
-// used to decide whether a length cutoff actually truncated anything.
-func anyExtension(in Input, p routing.Path) bool {
-	v := p.First()
-	learnedFrom := topology.None
-	if p.Len() > 1 {
-		learnedFrom = p[1]
-	}
-	for _, nb := range in.Graph.Neighbors(v) {
-		if !p.Contains(nb) && in.shouldExport(v, learnedFrom, nb) {
-			return true
-		}
-	}
-	return false
 }
 
 func (u *Universe) truncate(at string) {

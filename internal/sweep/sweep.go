@@ -233,17 +233,6 @@ func (s *Stats) Add(other Stats) {
 	s.Skipped += other.Skipped
 }
 
-// CacheHitRatio returns CacheHits/(CacheHits+CacheMisses), or 0 when the
-// cache was never probed. It is the ratio the bgpd /metrics endpoint
-// exposes.
-func (s Stats) CacheHitRatio() float64 {
-	probes := s.CacheHits + s.CacheMisses
-	if probes == 0 {
-		return 0
-	}
-	return float64(s.CacheHits) / float64(probes)
-}
-
 // Outcome is the merged, trial-ordered result of a sweep. All slices are
 // indexed by trial.
 type Outcome[T any] struct {
